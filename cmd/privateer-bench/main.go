@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -24,12 +25,12 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"all, table1, table3, fig6, fig7, fig8, fig9, ablation, pipeline, micro, scale, elision, staticsep, obsoverhead, or service")
+			"all, table1, table3, fig6, fig7, fig8, fig9, ablation, micro, scale, elision, staticsep, obsoverhead, or service")
 		input     = flag.String("input", "", "input class override: train, ref, alt, huge")
 		quick     = flag.Bool("quick", false, "scaled-down configuration (train inputs)")
 		programs  = flag.String("programs", "", "comma-separated subset of benchmarks")
 		workers   = flag.Int("workers", 0, "machine size override for fig7/fig9")
-		jsonOut   = flag.Bool("json", false, "machine-readable output (micro, pipeline, obsoverhead)")
+		jsonOut   = flag.Bool("json", false, "machine-readable output (micro, scale, elision, staticsep, obsoverhead, service); an error elsewhere")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file of the speculation lifecycle")
 		eventsOut = flag.Bool("events", false, "print an event summary table after the experiment")
 		serve     = flag.String("serve", "", "serve live introspection (/metrics, /vars, /spec, /debug/pprof) on this address while experiments run")
@@ -116,157 +117,91 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 		return nil
 	}
 
-	if experiment == "table1" {
-		fmt.Println(bench.Table1())
-		return nil
+	// Experiments that render both a table and -json.
+	type report interface {
+		JSON() string
+		Format() string
 	}
-	if experiment == "pipeline" {
-		rep, err := bench.RunPipeline(cfg)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			fmt.Println(rep.JSON())
-		} else {
-			fmt.Println(rep.Format())
-		}
-		return nil
+	structured := map[string]func() (report, error){
+		"micro":       func() (report, error) { return bench.RunMicroTraced(tracer) },
+		"scale":       func() (report, error) { return bench.RunScale(cfg, quick) },
+		"elision":     func() (report, error) { return bench.RunElision(cfg, quick) },
+		"staticsep":   func() (report, error) { return bench.RunStaticSep(cfg, quick) },
+		"service":     func() (report, error) { return bench.RunService(cfg, quick) },
+		"obsoverhead": func() (report, error) { return bench.RunObsOverhead() },
 	}
-	if experiment == "scale" {
-		rep, err := bench.RunScale(cfg, quick)
-		if err != nil {
-			return err
+	// The paper's tables and figures render text only; all but table1 run
+	// over a prepared suite.
+	onSuite := func(f func(*bench.Suite) (string, error)) func() (string, error) {
+		return func() (string, error) {
+			suite, err := bench.NewSuite(cfg)
+			if err != nil {
+				return "", err
+			}
+			return f(suite)
 		}
-		if jsonOut {
-			fmt.Println(rep.JSON())
-		} else {
-			fmt.Println(rep.Format())
-		}
-		return nil
 	}
-	if experiment == "elision" {
-		rep, err := bench.RunElision(cfg, quick)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			fmt.Println(rep.JSON())
-		} else {
-			fmt.Println(rep.Format())
-		}
-		return nil
+	text := map[string]func() (string, error){
+		"table1":   func() (string, error) { return bench.Table1(), nil },
+		"all":      onSuite((*bench.Suite).All),
+		"table3":   onSuite(func(s *bench.Suite) (string, error) { return formatted(s.Table3()) }),
+		"fig6":     onSuite(func(s *bench.Suite) (string, error) { return formatted(s.Fig6()) }),
+		"fig7":     onSuite(func(s *bench.Suite) (string, error) { return formatted(s.Fig7()) }),
+		"fig8":     onSuite(func(s *bench.Suite) (string, error) { return formatted(s.Fig8()) }),
+		"fig9":     onSuite(func(s *bench.Suite) (string, error) { return formatted(s.Fig9()) }),
+		"ablation": onSuite(func(s *bench.Suite) (string, error) { return ablations(s, cfg) }),
 	}
-	if experiment == "staticsep" {
-		rep, err := bench.RunStaticSep(cfg, quick)
-		if err != nil {
-			return err
+
+	var out string
+	var err error
+	runStructured, isStructured := structured[experiment]
+	runText, isText := text[experiment]
+	switch {
+	case isStructured:
+		var rep report
+		if rep, err = runStructured(); err == nil {
+			out = rep.Format()
+			if jsonOut {
+				out = rep.JSON()
+			}
 		}
-		if jsonOut {
-			fmt.Println(rep.JSON())
-		} else {
-			fmt.Println(rep.Format())
-		}
-		return nil
-	}
-	if experiment == "micro" {
-		rep, err := bench.RunMicroTraced(tracer)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			fmt.Println(rep.JSON())
-		} else {
-			fmt.Println(rep.Format())
-		}
-		return finishTrace()
-	}
-	if experiment == "service" {
-		rep, err := bench.RunService(cfg, quick)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			fmt.Println(rep.JSON())
-		} else {
-			fmt.Println(rep.Format())
-		}
-		return nil
-	}
-	if experiment == "obsoverhead" {
-		rep, err := bench.RunObsOverhead()
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			fmt.Println(rep.JSON())
-		} else {
-			fmt.Println(rep.Format())
-		}
-		return nil
-	}
-	suite, err := bench.NewSuite(cfg)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err := finishTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "privateer-bench: trace:", err)
-		}
-	}()
-	switch experiment {
-	case "all":
-		out, err := suite.All()
-		fmt.Println(out)
-		return err
-	case "table3":
-		r, err := suite.Table3()
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-	case "fig6":
-		r, err := suite.Fig6()
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-	case "fig7":
-		r, err := suite.Fig7()
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-	case "fig8":
-		r, err := suite.Fig8()
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-	case "fig9":
-		r, err := suite.Fig9()
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-	case "ablation":
-		cp, err := suite.AblationCheckpointPeriod("dijkstra",
-			[]int64{1, 2, 4, 8, 16, 32, 64}, 0.03)
-		if err != nil {
-			return err
-		}
-		fmt.Println(cp.Format())
-		el, err := bench.AblationElision(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(el.Format())
-		vp, err := bench.AblationValuePrediction(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(vp.Format())
-	default:
+	case !isText:
 		return fmt.Errorf("unknown experiment %q", experiment)
+	case jsonOut:
+		return fmt.Errorf("experiment %q has no -json output", experiment)
+	default:
+		out, err = runText()
 	}
-	return nil
+	if out != "" {
+		fmt.Println(out)
+	}
+	// A requested trace is written even when the experiment failed: the
+	// events up to the failure are what explains it.
+	return errors.Join(err, finishTrace())
+}
+
+// formatted renders a text-only experiment's result.
+func formatted[R interface{ Format() string }](r R, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Format(), nil
+}
+
+// ablations runs the three ablation studies and concatenates their tables.
+func ablations(s *bench.Suite, cfg bench.Config) (string, error) {
+	cp, err := s.AblationCheckpointPeriod("dijkstra",
+		[]int64{1, 2, 4, 8, 16, 32, 64}, 0.03)
+	if err != nil {
+		return "", err
+	}
+	el, err := bench.AblationElision(cfg)
+	if err != nil {
+		return "", err
+	}
+	vp, err := bench.AblationValuePrediction(cfg)
+	if err != nil {
+		return "", err
+	}
+	return cp.Format() + "\n" + el.Format() + "\n" + vp.Format(), nil
 }

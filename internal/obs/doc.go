@@ -11,8 +11,7 @@
 // JSON file (chrometrace.go) or folded into per-invocation metrics
 // (metrics.go).
 //
-// Emission is safe from any goroutine: the runtime's workers and the
-// pipelined committer (KValidateEager, KCommitAsync, KCancel) trace
+// Emission is safe from any goroutine: the runtime's workers trace
 // concurrently with the master. Events from one goroutine are ordered;
 // events from different goroutines interleave by arrival, so consumers
 // that need a deterministic sequence must filter to kinds emitted by a

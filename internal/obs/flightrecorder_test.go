@@ -77,7 +77,7 @@ func TestSummarizePhases(t *testing.T) {
 		{Kind: KWorkerJoin, TimeNS: 150, DurNS: 400},
 		{Kind: KWorkerJoin, TimeNS: 150, DurNS: 300},
 		{Kind: KValidate, TimeNS: 600, DurNS: 30},
-		{Kind: KValidateEager, TimeNS: 640, DurNS: 20},
+		{Kind: KValidate, TimeNS: 640, DurNS: 20},
 		{Kind: KContribute, TimeNS: 500, DurNS: 10},
 		{Kind: KInstall, TimeNS: 700, DurNS: 25},
 		{Kind: KCommit, TimeNS: 725, DurNS: 15},

@@ -23,15 +23,6 @@ type InvocationMetrics struct {
 	Contributions int64
 	// Validations counts cross-interval validation passes.
 	Validations int64
-	// EagerValidations counts per-interval validations performed by the
-	// pipelined committer while workers were (potentially) still executing.
-	EagerValidations int64
-	// AsyncCommits counts checkpoints installed and committed by the
-	// pipelined committer.
-	AsyncCommits int64
-	// Cancels counts committer-initiated cancellations of in-flight
-	// speculative intervals.
-	Cancels int64
 	// Misspecs counts detected misspeculations.
 	Misspecs int64
 	// Recoveries counts sequential recovery episodes.
@@ -93,14 +84,6 @@ func Summarize(events []Event) []InvocationMetrics {
 			m.InstalledBytes += ev.A
 		case KCommit:
 			m.CommittedIO += ev.A
-		case KValidateEager:
-			m.EagerValidations++
-		case KCommitAsync:
-			m.AsyncCommits++
-			m.InstalledBytes += ev.A
-			m.CommittedIO += ev.B
-		case KCancel:
-			m.Cancels++
 		case KCOWCopy:
 			m.COWCopies++
 		case KTLBFlush:

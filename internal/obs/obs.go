@@ -55,18 +55,6 @@ const (
 	// KMark is a generic labeled span (Cause = label); the benchmark
 	// harness uses it to bracket whole benchmarks.
 	KMark
-	// KValidateEager is a pipelined per-interval validation performed by the
-	// background committer while workers may still be executing
-	// (Iter=checkpoint id, A=violating checkpoint id or -1).
-	KValidateEager
-	// KCommitAsync is an overlapped install+commit of one quiesced
-	// checkpoint by the background committer (Iter=checkpoint id,
-	// A=bytes installed, B=deferred-output records committed).
-	KCommitAsync
-	// KCancel is a committer-initiated cancellation of in-flight
-	// speculative intervals after eager validation found a violation
-	// (Iter=violating checkpoint id, Cause=reason).
-	KCancel
 	// KSpawn is one span's whole fleet spawn as a single span (A=spawns
 	// satisfied from the warmed pool, B=fleet size, Cause="warm", "cold" or
 	// "mixed"); the per-worker KWorkerSpawn instants fall inside it.
@@ -80,29 +68,26 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KRegionInvoke:  "region-invoke",
-	KSpanStart:     "span-start",
-	KSpanEnd:       "span-end",
-	KWorkerSpawn:   "worker-spawn",
-	KWorkerJoin:    "worker-join",
-	KCheckpoint:    "checkpoint",
-	KContribute:    "contribute",
-	KValidate:      "validate",
-	KInstall:       "install",
-	KCommit:        "commit",
-	KPhase:         "phase",
-	KMisspec:       "misspec",
-	KRecovery:      "recovery",
-	KSeqFallback:   "seq-fallback",
-	KCOWCopy:       "cow-copy",
-	KTLBFlush:      "tlb-flush",
-	KProtFault:     "prot-fault",
-	KMark:          "mark",
-	KValidateEager: "validate-eager",
-	KCommitAsync:   "commit-async",
-	KCancel:        "cancel",
-	KSpawn:         "spawn",
-	KJobPhase:      "job-phase",
+	KRegionInvoke: "region-invoke",
+	KSpanStart:    "span-start",
+	KSpanEnd:      "span-end",
+	KWorkerSpawn:  "worker-spawn",
+	KWorkerJoin:   "worker-join",
+	KCheckpoint:   "checkpoint",
+	KContribute:   "contribute",
+	KValidate:     "validate",
+	KInstall:      "install",
+	KCommit:       "commit",
+	KPhase:        "phase",
+	KMisspec:      "misspec",
+	KRecovery:     "recovery",
+	KSeqFallback:  "seq-fallback",
+	KCOWCopy:      "cow-copy",
+	KTLBFlush:     "tlb-flush",
+	KProtFault:    "prot-fault",
+	KMark:         "mark",
+	KSpawn:        "spawn",
+	KJobPhase:     "job-phase",
 }
 
 // String names the kind for human-readable output.

@@ -16,13 +16,13 @@ const (
 	PhaseSpawn = "spawn"
 	// PhaseRun covers speculative worker execution (KWorkerJoin busy spans).
 	PhaseRun = "run"
-	// PhaseValidate covers privacy validation passes, both synchronous and
-	// eager-pipelined (KValidate, KValidateEager).
+	// PhaseValidate covers cross-interval privacy validation passes
+	// (KValidate).
 	PhaseValidate = "validate"
 	// PhaseMerge covers worker state merges into checkpoints (KContribute).
 	PhaseMerge = "merge"
-	// PhaseCommit covers checkpoint installs and deferred-output commits,
-	// both synchronous and overlapped (KInstall, KCommit, KCommitAsync).
+	// PhaseCommit covers checkpoint installs and deferred-output commits
+	// (KInstall, KCommit).
 	PhaseCommit = "commit"
 	// PhaseRecovery covers sequential re-execution after misspeculation and
 	// whole-invocation sequential fallback (KRecovery, KSeqFallback).
@@ -47,11 +47,11 @@ func PhaseOf(ev Event) string {
 		return PhaseSpawn
 	case KWorkerJoin:
 		return PhaseRun
-	case KValidate, KValidateEager:
+	case KValidate:
 		return PhaseValidate
 	case KContribute:
 		return PhaseMerge
-	case KInstall, KCommit, KCommitAsync:
+	case KInstall, KCommit:
 		return PhaseCommit
 	case KRecovery, KSeqFallback:
 		return PhaseRecovery

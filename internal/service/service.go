@@ -87,8 +87,6 @@ type Config struct {
 	// PoolSlots is the warmed worker-pool capacity per compiled program
 	// (0 selects specrt.DefaultPoolSlots).
 	PoolSlots int
-	// Pipeline enables the pipelined committer inside each invocation.
-	Pipeline bool
 	// Metrics, when non-nil, receives the service's tenant-labeled metric
 	// families alongside each invocation's runtime collectors.
 	Metrics *obs.Registry
@@ -534,7 +532,6 @@ func (s *Service) run(job *Job) {
 	}
 	rt, ret, err := core.Run(c.par, specrt.Config{
 		Workers:     s.cfg.Workers,
-		Pipeline:    s.cfg.Pipeline,
 		Program:     c.prog,
 		Pool:        c.pool,
 		Metrics:     s.cfg.Metrics,

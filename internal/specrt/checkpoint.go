@@ -466,8 +466,7 @@ func (cp *checkpoint) crossValidateShardedAddr(shards int) (int64, uint64) {
 
 // installOwnDataInto applies only this checkpoint's merged private-heap
 // bytes (not its predecessors', not reductions) to the master address
-// space. The pipelined committer installs intervals one at a time with it;
-// installInto composes it over a whole chain.
+// space; installInto composes it over a whole chain.
 func (cp *checkpoint) installOwnDataInto(master *vm.AddressSpace) (int64, error) {
 	var bytes int64
 	for base, sh := range cp.shadow {
@@ -554,9 +553,7 @@ func (cp *checkpoint) installReduxInto(master *vm.AddressSpace, reduxObjs []redu
 
 // installInto applies the chain's merged private state and reduction totals
 // to the master address space: the simulated equivalent of installing a
-// checkpoint's heap images via mmap. This is the synchronous (quiesce-then-
-// commit) install; the pipelined committer reaches the same final state via
-// per-interval installOwnDataInto calls plus one installReduxInto.
+// checkpoint's heap images via mmap.
 func (cp *checkpoint) installInto(master *vm.AddressSpace, reduxObjs []reduxObj) (int64, error) {
 	var bytes int64
 	for _, c := range cp.chain() {

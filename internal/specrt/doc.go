@@ -22,10 +22,9 @@
 // from the last valid checkpoint boundary sequentially. See
 // ARCHITECTURE.md at the repository root for the end-to-end walk-through.
 //
-// With Config.Pipeline set, validation, install, and commit run in a
-// background committer goroutine that consumes each interval as soon as it
-// quiesces, overlapping the master-side critical path with worker
-// execution (committer.go).
+// There is one commit path: spanState.run joins the workers, finishSync
+// chain-validates on the master, and invoke installs and commits the valid
+// prefix. All of it is timed into Stats.JoinNS.
 //
 // # Invariants
 //
@@ -43,11 +42,10 @@
 // bit-identical run to run regardless of scheduling.
 //
 // Checkpoints are self-contained: each records only the bytes written in
-// its own interval, so installing a chain interval by interval (pipelined)
-// and installing it wholesale (synchronous) produce the same master state.
+// its own interval, so a chain installs oldest first, one interval's bytes
+// at a time, and any valid prefix of it is itself installable.
 //
 // Committed program output is append-only and ordered: deferred records
 // commit per interval in interval order, each interval's records in
-// iteration order, under RT.outMu (see the locking discipline note in
-// specrt.go).
+// iteration order, under RT.outMu.
 package specrt

@@ -21,8 +21,8 @@ import (
 
 // Snapshot returns an atomically loaded copy of the stats. Workers mutate
 // every field with atomic adds while a region runs, so any reporting that
-// may overlap execution (a /metrics scrape, the pipelined committer's
-// overlap window) must read through here rather than copying the struct.
+// may overlap execution (a /metrics scrape) must read through here rather
+// than copying the struct.
 func (s *Stats) Snapshot() Stats {
 	return Stats{
 		Invocations:         atomic.LoadInt64(&s.Invocations),
@@ -47,7 +47,6 @@ func (s *Stats) Snapshot() Stats {
 		PrivWriteNS:         atomic.LoadInt64(&s.PrivWriteNS),
 		WorkerBusyNS:        atomic.LoadInt64(&s.WorkerBusyNS),
 		RegionWallNS:        atomic.LoadInt64(&s.RegionWallNS),
-		OverlappedCommitNS:  atomic.LoadInt64(&s.OverlappedCommitNS),
 	}
 }
 
@@ -197,43 +196,6 @@ func FormatMisspecSites(rows []MisspecSiteRow) string {
 	return sb.String()
 }
 
-// noteIntervalStart publishes that some worker began interval c (the live
-// pipeline-depth numerator).
-func (rt *RT) noteIntervalStart(c int64) {
-	for {
-		cur := atomic.LoadInt64(&rt.curInterval)
-		if c+1 <= cur || atomic.CompareAndSwapInt64(&rt.curInterval, cur, c+1) {
-			return
-		}
-	}
-}
-
-// noteIntervalDone publishes the committer's retired-interval count (the
-// live pipeline-depth denominator).
-func (rt *RT) noteIntervalDone(done int64) {
-	atomic.StoreInt64(&rt.doneInterval, done)
-}
-
-// resetIntervalDepth zeroes the live depth counters at span end.
-func (rt *RT) resetIntervalDepth() {
-	atomic.StoreInt64(&rt.curInterval, 0)
-	atomic.StoreInt64(&rt.doneInterval, 0)
-}
-
-// pipelineDepthNow returns the number of checkpoint intervals currently in
-// flight between workers and the background committer (0 outside spans and
-// in synchronous mode).
-func (rt *RT) pipelineDepthNow() int64 {
-	if !rt.Cfg.Pipeline {
-		return 0
-	}
-	d := atomic.LoadInt64(&rt.curInterval) - atomic.LoadInt64(&rt.doneInterval)
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
 // SpecSnapshot is the live speculation-state document served at /spec.
 type SpecSnapshot struct {
 	// Stats is an atomic snapshot of the runtime counters.
@@ -242,11 +204,6 @@ type SpecSnapshot struct {
 	Heaps []vm.HeapOcc `json:"heaps"`
 	// Workers is the configured worker count.
 	Workers int `json:"workers"`
-	// Pipeline reports whether the background committer is enabled.
-	Pipeline bool `json:"pipeline"`
-	// PipelineDepth is the number of checkpoint intervals currently in
-	// flight between workers and the committer.
-	PipelineDepth int64 `json:"pipeline_depth"`
 	// MisspecRate is detected misspeculations per constructed checkpoint.
 	MisspecRate float64 `json:"misspec_rate"`
 	// MisspecSites is the attribution table, most frequent first.
@@ -262,13 +219,11 @@ func (rt *RT) SpecSnapshot() SpecSnapshot {
 		rate = float64(st.Misspecs) / float64(st.Checkpoints)
 	}
 	return SpecSnapshot{
-		Stats:         st,
-		Heaps:         rt.occ.Snapshot(),
-		Workers:       rt.Cfg.Workers,
-		Pipeline:      rt.Cfg.Pipeline,
-		PipelineDepth: rt.pipelineDepthNow(),
-		MisspecRate:   rate,
-		MisspecSites:  rt.MisspecSites(),
+		Stats:        st,
+		Heaps:        rt.occ.Snapshot(),
+		Workers:      rt.Cfg.Workers,
+		MisspecRate:  rate,
+		MisspecSites: rt.MisspecSites(),
 	}
 }
 
@@ -356,8 +311,6 @@ func (rt *RT) publishMetrics(reg *obs.Registry) {
 			func(s *Stats) int64 { return s.WorkerBusyNS }),
 		mk("region_wall_ns_total", "Wall-clock time inside parallel regions.",
 			func(s *Stats) int64 { return s.RegionWallNS }),
-		mk("overlapped_commit_ns_total", "Committer work overlapped with execution.",
-			func(s *Stats) int64 { return s.OverlappedCommitNS }),
 	}
 
 	var liveBytes, liveObjs, allocBytes [ir.NumHeaps]obs.Gauge
@@ -393,8 +346,6 @@ func (rt *RT) publishMetrics(reg *obs.Registry) {
 		"Reachable radix page-table nodes of the master space (refreshed at invocation boundaries).")
 	ptDirty := reg.Gauge("privateer_vm_dirty_pages",
 		"Master pages dirtied since its last clone (refreshed at invocation boundaries).")
-	depth := reg.Gauge("privateer_pipeline_depth",
-		"Checkpoint intervals in flight between workers and the committer.")
 	reg.GaugeFunc("privateer_misspec_rate",
 		"Detected misspeculations per constructed checkpoint.", func() float64 {
 			rt := latestRT.Load()
@@ -432,7 +383,6 @@ func (rt *RT) publishMetrics(reg *obs.Registry) {
 			ptNodes.Set(pt.Nodes)
 			ptDirty.Set(pt.DirtyPages)
 		}
-		depth.Set(rt.pipelineDepthNow())
 		for _, ri := range rt.regions {
 			ts := ri.TStats
 			for _, c := range []struct {

@@ -56,21 +56,6 @@ type Config struct {
 	Seed uint64
 	// StepLimit bounds each worker's interpreter (0 = default).
 	StepLimit int64
-	// Pipeline enables the pipelined validator/committer: a background
-	// goroutine eagerly chain-validates, installs, and commits checkpoint k
-	// as soon as interval k quiesces, while workers execute interval k+1 —
-	// moving validation and commit off the master's critical path (the
-	// paper's separate commit process, §5.2-§5.3). Off, the span uses the
-	// quiesce-then-commit barrier model. Both modes produce byte-identical
-	// output and results; on misspeculation-free runs the simulated-time
-	// accounting is identical too (misspeculation timing is inherently
-	// schedule-dependent in either mode — recovery keeps the outcome exact).
-	Pipeline bool
-	// ValidateShards caps the goroutines used to shard checkpoint merge and
-	// cross-interval validation scans by shadow-page range. 0 selects
-	// automatically (GOMAXPROCS, capped at 8); 1 forces serial scans.
-	// Results are independent of the shard count.
-	ValidateShards int
 	// Trace receives speculation-lifecycle events (nil disables tracing;
 	// every emission site is then a single branch).
 	Trace *obs.Tracer
@@ -172,10 +157,9 @@ type Stats struct {
 	// SpawnNS is wall-clock worker spawn time (nanoseconds, atomically
 	// accumulated, like every timing field below).
 	SpawnNS int64
-	// JoinNS is the master-side validate/install/commit critical path after
-	// workers quiesce: in synchronous mode the whole chain validation plus
-	// install plus commit; in pipelined mode only the drain — whatever the
-	// background committer had not already overlapped with execution.
+	// JoinNS is the master-side critical path after workers quiesce: chain
+	// validation (finishSync) plus install and commit (invoke), on the clean
+	// and the misspeculation exit alike.
 	JoinNS int64
 	// CheckpointNS is wall-clock time workers spent merging state into
 	// checkpoints.
@@ -188,10 +172,6 @@ type Stats struct {
 	WorkerBusyNS int64
 	// RegionWallNS is wall-clock time inside parallel-region invocations.
 	RegionWallNS int64
-	// OverlappedCommitNS is wall-clock validate/install/commit time the
-	// pipelined committer performed while workers were still executing —
-	// work the synchronous mode would have serialized into JoinNS.
-	OverlappedCommitNS int64
 }
 
 // RT is the runtime: it executes a transformed module, intercepting
@@ -208,28 +188,12 @@ type RT struct {
 
 	regions map[*ir.Function]*RegionInfo
 
-	// Locking discipline for committed program output.
-	//
 	// outMu guards out (the committed output stream) and each checkpoint's
 	// committed flag transition: every writer goes through writeOut or
-	// commitOne. Historically rt.out was mutated without a lock, which was
-	// sound only because commit ran on the master thread after the span
-	// quiesced; with Config.Pipeline the background committer writes output
-	// while worker goroutines are still running, so the invariant is now
-	// explicit:
-	//
-	//   - master thread: writes via OnPrint only outside parallel regions,
-	//     and via sequentialRange only after the span (and its committer)
-	//     has fully joined;
-	//   - committer goroutine: writes via commitOne only between span start
-	//     and its done-channel close, which span.run awaits before
-	//     returning;
-	//   - workers: never write out (their prints defer into worker-local
-	//     buffers).
-	//
-	// The mutex makes the discipline checkable under -race rather than a
-	// comment-only convention; at most one writer ever contends, so it
-	// costs an uncontended lock per record.
+	// commitChain. Only the master thread writes — OnPrint outside regions,
+	// commitChain and sequentialRange after the span's workers have joined —
+	// and workers never do (their prints defer into worker-local buffers);
+	// the mutex keeps that discipline checkable under -race.
 	outMu  sync.Mutex
 	out    strings.Builder
 	master *interp.Interp
@@ -285,12 +249,6 @@ type RT struct {
 	// block for scrapes (set in Run once the master space exists; the block
 	// itself is in atomic-update mode whenever metrics are enabled).
 	vmStats atomic.Pointer[vm.Stats]
-
-	// curInterval and doneInterval (atomic) expose the live pipeline
-	// depth: the newest interval any worker has started vs. the newest
-	// interval the background committer has fully retired.
-	curInterval  int64
-	doneInterval int64
 }
 
 // New prepares a runtime for mod with the given regions.
@@ -325,8 +283,7 @@ func (rt *RT) Output() string {
 	return rt.out.String()
 }
 
-// writeOut appends text to the committed output stream (see the locking
-// discipline note on outMu).
+// writeOut appends text to the committed output stream under outMu.
 func (rt *RT) writeOut(text string) {
 	rt.outMu.Lock()
 	rt.out.WriteString(text)
@@ -588,9 +545,8 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 		wall := int64(time.Since(wallStart))
 		atomic.AddInt64(&rt.Stats.RegionWallNS, wall)
 		rt.histRegionWall.Observe(wall)
-		// Workers and the committer have joined: the master space is
-		// quiescent, so this is a safe point to refresh the page-table
-		// snapshot metric scrapes read.
+		// Workers have joined: the master space is quiescent, so this is a
+		// safe point to refresh the page-table snapshot metric scrapes read.
 		if rt.Cfg.Metrics != nil {
 			pt := rt.master.AS.PageTable()
 			rt.ptStats.Store(&pt)
@@ -642,27 +598,23 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 		if err != nil {
 			return err
 		}
-		if misspecAt < 0 {
-			// Clean completion: install the final checkpoint. A pipelined
-			// span (span.installed) has already installed and committed
-			// everything from its background committer.
+		// Install the valid prefix (the whole span on a clean finish) and
+		// commit its deferred output: the second half of the join, timed
+		// into JoinNS on both exits.
+		if lastValid != nil {
 			joinStart := time.Now()
-			if lastValid != nil && !span.installed {
-				if err := rt.installCheckpoint(lastValid, span.redux, inv); err != nil {
-					return err
-				}
-			}
+			err := rt.installCheckpoint(lastValid, span.redux, inv)
 			atomic.AddInt64(&rt.Stats.JoinNS, int64(time.Since(joinStart)))
+			if err != nil {
+				return err
+			}
+		}
+		if misspecAt < 0 {
 			return nil
 		}
 		// Misspeculation: recover.
 		recoveries++
 		atomic.AddInt64(&rt.Stats.Recoveries, 1)
-		if lastValid != nil && !span.installed {
-			if err := rt.installCheckpoint(lastValid, span.redux, inv); err != nil {
-				return err
-			}
-		}
 		redoFrom := start
 		if lastValid != nil {
 			redoFrom = lastValid.limit
@@ -712,83 +664,48 @@ func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, inv int64) err
 	return nil
 }
 
-// commitOne commits one checkpoint's deferred output in iteration order and
-// marks it committed, all under outMu (see the locking discipline note),
-// returning the number of records. Both the synchronous chain commit and
-// the pipelined committer route through it.
-func (rt *RT) commitOne(c *checkpoint) int64 {
-	recs := c.sortedIO()
-	rt.outMu.Lock()
-	for _, rec := range recs {
-		rt.out.WriteString(rec.text)
-	}
-	c.committed = true
-	rt.outMu.Unlock()
-	cost := int64(len(recs)) * SimCommitPerIO
-	atomic.AddInt64(&rt.Sim.RegionTime, cost)
-	atomic.AddInt64(&rt.Sim.CheckpointCost, cost)
-	return int64(len(recs))
-}
-
-// commitChain commits every uncommitted checkpoint up to cp, emitting
-// deferred output in order (the synchronous commit path; the pipelined
-// committer instead calls commitOne per interval as each quiesces).
+// commitChain commits every uncommitted checkpoint up to cp, oldest first:
+// each one's deferred output is emitted in iteration order and the
+// checkpoint marked committed, under outMu.
 func (rt *RT) commitChain(cp *checkpoint, inv int64) {
 	tr := rt.Cfg.Trace
 	var chain []*checkpoint
-	for c := cp; c != nil; c = c.prev {
-		if c.committed {
-			break
-		}
+	for c := cp; c != nil && !c.committed; c = c.prev {
 		chain = append(chain, c)
+	}
+	if len(chain) == 0 {
+		return
 	}
 	t0 := tr.Now()
 	var committed int64
 	for i := len(chain) - 1; i >= 0; i-- {
-		committed += rt.commitOne(chain[i])
+		c := chain[i]
+		recs := c.sortedIO()
+		rt.outMu.Lock()
+		for _, rec := range recs {
+			rt.out.WriteString(rec.text)
+		}
+		c.committed = true
+		rt.outMu.Unlock()
+		committed += int64(len(recs))
 	}
-	if len(chain) > 0 && tr.On() {
+	cost := committed * SimCommitPerIO
+	atomic.AddInt64(&rt.Sim.RegionTime, cost)
+	atomic.AddInt64(&rt.Sim.CheckpointCost, cost)
+	if tr.On() {
 		tr.Emit(obs.Event{Kind: obs.KCommit, TimeNS: t0, DurNS: tr.Now() - t0,
 			Invocation: inv, Worker: -1, Iter: cp.id, A: committed})
 	}
 }
 
-// installRedux folds cp's cumulative reduction contributions into the
-// master state: the per-span final step of the pipelined path, whose data
-// pages and output were already installed interval by interval. It accounts
-// the same simulated cost and emits the same KInstall event the synchronous
-// whole-chain install attributes to its reduction bytes.
-func (rt *RT) installRedux(cp *checkpoint, redux []reduxObj, inv int64) error {
-	tr := rt.Cfg.Trace
-	t0 := tr.Now()
-	bytes, err := cp.installReduxInto(rt.master.AS, redux)
-	if err != nil {
-		return err
+// validateShards is the goroutine count for sharding checkpoint merge and
+// cross-interval validation scans by shadow-page range: GOMAXPROCS, capped
+// at 8. Results are independent of the shard count.
+func validateShards() int {
+	if s := runtime.GOMAXPROCS(0); s < 8 {
+		return s
 	}
-	rt.histInstall.Observe(bytes)
-	cost := bytes * SimInstallPerByte
-	atomic.AddInt64(&rt.Sim.RegionTime, cost)
-	atomic.AddInt64(&rt.Sim.CheckpointCost, cost)
-	if tr.On() {
-		tr.Emit(obs.Event{Kind: obs.KInstall, TimeNS: t0, DurNS: tr.Now() - t0,
-			Invocation: inv, Worker: -1, Iter: cp.id, A: bytes})
-	}
-	return nil
-}
-
-// validateShards resolves Config.ValidateShards (see its doc comment).
-func (rt *RT) validateShards() int {
-	s := rt.Cfg.ValidateShards
-	if s == 0 {
-		s = runtime.GOMAXPROCS(0)
-		if s > 8 {
-			s = 8
-		}
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return 8
 }
 
 // sequentialRange executes iterations [from, to) non-speculatively on the

@@ -1,7 +1,9 @@
 package specrt
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"privateer/internal/analysis"
@@ -10,6 +12,7 @@ import (
 	"privateer/internal/doall"
 	"privateer/internal/interp"
 	"privateer/internal/ir"
+	"privateer/internal/obs"
 	"privateer/internal/profiling"
 	"privateer/internal/transform"
 	"privateer/internal/vm"
@@ -258,5 +261,159 @@ func TestSequentialFallbackPath(t *testing.T) {
 	}
 	if rt.Stats.Recoveries == 0 {
 		t.Error("expected recoveries under certain misspeculation")
+	}
+}
+
+// TestCommitOutputRace hammers the committed-output stream from concurrent
+// goroutines through both of its writers, commitChain and writeOut. Run
+// under -race this pins the outMu locking discipline; the final stream must
+// contain every record exactly once.
+func TestCommitOutputRace(t *testing.T) {
+	rt := New(ir.NewModule("empty"), Config{})
+	const perG, gs = 200, 4
+	var wg sync.WaitGroup
+	for g := 0; g < gs; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				if g%2 == 0 {
+					cp := newCheckpoint(int64(i), 0, 1, nil)
+					cp.io = append(cp.io, ioRec{iter: int64(i), text: "c\n"})
+					rt.commitChain(cp, 0)
+				} else {
+					rt.writeOut("w\n")
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	out := rt.Output()
+	if got, want := strings.Count(out, "\n"), perG*gs; got != want {
+		t.Errorf("committed %d records, want %d", got, want)
+	}
+}
+
+// buildPageWriterModule: for i in [0,n), store i into 8 slots of a 32-page
+// table, one slot per page, and print a line. Iterations i and i+4 hit the
+// same 8 pages, so a worker fleet whose size is not a multiple of 4 dirties
+// all 32 shadow pages per worker per interval — enough for the merge and
+// chain-validation scans to shard. Slot values depend only on the writing
+// iteration, so last-writer-wins reproduces the sequential final state.
+func buildPageWriterModule(n int64) *ir.Module {
+	const pages, writes = 32, 8
+	m := ir.NewModule("page-writer")
+	table := m.NewGlobal("table", pages*vm.PageSize)
+	f := m.NewFunc("main", ir.I64)
+	b := ir.NewBuilder(f)
+	b.For("i", b.I(0), b.I(n), func(iv *ir.Instr) {
+		i := b.Ld(iv)
+		b.For("j", b.I(0), b.I(writes), func(jv *ir.Instr) {
+			slot := b.SRem(b.Add(i, b.Mul(b.Ld(jv), b.I(pages/writes))), b.I(pages))
+			b.Store(i, b.Add(b.Global(table), b.Mul(slot, b.I(vm.PageSize))), 8)
+		})
+		b.Print("i=%d\n", i)
+	})
+	acc := b.Local("acc")
+	b.St(b.I(0), acc)
+	b.For("p", b.I(0), b.I(pages), func(pv *ir.Instr) {
+		v := b.Load(b.Add(b.Global(table), b.Mul(b.Ld(pv), b.I(vm.PageSize))), 8)
+		b.St(b.Add(b.Mul(b.Ld(acc), b.I(31)), v), acc)
+	})
+	b.Ret(b.Ld(acc))
+	for _, fn := range m.SortedFuncs() {
+		ir.PromoteAllocas(fn)
+	}
+	return m
+}
+
+// TestJoinDeterminismAcrossGOMAXPROCS: the shard count of the merge and
+// chain-validation scans follows GOMAXPROCS, so the join's observable
+// behaviour — result, committed output and the simulated-time accounting —
+// must not depend on it. Misspeculation-free by construction, so the
+// simulated accounting is exactly reproducible.
+func TestJoinDeterminismAcrossGOMAXPROCS(t *testing.T) {
+	const n = 384
+	seqIt := interp.New(buildPageWriterModule(n), vm.NewAddressSpace())
+	var seqOut strings.Builder
+	seqIt.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
+		seqOut.WriteString(text)
+		return true
+	}
+	seqRet, err := seqIt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var sims []SimStats
+	for _, gmp := range []int{1, 4} {
+		runtime.GOMAXPROCS(gmp)
+		mod := buildPageWriterModule(n)
+		rt := New(mod, Config{Workers: 3, CheckpointPeriod: 48}, buildRegion(t, mod))
+		ret, err := rt.Run()
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", gmp, err)
+		}
+		if rt.Stats.Misspecs != 0 {
+			t.Fatalf("GOMAXPROCS=%d: unexpected misspeculation", gmp)
+		}
+		if ret != seqRet {
+			t.Errorf("GOMAXPROCS=%d: result %d, want sequential %d", gmp, ret, seqRet)
+		}
+		if rt.Output() != seqOut.String() {
+			t.Errorf("GOMAXPROCS=%d: output diverged from sequential reference", gmp)
+		}
+		sims = append(sims, rt.Sim)
+	}
+	if sims[0] != sims[1] {
+		t.Errorf("simulated accounting depends on GOMAXPROCS:\n 1: %+v\n 4: %+v", sims[0], sims[1])
+	}
+}
+
+// TestJoinAccountsPreRecoveryInstall: Stats.JoinNS must cover the install of
+// the valid prefix on the misspeculation exit, not only on the clean one.
+// The injection seed is chosen so the invocation's single misspeculation is
+// its last iteration: the prefix install before recovery is then the only
+// install, and JoinNS has to contain it on top of chain validation.
+func TestJoinAccountsPreRecoveryInstall(t *testing.T) {
+	const n, rate = 96, 0.02
+	mod := buildPageWriterModule(n)
+	ri := buildRegion(t, mod)
+	cfg := Config{Workers: 3, CheckpointPeriod: 24, MisspecRate: rate}
+	for cfg.Seed = 1; ; cfg.Seed++ {
+		probe := &RT{Cfg: cfg}
+		only := probe.inject(n - 1)
+		for i := int64(0); only && i < n-1; i++ {
+			only = !probe.inject(i)
+		}
+		if only {
+			break
+		}
+	}
+	col := obs.NewCollector(0)
+	cfg.Trace = obs.NewTracer(col)
+	rt := New(mod, cfg, ri)
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rt.Stats.Recoveries != 1 || rt.Stats.Misspecs != 1 {
+		t.Fatalf("recoveries %d, misspecs %d, want 1 each", rt.Stats.Recoveries, rt.Stats.Misspecs)
+	}
+	var installs, timed int64
+	for _, ev := range col.Events() {
+		switch ev.Kind {
+		case obs.KInstall:
+			installs++
+			timed += ev.DurNS
+		case obs.KValidate:
+			timed += ev.DurNS
+		}
+	}
+	if installs != 1 {
+		t.Fatalf("%d installs, want the one pre-recovery prefix install", installs)
+	}
+	if rt.Stats.JoinNS < timed {
+		t.Errorf("JoinNS %d < validate+install %d: the pre-recovery install is not accounted",
+			rt.Stats.JoinNS, timed)
 	}
 }

@@ -42,13 +42,6 @@ type spanState struct {
 	mu          sync.Mutex
 	checkpoints []*checkpoint
 
-	// committer is the background validate/install/commit stage when
-	// Config.Pipeline is set (nil in synchronous mode).
-	committer *committer
-	// installed marks that the span's own pipeline already installed and
-	// committed its valid prefix, so invoke must not install again.
-	installed bool
-
 	// misspecIter is the earliest misspeculated iteration (-1 = none);
 	// guarded by flagMu for the atomic-min update.
 	flagMu      sync.Mutex
@@ -71,12 +64,6 @@ func (sp *spanState) flag(i int64, wid int, cause, site string, addr uint64) {
 	sp.rt.Cfg.Trace.Instant(obs.Event{Kind: obs.KMisspec,
 		Invocation: sp.inv, Worker: wid, Iter: i, Cause: cause, Site: site,
 		A: int64(addr)})
-	// Wake the committer so it re-evaluates its wait condition (flagMu is
-	// already released: flag never holds flagMu and the committer's mutex
-	// together).
-	if sp.committer != nil {
-		sp.committer.wake()
-	}
 }
 
 // misspecInterval returns the interval id of the earliest misspeculation,
@@ -116,13 +103,13 @@ func (sp *spanState) checkpointFor(c int64) *checkpoint {
 
 // validate runs the second-phase cross-interval chain validation over the
 // checkpoints up to last, with tracing. The scan is sharded by shadow-page
-// range (Config.ValidateShards); the verdict is shard-count independent. It
+// range (validateShards); the verdict is shard-count independent. It
 // returns the first violating interval id (-1 = clean) and the faulting
 // private-heap address (0 when clean).
 func (sp *spanState) validate(last *checkpoint) (int64, uint64) {
 	tr := sp.rt.Cfg.Trace
 	t0 := tr.Now()
-	c, addr := last.crossValidateShardedAddr(sp.rt.validateShards())
+	c, addr := last.crossValidateShardedAddr(validateShards())
 	if tr.On() {
 		tr.Emit(obs.Event{Kind: obs.KValidate, TimeNS: t0, DurNS: tr.Now() - t0,
 			Invocation: sp.inv, Worker: -1, Iter: last.id, A: c})
@@ -135,8 +122,6 @@ func (sp *spanState) validate(last *checkpoint) (int64, uint64) {
 // finish), and any hard error.
 func (sp *spanState) run() (*checkpoint, int64, error) {
 	rt := sp.rt
-	// Live pipeline depth is meaningful only while this span runs.
-	defer rt.resetIntervalDepth()
 	tr := rt.Cfg.Trace
 	workers := rt.Cfg.Workers
 	if total := sp.hi - sp.start; int64(workers) > total {
@@ -175,13 +160,6 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 			Invocation: sp.inv, Worker: -1, Iter: -1, A: warm, B: int64(workers), Cause: cause})
 	}
 
-	// Pipelined mode: start the background committer before the workers, so
-	// interval 0 can validate and commit the moment it quiesces.
-	if rt.Cfg.Pipeline {
-		sp.committer = newCommitter(sp, workers, nIntervals)
-		go sp.committer.run()
-	}
-
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for w := 0; w < workers; w++ {
@@ -199,10 +177,6 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			if co := sp.committer; co != nil {
-				co.cancel()
-				<-co.done
-			}
 			return nil, -1, err
 		}
 	}
@@ -243,108 +217,60 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 
 	tr.Instant(obs.Event{Kind: obs.KPhase,
 		Invocation: sp.inv, Worker: -1, Iter: -1, Cause: "validate"})
-	if co := sp.committer; co != nil {
-		return sp.finishPipelined(co)
-	}
-	return sp.finishSync(nIntervals)
+	lastValid, misspecAt := sp.finishSync(nIntervals)
+	return lastValid, misspecAt, nil
 }
 
-// finishSync is the barrier-model span finish: the span has fully quiesced,
-// and the master now chain-validates every checkpoint on its critical path
-// (install and commit follow in invoke). Validation time accrues to
+// finishSync is the span's join: the workers have quiesced, and the master
+// chain-validates the checkpoints on its critical path (install and commit
+// follow in invoke). It returns the last valid checkpoint and the earliest
+// misspeculated iteration, as run does. Validation time accrues to
 // Stats.JoinNS.
-func (sp *spanState) finishSync(nIntervals int64) (*checkpoint, int64, error) {
-	rt := sp.rt
-	tr := rt.Cfg.Trace
+func (sp *spanState) finishSync(nIntervals int64) (*checkpoint, int64) {
 	joinStart := time.Now()
 	defer func() {
-		atomic.AddInt64(&rt.Stats.JoinNS, int64(time.Since(joinStart)))
+		atomic.AddInt64(&sp.rt.Stats.JoinNS, int64(time.Since(joinStart)))
 	}()
-	if !sp.flagged.Load() {
-		last := sp.checkpointFor(nIntervals - 1)
-		// Second-phase cross-interval privacy validation over the whole
-		// chain (the span has quiesced, so every contribution is in).
-		if c, addr := sp.validate(last); c >= 0 {
-			atomic.AddInt64(&rt.Stats.Misspecs, 1)
-			rt.noteMisspec(sp.ri.Outline.RegionFn.Name,
-				"privacy violated (cross-interval)", "", addr)
-			tr.Instant(obs.Event{Kind: obs.KMisspec, Invocation: sp.inv,
-				Worker: -1, Iter: sp.checkpointFor(c).limit - 1,
-				Cause: "privacy violated (cross-interval)", A: int64(addr)})
-			lv, at := sp.resolveMisspec(c, sp.checkpointFor(c).limit-1)
-			return lv, at, nil
+	// Without a worker-detected misspeculation the whole chain is the
+	// candidate; with one at interval mi, the prefix below mi is — and it may
+	// itself hide an earlier cross-interval violation.
+	mi, iter := nIntervals, int64(-1)
+	if sp.flagged.Load() {
+		mi = sp.misspecInterval()
+		sp.flagMu.Lock()
+		iter = sp.misspecIter
+		sp.flagMu.Unlock()
+	}
+	lastValid := sp.checkpointBefore(mi)
+	if lastValid != nil {
+		if c, addr := sp.validate(lastValid); c >= 0 {
+			lastValid, iter = sp.checkpointBefore(c), sp.crossIntervalMisspec(c, addr)
 		}
-		return last, -1, nil
-	}
-	mi := sp.misspecInterval()
-	sp.flagMu.Lock()
-	iter := sp.misspecIter
-	sp.flagMu.Unlock()
-	// The valid prefix may itself hide a cross-interval violation; take
-	// the earliest.
-	if mi > 0 {
-		if c, addr := sp.validate(sp.checkpointFor(mi - 1)); c >= 0 && c < mi {
-			atomic.AddInt64(&rt.Stats.Misspecs, 1)
-			rt.noteMisspec(sp.ri.Outline.RegionFn.Name,
-				"privacy violated (cross-interval)", "", addr)
-			tr.Instant(obs.Event{Kind: obs.KMisspec, Invocation: sp.inv,
-				Worker: -1, Iter: sp.checkpointFor(c).limit - 1,
-				Cause: "privacy violated (cross-interval)", A: int64(addr)})
-			lv, at := sp.resolveMisspec(c, sp.checkpointFor(c).limit-1)
-			return lv, at, nil
-		}
-	}
-	lv, at := sp.resolveMisspec(mi, iter)
-	return lv, at, nil
-}
-
-// finishPipelined drains the background committer. Most of the validate/
-// install/commit work already happened while workers executed; only this
-// drain — the tail intervals still in flight plus the single end-of-span
-// reduction fold — sits on the master's critical path and accrues to
-// Stats.JoinNS. The committer has eagerly chain-validated every installed
-// interval, so no prefix re-validation is needed here: a cross-interval
-// violation anywhere in the prefix already flagged the span with the
-// earliest violating iteration.
-func (sp *spanState) finishPipelined(co *committer) (*checkpoint, int64, error) {
-	rt := sp.rt
-	joinStart := time.Now()
-	defer func() {
-		atomic.AddInt64(&rt.Stats.JoinNS, int64(time.Since(joinStart)))
-	}()
-	co.finishWorkers()
-	<-co.done
-	if co.err != nil {
-		return nil, -1, co.err
-	}
-	last := co.lastInstalled
-	// Reductions fold exactly once per span, from the last installed
-	// checkpoint, in worker-id order (contributions are cumulative).
-	if last != nil {
-		if err := rt.installRedux(last, sp.redux, sp.inv); err != nil {
-			return nil, -1, err
-		}
-	}
-	// Data pages and deferred output are already installed and committed
-	// interval by interval; tell invoke not to install again.
-	sp.installed = true
-	if !sp.flagged.Load() {
-		return last, -1, nil
-	}
-	sp.flagMu.Lock()
-	iter := sp.misspecIter
-	sp.flagMu.Unlock()
-	return last, iter, nil
-}
-
-// resolveMisspec returns the last valid checkpoint before interval mi and
-// the iteration recovery must re-execute through.
-func (sp *spanState) resolveMisspec(mi, iter int64) (*checkpoint, int64) {
-	var lastValid *checkpoint
-	if mi > 0 {
-		lastValid = sp.checkpointFor(mi - 1)
 	}
 	return lastValid, iter
+}
+
+// checkpointBefore returns the checkpoint of the interval preceding mi: the
+// last valid one when interval mi misspeculated (nil when mi is the first).
+func (sp *spanState) checkpointBefore(mi int64) *checkpoint {
+	if mi == 0 {
+		return nil
+	}
+	return sp.checkpointFor(mi - 1)
+}
+
+// crossIntervalMisspec records the cross-interval privacy violation chain
+// validation found at interval c (faulting address addr) and returns the
+// iteration recovery must re-execute through: the interval's last.
+func (sp *spanState) crossIntervalMisspec(c int64, addr uint64) int64 {
+	const cause = "privacy violated (cross-interval)"
+	rt := sp.rt
+	iter := sp.checkpointFor(c).limit - 1
+	atomic.AddInt64(&rt.Stats.Misspecs, 1)
+	rt.noteMisspec(sp.ri.Outline.RegionFn.Name, cause, "", addr)
+	rt.Cfg.Trace.Instant(obs.Event{Kind: obs.KMisspec, Invocation: sp.inv,
+		Worker: -1, Iter: iter, Cause: cause, A: int64(addr)})
+	return iter
 }
 
 // worker is one speculative worker process.
@@ -694,12 +620,6 @@ func (w *worker) run() error {
 
 	nIntervals := (sp.hi - sp.start + sp.k - 1) / sp.k
 	for c := int64(0); c < nIntervals; c++ {
-		if sp.committer != nil {
-			// Pipeline backpressure: stay within pipelineDepth intervals of
-			// the committer (see its doc comment).
-			sp.committer.throttle(c)
-		}
-		rt.noteIntervalStart(c)
 		if sp.flagged.Load() {
 			if mi := sp.misspecInterval(); mi >= 0 && c >= mi {
 				return nil // squash: past the failed checkpoint
@@ -760,10 +680,7 @@ func (w *worker) run() error {
 				}
 			}
 		}
-		// Contribute this interval's state to its checkpoint. A merge
-		// violation must flag the span BEFORE the contribution is announced
-		// to the committer, or the committer could see the interval quiesce
-		// and install it without observing the flag.
+		// Contribute this interval's state to its checkpoint.
 		cpStart := time.Now()
 		trC := tr.Now()
 		cp := sp.checkpointFor(c)
@@ -777,7 +694,7 @@ func (w *worker) run() error {
 				atomic.AddInt64(&rt.Stats.ProvenRangeBytes, pr.size)
 			}
 		}
-		ok, scanned, _ := cp.addWorkerState(w.id, w.as, sp.redux, proven, w.io, rt.validateShards())
+		ok, scanned, _ := cp.addWorkerState(w.id, w.as, sp.redux, proven, w.io, validateShards())
 		w.simCheckpoint += scanned * SimCheckpointPerByte
 		w.io = nil
 		w.resetShadow()
@@ -787,13 +704,7 @@ func (w *worker) run() error {
 		if !ok {
 			sp.flag(base, w.id, "privacy violated (merge)", "",
 				atomic.LoadUint64(&cp.missAddr))
-			if sp.committer != nil {
-				sp.committer.noteContribution(c)
-			}
 			return nil
-		}
-		if sp.committer != nil {
-			sp.committer.noteContribution(c)
 		}
 	}
 	return nil

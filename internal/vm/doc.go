@@ -31,9 +31,9 @@
 // execute concurrently without locks: writes on either side split shared
 // subtrees (and then copy pages) privately before mutating, so no goroutine
 // ever observes another's mutation through shared structure. This is what
-// lets the pipelined committer (internal/specrt) install checkpoint data
-// into the master space while worker goroutines are still executing against
-// clones taken from it: the shared subtrees are frozen, and the master's
-// writes materialize private ones. TestConcurrentCloneIsolation pins this
-// under the race detector.
+// lets internal/specrt run a span's worker goroutines side by side, each
+// against its own clone of the master space: the shared subtrees are
+// frozen, and every writer materializes private ones.
+// TestConcurrentCloneIsolation pins this under the race detector, with the
+// parent written concurrently as well.
 package vm

@@ -22,7 +22,7 @@ import (
 // the first mutation under a shared subtree path-copies just the five nodes
 // on the way down (the split), marking the copied leaf's present entries
 // copy-on-write. A node reachable from two or more spaces is never mutated
-// — the invariant the pipelined committer's overlapped installs rely on
+// — the invariant that lets sibling worker clones execute concurrently
 // (see TestConcurrentCloneIsolation).
 //
 // Dirty tracking is summarized per subtree: the store path sets a per-leaf
