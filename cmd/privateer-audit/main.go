@@ -77,17 +77,8 @@ func run(progName, input string, workers int, plant string, asJSON bool) error {
 	failed := false
 	reports := map[string]*audit.Report{}
 	for _, p := range targets {
-		var in progs.Input
-		switch input {
-		case "train":
-			in = p.Train
-		case "ref":
-			in = p.Ref
-		case "alt":
-			in = p.Alt
-		case "huge":
-			in = p.Huge
-		default:
+		in, ok := p.Input(input)
+		if !ok {
 			return fmt.Errorf("unknown input class %q", input)
 		}
 		build := func() *ir.Module { return p.Build(in) }

@@ -25,12 +25,12 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"all, table1, table3, fig6, fig7, fig8, fig9, ablation, micro, scale, elision, staticsep, obsoverhead, or service")
+			"all, table1, table3, fig6, fig7, fig8, fig9, ablation, micro, elision, staticsep, or obsoverhead")
 		input     = flag.String("input", "", "input class override: train, ref, alt, huge")
 		quick     = flag.Bool("quick", false, "scaled-down configuration (train inputs)")
 		programs  = flag.String("programs", "", "comma-separated subset of benchmarks")
 		workers   = flag.Int("workers", 0, "machine size override for fig7/fig9")
-		jsonOut   = flag.Bool("json", false, "machine-readable output (micro, scale, elision, staticsep, obsoverhead, service); an error elsewhere")
+		jsonOut   = flag.Bool("json", false, "machine-readable output (micro, elision, staticsep, obsoverhead); an error elsewhere")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file of the speculation lifecycle")
 		eventsOut = flag.Bool("events", false, "print an event summary table after the experiment")
 		serve     = flag.String("serve", "", "serve live introspection (/metrics, /vars, /spec, /debug/pprof) on this address while experiments run")
@@ -49,7 +49,7 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 	}
 	if input != "" {
 		cfg.Input = input
-	} else if (experiment == "scale" || experiment == "elision" || experiment == "staticsep") && !quick {
+	} else if (experiment == "elision" || experiment == "staticsep") && !quick {
 		// These experiments exist to exercise the ~100x inputs.
 		cfg.Input = "huge"
 	}
@@ -124,10 +124,8 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 	}
 	structured := map[string]func() (report, error){
 		"micro":       func() (report, error) { return bench.RunMicroTraced(tracer) },
-		"scale":       func() (report, error) { return bench.RunScale(cfg, quick) },
 		"elision":     func() (report, error) { return bench.RunElision(cfg, quick) },
 		"staticsep":   func() (report, error) { return bench.RunStaticSep(cfg, quick) },
-		"service":     func() (report, error) { return bench.RunService(cfg, quick) },
 		"obsoverhead": func() (report, error) { return bench.RunObsOverhead() },
 	}
 	// The paper's tables and figures render text only; all but table1 run

@@ -146,17 +146,8 @@ func run(progName, input string, showIR, heaps, profile, ptable, elision, sep bo
 	if p == nil {
 		return fmt.Errorf("unknown program %q", progName)
 	}
-	var in progs.Input
-	switch input {
-	case "train":
-		in = p.Train
-	case "ref":
-		in = p.Ref
-	case "alt":
-		in = p.Alt
-	case "huge":
-		in = p.Huge
-	default:
+	in, ok := p.Input(input)
+	if !ok {
 		return fmt.Errorf("unknown input class %q", input)
 	}
 	if outFile != "" {

@@ -271,30 +271,15 @@ func names() string {
 	return strings.Join(ns, ", ")
 }
 
-func inputFor(p *progs.Program, name string) (progs.Input, error) {
-	switch name {
-	case "train":
-		return p.Train, nil
-	case "ref":
-		return p.Ref, nil
-	case "alt":
-		return p.Alt, nil
-	case "huge":
-		return p.Huge, nil
-	default:
-		return progs.Input{}, fmt.Errorf("unknown input class %q", name)
-	}
-}
-
 func run(progName, input string, workers int, mode string, misspec float64,
 	seed uint64, period int64, showOut, quiet bool) error {
 	p := progs.ByName(progName)
 	if p == nil {
 		return fmt.Errorf("unknown program %q (have: %s)", progName, names())
 	}
-	in, err := inputFor(p, input)
-	if err != nil {
-		return err
+	in, ok := p.Input(input)
+	if !ok {
+		return fmt.Errorf("unknown input class %q", input)
 	}
 	fmt.Printf("program %s, input %s\n", p.Name, in)
 

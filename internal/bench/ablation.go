@@ -121,7 +121,10 @@ func AblationElision(cfg Config) (*ElisionAblationResult, error) {
 		if len(cfg.Programs) > 0 && !containsString(cfg.Programs, p.Name) {
 			continue
 		}
-		in := inputFor(p, cfg.Input)
+		in, err := inputFor(p, cfg.Input)
+		if err != nil {
+			return nil, err
+		}
 		row := ElisionAblationRow{Program: p.Name}
 		for _, disable := range []bool{false, true} {
 			pr, err := prepareOpts(p, in, core.Options{DisableElision: disable})
@@ -192,7 +195,7 @@ func AblationValuePrediction(cfg Config) (*ValuePredAblationResult, error) {
 		if len(cfg.Programs) > 0 && !containsString(cfg.Programs, p.Name) {
 			continue
 		}
-		in := inputFor(p, "train")
+		in := p.Train
 		with, err := core.Parallelize(p.Build(in), core.Options{})
 		if err != nil {
 			return nil, err

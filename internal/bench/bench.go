@@ -26,7 +26,8 @@ import (
 
 // Config selects inputs and sweep points.
 type Config struct {
-	// Input is the input class for measurements ("train", "ref", "alt").
+	// Input is the input class for measurements ("train", "ref", "alt",
+	// "huge"); any other name is an error.
 	Input string
 	// WorkerCounts is Figure 6's sweep.
 	WorkerCounts []int
@@ -125,17 +126,27 @@ func containsString(xs []string, x string) bool {
 	return false
 }
 
-func inputFor(p *progs.Program, name string) progs.Input {
-	switch name {
-	case "train":
-		return p.Train
-	case "alt":
-		return p.Alt
-	case "huge":
-		return p.Huge
-	default:
-		return p.Ref
+// inputFor resolves an input class name, rejecting unknown ones: a typo
+// must fail the experiment, not run ref inputs under the typo's label.
+func inputFor(p *progs.Program, name string) (progs.Input, error) {
+	in, ok := p.Input(name)
+	if !ok {
+		return in, fmt.Errorf("unknown input class %q", name)
 	}
+	return in, nil
+}
+
+// wallWorkers is the worker count of the experiments that report wall
+// clock (elision, staticsep): the host-sized default — oversubscription
+// would put scheduler noise into the wall-clock columns.
+const wallWorkers = 8
+
+// ratio is before/after, 0 when after is unmeasured.
+func ratio(before, after int64) float64 {
+	if after <= 0 {
+		return 0
+	}
+	return float64(before) / float64(after)
 }
 
 // seqStepsOf measures the unmodified program's simulated time.
@@ -148,7 +159,10 @@ func seqStepsOf(p *progs.Program, in progs.Input) (int64, error) {
 }
 
 func prepare(p *progs.Program, inputName string) (*prepared, error) {
-	in := inputFor(p, inputName)
+	in, err := inputFor(p, inputName)
+	if err != nil {
+		return nil, err
+	}
 	// Best sequential execution: the unmodified program.
 	seqIt := interp.New(p.Build(in), vm.NewAddressSpace())
 	if _, err := seqIt.Run(); err != nil {

@@ -20,6 +20,24 @@ func suite(t *testing.T) *Suite {
 	return quickSuite
 }
 
+// TestUnknownInputClassRejected: a mistyped input class must fail every
+// entry point that takes one, naming the bad value, instead of running ref
+// inputs under the typo's label.
+func TestUnknownInputClassRejected(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Input = "hgue"
+	_, suiteErr := NewSuite(cfg)
+	_, elisionErr := RunElision(cfg, true)
+	_, sepErr := RunStaticSep(cfg, true)
+	for name, err := range map[string]error{
+		"NewSuite": suiteErr, "RunElision": elisionErr, "RunStaticSep": sepErr,
+	} {
+		if err == nil || !strings.Contains(err.Error(), `"hgue"`) {
+			t.Errorf("%s with input class hgue: error %v, want one naming the class", name, err)
+		}
+	}
+}
+
 func TestTable1Static(t *testing.T) {
 	tab := Table1()
 	for _, want := range []string{"Privateer (this repo)", "heap separation", "LRPD"} {

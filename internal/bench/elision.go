@@ -134,7 +134,7 @@ func (r *ElisionReport) Format() string {
 	}
 	sb.WriteString(fmt.Sprintf("programs (%s inputs, %d workers): counters are static sites, checks are dynamic,\n"+
 		"elide columns are wall clock / simulated time, end-to-end is the Figure 6 metric on the elided build\n",
-		r.Input, scaleWorkers))
+		r.Input, wallWorkers))
 	sb.WriteString(table([]string{
 		"program", "input", "join", "elim", "inv", "dense", "sparse", "uo",
 		"before checks", "after checks", "before ms", "after ms", "elide",
@@ -252,8 +252,11 @@ func RunElision(cfg Config, quick bool) (*ElisionReport, error) {
 		if len(cfg.Programs) > 0 && !containsString(cfg.Programs, p.Name) {
 			continue
 		}
-		in := inputFor(p, cfg.Input)
-		row := ElisionRow{Name: p.Name, Input: in.Name, Workers: scaleWorkers}
+		in, err := inputFor(p, cfg.Input)
+		if err != nil {
+			return nil, err
+		}
+		row := ElisionRow{Name: p.Name, Input: in.Name, Workers: wallWorkers}
 
 		t0 := time.Now()
 		seqIt := interp.New(p.Build(in), vm.NewAddressSpace())
@@ -266,11 +269,11 @@ func RunElision(cfg Config, quick bool) (*ElisionReport, error) {
 		row.SeqSteps = seqIt.Steps
 
 		build := func() *ir.Module { return p.Build(in) }
-		before, err := elisionRun(build, true, scaleWorkers, reps)
+		before, err := elisionRun(build, true, wallWorkers, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s before: %w", p.Name, err)
 		}
-		after, err := elisionRun(build, false, scaleWorkers, reps)
+		after, err := elisionRun(build, false, wallWorkers, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s after: %w", p.Name, err)
 		}
@@ -280,10 +283,10 @@ func RunElision(cfg Config, quick bool) (*ElisionReport, error) {
 		row.DensePromoted, row.SparsePromoted = after.DensePromoted, after.SparsePromoted
 		row.HeapRedundantUO = after.HeapRedundantUO
 		row.BeforeNS, row.AfterNS = before.NS, after.NS
-		row.Speedup = nsRatio(before.NS, after.NS)
+		row.Speedup = ratio(before.NS, after.NS)
 		row.BeforeSim, row.AfterSim = before.Sim, after.Sim
-		row.SimSpeedup = nsRatio(before.Sim, after.Sim)
-		row.EndToEnd = nsRatio(row.SeqSteps, after.Sim)
+		row.SimSpeedup = ratio(before.Sim, after.Sim)
+		row.EndToEnd = ratio(row.SeqSteps, after.Sim)
 		row.BeforeChecks, row.AfterChecks = before.Checks, after.Checks
 		row.BeforePrivNS, row.AfterPrivNS = before.PrivNS, after.PrivNS
 		row.BaselineMatch = before.Out == after.Out && before.Ret == after.Ret

@@ -135,7 +135,7 @@ func (r *StaticSepReport) Format() string {
 	}
 	sb.WriteString(fmt.Sprintf("programs (%s inputs, %d workers): proven/discharged/dropped are static sites,\n"+
 		"checks are residual dynamic checks, prove columns are wall clock / simulated time\n",
-		r.Input, scaleWorkers))
+		r.Input, wallWorkers))
 	sb.WriteString(table([]string{
 		"program", "input", "proven", "rules", "chk-", "marks-",
 		"before checks", "after checks", "before ms", "after ms", "prove",
@@ -233,8 +233,11 @@ func RunStaticSep(cfg Config, quick bool) (*StaticSepReport, error) {
 		if len(cfg.Programs) > 0 && !containsString(cfg.Programs, p.Name) {
 			continue
 		}
-		in := inputFor(p, cfg.Input)
-		row := StaticSepRow{Name: p.Name, Input: in.Name, Workers: scaleWorkers}
+		in, err := inputFor(p, cfg.Input)
+		if err != nil {
+			return nil, err
+		}
+		row := StaticSepRow{Name: p.Name, Input: in.Name, Workers: wallWorkers}
 
 		t0 := time.Now()
 		seqIt := interp.New(p.Build(in), vm.NewAddressSpace())
@@ -247,11 +250,11 @@ func RunStaticSep(cfg Config, quick bool) (*StaticSepReport, error) {
 		row.SeqSteps = seqIt.Steps
 
 		build := func() *ir.Module { return p.Build(in) }
-		before, err := staticSepRun(build, true, scaleWorkers, reps)
+		before, err := staticSepRun(build, true, wallWorkers, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s before: %w", p.Name, err)
 		}
-		after, err := staticSepRun(build, false, scaleWorkers, reps)
+		after, err := staticSepRun(build, false, wallWorkers, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s after: %w", p.Name, err)
 		}
@@ -263,10 +266,10 @@ func RunStaticSep(cfg Config, quick bool) (*StaticSepReport, error) {
 		row.ReduxMarksDropped = after.ReduxMarksDropped
 		row.ProvenRangeBytes = after.ProvenRangeBytes
 		row.BeforeNS, row.AfterNS = before.NS, after.NS
-		row.Speedup = nsRatio(before.NS, after.NS)
+		row.Speedup = ratio(before.NS, after.NS)
 		row.BeforeSim, row.AfterSim = before.Sim, after.Sim
-		row.SimSpeedup = nsRatio(before.Sim, after.Sim)
-		row.EndToEnd = nsRatio(row.SeqSteps, after.Sim)
+		row.SimSpeedup = ratio(before.Sim, after.Sim)
+		row.EndToEnd = ratio(row.SeqSteps, after.Sim)
 		row.BeforeChecks, row.AfterChecks = before.Checks, after.Checks
 		row.BaselineMatch = before.Out == after.Out && before.Ret == after.Ret
 		row.SeqMatch = row.BaselineMatch && after.Ret == seqRet && after.Out == seqOut

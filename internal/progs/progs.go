@@ -56,8 +56,25 @@ type Program struct {
 	// Huge is the scaled input class behind the memory-system size knob:
 	// roughly two orders of magnitude more resident footprint than Ref
 	// (bounded per program by interpreted runtime — see each program's
-	// definition), used by the scale experiment and the soak lane.
+	// definition), used by the elision and staticsep experiments and the
+	// soak lane.
 	Huge Input
+}
+
+// Input returns the named input class ("train", "ref", "alt" or "huge");
+// ok is false for any other name.
+func (p *Program) Input(name string) (in Input, ok bool) {
+	switch name {
+	case "train":
+		return p.Train, true
+	case "ref":
+		return p.Ref, true
+	case "alt":
+		return p.Alt, true
+	case "huge":
+		return p.Huge, true
+	}
+	return Input{}, false
 }
 
 // All returns the five benchmarks in the paper's Table 3 order.

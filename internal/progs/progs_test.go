@@ -358,6 +358,31 @@ func TestByNameAndInputString(t *testing.T) {
 	}
 }
 
+// TestInputClassLookup: Program.Input resolves the four class names to the
+// matching fields and rejects everything else, including the empty name and
+// near-miss spellings.
+func TestInputClassLookup(t *testing.T) {
+	p := Dijkstra()
+	for _, tc := range []struct {
+		name string
+		want Input
+		ok   bool
+	}{
+		{"train", p.Train, true},
+		{"ref", p.Ref, true},
+		{"alt", p.Alt, true},
+		{"huge", p.Huge, true},
+		{"", Input{}, false},
+		{"hgue", Input{}, false},
+		{"Ref", Input{}, false},
+	} {
+		got, ok := p.Input(tc.name)
+		if ok != tc.ok || got != tc.want {
+			t.Errorf("Input(%q) = %v, %v; want %v, %v", tc.name, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
 // TestIRTextRoundTrip: every benchmark program formats to textual IR,
 // parses back, formats identically (fixpoint), and executes identically.
 func TestIRTextRoundTrip(t *testing.T) {

@@ -241,7 +241,6 @@ type Service struct {
 	mRejected     func(reason string) obs.Counter
 	mPhase        func(tenant, phase string) *obs.Histogram
 	mInflight     obs.Gauge
-	mWallNS       *obs.Histogram
 	mQueueWait    *obs.Histogram
 	mE2E          *obs.Histogram
 	mWarm         obs.Counter
@@ -293,8 +292,6 @@ func New(cfg Config) *Service {
 	}
 	s.mInflight = reg.Gauge("privateer_service_inflight",
 		"Region invocations currently executing.")
-	s.mWallNS = reg.Histogram("privateer_service_job_wall_ns",
-		"Wall-clock nanoseconds per job from admission to terminal state.", nil)
 	s.mQueueWait = reg.Histogram("privateer_service_queue_wait_ns",
 		"Nanoseconds each job waited in the queue before a runner picked it up.",
 		obs.LatencyBuckets)
@@ -333,17 +330,14 @@ func lookup(prog, input string) (*progs.Program, progs.Input, error) {
 	if p == nil {
 		return nil, progs.Input{}, &UnknownProgramError{Name: prog}
 	}
-	switch input {
-	case "train":
-		return p, p.Train, nil
-	case "", "ref":
-		return p, p.Ref, nil
-	case "alt":
-		return p, p.Alt, nil
-	case "huge":
-		return p, p.Huge, nil
+	if input == "" {
+		input = "ref"
 	}
-	return nil, progs.Input{}, &UnknownProgramError{Name: input}
+	in, ok := p.Input(input)
+	if !ok {
+		return nil, progs.Input{}, &UnknownProgramError{Name: input}
+	}
+	return p, in, nil
 }
 
 // Submit admits a job or returns a typed rejection: UnknownProgramError,
@@ -608,7 +602,6 @@ func (s *Service) finish(job *Job, res runResult) {
 	} else {
 		s.mCompleted(job.Tenant).Inc()
 	}
-	s.mWallNS.Observe(wall)
 	s.mQueueWait.Observe(queueWait)
 	s.mE2E.Observe(wall)
 	s.mWarm.Add(res.warm)

@@ -79,13 +79,6 @@ type Config struct {
 	// prover never trips the oracle; it exists to catch unsound proofs
 	// (see core.Options.PlantProofs) before they corrupt output silently.
 	SepAudit bool
-	// EagerClone selects the flat-table baseline memory mode: worker spawn
-	// rebuilds the whole page table and deep-copies allocator state up
-	// front, and dirty scans visit every resident entry instead of
-	// following the radix table's dirty summaries. Semantically identical
-	// to the default lazy mode; used by the scale experiment as its
-	// before/after reference.
-	EagerClone bool
 	// Program, when non-nil, is the shared pre-decoded form of Mod that this
 	// runtime's master, workers and recovery interpreters execute (see
 	// interp.SharedProgram). Concurrent RT instances over the same module —
@@ -334,7 +327,6 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 	rt.master = master
 	master.SetTrace(rt.Cfg.Trace, -1, -1)
 	master.AS.Occ = rt.occ
-	master.AS.EagerClone = rt.Cfg.EagerClone
 	if rt.Cfg.Metrics != nil {
 		// Scrapes read the master's memory-system counters concurrently
 		// with execution, so its Stats block must update atomically.

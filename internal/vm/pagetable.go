@@ -219,42 +219,10 @@ func (as *AddressSpace) walkDirty(nd *radixNode, pn uint64, visit func(base uint
 	}
 }
 
-// walkNotCOW visits every page entry under nd not marked copy-on-write —
-// the flat-table dirty scan the EagerClone compatibility mode preserves as
-// the refactor's before/after baseline.
-func (nd *radixNode) walkNotCOW(pn uint64, visit func(base uint64, e *pageEntry)) {
-	nd.walkAll(pn, func(base uint64, e *pageEntry) {
-		if !e.cow {
-			visit(base, e)
-		}
-	})
-}
-
-// eagerOwn rebuilds the whole reachable table as privately owned nodes with
-// every present entry marked copy-on-write — the cost profile of the old
-// flat page table, whose clone paid O(resident pages) up front. Used by the
-// EagerClone baseline mode. The rebuild's node copies are deliberately not
-// counted as NodesCopied: that counter measures lazy range-COW splits.
-func (as *AddressSpace) eagerOwn() {
-	var rebuild func(nd *radixNode) *radixNode
-	rebuild = func(nd *radixNode) *radixNode {
-		c := nd.copyAs(as.epoch)
-		if c.kids != nil {
-			for i, kid := range c.kids {
-				if kid != nil {
-					c.kids[i] = rebuild(kid)
-				}
-			}
-		}
-		return c
-	}
-	as.root = rebuild(as.root)
-}
-
 // PageTableStats describes one address space's radix page-table occupancy
-// and dirty-summary state, for introspection (privateer-dump -pagetable)
-// and the scale experiment. Collected by a full walk; do not call it
-// concurrently with mutations of the same space.
+// and dirty-summary state, for introspection (privateer-dump -pagetable).
+// Collected by a full walk; do not call it concurrently with mutations of
+// the same space.
 type PageTableStats struct {
 	// Levels is the radix-tree depth.
 	Levels int `json:"levels"`

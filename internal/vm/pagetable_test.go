@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -29,10 +28,10 @@ func TestHeapSlotRangeCoversTags(t *testing.T) {
 	}
 }
 
-// TestCloneCostIndependentOfLiveObjects pins the lazy allocator clone
-// (satellite of the radix refactor): spawning a worker from a parent with
-// 20k live objects must allocate exactly as much as spawning from a parent
-// with 20 — the free/objects maps are shared, not deep-copied.
+// TestCloneCostIndependentOfLiveObjects pins the O(1) clone: spawning a
+// worker from a parent with 20k live objects must allocate exactly as much
+// as spawning from a parent with 20 — the free/objects maps are shared, not
+// deep-copied — and likewise for 16,384 resident pages against 64.
 func TestCloneCostIndependentOfLiveObjects(t *testing.T) {
 	spawnAllocs := func(liveObjects int) float64 {
 		parent := NewAddressSpace()
@@ -47,6 +46,37 @@ func TestCloneCostIndependentOfLiveObjects(t *testing.T) {
 	if small != large {
 		t.Errorf("Clone allocations grew with live objects: %v (20 objects) vs %v (20000 objects)",
 			small, large)
+	}
+	// The same holds along the resident-pages dimension: Clone shares the
+	// radix table instead of copying it, so it allocates the same at 64 and
+	// 16,384 resident pages and copies no node; the first post-clone write
+	// path-copies exactly the radixLevels nodes above its page.
+	resident := func(pages uint64) *AddressSpace {
+		parent := NewAddressSpace()
+		for p := uint64(0); p < pages; p++ {
+			if err := parent.Write(ir.HeapPrivate.Base()+p*PageSize, 8, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return parent
+	}
+	few, many := resident(64), resident(16384)
+	fewAllocs := testing.AllocsPerRun(20, func() { few.Clone() })
+	manyAllocs := testing.AllocsPerRun(20, func() { many.Clone() })
+	if fewAllocs != manyAllocs {
+		t.Errorf("Clone allocations grew with resident pages: %v (64 pages) vs %v (16384 pages)",
+			fewAllocs, manyAllocs)
+	}
+	before := many.Stats.NodesCopied
+	worker := many.CloneSharingStats()
+	if got := many.Stats.NodesCopied; got != before {
+		t.Errorf("Clone alone copied %d radix nodes, want 0", got-before)
+	}
+	if err := worker.Write(ir.HeapPrivate.Base()+100*PageSize, 8, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := many.Stats.NodesCopied - before; got != radixLevels {
+		t.Errorf("first post-clone write copied %d radix nodes, want %d", got, radixLevels)
 	}
 	// And the clone must still see and manage the parent's allocations.
 	parent := NewAddressSpace()
@@ -275,51 +305,55 @@ func TestDirtyHeapPagesSummaryGuided(t *testing.T) {
 	})
 }
 
-// TestEagerCloneBaselineEquivalence runs the same access pattern through
-// the default lazy mode and the EagerClone flat-table baseline and demands
-// identical contents, dirty sets, and copy accounting — the two modes may
-// differ only in cost.
-func TestEagerCloneBaselineEquivalence(t *testing.T) {
-	run := func(eager bool) (map[uint64]uint64, map[uint64]bool, int64) {
-		parent := NewAddressSpace()
-		parent.EagerClone = eager
-		base, _ := parent.Alloc(ir.HeapPrivate, 64*PageSize)
-		for p := uint64(0); p < 64; p++ {
-			if err := parent.Write(base+p*PageSize, 8, p+1); err != nil {
-				t.Fatal(err)
-			}
+// TestCloneWriteIsolationAndDirtySet pins the clone contract in absolute
+// terms: a child that writes pages 3, 17 and 42 of a 64-page parent reads
+// its own values there and the parent's everywhere else, the parent reads
+// its own values everywhere, the dirty walk visits exactly those three page
+// bases, and exactly three pages were copied.
+func TestCloneWriteIsolationAndDirtySet(t *testing.T) {
+	parent := NewAddressSpace()
+	base, _ := parent.Alloc(ir.HeapPrivate, 64*PageSize)
+	for p := uint64(0); p < 64; p++ {
+		if err := parent.Write(base+p*PageSize, 8, p+1); err != nil {
+			t.Fatal(err)
 		}
-		child := parent.Clone()
-		for _, p := range []uint64{3, 17, 42} {
-			if err := child.Write(base+p*PageSize, 8, 100+p); err != nil {
-				t.Fatal(err)
-			}
+	}
+	child := parent.Clone()
+	written := map[uint64]bool{3: true, 17: true, 42: true}
+	for p := range written {
+		if err := child.Write(base+p*PageSize, 8, 100+p); err != nil {
+			t.Fatal(err)
 		}
-		vals := map[uint64]uint64{}
-		for p := uint64(0); p < 64; p++ {
-			vc, _ := child.Read(base+p*PageSize, 8)
-			vp, _ := parent.Read(base+p*PageSize, 8)
-			vals[p] = vc<<32 | vp
+	}
+	for p := uint64(0); p < 64; p++ {
+		wantChild := p + 1
+		if written[p] {
+			wantChild = 100 + p
 		}
-		dirty := map[uint64]bool{}
-		child.DirtyPages(func(pb uint64, data []byte) { dirty[pb] = true })
-		return vals, dirty, child.Stats.PagesCopied
+		if v, _ := child.Read(base+p*PageSize, 8); v != wantChild {
+			t.Errorf("child page %d = %d, want %d", p, v, wantChild)
+		}
+		if v, _ := parent.Read(base+p*PageSize, 8); v != p+1 {
+			t.Errorf("parent page %d = %d, want %d", p, v, p+1)
+		}
 	}
-	lazyVals, lazyDirty, lazyCopied := run(false)
-	eagerVals, eagerDirty, eagerCopied := run(true)
-	if fmt.Sprint(lazyVals) != fmt.Sprint(eagerVals) {
-		t.Error("lazy and eager modes disagree on memory contents")
+	dirty := map[uint64]bool{}
+	child.DirtyPages(func(pb uint64, data []byte) { dirty[pb] = true })
+	if len(dirty) != len(written) {
+		t.Errorf("dirty walk visited %d pages (%v), want %d", len(dirty), dirty, len(written))
 	}
-	if len(lazyDirty) != 3 || fmt.Sprint(lazyDirty) != fmt.Sprint(eagerDirty) {
-		t.Errorf("dirty sets differ: lazy %v, eager %v", lazyDirty, eagerDirty)
+	for p := range written {
+		if pb := (base + p*PageSize) &^ uint64(PageSize-1); !dirty[pb] {
+			t.Errorf("dirty walk missed written page %d (%#x)", p, pb)
+		}
 	}
-	if lazyCopied != eagerCopied {
-		t.Errorf("PagesCopied differs: lazy %d, eager %d", lazyCopied, eagerCopied)
+	if child.Stats.PagesCopied != 3 {
+		t.Errorf("PagesCopied = %d, want 3", child.Stats.PagesCopied)
 	}
 }
 
 // TestPageTableStats sanity-checks the introspection walk used by
-// privateer-dump -pagetable and the scale experiment.
+// privateer-dump -pagetable.
 func TestPageTableStats(t *testing.T) {
 	as := NewAddressSpace()
 	base, _ := as.Alloc(ir.HeapPrivate, 10*PageSize)
