@@ -6,7 +6,7 @@
 // the command exit nonzero with a loud report.
 //
 // The -plant flag injects deliberately unsound proofs (the same knob as
-// core.Options.PlantProofs) so the oracle chain itself can be exercised:
+// core.Ablation.PlantProofs) so the oracle chain itself can be exercised:
 //
 //	privateer-audit -prog dijkstra -input ref
 //	privateer-audit -prog all -input train
@@ -42,7 +42,7 @@ func main() {
 	}
 }
 
-// parsePlants turns the -plant flag value into core.Options.PlantProofs.
+// parsePlants turns the -plant flag value into the proofs audit.Run plants.
 func parsePlants(s string) (map[string]string, error) {
 	if s == "" {
 		return nil, nil
@@ -82,8 +82,7 @@ func run(progName, input string, workers int, plant string, asJSON bool) error {
 			return fmt.Errorf("unknown input class %q", input)
 		}
 		build := func() *ir.Module { return p.Build(in) }
-		rep, err := audit.Run(build,
-			core.Options{PlantProofs: plants},
+		rep, err := audit.Run(build, core.Options{}, plants,
 			specrt.Config{Workers: workers})
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)

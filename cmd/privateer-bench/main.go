@@ -1,5 +1,7 @@
 // Command privateer-bench regenerates the paper's evaluation: Table 1,
-// Table 3, and Figures 6-9 (see DESIGN.md's experiment index).
+// Table 3, and Figures 6-9 (see DESIGN.md's experiment index), plus the
+// stage-off vs stage-on variants (elision, staticsep, ablation) that share
+// one table and runner in internal/bench/variants.go.
 //
 // Usage:
 //
@@ -7,9 +9,11 @@
 //	privateer-bench -experiment fig6
 //	privateer-bench -quick             # scaled-down sweep on train inputs
 //	privateer-bench -programs dijkstra,enc-md5 -experiment fig7
+//	privateer-bench -experiment staticsep -json   # one variant, machine-readable
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -25,10 +29,10 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"all, table1, table3, fig6, fig7, fig8, fig9, ablation, micro, elision, staticsep, or obsoverhead")
+			"all, table1, table3, fig6, fig7, fig8, fig9, ablation, micro, obsoverhead, or one row of the stage-off vs stage-on variant table: elision, staticsep")
 		input     = flag.String("input", "", "input class override: train, ref, alt, huge")
 		quick     = flag.Bool("quick", false, "scaled-down configuration (train inputs)")
-		programs  = flag.String("programs", "", "comma-separated subset of benchmarks")
+		programs  = flag.String("programs", "", "comma-separated subset of benchmarks; an unknown name is an error")
 		workers   = flag.Int("workers", 0, "machine size override for fig7/fig9")
 		jsonOut   = flag.Bool("json", false, "machine-readable output (micro, elision, staticsep, obsoverhead); an error elsewhere")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file of the speculation lifecycle")
@@ -62,17 +66,18 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 
 	// Live introspection: a registry plus HTTP server observing every
 	// speculative run the suite performs.
+	var reg *obs.Registry
 	if serve != "" {
-		reg := obs.NewRegistry()
+		reg = obs.NewRegistry()
 		srv := obs.NewServer(reg)
-		srv.SetSpec(specrt.LatestSpec)
+		cfg.Publish = specrt.NewPublisher(reg)
+		srv.SetSpec(cfg.Publish.Spec)
 		bound, err := srv.Start(serve)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "privateer-bench: introspection server listening on http://%s\n", bound)
-		cfg.Metrics = reg
 		cfg.OpProf = interp.NewOpProfiler(interp.DefaultSampleEvery)
 	}
 
@@ -84,9 +89,7 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 		collector = obs.NewCollector(1 << 16)
 		tracer = obs.NewTracer(collector)
 		cfg.Trace = tracer
-		if cfg.Metrics != nil {
-			collector.PublishMetrics(cfg.Metrics)
-		}
+		collector.PublishMetrics(reg)
 	}
 	finishTrace := func() error {
 		if collector == nil {
@@ -117,15 +120,12 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 		return nil
 	}
 
-	// Experiments that render both a table and -json.
-	type report interface {
-		JSON() string
-		Format() string
-	}
+	// Experiments that render a table, or their report as -json.
+	type report interface{ Format() string }
 	structured := map[string]func() (report, error){
 		"micro":       func() (report, error) { return bench.RunMicroTraced(tracer) },
-		"elision":     func() (report, error) { return bench.RunElision(cfg, quick) },
-		"staticsep":   func() (report, error) { return bench.RunStaticSep(cfg, quick) },
+		"elision":     func() (report, error) { return bench.RunVariant(cfg, quick, "elision") },
+		"staticsep":   func() (report, error) { return bench.RunVariant(cfg, quick, "staticsep") },
 		"obsoverhead": func() (report, error) { return bench.RunObsOverhead() },
 	}
 	// The paper's tables and figures render text only; all but table1 run
@@ -147,7 +147,7 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 		"fig7":     onSuite(func(s *bench.Suite) (string, error) { return formatted(s.Fig7()) }),
 		"fig8":     onSuite(func(s *bench.Suite) (string, error) { return formatted(s.Fig8()) }),
 		"fig9":     onSuite(func(s *bench.Suite) (string, error) { return formatted(s.Fig9()) }),
-		"ablation": onSuite(func(s *bench.Suite) (string, error) { return ablations(s, cfg) }),
+		"ablation": onSuite(func(s *bench.Suite) (string, error) { return ablations(s, cfg, quick) }),
 	}
 
 	var out string
@@ -160,7 +160,9 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 		if rep, err = runStructured(); err == nil {
 			out = rep.Format()
 			if jsonOut {
-				out = rep.JSON()
+				var b []byte
+				b, err = json.MarshalIndent(rep, "", "  ")
+				out = string(b)
 			}
 		}
 	case !isText:
@@ -187,13 +189,13 @@ func formatted[R interface{ Format() string }](r R, err error) (string, error) {
 }
 
 // ablations runs the three ablation studies and concatenates their tables.
-func ablations(s *bench.Suite, cfg bench.Config) (string, error) {
+func ablations(s *bench.Suite, cfg bench.Config, quick bool) (string, error) {
 	cp, err := s.AblationCheckpointPeriod("dijkstra",
 		[]int64{1, 2, 4, 8, 16, 32, 64}, 0.03)
 	if err != nil {
 		return "", err
 	}
-	el, err := bench.AblationElision(cfg)
+	el, err := bench.RunVariant(cfg, quick, "ablation")
 	if err != nil {
 		return "", err
 	}

@@ -33,10 +33,10 @@ import (
 )
 
 // obsState holds the live-introspection wiring when -serve is given: the
-// metrics registry and opcode profiler threaded into the speculative
+// runtime publisher and opcode profiler threaded into the speculative
 // runtime, plus the HTTP server exposing them.
 type obsState struct {
-	reg  *obs.Registry
+	pub  *specrt.Publisher
 	prof *interp.OpProfiler
 	srv  *obs.Server
 }
@@ -52,14 +52,15 @@ var whyMisspec bool
 func startServe(addr string) error {
 	reg := obs.NewRegistry()
 	srv := obs.NewServer(reg)
-	srv.SetSpec(specrt.LatestSpec)
+	pub := specrt.NewPublisher(reg)
+	srv.SetSpec(pub.Spec)
 	bound, err := srv.Start(addr)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "privateer: introspection server listening on http://%s\n", bound)
 	serving = &obsState{
-		reg:  reg,
+		pub:  pub,
 		prof: interp.NewOpProfiler(interp.DefaultSampleEvery),
 		srv:  srv,
 	}
@@ -67,13 +68,13 @@ func startServe(addr string) error {
 }
 
 // specConfig builds the runtime configuration, overlaying the introspection
-// registry and profiler when -serve is active.
+// publisher and profiler when -serve is active.
 func specConfig(workers int, misspec float64, seed uint64, period int64) specrt.Config {
 	cfg := specrt.Config{
 		Workers: workers, MisspecRate: misspec, Seed: seed, CheckpointPeriod: period,
 	}
 	if serving != nil {
-		cfg.Metrics = serving.reg
+		cfg.Publish = serving.pub
 		cfg.OpProf = serving.prof
 	}
 	return cfg
@@ -158,7 +159,6 @@ func runService(addr string, workers, queueDepth, concurrency, tenantQuota,
 	}
 	reg := obs.NewRegistry()
 	srv := obs.NewServer(reg)
-	srv.SetSpec(specrt.LatestSpec)
 	svc := service.New(service.Config{
 		Workers:        workers,
 		Concurrency:    concurrency,

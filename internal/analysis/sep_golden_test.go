@@ -29,7 +29,7 @@ func proveProgram(t *testing.T, p *progs.Program) []string {
 	pt := analysis.ComputePointsTo(mod)
 	var lines []string
 	for i, li := range prof.HotLoops() {
-		a := classify.Classify(li.Loop, prof)
+		a := classify.Classify(li.Loop, prof, classify.Options{})
 		res := analysis.ProveSeparation(li.Loop, pt, analysis.SepCandidates{
 			ReadOnly:   a.ReadOnly,
 			ShortLived: a.ShortLived,

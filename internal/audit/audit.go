@@ -2,7 +2,7 @@
 // the compile pipeline attaches to a parallel region is re-checked against
 // three independent oracles, and any claim a single oracle contradicts is
 // reported loudly. The layers are deliberately redundant — a bug in the
-// prover itself (modeled by core.Options.PlantProofs) must be caught by at
+// prover itself (modeled by core.Ablation.PlantProofs) must be caught by at
 // least one of them before a proven object's dropped dynamic machinery can
 // silently corrupt a run:
 //
@@ -135,15 +135,16 @@ func claims(par *core.Parallelized) []Claim {
 	return out
 }
 
-// Run audits the program produced by build: it parallelizes with opts
-// (claims under test, including any planted proofs), re-derives without
-// plants, profiles a fresh untransformed module for ground truth, and
-// executes the transformed program under the runtime SepAudit oracle.
-// build must return a fresh module per call. args are the program's entry
-// arguments for the audited execution (TrainArgs in opts still drive the
-// training profile).
-func Run(build func() *ir.Module, opts core.Options, cfg specrt.Config, args ...uint64) (*Report, error) {
-	par, err := core.Parallelize(build(), opts)
+// Run audits the program produced by build: it parallelizes with opts and
+// the planted proofs (core.Ablation.PlantProofs form; nil audits only the
+// organically derived claims), re-derives without plants, profiles a fresh
+// untransformed module for ground truth, and executes the transformed
+// program under the runtime SepAudit oracle. build must return a fresh
+// module per call. args are the program's entry arguments for the audited
+// execution (TrainArgs in opts still drive the training profile).
+func Run(build func() *ir.Module, opts core.Options, plants map[string]string,
+	cfg specrt.Config, args ...uint64) (*Report, error) {
+	par, err := core.ParallelizeAblated(build(), opts, core.Ablation{PlantProofs: plants})
 	if err != nil {
 		return nil, fmt.Errorf("audit: parallelize: %w", err)
 	}
@@ -153,9 +154,7 @@ func Run(build func() *ir.Module, opts core.Options, cfg specrt.Config, args ...
 	}
 
 	// Layer 1: independent re-derivation without planted proofs.
-	cleanOpts := opts
-	cleanOpts.PlantProofs = nil
-	clean, err := core.Parallelize(build(), cleanOpts)
+	clean, err := core.Parallelize(build(), opts)
 	if err != nil {
 		return nil, fmt.Errorf("audit: clean parallelize: %w", err)
 	}
@@ -189,10 +188,7 @@ func Run(build func() *ir.Module, opts core.Options, cfg specrt.Config, args ...
 	// the sequential reference is unsuitable here because FP reductions
 	// legitimately refold across workers).
 	cfg.SepAudit = true
-	baseOpts := opts
-	baseOpts.PlantProofs = nil
-	baseOpts.DisableStaticSep = true
-	basePar, err := core.Parallelize(build(), baseOpts)
+	basePar, err := core.ParallelizeAblated(build(), opts, core.Ablation{DisableStaticSep: true})
 	if err != nil {
 		return nil, fmt.Errorf("audit: baseline parallelize: %w", err)
 	}

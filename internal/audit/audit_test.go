@@ -42,7 +42,7 @@ func TestAuditCleanPrograms(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			in := p.Train
 			rep, err := Run(func() *ir.Module { return p.Build(in) },
-				core.Options{}, specrt.Config{Workers: 4})
+				core.Options{}, nil, specrt.Config{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,10 +54,8 @@ func TestAuditCleanPrograms(t *testing.T) {
 }
 
 func TestAuditCatchesPlantedProof(t *testing.T) {
-	rep, err := Run(buildSelectTarget, core.Options{
-		TrainArgs:   []uint64{16},
-		PlantProofs: map[string]string{"@cfg": "readonly"},
-	}, specrt.Config{Workers: 4}, 32)
+	rep, err := Run(buildSelectTarget, core.Options{TrainArgs: []uint64{16}},
+		map[string]string{"@cfg": "readonly"}, specrt.Config{Workers: 4}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +82,8 @@ func TestAuditProfileLayerCatchesLiveContradiction(t *testing.T) {
 	// observes the write into cfg, so the profile layer fires too — the
 	// planted read-only claim names an object the audit profile saw a
 	// region write target.
-	rep, err := Run(buildSelectTarget, core.Options{
-		TrainArgs:   []uint64{16},
-		PlantProofs: map[string]string{"@cfg": "readonly"},
-	}, specrt.Config{Workers: 4}, 32)
+	rep, err := Run(buildSelectTarget, core.Options{TrainArgs: []uint64{16}},
+		map[string]string{"@cfg": "readonly"}, specrt.Config{Workers: 4}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,9 +43,9 @@ type Config struct {
 	// Trace receives speculation-lifecycle events from every speculative
 	// run the suite performs (nil disables tracing).
 	Trace *obs.Tracer
-	// Metrics, when non-nil, is threaded into every speculative run so a
+	// Publish, when non-nil, is threaded into every speculative run so a
 	// live introspection server can observe the suite as it executes.
-	Metrics *obs.Registry
+	Publish *specrt.Publisher
 	// OpProf, when non-nil, is the sampling opcode profiler threaded into
 	// every speculative run.
 	OpProf *interp.OpProfiler
@@ -85,9 +85,6 @@ type prepared struct {
 	seqSteps int64
 	par      *core.Parallelized
 	static   *core.StaticParallelized
-	trace    *obs.Tracer
-	metrics  *obs.Registry
-	opprof   *interp.OpProfiler
 }
 
 // Suite prepares all benchmarks once and runs the experiments.
@@ -100,30 +97,42 @@ type Suite struct {
 // NewSuite compiles every benchmark (sequential baseline, Privateer
 // pipeline, DOALL-only pipeline) for the configured input.
 func NewSuite(cfg Config) (*Suite, error) {
+	selected, err := selectPrograms(cfg.Programs)
+	if err != nil {
+		return nil, err
+	}
 	s := &Suite{Cfg: cfg}
-	for _, p := range progs.All() {
-		if len(cfg.Programs) > 0 && !containsString(cfg.Programs, p.Name) {
-			continue
-		}
+	for _, p := range selected {
 		pr, err := prepare(p, cfg.Input)
 		if err != nil {
 			return nil, err
 		}
-		pr.trace = cfg.Trace
-		pr.metrics = cfg.Metrics
-		pr.opprof = cfg.OpProf
 		s.programs = append(s.programs, pr)
 	}
 	return s, nil
 }
 
-func containsString(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
+// selectPrograms resolves Config.Programs (nil = all five) in benchmark
+// order, rejecting unknown names before anything is compiled: a typo must
+// fail the experiment, not print an empty table.
+func selectPrograms(names []string) ([]*progs.Program, error) {
+	if len(names) == 0 {
+		return progs.All(), nil
+	}
+	want := map[string]bool{}
+	for _, n := range names {
+		if progs.ByName(n) == nil {
+			return nil, fmt.Errorf("unknown program %q", n)
+		}
+		want[n] = true
+	}
+	var out []*progs.Program
+	for _, p := range progs.All() {
+		if want[p.Name] {
+			out = append(out, p)
 		}
 	}
-	return false
+	return out, nil
 }
 
 // inputFor resolves an input class name, rejecting unknown ones: a typo
@@ -136,7 +145,7 @@ func inputFor(p *progs.Program, name string) (progs.Input, error) {
 	return in, nil
 }
 
-// wallWorkers is the worker count of the experiments that report wall
+// wallWorkers is the worker count of the variants built to report wall
 // clock (elision, staticsep): the host-sized default — oversubscription
 // would put scheduler noise into the wall-clock columns.
 const wallWorkers = 8
@@ -164,9 +173,9 @@ func prepare(p *progs.Program, inputName string) (*prepared, error) {
 		return nil, err
 	}
 	// Best sequential execution: the unmodified program.
-	seqIt := interp.New(p.Build(in), vm.NewAddressSpace())
-	if _, err := seqIt.Run(); err != nil {
-		return nil, fmt.Errorf("%s sequential: %w", p.Name, err)
+	seqSteps, err := seqStepsOf(p, in)
+	if err != nil {
+		return nil, err
 	}
 	par, err := core.Parallelize(p.Build(in), core.Options{})
 	if err != nil {
@@ -176,20 +185,13 @@ func prepare(p *progs.Program, inputName string) (*prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s static parallelize: %w", p.Name, err)
 	}
-	return &prepared{prog: p, input: in, seqSteps: seqIt.Steps, par: par, static: static}, nil
+	return &prepared{prog: p, input: in, seqSteps: seqSteps, par: par, static: static}, nil
 }
 
-// runPrivateer executes the speculative build and returns the runtime.
-func (pr *prepared) runPrivateer(cfg specrt.Config) (*specrt.RT, error) {
-	if cfg.Trace == nil {
-		cfg.Trace = pr.trace
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = pr.metrics
-	}
-	if cfg.OpProf == nil {
-		cfg.OpProf = pr.opprof
-	}
+// runPrivateer executes pr's speculative build under cfg plus the suite's
+// observers and returns the runtime.
+func (s *Suite) runPrivateer(pr *prepared, cfg specrt.Config) (*specrt.RT, error) {
+	cfg.Trace, cfg.Publish, cfg.OpProf = s.Cfg.Trace, s.Cfg.Publish, s.Cfg.OpProf
 	rt, _, err := core.Run(pr.par, cfg)
 	return rt, err
 }

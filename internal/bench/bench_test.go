@@ -20,20 +20,33 @@ func suite(t *testing.T) *Suite {
 	return quickSuite
 }
 
-// TestUnknownInputClassRejected: a mistyped input class must fail every
-// entry point that takes one, naming the bad value, instead of running ref
-// inputs under the typo's label.
+// TestUnknownInputClassRejected: a mistyped input class or program name
+// must fail every entry point that takes one, naming the bad value, before
+// anything runs — instead of running ref inputs under the typo's label or
+// printing an empty table.
 func TestUnknownInputClassRejected(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Input = "hgue"
-	_, suiteErr := NewSuite(cfg)
-	_, elisionErr := RunElision(cfg, true)
-	_, sepErr := RunStaticSep(cfg, true)
-	for name, err := range map[string]error{
-		"NewSuite": suiteErr, "RunElision": elisionErr, "RunStaticSep": sepErr,
+	badInput, badProg := QuickConfig(), QuickConfig()
+	badInput.Input = "hgue"
+	badProg.Programs = []string{"dijkstra", "nosuch"}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"input", badInput, `"hgue"`},
+		{"program", badProg, `"nosuch"`},
 	} {
-		if err == nil || !strings.Contains(err.Error(), `"hgue"`) {
-			t.Errorf("%s with input class hgue: error %v, want one naming the class", name, err)
+		_, suiteErr := NewSuite(tc.cfg)
+		_, variantErr := RunVariant(tc.cfg, true, "elision")
+		errs := map[string]error{"NewSuite": suiteErr, "RunVariant": variantErr}
+		if tc.name == "program" {
+			// The value-prediction ablation always uses train inputs.
+			_, errs["AblationValuePrediction"] = AblationValuePrediction(tc.cfg)
+		}
+		for entry, err := range errs {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s with bad %s: error %v, want one naming %s", entry, tc.name, err, tc.want)
+			}
 		}
 	}
 }
@@ -172,20 +185,26 @@ func TestAblationValuePrediction(t *testing.T) {
 func TestAblationElision(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Programs = []string{"dijkstra"}
-	r, err := AblationElision(cfg)
+	r, err := RunVariant(cfg, true, "ablation")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 1 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if len(r.Programs) != 1 {
+		t.Fatalf("rows = %d", len(r.Programs))
 	}
-	row := r.Rows[0]
-	if row.ChecksWithout <= row.ChecksWith {
-		t.Errorf("disabling elision must add checks: %d vs %d", row.ChecksWithout, row.ChecksWith)
+	row := r.Programs[0]
+	if row.BeforeChecks <= row.AfterChecks {
+		t.Errorf("disabling elision must add checks: %d vs %d", row.BeforeChecks, row.AfterChecks)
 	}
-	if row.SpeedupWithout > row.SpeedupWith {
+	if row.EndToEndBefore > row.EndToEnd {
 		t.Errorf("extra checks should not speed things up: %.2f vs %.2f",
-			row.SpeedupWithout, row.SpeedupWith)
+			row.EndToEndBefore, row.EndToEnd)
+	}
+	if row.Workers != cfg.FixedWorkers {
+		t.Errorf("ablation ran at %d workers, want the paper machine's %d", row.Workers, cfg.FixedWorkers)
+	}
+	if !strings.Contains(r.Format(), "elided") {
+		t.Error("format misses the static counter column")
 	}
 }
 

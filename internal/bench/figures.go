@@ -28,7 +28,7 @@ func (s *Suite) Fig6() (*Fig6Result, error) {
 	for _, pr := range s.programs {
 		res.ProgramOrder = append(res.ProgramOrder, pr.prog.Name)
 		for _, w := range s.Cfg.WorkerCounts {
-			rt, err := pr.runPrivateer(specrt.Config{Workers: w})
+			rt, err := s.runPrivateer(pr, specrt.Config{Workers: w})
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s workers=%d: %w", pr.prog.Name, w, err)
 			}
@@ -98,7 +98,7 @@ func (s *Suite) Fig7() (*Fig7Result, error) {
 		}
 		res.DOALLOnly[pr.prog.Name] = sp
 		res.StaticLoops[pr.prog.Name] = len(pr.static.Regions)
-		rt, err := pr.runPrivateer(specrt.Config{Workers: s.Cfg.FixedWorkers})
+		rt, err := s.runPrivateer(pr, specrt.Config{Workers: s.Cfg.FixedWorkers})
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s privateer: %w", pr.prog.Name, err)
 		}
@@ -161,7 +161,7 @@ func (s *Suite) Fig8() (*Fig8Result, error) {
 	for _, pr := range s.programs {
 		res.ProgramOrder = append(res.ProgramOrder, pr.prog.Name)
 		for _, w := range s.Cfg.Fig8Workers {
-			rt, err := pr.runPrivateer(specrt.Config{Workers: w})
+			rt, err := s.runPrivateer(pr, specrt.Config{Workers: w})
 			if err != nil {
 				return nil, fmt.Errorf("fig8 %s workers=%d: %w", pr.prog.Name, w, err)
 			}
@@ -234,7 +234,7 @@ func (s *Suite) Fig9() (*Fig9Result, error) {
 	for _, pr := range s.programs {
 		res.ProgramOrder = append(res.ProgramOrder, pr.prog.Name)
 		for _, rate := range s.Cfg.MisspecRates {
-			rt, err := pr.runPrivateer(specrt.Config{
+			rt, err := s.runPrivateer(pr, specrt.Config{
 				Workers: s.Cfg.FixedWorkers, MisspecRate: rate, Seed: 0xC0FFEE,
 			})
 			if err != nil {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -39,15 +38,6 @@ type MicroResult struct {
 type MicroReport struct {
 	// Results lists one entry per benchmark.
 	Results []MicroResult `json:"results"`
-}
-
-// JSON renders the report as machine-readable JSON.
-func (r *MicroReport) JSON() string {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
 }
 
 // Format renders the report as an aligned table.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -50,15 +49,6 @@ type ObsOverheadReport struct {
 	ServiceOverheadPct float64 `json:"service_overhead_pct"`
 	// ServiceJobs is the number of jobs each service leg executed.
 	ServiceJobs int64 `json:"service_jobs"`
-}
-
-// JSON renders the report as machine-readable JSON.
-func (r *ObsOverheadReport) JSON() string {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
 }
 
 // Format renders the report for terminal output.

@@ -55,7 +55,7 @@ func (s *Suite) Table3() (*Table3Result, error) {
 	workers := 4
 	res := &Table3Result{Workers: workers}
 	for _, pr := range s.programs {
-		rt, err := pr.runPrivateer(specrt.Config{Workers: workers})
+		rt, err := s.runPrivateer(pr, specrt.Config{Workers: workers})
 		if err != nil {
 			return nil, fmt.Errorf("table3 %s: %w", pr.prog.Name, err)
 		}

@@ -356,7 +356,8 @@ func instrFootprint(in *ir.Instr, prof *profiling.Profile) *Footprint {
 	return fp
 }
 
-// Options tunes classification, for ablation studies.
+// Options tunes classification; the zero value is the production shape
+// and only core.ParallelizeAblated passes anything else.
 type Options struct {
 	// DisableValuePrediction turns off the value-prediction refinement:
 	// carried dependences through stably-constant locations force their
@@ -366,12 +367,7 @@ type Options struct {
 
 // Classify implements Algorithm 1: it partitions loop l's footprint into the
 // five heaps using the profile's lifetime, dependence and value information.
-func Classify(l *ir.Loop, prof *profiling.Profile) *Assignment {
-	return ClassifyOpts(l, prof, Options{})
-}
-
-// ClassifyOpts is Classify with explicit options.
-func ClassifyOpts(l *ir.Loop, prof *profiling.Profile, opts Options) *Assignment {
+func Classify(l *ir.Loop, prof *profiling.Profile, opts Options) *Assignment {
 	a := &Assignment{
 		Loop:             l,
 		ShortLived:       profiling.ObjectSet{},

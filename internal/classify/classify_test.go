@@ -65,7 +65,7 @@ func TestClassifyFiveWayPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := outerLoop(t, p)
-	a := Classify(l, p)
+	a := Classify(l, p, Options{})
 
 	if h := findGlobal(a, gs["scratch"]); h != ir.HeapPrivate {
 		t.Errorf("scratch assigned to %s, want private\n%s", h, a)
@@ -115,7 +115,7 @@ func TestClassifyGenuineCarriedDepIsUnrestricted(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := outerLoop(t, p)
-	a := Classify(l, p)
+	a := Classify(l, p, Options{})
 	if h := findGlobal(a, acc); h != ir.HeapUnrestricted {
 		t.Errorf("acc assigned to %s, want unrestricted\n%s", h, a)
 	}
@@ -152,7 +152,7 @@ func TestClassifyPredictableLoadEnablesPrivatization(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := outerLoop(t, p)
-	a := Classify(l, p)
+	a := Classify(l, p, Options{})
 	if h := findGlobal(a, head); h != ir.HeapPrivate {
 		t.Errorf("head assigned to %s, want private (via value prediction)\n%s", h, a)
 	}
@@ -216,7 +216,7 @@ func TestClassifyMinReduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := outerLoop(t, p)
-	a := Classify(l, p)
+	a := Classify(l, p, Options{})
 	if h := findGlobal(a, best); h != ir.HeapRedux {
 		t.Errorf("best assigned to %s, want redux\n%s", h, a)
 	}
@@ -231,7 +231,7 @@ func TestAssignmentStringAndObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Classify(outerLoop(t, p), p)
+	a := Classify(outerLoop(t, p), p, Options{})
 	if len(a.Objects()) < 4 {
 		t.Errorf("Objects() too small: %v", a.Objects())
 	}

@@ -30,24 +30,29 @@ type Options struct {
 	// TrainArgs are the entry arguments for the profiling run (the train
 	// input).
 	TrainArgs []uint64
-	// MaxLoops bounds how many loops are selected (0 = no bound).
-	MaxLoops int
 	// MinLoopSteps filters loops whose profiled execution time share is
 	// negligible (absolute step count; 0 selects a small default).
 	MinLoopSteps int64
-	// DisableValuePrediction, DisableElision and DisablePostprocess are
-	// ablation knobs (see classify.Options and transform.Options).
-	DisableValuePrediction bool
-	DisableElision         bool
-	DisablePostprocess     bool
+}
+
+// Ablation describes an evidence build: the pipeline with one stage
+// switched off, or with deliberately wrong proofs planted. It is accepted
+// only by ParallelizeAblated, which the bench harness, the audit oracles
+// and tests call; Parallelize always compiles with the zero Ablation.
+type Ablation struct {
+	// Classify is handed to the classifier as it is (value prediction).
+	Classify classify.Options
+	// Transform is handed to the transformation as it is (static check
+	// elision, the postprocess pass).
+	Transform transform.Options
 	// DisableStaticSep turns off the static separation prover: every
-	// object keeps its full dynamic machinery (the PR-7 elision-only
-	// build, used as the staticsep experiment baseline).
+	// object keeps its full dynamic machinery (the elision-only build the
+	// staticsep variant and audit.Run compare against).
 	DisableStaticSep bool
 	// PlantProofs force-injects deliberately-unsound proofs, keyed by
 	// object name ("@global" or "fn:site") with a proof-rule value. It
 	// exists solely so tests and the audit harness can verify that the
-	// dynamic oracles catch a wrong static claim; never set it otherwise.
+	// dynamic oracles catch a wrong static claim.
 	PlantProofs map[string]string
 }
 
@@ -81,23 +86,16 @@ type Parallelized struct {
 // Parallelize runs the fully automatic pipeline on mod, mutating it in
 // place. The module must verify and should be in SSA form (PromoteAllocas).
 func Parallelize(mod *ir.Module, opts Options) (*Parallelized, error) {
-	if err := ir.Verify(mod); err != nil {
-		return nil, fmt.Errorf("core: input module invalid: %w", err)
-	}
-	prof, err := profiling.Run(mod, opts.TrainArgs...)
-	if err != nil {
-		return nil, fmt.Errorf("core: profiling failed: %w", err)
-	}
-	pt := analysis.ComputePointsTo(mod)
+	return ParallelizeAblated(mod, opts, Ablation{})
+}
 
-	// A loop is "hot" when it holds at least ~1% of the profiled execution
-	// time (and a small absolute floor keeps toy modules sensible).
-	minSteps := opts.MinLoopSteps
-	if minSteps == 0 {
-		minSteps = prof.Steps / 100
-		if minSteps < 100 {
-			minSteps = 100
-		}
+// ParallelizeAblated is Parallelize with the stages abl names switched off
+// and its proofs planted: the "before" builds of the bench harness's
+// variant table and the planted-proof builds the audit oracles must catch.
+func ParallelizeAblated(mod *ir.Module, opts Options, abl Ablation) (*Parallelized, error) {
+	prof, pt, minSteps, err := profileModule(mod, opts)
+	if err != nil {
+		return nil, err
 	}
 
 	out := &Parallelized{Mod: mod, Profile: prof}
@@ -123,9 +121,7 @@ func Parallelize(mod *ir.Module, opts Options) (*Parallelized, error) {
 		case conflictsWithSelected(l, selectedLoops):
 			rep.Reason = "may be simultaneously active with a selected loop"
 		default:
-			a := classify.ClassifyOpts(l, prof, classify.Options{
-				DisableValuePrediction: opts.DisableValuePrediction,
-			})
+			a := classify.Classify(l, prof, abl.Classify)
 			plan := deps.SpeculativeBlockers(l, prof, a)
 			if len(plan.Blockers) > 0 {
 				rep.Reason = plan.Blockers[0].String()
@@ -135,14 +131,14 @@ func Parallelize(mod *ir.Module, opts Options) (*Parallelized, error) {
 				rep.Reason = conflict
 				break
 			}
-			if !opts.DisableStaticSep {
+			if !abl.DisableStaticSep {
 				a.Sep = analysis.ProveSeparation(l, pt, analysis.SepCandidates{
 					ReadOnly:   a.ReadOnly,
 					ShortLived: a.ShortLived,
 					Private:    a.Private,
 					Redux:      a.Redux,
 				})
-				for name, rule := range opts.PlantProofs {
+				for name, rule := range abl.PlantProofs {
 					for _, oh := range a.Objects() {
 						if oh.Object.String() == name {
 							a.Sep.Plant(oh.Object, analysis.ProofRule(rule))
@@ -150,11 +146,7 @@ func Parallelize(mod *ir.Module, opts Options) (*Parallelized, error) {
 					}
 				}
 			}
-			res, err := transform.ApplyOpts(mod, l, prof, a, plan, pt,
-				transform.Options{
-					DisableElision:     opts.DisableElision,
-					DisablePostprocess: opts.DisablePostprocess,
-				})
+			res, err := transform.Apply(mod, l, prof, a, plan, pt, abl.Transform)
 			if err != nil {
 				rep.Reason = err.Error()
 				break
@@ -183,14 +175,33 @@ func Parallelize(mod *ir.Module, opts Options) (*Parallelized, error) {
 			})
 		}
 		out.Reports = append(out.Reports, rep)
-		if opts.MaxLoops > 0 && len(out.Regions) >= opts.MaxLoops {
-			break
-		}
 	}
 	if err := ir.Verify(mod); err != nil {
 		return nil, fmt.Errorf("core: transformed module invalid: %w", err)
 	}
 	return out, nil
+}
+
+// profileModule is the front half both pipelines share: verify mod, profile
+// it on the train input, and compute points-to and the hot-loop threshold.
+// A loop is "hot" when it holds at least ~1% of the profiled execution
+// time (and a small absolute floor keeps toy modules sensible).
+func profileModule(mod *ir.Module, opts Options) (*profiling.Profile, *analysis.PointsTo, int64, error) {
+	if err := ir.Verify(mod); err != nil {
+		return nil, nil, 0, fmt.Errorf("core: input module invalid: %w", err)
+	}
+	prof, err := profiling.Run(mod, opts.TrainArgs...)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("core: profiling failed: %w", err)
+	}
+	minSteps := opts.MinLoopSteps
+	if minSteps == 0 {
+		minSteps = prof.Steps / 100
+		if minSteps < 100 {
+			minSteps = 100
+		}
+	}
+	return prof, analysis.ComputePointsTo(mod), minSteps, nil
 }
 
 // conflictsWithSelected applies section 4.3's nesting constraint: two loops

@@ -76,8 +76,8 @@ func TestParallelizeSelectsOuterLoop(t *testing.T) {
 		t.Error("I/O deferral not planned")
 	}
 	s := par.Summary()
-	if !strings.Contains(s, "selected") {
-		t.Errorf("summary missing selection:\n%s", s)
+	if !strings.Contains(s, "selected") || !strings.Contains(s, "region(s) parallelized") {
+		t.Errorf("summary missing header or selection:\n%s", s)
 	}
 }
 

@@ -87,7 +87,7 @@ func TestStaticSepProvenEndToEnd(t *testing.T) {
 
 	// The elision-only baseline must agree bit-for-bit and must not claim
 	// any static proofs.
-	base, err := Parallelize(buildPrivTable(n), Options{DisableStaticSep: true})
+	base, err := ParallelizeAblated(buildPrivTable(n), Options{}, Ablation{DisableStaticSep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +165,8 @@ func buildLateWriter(n int64) *ir.Module {
 }
 
 func TestStaticSepAuditCatchesPlantedProof(t *testing.T) {
-	par, err := Parallelize(buildLateWriter(32), Options{
-		TrainArgs:   []uint64{16},
-		PlantProofs: map[string]string{"@cfg": "readonly"},
-	})
+	par, err := ParallelizeAblated(buildLateWriter(32), Options{TrainArgs: []uint64{16}},
+		Ablation{PlantProofs: map[string]string{"@cfg": "readonly"}})
 	if err != nil {
 		t.Fatal(err)
 	}

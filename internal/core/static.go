@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 
-	"privateer/internal/analysis"
 	"privateer/internal/deps"
 	"privateer/internal/doall"
 	"privateer/internal/interp"
 	"privateer/internal/ir"
-	"privateer/internal/profiling"
 	"privateer/internal/vm"
 )
 
@@ -29,20 +27,9 @@ type StaticParallelized struct {
 // the comparison apples-to-apples), judge every loop with conservative
 // static analysis, and outline the provable ones.
 func ParallelizeStatic(mod *ir.Module, opts Options) (*StaticParallelized, error) {
-	if err := ir.Verify(mod); err != nil {
-		return nil, fmt.Errorf("core: input module invalid: %w", err)
-	}
-	prof, err := profiling.Run(mod, opts.TrainArgs...)
+	prof, pt, minSteps, err := profileModule(mod, opts)
 	if err != nil {
-		return nil, fmt.Errorf("core: profiling failed: %w", err)
-	}
-	pt := analysis.ComputePointsTo(mod)
-	minSteps := opts.MinLoopSteps
-	if minSteps == 0 {
-		minSteps = prof.Steps / 100
-		if minSteps < 100 {
-			minSteps = 100
-		}
+		return nil, err
 	}
 	out := &StaticParallelized{Mod: mod}
 	var selected []*ir.Loop

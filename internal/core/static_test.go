@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"privateer/internal/ir"
@@ -77,18 +76,5 @@ func TestParallelizeStaticRejectsIrregular(t *testing.T) {
 	}
 	if len(static.Regions) != 0 {
 		t.Errorf("irregular loop selected: %+v", static.Reports)
-	}
-}
-
-func TestMaxLoopsOption(t *testing.T) {
-	par, err := Parallelize(buildAffine(64), Options{MaxLoops: 1, MinLoopSteps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Regions) > 1 {
-		t.Errorf("MaxLoops ignored: %d regions", len(par.Regions))
-	}
-	if !strings.Contains(par.Summary(), "region(s) parallelized") {
-		t.Error("summary header missing")
 	}
 }

@@ -137,7 +137,7 @@ func speculativePlan(t *testing.T, m *ir.Module) (*Plan, *classify.Assignment) {
 	if outer == nil {
 		t.Fatal("no outer loop")
 	}
-	a := classify.Classify(outer, p)
+	a := classify.Classify(outer, p, classify.Options{})
 	return SpeculativeBlockers(outer, p, a), a
 }
 

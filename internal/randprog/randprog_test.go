@@ -6,6 +6,7 @@ import (
 	"privateer/internal/core"
 	"privateer/internal/ir"
 	"privateer/internal/specrt"
+	"privateer/internal/transform"
 )
 
 // elisionToggle is the soak lanes' elision knob: it reproducibly disables
@@ -24,10 +25,9 @@ func runDifferential(t *testing.T, cfg Config, workers []int, inject float64) in
 	if err != nil {
 		t.Fatalf("seed %d: sequential: %v", cfg.Seed, err)
 	}
-	par, err := core.Parallelize(Generate(cfg), core.Options{
-		TrainArgs:          []uint64{TrainTrips(cfg)},
-		DisablePostprocess: elisionToggle(cfg.Seed),
-	})
+	par, err := core.ParallelizeAblated(Generate(cfg),
+		core.Options{TrainArgs: []uint64{TrainTrips(cfg)}},
+		core.Ablation{Transform: transform.Options{DisablePostprocess: elisionToggle(cfg.Seed)}})
 	if err != nil {
 		t.Fatalf("seed %d: parallelize: %v", cfg.Seed, err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"privateer/internal/core"
 	"privateer/internal/specrt"
+	"privateer/internal/transform"
 )
 
 // The soak lane runs the full speculate/validate/recover cycle over random
@@ -89,10 +90,9 @@ func TestSoakSepAudit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
-			par, err := core.Parallelize(Generate(cfg), core.Options{
-				TrainArgs:          []uint64{TrainTrips(cfg)},
-				DisablePostprocess: elisionToggle(seed),
-			})
+			par, err := core.ParallelizeAblated(Generate(cfg),
+				core.Options{TrainArgs: []uint64{TrainTrips(cfg)}},
+				core.Ablation{Transform: transform.Options{DisablePostprocess: elisionToggle(seed)}})
 			if err != nil {
 				t.Fatalf("parallelize: %v", err)
 			}
@@ -128,10 +128,9 @@ func TestSoakSepAuditCatchesPlantedProof(t *testing.T) {
 		cfg.Violate = true
 		cfg.ViolateSelect = true // branch-free: control speculation cannot shield it
 		full := uint64(cfg.Iterations)
-		par, err := core.Parallelize(Generate(cfg), core.Options{
-			TrainArgs:   []uint64{TrainTrips(cfg)},
-			PlantProofs: map[string]string{"@scratch": "covered"},
-		})
+		par, err := core.ParallelizeAblated(Generate(cfg),
+			core.Options{TrainArgs: []uint64{TrainTrips(cfg)}},
+			core.Ablation{PlantProofs: map[string]string{"@scratch": "covered"}})
 		if err != nil {
 			t.Fatalf("seed %d: parallelize: %v", seed, err)
 		}
@@ -177,10 +176,9 @@ func TestSoakViolation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v", seed, err)
 		}
-		par, err := core.Parallelize(Generate(cfg), core.Options{
-			TrainArgs:          []uint64{TrainTrips(cfg)},
-			DisablePostprocess: elisionToggle(seed),
-		})
+		par, err := core.ParallelizeAblated(Generate(cfg),
+			core.Options{TrainArgs: []uint64{TrainTrips(cfg)}},
+			core.Ablation{Transform: transform.Options{DisablePostprocess: elisionToggle(seed)}})
 		if err != nil {
 			t.Fatalf("seed %d: parallelize: %v", seed, err)
 		}

@@ -88,7 +88,8 @@ type Config struct {
 	// (0 selects specrt.DefaultPoolSlots).
 	PoolSlots int
 	// Metrics, when non-nil, receives the service's tenant-labeled metric
-	// families alongside each invocation's runtime collectors.
+	// families and the runtime's privateer_*_total counters, into which
+	// every finished job's specrt.Stats is added.
 	Metrics *obs.Registry
 	// TraceCapacity bounds each job's trace event ring: 0 selects
 	// DefaultTraceCapacity, negative disables per-job tracing entirely
@@ -128,15 +129,16 @@ type Job struct {
 	// Input is the program's input class.
 	Input string
 
-	state      string
-	ret        uint64
-	output     string
-	errMsg     string
-	submitted  time.Time
-	started    time.Time
-	finished   time.Time
-	warmSpawns int64
-	done       chan struct{}
+	state     string
+	ret       uint64
+	output    string
+	errMsg    string
+	submitted time.Time
+	started   time.Time
+	finished  time.Time
+	// stats is the runtime's final counters, settled at finish.
+	stats specrt.Stats
+	done  chan struct{}
 
 	// Per-job flight-recorder state: the bounded event ring the job's
 	// tracer feeds (the job ID is the trace ID), and the derived phase
@@ -146,8 +148,6 @@ type Job struct {
 	phases       []obs.PhaseSpan
 	traceTotal   int64
 	traceDropped int64
-	misspecs     int64
-	fallbacks    int64
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -243,7 +243,7 @@ type Service struct {
 	mInflight     obs.Gauge
 	mQueueWait    *obs.Histogram
 	mE2E          *obs.Histogram
-	mWarm         obs.Counter
+	mRuntime      specrt.StatCounters
 	mTraceEvents  obs.Counter
 	mTraceDropped obs.Counter
 }
@@ -298,8 +298,7 @@ func New(cfg Config) *Service {
 	s.mE2E = reg.Histogram("privateer_service_e2e_ns",
 		"End-to-end nanoseconds per job, submission to terminal state.",
 		obs.LatencyBuckets)
-	s.mWarm = reg.Counter("privateer_service_warm_spawns_total",
-		"Worker spawns satisfied from warmed pools across all invocations.")
+	s.mRuntime = specrt.NewStatCounters(reg)
 	s.mTraceEvents = reg.Counter("privateer_service_trace_events_total",
 		"Trace events emitted across all per-job rings, including overwritten ones.")
 	s.mTraceDropped = reg.Counter("privateer_service_trace_dropped_events_total",
@@ -421,7 +420,7 @@ func (s *Service) View(j *Job) JobView {
 	v := JobView{
 		ID: j.ID, Tenant: j.Tenant, Prog: j.Prog, Input: j.Input,
 		State: j.state, Ret: j.ret, Output: j.output, Error: j.errMsg,
-		WarmSpawns: j.warmSpawns, Misspecs: j.misspecs,
+		WarmSpawns: j.stats.WarmSpawns, Misspecs: j.stats.Misspecs,
 		PhaseNS:     obs.PhaseTotals(j.phases),
 		TraceEvents: j.traceTotal, TraceDropped: j.traceDropped,
 	}
@@ -528,7 +527,6 @@ func (s *Service) run(job *Job) {
 		Workers:     s.cfg.Workers,
 		Program:     c.prog,
 		Pool:        c.pool,
-		Metrics:     s.cfg.Metrics,
 		Trace:       job.tracer,
 		MisspecRate: s.cfg.MisspecRate,
 		Seed:        s.cfg.Seed,
@@ -536,26 +534,21 @@ func (s *Service) run(job *Job) {
 	res := runResult{ret: ret, err: err}
 	if rt != nil {
 		res.out = rt.Output()
-		st := rt.Stats.Snapshot()
-		res.warm = st.WarmSpawns
-		res.misspecs = st.Misspecs
-		res.fallbacks = st.SequentialFallbacks
+		res.stats = rt.Stats.Snapshot()
 		res.sites = rt.MisspecSites()
 	}
 	s.finish(job, res)
 }
 
 // runResult carries one invocation's outcome into finish: the return
-// value and output, warm-spawn and misspeculation accounting, the
+// value and output, the runtime's final counters, the
 // misspeculation-attribution table, and the terminal error if any.
 type runResult struct {
-	ret       uint64
-	out       string
-	warm      int64
-	misspecs  int64
-	fallbacks int64
-	sites     []specrt.MisspecSiteRow
-	err       error
+	ret   uint64
+	out   string
+	stats specrt.Stats
+	sites []specrt.MisspecSiteRow
+	err   error
 }
 
 // finish moves a job to its terminal state and settles the accounting:
@@ -575,9 +568,7 @@ func (s *Service) finish(job *Job, res runResult) {
 	job.finished = now
 	job.ret = res.ret
 	job.output = res.out
-	job.warmSpawns = res.warm
-	job.misspecs = res.misspecs
-	job.fallbacks = res.fallbacks
+	job.stats = res.stats
 	job.phases = phases
 	if job.trace != nil {
 		job.traceTotal = job.trace.Total()
@@ -604,7 +595,7 @@ func (s *Service) finish(job *Job, res runResult) {
 	}
 	s.mQueueWait.Observe(queueWait)
 	s.mE2E.Observe(wall)
-	s.mWarm.Add(res.warm)
+	s.mRuntime.Add(res.stats)
 	s.mTraceEvents.Add(traceTotal)
 	s.mTraceDropped.Add(traceDropped)
 	for _, ps := range phases {
@@ -624,9 +615,9 @@ func postmortemReason(res runResult) string {
 		return "rejected"
 	case res.err != nil:
 		return "failed"
-	case res.fallbacks > 0:
+	case res.stats.SequentialFallbacks > 0:
 		return "fallback"
-	case res.misspecs > 0:
+	case res.stats.Misspecs > 0:
 		return "misspec"
 	}
 	return ""
@@ -651,7 +642,7 @@ func (s *Service) recordPostmortem(job *Job, res runResult, reason string) {
 	pm := obs.Postmortem{
 		JobID: job.ID, Tenant: job.Tenant, Prog: job.Prog, Input: job.Input,
 		Reason: reason, UnixNS: time.Now().UnixNano(),
-		Misspecs: res.misspecs, Fallbacks: res.fallbacks,
+		Misspecs: res.stats.Misspecs, Fallbacks: res.stats.SequentialFallbacks,
 		Phases: job.phases,
 	}
 	if res.err != nil {

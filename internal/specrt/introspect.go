@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"privateer/internal/ir"
@@ -227,91 +226,120 @@ func (rt *RT) SpecSnapshot() SpecSnapshot {
 	}
 }
 
-// latestRT tracks the most recently constructed metrics-enabled runtime:
-// the one a live scrape should observe. Collectors and LatestSpec follow
-// it, so long-lived introspection servers (privateer-bench -serve) always
-// report the current run.
-var latestRT atomic.Pointer[RT]
+// statFamilies names the privateer_*_total counter family of each Stats
+// field: the one table behind both the single-run publisher, which mirrors
+// the live runtime at scrape time, and the region service, which folds
+// every finished job in.
+var statFamilies = []struct {
+	name, help string
+	get        func(*Stats) int64
+}{
+	{"invocations_total", "Parallel-region entries.",
+		func(s *Stats) int64 { return s.Invocations }},
+	{"checkpoints_total", "Checkpoint objects constructed.",
+		func(s *Stats) int64 { return s.Checkpoints }},
+	{"misspeculations_total", "Detected misspeculations, including injected.",
+		func(s *Stats) int64 { return s.Misspecs }},
+	{"recoveries_total", "Sequential recovery episodes.",
+		func(s *Stats) int64 { return s.Recoveries }},
+	{"sequential_fallbacks_total", "Invocations abandoned to sequential execution.",
+		func(s *Stats) int64 { return s.SequentialFallbacks }},
+	{"priv_read_bytes_total", "Privacy-checked read volume.",
+		func(s *Stats) int64 { return s.PrivReadBytes }},
+	{"priv_write_bytes_total", "Privacy-checked write volume.",
+		func(s *Stats) int64 { return s.PrivWriteBytes }},
+	{"priv_read_checks_total", "Dynamic privacy read checks.",
+		func(s *Stats) int64 { return s.PrivReadChecks }},
+	{"priv_write_checks_total", "Dynamic privacy write checks.",
+		func(s *Stats) int64 { return s.PrivWriteChecks }},
+	{"separation_checks_total", "Dynamic heap-separation checks.",
+		func(s *Stats) int64 { return s.SeparationChecks }},
+	{"predictions_total", "Dynamic value-prediction checks.",
+		func(s *Stats) int64 { return s.Predictions }},
+	{"deferred_io_total", "Buffered output operations.",
+		func(s *Stats) int64 { return s.DeferredIO }},
+	{"proven_range_bytes_total", "Bytes wholesale-installed from statically-privatized ranges.",
+		func(s *Stats) int64 { return s.ProvenRangeBytes }},
+	{"sep_audit_violations_total", "Static separation claims contradicted by the SepAudit oracle.",
+		func(s *Stats) int64 { return s.SepAuditViolations }},
+	{"warm_spawns_total", "Worker spawns satisfied from the warmed pool.",
+		func(s *Stats) int64 { return s.WarmSpawns }},
+	{"spawn_ns_total", "Wall-clock worker spawn time.",
+		func(s *Stats) int64 { return s.SpawnNS }},
+	{"join_ns_total", "Master-side validate/install/commit critical path.",
+		func(s *Stats) int64 { return s.JoinNS }},
+	{"checkpoint_ns_total", "Wall-clock worker checkpoint-merge time.",
+		func(s *Stats) int64 { return s.CheckpointNS }},
+	{"worker_busy_ns_total", "Total wall-clock worker execution time.",
+		func(s *Stats) int64 { return s.WorkerBusyNS }},
+	{"region_wall_ns_total", "Wall-clock time inside parallel regions.",
+		func(s *Stats) int64 { return s.RegionWallNS }},
+}
 
-// publishedRegistries remembers which registries already carry the
-// runtime's collectors, so constructing many runtimes against one registry
-// (a benchmark suite) does not stack duplicate collectors.
-var publishedRegistries sync.Map
+// StatCounters holds one registry's privateer_*_total counter handles,
+// resolved once. On a nil registry every handle is inert.
+type StatCounters []obs.Counter
 
-// LatestSpec returns the newest metrics-enabled runtime's SpecSnapshot,
-// or an empty document when none exists yet. It is the provider wired into
-// obs.Server's /spec endpoint.
-func LatestSpec() any {
-	rt := latestRT.Load()
+// NewStatCounters registers the Stats counter families on reg.
+func NewStatCounters(reg *obs.Registry) StatCounters {
+	cs := make(StatCounters, len(statFamilies))
+	for i, f := range statFamilies {
+		cs[i] = reg.Counter("privateer_"+f.name, f.help)
+	}
+	return cs
+}
+
+// Set mirrors one runtime's totals into the counters. Only a registry
+// that follows a single runtime at a time may use it: the values are that
+// runtime's, not a sum.
+func (cs StatCounters) Set(st Stats) {
+	for i, f := range statFamilies {
+		cs[i].Set(f.get(&st))
+	}
+}
+
+// Add folds one finished runtime's totals into the counters, so the
+// families sum over every runtime the registry's owner ran.
+func (cs StatCounters) Add(st Stats) {
+	for i, f := range statFamilies {
+		cs[i].Add(f.get(&st))
+	}
+}
+
+// Publisher publishes one runtime at a time on a registry: its collectors
+// and its Spec document follow the runtime most recently constructed with
+// Config.Publish set to it. It suits a process that runs its runtimes one
+// after another and wants to watch the current one (privateer -serve,
+// privateer-bench -serve). Concurrent tenants have no "current" runtime —
+// the region service sums finished jobs with StatCounters.Add instead.
+type Publisher struct {
+	cur            atomic.Pointer[RT]
+	histRegionWall *obs.Histogram
+	histInstall    *obs.Histogram
+}
+
+// Spec returns the current runtime's SpecSnapshot, or an empty document
+// before the first runtime exists. It is the provider the owning binary
+// wires into obs.Server's /spec endpoint.
+func (p *Publisher) Spec() any {
+	rt := p.cur.Load()
 	if rt == nil {
 		return struct{}{}
 	}
 	return rt.SpecSnapshot()
 }
 
-// publishMetrics registers the runtime's pull-style collectors on reg. The
+// NewPublisher registers the runtime's pull-style collectors on reg. The
 // instrumented code pays nothing between scrapes: collectors read the
-// runtime's atomics when /metrics or /vars is served. Histogram handles
-// are per-runtime; the collector set is installed once per registry and
-// follows latestRT.
-func (rt *RT) publishMetrics(reg *obs.Registry) {
-	rt.histRegionWall = reg.Histogram("privateer_region_wall_ns",
-		"Wall-clock nanoseconds per parallel-region invocation.", nil)
-	rt.histInstall = reg.Histogram("privateer_install_bytes",
-		"Bytes applied to the master state per checkpoint install.", nil)
-	if _, dup := publishedRegistries.LoadOrStore(reg, true); dup {
-		return
+// current runtime's atomics when /metrics or /vars is served.
+func NewPublisher(reg *obs.Registry) *Publisher {
+	p := &Publisher{
+		histRegionWall: reg.Histogram("privateer_region_wall_ns",
+			"Wall-clock nanoseconds per parallel-region invocation.", nil),
+		histInstall: reg.Histogram("privateer_install_bytes",
+			"Bytes applied to the master state per checkpoint install.", nil),
 	}
-
-	type statCol struct {
-		c   obs.Counter
-		get func(*Stats) int64
-	}
-	mk := func(name, help string, get func(*Stats) int64) statCol {
-		return statCol{reg.Counter("privateer_"+name, help), get}
-	}
-	cols := []statCol{
-		mk("invocations_total", "Parallel-region entries.",
-			func(s *Stats) int64 { return s.Invocations }),
-		mk("checkpoints_total", "Checkpoint objects constructed.",
-			func(s *Stats) int64 { return s.Checkpoints }),
-		mk("misspeculations_total", "Detected misspeculations, including injected.",
-			func(s *Stats) int64 { return s.Misspecs }),
-		mk("recoveries_total", "Sequential recovery episodes.",
-			func(s *Stats) int64 { return s.Recoveries }),
-		mk("sequential_fallbacks_total", "Invocations abandoned to sequential execution.",
-			func(s *Stats) int64 { return s.SequentialFallbacks }),
-		mk("priv_read_bytes_total", "Privacy-checked read volume.",
-			func(s *Stats) int64 { return s.PrivReadBytes }),
-		mk("priv_write_bytes_total", "Privacy-checked write volume.",
-			func(s *Stats) int64 { return s.PrivWriteBytes }),
-		mk("priv_read_checks_total", "Dynamic privacy read checks.",
-			func(s *Stats) int64 { return s.PrivReadChecks }),
-		mk("priv_write_checks_total", "Dynamic privacy write checks.",
-			func(s *Stats) int64 { return s.PrivWriteChecks }),
-		mk("separation_checks_total", "Dynamic heap-separation checks.",
-			func(s *Stats) int64 { return s.SeparationChecks }),
-		mk("predictions_total", "Dynamic value-prediction checks.",
-			func(s *Stats) int64 { return s.Predictions }),
-		mk("deferred_io_total", "Buffered output operations.",
-			func(s *Stats) int64 { return s.DeferredIO }),
-		mk("proven_range_bytes_total", "Bytes wholesale-installed from statically-privatized ranges.",
-			func(s *Stats) int64 { return s.ProvenRangeBytes }),
-		mk("sep_audit_violations_total", "Static separation claims contradicted by the SepAudit oracle.",
-			func(s *Stats) int64 { return s.SepAuditViolations }),
-		mk("warm_spawns_total", "Worker spawns satisfied from the warmed pool.",
-			func(s *Stats) int64 { return s.WarmSpawns }),
-		mk("spawn_ns_total", "Wall-clock worker spawn time.",
-			func(s *Stats) int64 { return s.SpawnNS }),
-		mk("join_ns_total", "Master-side validate/install/commit critical path.",
-			func(s *Stats) int64 { return s.JoinNS }),
-		mk("checkpoint_ns_total", "Wall-clock worker checkpoint-merge time.",
-			func(s *Stats) int64 { return s.CheckpointNS }),
-		mk("worker_busy_ns_total", "Total wall-clock worker execution time.",
-			func(s *Stats) int64 { return s.WorkerBusyNS }),
-		mk("region_wall_ns_total", "Wall-clock time inside parallel regions.",
-			func(s *Stats) int64 { return s.RegionWallNS }),
-	}
+	cols := NewStatCounters(reg)
 
 	var liveBytes, liveObjs, allocBytes [ir.NumHeaps]obs.Gauge
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
@@ -348,7 +376,7 @@ func (rt *RT) publishMetrics(reg *obs.Registry) {
 		"Master pages dirtied since its last clone (refreshed at invocation boundaries).")
 	reg.GaugeFunc("privateer_misspec_rate",
 		"Detected misspeculations per constructed checkpoint.", func() float64 {
-			rt := latestRT.Load()
+			rt := p.cur.Load()
 			if rt == nil {
 				return 0
 			}
@@ -360,14 +388,11 @@ func (rt *RT) publishMetrics(reg *obs.Registry) {
 		})
 
 	reg.RegisterCollector(func() {
-		rt := latestRT.Load()
+		rt := p.cur.Load()
 		if rt == nil {
 			return
 		}
-		st := rt.Stats.Snapshot()
-		for _, sc := range cols {
-			sc.c.Set(sc.get(&st))
-		}
+		cols.Set(rt.Stats.Snapshot())
 		for i, row := range rt.occ.Snapshot() {
 			liveBytes[i].Set(row.LiveBytes)
 			liveObjs[i].Set(row.LiveObjects)
@@ -438,4 +463,5 @@ func (rt *RT) publishMetrics(reg *obs.Registry) {
 			}
 		}
 	})
+	return p
 }

@@ -36,7 +36,7 @@ func TestScrapeWhileRunning(t *testing.T) {
 	rt := New(mod, Config{
 		Workers: 3, CheckpointPeriod: 2,
 		MisspecRate: 0.1, Seed: 11,
-		Metrics: reg,
+		Publish: NewPublisher(reg),
 		OpProf:  interp.NewOpProfiler(64),
 	}, ri)
 
@@ -151,22 +151,37 @@ func TestSpecSnapshotShape(t *testing.T) {
 	}
 }
 
-// TestLatestSpecFollowsNewestRuntime: LatestSpec must serve the most
-// recently constructed metrics-enabled runtime.
-func TestLatestSpecFollowsNewestRuntime(t *testing.T) {
-	mod := buildWriterModule(8)
-	ri := buildRegion(t, mod)
-	reg := obs.NewRegistry()
-	rt := New(mod, Config{Workers: 1, CheckpointPeriod: 4, Metrics: reg}, ri)
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
+// TestPublisherFollowsNewestRuntime: a publisher's Spec document and
+// collectors serve the runtime most recently constructed against it, and
+// only those: a second publisher on its own registry never sees them.
+func TestPublisherFollowsNewestRuntime(t *testing.T) {
+	reg, otherReg := obs.NewRegistry(), obs.NewRegistry()
+	pub, other := NewPublisher(reg), NewPublisher(otherReg)
+	if _, empty := pub.Spec().(struct{}); !empty {
+		t.Fatalf("Spec before any runtime = %T, want the empty document", pub.Spec())
 	}
-	snap, ok := LatestSpec().(SpecSnapshot)
-	if !ok {
-		t.Fatalf("LatestSpec returned %T, want SpecSnapshot", LatestSpec())
+	invocations := func(r *obs.Registry) int64 {
+		r.WriteProm(io.Discard) // runs the collectors
+		return r.Counter("privateer_invocations_total", "").Value()
 	}
-	if snap.Stats.Invocations != rt.Stats.Invocations {
-		t.Errorf("LatestSpec invocations %d, want %d",
-			snap.Stats.Invocations, rt.Stats.Invocations)
+	for runs := 1; runs <= 2; runs++ {
+		mod := buildWriterModule(8)
+		rt := New(mod, Config{Workers: 1, CheckpointPeriod: 4, Publish: pub}, buildRegion(t, mod))
+		for i := 0; i < runs; i++ {
+			if _, err := rt.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, ok := pub.Spec().(SpecSnapshot)
+		if !ok {
+			t.Fatalf("Spec returned %T, want SpecSnapshot", pub.Spec())
+		}
+		if want := rt.Stats.Invocations; snap.Stats.Invocations != want || invocations(reg) != want {
+			t.Errorf("runtime %d: Spec says %d invocations, /metrics %d, runtime %d",
+				runs, snap.Stats.Invocations, invocations(reg), want)
+		}
+	}
+	if _, empty := other.Spec().(struct{}); !empty || invocations(otherReg) != 0 {
+		t.Error("a publisher observed runtimes constructed against another one")
 	}
 }

@@ -294,43 +294,6 @@ func TestCrossIntervalMisspecEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAdaptivePeriodHalving observes the halving through the event stream:
-// under certain misspeculation with AdaptivePeriod, successive spans must
-// start with periods 8, 4, 2, 1, 1, ...
-func TestAdaptivePeriodHalving(t *testing.T) {
-	const n = 20
-	mod := buildWriterModule(n)
-	ri := buildRegion(t, mod)
-	col := obs.NewCollector(0)
-	rt := New(mod, Config{
-		Workers: 1, CheckpointPeriod: 8, AdaptivePeriod: true,
-		MisspecRate: 1.0, Seed: 7, MaxRecoveries: 100,
-		Trace: obs.NewTracer(col),
-	}, ri)
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var periods []int64
-	for _, ev := range col.Events() {
-		if ev.Kind == obs.KSpanStart {
-			periods = append(periods, ev.B)
-		}
-	}
-	if len(periods) < 4 {
-		t.Fatalf("only %d spans recorded", len(periods))
-	}
-	for i, want := range []int64{8, 4, 2, 1} {
-		if periods[i] != want {
-			t.Fatalf("span %d period %d, want %d (full sequence %v)", i, periods[i], want, periods)
-		}
-	}
-	for i, p := range periods[3:] {
-		if p != 1 {
-			t.Errorf("span %d period %d, want floor 1", i+3, p)
-		}
-	}
-}
-
 // TestEventSequenceGolden pins the exact lifecycle event sequence for a
 // deterministic single-worker run that misspeculates on every iteration,
 // recovers twice, and falls back: the trace is an API, and reorderings are

@@ -38,12 +38,6 @@ type Config struct {
 	// automatically (about five checkpoints per invocation, capped at the
 	// paper's 253-iteration metadata limit).
 	CheckpointPeriod int64
-	// AdaptivePeriod shrinks the checkpoint period after each recovery
-	// within an invocation (halving it, floor 1), trading validation
-	// overhead for less discarded work when misspeculation turns out to
-	// be frequent — an extension of the paper's fixed-period policy
-	// (section 5.2 discusses exactly this tension).
-	AdaptivePeriod bool
 	// MaxRecoveries bounds recovery episodes per invocation; past the
 	// budget the invocation's remainder runs sequentially and counts as a
 	// SequentialFallback. 0 selects DefaultMaxRecoveries; negative values
@@ -54,17 +48,16 @@ type Config struct {
 	MisspecRate float64
 	// Seed makes injection deterministic.
 	Seed uint64
-	// StepLimit bounds each worker's interpreter (0 = default).
-	StepLimit int64
 	// Trace receives speculation-lifecycle events (nil disables tracing;
 	// every emission site is then a single branch).
 	Trace *obs.Tracer
-	// Metrics, when non-nil, receives live runtime metrics: the runtime
-	// registers pull-style collectors on it at construction, so a scrape
-	// (obs.Server's /metrics) observes Stats, per-heap occupancy, the
+	// Publish, when non-nil, is the publisher this runtime reports to: a
+	// scrape of the publisher's registry (obs.Server's /metrics) and its
+	// Spec document observe Stats, per-heap occupancy, the
 	// misspeculation-by-site table, and the opcode profile while a region
-	// is still executing. Nil disables publication at zero cost.
-	Metrics *obs.Registry
+	// is still executing. The binary that owns the registry owns the
+	// publisher; nil disables publication at zero cost.
+	Publish *Publisher
 	// OpProf, when non-nil, is shared by every interpreter the runtime
 	// constructs (master, workers, recovery), enabling the sampling
 	// per-opcode profiler (see interp.OpProfiler).
@@ -77,7 +70,7 @@ type Config struct {
 	// before the iteration rewrote it. The read-only heap keeps its write
 	// protection in this mode even when proofs would let it drop. A sound
 	// prover never trips the oracle; it exists to catch unsound proofs
-	// (see core.Options.PlantProofs) before they corrupt output silently.
+	// (see core.Ablation.PlantProofs) before they corrupt output silently.
 	SepAudit bool
 	// Program, when non-nil, is the shared pre-decoded form of Mod that this
 	// runtime's master, workers and recovery interpreters execute (see
@@ -228,8 +221,8 @@ type RT struct {
 	missMu    sync.Mutex
 	missTable map[misspecKey]int64
 
-	// histRegionWall and histInstall are optional metric histograms
-	// (nil without Config.Metrics; Observe on nil is a no-op).
+	// histRegionWall and histInstall are the publisher's histograms (nil
+	// without Config.Publish; Observe on nil is a no-op).
 	histRegionWall *obs.Histogram
 	histInstall    *obs.Histogram
 
@@ -261,9 +254,9 @@ func New(mod *ir.Module, cfg Config, regions ...*RegionInfo) *RT {
 	for _, r := range regions {
 		rt.regions[r.Outline.RegionFn] = r
 	}
-	if cfg.Metrics != nil {
-		rt.publishMetrics(cfg.Metrics)
-		latestRT.Store(rt)
+	if p := cfg.Publish; p != nil {
+		rt.histRegionWall, rt.histInstall = p.histRegionWall, p.histInstall
+		p.cur.Store(rt)
 	}
 	return rt
 }
@@ -321,13 +314,10 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 	} else {
 		master = interp.New(rt.Mod, vm.NewAddressSpace())
 	}
-	if rt.Cfg.StepLimit > 0 {
-		master.StepLimit = rt.Cfg.StepLimit
-	}
 	rt.master = master
 	master.SetTrace(rt.Cfg.Trace, -1, -1)
 	master.AS.Occ = rt.occ
-	if rt.Cfg.Metrics != nil {
+	if rt.Cfg.Publish != nil {
 		// Scrapes read the master's memory-system counters concurrently
 		// with execution, so its Stats block must update atomically.
 		master.AS.AtomicStats()
@@ -539,7 +529,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 		rt.histRegionWall.Observe(wall)
 		// Workers have joined: the master space is quiescent, so this is a
 		// safe point to refresh the page-table snapshot metric scrapes read.
-		if rt.Cfg.Metrics != nil {
+		if rt.Cfg.Publish != nil {
 			pt := rt.master.AS.PageTable()
 			rt.ptStats.Store(&pt)
 		}
@@ -622,9 +612,6 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 				Invocation: inv, Worker: -1, Iter: -1, A: redoFrom, B: misspecAt + 1})
 		}
 		start = misspecAt + 1
-		if rt.Cfg.AdaptivePeriod && k > 1 {
-			k /= 2
-		}
 	}
 	// Fallback: run the remainder sequentially, checks disabled.
 	if start < hi {
@@ -710,9 +697,6 @@ func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64) err
 	it := interp.NewShared(rt.master.Program(), rt.master.AS)
 	it.AdoptLayout(rt.master.GlobalLayout())
 	it.Prof = rt.Cfg.OpProf
-	if rt.Cfg.StepLimit > 0 {
-		it.StepLimit = rt.Cfg.StepLimit
-	}
 	it.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
 		rt.writeOut(text)
 		return true

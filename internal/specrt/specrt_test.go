@@ -37,13 +37,13 @@ func buildRegion(t *testing.T, mod *ir.Module, trainArgs ...uint64) *RegionInfo 
 	if loop == nil {
 		t.Fatal("no hot main loop")
 	}
-	a := classify.Classify(loop, prof)
+	a := classify.Classify(loop, prof, classify.Options{})
 	plan := deps.SpeculativeBlockers(loop, prof, a)
 	if len(plan.Blockers) > 0 {
 		t.Fatalf("blockers: %v\n%s", plan.Blockers, a)
 	}
 	pt := analysis.ComputePointsTo(mod)
-	res, err := transform.Apply(mod, loop, prof, a, plan, pt)
+	res, err := transform.Apply(mod, loop, prof, a, plan, pt, transform.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,33 +210,6 @@ func TestStatsAndOutputPlumbing(t *testing.T) {
 	}
 	if strings.Contains(rt.Output(), "digest") {
 		t.Error("unexpected output")
-	}
-}
-
-// TestAdaptivePeriodStillCorrect: halving the checkpoint period after each
-// recovery must preserve results under heavy injection.
-func TestAdaptivePeriodStillCorrect(t *testing.T) {
-	const n = 48
-	seqIt := interp.New(buildWriterModule(n), vm.NewAddressSpace())
-	want, err := seqIt.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := buildWriterModule(n)
-	ri := buildRegion(t, mod)
-	rt := New(mod, Config{
-		Workers: 4, CheckpointPeriod: 16, AdaptivePeriod: true,
-		MisspecRate: 0.2, Seed: 3,
-	}, ri)
-	got, err := rt.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("adaptive run: %d, want %d", got, want)
-	}
-	if rt.Stats.Recoveries == 0 {
-		t.Skip("no recovery triggered for this seed")
 	}
 }
 

@@ -349,9 +349,6 @@ func newWorker(sp *spanState, id, stride int) (*worker, error) {
 	}
 	w.it.AdoptLayout(rt.master.GlobalLayout())
 	w.it.Prof = rt.Cfg.OpProf
-	if rt.Cfg.StepLimit > 0 {
-		w.it.StepLimit = rt.Cfg.StepLimit
-	}
 	w.shortBaseline = w.as.LiveObjects(ir.HeapShortLived)
 	w.installHooks()
 	return w, nil

@@ -169,7 +169,8 @@ type Result struct {
 	Stats *Stats
 }
 
-// Options tunes the transformation, for ablation studies.
+// Options tunes the transformation; the zero value is the production
+// shape and only core.ParallelizeAblated passes anything else.
 type Options struct {
 	// DisableElision inserts every separation check, even those static
 	// analysis proves (quantifies the value of check elision).
@@ -183,12 +184,6 @@ type Options struct {
 // The module's loop structures must be the ones prof and a were computed
 // over. Apply returns an error if the plan still has blockers.
 func Apply(mod *ir.Module, l *ir.Loop, prof *profiling.Profile,
-	a *classify.Assignment, plan *deps.Plan, pt *analysis.PointsTo) (*Result, error) {
-	return ApplyOpts(mod, l, prof, a, plan, pt, Options{})
-}
-
-// ApplyOpts is Apply with explicit options.
-func ApplyOpts(mod *ir.Module, l *ir.Loop, prof *profiling.Profile,
 	a *classify.Assignment, plan *deps.Plan, pt *analysis.PointsTo, opts Options) (*Result, error) {
 	if len(plan.Blockers) > 0 {
 		return nil, fmt.Errorf("transform: loop %s has %d blockers; first: %s",

@@ -77,13 +77,13 @@ func pipeline(t *testing.T, m *ir.Module) *Result {
 	if outer == nil {
 		t.Fatal("no outer loop")
 	}
-	a := classify.Classify(outer, prof)
+	a := classify.Classify(outer, prof, classify.Options{})
 	plan := deps.SpeculativeBlockers(outer, prof, a)
 	if len(plan.Blockers) > 0 {
 		t.Fatalf("blockers: %v\nassignment:\n%s", plan.Blockers, a)
 	}
 	pt := analysis.ComputePointsTo(m)
-	res, err := Apply(m, outer, prof, a, plan, pt)
+	res, err := Apply(m, outer, prof, a, plan, pt, Options{})
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
@@ -171,10 +171,10 @@ func TestTransformRejectsBlockedLoop(t *testing.T) {
 			outer = l
 		}
 	}
-	a := classify.Classify(outer, prof)
+	a := classify.Classify(outer, prof, classify.Options{})
 	plan := deps.SpeculativeBlockers(outer, prof, a)
 	pt := analysis.ComputePointsTo(m)
-	if _, err := Apply(m, outer, prof, a, plan, pt); err == nil {
+	if _, err := Apply(m, outer, prof, a, plan, pt, Options{}); err == nil {
 		t.Error("Apply accepted a loop with blockers")
 	}
 }
