@@ -18,7 +18,6 @@ const (
 	hAlloc
 	hFree
 	hPrint
-	hCallOverride
 	hCheckHeap
 	hPrivRead
 	hPrivWrite
@@ -36,8 +35,8 @@ const (
 )
 
 // computeHookMask derives the active-hook bitmask from the Hooks structure.
-// OnEnter/OnExit fire per activation, not per instruction, and keep their
-// plain nil checks.
+// OnEnter/OnExit and CallOverride fire per activation, not per instruction,
+// and keep their plain nil checks.
 func (it *Interp) computeHookMask() uint32 {
 	h := &it.Hooks
 	var m uint32
@@ -58,9 +57,6 @@ func (it *Interp) computeHookMask() uint32 {
 	}
 	if h.OnPrint != nil {
 		m |= hPrint
-	}
-	if h.CallOverride != nil {
-		m |= hCallOverride
 	}
 	if h.CheckHeap != nil {
 		m |= hCheckHeap
@@ -365,27 +361,8 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 		case ir.OpGlobal:
 			vals[di.dst] = it.globalAddrs[di.in.GlobalRef]
 		case ir.OpCall:
-			in := di.in
-			args := make([]uint64, len(in.Args))
-			for i := range in.Args {
-				args[i] = vals[in.Args[i].ValueID()]
-			}
 			it.Steps = steps
-			if mask&hCallOverride != 0 {
-				v, handled, err := hooks.CallOverride(fr, in, in.Callee, args)
-				if err != nil {
-					return 0, err
-				}
-				if handled {
-					steps = it.Steps
-					if mask&hOpProf != 0 {
-						profNext = it.profNext
-					}
-					vals[di.dst] = v
-					break
-				}
-			}
-			v, err := it.call(in.Callee, args, fr)
+			v, err := it.callInstr(fr, di.in)
 			if err != nil {
 				return 0, err
 			}

@@ -55,7 +55,9 @@ func IsMisspec(err error) bool {
 	return errors.As(err, &m)
 }
 
-// Frame is one activation record.
+// Frame is one activation record. The interpreter reuses Frame objects
+// across activations, so a hook must not retain one past the activation's
+// OnExit.
 type Frame struct {
 	// Fn is the executing function.
 	Fn *ir.Function
@@ -66,6 +68,9 @@ type Frame struct {
 
 	vals    []uint64
 	allocas []uint64
+	// slab and base are the frame stack's carve position before vals was
+	// carved; pop rewinds to it.
+	slab, base int
 }
 
 // Value returns the current dynamic value of v in this frame.
@@ -91,7 +96,8 @@ type Hooks struct {
 	OnPrint func(in *ir.Instr, text string) bool
 	// CallOverride intercepts direct calls; return handled=true to supply
 	// the result instead of interpreting the callee. The speculative
-	// runtime uses it to take over parallel-region functions.
+	// runtime uses it to take over parallel-region functions. args aliases
+	// interpreter storage and is valid only until the hook returns.
 	CallOverride func(fr *Frame, in *ir.Instr, callee *ir.Function, args []uint64) (ret uint64, handled bool, err error)
 	// CheckHeap validates a separation check; default checks the tag.
 	CheckHeap func(in *ir.Instr, addr uint64) error
@@ -158,12 +164,23 @@ type Interp struct {
 	// profArmed records that the profiler thresholds were initialized for
 	// the current outermost activation.
 	profArmed bool
+
+	// stack holds every activation's Frame and value array (see stack.go).
+	stack frameStack
+	// decoded caches prog's decoded functions for the current outermost
+	// activation: the shape check that catches IR mutated between
+	// invocations runs once per function per outermost call, and nested
+	// calls pay a map lookup.
+	decoded map[*ir.Function]*decodedFunc
+	// scratch is the staging buffer of memset/memcopy, grown to the largest
+	// request seen.
+	scratch []byte
 }
 
 // New returns an interpreter for mod over as.
 func New(mod *ir.Module, as *vm.AddressSpace) *Interp {
 	return &Interp{Mod: mod, AS: as, Out: &strings.Builder{}, globalAddrs: map[*ir.Global]uint64{},
-		prog: NewProgram(mod), treeWalk: !defaultDecode}
+		prog: NewProgram(mod), treeWalk: !defaultDecode, decoded: map[*ir.Function]*decodedFunc{}}
 }
 
 // NewShared returns an interpreter over as that reuses prog's decode cache.
@@ -181,11 +198,12 @@ func (it *Interp) Program() *Program { return it.prog }
 // Recycle resets a pooled interpreter for a fresh activation over as, which
 // the caller has already re-targeted (vm.AddressSpace.RecloneFrom): hooks,
 // output, step counters, profiler arming and the adopted global layout are
-// cleared, while the shared decode cache and the map capacity grown on
-// earlier runs are retained. The speculative runtime's warmed worker pool
-// uses it so a reused worker observes nothing from the invocation that
-// previously ran on it; the caller re-adopts a layout and reinstalls hooks
-// exactly as it would on a freshly constructed interpreter.
+// cleared and the frame stack emptied, while the shared decode cache, the
+// stack's frames and slabs and the map capacity grown on earlier runs are
+// retained. The speculative runtime's warmed worker pool uses it so a reused
+// worker observes nothing from the invocation that previously ran on it; the
+// caller re-adopts a layout and reinstalls hooks exactly as it would on a
+// freshly constructed interpreter.
 func (it *Interp) Recycle(as *vm.AddressSpace) {
 	it.AS = as
 	it.Hooks = Hooks{}
@@ -201,6 +219,7 @@ func (it *Interp) Recycle(as *vm.AddressSpace) {
 	it.profLastSteps = 0
 	it.profLast = time.Time{}
 	it.profArmed = false
+	it.stack.reset()
 }
 
 // SetTrace wires a trace identity through the interpreter's address space:
@@ -311,12 +330,19 @@ func (it *Interp) call(fn *ir.Function, args []uint64, caller *Frame) (uint64, e
 	var df *decodedFunc
 	nvals := fn.NumValues()
 	if !it.treeWalk {
+		if caller == nil {
+			clear(it.decoded)
+		}
+		df = it.decoded[fn]
+		if df == nil {
+			df = it.prog.decodedFor(fn)
+			it.decoded[fn] = df
+		}
 		// Decoded frames carry the function's folded-constant pool in the
 		// tail of the value array (see decode.go).
-		df = it.prog.decodedFor(fn)
 		nvals = df.frameSize
 	}
-	fr := &Frame{Fn: fn, Depth: depth, Caller: caller, vals: make([]uint64, nvals)}
+	fr := it.stack.push(fn, depth, caller, nvals)
 	for i, p := range fn.Params {
 		fr.vals[p.ValueID()] = args[i]
 	}
@@ -355,7 +381,41 @@ func (it *Interp) call(fn *ir.Function, args []uint64, caller *Frame) (uint64, e
 			it.profArmed = false
 		}
 	}
+	it.stack.pop(fr)
 	return ret, err
+}
+
+// callInstr executes the direct call in of activation fr: the arguments are
+// staged on the frame stack (the callee copies them into its own frame, and
+// a CallOverride hook must not retain them), the hook is consulted if one
+// is installed, and the callee is interpreted unless the hook handled it.
+func (it *Interp) callInstr(fr *Frame, in *ir.Instr) (uint64, error) {
+	st := &it.stack
+	cur, top := st.cur, st.top
+	args := st.carve(len(in.Args))
+	for i, a := range in.Args {
+		args[i] = fr.vals[a.ValueID()]
+	}
+	var v uint64
+	var err error
+	handled := false
+	if it.Hooks.CallOverride != nil {
+		v, handled, err = it.Hooks.CallOverride(fr, in, in.Callee, args)
+	}
+	if !handled && err == nil {
+		v, err = it.call(in.Callee, args, fr)
+	}
+	st.release(cur, top)
+	return v, err
+}
+
+// scratchBytes returns the interpreter's n-byte staging buffer, contents
+// unspecified.
+func (it *Interp) scratchBytes(n uint64) []byte {
+	if n > uint64(cap(it.scratch)) {
+		it.scratch = make([]byte, n)
+	}
+	return it.scratch[:n]
 }
 
 // stepLimit returns the effective step budget.
@@ -602,7 +662,7 @@ func (it *Interp) execInstr(fr *Frame, in *ir.Instr) error {
 		set(it.globalAddrs[in.GlobalRef])
 	case ir.OpMemSet:
 		addr, n, b := arg(0), arg(1), byte(arg(2))
-		buf := make([]byte, n)
+		buf := it.scratchBytes(n)
 		for i := range buf {
 			buf[i] = b
 		}
@@ -614,7 +674,7 @@ func (it *Interp) execInstr(fr *Frame, in *ir.Instr) error {
 		}
 	case ir.OpMemCopy:
 		dst, src, n := arg(0), arg(1), arg(2)
-		buf := make([]byte, n)
+		buf := it.scratchBytes(n)
 		if err := it.AS.ReadBytes(src, buf); err != nil {
 			return err
 		}
@@ -628,21 +688,7 @@ func (it *Interp) execInstr(fr *Frame, in *ir.Instr) error {
 			it.Hooks.OnStore(fr, in, dst, int64(n))
 		}
 	case ir.OpCall:
-		args := make([]uint64, len(in.Args))
-		for i := range in.Args {
-			args[i] = arg(i)
-		}
-		if it.Hooks.CallOverride != nil {
-			v, handled, err := it.Hooks.CallOverride(fr, in, in.Callee, args)
-			if err != nil {
-				return err
-			}
-			if handled {
-				set(v)
-				return nil
-			}
-		}
-		v, err := it.call(in.Callee, args, fr)
+		v, err := it.callInstr(fr, in)
 		if err != nil {
 			return err
 		}

@@ -232,8 +232,8 @@ type RT struct {
 	// invocation boundaries) and scrapes read the last snapshot.
 	ptStats atomic.Pointer[vm.PageTableStats]
 	// vmStats atomically publishes the master space's memory-system Stats
-	// block for scrapes (set in Run once the master space exists; the block
-	// itself is in atomic-update mode whenever metrics are enabled).
+	// block for scrapes (set in Run once the master space exists; vm updates
+	// the block atomically).
 	vmStats atomic.Pointer[vm.Stats]
 }
 
@@ -318,9 +318,6 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 	master.SetTrace(rt.Cfg.Trace, -1, -1)
 	master.AS.Occ = rt.occ
 	if rt.Cfg.Publish != nil {
-		// Scrapes read the master's memory-system counters concurrently
-		// with execution, so its Stats block must update atomically.
-		master.AS.AtomicStats()
 		rt.vmStats.Store(master.AS.Stats)
 	}
 	master.Prof = rt.Cfg.OpProf

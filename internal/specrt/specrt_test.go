@@ -213,6 +213,80 @@ func TestStatsAndOutputPlumbing(t *testing.T) {
 	}
 }
 
+// buildScratchModule: each iteration fills a 4-slot scratch table reached
+// through a pointer kept in memory, sums it back, prints the sum and stores
+// it to out[i] — separation checks, privacy reads and writes and deferred
+// output in every iteration.
+func buildScratchModule(n int64) *ir.Module {
+	m := ir.NewModule("scratch")
+	tmp := m.NewGlobal("tmp", 4*8)
+	ptr := m.NewGlobal("ptr", 8)
+	out := m.NewGlobal("out", n*8)
+	f := m.NewFunc("main", ir.I64)
+	b := ir.NewBuilder(f)
+	b.Store(b.Global(tmp), b.Global(ptr), 8)
+	b.For("i", b.I(0), b.I(n), func(iv *ir.Instr) {
+		i := b.Ld(iv)
+		p := b.LoadPtr(b.Global(ptr))
+		b.For("j", b.I(0), b.I(4), func(jv *ir.Instr) {
+			b.Store(b.Add(i, b.Ld(jv)), b.Add(p, b.Mul(b.Ld(jv), b.I(8))), 8)
+		})
+		s := b.Local("s")
+		b.St(b.I(0), s)
+		b.For("k", b.I(0), b.I(4), func(kv *ir.Instr) {
+			b.St(b.Add(b.Ld(s), b.Load(b.Add(p, b.Mul(b.Ld(kv), b.I(8))), 8)), s)
+		})
+		b.Print("s=%d\n", b.Ld(s))
+		b.Store(b.Ld(s), b.Add(b.Global(out), b.Mul(i, b.I(8))), 8)
+	})
+	b.Ret(b.Load(b.Add(b.Global(out), b.I((n-1)*8)), 8))
+	for _, fn := range m.SortedFuncs() {
+		ir.PromoteAllocas(fn)
+	}
+	return m
+}
+
+// TestHookCountersFoldExactly: workers count their dynamic checks privately
+// and fold them into Stats at interval boundaries and on exit. The totals
+// are the ones recorded when every hook wrote Stats directly, at every
+// worker count; and a worker squashed before its first contribution (one
+// worker, every iteration injected, so no checkpoint is ever built) still
+// publishes what it counted.
+func TestHookCountersFoldExactly(t *testing.T) {
+	hooks := func(s Stats) Stats {
+		return Stats{SeparationChecks: s.SeparationChecks,
+			PrivReadChecks: s.PrivReadChecks, PrivReadBytes: s.PrivReadBytes,
+			PrivWriteChecks: s.PrivWriteChecks, PrivWriteBytes: s.PrivWriteBytes,
+			DeferredIO: s.DeferredIO}
+	}
+	run := func(cfg Config) Stats {
+		t.Helper()
+		mod := buildScratchModule(40)
+		rt := New(mod, cfg, buildRegion(t, mod))
+		if v, err := rt.Run(); err != nil || v != 162 {
+			t.Fatalf("%+v: result %d, %v; want 162", cfg, v, err)
+		}
+		return rt.Stats.Snapshot()
+	}
+	clean := Stats{SeparationChecks: 320, PrivReadChecks: 40, PrivReadBytes: 1280,
+		PrivWriteChecks: 80, PrivWriteBytes: 1600, DeferredIO: 40}
+	for _, workers := range []int{1, 2, 4} {
+		if got := hooks(run(Config{Workers: workers, CheckpointPeriod: 5})); got != clean {
+			t.Errorf("workers=%d: hook counters %+v, want %+v", workers, got, clean)
+		}
+	}
+	st := run(Config{Workers: 1, CheckpointPeriod: 5, MisspecRate: 1, Seed: 3, MaxRecoveries: 2})
+	if st.Checkpoints != 0 || st.Misspecs != 2 {
+		t.Fatalf("squash run built %d checkpoints over %d misspeculations; the test wants 0 and 2",
+			st.Checkpoints, st.Misspecs)
+	}
+	squashed := Stats{SeparationChecks: 16, PrivReadChecks: 2, PrivReadBytes: 64,
+		PrivWriteChecks: 4, PrivWriteBytes: 80, DeferredIO: 2}
+	if got := hooks(st); got != squashed {
+		t.Errorf("squash path: hook counters %+v, want %+v", got, squashed)
+	}
+}
+
 // TestSequentialFallbackPath drives the runtime into its bounded-recovery
 // fallback by making every iteration misspeculate.
 func TestSequentialFallbackPath(t *testing.T) {

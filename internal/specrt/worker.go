@@ -297,11 +297,42 @@ type worker struct {
 	simPrivWrite  int64
 	simCheckpoint int64
 	simOther      int64
+
+	// local holds the counts the hooks bump once per dynamic check
+	// (SeparationChecks, Predictions, DeferredIO and the six PrivRead/
+	// PrivWrite fields) since the last foldStats. Only this worker's
+	// goroutine touches it, so between interval boundaries a worker writes
+	// no memory another goroutine writes.
+	local Stats
 }
 
 // simTime returns the worker's total simulated busy time.
 func (w *worker) simTime() int64 {
 	return w.it.Steps + w.simPrivRead + w.simPrivWrite + w.simCheckpoint + w.simOther
+}
+
+// foldStats adds the hook counts accumulated in w.local into rt.Stats and
+// zeroes them. It runs at every interval contribution and on every exit of
+// run, so a scrape lags a live worker by at most one interval and nothing
+// a squashed worker counted is lost.
+func (w *worker) foldStats() {
+	l, g := &w.local, &w.sp.rt.Stats
+	for _, c := range [...]struct{ from, to *int64 }{
+		{&l.SeparationChecks, &g.SeparationChecks},
+		{&l.Predictions, &g.Predictions},
+		{&l.DeferredIO, &g.DeferredIO},
+		{&l.PrivReadChecks, &g.PrivReadChecks},
+		{&l.PrivReadBytes, &g.PrivReadBytes},
+		{&l.PrivReadNS, &g.PrivReadNS},
+		{&l.PrivWriteChecks, &g.PrivWriteChecks},
+		{&l.PrivWriteBytes, &g.PrivWriteBytes},
+		{&l.PrivWriteNS, &g.PrivWriteNS},
+	} {
+		if *c.from != 0 {
+			atomic.AddInt64(c.to, *c.from)
+			*c.from = 0
+		}
+	}
 }
 
 func newWorker(sp *spanState, id, stride int) (*worker, error) {
@@ -361,18 +392,18 @@ func (w *worker) installHooks() {
 		t0 := time.Now()
 		err := w.privAccess(addr, size, false)
 		w.simPrivRead += size * SimPrivacyPerByte
-		atomic.AddInt64(&rt.Stats.PrivReadNS, int64(time.Since(t0)))
-		atomic.AddInt64(&rt.Stats.PrivReadBytes, size)
-		atomic.AddInt64(&rt.Stats.PrivReadChecks, 1)
+		w.local.PrivReadNS += int64(time.Since(t0))
+		w.local.PrivReadBytes += size
+		w.local.PrivReadChecks++
 		return err
 	}
 	h.PrivateWrite = func(in *ir.Instr, addr uint64, size int64) error {
 		t0 := time.Now()
 		err := w.privAccess(addr, size, true)
 		w.simPrivWrite += size * SimPrivacyPerByte
-		atomic.AddInt64(&rt.Stats.PrivWriteNS, int64(time.Since(t0)))
-		atomic.AddInt64(&rt.Stats.PrivWriteBytes, size)
-		atomic.AddInt64(&rt.Stats.PrivWriteChecks, 1)
+		w.local.PrivWriteNS += int64(time.Since(t0))
+		w.local.PrivWriteBytes += size
+		w.local.PrivWriteChecks++
 		return err
 	}
 	h.PrivateReadSpan = func(in *ir.Instr, addr uint64, count, stride, size int64) error {
@@ -383,9 +414,9 @@ func (w *worker) installHooks() {
 			bytes = 0
 		}
 		w.simPrivRead += bytes * SimPrivacyPerByte
-		atomic.AddInt64(&rt.Stats.PrivReadNS, int64(time.Since(t0)))
-		atomic.AddInt64(&rt.Stats.PrivReadBytes, bytes)
-		atomic.AddInt64(&rt.Stats.PrivReadChecks, 1)
+		w.local.PrivReadNS += int64(time.Since(t0))
+		w.local.PrivReadBytes += bytes
+		w.local.PrivReadChecks++
 		return err
 	}
 	h.PrivateWriteSpan = func(in *ir.Instr, addr uint64, count, stride, size int64) error {
@@ -396,13 +427,13 @@ func (w *worker) installHooks() {
 			bytes = 0
 		}
 		w.simPrivWrite += bytes * SimPrivacyPerByte
-		atomic.AddInt64(&rt.Stats.PrivWriteNS, int64(time.Since(t0)))
-		atomic.AddInt64(&rt.Stats.PrivWriteBytes, bytes)
-		atomic.AddInt64(&rt.Stats.PrivWriteChecks, 1)
+		w.local.PrivWriteNS += int64(time.Since(t0))
+		w.local.PrivWriteBytes += bytes
+		w.local.PrivWriteChecks++
 		return err
 	}
 	h.CheckHeap = func(in *ir.Instr, addr uint64) error {
-		atomic.AddInt64(&rt.Stats.SeparationChecks, 1)
+		w.local.SeparationChecks++
 		w.simOther += SimSeparationCheck
 		if addr != 0 && ir.HeapOf(addr) != in.Heap {
 			return &interp.MisspecError{Instr: in, Addr: addr, Reason: "separation violated"}
@@ -410,7 +441,7 @@ func (w *worker) installHooks() {
 		return nil
 	}
 	h.Predict = func(in *ir.Instr, actual, expected uint64) error {
-		atomic.AddInt64(&rt.Stats.Predictions, 1)
+		w.local.Predictions++
 		w.simOther += SimPredict
 		if actual != expected {
 			return &interp.MisspecError{Instr: in, Reason: "value prediction failed"}
@@ -427,7 +458,7 @@ func (w *worker) installHooks() {
 	}
 	h.OnPrint = func(in *ir.Instr, text string) bool {
 		w.io = append(w.io, ioRec{iter: w.curIter, text: text})
-		atomic.AddInt64(&rt.Stats.DeferredIO, 1)
+		w.local.DeferredIO++
 		return true
 	}
 	if rt.Cfg.SepAudit && (len(w.sp.proven) > 0 || len(w.sp.provenRO) > 0) {
@@ -609,8 +640,10 @@ func (w *worker) run() error {
 	rt := sp.rt
 	tr := rt.Cfg.Trace
 	busyStart := time.Now()
+	// One deferred fold covers every way out, the squash returns included.
 	defer func() {
 		atomic.AddInt64(&rt.Stats.WorkerBusyNS, int64(time.Since(busyStart)))
+		w.foldStats()
 	}()
 	callArgs := make([]uint64, 1+len(sp.live))
 	copy(callArgs[1:], sp.live)
@@ -696,6 +729,7 @@ func (w *worker) run() error {
 		w.io = nil
 		w.resetShadow()
 		atomic.AddInt64(&rt.Stats.CheckpointNS, int64(time.Since(cpStart)))
+		w.foldStats()
 		tr.Emit(obs.Event{Kind: obs.KContribute, TimeNS: trC, DurNS: tr.Now() - trC,
 			Invocation: sp.inv, Worker: w.id, Iter: c, A: scanned})
 		if !ok {

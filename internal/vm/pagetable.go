@@ -126,7 +126,7 @@ func (as *AddressSpace) peek(pn uint64) *pageEntry {
 func (as *AddressSpace) ownPath(pn uint64, path *[radixLevels]*radixNode) *radixNode {
 	if as.root.epoch != as.epoch {
 		as.root = as.root.copyAs(as.epoch)
-		as.addStat(&as.Stats.NodesCopied, 1)
+		addStat(&as.Stats.NodesCopied)
 	}
 	nd := as.root
 	path[0] = nd
@@ -143,7 +143,7 @@ func (as *AddressSpace) ownPath(pn uint64, path *[radixLevels]*radixNode) *radix
 			nd.kids[slot] = kid
 		case kid.epoch != as.epoch:
 			kid = kid.copyAs(as.epoch)
-			as.addStat(&as.Stats.NodesCopied, 1)
+			addStat(&as.Stats.NodesCopied)
 			nd.kids[slot] = kid
 		}
 		nd = kid
@@ -201,7 +201,7 @@ func (nd *radixNode) walkAll(pn uint64, visit func(base uint64, e *pageEntry)) {
 // subtree is counted as a summary hit.
 func (as *AddressSpace) walkDirty(nd *radixNode, pn uint64, visit func(base uint64, e *pageEntry)) {
 	if nd.epoch != as.epoch || nd.dirty == 0 {
-		as.addStat(&as.Stats.SummaryHits, 1)
+		addStat(&as.Stats.SummaryHits)
 		return
 	}
 	if nd.kids != nil {

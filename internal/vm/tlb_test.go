@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"sync"
 	"testing"
 
 	"privateer/internal/ir"
@@ -216,7 +217,8 @@ func TestLazyClonePagesCopiedSemantics(t *testing.T) {
 
 // CloneSharingStats children account their page events into the parent's
 // Stats structure, so fork-style overhead counts aggregate across a worker
-// fleet (the paper's Figure 8 accounting).
+// fleet (the paper's Figure 8 accounting), also when the children run
+// concurrently.
 func TestCloneSharingStatsAggregates(t *testing.T) {
 	parent := NewAddressSpace()
 	base, _ := parent.Alloc(ir.HeapPrivate, 4*PageSize)
@@ -225,28 +227,38 @@ func TestCloneSharingStatsAggregates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	copiedBefore := parent.Stats.PagesCopied
-	mappedBefore := parent.Stats.PagesMapped
+	before := *parent.Stats
 
 	children := []*AddressSpace{parent.CloneSharingStats(), parent.CloneSharingStats()}
+	var wg sync.WaitGroup
 	for i, c := range children {
 		if c.Stats != parent.Stats {
 			t.Fatalf("child %d has its own Stats; want the parent's", i)
 		}
-		// One COW resolution per child.
-		if err := c.Write(base+uint64(i)*PageSize, 8, 100+uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-		// One demand-zero instantiation per child.
-		if err := c.Write(base+uint64(4+i)*PageSize, 8, 200+uint64(i)); err != nil {
-			t.Fatal(err)
-		}
+		wg.Add(1)
+		go func(i int, c *AddressSpace) {
+			defer wg.Done()
+			// One COW resolution per child.
+			if err := c.Write(base+uint64(i)*PageSize, 8, 100+uint64(i)); err != nil {
+				t.Error(err)
+			}
+			// One demand-zero instantiation per child.
+			if err := c.Write(base+uint64(4+i)*PageSize, 8, 200+uint64(i)); err != nil {
+				t.Error(err)
+			}
+		}(i, c)
 	}
-	if got := parent.Stats.PagesCopied - copiedBefore; got != 2 {
+	wg.Wait()
+	if got := parent.Stats.PagesCopied - before.PagesCopied; got != 2 {
 		t.Errorf("aggregated PagesCopied delta = %d, want 2", got)
 	}
-	if got := parent.Stats.PagesMapped - mappedBefore; got != 2 {
+	if got := parent.Stats.PagesMapped - before.PagesMapped; got != 2 {
 		t.Errorf("aggregated PagesMapped delta = %d, want 2", got)
+	}
+	// Each child path-copies one branch of the shared table on its first
+	// store; its second store lands under the same, now owned, leaf.
+	if got := parent.Stats.NodesCopied - before.NodesCopied; got != 2*radixLevels {
+		t.Errorf("aggregated NodesCopied delta = %d, want %d", got, 2*radixLevels)
 	}
 	// Isolation still holds despite the shared accounting.
 	if v, _ := parent.Read(base, 8); v != 0 {

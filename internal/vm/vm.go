@@ -273,17 +273,15 @@ func (hs *heapState) eachObject(visit func(addr, size uint64)) {
 	}
 }
 
-// Stats counts memory-system events, exposed for the paper's overhead
-// accounting (Figure 8) and for tests.
+// Stats counts page-table events, exposed for the paper's overhead
+// accounting (Figure 8) and for tests. Every counter moves only when a page
+// or a radix node is instantiated, copied or skipped; an access that hits
+// resident, privately owned memory writes none of them.
 type Stats struct {
 	// PagesMapped counts demand-zero page instantiations.
 	PagesMapped int64
 	// PagesCopied counts copy-on-write duplications.
 	PagesCopied int64
-	// BytesRead totals load volume.
-	BytesRead int64
-	// BytesWritten totals store volume.
-	BytesWritten int64
 	// NodesCopied counts radix page-table nodes path-copied on first
 	// mutation under a shared subtree (range-COW splits).
 	NodesCopied int64
@@ -325,13 +323,9 @@ type AddressSpace struct {
 	rtlb [tlbSize]tlbEntry
 	wtlb [tlbSize]tlbEntry
 
-	// Stats accumulates event counts; shared pointer across clones when
-	// cloned with CloneSharingStats (updates then go through atomics so
-	// concurrent worker clones may aggregate into one structure).
+	// Stats accumulates page-event counts; clones made with
+	// CloneSharingStats or RecloneFrom share the parent's structure.
 	Stats *Stats
-	// statsAtomic selects atomic Stats updates; set once Stats may be
-	// shared with concurrently executing clones.
-	statsAtomic bool
 
 	// Occ, when non-nil, mirrors this space's per-heap allocator totals in
 	// atomic counters for live introspection (see occupancy.go). Clones do
@@ -348,15 +342,11 @@ type AddressSpace struct {
 	TraceInv int64
 }
 
-// addStat bumps one Stats counter, atomically when the Stats structure may
-// be shared with concurrently executing clones.
-func (as *AddressSpace) addStat(p *int64, n int64) {
-	if as.statsAtomic {
-		atomic.AddInt64(p, n)
-	} else {
-		*p += n
-	}
-}
+// addStat bumps one Stats counter. The add is always atomic: the structure
+// may be shared with concurrently executing clones or read by a live
+// metrics scrape, and every caller sits on a page-table event (a page or
+// node instantiated, copied or skipped), never on a per-access path.
+func addStat(p *int64) { atomic.AddInt64(p, 1) }
 
 // flushTLB drops every cached translation; cause labels the trace event.
 func (as *AddressSpace) flushTLB(cause string) {
@@ -403,20 +393,11 @@ func (as *AddressSpace) Clone() *AddressSpace {
 // parent's Stats structure instead of a fresh one. The speculative runtime
 // spawns its workers this way so fork-style page-copy counts aggregate
 // across the whole worker fleet (the paper's Figure 8 overhead accounting).
-// Both spaces switch to atomic Stats updates, since clones typically run on
-// concurrent worker goroutines.
 func (as *AddressSpace) CloneSharingStats() *AddressSpace {
-	as.statsAtomic = true
 	c := as.Clone()
 	c.Stats = as.Stats
-	c.statsAtomic = true
 	return c
 }
-
-// AtomicStats switches this space's Stats updates to atomic operations, so
-// a concurrent reader (a live metrics scrape) may load the counters with
-// sync/atomic while the space executes. CloneSharingStats implies it.
-func (as *AddressSpace) AtomicStats() { as.statsAtomic = true }
 
 // RecloneFrom re-targets as to be a fresh copy-on-write clone of parent —
 // semantically identical to parent.CloneSharingStats(), except that no new
@@ -427,7 +408,6 @@ func (as *AddressSpace) AtomicStats() { as.statsAtomic = true }
 // churn across invocations. The receiver must not be aliased by any other
 // execution (a pooled space between uses); any state it held is discarded.
 func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
-	parent.statsAtomic = true
 	parent.epoch = nextEpoch()
 	parent.flushTLB("clone")
 	as.root = parent.root
@@ -437,7 +417,6 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 		as.prot[h] = parent.prot[h]
 	}
 	as.Stats = parent.Stats
-	as.statsAtomic = true
 	as.Occ = nil
 	as.Trace = parent.Trace
 	as.TraceWorker = parent.TraceWorker
@@ -466,7 +445,6 @@ func (as *AddressSpace) Release() {
 		as.prot[h] = ProtReadWrite
 	}
 	as.Stats = &Stats{}
-	as.statsAtomic = false
 	as.Occ = nil
 	as.Trace = nil
 	as.flushTLB("release")
@@ -504,13 +482,13 @@ func (as *AddressSpace) pageFor(addr uint64, forWrite bool) *page {
 	e := &leaf.entries[slot]
 	if e.pg == nil {
 		e.pg = &page{}
-		as.addStat(&as.Stats.PagesMapped, 1)
+		addStat(&as.Stats.PagesMapped)
 		as.markDirty(&path, slot)
 	} else if forWrite && e.cow {
 		dup := &page{data: e.pg.data}
 		e.pg = dup
 		e.cow = false
-		as.addStat(&as.Stats.PagesCopied, 1)
+		addStat(&as.Stats.PagesCopied)
 		as.markDirty(&path, slot)
 		as.Trace.Instant(obs.Event{Kind: obs.KCOWCopy,
 			Invocation: as.TraceInv, Worker: as.TraceWorker, Iter: -1,
@@ -547,7 +525,6 @@ func (as *AddressSpace) ReadBytes(addr uint64, dst []byte) error {
 	if err := as.checkProt(addr, uint64(len(dst)), false); err != nil {
 		return err
 	}
-	as.addStat(&as.Stats.BytesRead, int64(len(dst)))
 	for len(dst) > 0 {
 		off := addr & (PageSize - 1)
 		n := uint64(PageSize) - off
@@ -567,7 +544,6 @@ func (as *AddressSpace) WriteBytes(addr uint64, src []byte) error {
 	if err := as.checkProt(addr, uint64(len(src)), true); err != nil {
 		return err
 	}
-	as.addStat(&as.Stats.BytesWritten, int64(len(src)))
 	for len(src) > 0 {
 		off := addr & (PageSize - 1)
 		n := uint64(PageSize) - off
@@ -625,13 +601,11 @@ func (as *AddressSpace) Read(addr uint64, size int64) (uint64, error) {
 		// check (proven at fill time) and the page-map lookup.
 		pn := addr >> PageShift
 		if e := &as.rtlb[pn&(tlbSize-1)]; e.pn == pn && e.pg != nil {
-			as.addStat(&as.Stats.BytesRead, size)
 			return loadLE(e.pg.data[off:], size), nil
 		}
 		if err := as.checkProt(addr, uint64(size), false); err != nil {
 			return 0, err
 		}
-		as.addStat(&as.Stats.BytesRead, size)
 		return loadLE(as.pageFor(addr, false).data[off:], size), nil
 	}
 	if err := as.checkProt(addr, uint64(size), false); err != nil {
@@ -652,14 +626,12 @@ func (as *AddressSpace) Write(addr uint64, size int64, val uint64) error {
 		// writable, so the store lands directly.
 		pn := addr >> PageShift
 		if e := &as.wtlb[pn&(tlbSize-1)]; e.pn == pn && e.pg != nil {
-			as.addStat(&as.Stats.BytesWritten, size)
 			storeLE(e.pg.data[off:], size, val)
 			return nil
 		}
 		if err := as.checkProt(addr, uint64(size), true); err != nil {
 			return err
 		}
-		as.addStat(&as.Stats.BytesWritten, size)
 		storeLE(as.pageFor(addr, true).data[off:], size, val)
 		return nil
 	}
@@ -780,7 +752,7 @@ func (as *AddressSpace) Brk(h ir.HeapKind) uint64 { return as.heaps[h].brk }
 func (as *AddressSpace) clearHeapSubtrees(h ir.HeapKind) {
 	if as.root.epoch != as.epoch {
 		as.root = as.root.copyAs(as.epoch)
-		as.addStat(&as.Stats.NodesCopied, 1)
+		addStat(&as.Stats.NodesCopied)
 	}
 	lo, hi := heapSlotRange(h)
 	for s := lo; s < hi; s++ {
@@ -847,7 +819,7 @@ func (as *AddressSpace) DirtyPages(visit func(base uint64, data []byte)) {
 // outright. The data slice aliases live memory and must not be retained.
 func (as *AddressSpace) DirtyHeapPages(h ir.HeapKind, visit func(base uint64, data []byte)) {
 	if as.root.epoch != as.epoch || as.root.dirty == 0 {
-		as.addStat(&as.Stats.SummaryHits, 1)
+		addStat(&as.Stats.SummaryHits)
 		return
 	}
 	lo, hi := heapSlotRange(h)

@@ -6,20 +6,43 @@ import (
 	"privateer/internal/ir"
 )
 
+// Stats counts page-table events only: an access that maps or copies no
+// page leaves the structure byte-identical, on the TLB-hit path, the
+// TLB-miss path (after a flush) and the page-straddling fallback alike.
 func TestStatsCounters(t *testing.T) {
 	as := NewAddressSpace()
-	a, _ := as.Alloc(ir.HeapPrivate, 64)
-	if err := as.Write(a, 8, 1); err != nil {
-		t.Fatal(err)
+	a, _ := as.Alloc(ir.HeapPrivate, 2*PageSize)
+	if as.Stats.PagesMapped != 0 {
+		t.Errorf("allocation alone mapped %d pages", as.Stats.PagesMapped)
 	}
-	if _, err := as.Read(a, 8); err != nil {
-		t.Fatal(err)
-	}
-	if as.Stats.BytesWritten < 8 || as.Stats.BytesRead < 8 {
-		t.Errorf("stats = %+v", as.Stats)
+	straddle := a + PageSize - 4
+	for _, addr := range []uint64{a, straddle} {
+		if err := as.Write(addr, 8, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if as.Stats.PagesMapped == 0 {
-		t.Error("no pages mapped")
+		t.Error("no pages mapped by the first stores")
+	}
+	access := func() {
+		for _, addr := range []uint64{a, straddle} {
+			if err := as.Write(addr, 8, 2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := as.Read(addr, 8); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := as.WritablePage(addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := *as.Stats
+	access()
+	as.SetProt(ir.HeapPrivate, ProtReadWrite) // flushes both TLBs
+	access()
+	if *as.Stats != before {
+		t.Errorf("resident accesses moved Stats: %+v -> %+v", before, *as.Stats)
 	}
 }
 
