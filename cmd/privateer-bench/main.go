@@ -30,23 +30,22 @@ func main() {
 	var (
 		experiment = flag.String("experiment", "all",
 			"all, table1, table3, fig6, fig7, fig8, fig9, ablation, micro, obsoverhead, or one row of the stage-off vs stage-on variant table: elision, staticsep")
-		input     = flag.String("input", "", "input class override: train, ref, alt, huge")
-		quick     = flag.Bool("quick", false, "scaled-down configuration (train inputs)")
-		programs  = flag.String("programs", "", "comma-separated subset of benchmarks; an unknown name is an error")
-		workers   = flag.Int("workers", 0, "machine size override for fig7/fig9")
-		jsonOut   = flag.Bool("json", false, "machine-readable output (micro, elision, staticsep, obsoverhead); an error elsewhere")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file of the speculation lifecycle")
-		eventsOut = flag.Bool("events", false, "print an event summary table after the experiment")
-		serve     = flag.String("serve", "", "serve live introspection (/metrics, /vars, /spec, /debug/pprof) on this address while experiments run")
+		input    = flag.String("input", "", "input class override: train, ref, alt, huge")
+		quick    = flag.Bool("quick", false, "scaled-down configuration (train inputs)")
+		programs = flag.String("programs", "", "comma-separated subset of benchmarks; an unknown name is an error")
+		workers  = flag.Int("workers", 0, "machine size override for fig7/fig9")
+		jsonOut  = flag.Bool("json", false, "machine-readable output (micro, elision, staticsep, obsoverhead); an error elsewhere")
+		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file of the speculation lifecycle")
+		serve    = flag.String("serve", "", "serve live introspection (/metrics, /vars, /spec, /debug/pprof) on this address while experiments run")
 	)
 	flag.Parse()
-	if err := run(*experiment, *input, *quick, *programs, *workers, *jsonOut, *traceOut, *eventsOut, *serve); err != nil {
+	if err := run(*experiment, *input, *quick, *programs, *workers, *jsonOut, *traceOut, *serve); err != nil {
 		fmt.Fprintln(os.Stderr, "privateer-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment, input string, quick bool, programs string, workers int, jsonOut bool, traceOut string, eventsOut bool, serve string) error {
+func run(experiment, input string, quick bool, programs string, workers int, jsonOut bool, traceOut string, serve string) error {
 	cfg := bench.DefaultConfig()
 	if quick {
 		cfg = bench.QuickConfig()
@@ -82,10 +81,10 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 	}
 
 	// Tracing: events stream into a ring collector; after the experiment the
-	// retained window is exported and/or summarized.
+	// retained window is exported.
 	var collector *obs.Collector
 	var tracer *obs.Tracer
-	if traceOut != "" || eventsOut {
+	if traceOut != "" {
 		collector = obs.NewCollector(1 << 16)
 		tracer = obs.NewTracer(collector)
 		cfg.Trace = tracer
@@ -100,23 +99,18 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 			fmt.Fprintf(os.Stderr, "privateer-bench: trace ring overflowed; oldest %d of %d events dropped\n",
 				dropped, collector.Total())
 		}
-		if traceOut != "" {
-			f, err := os.Create(traceOut)
-			if err != nil {
-				return err
-			}
-			if err := obs.WriteChromeTrace(f, events); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "privateer-bench: wrote %d events to %s\n", len(events), traceOut)
+		f, err := os.Create(traceOut)
+		if err != nil {
+			return err
 		}
-		if eventsOut {
-			fmt.Println(obs.FormatSummary(events))
+		if err := obs.WriteChromeTrace(f, events); err != nil {
+			f.Close()
+			return err
 		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "privateer-bench: wrote %d events to %s\n", len(events), traceOut)
 		return nil
 	}
 

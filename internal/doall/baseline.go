@@ -3,12 +3,9 @@ package doall
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"privateer/internal/interp"
 	"privateer/internal/ir"
-	"privateer/internal/obs"
 	"privateer/internal/vm"
 )
 
@@ -20,34 +17,15 @@ const (
 	simJoinPerWorker  = 400
 )
 
-// BaselineStats reports timing for the non-speculative scheduler. All
-// fields are updated with atomic adds so a live introspection scrape can
-// snapshot them while regions execute.
+// BaselineStats reports the non-speculative scheduler's counts. Only the
+// master thread writes them, between worker fleets.
 type BaselineStats struct {
-	// Spawn is the time spent cloning worker address spaces.
-	Spawn time.Duration
-	// Join is the time spent merging worker pages back.
-	Join time.Duration
-	// Wall is the whole invocation's duration.
-	Wall time.Duration
 	// Invocations counts parallel region entries.
 	Invocations int64
 	// SimRegionTime is the simulated time of all parallel invocations:
 	// spawn + slowest worker + join per invocation (see specrt/sim.go for
 	// the model).
 	SimRegionTime int64
-}
-
-// Snapshot returns an atomically loaded copy of the stats, safe to call
-// while the scheduler executes a region.
-func (s *BaselineStats) Snapshot() BaselineStats {
-	return BaselineStats{
-		Spawn:         time.Duration(atomic.LoadInt64((*int64)(&s.Spawn))),
-		Join:          time.Duration(atomic.LoadInt64((*int64)(&s.Join))),
-		Wall:          time.Duration(atomic.LoadInt64((*int64)(&s.Wall))),
-		Invocations:   atomic.LoadInt64(&s.Invocations),
-		SimRegionTime: atomic.LoadInt64(&s.SimRegionTime),
-	}
 }
 
 // Baseline executes a program whose loops were outlined by Outline in
@@ -63,10 +41,8 @@ type Baseline struct {
 	Workers int
 	// Regions maps region functions to their outlines.
 	Regions map[*ir.Function]*Region
-	// Stats accumulates scheduler timing.
+	// Stats accumulates the scheduler's counts.
 	Stats BaselineStats
-	// Trace receives region and worker lifecycle events (nil disables).
-	Trace *obs.Tracer
 }
 
 // NewBaseline prepares a DOALL-only scheduler for the given regions.
@@ -91,17 +67,8 @@ func (bl *Baseline) Attach(master *interp.Interp) {
 
 // invoke runs one parallel region: args are (lo, hi, live-ins...).
 func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) error {
-	t0 := time.Now()
-	inv := atomic.AddInt64(&bl.Stats.Invocations, 1) - 1
-	tr := bl.Trace
-	if tr.On() {
-		ts := tr.Now()
-		defer func() {
-			tr.Emit(obs.Event{Kind: obs.KRegionInvoke, TimeNS: ts, DurNS: tr.Now() - ts,
-				Invocation: inv, Worker: -1, Iter: -1,
-				A: int64(args[0]), B: int64(args[1]), Cause: "doall"})
-		}()
-	}
+	inv := bl.Stats.Invocations
+	bl.Stats.Invocations++
 	lo, hi := int64(args[0]), int64(args[1])
 	live := args[2:]
 	if hi <= lo {
@@ -112,7 +79,6 @@ func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) erro
 		workers = int(total)
 	}
 
-	spawnStart := time.Now()
 	spaces := make([]*vm.AddressSpace, workers)
 	interps := make([]*interp.Interp, workers)
 	for w := 0; w < workers; w++ {
@@ -123,10 +89,7 @@ func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) erro
 		// cost is the COW clone, not re-decoding the region functions.
 		interps[w] = interp.NewShared(master.Program(), spaces[w])
 		interps[w].AdoptLayout(master.GlobalLayout())
-		tr.Instant(obs.Event{Kind: obs.KWorkerSpawn,
-			Invocation: inv, Worker: w, Iter: -1})
 	}
-	atomic.AddInt64((*int64)(&bl.Stats.Spawn), int64(time.Since(spawnStart)))
 
 	errs := make([]error, workers)
 	outs := make([]string, workers)
@@ -163,13 +126,11 @@ func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) erro
 			maxSteps = interps[w].Steps
 		}
 	}
-	atomic.AddInt64(&bl.Stats.SimRegionTime,
-		int64(workers)*(simSpawnPerWorker+simJoinPerWorker)+maxSteps)
+	bl.Stats.SimRegionTime += int64(workers)*(simSpawnPerWorker+simJoinPerWorker) + maxSteps
 
 	// Join: merge each worker's privately-written bytes into the master.
 	// Diffs are taken against a snapshot of the pre-region master pages so
 	// that one worker's merge does not masquerade as another's writes.
-	joinStart := time.Now()
 	orig := map[uint64][]byte{}
 	for w := 0; w < workers; w++ {
 		spaces[w].DirtyPages(func(base uint64, data []byte) {
@@ -204,31 +165,5 @@ func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) erro
 		// DOALL-only does not defer I/O; emit worker output as produced.
 		master.Out.WriteString(outs[w])
 	}
-	atomic.AddInt64((*int64)(&bl.Stats.Join), int64(time.Since(joinStart)))
-	atomic.AddInt64((*int64)(&bl.Stats.Wall), int64(time.Since(t0)))
 	return nil
-}
-
-// PublishMetrics registers pull-style collectors mirroring the scheduler's
-// stats into reg (names prefixed privateer_doall_). The scheduler pays
-// nothing between scrapes.
-func (bl *Baseline) PublishMetrics(reg *obs.Registry) {
-	inv := reg.Counter("privateer_doall_invocations_total",
-		"DOALL-only parallel region entries.")
-	spawn := reg.Counter("privateer_doall_spawn_ns_total",
-		"DOALL-only worker address-space clone time.")
-	join := reg.Counter("privateer_doall_join_ns_total",
-		"DOALL-only page diff-merge time.")
-	wall := reg.Counter("privateer_doall_wall_ns_total",
-		"DOALL-only wall-clock time inside regions.")
-	sim := reg.Counter("privateer_doall_sim_region_time_total",
-		"DOALL-only simulated region time.")
-	reg.RegisterCollector(func() {
-		st := bl.Stats.Snapshot()
-		inv.Set(st.Invocations)
-		spawn.Set(int64(st.Spawn))
-		join.Set(int64(st.Join))
-		wall.Set(int64(st.Wall))
-		sim.Set(st.SimRegionTime)
-	})
 }

@@ -8,8 +8,8 @@
 // values through a Tracer; with no tracer attached every instrumentation
 // site is a single nil check. Events flow into a Sink — usually the
 // ring-buffered Collector — and can be exported as a Chrome trace_event
-// JSON file (chrometrace.go) or folded into per-invocation metrics
-// (metrics.go).
+// JSON file (chrometrace.go, jobtrace.go) or folded into a per-phase time
+// breakdown (phases.go).
 //
 // Emission is safe from any goroutine: the runtime's workers trace
 // concurrently with the master. Events from one goroutine are ordered;
@@ -18,6 +18,6 @@
 // single logical thread (see specrt's golden-sequence tests).
 //
 // The package deliberately imports nothing from the rest of the repository
-// so every layer (vm, doall, specrt, bench) can emit into it without
+// so every layer (vm, specrt, service, bench) can emit into it without
 // dependency cycles.
 package obs

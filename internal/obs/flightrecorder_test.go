@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +107,25 @@ func TestSummarizePhases(t *testing.T) {
 	}
 	if len(SummarizePhases(nil)) != 0 {
 		t.Error("empty stream must yield no phases")
+	}
+	// A collector folds as it records, so its breakdown is the whole
+	// stream's even after the ring overwrote most of it.
+	c := NewCollector(4)
+	for _, ev := range events {
+		c.Emit(ev)
+	}
+	if c.Dropped() == 0 {
+		t.Fatal("ring of 4 did not wrap")
+	}
+	if !reflect.DeepEqual(c.Phases(), spans) {
+		t.Errorf("wrapped collector phases %+v, want the whole stream's %+v", c.Phases(), spans)
+	}
+	if reflect.DeepEqual(SummarizePhases(c.Events()), spans) {
+		t.Error("the retained window alone should not reproduce the whole stream's breakdown")
+	}
+	c.Reset()
+	if len(c.Phases()) != 0 {
+		t.Error("Reset must clear the running breakdown")
 	}
 }
 

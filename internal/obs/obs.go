@@ -43,8 +43,8 @@ const (
 	KMisspec
 	// KRecovery is one sequential recovery episode (A=from, B=to).
 	KRecovery
-	// KSeqFallback abandons an invocation's remainder to sequential
-	// execution after the recovery budget is spent (A=from, B=hi).
+	// KSeqFallback is an invocation's remainder run sequentially after the
+	// recovery budget was spent (A=from, B=hi; spans the sequential run).
 	KSeqFallback
 	// KCOWCopy is one copy-on-write page duplication (A=page base address).
 	KCOWCopy
@@ -157,6 +157,17 @@ func (t *Tracer) Now() int64 {
 		return 0
 	}
 	return int64(time.Since(t.start))
+}
+
+// At converts an instant the caller already read from the clock into the
+// tracer's timebase: the TimeNS of an event that began at ts (0 when
+// disabled). A span timed with one time.Now pair stamps its event from
+// those readings instead of taking a second pair with Now.
+func (t *Tracer) At(ts time.Time) int64 {
+	if t == nil {
+		return 0
+	}
+	return int64(ts.Sub(t.start))
 }
 
 // Emit forwards ev to the sink. Safe on a nil tracer.

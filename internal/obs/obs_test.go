@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestNilTracerIsInert: every method must be a no-op on the disabled
@@ -15,13 +16,18 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.On() {
 		t.Error("nil tracer reports On")
 	}
-	if tr.Now() != 0 {
-		t.Error("nil tracer Now != 0")
+	if tr.Now() != 0 || tr.At(time.Now()) != 0 {
+		t.Error("nil tracer Now/At != 0")
 	}
 	tr.Emit(Event{Kind: KMisspec})
 	tr.Instant(Event{Kind: KMisspec})
 	if NewTracer(nil) != nil {
 		t.Error("NewTracer(nil) should be the disabled tracer")
+	}
+	// At and Now share one timebase on a live tracer.
+	live := NewTracer(NewCollector(1))
+	if a, b, c := live.Now(), live.At(time.Now()), live.Now(); a > b || b > c {
+		t.Errorf("At(now) = %d outside the surrounding Now readings [%d, %d]", b, a, c)
 	}
 }
 
@@ -72,6 +78,51 @@ func TestCollectorConcurrentEmit(t *testing.T) {
 	}
 }
 
+// TestCollectorPublishMetrics: the trace-stream health metrics must track
+// the ring through wraparound, so a /metrics scrape reveals truncated
+// traces.
+func TestCollectorPublishMetrics(t *testing.T) {
+	c := NewCollector(4)
+	reg := NewRegistry()
+	c.PublishMetrics(reg)
+	scrape := func() string {
+		var sb strings.Builder
+		reg.WriteProm(&sb)
+		return sb.String()
+	}
+	for i := 0; i < 3; i++ {
+		c.Emit(Event{Kind: KMark})
+	}
+	out := scrape()
+	for _, want := range []string{
+		"privateer_trace_events_total 3",
+		"privateer_trace_dropped_events 0",
+		"privateer_trace_ring_capacity 4",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("pre-wrap scrape missing %q:\n%s", want, out)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		c.Emit(Event{Kind: KMark})
+	}
+	out = scrape()
+	for _, want := range []string{
+		"privateer_trace_events_total 6",
+		"privateer_trace_dropped_events 2",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("post-wrap scrape missing %q:\n%s", want, out)
+		}
+	}
+	if dropped := c.Dropped(); dropped != 2 {
+		t.Errorf("Dropped() = %d, want 2", dropped)
+	}
+	// PublishMetrics must tolerate nil receivers and nil registries.
+	(*Collector)(nil).PublishMetrics(reg)
+	c.PublishMetrics(nil)
+}
+
 // TestChromeTraceShape: the export must be valid JSON with the
 // trace_event envelope, complete slices for durations and instants
 // otherwise.
@@ -108,44 +159,5 @@ func TestChromeTraceShape(t *testing.T) {
 	}
 	if name := doc.TraceEvents[2]["name"]; name != "dispatch" {
 		t.Errorf("mark event name %v, want bare label", name)
-	}
-}
-
-// TestSummarizeMetrics: per-invocation folding must attribute counts to the
-// right invocation and bucket unscoped events under -1.
-func TestSummarizeMetrics(t *testing.T) {
-	events := []Event{
-		{Kind: KRegionInvoke, DurNS: 100, Invocation: 0},
-		{Kind: KSpanStart, Invocation: 0},
-		{Kind: KWorkerSpawn, Invocation: 0},
-		{Kind: KWorkerSpawn, Invocation: 0},
-		{Kind: KMisspec, Invocation: 0},
-		{Kind: KRecovery, Invocation: 0},
-		{Kind: KInstall, A: 64, Invocation: 0},
-		{Kind: KCommit, A: 3, Invocation: 0},
-		{Kind: KSeqFallback, Invocation: 1},
-		{Kind: KCOWCopy, Invocation: -1},
-	}
-	ms := Summarize(events)
-	if len(ms) != 3 {
-		t.Fatalf("got %d invocation buckets, want 3", len(ms))
-	}
-	if ms[0].Invocation != -1 || ms[0].COWCopies != 1 {
-		t.Errorf("unscoped bucket wrong: %+v", ms[0])
-	}
-	m0 := ms[1]
-	if m0.Spans != 1 || m0.Workers != 2 || m0.Misspecs != 1 || m0.Recoveries != 1 ||
-		m0.InstalledBytes != 64 || m0.CommittedIO != 3 || m0.WallNS != 100 {
-		t.Errorf("invocation 0 metrics wrong: %+v", m0)
-	}
-	if ms[2].Fallbacks != 1 {
-		t.Errorf("invocation 1 fallbacks %d, want 1", ms[2].Fallbacks)
-	}
-
-	sum := FormatSummary(events)
-	for _, want := range []string{"region-invoke", "seq-fallback", "Per-invocation"} {
-		if !strings.Contains(sum, want) {
-			t.Errorf("summary missing %q:\n%s", want, sum)
-		}
 	}
 }

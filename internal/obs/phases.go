@@ -1,5 +1,7 @@
 package obs
 
+import "slices"
+
 // Job lifecycle phases. The region service decomposes a job's wall time the
 // way the paper's cost model decomposes speculation overhead: privatization
 // (spawn), execution (run), validation, merge, commit, and recovery — plus
@@ -73,48 +75,68 @@ type PhaseSpan struct {
 	LastNS int64 `json:"last_ns"`
 }
 
-// SummarizePhases folds a job's event stream into its per-phase breakdown,
-// in PhaseNames order, omitting phases no event contributed to.
-func SummarizePhases(events []Event) []PhaseSpan {
-	byPhase := map[string]*PhaseSpan{}
-	for _, ev := range events {
-		ph := PhaseOf(ev)
-		if ph == "" {
-			continue
-		}
-		ps := byPhase[ph]
-		if ps == nil {
-			ps = &PhaseSpan{Phase: ph, FirstNS: ev.TimeNS}
-			byPhase[ph] = ps
-		}
-		ps.Count++
-		ps.NS += ev.DurNS
-		if ev.TimeNS < ps.FirstNS {
-			ps.FirstNS = ev.TimeNS
-		}
-		if end := ev.TimeNS + ev.DurNS; end > ps.LastNS {
-			ps.LastNS = end
+// phaseFold accumulates a per-phase breakdown one event at a time, holding
+// the phases in first-seen order. A Collector keeps one running as events
+// arrive, so its totals cover events the ring has since overwritten.
+type phaseFold struct{ spans []PhaseSpan }
+
+// add folds ev into its phase; events outside the taxonomy are ignored.
+func (f *phaseFold) add(ev Event) {
+	ph := PhaseOf(ev)
+	if ph == "" {
+		return
+	}
+	var ps *PhaseSpan
+	for i := range f.spans {
+		if f.spans[i].Phase == ph {
+			ps = &f.spans[i]
+			break
 		}
 	}
-	out := make([]PhaseSpan, 0, len(byPhase))
+	if ps == nil {
+		f.spans = append(f.spans, PhaseSpan{Phase: ph, FirstNS: ev.TimeNS})
+		ps = &f.spans[len(f.spans)-1]
+	}
+	ps.Count++
+	ps.NS += ev.DurNS
+	if ev.TimeNS < ps.FirstNS {
+		ps.FirstNS = ev.TimeNS
+	}
+	if end := ev.TimeNS + ev.DurNS; end > ps.LastNS {
+		ps.LastNS = end
+	}
+}
+
+// ordered returns the breakdown in PhaseNames order. Phases outside the
+// canonical list (unexpected KJobPhase causes) still surface, after the
+// known ones, in first-seen order.
+func (f *phaseFold) ordered() []PhaseSpan {
+	out := make([]PhaseSpan, 0, len(f.spans))
 	for _, name := range PhaseNames {
-		if ps, ok := byPhase[name]; ok {
-			out = append(out, *ps)
+		for _, ps := range f.spans {
+			if ps.Phase == name {
+				out = append(out, ps)
+			}
 		}
 	}
-	// Phases outside the canonical list (unexpected KJobPhase causes)
-	// still surface, after the known ones.
-	known := map[string]bool{}
-	for _, name := range PhaseNames {
-		known[name] = true
-	}
-	for _, ev := range events {
-		if ph := PhaseOf(ev); ph != "" && !known[ph] {
-			known[ph] = true
-			out = append(out, *byPhase[ph])
+	for _, ps := range f.spans {
+		if !slices.Contains(PhaseNames, ps.Phase) {
+			out = append(out, ps)
 		}
 	}
 	return out
+}
+
+// SummarizePhases folds an event stream into its per-phase breakdown, in
+// PhaseNames order, omitting phases no event contributed to. It sees only
+// the events it is handed; Collector.Phases covers a whole job even when
+// the ring wrapped.
+func SummarizePhases(events []Event) []PhaseSpan {
+	var f phaseFold
+	for _, ev := range events {
+		f.add(ev)
+	}
+	return f.ordered()
 }
 
 // PhaseTotals reduces a breakdown to a phase→nanoseconds map, the form

@@ -85,6 +85,15 @@ func TestHTTPSubmitPoll(t *testing.T) {
 			if polled.Output == "" {
 				t.Fatal("done job has empty output")
 			}
+			// The per-job trace rides along in the poll view.
+			if polled.TraceID != polled.ID {
+				t.Errorf("trace_id %q, want the job id %q", polled.TraceID, polled.ID)
+			}
+			for _, ph := range requiredPhases {
+				if _, ok := polled.PhaseNS[ph]; !ok {
+					t.Errorf("phase_ns misses %s: %v", ph, polled.PhaseNS)
+				}
+			}
 			break
 		}
 		if polled.State == StateFailed {
@@ -106,8 +115,8 @@ func TestHTTPSubmitPoll(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode snapshot: %v", err)
 	}
-	if sn.Jobs != 1 {
-		t.Fatalf("snapshot jobs = %d, want 1", sn.Jobs)
+	if sn.Jobs != 1 || sn.Draining {
+		t.Fatalf("snapshot jobs = %d, draining = %v; want 1, false", sn.Jobs, sn.Draining)
 	}
 	if tc, ok := sn.Tenants["ops"]; !ok || tc.Completed != 1 {
 		t.Fatalf("snapshot tenants: %+v", sn.Tenants)

@@ -559,7 +559,7 @@ func (s *Service) finish(job *Job, res runResult) {
 	now := time.Now()
 	var phases []obs.PhaseSpan
 	if job.trace != nil {
-		phases = obs.SummarizePhases(job.trace.Events())
+		phases = job.trace.Phases()
 	}
 	s.mu.Lock()
 	if job.started.IsZero() {

@@ -86,6 +86,7 @@ func TestConcurrentTenantsBitIdentical(t *testing.T) {
 		} else if len(v.PhaseNS) == 0 {
 			t.Errorf("%s/%s: empty phase breakdown", sb.tenant, sb.prog)
 		}
+		checkPhaseLedger(t, s, sb.job)
 	}
 
 	// No cross-tenant stats bleed: each tenant's accounting shows exactly

@@ -17,6 +17,32 @@ var requiredPhases = []string{
 	obs.PhaseValidate, obs.PhaseMerge, obs.PhaseCommit,
 }
 
+// checkPhaseLedger asserts the service-level time identities for a finished
+// traced job: the spawn, run and merge phases of its view are the very
+// readings the runtime summed into the job's Stats, whether or not the
+// job's ring wrapped.
+func checkPhaseLedger(t *testing.T, s *Service, job *Job) {
+	t.Helper()
+	v := s.View(job)
+	s.mu.Lock()
+	st := job.stats
+	s.mu.Unlock()
+	for _, c := range []struct {
+		phase string
+		stats int64
+		field string
+	}{
+		{obs.PhaseSpawn, st.SpawnNS, "SpawnNS"},
+		{obs.PhaseRun, st.WorkerBusyNS, "WorkerBusyNS"},
+		{obs.PhaseMerge, st.CheckpointNS, "CheckpointNS"},
+	} {
+		if v.PhaseNS[c.phase] != c.stats {
+			t.Errorf("job %s (%d of %d events dropped): phase_ns[%s] = %d, Stats.%s = %d",
+				job.ID, v.TraceDropped, v.TraceEvents, c.phase, v.PhaseNS[c.phase], c.field, c.stats)
+		}
+	}
+}
+
 // TestJobTraceEndToEnd: a completed job's trace must contain every
 // lifecycle phase, the /poll view must carry the same breakdown, and the
 // numbers must be internally consistent.
@@ -54,6 +80,7 @@ func TestJobTraceEndToEnd(t *testing.T) {
 			t.Errorf("phase %s: view %d ns, trace %d ns", ph, ns, got[ph])
 		}
 	}
+	checkPhaseLedger(t, s, job)
 	// An untraced job reports no trace.
 	if _, ok := s.Trace("j999999"); ok {
 		t.Error("unknown job must have no trace")
@@ -112,12 +139,14 @@ func TestPlantedMisspecFlight(t *testing.T) {
 	if len(pm.Phases) == 0 {
 		t.Error("postmortem carries no phase breakdown")
 	}
+	checkPhaseLedger(t, s, job)
 }
 
 // TestTraceOverflowDropAccounting (-race): concurrent jobs on deliberately
 // tiny rings must account every overwritten event — the postmortem's
-// captured-event count must equal exactly total minus dropped, and the
-// service counters must equal the per-job sums.
+// captured-event count must equal exactly total minus dropped, the service
+// counters must equal the per-job sums, and the phase totals must still be
+// the whole job's.
 func TestTraceOverflowDropAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{
@@ -155,6 +184,9 @@ func TestTraceOverflowDropAccounting(t *testing.T) {
 		if got, want := int64(len(events)), v.TraceEvents-v.TraceDropped; got != want {
 			t.Errorf("job %s: retained %d events, want total-dropped = %d", job.ID, got, want)
 		}
+		// The phase breakdown is folded as events arrive, not from the 8 the
+		// ring still holds.
+		checkPhaseLedger(t, s, job)
 		sumTotal += v.TraceEvents
 		sumDropped += v.TraceDropped
 	}
@@ -280,7 +312,14 @@ func TestHTTPJobTraceAndFlight(t *testing.T) {
 		t.Fatalf("GET /debug/flight: %d, %v", resp.StatusCode, err)
 	}
 	if st.Total == 0 || len(st.Postmortems) == 0 {
-		t.Errorf("flight state empty after a misspeculating job: %+v", st)
+		t.Fatalf("flight state empty after a misspeculating job: %+v", st)
+	}
+	pm := st.Postmortems[0]
+	if len(pm.Attribution) == 0 {
+		t.Errorf("postmortem over HTTP carries no attribution: %+v", pm)
+	}
+	if len(pm.Events) == 0 || pm.TotalEvents < int64(len(pm.Events)) {
+		t.Errorf("postmortem over HTTP: %d events of %d total", len(pm.Events), pm.TotalEvents)
 	}
 }
 

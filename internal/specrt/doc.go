@@ -24,7 +24,9 @@
 //
 // There is one commit path: spanState.run joins the workers, finishSync
 // chain-validates on the master, and invoke installs and commits the valid
-// prefix. All of it is timed into Stats.JoinNS.
+// prefix. All of it is timed into Stats.JoinNS. Every timed section goes
+// through spanTimer (timer.go), which writes the Stats field and the trace
+// event from one pair of clock readings, so the two always agree exactly.
 //
 // # Invariants
 //

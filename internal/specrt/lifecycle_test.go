@@ -342,8 +342,8 @@ func TestEventSequenceGolden(t *testing.T) {
 	}
 }
 
-// TestMetricsFromRun: the per-invocation metrics snapshot folded from a
-// live run must agree with the runtime's own counters.
+// TestMetricsFromRun: the lifecycle events of a live run, counted by kind,
+// must agree with the runtime's own counters.
 func TestMetricsFromRun(t *testing.T) {
 	const n = 24
 	mod := buildWriterModule(n)
@@ -357,29 +357,19 @@ func TestMetricsFromRun(t *testing.T) {
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ms := obs.Summarize(col.Events())
-	var m *obs.InvocationMetrics
-	for i := range ms {
-		if ms[i].Invocation == 0 {
-			m = &ms[i]
+	counts, _ := kindLedger(col.Events())
+	for _, c := range []struct {
+		kind  obs.Kind
+		stats int64
+	}{
+		{obs.KRegionInvoke, rt.Stats.Invocations},
+		{obs.KMisspec, rt.Stats.Misspecs},
+		{obs.KRecovery, rt.Stats.Recoveries},
+		{obs.KSeqFallback, rt.Stats.SequentialFallbacks},
+		{obs.KCheckpoint, rt.Stats.Checkpoints},
+	} {
+		if counts[c.kind] != c.stats {
+			t.Errorf("%d %s events != stats %d", counts[c.kind], c.kind, c.stats)
 		}
-	}
-	if m == nil {
-		t.Fatal("no invocation-0 metrics")
-	}
-	if m.Misspecs != rt.Stats.Misspecs {
-		t.Errorf("event misspecs %d != stats %d", m.Misspecs, rt.Stats.Misspecs)
-	}
-	if m.Recoveries != rt.Stats.Recoveries {
-		t.Errorf("event recoveries %d != stats %d", m.Recoveries, rt.Stats.Recoveries)
-	}
-	if m.Fallbacks != rt.Stats.SequentialFallbacks {
-		t.Errorf("event fallbacks %d != stats %d", m.Fallbacks, rt.Stats.SequentialFallbacks)
-	}
-	if m.Checkpoints != rt.Stats.Checkpoints {
-		t.Errorf("event checkpoints %d != stats %d", m.Checkpoints, rt.Stats.Checkpoints)
-	}
-	if m.WallNS <= 0 {
-		t.Error("no wall time folded from the region-invoke event")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"privateer/internal/classify"
 	"privateer/internal/deps"
@@ -516,14 +515,15 @@ func (rt *RT) maxRecoveries() int {
 
 // invoke runs one parallel region invocation: args are (lo, hi, live-ins).
 func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
-	wallStart := time.Now()
+	wall := startTimer()
 	inv := atomic.AddInt64(&rt.Stats.Invocations, 1) - 1
+	tr := rt.Cfg.Trace
 	// Wall time accounts once, on every exit path: clean completion,
 	// misspeculation-loop errors, and the sequential fallback alike.
 	defer func() {
-		wall := int64(time.Since(wallStart))
-		atomic.AddInt64(&rt.Stats.RegionWallNS, wall)
-		rt.histRegionWall.Observe(wall)
+		d := wall.stop(&rt.Stats.RegionWallNS, tr, obs.Event{Kind: obs.KRegionInvoke,
+			Invocation: inv, Worker: -1, Iter: -1, A: int64(args[0]), B: int64(args[1])})
+		rt.histRegionWall.Observe(d)
 		// Workers have joined: the master space is quiescent, so this is a
 		// safe point to refresh the page-table snapshot metric scrapes read.
 		if rt.Cfg.Publish != nil {
@@ -531,13 +531,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 			rt.ptStats.Store(&pt)
 		}
 	}()
-	tr := rt.Cfg.Trace
 	if tr.On() {
-		t0 := tr.Now()
-		defer func() {
-			tr.Emit(obs.Event{Kind: obs.KRegionInvoke, TimeNS: t0, DurNS: tr.Now() - t0,
-				Invocation: inv, Worker: -1, Iter: -1, A: int64(args[0]), B: int64(args[1])})
-		}()
 		rt.master.AS.TraceInv = inv
 	}
 	lo, hi := int64(args[0]), int64(args[1])
@@ -555,10 +549,13 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	start := lo
 	for start < hi {
 		if maxRec > 0 && recoveries >= maxRec {
+			// Budget spent: the remainder runs sequentially, checks disabled.
 			atomic.AddInt64(&rt.Stats.SequentialFallbacks, 1)
-			tr.Instant(obs.Event{Kind: obs.KSeqFallback,
+			fallback := startTimer()
+			err := rt.sequentialRange(ri, start, hi, live)
+			fallback.stop(nil, tr, obs.Event{Kind: obs.KSeqFallback,
 				Invocation: inv, Worker: -1, Iter: -1, A: start, B: hi})
-			break
+			return err
 		}
 		span := &spanState{
 			rt: rt, ri: ri, live: live,
@@ -581,9 +578,9 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 		// commit its deferred output: the second half of the join, timed
 		// into JoinNS on both exits.
 		if lastValid != nil {
-			joinStart := time.Now()
+			join := startTimer()
 			err := rt.installCheckpoint(lastValid, span.redux, inv)
-			atomic.AddInt64(&rt.Stats.JoinNS, int64(time.Since(joinStart)))
+			join.stop(&rt.Stats.JoinNS, nil, obs.Event{})
 			if err != nil {
 				return err
 			}
@@ -600,21 +597,13 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 		}
 		tr.Instant(obs.Event{Kind: obs.KPhase,
 			Invocation: inv, Worker: -1, Iter: -1, Cause: "recover"})
-		recStart := tr.Now()
+		recovery := startTimer()
 		if err := rt.sequentialRange(ri, redoFrom, misspecAt+1, live); err != nil {
 			return err
 		}
-		if tr.On() {
-			tr.Emit(obs.Event{Kind: obs.KRecovery, TimeNS: recStart, DurNS: tr.Now() - recStart,
-				Invocation: inv, Worker: -1, Iter: -1, A: redoFrom, B: misspecAt + 1})
-		}
+		recovery.stop(nil, tr, obs.Event{Kind: obs.KRecovery,
+			Invocation: inv, Worker: -1, Iter: -1, A: redoFrom, B: misspecAt + 1})
 		start = misspecAt + 1
-	}
-	// Fallback: run the remainder sequentially, checks disabled.
-	if start < hi {
-		if err := rt.sequentialRange(ri, start, hi, live); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -622,8 +611,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 // installCheckpoint applies cp's chain to the master state, accounts the
 // simulated cost, and commits the chain's deferred output.
 func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, inv int64) error {
-	tr := rt.Cfg.Trace
-	t0 := tr.Now()
+	t := startTimer()
 	bytes, err := cp.installInto(rt.master.AS, redux)
 	if err != nil {
 		return err
@@ -632,10 +620,8 @@ func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, inv int64) err
 	cost := bytes * SimInstallPerByte
 	atomic.AddInt64(&rt.Sim.RegionTime, cost)
 	atomic.AddInt64(&rt.Sim.CheckpointCost, cost)
-	if tr.On() {
-		tr.Emit(obs.Event{Kind: obs.KInstall, TimeNS: t0, DurNS: tr.Now() - t0,
-			Invocation: inv, Worker: -1, Iter: cp.id, A: bytes})
-	}
+	t.stop(nil, rt.Cfg.Trace, obs.Event{Kind: obs.KInstall,
+		Invocation: inv, Worker: -1, Iter: cp.id, A: bytes})
 	rt.commitChain(cp, inv)
 	return nil
 }
@@ -644,7 +630,6 @@ func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, inv int64) err
 // each one's deferred output is emitted in iteration order and the
 // checkpoint marked committed, under outMu.
 func (rt *RT) commitChain(cp *checkpoint, inv int64) {
-	tr := rt.Cfg.Trace
 	var chain []*checkpoint
 	for c := cp; c != nil && !c.committed; c = c.prev {
 		chain = append(chain, c)
@@ -652,7 +637,7 @@ func (rt *RT) commitChain(cp *checkpoint, inv int64) {
 	if len(chain) == 0 {
 		return
 	}
-	t0 := tr.Now()
+	t := startTimer()
 	var committed int64
 	for i := len(chain) - 1; i >= 0; i-- {
 		c := chain[i]
@@ -668,10 +653,8 @@ func (rt *RT) commitChain(cp *checkpoint, inv int64) {
 	cost := committed * SimCommitPerIO
 	atomic.AddInt64(&rt.Sim.RegionTime, cost)
 	atomic.AddInt64(&rt.Sim.CheckpointCost, cost)
-	if tr.On() {
-		tr.Emit(obs.Event{Kind: obs.KCommit, TimeNS: t0, DurNS: tr.Now() - t0,
-			Invocation: inv, Worker: -1, Iter: cp.id, A: committed})
-	}
+	t.stop(nil, rt.Cfg.Trace, obs.Event{Kind: obs.KCommit,
+		Invocation: inv, Worker: -1, Iter: cp.id, A: committed})
 }
 
 // validateShards is the goroutine count for sharding checkpoint merge and

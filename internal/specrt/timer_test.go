@@ -1,0 +1,137 @@
+package specrt
+
+import (
+	"fmt"
+	"testing"
+
+	"privateer/internal/classify"
+	"privateer/internal/ir"
+	"privateer/internal/obs"
+	"privateer/internal/profiling"
+)
+
+// kindLedger folds an event stream into per-kind event counts and summed
+// durations.
+func kindLedger(events []obs.Event) (n, dur map[obs.Kind]int64) {
+	n, dur = map[obs.Kind]int64{}, map[obs.Kind]int64{}
+	for _, ev := range events {
+		n[ev.Kind]++
+		dur[ev.Kind] += ev.DurNS
+	}
+	return n, dur
+}
+
+// checkTimeLedger asserts what spanTimer guarantees: a timed section's Stats
+// field and its events are one reading, so they agree to the nanosecond, and
+// the sections nest the way the runtime nests them. It returns the stream's
+// per-kind counts and durations for the caller's own checks.
+func checkTimeLedger(t *testing.T, st Stats, events []obs.Event) (n, dur map[obs.Kind]int64) {
+	t.Helper()
+	n, dur = kindLedger(events)
+	for _, c := range []struct {
+		kind  obs.Kind
+		stats int64
+		field string
+	}{
+		{obs.KSpawn, st.SpawnNS, "SpawnNS"},
+		{obs.KWorkerJoin, st.WorkerBusyNS, "WorkerBusyNS"},
+		{obs.KContribute, st.CheckpointNS, "CheckpointNS"},
+		{obs.KRegionInvoke, st.RegionWallNS, "RegionWallNS"},
+	} {
+		if dur[c.kind] != c.stats {
+			t.Errorf("sum of %s durations %d != Stats.%s %d", c.kind, dur[c.kind], c.field, c.stats)
+		}
+	}
+	joined := dur[obs.KValidate] + dur[obs.KInstall] + dur[obs.KCommit]
+	if joined > st.JoinNS || st.JoinNS > st.RegionWallNS {
+		t.Errorf("validate+install+commit %d <= JoinNS %d <= RegionWallNS %d does not hold",
+			joined, st.JoinNS, st.RegionWallNS)
+	}
+	// Once each: one fleet spawn per span, one busy span per spawned worker.
+	if n[obs.KSpawn] != n[obs.KSpanStart] {
+		t.Errorf("%d fleet spawns over %d spans", n[obs.KSpawn], n[obs.KSpanStart])
+	}
+	if n[obs.KWorkerJoin] != n[obs.KWorkerSpawn] {
+		t.Errorf("%d worker busy spans for %d spawned workers", n[obs.KWorkerJoin], n[obs.KWorkerSpawn])
+	}
+	return n, dur
+}
+
+// TestTimeLedgerReconciles: on every way through an invocation — clean,
+// recovered misspeculation, workers squashed before their first
+// contribution followed by the sequential fallback, and a hard error while
+// spawning — each timed section is accounted once and its two views agree
+// exactly.
+func TestTimeLedgerReconciles(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   Config
+		check func(t *testing.T, st Stats, n map[obs.Kind]int64)
+	}{
+		{"clean", Config{CheckpointPeriod: 5}, func(t *testing.T, st Stats, n map[obs.Kind]int64) {
+			if st.Misspecs != 0 || st.CheckpointNS <= 0 {
+				t.Errorf("misspecs %d, CheckpointNS %d; want a clean run that merged", st.Misspecs, st.CheckpointNS)
+			}
+		}},
+		{"recovery", Config{CheckpointPeriod: 5, MisspecRate: 0.5, Seed: 3, MaxRecoveries: -1},
+			func(t *testing.T, st Stats, n map[obs.Kind]int64) {
+				if st.Recoveries == 0 || st.SequentialFallbacks != 0 || n[obs.KRecovery] != st.Recoveries {
+					t.Errorf("recoveries %d (events %d), fallbacks %d; want recoveries only",
+						st.Recoveries, n[obs.KRecovery], st.SequentialFallbacks)
+				}
+			}},
+		{"fallback", Config{CheckpointPeriod: 5, MisspecRate: 1, Seed: 3, MaxRecoveries: 2},
+			func(t *testing.T, st Stats, n map[obs.Kind]int64) {
+				if st.Checkpoints != 0 || st.SequentialFallbacks != 1 || n[obs.KSeqFallback] != 1 {
+					t.Errorf("checkpoints %d, fallbacks %d (events %d); want every worker squashed before contributing, then one fallback",
+						st.Checkpoints, st.SequentialFallbacks, n[obs.KSeqFallback])
+				}
+				if st.SpawnNS <= 0 || st.WorkerBusyNS <= 0 {
+					t.Errorf("squashed fleet lost its time: SpawnNS %d, WorkerBusyNS %d", st.SpawnNS, st.WorkerBusyNS)
+				}
+			}},
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
+				col := obs.NewCollector(1 << 16)
+				cfg := c.cfg
+				cfg.Workers, cfg.Trace = workers, obs.NewTracer(col)
+				mod := buildScratchModule(40)
+				rt := New(mod, cfg, buildRegion(t, mod))
+				if v, err := rt.Run(); err != nil || v != 162 {
+					t.Fatalf("result %d, %v; want 162", v, err)
+				}
+				if col.Dropped() != 0 {
+					t.Fatal("collector wrapped")
+				}
+				st := rt.Stats.Snapshot()
+				n, dur := checkTimeLedger(t, st, col.Events())
+				c.check(t, st, n)
+				if n[obs.KSeqFallback] > 0 && dur[obs.KSeqFallback] <= 0 {
+					t.Error("the fallback's sequential run carries no duration")
+				}
+			})
+		}
+	}
+
+	// A reduction operator with no identity makes newWorker fail: the
+	// invocation dies in spawnFleet, which still closes its section.
+	mod, site := buildReduxReallocModule()
+	assign := &classify.Assignment{
+		ReduxOps:   map[profiling.Object]ir.ReduxKind{{Site: site}: ir.ReduxKind(99)},
+		ReduxSizes: map[profiling.Object]int64{{Site: site}: 8},
+	}
+	col := obs.NewCollector(0)
+	rt := New(mod, Config{Workers: 2, CheckpointPeriod: 4, Trace: obs.NewTracer(col)},
+		outlineRegion(t, mod, assign))
+	if _, err := rt.Run(); err == nil {
+		t.Fatal("a worker with no reduction identity spawned")
+	}
+	st := rt.Stats.Snapshot()
+	checkTimeLedger(t, st, col.Events())
+	if st.SpawnNS <= 0 || st.WorkerBusyNS != 0 || st.RegionWallNS < st.SpawnNS {
+		t.Errorf("failed spawn: SpawnNS %d, WorkerBusyNS %d, RegionWallNS %d; want spawn time inside the region's, no busy time",
+			st.SpawnNS, st.WorkerBusyNS, st.RegionWallNS)
+	}
+}

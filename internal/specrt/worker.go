@@ -107,13 +107,10 @@ func (sp *spanState) checkpointFor(c int64) *checkpoint {
 // returns the first violating interval id (-1 = clean) and the faulting
 // private-heap address (0 when clean).
 func (sp *spanState) validate(last *checkpoint) (int64, uint64) {
-	tr := sp.rt.Cfg.Trace
-	t0 := tr.Now()
+	t := startTimer()
 	c, addr := last.crossValidateShardedAddr(validateShards())
-	if tr.On() {
-		tr.Emit(obs.Event{Kind: obs.KValidate, TimeNS: t0, DurNS: tr.Now() - t0,
-			Invocation: sp.inv, Worker: -1, Iter: last.id, A: c})
-	}
+	t.stop(nil, sp.rt.Cfg.Trace, obs.Event{Kind: obs.KValidate,
+		Invocation: sp.inv, Worker: -1, Iter: last.id, A: c})
 	return c, addr
 }
 
@@ -130,34 +127,9 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 	nIntervals := (sp.hi - sp.start + sp.k - 1) / sp.k
 	tr.Instant(obs.Event{Kind: obs.KPhase,
 		Invocation: sp.inv, Worker: -1, Iter: -1, Cause: "fast"})
-	spawnStart := time.Now()
-	warm0 := atomic.LoadInt64(&rt.Stats.WarmSpawns)
-	trSpawn := tr.Now()
-	ws := make([]*worker, workers)
-	for w := 0; w < workers; w++ {
-		wk, err := newWorker(sp, w, workers)
-		if err != nil {
-			return nil, -1, err
-		}
-		ws[w] = wk
-		tr.Instant(obs.Event{Kind: obs.KWorkerSpawn,
-			Invocation: sp.inv, Worker: w, Iter: -1})
-	}
-	atomic.AddInt64(&rt.Stats.SpawnNS, int64(time.Since(spawnStart)))
-	if tr.On() {
-		// One fleet-level spawn span on the runtime lane, attributing the
-		// whole privatization step and how much of it the warmed pool
-		// satisfied; the per-worker instants above fall inside it.
-		warm := atomic.LoadInt64(&rt.Stats.WarmSpawns) - warm0
-		cause := "cold"
-		switch {
-		case workers > 0 && warm == int64(workers):
-			cause = "warm"
-		case warm > 0:
-			cause = "mixed"
-		}
-		tr.Emit(obs.Event{Kind: obs.KSpawn, TimeNS: trSpawn, DurNS: tr.Now() - trSpawn,
-			Invocation: sp.inv, Worker: -1, Iter: -1, A: warm, B: int64(workers), Cause: cause})
+	ws, err := sp.spawnFleet(workers)
+	if err != nil {
+		return nil, -1, err
 	}
 
 	var wg sync.WaitGroup
@@ -166,12 +138,10 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			t0 := tr.Now()
+			busy := startTimer()
 			errs[w] = ws[w].run()
-			if tr.On() {
-				tr.Emit(obs.Event{Kind: obs.KWorkerJoin, TimeNS: t0, DurNS: tr.Now() - t0,
-					Invocation: sp.inv, Worker: w, Iter: -1})
-			}
+			busy.stop(&rt.Stats.WorkerBusyNS, tr, obs.Event{Kind: obs.KWorkerJoin,
+				Invocation: sp.inv, Worker: w, Iter: -1})
 		}(w)
 	}
 	wg.Wait()
@@ -221,16 +191,48 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 	return lastValid, misspecAt, nil
 }
 
+// spawnFleet privatizes the span's workers: one address-space clone (or
+// warm reclone) plus interpreter setup each. The whole step is one timed
+// section on the runtime lane — Stats.SpawnNS and a KSpawn event saying how
+// much of it the warmed pool satisfied — closed on the hard-error exit too;
+// the per-worker KWorkerSpawn instants fall inside it.
+func (sp *spanState) spawnFleet(workers int) ([]*worker, error) {
+	rt := sp.rt
+	tr := rt.Cfg.Trace
+	t := startTimer()
+	warm0 := atomic.LoadInt64(&rt.Stats.WarmSpawns)
+	ws := make([]*worker, 0, workers)
+	var err error
+	for w := 0; w < workers; w++ {
+		var wk *worker
+		if wk, err = newWorker(sp, w, workers); err != nil {
+			break
+		}
+		ws = append(ws, wk)
+		tr.Instant(obs.Event{Kind: obs.KWorkerSpawn,
+			Invocation: sp.inv, Worker: w, Iter: -1})
+	}
+	warm := atomic.LoadInt64(&rt.Stats.WarmSpawns) - warm0
+	cause := "cold"
+	switch {
+	case workers > 0 && warm == int64(workers):
+		cause = "warm"
+	case warm > 0:
+		cause = "mixed"
+	}
+	t.stop(&rt.Stats.SpawnNS, tr, obs.Event{Kind: obs.KSpawn,
+		Invocation: sp.inv, Worker: -1, Iter: -1, A: warm, B: int64(workers), Cause: cause})
+	return ws, err
+}
+
 // finishSync is the span's join: the workers have quiesced, and the master
 // chain-validates the checkpoints on its critical path (install and commit
 // follow in invoke). It returns the last valid checkpoint and the earliest
 // misspeculated iteration, as run does. Validation time accrues to
 // Stats.JoinNS.
 func (sp *spanState) finishSync(nIntervals int64) (*checkpoint, int64) {
-	joinStart := time.Now()
-	defer func() {
-		atomic.AddInt64(&sp.rt.Stats.JoinNS, int64(time.Since(joinStart)))
-	}()
+	join := startTimer()
+	defer join.stop(&sp.rt.Stats.JoinNS, nil, obs.Event{})
 	// Without a worker-detected misspeculation the whole chain is the
 	// candidate; with one at interval mi, the prefix below mi is — and it may
 	// itself hide an earlier cross-interval violation.
@@ -638,13 +640,8 @@ func misspecCause(err error) (cause, site string, addr uint64) {
 func (w *worker) run() error {
 	sp := w.sp
 	rt := sp.rt
-	tr := rt.Cfg.Trace
-	busyStart := time.Now()
 	// One deferred fold covers every way out, the squash returns included.
-	defer func() {
-		atomic.AddInt64(&rt.Stats.WorkerBusyNS, int64(time.Since(busyStart)))
-		w.foldStats()
-	}()
+	defer w.foldStats()
 	callArgs := make([]uint64, 1+len(sp.live))
 	copy(callArgs[1:], sp.live)
 
@@ -711,8 +708,7 @@ func (w *worker) run() error {
 			}
 		}
 		// Contribute this interval's state to its checkpoint.
-		cpStart := time.Now()
-		trC := tr.Now()
+		contrib := startTimer()
 		cp := sp.checkpointFor(c)
 		// Under cyclic assignment the interval's last iteration (limit-1)
 		// belongs to exactly one worker; only its view of the statically-
@@ -728,10 +724,9 @@ func (w *worker) run() error {
 		w.simCheckpoint += scanned * SimCheckpointPerByte
 		w.io = nil
 		w.resetShadow()
-		atomic.AddInt64(&rt.Stats.CheckpointNS, int64(time.Since(cpStart)))
-		w.foldStats()
-		tr.Emit(obs.Event{Kind: obs.KContribute, TimeNS: trC, DurNS: tr.Now() - trC,
+		contrib.stop(&rt.Stats.CheckpointNS, rt.Cfg.Trace, obs.Event{Kind: obs.KContribute,
 			Invocation: sp.inv, Worker: w.id, Iter: c, A: scanned})
+		w.foldStats()
 		if !ok {
 			sp.flag(base, w.id, "privacy violated (merge)", "",
 				atomic.LoadUint64(&cp.missAddr))

@@ -33,7 +33,10 @@ func TestPageLayerTraceEvents(t *testing.T) {
 	}
 
 	events := col.Events()
-	counts := obs.CountByKind(events)
+	counts := map[obs.Kind]int{}
+	for _, ev := range events {
+		counts[ev.Kind]++
+	}
 	if counts[obs.KCOWCopy] == 0 {
 		t.Error("no cow-copy event for the child's COW write")
 	}
