@@ -242,7 +242,7 @@ func runIRFile(path, argList string, workers int, misspec float64,
 		match = "DIFFERS FROM"
 	}
 	st := rt.Stats.Snapshot()
-	fmt.Printf("parallel: result %d (%s sequential), %d misspeculations, speedup %.2fx\n",
+	fmt.Printf("parallel: result %d (%s sequential), %d misspeculations, sim speedup %.2fx\n",
 		int64(got), match, st.Misspecs, float64(seqIt.Steps)/float64(rt.Sim.Time()))
 	if showOut {
 		fmt.Print(rt.Output())
@@ -281,6 +281,11 @@ func run(progName, input string, workers int, mode string, misspec float64,
 	if !ok {
 		return fmt.Errorf("unknown input class %q", input)
 	}
+	// Rejected here, not in the switch below: that runs after the
+	// sequential baseline, which takes seconds on ref inputs.
+	if mode != "seq" && mode != "doall" && mode != "privateer" {
+		return fmt.Errorf("unknown mode %q", mode)
+	}
 	fmt.Printf("program %s, input %s\n", p.Name, in)
 
 	// Best sequential execution for the speedup baseline.
@@ -315,7 +320,7 @@ func run(progName, input string, workers int, mode string, misspec float64,
 		if err != nil {
 			return err
 		}
-		fmt.Printf("DOALL-only: %d loops, %d invocations, simulated time %d, speedup %.2fx\n",
+		fmt.Printf("DOALL-only: %d loops, %d invocations, simulated time %d, sim speedup %.2fx\n",
 			len(static.Regions), runRes.Baseline.Stats.Invocations,
 			runRes.SimTime(), float64(seqIt.Steps)/float64(runRes.SimTime()))
 		if showOut {
@@ -342,14 +347,13 @@ func run(progName, input string, workers int, mode string, misspec float64,
 		fmt.Printf("privacy: %d reads (%d B), %d writes (%d B); %d separation checks; %d predictions\n",
 			st.PrivReadChecks, st.PrivReadBytes, st.PrivWriteChecks, st.PrivWriteBytes,
 			st.SeparationChecks, st.Predictions)
-		fmt.Printf("simulated time %d, speedup %.2fx\n",
+		fmt.Printf("simulated time %d, sim speedup %.2fx\n",
 			rt.Sim.Time(), float64(seqIt.Steps)/float64(rt.Sim.Time()))
 		if showOut {
 			fmt.Print(rt.Output())
 		}
 		postRun(rt)
 		return nil
-	default:
-		return fmt.Errorf("unknown mode %q", mode)
 	}
+	panic("unreachable: mode validated above")
 }

@@ -24,9 +24,9 @@ import (
 type CheckpointAblationRow struct {
 	// Period is the checkpoint interval in iterations.
 	Period int64
-	// CleanSpeedup is the speedup with no misspeculation.
+	// CleanSpeedup is the simulated speedup with no misspeculation.
 	CleanSpeedup float64
-	// MisspecSpeedup is the speedup with injected misspeculation.
+	// MisspecSpeedup is the simulated speedup with injected misspeculation.
 	MisspecSpeedup float64
 	// Misspecs is the observed misspeculation count in the injected run.
 	Misspecs int64
@@ -71,8 +71,8 @@ func (s *Suite) AblationCheckpointPeriod(program string, periods []int64, rate f
 		}
 		res.Rows = append(res.Rows, CheckpointAblationRow{
 			Period:         k,
-			CleanSpeedup:   pr.speedup(clean),
-			MisspecSpeedup: pr.speedup(dirty),
+			CleanSpeedup:   pr.simSpeedup(clean),
+			MisspecSpeedup: pr.simSpeedup(dirty),
 			Misspecs:       dirty.Stats.Snapshot().Misspecs,
 		})
 	}
@@ -81,7 +81,7 @@ func (s *Suite) AblationCheckpointPeriod(program string, periods []int64, rate f
 
 // Format renders the sweep.
 func (r *CheckpointAblationResult) Format() string {
-	header := []string{"Period", "Clean", fmt.Sprintf("Misspec %.3g%%", r.Rate*100), "Misspecs"}
+	header := []string{"Period", "Clean sim", fmt.Sprintf("Misspec %.3g%% sim", r.Rate*100), "Misspecs"}
 	var rows [][]string
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
@@ -91,7 +91,7 @@ func (r *CheckpointAblationResult) Format() string {
 			fmt.Sprintf("%d", row.Misspecs),
 		})
 	}
-	return fmt.Sprintf("Ablation: checkpoint period (%s, %d workers)\n", r.Program, r.Workers) +
+	return fmt.Sprintf("Ablation: checkpoint period (%s, %d workers, sim speedup)\n", r.Program, r.Workers) +
 		table(header, rows)
 }
 

@@ -2,13 +2,17 @@
 // evaluation (section 6): Table 1 (technique comparison), Table 3 (dynamic
 // program details), Figure 6 (whole-program speedups), Figure 7 (Privateer
 // vs DOALL-only), Figure 8 (overhead breakdown) and Figure 9 (sensitivity
-// to misspeculation).
+// to misspeculation) — plus the stage-off vs stage-on variant table
+// (variants.go) and the ablations.
 //
-// Speedups are reported in deterministic simulated time (see
-// specrt/sim.go): the host machine's core count does not affect results,
-// only the modeled 24-worker machine does. Shapes — who wins, scaling
-// trends, where DOALL-only fails — are the quantities reproduced; absolute
-// factors depend on the cost model, not on the authors' testbed.
+// The package holds no clock. Every speedup is a ratio of deterministic
+// simulated times (see specrt/sim.go) and is labelled "sim": the host
+// machine's core count and load do not affect results, only the modeled
+// 24-worker machine does, so the rendered report is a golden
+// (testdata/quick_report.golden). Shapes — who wins, scaling trends, where
+// DOALL-only fails — are the quantities reproduced; absolute factors
+// depend on the cost model, not on the authors' testbed. Wall-clock speed
+// is measured only by the repository benchmark (benchmark/).
 package bench
 
 import (
@@ -43,12 +47,6 @@ type Config struct {
 	// Trace receives speculation-lifecycle events from every speculative
 	// run the suite performs (nil disables tracing).
 	Trace *obs.Tracer
-	// Publish, when non-nil, is threaded into every speculative run so a
-	// live introspection server can observe the suite as it executes.
-	Publish *specrt.Publisher
-	// OpProf, when non-nil, is the sampling opcode profiler threaded into
-	// every speculative run.
-	OpProf *interp.OpProfiler
 }
 
 // DefaultConfig mirrors the paper's evaluation points.
@@ -145,10 +143,10 @@ func inputFor(p *progs.Program, name string) (progs.Input, error) {
 	return in, nil
 }
 
-// wallWorkers is the worker count of the variants built to report wall
-// clock (elision, staticsep): the host-sized default — oversubscription
-// would put scheduler noise into the wall-clock columns.
-const wallWorkers = 8
+// goldenWorkers is the worker count testdata/variants_golden.json was
+// recorded at: the elision and staticsep variants run at it, and simulated
+// time depends on the worker count, so changing it moves the golden.
+const goldenWorkers = 8
 
 // ratio is before/after, 0 when after is unmeasured.
 func ratio(before, after int64) float64 {
@@ -158,13 +156,16 @@ func ratio(before, after int64) float64 {
 	return float64(before) / float64(after)
 }
 
-// seqStepsOf measures the unmodified program's simulated time.
-func seqStepsOf(p *progs.Program, in progs.Input) (int64, error) {
+// runSequential interprets the unmodified program: the interpreter (its
+// Steps are the sequential simulated time, its Out the reference output)
+// and the return value.
+func runSequential(p *progs.Program, in progs.Input) (*interp.Interp, uint64, error) {
 	seqIt := interp.New(p.Build(in), vm.NewAddressSpace())
-	if _, err := seqIt.Run(); err != nil {
-		return 0, fmt.Errorf("%s sequential: %w", p.Name, err)
+	ret, err := seqIt.Run()
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s sequential: %w", p.Name, err)
 	}
-	return seqIt.Steps, nil
+	return seqIt, ret, nil
 }
 
 func prepare(p *progs.Program, inputName string) (*prepared, error) {
@@ -173,7 +174,7 @@ func prepare(p *progs.Program, inputName string) (*prepared, error) {
 		return nil, err
 	}
 	// Best sequential execution: the unmodified program.
-	seqSteps, err := seqStepsOf(p, in)
+	seqIt, _, err := runSequential(p, in)
 	if err != nil {
 		return nil, err
 	}
@@ -185,19 +186,19 @@ func prepare(p *progs.Program, inputName string) (*prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s static parallelize: %w", p.Name, err)
 	}
-	return &prepared{prog: p, input: in, seqSteps: seqSteps, par: par, static: static}, nil
+	return &prepared{prog: p, input: in, seqSteps: seqIt.Steps, par: par, static: static}, nil
 }
 
 // runPrivateer executes pr's speculative build under cfg plus the suite's
-// observers and returns the runtime.
+// tracer and returns the runtime.
 func (s *Suite) runPrivateer(pr *prepared, cfg specrt.Config) (*specrt.RT, error) {
-	cfg.Trace, cfg.Publish, cfg.OpProf = s.Cfg.Trace, s.Cfg.Publish, s.Cfg.OpProf
+	cfg.Trace = s.Cfg.Trace
 	rt, _, err := core.Run(pr.par, cfg)
 	return rt, err
 }
 
-// speedup is seq simulated time over parallel simulated time.
-func (pr *prepared) speedup(rt *specrt.RT) float64 {
+// simSpeedup is seq simulated time over parallel simulated time.
+func (pr *prepared) simSpeedup(rt *specrt.RT) float64 {
 	t := rt.Sim.Time()
 	if t <= 0 {
 		return 0
@@ -205,8 +206,8 @@ func (pr *prepared) speedup(rt *specrt.RT) float64 {
 	return float64(pr.seqSteps) / float64(t)
 }
 
-// staticSpeedup runs the DOALL-only build at the given worker count.
-func (pr *prepared) staticSpeedup(workers int) (float64, error) {
+// staticSimSpeedup runs the DOALL-only build at the given worker count.
+func (pr *prepared) staticSimSpeedup(workers int) (float64, error) {
 	run, err := core.RunStatic(pr.static, workers)
 	if err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,7 @@ func TestUnknownInputClassRejected(t *testing.T) {
 		{"program", badProg, `"nosuch"`},
 	} {
 		_, suiteErr := NewSuite(tc.cfg)
-		_, variantErr := RunVariant(tc.cfg, true, "elision")
+		_, variantErr := RunVariant(tc.cfg, "elision")
 		errs := map[string]error{"NewSuite": suiteErr, "RunVariant": variantErr}
 		if tc.name == "program" {
 			// The value-prediction ablation always uses train inputs.
@@ -49,6 +50,51 @@ func TestUnknownInputClassRejected(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestQuickReportGolden pins the rendered report — Suite.All on QuickConfig
+// up to Figure 9 — to testdata/quick_report.golden. The package holds no
+// clock, so the text is the same on every host, at every GOMAXPROCS, under
+// the race detector and under -tags=slowpath (the CI slowpath lane compares
+// against the same file). Figure 9 is excluded: which iterations an
+// injected misspeculation squashes depends on worker scheduling, so its
+// nonzero-rate columns move run to run (EXPERIMENTS.md, "Figure 9");
+// TestFig9Degrades asserts its shape instead. Regenerate for an intended
+// change to the cost model or a label with
+//
+//	go test ./internal/bench -run TestQuickReportGolden -update-golden
+func TestQuickReportGolden(t *testing.T) {
+	const path = "testdata/quick_report.golden"
+	all, err := suite(t).All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, hasFig9 := strings.Cut(all, "Figure 9:")
+	if !hasFig9 {
+		t.Fatal("report has no Figure 9 to cut at")
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update-golden): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
+		i++
+	}
+	t.Errorf("quick report moved at line %d of %d (golden has %d); from there:\n--- got\n%s\n--- want\n%s",
+		i+1, len(gotLines), len(wantLines),
+		strings.Join(gotLines[i:], "\n"), strings.Join(wantLines[i:], "\n"))
 }
 
 func TestTable1Static(t *testing.T) {
@@ -185,7 +231,7 @@ func TestAblationValuePrediction(t *testing.T) {
 func TestAblationElision(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Programs = []string{"dijkstra"}
-	r, err := RunVariant(cfg, true, "ablation")
+	r, err := RunVariant(cfg, "ablation")
 	if err != nil {
 		t.Fatal(err)
 	}

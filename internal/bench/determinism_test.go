@@ -23,7 +23,7 @@ import (
 //	go test ./internal/bench -run TestDeterminismGolden -update-golden
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite the determinism golden file from the current implementation")
+	"rewrite the golden file of the test being run from the current implementation")
 
 // detRecord is the pinned observable behavior of one benchmark program.
 type detRecord struct {
@@ -61,9 +61,9 @@ func computeDeterminism(t *testing.T) []detRecord {
 		if err != nil {
 			t.Fatalf("%s sequential: %v", p.Name, err)
 		}
-		seqSteps, err := seqStepsOf(p, in)
+		seqIt, _, err := runSequential(p, in)
 		if err != nil {
-			t.Fatalf("%s seq steps: %v", p.Name, err)
+			t.Fatal(err)
 		}
 		par, err := core.Parallelize(p.Build(in), core.Options{})
 		if err != nil {
@@ -84,7 +84,7 @@ func computeDeterminism(t *testing.T) []detRecord {
 		out = append(out, detRecord{
 			Program:      p.Name,
 			SeqResult:    seqRet,
-			SeqSteps:     seqSteps,
+			SeqSteps:     seqIt.Steps,
 			SeqOutSHA:    sha(seqOut),
 			RTResult:     rtRet,
 			RTOutSHA:     sha(rt.Output()),

@@ -6,12 +6,12 @@ import (
 	"privateer/internal/specrt"
 )
 
-// Fig6Result holds whole-program speedups over best sequential execution
-// for each worker count (the paper's Figure 6).
+// Fig6Result holds whole-program simulated speedups over best sequential
+// execution for each worker count (the paper's Figure 6).
 type Fig6Result struct {
 	// WorkerCounts is the sweep.
 	WorkerCounts []int
-	// Speedups maps program name to one speedup per worker count.
+	// Speedups maps program name to one simulated speedup per worker count.
 	Speedups map[string][]float64
 	// ProgramOrder preserves Table 3 ordering.
 	ProgramOrder []string
@@ -32,7 +32,7 @@ func (s *Suite) Fig6() (*Fig6Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s workers=%d: %w", pr.prog.Name, w, err)
 			}
-			res.Speedups[pr.prog.Name] = append(res.Speedups[pr.prog.Name], pr.speedup(rt))
+			res.Speedups[pr.prog.Name] = append(res.Speedups[pr.prog.Name], pr.simSpeedup(rt))
 		}
 	}
 	for i := range s.Cfg.WorkerCounts {
@@ -64,7 +64,7 @@ func (r *Fig6Result) Format() string {
 		gm = append(gm, fmt.Sprintf("%.2fx", v))
 	}
 	rows = append(rows, gm)
-	return "Figure 6: whole-program speedup vs best sequential (simulated time)\n" +
+	return "Figure 6: whole-program sim speedup vs best sequential\n" +
 		table(header, rows)
 }
 
@@ -75,7 +75,7 @@ type Fig7Result struct {
 	Workers int
 	// ProgramOrder preserves ordering.
 	ProgramOrder []string
-	// DOALLOnly and Privateer are the speedups.
+	// DOALLOnly and Privateer are the simulated speedups.
 	DOALLOnly map[string]float64
 	Privateer map[string]float64
 	// StaticLoops counts loops the static baseline parallelized.
@@ -92,7 +92,7 @@ func (s *Suite) Fig7() (*Fig7Result, error) {
 	}
 	for _, pr := range s.programs {
 		res.ProgramOrder = append(res.ProgramOrder, pr.prog.Name)
-		sp, err := pr.staticSpeedup(s.Cfg.FixedWorkers)
+		sp, err := pr.staticSimSpeedup(s.Cfg.FixedWorkers)
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s doall-only: %w", pr.prog.Name, err)
 		}
@@ -102,7 +102,7 @@ func (s *Suite) Fig7() (*Fig7Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s privateer: %w", pr.prog.Name, err)
 		}
-		res.Privateer[pr.prog.Name] = pr.speedup(rt)
+		res.Privateer[pr.prog.Name] = pr.simSpeedup(rt)
 	}
 	return res, nil
 }
@@ -119,7 +119,7 @@ func (r *Fig7Result) Geomeans() (float64, float64) {
 
 // Format renders the figure.
 func (r *Fig7Result) Format() string {
-	header := []string{"Program", "DOALL-only", "Privateer", "static loops"}
+	header := []string{"Program", "DOALL-only sim", "Privateer sim", "static loops"}
 	var rows [][]string
 	for _, name := range r.ProgramOrder {
 		rows = append(rows, []string{
@@ -131,7 +131,7 @@ func (r *Fig7Result) Format() string {
 	}
 	ga, gb := r.Geomeans()
 	rows = append(rows, []string{"geomean", fmt.Sprintf("%.2fx", ga), fmt.Sprintf("%.2fx", gb), ""})
-	return fmt.Sprintf("Figure 7: enabling effect of Privateer at %d workers\n", r.Workers) +
+	return fmt.Sprintf("Figure 7: enabling effect of Privateer at %d workers (sim speedup)\n", r.Workers) +
 		table(header, rows)
 }
 
@@ -208,8 +208,8 @@ func (r *Fig8Result) Format() string {
 	return out + table(header, rows)
 }
 
-// Fig9Result holds speedup degradation under injected misspeculation (the
-// paper's Figure 9).
+// Fig9Result holds simulated-speedup degradation under injected
+// misspeculation (the paper's Figure 9).
 type Fig9Result struct {
 	// Workers is the machine size.
 	Workers int
@@ -217,7 +217,7 @@ type Fig9Result struct {
 	Rates []float64
 	// ProgramOrder preserves ordering.
 	ProgramOrder []string
-	// Speedups maps program to one speedup per rate.
+	// Speedups maps program to one simulated speedup per rate.
 	Speedups map[string][]float64
 	// Misspecs maps program to observed misspeculation counts per rate.
 	Misspecs map[string][]int64
@@ -240,7 +240,7 @@ func (s *Suite) Fig9() (*Fig9Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig9 %s rate=%g: %w", pr.prog.Name, rate, err)
 			}
-			res.Speedups[pr.prog.Name] = append(res.Speedups[pr.prog.Name], pr.speedup(rt))
+			res.Speedups[pr.prog.Name] = append(res.Speedups[pr.prog.Name], pr.simSpeedup(rt))
 			res.Misspecs[pr.prog.Name] = append(res.Misspecs[pr.prog.Name], rt.Stats.Snapshot().Misspecs)
 		}
 	}
@@ -262,6 +262,6 @@ func (r *Fig9Result) Format() string {
 		rows = append(rows, row)
 	}
 	return fmt.Sprintf("Figure 9: performance degradation with misspeculation at %d workers\n"+
-		"(speedup, with observed misspeculation count in parentheses)\n", r.Workers) +
+		"(sim speedup, with observed misspeculation count in parentheses)\n", r.Workers) +
 		table(header, rows)
 }

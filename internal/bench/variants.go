@@ -2,15 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"privateer/internal/analysis"
 	"privateer/internal/core"
-	"privateer/internal/interp"
 	"privateer/internal/progs"
 	"privateer/internal/specrt"
 	"privateer/internal/transform"
-	"privateer/internal/vm"
 )
 
 // A variant is one with/without comparison of a pipeline stage. Every
@@ -31,7 +28,7 @@ type variant struct {
 	// off is the before build's ablation.
 	off core.Ablation
 	// paperMachine runs the variant at Config.FixedWorkers (the paper's
-	// machine size, like the figures) instead of wallWorkers.
+	// machine size, like the figures) instead of goldenWorkers.
 	paperMachine bool
 	// checks picks the dynamic checks the stage removes.
 	checks func(specrt.Stats) int64
@@ -116,22 +113,12 @@ type VariantRow struct {
 	// dynamic events; zero in the before build by construction).
 	Static map[string]int `json:"static"`
 
-	// BeforeNS / AfterNS are the speculative-run wall clocks (minimum over
-	// variantReps runs), SeqNS the sequential reference's, and Speedup is
-	// BeforeNS / AfterNS. Wall clock measures the interpreter on this host
-	// — noisy, and dominated by interpretation on compute-bound programs —
-	// so it is reported next to the deterministic simulated numbers, never
-	// instead of them (see sim.go).
-	BeforeNS int64   `json:"before_ns"`
-	AfterNS  int64   `json:"after_ns"`
-	SeqNS    int64   `json:"seq_ns"`
-	Speedup  float64 `json:"speedup"`
 	// BeforeSim / AfterSim are the whole-program simulated times of the
-	// two builds and SimSpeedup their ratio — the deterministic,
-	// host-independent effect of the stage. SeqSteps is the unmodified
-	// sequential program's step count; EndToEndBefore and EndToEnd are
-	// SeqSteps over BeforeSim and AfterSim, the paper's Figure 6
-	// whole-program speedup of each build.
+	// two builds (see sim.go) and SimSpeedup their ratio — the
+	// deterministic, host-independent effect of the stage. SeqSteps is the
+	// unmodified sequential program's step count; EndToEndBefore and
+	// EndToEnd are SeqSteps over BeforeSim and AfterSim, the paper's
+	// Figure 6 whole-program simulated speedup of each build.
 	BeforeSim      int64   `json:"before_sim"`
 	AfterSim       int64   `json:"after_sim"`
 	SeqSteps       int64   `json:"seq_steps"`
@@ -143,9 +130,6 @@ type VariantRow struct {
 	// watches (a span counts once however many bytes it covers).
 	BeforeChecks int64 `json:"before_checks"`
 	AfterChecks  int64 `json:"after_checks"`
-	// BeforePrivNS / AfterPrivNS are the wall clocks inside privacy checks.
-	BeforePrivNS int64 `json:"before_priv_ns"`
-	AfterPrivNS  int64 `json:"after_priv_ns"`
 	// ProvenRangeBytes is the after build's proven-object footprint
 	// installed wholesale per interval instead of via privacy metadata.
 	ProvenRangeBytes int64 `json:"proven_range_bytes"`
@@ -180,8 +164,8 @@ func (r *VariantReport) Format() string {
 			header = append(header, c.col)
 		}
 	}
-	header = append(header, "before checks", "after checks", "before ms", "after ms",
-		"wall", "sim", "e2e before", "e2e after", "=base", "=seq")
+	header = append(header, "before checks", "after checks",
+		"sim speedup", "sim e2e before", "sim e2e after", "=base", "=seq")
 
 	rows := make([][]string, 0, len(r.Programs))
 	for _, m := range r.Programs {
@@ -201,27 +185,20 @@ func (r *VariantReport) Format() string {
 		rows = append(rows, append(row,
 			fmt.Sprintf("%d", m.BeforeChecks),
 			fmt.Sprintf("%d", m.AfterChecks),
-			fmt.Sprintf("%.1f", float64(m.BeforeNS)/1e6),
-			fmt.Sprintf("%.1f", float64(m.AfterNS)/1e6),
-			fmt.Sprintf("%.2fx", m.Speedup),
 			fmt.Sprintf("%.2fx", m.SimSpeedup),
 			fmt.Sprintf("%.2fx", m.EndToEndBefore),
 			fmt.Sprintf("%.2fx", m.EndToEnd),
 			base, seq))
 	}
 	return fmt.Sprintf("%s\n\nprograms (%s inputs, %d workers): counter columns are static sites of the after build,\n"+
-		"checks are dynamic, wall / sim are before over after in wall clock / simulated time,\n"+
-		"e2e is the Figure 6 metric (sequential steps over simulated time) of each build,\n"+
+		"checks are dynamic, sim speedup is before over after in simulated time,\n"+
+		"sim e2e is the Figure 6 metric (sequential steps over simulated time) of each build,\n"+
 		"=base says the after build reproduced the before build byte for byte\n",
 		r.Title, r.Input, r.workers) + table(header, rows)
 }
 
-// variantReps: wall-clock minima over this many speculative runs per build.
-const variantReps = 3
-
 // RunVariant measures the named variant: one row per configured benchmark.
-// quick lowers the repetition count to one (the input class comes from cfg).
-func RunVariant(cfg Config, quick bool, name string) (*VariantReport, error) {
+func RunVariant(cfg Config, name string) (*VariantReport, error) {
 	v := variants[name]
 	if v == nil {
 		return nil, fmt.Errorf("unknown variant %q", name)
@@ -230,11 +207,7 @@ func RunVariant(cfg Config, quick bool, name string) (*VariantReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	reps := variantReps
-	if quick {
-		reps = 1
-	}
-	rtCfg := specrt.Config{Workers: wallWorkers, Trace: cfg.Trace, Publish: cfg.Publish, OpProf: cfg.OpProf}
+	rtCfg := specrt.Config{Workers: goldenWorkers, Trace: cfg.Trace}
 	if v.paperMachine {
 		rtCfg.Workers = cfg.FixedWorkers
 	}
@@ -245,7 +218,7 @@ func RunVariant(cfg Config, quick bool, name string) (*VariantReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := v.run(p, in, rtCfg, reps)
+		row, err := v.run(p, in, rtCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -256,18 +229,17 @@ func RunVariant(cfg Config, quick bool, name string) (*VariantReport, error) {
 
 // variantBuild is one build's measurements.
 type variantBuild struct {
-	ns, sim int64
-	out     string
-	ret     uint64
-	stats   specrt.Stats
-	static  map[string]int
+	sim    int64
+	out    string
+	ret    uint64
+	stats  specrt.Stats
+	static map[string]int
 }
 
-// build parallelizes a fresh module under abl and times core.Run over reps
-// runs, keeping the best wall clock and the last run's results (simulated
-// time, counters and output are the same on every run).
+// build parallelizes a fresh module under abl and runs it once: simulated
+// time, counters and output are the same on every run.
 func (v *variant) build(p *progs.Program, in progs.Input, abl core.Ablation,
-	rtCfg specrt.Config, reps int) (b variantBuild, err error) {
+	rtCfg specrt.Config) (b variantBuild, err error) {
 	par, err := core.ParallelizeAblated(p.Build(in), core.Options{}, abl)
 	if err != nil {
 		return b, err
@@ -278,57 +250,42 @@ func (v *variant) build(p *progs.Program, in progs.Input, abl core.Ablation,
 			b.static[c.key] += c.get(ri.TStats)
 		}
 	}
-	b.ns = -1
-	for i := 0; i < reps; i++ {
-		t0 := time.Now()
-		rt, ret, err := core.Run(par, rtCfg)
-		d := time.Since(t0).Nanoseconds()
-		if err != nil {
-			return b, err
-		}
-		if b.ns < 0 || d < b.ns {
-			b.ns = d
-		}
-		b.out, b.ret = rt.Output(), ret
-		b.sim = rt.Sim.Time()
-		b.stats = rt.Stats.Snapshot()
+	rt, ret, err := core.Run(par, rtCfg)
+	if err != nil {
+		return b, err
 	}
+	b.out, b.ret = rt.Output(), ret
+	b.sim = rt.Sim.Time()
+	b.stats = rt.Stats.Snapshot()
 	return b, nil
 }
 
 // run measures one program: the sequential reference, then the before and
 // after builds.
-func (v *variant) run(p *progs.Program, in progs.Input, rtCfg specrt.Config, reps int) (VariantRow, error) {
+func (v *variant) run(p *progs.Program, in progs.Input, rtCfg specrt.Config) (VariantRow, error) {
 	row := VariantRow{Name: p.Name, Input: in.Name, Workers: rtCfg.Workers}
 
-	t0 := time.Now()
-	seqIt := interp.New(p.Build(in), vm.NewAddressSpace())
-	seqRet, err := seqIt.Run()
-	row.SeqNS = time.Since(t0).Nanoseconds()
+	seqIt, seqRet, err := runSequential(p, in)
 	if err != nil {
-		return row, fmt.Errorf("%s sequential: %w", p.Name, err)
+		return row, err
 	}
 	row.SeqSteps = seqIt.Steps
 
-	before, err := v.build(p, in, v.off, rtCfg, reps)
+	before, err := v.build(p, in, v.off, rtCfg)
 	if err != nil {
 		return row, fmt.Errorf("%s before: %w", p.Name, err)
 	}
-	after, err := v.build(p, in, core.Ablation{}, rtCfg, reps)
+	after, err := v.build(p, in, core.Ablation{}, rtCfg)
 	if err != nil {
 		return row, fmt.Errorf("%s after: %w", p.Name, err)
 	}
 
 	row.Static = after.static
-	row.BeforeNS, row.AfterNS = before.ns, after.ns
-	row.Speedup = ratio(before.ns, after.ns)
 	row.BeforeSim, row.AfterSim = before.sim, after.sim
 	row.SimSpeedup = ratio(before.sim, after.sim)
 	row.EndToEndBefore = ratio(row.SeqSteps, before.sim)
 	row.EndToEnd = ratio(row.SeqSteps, after.sim)
 	row.BeforeChecks, row.AfterChecks = v.checks(before.stats), v.checks(after.stats)
-	row.BeforePrivNS = before.stats.PrivReadNS + before.stats.PrivWriteNS
-	row.AfterPrivNS = after.stats.PrivReadNS + after.stats.PrivWriteNS
 	row.ProvenRangeBytes = after.stats.ProvenRangeBytes
 	row.BaselineMatch = before.out == after.out && before.ret == after.ret
 	row.SeqMatch = row.BaselineMatch && after.ret == seqRet && after.out == seqIt.Out.String()

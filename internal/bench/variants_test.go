@@ -10,9 +10,9 @@ import (
 	"privateer/internal/specrt"
 )
 
-// variantGolden is the deterministic part of a VariantRow: dynamic check
-// counts, simulated times and static counters, none of which depend on the
-// host.
+// variantGolden is the columns of a VariantRow that
+// testdata/variants_golden.json pins: dynamic check counts, simulated times
+// and static counters (the rest of the row is derived from them).
 type variantGolden struct {
 	BeforeChecks int64          `json:"before_checks"`
 	AfterChecks  int64          `json:"after_checks"`
@@ -27,8 +27,8 @@ type variantGolden struct {
 // program and runs no more dynamic checks, and the stage under test
 // rewrote static sites in at least minRewritten programs (a pass that
 // silently stopped firing would otherwise look like a clean run). The
-// deterministic columns of the elision and staticsep variants are pinned
-// to testdata/variants_golden.json, recorded from the per-experiment
+// elision and staticsep variants are pinned to
+// testdata/variants_golden.json, recorded from the per-experiment
 // runners this table replaced.
 func TestVariantTable(t *testing.T) {
 	raw, err := os.ReadFile("testdata/variants_golden.json")
@@ -43,7 +43,7 @@ func TestVariantTable(t *testing.T) {
 	for name := range variants {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			rep, err := RunVariant(QuickConfig(), true, name)
+			rep, err := RunVariant(QuickConfig(), name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestVariantTable(t *testing.T) {
 				got := variantGolden{row.BeforeChecks, row.AfterChecks,
 					row.BeforeSim, row.AfterSim, row.SeqSteps, row.Static}
 				if pinned && !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: deterministic columns moved:\n got %+v\nwant %+v", row.Name, got, want)
+					t.Errorf("%s: pinned columns moved:\n got %+v\nwant %+v", row.Name, got, want)
 				}
 			}
 			if min, gated := minRewritten[name]; !gated {
@@ -94,7 +94,7 @@ func TestElisionParity(t *testing.T) {
 	for _, p := range progs.All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			row, err := elision.run(p, p.Train, specrt.Config{Workers: 4}, 1)
+			row, err := elision.run(p, p.Train, specrt.Config{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
