@@ -32,67 +32,25 @@ import (
 	"privateer/internal/vm"
 )
 
-// obsState holds the live-introspection wiring when -serve is given: the
-// runtime publisher and opcode profiler threaded into the speculative
-// runtime, plus the HTTP server exposing them.
-type obsState struct {
-	pub  *specrt.Publisher
-	prof *interp.OpProfiler
-	srv  *obs.Server
-}
-
-// serving is the process-wide introspection state (nil without -serve).
-var serving *obsState
-
 // whyMisspec enables the post-run misspeculation-attribution report.
 var whyMisspec bool
 
-// startServe brings up the introspection HTTP server on addr and prints the
-// bound address to stderr (addr may use port 0 for an ephemeral port).
-func startServe(addr string) error {
-	reg := obs.NewRegistry()
-	srv := obs.NewServer(reg)
-	pub := specrt.NewPublisher(reg)
-	srv.SetSpec(pub.Spec)
-	bound, err := srv.Start(addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "privateer: introspection server listening on http://%s\n", bound)
-	serving = &obsState{
-		pub:  pub,
-		prof: interp.NewOpProfiler(interp.DefaultSampleEvery),
-		srv:  srv,
-	}
-	return nil
-}
-
-// specConfig builds the runtime configuration, overlaying the introspection
-// publisher and profiler when -serve is active.
-func specConfig(workers int, misspec float64, seed uint64, period int64) specrt.Config {
-	cfg := specrt.Config{
-		Workers: workers, MisspecRate: misspec, Seed: seed, CheckpointPeriod: period,
-	}
-	if serving != nil {
-		cfg.Publish = serving.pub
-		cfg.OpProf = serving.prof
-	}
-	return cfg
-}
-
-// postRun emits the optional attribution report and, with -serve, keeps the
-// process alive so the introspection endpoints stay scrapable after the run.
-func postRun(rt *specrt.RT) {
-	if whyMisspec && rt != nil {
+// reportWhyMisspec prints the -why-misspec attribution report.
+func reportWhyMisspec(rt *specrt.RT) {
+	if whyMisspec {
 		fmt.Print(specrt.FormatMisspecSites(rt.MisspecSites()))
 	}
-	if serving != nil {
-		fmt.Fprintln(os.Stderr, "privateer: run complete; serving until interrupted")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
-		serving.srv.Close()
+}
+
+// serveNeedsModeServe rejects -serve on a one-shot run: the flag is the
+// region service's listen address, and a one-shot run prints its totals
+// and exits with nothing left to scrape.
+func serveNeedsModeServe(serve string) error {
+	if serve == "" {
+		return nil
 	}
+	return fmt.Errorf("-serve %s is the listen address of -mode serve; "+
+		"a one-shot run prints its totals and exits", serve)
 }
 
 func main() {
@@ -109,7 +67,7 @@ func main() {
 		optimize = flag.Bool("O", false, "run the mid-end optimizer before profiling")
 		showOut  = flag.Bool("output", false, "print the program's output")
 		quiet    = flag.Bool("quiet", false, "suppress the pipeline summary")
-		serve    = flag.String("serve", "", "serve live introspection (/metrics, /vars, /spec, /debug/pprof) on this address, e.g. :6060")
+		serve    = flag.String("serve", "", "serve: listen address of the region service (default :6060)")
 		whyMiss  = flag.Bool("why-misspec", false, "after the run, print misspeculations attributed to allocation sites")
 
 		// Region-service tuning (only with -mode serve).
@@ -131,17 +89,11 @@ func main() {
 		}
 		return
 	}
-	if *serve != "" {
-		if err := startServe(*serve); err != nil {
-			fmt.Fprintln(os.Stderr, "privateer:", err)
-			os.Exit(1)
-		}
-	}
 	var err error
 	if *irFile != "" {
-		err = runIRFile(*irFile, *runArgs, *workers, *misspec, *seed, *period, *showOut, *quiet)
+		err = runIRFile(*irFile, *runArgs, *workers, *serve, *misspec, *seed, *period, *showOut, *quiet)
 	} else {
-		err = run(*progName, *input, *workers, *mode, *misspec, *seed, *period, *showOut, *quiet)
+		err = run(*progName, *input, *workers, *mode, *serve, *misspec, *seed, *period, *showOut, *quiet)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "privateer:", err)
@@ -187,8 +139,11 @@ func runService(addr string, workers, queueDepth, concurrency, tenantQuota,
 
 // runIRFile parses a textual-IR module, parallelizes it automatically and
 // runs it speculatively, comparing against its own sequential execution.
-func runIRFile(path, argList string, workers int, misspec float64,
+func runIRFile(path, argList string, workers int, serve string, misspec float64,
 	seed uint64, period int64, showOut, quiet bool) error {
+	if err := serveNeedsModeServe(serve); err != nil {
+		return err
+	}
 	text, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -233,7 +188,9 @@ func runIRFile(path, argList string, workers int, misspec float64,
 		}
 		return nil
 	}
-	rt, got, err := core.Run(par, specConfig(workers, misspec, seed, period), args...)
+	rt, got, err := core.Run(par, specrt.Config{
+		Workers: workers, MisspecRate: misspec, Seed: seed, CheckpointPeriod: period,
+	}, args...)
 	if err != nil {
 		return err
 	}
@@ -247,7 +204,7 @@ func runIRFile(path, argList string, workers int, misspec float64,
 	if showOut {
 		fmt.Print(rt.Output())
 	}
-	postRun(rt)
+	reportWhyMisspec(rt)
 	return nil
 }
 
@@ -271,7 +228,7 @@ func names() string {
 	return strings.Join(ns, ", ")
 }
 
-func run(progName, input string, workers int, mode string, misspec float64,
+func run(progName, input string, workers int, mode, serve string, misspec float64,
 	seed uint64, period int64, showOut, quiet bool) error {
 	p := progs.ByName(progName)
 	if p == nil {
@@ -285,6 +242,9 @@ func run(progName, input string, workers int, mode string, misspec float64,
 	// sequential baseline, which takes seconds on ref inputs.
 	if mode != "seq" && mode != "doall" && mode != "privateer" {
 		return fmt.Errorf("unknown mode %q", mode)
+	}
+	if err := serveNeedsModeServe(serve); err != nil {
+		return err
 	}
 	fmt.Printf("program %s, input %s\n", p.Name, in)
 
@@ -300,7 +260,6 @@ func run(progName, input string, workers int, mode string, misspec float64,
 		if showOut {
 			fmt.Print(seqIt.Out.String())
 		}
-		postRun(nil)
 		return nil
 	case "doall":
 		static, err := core.ParallelizeStatic(build(p, in), core.Options{})
@@ -326,7 +285,6 @@ func run(progName, input string, workers int, mode string, misspec float64,
 		if showOut {
 			fmt.Print(runRes.Output)
 		}
-		postRun(nil)
 		return nil
 	case "privateer":
 		par, err := core.Parallelize(build(p, in), core.Options{})
@@ -336,7 +294,9 @@ func run(progName, input string, workers int, mode string, misspec float64,
 		if !quiet {
 			fmt.Print(par.Summary())
 		}
-		rt, _, err := core.Run(par, specConfig(workers, misspec, seed, period))
+		rt, _, err := core.Run(par, specrt.Config{
+			Workers: workers, MisspecRate: misspec, Seed: seed, CheckpointPeriod: period,
+		})
 		if err != nil {
 			return err
 		}
@@ -352,7 +312,7 @@ func run(progName, input string, workers int, mode string, misspec float64,
 		if showOut {
 			fmt.Print(rt.Output())
 		}
-		postRun(rt)
+		reportWhyMisspec(rt)
 		return nil
 	}
 	panic("unreachable: mode validated above")

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -9,28 +8,25 @@ import (
 	"sync/atomic"
 )
 
-// Server is the live introspection HTTP server. It exposes the metrics
-// registry in Prometheus text form at /metrics, an expvar-style JSON dump
-// at /vars, a speculation-state JSON snapshot at /spec, and the standard
-// Go profiling handlers under /debug/pprof/. It uses only the standard
-// library and its own mux, so it never collides with http.DefaultServeMux.
+// Server is the introspection HTTP server. It exposes the metrics
+// registry in Prometheus text form at /metrics, liveness and readiness
+// probes at /healthz and /readyz, and the standard Go profiling handlers
+// under /debug/pprof/. It uses only the standard library and its own mux,
+// so it never collides with http.DefaultServeMux.
 type Server struct {
 	reg   *Registry
-	spec  atomic.Value // func() any
 	ready atomic.Value // func() bool
 	mux   *http.ServeMux
 	srv   *http.Server
 	ln    net.Listener
 }
 
-// NewServer returns a server exposing reg. reg may be nil (the metric
-// endpoints then serve empty documents).
+// NewServer returns a server exposing reg. reg may be nil (/metrics then
+// serves an empty document).
 func NewServer(reg *Registry) *Server {
 	s := &Server{reg: reg, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/vars", s.handleVars)
-	s.mux.HandleFunc("/spec", s.handleSpec)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -39,13 +35,6 @@ func NewServer(reg *Registry) *Server {
 	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
-}
-
-// SetSpec installs the provider for the /spec endpoint. The function is
-// called per request and its result rendered as JSON; it must be safe for
-// concurrent use. Passing nil restores the empty document.
-func (s *Server) SetSpec(fn func() any) {
-	s.spec.Store(fn)
 }
 
 // SetReady installs the readiness probe backing /readyz. The function is
@@ -99,8 +88,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "privateer introspection endpoints:")
 	fmt.Fprintln(w, "  /metrics      Prometheus text metrics")
-	fmt.Fprintln(w, "  /vars         expvar-style JSON metrics")
-	fmt.Fprintln(w, "  /spec         live speculation state (JSON)")
 	fmt.Fprintln(w, "  /healthz      liveness probe (always 200 while serving)")
 	fmt.Fprintln(w, "  /readyz       readiness probe (503 while draining)")
 	fmt.Fprintln(w, "  /debug/pprof/ Go runtime profiles")
@@ -130,24 +117,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WriteProm(w)
-}
-
-// handleVars serves the expvar-style JSON snapshot.
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	_ = s.reg.WriteVars(w)
-}
-
-// handleSpec serves the speculation-state snapshot from the installed
-// provider, or an empty object when none is installed.
-func (s *Server) handleSpec(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fn, _ := s.spec.Load().(func() any)
-	if fn == nil {
-		fmt.Fprintln(w, "{}")
-		return
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(fn())
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,8 +17,9 @@ func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestServerEndpoints: all four endpoint groups must answer 200 with the
-// right content type and body shape, and unknown paths must 404.
+// TestServerEndpoints: /metrics must answer 200 with the right content
+// type and body, /debug/pprof/ and every path the index lists must be
+// served, and the removed /spec and /vars must 404 like any unknown path.
 func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("t_serve_total", "h").Add(9)
@@ -36,55 +36,42 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("/metrics body missing series:\n%s", rec.Body.String())
 	}
 
-	rec = get(t, s, "/vars")
-	var vars map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
-		t.Fatalf("/vars not JSON: %v", err)
-	}
-	if vars["t_serve_total"] != float64(9) {
-		t.Errorf("/vars t_serve_total = %v", vars["t_serve_total"])
-	}
-
-	// /spec without a provider serves an empty document; with one, the
-	// provider's value rendered as JSON.
-	rec = get(t, s, "/spec")
-	if strings.TrimSpace(rec.Body.String()) != "{}" {
-		t.Errorf("/spec without provider = %q, want {}", rec.Body.String())
-	}
-	s.SetSpec(func() any { return map[string]int{"workers": 3} })
-	rec = get(t, s, "/spec")
-	var spec map[string]int
-	if err := json.Unmarshal(rec.Body.Bytes(), &spec); err != nil {
-		t.Fatalf("/spec not JSON: %v", err)
-	}
-	if spec["workers"] != 3 {
-		t.Errorf("/spec workers = %d, want 3", spec["workers"])
+	// The single-run introspection endpoints are gone, not empty.
+	for _, path := range []string{"/spec", "/vars", "/nonexistent"} {
+		if rec := get(t, s, path); rec.Code != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", path, rec.Code)
+		}
 	}
 
 	rec = get(t, s, "/debug/pprof/")
 	if rec.Code != http.StatusOK {
 		t.Errorf("/debug/pprof/ status %d", rec.Code)
 	}
+	// Every path the index page prints must be served, so the index
+	// cannot go stale.
 	rec = get(t, s, "/")
-	if !strings.Contains(rec.Body.String(), "/metrics") {
-		t.Errorf("index does not list endpoints:\n%s", rec.Body.String())
+	listed := 0
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || !strings.HasPrefix(fields[0], "/") {
+			continue
+		}
+		listed++
+		if rec := get(t, s, fields[0]); rec.Code == http.StatusNotFound {
+			t.Errorf("index lists %s, which answers 404", fields[0])
+		}
 	}
-	if rec := get(t, s, "/nonexistent"); rec.Code != http.StatusNotFound {
-		t.Errorf("unknown path status %d, want 404", rec.Code)
+	if listed == 0 {
+		t.Errorf("index lists no endpoints:\n%s", rec.Body.String())
 	}
 }
 
-// TestServerNilRegistry: the metric endpoints must serve (empty) documents
-// when the server was built without a registry.
+// TestServerNilRegistry: /metrics must serve an (empty) document when the
+// server was built without a registry.
 func TestServerNilRegistry(t *testing.T) {
 	s := NewServer(nil)
 	if rec := get(t, s, "/metrics"); rec.Code != http.StatusOK {
 		t.Errorf("/metrics status %d with nil registry", rec.Code)
-	}
-	rec := get(t, s, "/vars")
-	var vars map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
-		t.Fatalf("/vars not JSON with nil registry: %v", err)
 	}
 }
 

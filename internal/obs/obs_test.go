@@ -78,51 +78,6 @@ func TestCollectorConcurrentEmit(t *testing.T) {
 	}
 }
 
-// TestCollectorPublishMetrics: the trace-stream health metrics must track
-// the ring through wraparound, so a /metrics scrape reveals truncated
-// traces.
-func TestCollectorPublishMetrics(t *testing.T) {
-	c := NewCollector(4)
-	reg := NewRegistry()
-	c.PublishMetrics(reg)
-	scrape := func() string {
-		var sb strings.Builder
-		reg.WriteProm(&sb)
-		return sb.String()
-	}
-	for i := 0; i < 3; i++ {
-		c.Emit(Event{Kind: KMark})
-	}
-	out := scrape()
-	for _, want := range []string{
-		"privateer_trace_events_total 3",
-		"privateer_trace_dropped_events 0",
-		"privateer_trace_ring_capacity 4",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("pre-wrap scrape missing %q:\n%s", want, out)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		c.Emit(Event{Kind: KMark})
-	}
-	out = scrape()
-	for _, want := range []string{
-		"privateer_trace_events_total 6",
-		"privateer_trace_dropped_events 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("post-wrap scrape missing %q:\n%s", want, out)
-		}
-	}
-	if dropped := c.Dropped(); dropped != 2 {
-		t.Errorf("Dropped() = %d, want 2", dropped)
-	}
-	// PublishMetrics must tolerate nil receivers and nil registries.
-	(*Collector)(nil).PublishMetrics(reg)
-	c.PublishMetrics(nil)
-}
-
 // TestChromeTraceShape: the export must be valid JSON with the
 // trace_event envelope, complete slices for durations and instants
 // otherwise.

@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -15,7 +13,7 @@ import (
 // Registry is a lock-cheap metrics registry. Metric handles (Counter,
 // Gauge, Histogram) are resolved once, up front, under the registry lock;
 // after that every update is a single atomic add, so handles are safe to
-// use from worker hot paths. Scrapes (WriteProm, WriteVars) run registered
+// use from worker hot paths. A scrape (WriteProm) runs registered
 // collector callbacks first, so subsystems that already keep atomic
 // counters can publish pull-style at scrape time for zero steady-state
 // cost.
@@ -384,37 +382,4 @@ func writeHist(w io.Writer, name string, s *series) {
 	fmt.Fprintf(w, "%s_bucket%s %d\n", name, joint("+Inf"), cum)
 	fmt.Fprintf(w, "%s_sum%s %d\n", name, s.labels, h.Sum())
 	fmt.Fprintf(w, "%s_count%s %d\n", name, s.labels, h.Count())
-}
-
-// WriteVars writes an expvar-style JSON snapshot: every series keyed by
-// "name{labels}", plus basic Go runtime stats. Collector callbacks run
-// first. Safe on a nil registry.
-func (r *Registry) WriteVars(w io.Writer) error {
-	vars := map[string]any{}
-	if r != nil {
-		for _, f := range r.snapshotFamilies() {
-			f.mu.Lock()
-			for _, s := range f.series {
-				key := f.name + s.labels
-				switch {
-				case s.hist != nil:
-					vars[key] = map[string]int64{"count": s.hist.Count(), "sum": s.hist.Sum()}
-				case s.fn != nil:
-					vars[key] = s.fn()
-				default:
-					vars[key] = atomic.LoadInt64(&s.val)
-				}
-			}
-			f.mu.Unlock()
-		}
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	vars["go_goroutines"] = runtime.NumGoroutine()
-	vars["go_heap_alloc_bytes"] = ms.HeapAlloc
-	vars["go_total_alloc_bytes"] = ms.TotalAlloc
-	vars["go_num_gc"] = ms.NumGC
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(vars)
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"strings"
 	"sync"
@@ -73,9 +72,6 @@ func TestNilRegistrySafe(t *testing.T) {
 	reg.GaugeFunc("t_f", "h", func() float64 { return 1 })
 	reg.RegisterCollector(func() {})
 	reg.WriteProm(io.Discard)
-	if err := reg.WriteVars(io.Discard); err != nil {
-		t.Errorf("WriteVars on nil registry: %v", err)
-	}
 }
 
 // TestWritePromFormat: exposition output carries HELP/TYPE headers, sorted
@@ -133,8 +129,7 @@ func TestHistogramExposition(t *testing.T) {
 }
 
 // TestCollectorsRunOnScrape: registered collectors must run before every
-// export so pull-style metrics are fresh, and WriteVars must emit valid
-// JSON including the runtime baseline vars.
+// export so pull-style metrics are fresh.
 func TestCollectorsRunOnScrape(t *testing.T) {
 	reg := NewRegistry()
 	g := reg.Gauge("t_pull", "pulled at scrape")
@@ -148,18 +143,9 @@ func TestCollectorsRunOnScrape(t *testing.T) {
 	}
 	src = 42
 	sb.Reset()
-	if err := reg.WriteVars(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &vars); err != nil {
-		t.Fatalf("WriteVars is not valid JSON: %v", err)
-	}
-	if vars["t_pull"] != float64(42) {
-		t.Errorf("vars t_pull = %v, want 42", vars["t_pull"])
-	}
-	if _, ok := vars["go_goroutines"]; !ok {
-		t.Error("vars missing go_goroutines")
+	reg.WriteProm(&sb)
+	if !strings.Contains(sb.String(), "t_pull 42") {
+		t.Errorf("collector did not run again on the second scrape:\n%s", sb.String())
 	}
 }
 
@@ -185,7 +171,6 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
 			reg.WriteProm(io.Discard)
-			_ = reg.WriteVars(io.Discard)
 		}
 	}()
 	wg.Wait()

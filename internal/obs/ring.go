@@ -97,28 +97,6 @@ func (c *Collector) Dropped() int64 {
 	return c.total - int64(len(c.buf))
 }
 
-// PublishMetrics registers trace-stream health metrics on reg: total
-// emitted events and events the ring overwrote before they could be read
-// (dropped_events), so truncated traces are detectable from /metrics.
-func (c *Collector) PublishMetrics(reg *Registry) {
-	if c == nil || reg == nil {
-		return
-	}
-	total := reg.Gauge("privateer_trace_events_total",
-		"Trace events ever emitted into the collector ring, including overwritten ones.")
-	dropped := reg.Gauge("privateer_trace_dropped_events",
-		"Trace events overwritten by ring wraparound before they could be read.")
-	capacity := reg.Gauge("privateer_trace_ring_capacity",
-		"Capacity of the trace collector ring in events.")
-	reg.RegisterCollector(func() {
-		total.Set(c.Total())
-		dropped.Set(c.Dropped())
-		c.mu.Lock()
-		capacity.Set(int64(c.capacity))
-		c.mu.Unlock()
-	})
-}
-
 // Reset discards every retained event.
 func (c *Collector) Reset() {
 	c.mu.Lock()

@@ -197,10 +197,10 @@ type JobView struct {
 // the parallelized module, its process-wide decoded Program, and the
 // warmed worker pool every invocation of it draws from.
 type compiled struct {
+	pool *specrt.WorkerPool // set at insertion, before once runs
 	once sync.Once
 	par  *core.Parallelized
 	prog *interp.Program
-	pool *specrt.WorkerPool
 	err  error
 }
 
@@ -474,7 +474,10 @@ func (s *Service) compiledFor(prog, input string) (*compiled, error) {
 	s.mu.Lock()
 	c := s.programs[key]
 	if c == nil {
-		c = &compiled{}
+		// The pool needs nothing from the compile, so it is built with
+		// the entry under s.mu: Snapshot reads it while once.Do may
+		// still be compiling.
+		c = &compiled{pool: specrt.NewWorkerPool(s.cfg.PoolSlots)}
 		s.programs[key] = c
 	}
 	s.mu.Unlock()
@@ -491,7 +494,6 @@ func (s *Service) compiledFor(prog, input string) (*compiled, error) {
 		}
 		c.par = par
 		c.prog = interp.SharedProgram(par.Mod)
-		c.pool = specrt.NewWorkerPool(s.cfg.PoolSlots)
 	})
 	return c, c.err
 }
@@ -732,11 +734,7 @@ func (s *Service) Snapshot() Snapshot {
 		sn.Tenants[name] = *tc
 	}
 	for key, c := range s.programs {
-		pv := PoolView{Program: key}
-		if c.pool != nil {
-			pv.Pool = c.pool.Snapshot()
-		}
-		sn.Programs = append(sn.Programs, pv)
+		sn.Programs = append(sn.Programs, PoolView{Program: key, Pool: c.pool.Snapshot()})
 	}
 	sort.Slice(sn.Programs, func(i, j int) bool {
 		return sn.Programs[i].Program < sn.Programs[j].Program

@@ -219,3 +219,39 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("queue-full submit: %v", err)
 	}
 }
+
+// TestSnapshotDuringFirstCompile: GET /service may arrive while a
+// program's first job is still compiling. Snapshot reads each entry's
+// pool under s.mu only, so the pool must exist from the moment the entry
+// is inserted; writing it inside once.Do would race (run with -race).
+func TestSnapshotDuringFirstCompile(t *testing.T) {
+	s := New(Config{Workers: 2, Concurrency: 1})
+	defer s.Drain()
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = s.Snapshot()
+			}
+		}
+	}()
+	j, err := s.Submit("t", "dijkstra", "train")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	close(stop)
+	<-polled
+	if v := s.View(j); v.State != StateDone {
+		t.Fatalf("job: %s (%s)", v.State, v.Error)
+	}
+	sn := s.Snapshot()
+	if len(sn.Programs) != 1 || sn.Programs[0].Program != "dijkstra/train" {
+		t.Errorf("snapshot programs = %+v, want the one compiled pair", sn.Programs)
+	}
+}

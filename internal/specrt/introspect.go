@@ -1,11 +1,11 @@
 package specrt
 
-// Live introspection: atomic Stats snapshots, misspeculation attribution
-// (faulting address -> owning allocation site), the /spec JSON snapshot,
-// and pull-style publication into an obs.Registry. Everything here is off
-// the speculative hot path: sites register on master-side allocation,
-// attribution happens only when a misspeculation is flagged, and metric
-// collectors run only at scrape time.
+// Introspection: atomic Stats snapshots, misspeculation attribution
+// (faulting address -> owning allocation site), and the privateer_*_total
+// counter families a registry owner folds finished runtimes into.
+// Everything here is off the speculative hot path: sites register on
+// master-side allocation and attribution happens only when a
+// misspeculation is flagged.
 
 import (
 	"fmt"
@@ -15,13 +15,12 @@ import (
 
 	"privateer/internal/ir"
 	"privateer/internal/obs"
-	"privateer/internal/vm"
 )
 
 // Snapshot returns an atomically loaded copy of the stats. Workers mutate
 // every field with atomic adds while a region runs, so any reporting that
-// may overlap execution (a /metrics scrape) must read through here rather
-// than copying the struct.
+// may overlap execution must read through here rather than copying the
+// struct.
 func (s *Stats) Snapshot() Stats {
 	return Stats{
 		Invocations:         atomic.LoadInt64(&s.Invocations),
@@ -195,41 +194,8 @@ func FormatMisspecSites(rows []MisspecSiteRow) string {
 	return sb.String()
 }
 
-// SpecSnapshot is the live speculation-state document served at /spec.
-type SpecSnapshot struct {
-	// Stats is an atomic snapshot of the runtime counters.
-	Stats Stats `json:"stats"`
-	// Heaps is the master space's per-heap occupancy, in heap-tag order.
-	Heaps []vm.HeapOcc `json:"heaps"`
-	// Workers is the configured worker count.
-	Workers int `json:"workers"`
-	// MisspecRate is detected misspeculations per constructed checkpoint.
-	MisspecRate float64 `json:"misspec_rate"`
-	// MisspecSites is the attribution table, most frequent first.
-	MisspecSites []MisspecSiteRow `json:"misspec_sites"`
-}
-
-// SpecSnapshot assembles the live speculation-state document. Safe to call
-// from a scrape goroutine while a region executes.
-func (rt *RT) SpecSnapshot() SpecSnapshot {
-	st := rt.Stats.Snapshot()
-	rate := 0.0
-	if st.Checkpoints > 0 {
-		rate = float64(st.Misspecs) / float64(st.Checkpoints)
-	}
-	return SpecSnapshot{
-		Stats:        st,
-		Heaps:        rt.occ.Snapshot(),
-		Workers:      rt.Cfg.Workers,
-		MisspecRate:  rate,
-		MisspecSites: rt.MisspecSites(),
-	}
-}
-
 // statFamilies names the privateer_*_total counter family of each Stats
-// field: the one table behind both the single-run publisher, which mirrors
-// the live runtime at scrape time, and the region service, which folds
-// every finished job in.
+// field the region service exports; it folds every finished job in.
 var statFamilies = []struct {
 	name, help string
 	get        func(*Stats) int64
@@ -289,179 +255,10 @@ func NewStatCounters(reg *obs.Registry) StatCounters {
 	return cs
 }
 
-// Set mirrors one runtime's totals into the counters. Only a registry
-// that follows a single runtime at a time may use it: the values are that
-// runtime's, not a sum.
-func (cs StatCounters) Set(st Stats) {
-	for i, f := range statFamilies {
-		cs[i].Set(f.get(&st))
-	}
-}
-
 // Add folds one finished runtime's totals into the counters, so the
 // families sum over every runtime the registry's owner ran.
 func (cs StatCounters) Add(st Stats) {
 	for i, f := range statFamilies {
 		cs[i].Add(f.get(&st))
 	}
-}
-
-// Publisher publishes one runtime at a time on a registry: its collectors
-// and its Spec document follow the runtime most recently constructed with
-// Config.Publish set to it. It suits a process that runs its runtimes one
-// after another and wants to watch the current one (privateer -serve,
-// privateer-bench -serve). Concurrent tenants have no "current" runtime —
-// the region service sums finished jobs with StatCounters.Add instead.
-type Publisher struct {
-	cur            atomic.Pointer[RT]
-	histRegionWall *obs.Histogram
-	histInstall    *obs.Histogram
-}
-
-// Spec returns the current runtime's SpecSnapshot, or an empty document
-// before the first runtime exists. It is the provider the owning binary
-// wires into obs.Server's /spec endpoint.
-func (p *Publisher) Spec() any {
-	rt := p.cur.Load()
-	if rt == nil {
-		return struct{}{}
-	}
-	return rt.SpecSnapshot()
-}
-
-// NewPublisher registers the runtime's pull-style collectors on reg. The
-// instrumented code pays nothing between scrapes: collectors read the
-// current runtime's atomics when /metrics or /vars is served.
-func NewPublisher(reg *obs.Registry) *Publisher {
-	p := &Publisher{
-		histRegionWall: reg.Histogram("privateer_region_wall_ns",
-			"Wall-clock nanoseconds per parallel-region invocation.", nil),
-		histInstall: reg.Histogram("privateer_install_bytes",
-			"Bytes applied to the master state per checkpoint install.", nil),
-	}
-	cols := NewStatCounters(reg)
-
-	var liveBytes, liveObjs, allocBytes [ir.NumHeaps]obs.Gauge
-	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
-		name := h.String()
-		liveBytes[h] = reg.Gauge("privateer_heap_live_bytes",
-			"Live (rounded) bytes per logical heap of the master space.", "heap", name)
-		liveObjs[h] = reg.Gauge("privateer_heap_live_objects",
-			"Live allocations per logical heap of the master space.", "heap", name)
-		allocBytes[h] = reg.Gauge("privateer_heap_alloc_bytes_total",
-			"Cumulative bytes ever allocated per logical heap of the master space.", "heap", name)
-	}
-	type vmStatCol struct {
-		c   obs.Counter
-		get func(*vm.Stats) *int64
-	}
-	mkvm := func(name, help string, get func(*vm.Stats) *int64) vmStatCol {
-		return vmStatCol{reg.Counter("privateer_vm_"+name, help), get}
-	}
-	vmCols := []vmStatCol{
-		mkvm("pages_mapped_total", "Demand-zero page instantiations (master space and its worker fleet).",
-			func(s *vm.Stats) *int64 { return &s.PagesMapped }),
-		mkvm("pages_copied_total", "Copy-on-write page duplications (master space and its worker fleet).",
-			func(s *vm.Stats) *int64 { return &s.PagesCopied }),
-		mkvm("nodes_copied_total", "Radix page-table nodes path-copied by range-COW splits.",
-			func(s *vm.Stats) *int64 { return &s.NodesCopied }),
-		mkvm("summary_hits_total", "Subtrees skipped outright by dirty-summary-guided page walks.",
-			func(s *vm.Stats) *int64 { return &s.SummaryHits }),
-	}
-	ptResident := reg.Gauge("privateer_vm_resident_pages",
-		"Instantiated pages in the master radix page table (refreshed at invocation boundaries).")
-	ptNodes := reg.Gauge("privateer_vm_radix_nodes",
-		"Reachable radix page-table nodes of the master space (refreshed at invocation boundaries).")
-	ptDirty := reg.Gauge("privateer_vm_dirty_pages",
-		"Master pages dirtied since its last clone (refreshed at invocation boundaries).")
-	reg.GaugeFunc("privateer_misspec_rate",
-		"Detected misspeculations per constructed checkpoint.", func() float64 {
-			rt := p.cur.Load()
-			if rt == nil {
-				return 0
-			}
-			st := rt.Stats.Snapshot()
-			if st.Checkpoints == 0 {
-				return 0
-			}
-			return float64(st.Misspecs) / float64(st.Checkpoints)
-		})
-
-	reg.RegisterCollector(func() {
-		rt := p.cur.Load()
-		if rt == nil {
-			return
-		}
-		cols.Set(rt.Stats.Snapshot())
-		for i, row := range rt.occ.Snapshot() {
-			liveBytes[i].Set(row.LiveBytes)
-			liveObjs[i].Set(row.LiveObjects)
-			allocBytes[i].Set(row.AllocBytes)
-		}
-		if vs := rt.vmStats.Load(); vs != nil {
-			for _, sc := range vmCols {
-				sc.c.Set(atomic.LoadInt64(sc.get(vs)))
-			}
-		}
-		if pt := rt.ptStats.Load(); pt != nil {
-			ptResident.Set(pt.ResidentPages)
-			ptNodes.Set(pt.Nodes)
-			ptDirty.Set(pt.DirtyPages)
-		}
-		for _, ri := range rt.regions {
-			ts := ri.TStats
-			for _, c := range []struct {
-				name string
-				n    int
-			}{
-				{"joined", ts.Joined},
-				{"eliminated", ts.Eliminated},
-				{"invariant", ts.InvPromoted},
-				{"dense", ts.DensePromoted},
-				{"sparse", ts.SparsePromoted},
-				{"redundant_uo", ts.HeapRedundantUO},
-			} {
-				reg.Counter("privateer_postprocess_sites_total",
-					"Check sites rewritten by the transform postprocess pass, by category (static).",
-					"region", ri.Outline.LoopName, "category", c.name).Set(int64(c.n))
-			}
-			for _, c := range []struct {
-				name string
-				n    int
-			}{
-				{"checks_discharged", ts.StaticProven},
-				{"priv_marks_dropped", ts.StaticPrivMarksDropped},
-				{"redux_marks_dropped", ts.StaticReduxMarksDropped},
-			} {
-				reg.Counter("privateer_static_sep_total",
-					"Dynamic machinery discharged by the static separation prover, by category (static).",
-					"region", ri.Outline.LoopName, "category", c.name).Set(int64(c.n))
-			}
-		}
-		for _, r := range rt.MisspecSites() {
-			reg.Counter("privateer_misspec_site_total",
-				"Misspeculations attributed to one owning allocation site.",
-				"region", r.Region, "cause", r.Cause,
-				"object", r.Object, "site", r.Site).Set(r.Count)
-		}
-		if p := rt.Cfg.OpProf; p != nil {
-			for _, r := range p.Ops() {
-				reg.Counter("privateer_op_executed_total",
-					"Estimated executed instructions per opcode (sampling profiler).",
-					"op", r.Op).Set(r.Executed)
-				reg.Counter("privateer_op_sampled_ns_total",
-					"Sampled wall time attributed per opcode.",
-					"op", r.Op).Set(r.SampledNS)
-			}
-			for _, f := range p.Funcs() {
-				reg.Counter("privateer_fn_calls_total",
-					"Completed activations per IR function.", "fn", f.Fn).Set(f.Calls)
-				reg.Counter("privateer_fn_steps_total",
-					"Inclusive executed instructions per IR function.", "fn", f.Fn).Set(f.Steps)
-				reg.Counter("privateer_fn_sampled_ns_total",
-					"Sampled wall time attributed per IR function.", "fn", f.Fn).Set(f.SampledNS)
-			}
-		}
-	})
-	return p
 }

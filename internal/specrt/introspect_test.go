@@ -1,14 +1,10 @@
 package specrt
 
 import (
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"privateer/internal/interp"
-	"privateer/internal/obs"
 )
 
 // TestSnapshotMatchesStats: after a quiesced run the atomic snapshot must
@@ -25,19 +21,16 @@ func TestSnapshotMatchesStats(t *testing.T) {
 	}
 }
 
-// TestScrapeWhileRunning: scraping the registry, snapshotting stats, and
-// assembling the /spec document from another goroutine while regions
-// execute must be safe (this is the -race regression test for pull-style
-// publication) and must observe the published metric families.
+// TestScrapeWhileRunning: the two reads documented as safe during a run —
+// an atomic Stats snapshot and the misspeculation attribution table — must
+// be callable from another goroutine while regions execute (the -race
+// regression test for both).
 func TestScrapeWhileRunning(t *testing.T) {
 	mod := buildWriterModule(64)
 	ri := buildRegion(t, mod)
-	reg := obs.NewRegistry()
 	rt := New(mod, Config{
 		Workers: 3, CheckpointPeriod: 2,
 		MisspecRate: 0.1, Seed: 11,
-		Publish: NewPublisher(reg),
-		OpProf:  interp.NewOpProfiler(64),
 	}, ri)
 
 	var stop atomic.Bool
@@ -47,9 +40,7 @@ func TestScrapeWhileRunning(t *testing.T) {
 		defer wg.Done()
 		for !stop.Load() {
 			_ = rt.Stats.Snapshot()
-			_ = rt.SpecSnapshot()
-			reg.WriteProm(io.Discard)
-			_ = reg.WriteVars(io.Discard)
+			_ = rt.MisspecSites()
 		}
 	}()
 	for inv := 0; inv < 3; inv++ {
@@ -61,22 +52,8 @@ func TestScrapeWhileRunning(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-
-	var sb strings.Builder
-	reg.WriteProm(&sb)
-	out := sb.String()
-	for _, want := range []string{
-		"privateer_invocations_total 3",
-		"privateer_checkpoints_total",
-		`privateer_heap_live_bytes{heap="`,
-		"privateer_misspec_rate",
-		`privateer_op_executed_total{op="`,
-		`privateer_fn_calls_total{fn="`,
-		"privateer_region_wall_ns_count 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scrape missing %q", want)
-		}
+	if got := rt.Stats.Snapshot().Invocations; got != 3 {
+		t.Errorf("snapshot after 3 runs counts %d invocations", got)
 	}
 }
 
@@ -116,72 +93,5 @@ func TestMisspecAttributionInjected(t *testing.T) {
 	}
 	if FormatMisspecSites(nil) != "no misspeculations recorded\n" {
 		t.Error("empty table must render the no-misspeculations line")
-	}
-}
-
-// TestSpecSnapshotShape: the /spec document must carry the configured
-// worker count, a row per logical heap, and a consistent misspeculation
-// rate.
-func TestSpecSnapshotShape(t *testing.T) {
-	mod := buildWriterModule(16)
-	ri := buildRegion(t, mod)
-	rt := New(mod, Config{
-		Workers: 2, CheckpointPeriod: 4,
-		MisspecRate: 0.5, Seed: 9,
-	}, ri)
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	snap := rt.SpecSnapshot()
-	if snap.Workers != 2 {
-		t.Errorf("config fields wrong: %+v", snap)
-	}
-	if len(snap.Heaps) == 0 {
-		t.Error("no per-heap occupancy rows")
-	}
-	want := 0.0
-	if snap.Stats.Checkpoints > 0 {
-		want = float64(snap.Stats.Misspecs) / float64(snap.Stats.Checkpoints)
-	}
-	if snap.MisspecRate != want {
-		t.Errorf("misspec rate %g, want %g", snap.MisspecRate, want)
-	}
-	if snap.Stats.Misspecs > 0 && len(snap.MisspecSites) == 0 {
-		t.Error("misspeculations recorded but attribution table empty")
-	}
-}
-
-// TestPublisherFollowsNewestRuntime: a publisher's Spec document and
-// collectors serve the runtime most recently constructed against it, and
-// only those: a second publisher on its own registry never sees them.
-func TestPublisherFollowsNewestRuntime(t *testing.T) {
-	reg, otherReg := obs.NewRegistry(), obs.NewRegistry()
-	pub, other := NewPublisher(reg), NewPublisher(otherReg)
-	if _, empty := pub.Spec().(struct{}); !empty {
-		t.Fatalf("Spec before any runtime = %T, want the empty document", pub.Spec())
-	}
-	invocations := func(r *obs.Registry) int64 {
-		r.WriteProm(io.Discard) // runs the collectors
-		return r.Counter("privateer_invocations_total", "").Value()
-	}
-	for runs := 1; runs <= 2; runs++ {
-		mod := buildWriterModule(8)
-		rt := New(mod, Config{Workers: 1, CheckpointPeriod: 4, Publish: pub}, buildRegion(t, mod))
-		for i := 0; i < runs; i++ {
-			if _, err := rt.Run(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap, ok := pub.Spec().(SpecSnapshot)
-		if !ok {
-			t.Fatalf("Spec returned %T, want SpecSnapshot", pub.Spec())
-		}
-		if want := rt.Stats.Invocations; snap.Stats.Invocations != want || invocations(reg) != want {
-			t.Errorf("runtime %d: Spec says %d invocations, /metrics %d, runtime %d",
-				runs, snap.Stats.Invocations, invocations(reg), want)
-		}
-	}
-	if _, empty := other.Spec().(struct{}); !empty || invocations(otherReg) != 0 {
-		t.Error("a publisher observed runtimes constructed against another one")
 	}
 }

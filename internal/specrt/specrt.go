@@ -50,17 +50,6 @@ type Config struct {
 	// Trace receives speculation-lifecycle events (nil disables tracing;
 	// every emission site is then a single branch).
 	Trace *obs.Tracer
-	// Publish, when non-nil, is the publisher this runtime reports to: a
-	// scrape of the publisher's registry (obs.Server's /metrics) and its
-	// Spec document observe Stats, per-heap occupancy, the
-	// misspeculation-by-site table, and the opcode profile while a region
-	// is still executing. The binary that owns the registry owns the
-	// publisher; nil disables publication at zero cost.
-	Publish *Publisher
-	// OpProf, when non-nil, is shared by every interpreter the runtime
-	// constructs (master, workers, recovery), enabling the sampling
-	// per-opcode profiler (see interp.OpProfiler).
-	OpProf *interp.OpProfiler
 	// SepAudit enables the runtime oracle for static separation proofs:
 	// workers observe every load and store and flag (loudly, via
 	// Stats.SepAuditViolations and SepAuditReport) any access that
@@ -204,10 +193,6 @@ type RT struct {
 	sepViolMu sync.Mutex
 	sepViols  []string
 
-	// occ mirrors the master address space's per-heap allocator totals in
-	// atomic counters for live introspection (attached in Run).
-	occ *vm.HeapOccupancy
-
 	// siteMu guards siteMap, the live allocation-site map: master-side
 	// allocations (and globals) keyed by address range, so a faulting
 	// address can be attributed to the object that owns it. Worker-local
@@ -216,24 +201,9 @@ type RT struct {
 	siteMap *intervalmap.Map[string]
 
 	// missMu guards missTable, the per-site misspeculation aggregate
-	// behind MisspecSites, /spec, and privateer -why-misspec.
+	// behind MisspecSites, flight postmortems and privateer -why-misspec.
 	missMu    sync.Mutex
 	missTable map[misspecKey]int64
-
-	// histRegionWall and histInstall are the publisher's histograms (nil
-	// without Config.Publish; Observe on nil is a no-op).
-	histRegionWall *obs.Histogram
-	histInstall    *obs.Histogram
-
-	// ptStats caches the master page table's radix occupancy for metric
-	// scrapes. The tree itself must not be walked concurrently with
-	// mutation, so the cache is refreshed only at quiescent points (region
-	// invocation boundaries) and scrapes read the last snapshot.
-	ptStats atomic.Pointer[vm.PageTableStats]
-	// vmStats atomically publishes the master space's memory-system Stats
-	// block for scrapes (set in Run once the master space exists; vm updates
-	// the block atomically).
-	vmStats atomic.Pointer[vm.Stats]
 }
 
 // New prepares a runtime for mod with the given regions.
@@ -246,16 +216,11 @@ func New(mod *ir.Module, cfg Config, regions ...*RegionInfo) *RT {
 		regions:   map[*ir.Function]*RegionInfo{},
 		reduxObjs: map[uint64]reduxObj{},
 		sepObjs:   map[uint64]sepObj{},
-		occ:       vm.NewHeapOccupancy(),
 		siteMap:   &intervalmap.Map[string]{},
 		missTable: map[misspecKey]int64{},
 	}
 	for _, r := range regions {
 		rt.regions[r.Outline.RegionFn] = r
-	}
-	if p := cfg.Publish; p != nil {
-		rt.histRegionWall, rt.histInstall = p.histRegionWall, p.histInstall
-		p.cur.Store(rt)
 	}
 	return rt
 }
@@ -315,11 +280,6 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 	}
 	rt.master = master
 	master.SetTrace(rt.Cfg.Trace, -1, -1)
-	master.AS.Occ = rt.occ
-	if rt.Cfg.Publish != nil {
-		rt.vmStats.Store(master.AS.Stats)
-	}
-	master.Prof = rt.Cfg.OpProf
 	master.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
 		rt.writeOut(text)
 		return true
@@ -520,17 +480,8 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	tr := rt.Cfg.Trace
 	// Wall time accounts once, on every exit path: clean completion,
 	// misspeculation-loop errors, and the sequential fallback alike.
-	defer func() {
-		d := wall.stop(&rt.Stats.RegionWallNS, tr, obs.Event{Kind: obs.KRegionInvoke,
-			Invocation: inv, Worker: -1, Iter: -1, A: int64(args[0]), B: int64(args[1])})
-		rt.histRegionWall.Observe(d)
-		// Workers have joined: the master space is quiescent, so this is a
-		// safe point to refresh the page-table snapshot metric scrapes read.
-		if rt.Cfg.Publish != nil {
-			pt := rt.master.AS.PageTable()
-			rt.ptStats.Store(&pt)
-		}
-	}()
+	defer wall.stop(&rt.Stats.RegionWallNS, tr, obs.Event{Kind: obs.KRegionInvoke,
+		Invocation: inv, Worker: -1, Iter: -1, A: int64(args[0]), B: int64(args[1])})
 	if tr.On() {
 		rt.master.AS.TraceInv = inv
 	}
@@ -616,7 +567,6 @@ func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, inv int64) err
 	if err != nil {
 		return err
 	}
-	rt.histInstall.Observe(bytes)
 	cost := bytes * SimInstallPerByte
 	atomic.AddInt64(&rt.Sim.RegionTime, cost)
 	atomic.AddInt64(&rt.Sim.CheckpointCost, cost)
@@ -676,7 +626,6 @@ func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64) err
 	}
 	it := interp.NewShared(rt.master.Program(), rt.master.AS)
 	it.AdoptLayout(rt.master.GlobalLayout())
-	it.Prof = rt.Cfg.OpProf
 	it.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
 		rt.writeOut(text)
 		return true

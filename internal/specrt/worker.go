@@ -315,8 +315,8 @@ func (w *worker) simTime() int64 {
 
 // foldStats adds the hook counts accumulated in w.local into rt.Stats and
 // zeroes them. It runs at every interval contribution and on every exit of
-// run, so a scrape lags a live worker by at most one interval and nothing
-// a squashed worker counted is lost.
+// run, so a Stats.Snapshot lags a live worker by at most one interval and
+// nothing a squashed worker counted is lost.
 func (w *worker) foldStats() {
 	l, g := &w.local, &w.sp.rt.Stats
 	for _, c := range [...]struct{ from, to *int64 }{
@@ -381,7 +381,6 @@ func newWorker(sp *spanState, id, stride int) (*worker, error) {
 		}
 	}
 	w.it.AdoptLayout(rt.master.GlobalLayout())
-	w.it.Prof = rt.Cfg.OpProf
 	w.shortBaseline = w.as.LiveObjects(ir.HeapShortLived)
 	w.installHooks()
 	return w, nil

@@ -327,12 +327,6 @@ type AddressSpace struct {
 	// CloneSharingStats or RecloneFrom share the parent's structure.
 	Stats *Stats
 
-	// Occ, when non-nil, mirrors this space's per-heap allocator totals in
-	// atomic counters for live introspection (see occupancy.go). Clones do
-	// NOT inherit it: worker spaces are scratch views, and the master's
-	// occupancy is the program's authoritative heap state.
-	Occ *HeapOccupancy
-
 	// Trace receives page-layer events (COW duplication, TLB flushes,
 	// protection faults); nil disables emission. Clones inherit the tracer.
 	Trace *obs.Tracer
@@ -343,9 +337,9 @@ type AddressSpace struct {
 }
 
 // addStat bumps one Stats counter. The add is always atomic: the structure
-// may be shared with concurrently executing clones or read by a live
-// metrics scrape, and every caller sits on a page-table event (a page or
-// node instantiated, copied or skipped), never on a per-access path.
+// may be shared with concurrently executing clones, and every caller sits
+// on a page-table event (a page or node instantiated, copied or skipped),
+// never on a per-access path.
 func addStat(p *int64) { atomic.AddInt64(p, 1) }
 
 // flushTLB drops every cached translation; cause labels the trace event.
@@ -417,7 +411,6 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 		as.prot[h] = parent.prot[h]
 	}
 	as.Stats = parent.Stats
-	as.Occ = nil
 	as.Trace = parent.Trace
 	as.TraceWorker = parent.TraceWorker
 	as.TraceInv = parent.TraceInv
@@ -445,7 +438,6 @@ func (as *AddressSpace) Release() {
 		as.prot[h] = ProtReadWrite
 	}
 	as.Stats = &Stats{}
-	as.Occ = nil
 	as.Trace = nil
 	as.flushTLB("release")
 }
@@ -696,9 +688,6 @@ func (as *AddressSpace) Alloc(h ir.HeapKind, size uint64) (uint64, error) {
 	hs.objects[addr] = rounded
 	hs.liveCount++
 	hs.allocBytes += size
-	if as.Occ != nil {
-		as.Occ.alloc(h, size, rounded)
-	}
 	return addr, nil
 }
 
@@ -724,9 +713,6 @@ func (as *AddressSpace) Free(addr uint64) error {
 		hs.free = map[uint64][]uint64{}
 	}
 	hs.free[rounded] = append(hs.free[rounded], addr)
-	if as.Occ != nil {
-		as.Occ.free(h, rounded)
-	}
 	return nil
 }
 
@@ -772,9 +758,6 @@ func (as *AddressSpace) clearHeapSubtrees(h ir.HeapKind) {
 func (as *AddressSpace) ResetHeap(h ir.HeapKind) {
 	as.clearHeapSubtrees(h)
 	as.heaps[h] = newHeapState(h)
-	if as.Occ != nil {
-		as.Occ.resync(h, as.heaps[h])
-	}
 	as.flushTLB("reset-heap")
 }
 
@@ -796,9 +779,6 @@ func (as *AddressSpace) CopyHeapFrom(src *AddressSpace, h ir.HeapKind) {
 		*e = pageEntry{pg: dup, cow: true}
 	})
 	as.heaps[h] = src.heaps[h].clone()
-	if as.Occ != nil {
-		as.Occ.resync(h, as.heaps[h])
-	}
 	as.flushTLB("copy-heap")
 	src.flushTLB("copy-heap")
 }
