@@ -27,11 +27,30 @@ type Program struct {
 	Mod *ir.Module
 
 	funcs sync.Map // *ir.Function -> *decodedFunc
+	// globalIdx numbers the module's globals in declaration order.
+	globalIdx map[*ir.Global]int
 }
 
 // NewProgram returns an empty decode cache for mod. Functions decode lazily
 // on first call.
-func NewProgram(mod *ir.Module) *Program { return &Program{Mod: mod} }
+func NewProgram(mod *ir.Module) *Program {
+	p := &Program{Mod: mod, globalIdx: make(map[*ir.Global]int, len(mod.Globals))}
+	for i, name := range mod.GlobalNames() {
+		p.globalIdx[mod.Globals[name]] = i
+	}
+	return p
+}
+
+// globalSlot returns g's index in the address table of every interpreter
+// over p, resolved here once so the decoded OpGlobal is a slice load. A
+// global the module did not declare gets the spare last slot, which nothing
+// lays out: its address reads 0.
+func (p *Program) globalSlot(g *ir.Global) int {
+	if i, ok := p.globalIdx[g]; ok {
+		return i
+	}
+	return len(p.globalIdx)
+}
 
 // progCache is the process-wide module->Program table behind SharedProgram.
 var progCache sync.Map // *ir.Module -> *Program
@@ -62,11 +81,11 @@ func (p *Program) decodedFor(fn *ir.Function) *decodedFunc {
 		}
 		// The IR changed shape since the cached decode (a mutation pass ran
 		// between invocations): replace the stale entry.
-		df = decodeFunc(fn)
+		df = p.decodeFunc(fn)
 		p.funcs.Store(fn, df)
 		return df
 	}
-	df := decodeFunc(fn)
+	df := p.decodeFunc(fn)
 	if v, raced := p.funcs.LoadOrStore(fn, df); raced {
 		if cached := v.(*decodedFunc); cached.shapeMatches(fn) {
 			return cached
@@ -92,7 +111,7 @@ type dinstr struct {
 	e0, e1 int32
 	// size is the access width (loads, stores, checks) or alloca size.
 	size int64
-	// cnst is the literal of OpConst/OpFConst.
+	// cnst is the literal of OpConst/OpFConst and the global slot of OpGlobal.
 	cnst uint64
 	// in is the original instruction, for hooks, errors and wide operand
 	// lists.
@@ -217,7 +236,7 @@ func (d *decoder) edgeFor(from, to *ir.Block) int32 {
 }
 
 // decodeFunc flattens fn into its decoded form.
-func decodeFunc(fn *ir.Function) *decodedFunc {
+func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 	df := &decodedFunc{fn: fn}
 	df.shapeBlocks, df.shapeInstrs, df.shapeValues = fnShape(fn)
 
@@ -255,6 +274,8 @@ func decodeFunc(fn *ir.Function) *decodedFunc {
 				if len(in.Args) == 1 {
 					di.a = d.slotOf(in.Args[0])
 				}
+			case ir.OpGlobal:
+				di.cnst = uint64(p.globalSlot(in.GlobalRef))
 			case ir.OpPhi:
 				// A φ below a non-φ instruction: the executor rejects it
 				// at runtime via the fallback path.

@@ -359,7 +359,7 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 				return 0, err
 			}
 		case ir.OpGlobal:
-			vals[di.dst] = it.globalAddrs[di.in.GlobalRef]
+			vals[di.dst] = it.globalAddrs[di.cnst]
 		case ir.OpCall:
 			it.Steps = steps
 			v, err := it.callInstr(fr, di.in)

@@ -140,7 +140,8 @@ type Interp struct {
 	Prof *OpProfiler
 
 	globalsLaidOut bool
-	globalAddrs    map[*ir.Global]uint64
+	// globalAddrs[prog.globalSlot(g)] is g's runtime address.
+	globalAddrs []uint64
 
 	// prog is the shared pre-decoded form of Mod (see decode.go).
 	// Interpreters built with NewShared reuse the creator's cache, so each
@@ -179,17 +180,16 @@ type Interp struct {
 
 // New returns an interpreter for mod over as.
 func New(mod *ir.Module, as *vm.AddressSpace) *Interp {
-	return &Interp{Mod: mod, AS: as, Out: &strings.Builder{}, globalAddrs: map[*ir.Global]uint64{},
-		prog: NewProgram(mod), treeWalk: !defaultDecode, decoded: map[*ir.Function]*decodedFunc{}}
+	return NewShared(NewProgram(mod), as)
 }
 
 // NewShared returns an interpreter over as that reuses prog's decode cache.
 // The speculative runtime constructs its workers this way so the master's
 // decoded functions are shared rather than re-derived per worker.
 func NewShared(prog *Program, as *vm.AddressSpace) *Interp {
-	it := New(prog.Mod, as)
-	it.prog = prog
-	return it
+	return &Interp{Mod: prog.Mod, AS: as, Out: &strings.Builder{},
+		globalAddrs: make([]uint64, len(prog.globalIdx)+1),
+		prog:        prog, treeWalk: !defaultDecode, decoded: map[*ir.Function]*decodedFunc{}}
 }
 
 // Program exposes the interpreter's decode cache for sharing via NewShared.
@@ -259,30 +259,30 @@ func (it *Interp) LayOutGlobals() error {
 				return fmt.Errorf("initializing global %s: %w", g.Name, err)
 			}
 		}
-		it.globalAddrs[g] = addr
+		it.globalAddrs[it.prog.globalSlot(g)] = addr
 	}
 	it.globalsLaidOut = true
 	return nil
 }
 
 // GlobalAddr returns the runtime address of g (after layout).
-func (it *Interp) GlobalAddr(g *ir.Global) uint64 { return it.globalAddrs[g] }
+func (it *Interp) GlobalAddr(g *ir.Global) uint64 { return it.globalAddrs[it.prog.globalSlot(g)] }
 
 // SetGlobalAddr overrides g's address; the speculative runtime uses this to
 // share one layout across worker interpreters.
 func (it *Interp) SetGlobalAddr(g *ir.Global, addr uint64) {
-	it.globalAddrs[g] = addr
+	it.globalAddrs[it.prog.globalSlot(g)] = addr
 	it.globalsLaidOut = true
 }
 
-// GlobalLayout exports the full global->address table.
-func (it *Interp) GlobalLayout() map[*ir.Global]uint64 { return it.globalAddrs }
+// GlobalLayout exports the full global->address table, indexed by the
+// global's position in the module's declaration order.
+func (it *Interp) GlobalLayout() []uint64 { return it.globalAddrs }
 
-// AdoptLayout installs a previously exported global layout.
-func (it *Interp) AdoptLayout(layout map[*ir.Global]uint64) {
-	for g, a := range layout {
-		it.globalAddrs[g] = a
-	}
+// AdoptLayout installs a layout exported by an interpreter of the same
+// module.
+func (it *Interp) AdoptLayout(layout []uint64) {
+	copy(it.globalAddrs, layout)
 	it.globalsLaidOut = true
 }
 
@@ -659,7 +659,7 @@ func (it *Interp) execInstr(fr *Frame, in *ir.Instr) error {
 			return err
 		}
 	case ir.OpGlobal:
-		set(it.globalAddrs[in.GlobalRef])
+		set(it.globalAddrs[it.prog.globalSlot(in.GlobalRef)])
 	case ir.OpMemSet:
 		addr, n, b := arg(0), arg(1), byte(arg(2))
 		buf := it.scratchBytes(n)

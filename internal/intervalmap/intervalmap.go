@@ -34,6 +34,14 @@ func (m *Map[V]) Insert(lo, hi uint64, v V) {
 	// Find the overlap span [first, last) of existing intervals.
 	first := sort.Search(len(m.ivs), func(i int) bool { return m.ivs[i].hi > lo })
 	last := sort.Search(len(m.ivs), func(i int) bool { return m.ivs[i].lo >= hi })
+	if first == last {
+		// Nothing overlaps (an allocator handing out fresh addresses): shift
+		// the tail up in place instead of rebuilding it.
+		m.ivs = append(m.ivs, interval[V]{})
+		copy(m.ivs[first+1:], m.ivs[first:])
+		m.ivs[first] = interval[V]{lo, hi, v}
+		return
+	}
 	repl := []interval[V]{{lo, hi, v}}
 	// Preserve the non-overlapping remnants of boundary intervals.
 	if first < len(m.ivs) && m.ivs[first].lo < lo {

@@ -2,6 +2,7 @@ package intervalmap
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -117,21 +118,28 @@ func TestEmptyIntervalIgnored(t *testing.T) {
 	}
 }
 
-// Property: after a random series of non-overlapping inserts and removes,
-// lookups agree with a reference map implemented by brute force.
+// Property: after every step of a random series of inserts and removes the
+// map holds exactly the intervals a brute-force reference holds, in address
+// order. Inserts come from a dense range (they overlap, split and swallow:
+// Insert's general path) and from a sparse one (nothing overlaps: its
+// in-place path), and each seed must take both.
 func TestAgainstReference(t *testing.T) {
+	type ref struct {
+		lo, hi uint64
+		v      int
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var m Map[int]
-		type ref struct {
-			lo, hi uint64
-			v      int
-		}
 		var refs []ref
+		var inPlace, general int
 		for op := 0; op < 200; op++ {
 			switch rng.Intn(3) {
 			case 0, 1: // insert
 				lo := uint64(rng.Intn(1000))
+				if op%2 == 0 {
+					lo = uint64(rng.Intn(1 << 20))
+				}
 				hi := lo + uint64(1+rng.Intn(50))
 				v := rng.Int()
 				m.Insert(lo, hi, v)
@@ -149,6 +157,11 @@ func TestAgainstReference(t *testing.T) {
 						next = append(next, ref{hi, r.hi, r.v})
 					}
 				}
+				if len(next) == len(refs) {
+					inPlace++
+				} else {
+					general++
+				}
 				refs = append(next, ref{lo, hi, v})
 			case 2: // remove
 				a := uint64(rng.Intn(1000))
@@ -160,23 +173,47 @@ func TestAgainstReference(t *testing.T) {
 					}
 				}
 			}
-		}
-		for a := uint64(0); a < 1100; a += 7 {
-			got, ok := m.Lookup(a)
-			var want int
-			wantOK := false
-			for _, r := range refs {
-				if a >= r.lo && a < r.hi {
-					want, wantOK = r.v, true
+			sort.Slice(refs, func(i, j int) bool { return refs[i].lo < refs[j].lo })
+			i := 0
+			m.Each(func(lo, hi uint64, v int) bool {
+				if i >= len(refs) || refs[i] != (ref{lo, hi, v}) {
+					i = -1
+					return false
 				}
-			}
-			if ok != wantOK || (ok && got != want) {
+				i++
+				return true
+			})
+			if i != len(refs) {
 				return false
 			}
 		}
-		return true
+		return inPlace > 0 && general > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDisjointInsertAllocatesNothing pins the in-place path: the runtime
+// inserts one interval per master-side allocation (specrt's site map), and
+// an insert that overlaps nothing, into a map with room, must not rebuild
+// the slice.
+func TestDisjointInsertAllocatesNothing(t *testing.T) {
+	const n = 512
+	var m Map[string]
+	fill := func() {
+		m.ivs = m.ivs[:0]
+		// Descending addresses: every insert lands at index 0 and shifts all
+		// the intervals already there.
+		for i := uint64(n); i > 0; i-- {
+			m.Insert(i*32, i*32+16, "site")
+		}
+	}
+	fill() // grows the slice once
+	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
+		t.Errorf("%d disjoint inserts into a pre-grown map allocate %.0f objects, want 0", n, allocs)
+	}
+	if m.Len() != n {
+		t.Errorf("map holds %d intervals, want %d", m.Len(), n)
 	}
 }

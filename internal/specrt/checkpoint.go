@@ -97,6 +97,9 @@ type checkpoint struct {
 	missAddr uint64
 	// committed marks the checkpoint non-speculative.
 	committed bool
+	// bufs is where the pages and snapshots below come from and, once the
+	// span is over, go back to; nil allocates.
+	bufs *bufFree
 }
 
 // noteMissAddr records addr as the checkpoint's first observed faulting
@@ -124,7 +127,7 @@ func (cp *checkpoint) ownPage(m map[uint64][]byte, base uint64) []byte {
 	cp.pageMu.Lock()
 	pg, ok := m[base]
 	if !ok {
-		pg = make([]byte, vm.PageSize)
+		pg = cp.bufs.get(vm.PageSize, true)
 		m[base] = pg
 	}
 	cp.pageMu.Unlock()
@@ -242,7 +245,7 @@ func (cp *checkpoint) addWorkerState(wid int, ws *vm.AddressSpace, reduxObjs []r
 		cp.misspec = true
 	}
 	for _, ro := range reduxObjs {
-		buf := make([]byte, ro.size)
+		buf := cp.bufs.get(int(ro.size), false)
 		if err := ws.ReadBytes(ro.addr, buf); err != nil {
 			ok = false
 			cp.misspec = true
@@ -257,7 +260,7 @@ func (cp *checkpoint) addWorkerState(wid int, ws *vm.AddressSpace, reduxObjs []r
 		contribs[wid] = buf
 	}
 	for _, pr := range proven {
-		buf := make([]byte, pr.size)
+		buf := cp.bufs.get(int(pr.size), false)
 		if err := ws.ReadBytes(pr.addr, buf); err != nil {
 			ok = false
 			cp.misspec = true

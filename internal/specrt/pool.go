@@ -15,9 +15,10 @@ import (
 const DefaultPoolSlots = 32
 
 // warmSlot is one pooled worker's machinery: a released address space
-// (structure and map capacity retained, contents dropped) and its
-// interpreter over the shared decoded program. RecloneFrom/Recycle
-// re-target both at the next invocation's master.
+// (structure, map capacity and its arena of recycled nodes and pages
+// retained, contents dropped) and its interpreter over the shared decoded
+// program. RecloneFrom/Recycle re-target both at the next invocation's
+// master.
 type warmSlot struct {
 	as *vm.AddressSpace
 	it *interp.Interp
@@ -26,8 +27,11 @@ type warmSlot struct {
 // WorkerPool recycles warmed worker machinery across spans and region
 // invocations. Spawning a worker cold allocates an address-space clone and
 // an interpreter per spawn; a warmed spawn re-clones a pooled space in
-// place, reusing its TLB arrays, heap-state slots and the delta-map
-// capacity its allocator grew on earlier runs. Slots are keyed by decoded
+// place, reusing its TLB arrays, heap-state slots, the delta-map capacity
+// its allocator grew on earlier runs and, through the space's arena, the
+// radix nodes and pages it wrote last time: a respawn that touches no more
+// than the previous one allocates nothing in vm. The pool also owns the
+// free list of checkpoint buffers (bufFree). Slots are keyed by decoded
 // Program so an interpreter is only ever recycled onto the module it was
 // built for. All methods are safe for concurrent use; the region service
 // shares one pool per compiled program across every tenant running it.
@@ -41,6 +45,63 @@ type WorkerPool struct {
 	misses   atomic.Int64
 	returned atomic.Int64
 	dropped  atomic.Int64
+
+	// bufs recycles the checkpoint buffers of every span run over this pool.
+	bufs bufFree
+}
+
+// bufFreeCap bounds the bytes a bufFree parks.
+const bufFreeCap = 1 << 20
+
+// bufFree is a bounded free list of byte buffers by exact length: the
+// merged data and shadow pages and the reduction and proven-range snapshots
+// a span's checkpoints own. Those are dead once invoke has installed and
+// committed the span's valid prefix (spanState.recycle), and the next span
+// merges the same objects into buffers of the same sizes, so they go back
+// here rather than to the collector. Owned by the WorkerPool when one is
+// configured (reuse across invocations and tenants), by the RT otherwise
+// (reuse across the spans of one run); a nil *bufFree allocates and drops.
+type bufFree struct {
+	mu   sync.Mutex
+	free map[int][][]byte
+	held int
+}
+
+// get returns a buffer of n bytes, zeroed when zero is set (a caller that
+// overwrites it whole passes false).
+func (f *bufFree) get(n int, zero bool) []byte {
+	if f != nil {
+		f.mu.Lock()
+		if lst := f.free[n]; len(lst) > 0 {
+			b := lst[len(lst)-1]
+			lst[len(lst)-1] = nil
+			f.free[n] = lst[:len(lst)-1]
+			f.held -= n
+			f.mu.Unlock()
+			if zero {
+				clear(b)
+			}
+			return b
+		}
+		f.mu.Unlock()
+	}
+	return make([]byte, n)
+}
+
+// put parks b for the next get of its length; past bufFreeCap it is dropped.
+func (f *bufFree) put(b []byte) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	if f.held+len(b) <= bufFreeCap {
+		if f.free == nil {
+			f.free = map[int][][]byte{}
+		}
+		f.free[len(b)] = append(f.free[len(b)], b)
+		f.held += len(b)
+	}
+	f.mu.Unlock()
 }
 
 // NewWorkerPool returns an empty pool retaining at most perProgram warmed

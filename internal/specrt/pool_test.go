@@ -1,6 +1,7 @@
 package specrt
 
 import (
+	"runtime"
 	"testing"
 
 	"privateer/internal/interp"
@@ -64,7 +65,7 @@ func TestWarmPoolSurvivesMisspeculation(t *testing.T) {
 	ri := buildRegion(t, mod)
 	prog := interp.SharedProgram(mod)
 	pool := NewWorkerPool(0)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		rt := New(mod, Config{Workers: 3, CheckpointPeriod: 2,
 			MisspecRate: 1.0, Seed: uint64(i + 1),
 			Program: prog, Pool: pool}, ri)
@@ -78,6 +79,40 @@ func TestWarmPoolSurvivesMisspeculation(t *testing.T) {
 		if rt.Stats.Misspecs == 0 {
 			t.Fatalf("run %d: injection produced no misspeculation", i)
 		}
+	}
+	// Every span after the first spawned from slots squashed workers were
+	// parked in, writing nodes and pages their arenas recycled.
+	if st := pool.Snapshot(); st.Reuses < 3*3 {
+		t.Fatalf("fleet went through fewer than 3 put/get cycles: %+v", st)
+	}
+}
+
+// TestWarmPoolRunAllocatesLess pins what the pool is for: a run over a
+// warmed pool finds its worker spaces, their radix nodes and pages and its
+// checkpoint buffers where the previous run left them, and allocates at most
+// 60 % of the bytes the same run allocates spawning cold.
+func TestWarmPoolRunAllocatesLess(t *testing.T) {
+	mod := buildScratchModule(40)
+	ri := buildRegion(t, mod)
+	prog := interp.SharedProgram(mod)
+	run := func(pool *WorkerPool) uint64 {
+		rt := New(mod, Config{Workers: 4, CheckpointPeriod: 5, Program: prog, Pool: pool}, ri)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if v, err := rt.Run(); err != nil || v != 162 {
+			t.Fatalf("result %d, %v; want 162", v, err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(nil) // decode the program
+	cold := run(nil)
+	pool := NewWorkerPool(0)
+	run(pool)
+	warm := run(pool)
+	t.Logf("cold %d B, warm %d B (%.0f %%)", cold, warm, 100*float64(warm)/float64(cold))
+	if warm*10 > cold*6 {
+		t.Errorf("a run on a warmed pool allocates %d B, more than 60 %% of the %d B of a cold one", warm, cold)
 	}
 }
 

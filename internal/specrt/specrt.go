@@ -138,9 +138,10 @@ type Stats struct {
 	// CheckpointNS is wall-clock time workers spent merging state into
 	// checkpoints.
 	CheckpointNS int64
-	// PrivReadNS is wall-clock time in privacy read checks.
+	// PrivReadNS is wall-clock time in privacy read checks, estimated from
+	// one timed check in privTimeEvery.
 	PrivReadNS int64
-	// PrivWriteNS is wall-clock time in privacy write checks.
+	// PrivWriteNS is the same estimate for privacy write checks.
 	PrivWriteNS int64
 	// WorkerBusyNS is total wall-clock worker execution time.
 	WorkerBusyNS int64
@@ -204,6 +205,17 @@ type RT struct {
 	// behind MisspecSites, flight postmortems and privateer -why-misspec.
 	missMu    sync.Mutex
 	missTable map[misspecKey]int64
+
+	// ownBufs is the checkpoint-buffer free list when Cfg.Pool is nil.
+	ownBufs bufFree
+}
+
+// bufs returns the free list this runtime's checkpoints draw from.
+func (rt *RT) bufs() *bufFree {
+	if p := rt.Cfg.Pool; p != nil {
+		return &p.bufs
+	}
+	return &rt.ownBufs
 }
 
 // New prepares a runtime for mod with the given regions.
@@ -536,6 +548,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 				return err
 			}
 		}
+		span.recycle()
 		if misspecAt < 0 {
 			return nil
 		}

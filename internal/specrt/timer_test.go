@@ -3,11 +3,14 @@ package specrt
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"privateer/internal/classify"
+	"privateer/internal/interp"
 	"privateer/internal/ir"
 	"privateer/internal/obs"
 	"privateer/internal/profiling"
+	"privateer/internal/vm"
 )
 
 // kindLedger folds an event stream into per-kind event counts and summed
@@ -133,5 +136,61 @@ func TestTimeLedgerReconciles(t *testing.T) {
 	if st.SpawnNS <= 0 || st.WorkerBusyNS != 0 || st.RegionWallNS < st.SpawnNS {
 		t.Errorf("failed spawn: SpawnNS %d, WorkerBusyNS %d, RegionWallNS %d; want spawn time inside the region's, no busy time",
 			st.SpawnNS, st.WorkerBusyNS, st.RegionWallNS)
+	}
+}
+
+// TestPrivacyClockEstimate pins the estimator behind Stats.PrivReadNS and
+// PrivWriteNS: the hooks read the clock around one check in privTimeEvery
+// and foldStats scales that to every check of the window, so the totals must
+// stay within a factor of two of the same checks timed one by one. The
+// windows between folds are dijkstra's (thousands of 8-byte checks) and
+// blackscholes' (two or three span checks, where scaling by the period
+// instead of by the count would read 20 times high). A preemption inside
+// either measurement breaks the comparison, so a bad attempt is retried.
+func TestPrivacyClockEstimate(t *testing.T) {
+	const attempts = 5
+	for attempt := 1; ; attempt++ {
+		rt := &RT{}
+		as := vm.NewAddressSpace()
+		w := &worker{sp: &spanState{rt: rt}, as: as, curTS: TimestampFor(0, 0),
+			it: interp.New(ir.NewModule("m"), as)}
+		w.installHooks()
+		h := &w.it.Hooks
+		base := ir.HeapPrivate.Base() + vm.PageSize
+		var exact time.Duration
+		var checks int64
+		for _, window := range []int{3, 2000, 50, 64, 65, 3, 5000, 2} {
+			for i := 0; i < window; i++ {
+				addr := base + uint64(i%4096)*8
+				t0 := time.Now()
+				var err error
+				switch {
+				case window < 10:
+					err = h.PrivateWriteSpan(nil, base, 512, 8, 8)
+				case i%2 == 0:
+					err = h.PrivateWrite(nil, addr, 8)
+				default:
+					err = h.PrivateRead(nil, addr-8, 8)
+				}
+				exact += time.Since(t0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checks++
+			}
+			w.foldStats()
+		}
+		st := rt.Stats.Snapshot()
+		if st.PrivReadChecks+st.PrivWriteChecks != checks {
+			t.Fatalf("hooks counted %d+%d checks of %d", st.PrivReadChecks, st.PrivWriteChecks, checks)
+		}
+		est := time.Duration(st.PrivReadNS + st.PrivWriteNS)
+		t.Logf("attempt %d: sampled estimate %v, timed check by check %v", attempt, est, exact)
+		if st.PrivReadNS > 0 && st.PrivWriteNS > 0 && est > exact/2 && est < 2*exact {
+			return
+		}
+		if attempt == attempts {
+			t.Fatalf("sampled estimate %v (read %d ns, write %d ns) against %v timed check by check", est, st.PrivReadNS, st.PrivWriteNS, exact)
+		}
 	}
 }

@@ -93,12 +93,33 @@ func (sp *spanState) checkpointFor(c int64) *checkpoint {
 		if limit > sp.hi {
 			limit = sp.hi
 		}
-		sp.checkpoints = append(sp.checkpoints, newCheckpoint(id, base, limit, prev))
+		cp := newCheckpoint(id, base, limit, prev)
+		cp.bufs = sp.rt.bufs()
+		sp.checkpoints = append(sp.checkpoints, cp)
 		atomic.AddInt64(&sp.rt.Stats.Checkpoints, 1)
 		sp.rt.Cfg.Trace.Instant(obs.Event{Kind: obs.KCheckpoint,
 			Invocation: sp.inv, Worker: -1, Iter: id, A: base, B: limit})
 	}
 	return sp.checkpoints[c]
+}
+
+// recycle returns every buffer the span's checkpoints own to the free list.
+// Call only once the valid prefix is installed and committed: nothing reads
+// a checkpoint of the span after that.
+func (sp *spanState) recycle() {
+	f := sp.rt.bufs()
+	for _, cp := range sp.checkpoints {
+		for _, m := range [...]map[uint64][]byte{cp.data, cp.shadow, cp.proven} {
+			for _, b := range m {
+				f.put(b)
+			}
+		}
+		for _, contribs := range cp.redux {
+			for _, b := range contribs {
+				f.put(b)
+			}
+		}
+	}
 }
 
 // validate runs the second-phase cross-interval chain validation over the
@@ -319,6 +340,13 @@ func (w *worker) simTime() int64 {
 // nothing a squashed worker counted is lost.
 func (w *worker) foldStats() {
 	l, g := &w.local, &w.sp.rt.Stats
+	// privCheck timed one check in privTimeEvery, the first one included.
+	for _, c := range [...]struct{ ns, n *int64 }{
+		{&l.PrivReadNS, &l.PrivReadChecks}, {&l.PrivWriteNS, &l.PrivWriteChecks}} {
+		if timed := (*c.n + privTimeEvery - 1) / privTimeEvery; timed > 0 {
+			*c.ns = *c.ns * *c.n / timed
+		}
+	}
 	for _, c := range [...]struct{ from, to *int64 }{
 		{&l.SeparationChecks, &g.SeparationChecks},
 		{&l.Predictions, &g.Predictions},
@@ -390,48 +418,16 @@ func (w *worker) installHooks() {
 	rt := w.sp.rt
 	h := &w.it.Hooks
 	h.PrivateRead = func(in *ir.Instr, addr uint64, size int64) error {
-		t0 := time.Now()
-		err := w.privAccess(addr, size, false)
-		w.simPrivRead += size * SimPrivacyPerByte
-		w.local.PrivReadNS += int64(time.Since(t0))
-		w.local.PrivReadBytes += size
-		w.local.PrivReadChecks++
-		return err
+		return w.privCheck(addr, 1, size, size, false)
 	}
 	h.PrivateWrite = func(in *ir.Instr, addr uint64, size int64) error {
-		t0 := time.Now()
-		err := w.privAccess(addr, size, true)
-		w.simPrivWrite += size * SimPrivacyPerByte
-		w.local.PrivWriteNS += int64(time.Since(t0))
-		w.local.PrivWriteBytes += size
-		w.local.PrivWriteChecks++
-		return err
+		return w.privCheck(addr, 1, size, size, true)
 	}
 	h.PrivateReadSpan = func(in *ir.Instr, addr uint64, count, stride, size int64) error {
-		t0 := time.Now()
-		err := w.privSpan(addr, count, stride, size, false)
-		bytes := count * size
-		if bytes < 0 {
-			bytes = 0
-		}
-		w.simPrivRead += bytes * SimPrivacyPerByte
-		w.local.PrivReadNS += int64(time.Since(t0))
-		w.local.PrivReadBytes += bytes
-		w.local.PrivReadChecks++
-		return err
+		return w.privCheck(addr, count, stride, size, false)
 	}
 	h.PrivateWriteSpan = func(in *ir.Instr, addr uint64, count, stride, size int64) error {
-		t0 := time.Now()
-		err := w.privSpan(addr, count, stride, size, true)
-		bytes := count * size
-		if bytes < 0 {
-			bytes = 0
-		}
-		w.simPrivWrite += bytes * SimPrivacyPerByte
-		w.local.PrivWriteNS += int64(time.Since(t0))
-		w.local.PrivWriteBytes += bytes
-		w.local.PrivWriteChecks++
-		return err
+		return w.privCheck(addr, count, stride, size, true)
 	}
 	h.CheckHeap = func(in *ir.Instr, addr uint64) error {
 		w.local.SeparationChecks++
@@ -534,11 +530,38 @@ func (w *worker) installAuditHooks() {
 	}
 }
 
-// privAccess applies Table 2 transitions to every byte of the access. An
-// access that straddles a page boundary marks metadata on every page it
-// touches; privRange splits the run per page.
-func (w *worker) privAccess(addr uint64, size int64, isWrite bool) error {
-	return w.privRange(addr, size, isWrite)
+// privTimeEvery is the sampling period of the privacy-check clock: a clock
+// pair around every check was ~4 % of a speculative run. A prime, so the
+// timed checks do not line up with an array walk's page crossings.
+const privTimeEvery = 61
+
+// privCheck is the body of the four privacy hooks: one check of count
+// elements of size bytes, stride apart (a plain access is a span of one),
+// counted into w.local and the simulated clock. Only the first check after
+// each foldStats and every privTimeEvery-th after it is timed; foldStats
+// scales the sampled time to all of them.
+func (w *worker) privCheck(addr uint64, count, stride, size int64, isWrite bool) error {
+	l := &w.local
+	checks, ns, bytes, sim := &l.PrivReadChecks, &l.PrivReadNS, &l.PrivReadBytes, &w.simPrivRead
+	if isWrite {
+		checks, ns, bytes, sim = &l.PrivWriteChecks, &l.PrivWriteNS, &l.PrivWriteBytes, &w.simPrivWrite
+	}
+	var t0 time.Time
+	if *checks%privTimeEvery == 0 {
+		t0 = time.Now()
+	}
+	err := w.privSpan(addr, count, stride, size, isWrite)
+	if !t0.IsZero() {
+		*ns += int64(time.Since(t0))
+	}
+	n := count * size
+	if n < 0 {
+		n = 0
+	}
+	*sim += n * SimPrivacyPerByte
+	*bytes += n
+	*checks++
+	return err
 }
 
 // privSpan applies Table 2 transitions for a span op: count elements of

@@ -13,12 +13,17 @@ import (
 // owner goroutine, without data races — shared page-table maps are never
 // mutated, so every write materializes private structure first. Run under
 // -race this is the safety proof; the value checks assert full isolation
-// in both directions.
+// in both directions. The fleet goes through several put/get cycles of a
+// worker pool (Release, then RecloneFrom the same parent), so from the
+// second cycle on every node and page a child writes is one its arena
+// recycled: a recycled object another space could still reach would race
+// with that space's owner here.
 func TestConcurrentCloneIsolation(t *testing.T) {
 	const (
 		workers = 4
 		pages   = 64
-		rounds  = 50
+		rounds  = 20
+		cycles  = 4
 	)
 	base := ir.HeapPrivate.Base()
 	parent := NewAddressSpace()
@@ -31,7 +36,21 @@ func TestConcurrentCloneIsolation(t *testing.T) {
 	for w := range children {
 		children[w] = parent.Clone()
 	}
+	for cycle := 0; cycle < cycles; cycle++ {
+		if cycle > 0 {
+			for _, c := range children {
+				c.Release()
+				c.RecloneFrom(parent)
+			}
+		}
+		runCloneFleet(t, parent, children, base, pages, rounds)
+	}
+}
 
+// runCloneFleet writes parent and every child concurrently, each from its
+// own goroutine, and checks nobody saw anybody else's stores.
+func runCloneFleet(t *testing.T, parent *AddressSpace, children []*AddressSpace, base, pages uint64, rounds int) {
+	workers := len(children)
 	var wg sync.WaitGroup
 	// The parent's owner writes into it while the children execute.
 	wg.Add(1)

@@ -17,6 +17,13 @@
 // maintained on the store path, let DirtyPages and DirtyHeapPages collect a
 // space's touched pages in O(touched) rather than O(resident).
 //
+// The same epoch rule says what a space may reuse: the nodes of its own
+// epoch, and the pages it instantiated or COW-duplicated into them, are
+// reachable from nowhere else. Release and RecloneFrom move them into the
+// space's arena (at most arenaCap of each), cleared of every reference,
+// and every node and page the space instantiates next comes from there
+// first — a pooled worker space respawns without reaching the allocator.
+//
 // # Concurrency
 //
 // An AddressSpace is not a concurrent data structure: each one has exactly

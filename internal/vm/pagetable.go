@@ -69,25 +69,81 @@ type radixNode struct {
 	dirtyBits [radixFanout / 64]uint64
 }
 
-func newInterior(epoch uint64) *radixNode {
-	return &radixNode{epoch: epoch, kids: make([]*radixNode, radixFanout)}
+// arenaCap bounds each of the three free lists of a space's arena, so a
+// parked pooled slot holds at most arenaCap pages (256 KB) and twice as many
+// ~1-2 KB nodes whatever the job before it touched.
+const arenaCap = 64
+
+// arena is the stock of radix nodes and pages an AddressSpace owned
+// exclusively when it was last released or re-cloned (see reclaim). Every
+// node and page a space instantiates is drawn from it first, so a pooled
+// worker space that writes the same few pages spawn after spawn stops
+// reaching the Go allocator after its first use.
+type arena struct {
+	interiors, leaves []*radixNode
+	pages             []*page
 }
 
-func newLeaf(epoch uint64) *radixNode {
-	return &radixNode{epoch: epoch, entries: make([]pageEntry, radixFanout)}
+// pop removes and returns the last element of a free list, or nil.
+func pop[T any](lst *[]*T) *T {
+	n := len(*lst)
+	if n == 0 {
+		return nil
+	}
+	x := (*lst)[n-1]
+	(*lst)[n-1] = nil
+	*lst = (*lst)[:n-1]
+	return x
 }
 
-// copyAs returns a private duplicate of nd owned by epoch — the split half
+// newNode returns an empty node owned by as: a recycled one (its slots were
+// cleared at reclaim) or, when the arena has none, a fresh one.
+func (as *AddressSpace) newNode(leaf bool) *radixNode {
+	lst := &as.arena.interiors
+	if leaf {
+		lst = &as.arena.leaves
+	}
+	nd := pop(lst)
+	switch {
+	case nd != nil:
+	case leaf:
+		nd = &radixNode{entries: make([]pageEntry, radixFanout)}
+	default:
+		nd = &radixNode{kids: make([]*radixNode, radixFanout)}
+	}
+	nd.epoch = as.epoch
+	return nd
+}
+
+// newPage returns a page only as can reach, holding a copy of src (a COW
+// duplicate: overwritten whole) or, for a nil src, zeroes (demand-zero: a
+// recycled page is cleared here, not at reclaim).
+func (as *AddressSpace) newPage(src *page) *page {
+	pg := pop(&as.arena.pages)
+	switch {
+	case src != nil && pg != nil:
+		pg.data = src.data
+	case src != nil:
+		pg = &page{data: src.data}
+	case pg != nil:
+		pg.data = [PageSize]byte{}
+	default:
+		pg = &page{}
+	}
+	return pg
+}
+
+// copyNode returns a private duplicate of nd owned by as — the split half
 // of range-COW. A copied leaf marks every present entry copy-on-write and
 // forgets dirty state: the copy belongs to a new ownership generation that
 // has not written anything yet.
-func (nd *radixNode) copyAs(epoch uint64) *radixNode {
+func (as *AddressSpace) copyNode(nd *radixNode) *radixNode {
+	addStat(&as.Stats.NodesCopied)
+	c := as.newNode(nd.kids == nil)
 	if nd.kids != nil {
-		c := &radixNode{epoch: epoch, kids: make([]*radixNode, radixFanout)}
 		copy(c.kids, nd.kids)
 		return c
 	}
-	c := &radixNode{epoch: epoch, entries: make([]pageEntry, radixFanout)}
 	copy(c.entries, nd.entries)
 	for i := range c.entries {
 		if c.entries[i].pg != nil {
@@ -95,6 +151,46 @@ func (nd *radixNode) copyAs(epoch uint64) *radixNode {
 		}
 	}
 	return c
+}
+
+// reclaim moves the subtree as owns exclusively into its arena: the nodes
+// with nd.epoch == as.epoch and, in those leaves, the pages that are present
+// and not copy-on-write. The ownership rule is the safety argument: such a
+// node was created by as since its last Clone, RecloneFrom or Release, so no
+// other space reaches it, and a page as instantiated or COW-duplicated into
+// it has never been visible elsewhere (copyNode marks every inherited page
+// copy-on-write). Slots, dirty bits and counters are cleared here, so a
+// reclaimed node references nothing of the tree it came from. The caller
+// must give as a new epoch and root afterwards. Whatever exceeds arenaCap
+// is left to the collector.
+func (as *AddressSpace) reclaim(nd *radixNode) {
+	if nd.epoch != as.epoch {
+		return
+	}
+	a := &as.arena
+	nd.dirty = 0
+	if nd.kids != nil {
+		for i, kid := range nd.kids {
+			if kid != nil {
+				as.reclaim(kid)
+				nd.kids[i] = nil
+			}
+		}
+		if len(a.interiors) < arenaCap {
+			a.interiors = append(a.interiors, nd)
+		}
+		return
+	}
+	for i := range nd.entries {
+		if e := &nd.entries[i]; e.pg != nil && !e.cow && len(a.pages) < arenaCap {
+			a.pages = append(a.pages, e.pg)
+		}
+	}
+	clear(nd.entries)
+	nd.dirtyBits = [radixFanout / 64]uint64{}
+	if len(a.leaves) < arenaCap {
+		a.leaves = append(a.leaves, nd)
+	}
 }
 
 // leafDirty reports whether leaf slot i is marked dirty.
@@ -125,8 +221,7 @@ func (as *AddressSpace) peek(pn uint64) *pageEntry {
 // the five owned nodes root-to-leaf for dirty-summary maintenance.
 func (as *AddressSpace) ownPath(pn uint64, path *[radixLevels]*radixNode) *radixNode {
 	if as.root.epoch != as.epoch {
-		as.root = as.root.copyAs(as.epoch)
-		addStat(&as.Stats.NodesCopied)
+		as.root = as.copyNode(as.root)
 	}
 	nd := as.root
 	path[0] = nd
@@ -135,15 +230,10 @@ func (as *AddressSpace) ownPath(pn uint64, path *[radixLevels]*radixNode) *radix
 		kid := nd.kids[slot]
 		switch {
 		case kid == nil:
-			if lvl == radixLevels-2 {
-				kid = newLeaf(as.epoch)
-			} else {
-				kid = newInterior(as.epoch)
-			}
+			kid = as.newNode(lvl == radixLevels-2)
 			nd.kids[slot] = kid
 		case kid.epoch != as.epoch:
-			kid = kid.copyAs(as.epoch)
-			addStat(&as.Stats.NodesCopied)
+			kid = as.copyNode(kid)
 			nd.kids[slot] = kid
 		}
 		nd = kid

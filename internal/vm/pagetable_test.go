@@ -440,9 +440,12 @@ func (m *flatModel) clone() *flatModel {
 }
 
 // TestRadixDifferentialVsFlatModel drives a random interleaving of writes,
-// reads, clones, and heap resets through the radix table and the flat
-// reference model in lockstep, across a family of spaces related by
-// cloning. Any divergence is a COW or translation bug.
+// reads, clones, heap resets, releases and re-clones through the radix table
+// and the flat reference model in lockstep, across a family of spaces
+// related by cloning. Any divergence is a COW or translation bug — or, since
+// every Release and RecloneFrom refills the space's arena and every later
+// write draws from it, a recycled node or page that kept something of its
+// previous life.
 func TestRadixDifferentialVsFlatModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type pair struct {
@@ -476,8 +479,19 @@ func TestRadixDifferentialVsFlatModel(t *testing.T) {
 			if want := p.fm.read(addr); byte(got) != want {
 				t.Fatalf("step %d: read %#x = %d, model says %d", step, addr, got, want)
 			}
-		case op < 97 && len(spaces) < 12: // clone
+		case op < 94 && len(spaces) < 12: // clone
 			spaces = append(spaces, pair{p.as.Clone(), p.fm.clone()})
+		case op >= 98: // release: empty, arena refilled from the owned subtree
+			p.as.Release()
+			p.fm.pages, p.fm.shared = map[uint64][]byte{}, false
+		case op >= 96: // re-clone in place from another space of the family
+			from := spaces[rng.Intn(len(spaces))]
+			if from.as == p.as {
+				continue
+			}
+			p.as.RecloneFrom(from.as)
+			from.fm.shared = true
+			p.fm.pages, p.fm.shared = from.fm.pages, true
 		default: // reset one heap
 			h := heaps[rng.Intn(len(heaps))]
 			p.as.ResetHeap(h)

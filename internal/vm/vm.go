@@ -312,6 +312,9 @@ type AddressSpace struct {
 	// mutated.
 	root  *radixNode
 	epoch uint64
+	// arena recycles the nodes and pages this space owned exclusively when
+	// it was last released or re-cloned (see pagetable.go).
+	arena arena
 	heaps [ir.NumHeaps]*heapState
 	prot  [ir.NumHeaps]Prot
 
@@ -326,6 +329,9 @@ type AddressSpace struct {
 	// Stats accumulates page-event counts; clones made with
 	// CloneSharingStats or RecloneFrom share the parent's structure.
 	Stats *Stats
+	// released is what Stats points at between Release and the next
+	// RecloneFrom, so parking a pooled space allocates nothing.
+	released Stats
 
 	// Trace receives page-layer events (COW duplication, TLB flushes,
 	// protection faults); nil disables emission. Clones inherit the tracer.
@@ -353,9 +359,8 @@ func (as *AddressSpace) flushTLB(cause string) {
 // NewAddressSpace returns an empty address space with every heap mapped
 // read-write and empty.
 func NewAddressSpace() *AddressSpace {
-	epoch := nextEpoch()
-	as := &AddressSpace{root: newInterior(epoch), epoch: epoch,
-		Stats: &Stats{}, TraceWorker: -1, TraceInv: -1}
+	as := &AddressSpace{epoch: nextEpoch(), Stats: &Stats{}, TraceWorker: -1, TraceInv: -1}
+	as.root = as.newNode(false)
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		as.heaps[h] = newHeapState(h)
 		as.prot[h] = ProtReadWrite
@@ -404,6 +409,7 @@ func (as *AddressSpace) CloneSharingStats() *AddressSpace {
 func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 	parent.epoch = nextEpoch()
 	parent.flushTLB("clone")
+	as.reclaim(as.root)
 	as.root = parent.root
 	as.epoch = nextEpoch()
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
@@ -424,8 +430,9 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 // itself (TLB arrays, heap-state slots, delta-map capacity) is retained for
 // the next RecloneFrom.
 func (as *AddressSpace) Release() {
+	as.reclaim(as.root)
 	as.epoch = nextEpoch()
-	as.root = newInterior(as.epoch)
+	as.root = as.newNode(false)
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		hs := as.heaps[h]
 		hs.brk = h.Base() + PageSize
@@ -437,7 +444,8 @@ func (as *AddressSpace) Release() {
 		hs.liveCount, hs.allocBytes = 0, 0
 		as.prot[h] = ProtReadWrite
 	}
-	as.Stats = &Stats{}
+	as.released = Stats{}
+	as.Stats = &as.released
 	as.Trace = nil
 	as.flushTLB("release")
 }
@@ -473,12 +481,11 @@ func (as *AddressSpace) pageFor(addr uint64, forWrite bool) *page {
 	slot := slotOf(key, radixLevels-1)
 	e := &leaf.entries[slot]
 	if e.pg == nil {
-		e.pg = &page{}
+		e.pg = as.newPage(nil)
 		addStat(&as.Stats.PagesMapped)
 		as.markDirty(&path, slot)
 	} else if forWrite && e.cow {
-		dup := &page{data: e.pg.data}
-		e.pg = dup
+		e.pg = as.newPage(e.pg)
 		e.cow = false
 		addStat(&as.Stats.PagesCopied)
 		as.markDirty(&path, slot)
@@ -737,8 +744,7 @@ func (as *AddressSpace) Brk(h ir.HeapKind) uint64 { return as.heaps[h].brk }
 // upper-bounding the dirty pages reachable along owned paths.
 func (as *AddressSpace) clearHeapSubtrees(h ir.HeapKind) {
 	if as.root.epoch != as.epoch {
-		as.root = as.root.copyAs(as.epoch)
-		addStat(&as.Stats.NodesCopied)
+		as.root = as.copyNode(as.root)
 	}
 	lo, hi := heapSlotRange(h)
 	for s := lo; s < hi; s++ {
@@ -770,13 +776,10 @@ func (as *AddressSpace) ResetHeap(h ir.HeapKind) {
 func (as *AddressSpace) CopyHeapFrom(src *AddressSpace, h ir.HeapKind) {
 	as.clearHeapSubtrees(h)
 	var path [radixLevels]*radixNode
-	src.HeapPages(h, func(base uint64, data []byte) {
+	src.heapWalkAll(h, func(base uint64, e *pageEntry) {
 		pn := base >> PageShift
 		leaf := as.ownPath(pn, &path)
-		e := &leaf.entries[slotOf(pn, radixLevels-1)]
-		dup := &page{}
-		copy(dup.data[:], data)
-		*e = pageEntry{pg: dup, cow: true}
+		leaf.entries[slotOf(pn, radixLevels-1)] = pageEntry{pg: as.newPage(e.pg), cow: true}
 	})
 	as.heaps[h] = src.heaps[h].clone()
 	as.flushTLB("copy-heap")
