@@ -12,6 +12,7 @@ import (
 	"privateer/internal/core"
 	"privateer/internal/interp"
 	"privateer/internal/ir"
+	"privateer/internal/profiling"
 	"privateer/internal/progs"
 	"privateer/internal/specrt"
 	"privateer/internal/vm"
@@ -157,12 +158,23 @@ func BenchmarkPrivacyValidation(b *testing.B) {
 	}
 }
 
-// BenchmarkProfiler measures the instrumented profiling run.
+// BenchmarkProfiler measures profiling.Run — the instrumented training run
+// that is the whole cost of a compile-cache miss — on the five programs at
+// `alt` (what compile_cold compiles), in ns per interpreted instruction.
 func BenchmarkProfiler(b *testing.B) {
-	p := progs.EncMD5()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Parallelize(p.Build(p.Train), core.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, p := range progs.All() {
+		p := p
+		b.Run(p.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				prof, err := profiling.Run(p.Build(p.Alt))
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += prof.Steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+		})
 	}
 }

@@ -10,6 +10,8 @@ import "sort"
 // The zero value is an empty map. Not safe for concurrent use.
 type Map[V any] struct {
 	ivs []interval[V]
+	// last is the index of Find's last hit.
+	last int
 }
 
 type interval[V any] struct {
@@ -73,31 +75,27 @@ func (m *Map[V]) Remove(addr uint64) (V, bool) {
 	return v, true
 }
 
-// Lookup returns the value of the interval containing addr.
-func (m *Map[V]) Lookup(addr uint64) (V, bool) {
-	var zero V
-	i := m.search(addr)
-	if i == 0 {
-		return zero, false
+// Find returns the interval containing addr and its value. The last hit is
+// tried before the binary search; intervals never overlap, so whatever
+// interval that slot holds now is the answer if it contains addr, and an
+// Insert or Remove in between cannot make it resolve to a dead interval.
+func (m *Map[V]) Find(addr uint64) (lo, hi uint64, v V, ok bool) {
+	i := m.last
+	if i >= len(m.ivs) || addr < m.ivs[i].lo || addr >= m.ivs[i].hi {
+		i = m.search(addr) - 1
+		if i < 0 || addr >= m.ivs[i].hi {
+			return 0, 0, v, false
+		}
+		m.last = i
 	}
-	i--
-	if addr >= m.ivs[i].hi {
-		return zero, false
-	}
-	return m.ivs[i].val, true
+	iv := &m.ivs[i]
+	return iv.lo, iv.hi, iv.val, true
 }
 
-// Bounds returns the interval containing addr.
-func (m *Map[V]) Bounds(addr uint64) (lo, hi uint64, ok bool) {
-	i := m.search(addr)
-	if i == 0 {
-		return 0, 0, false
-	}
-	i--
-	if addr >= m.ivs[i].hi {
-		return 0, 0, false
-	}
-	return m.ivs[i].lo, m.ivs[i].hi, true
+// Lookup returns the value of the interval containing addr.
+func (m *Map[V]) Lookup(addr uint64) (V, bool) {
+	_, _, v, ok := m.Find(addr)
+	return v, ok
 }
 
 // Each calls visit for every interval in ascending address order; returning

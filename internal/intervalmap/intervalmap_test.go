@@ -96,9 +96,9 @@ func TestBoundsAndEach(t *testing.T) {
 	var m Map[string]
 	m.Insert(5, 10, "a")
 	m.Insert(10, 15, "b")
-	lo, hi, ok := m.Bounds(12)
-	if !ok || lo != 10 || hi != 15 {
-		t.Errorf("Bounds(12) = %d,%d,%v", lo, hi, ok)
+	lo, hi, v, ok := m.Find(12)
+	if !ok || lo != 10 || hi != 15 || v != "b" {
+		t.Errorf("Find(12) = %d,%d,%q,%v", lo, hi, v, ok)
 	}
 	var order []string
 	m.Each(func(lo, hi uint64, v string) bool {
@@ -120,9 +120,10 @@ func TestEmptyIntervalIgnored(t *testing.T) {
 
 // Property: after every step of a random series of inserts and removes the
 // map holds exactly the intervals a brute-force reference holds, in address
-// order. Inserts come from a dense range (they overlap, split and swallow:
-// Insert's general path) and from a sparse one (nothing overlaps: its
-// in-place path), and each seed must take both.
+// order, and Find agrees with the reference on random addresses. Inserts
+// come from a dense range (they overlap, split and swallow: Insert's general
+// path) and from a sparse one (nothing overlaps: its in-place path), and
+// each seed must take both.
 func TestAgainstReference(t *testing.T) {
 	type ref struct {
 		lo, hi uint64
@@ -185,6 +186,20 @@ func TestAgainstReference(t *testing.T) {
 			})
 			if i != len(refs) {
 				return false
+			}
+			// Find's last-hit memo must survive the insert or remove.
+			for probe := 0; probe < 4; probe++ {
+				a := uint64(rng.Intn(1100))
+				var want ref
+				for _, r := range refs {
+					if a >= r.lo && a < r.hi {
+						want = r
+					}
+				}
+				lo, hi, v, ok := m.Find(a)
+				if ok != (want.hi != 0) || ok && want != (ref{lo, hi, v}) {
+					return false
+				}
 			}
 		}
 		return inPlace > 0 && general > 0

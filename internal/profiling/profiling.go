@@ -13,7 +13,6 @@ package profiling
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"privateer/internal/interp"
 	"privateer/internal/intervalmap"
@@ -23,10 +22,9 @@ import (
 
 // Object names a memory object by its static allocation site: a module
 // global, or a malloc/alloca instruction. This is the unit at which heap
-// assignments are expressed and allocation sites are rewritten. Dynamic
-// contexts (which call path created the object) refine lifetime analysis and
-// reporting but are folded into the site before classification, since one
-// static site can only be rewritten one way.
+// assignments are expressed and allocation sites are rewritten: every object
+// a site creates, on whatever call path, is one Object, since one static site
+// can only be rewritten one way.
 type Object struct {
 	// Global is set for module globals.
 	Global *ir.Global
@@ -166,9 +164,6 @@ type Profile struct {
 	LoadConst map[*ir.Instr]*ConstInfo
 	// CarriedReads profiles the carried occurrences of loads, per loop.
 	CarriedReads map[*ir.Loop]map[*ir.Instr]*CarriedReadInfo
-	// Contexts records, per allocation site, the distinct dynamic contexts
-	// in which it allocated (reporting only).
-	Contexts map[Object]map[string]int64
 	// BlockRuns counts executions of every basic block, for control
 	// speculation: blocks never executed during training are speculated
 	// unreachable and guarded with misspec at transform time.
@@ -208,38 +203,108 @@ func (p *Profile) HotLoops() []*LoopInfo {
 	return infos
 }
 
+// The flow-dependence profiler keeps one logical clock and one shadow of
+// program memory. The clock ticks when a loop activation starts and at each
+// of its iteration boundaries; the shadow holds, per byte, the clock reading
+// and the store of the last write made inside any loop. An activation has
+// been on the stack since startT without a break, so a last write at or
+// after startT is that activation's own last write, and it belongs to an
+// earlier iteration iff it precedes iterT: a read is carried by an activation
+// iff startT <= t < iterT. Nested activations have disjoint, increasing
+// windows, so a byte is carried by at most one of them, a store costs one
+// shadow write per byte whatever the nesting depth, and re-entering an inner
+// loop allocates and clears nothing.
+
+const shadowPageSize = 1 << 12
+
+// shadowPage holds no pointer, so the collector never scans it: src indexes
+// Profiler.instrs.
+type shadowPage struct {
+	t   [shadowPageSize]uint64
+	src [shadowPageSize]uint32
+}
+
+// unwritten stands in, for reads, for every page no in-loop store has
+// touched. Nothing writes to it.
+var unwritten shadowPage
+
+// loopRec is the profiler's record of one static loop. The maps are the
+// ones the Profile exports.
+type loopRec struct {
+	info                  LoopInfo
+	allocated, violations ObjectSet
+	deps                  map[[2]*ir.Instr]*Dep
+	reads                 map[*ir.Instr]*CarriedReadInfo
+	// body[b.Index] is Loop.Contains(b) without the map lookup.
+	body []bool
+}
+
 // loopInst is one dynamic activation of a loop.
 type loopInst struct {
-	loop  *ir.Loop
-	depth int
-	iter  int64
-	// writes maps byte address to the last write in this invocation.
-	writes map[uint64]writeRec
-	// liveAllocs maps objects allocated during the current invocation to
-	// the iteration that allocated them.
-	liveAllocs map[uint64]allocRec
+	*loopRec
+	depth         int
+	startT, iterT uint64
+	// cost0 is Profiler.cost when the activation began.
+	cost0 int64
+	// seenLoad is the Profiler.loads of the last load this activation
+	// carried, so a load straddling two writes is one carried read.
+	seenLoad int64
+	// live maps the base address of every object allocated in the current
+	// iteration, and not freed yet, to its site; nil until the first one.
+	live map[uint64]Object
 }
 
-type writeRec struct {
-	iter  int64
-	instr *ir.Instr
+// instrRec is the dense side-table entry of one instruction.
+type instrRec struct {
+	in *ir.Instr
+	// objs is PointsTo[in]; lastObj, the object last added, makes a repeat
+	// access a single compare.
+	objs    ObjectSet
+	lastObj Object
+	// konst is LoadConst[in] once Count > 0.
+	konst ConstInfo
+	// dep is the dependence the load last manifested, in depLoop from
+	// depSrc: an 8-byte carried read is one lookup, not eight.
+	depLoop *loopRec
+	depSrc  uint32
+	dep     *Dep
 }
 
-type allocRec struct {
-	iter int64
-	obj  Object
+type blockRec struct {
+	blk  *ir.Block
+	runs int64
+	// header is the loop blk heads, if any.
+	header *loopRec
 }
+
+// fnBase locates a function's values and blocks in the dense tables.
+type fnBase struct{ val, blk int }
 
 // Profiler instruments an interpreter and accumulates a Profile.
 type Profiler struct {
 	prof *Profile
 
-	loopsByHeader map[*ir.Block]*ir.Loop
-	loopsOf       map[*ir.Block][]*ir.Loop // innermost-first
+	// instrs and blocks are indexed by a function's base plus ValueID and
+	// Block.Index; Profile folds them into the exported maps. lastFn is a
+	// one-entry memo in front of bases.
+	bases  map[*ir.Function]fnBase
+	lastFn *ir.Function
+	last   fnBase
+	instrs []instrRec
+	blocks []blockRec
 
-	objects  intervalmap.Map[Object]
-	stack    []*loopInst
-	depIndex map[*ir.Loop]map[[2]*ir.Instr]*Dep
+	objects intervalmap.Map[Object]
+	stack   []loopInst
+	clock   uint64
+	// cost sums len(to.Instrs) over every block transition: an activation's
+	// Steps is the growth of cost while it was on the stack.
+	cost  int64
+	loads int64
+
+	// lastPage caches pages[lastPN] (or unwritten).
+	pages    map[uint64]*shadowPage
+	lastPN   uint64
+	lastPage *shadowPage
 }
 
 // NewProfiler prepares a profiler for mod, computing loop structure for
@@ -255,32 +320,41 @@ func NewProfiler(mod *ir.Module) *Profiler {
 			AllocatedIn:          map[*ir.Loop]ObjectSet{},
 			LoadConst:            map[*ir.Instr]*ConstInfo{},
 			CarriedReads:         map[*ir.Loop]map[*ir.Instr]*CarriedReadInfo{},
-			Contexts:             map[Object]map[string]int64{},
 			BlockRuns:            map[*ir.Block]int64{},
 		},
-		loopsByHeader: map[*ir.Block]*ir.Loop{},
-		loopsOf:       map[*ir.Block][]*ir.Loop{},
-		depIndex:      map[*ir.Loop]map[[2]*ir.Instr]*Dep{},
+		bases:  map[*ir.Function]fnBase{},
+		pages:  map[uint64]*shadowPage{},
+		lastPN: ^uint64(0),
 	}
 	for _, f := range mod.SortedFuncs() {
 		f.Recompute()
-		dt := ir.BuildDomTree(f)
-		loops := ir.FindLoops(f, dt)
-		for _, l := range loops {
-			p.loopsByHeader[l.Header] = l
-			p.prof.AllLoops = append(p.prof.AllLoops, l)
-			p.prof.Loops[l] = &LoopInfo{Loop: l}
-			p.prof.ShortLivedViolations[l] = ObjectSet{}
-			p.prof.AllocatedIn[l] = ObjectSet{}
-			p.depIndex[l] = map[[2]*ir.Instr]*Dep{}
-			p.prof.CarriedReads[l] = map[*ir.Instr]*CarriedReadInfo{}
-			for _, b := range l.Blocks {
-				p.loopsOf[b] = append(p.loopsOf[b], l)
+		base := fnBase{len(p.instrs), len(p.blocks)}
+		p.bases[f] = base
+		p.instrs = append(p.instrs, make([]instrRec, f.NumValues())...)
+		for _, b := range f.Blocks {
+			p.blocks = append(p.blocks, blockRec{blk: b})
+			for _, in := range b.Instrs {
+				p.instrs[base.val+in.ValueID()].in = in
 			}
 		}
-		// Innermost (deepest) first.
-		for _, lst := range p.loopsOf {
-			sort.Slice(lst, func(i, j int) bool { return lst[i].Depth > lst[j].Depth })
+		for _, l := range ir.FindLoops(f, ir.BuildDomTree(f)) {
+			rec := &loopRec{
+				info:       LoopInfo{Loop: l},
+				allocated:  ObjectSet{},
+				violations: ObjectSet{},
+				deps:       map[[2]*ir.Instr]*Dep{},
+				reads:      map[*ir.Instr]*CarriedReadInfo{},
+				body:       make([]bool, len(f.Blocks)),
+			}
+			for _, b := range l.Blocks {
+				rec.body[b.Index] = true
+			}
+			p.blocks[base.blk+l.Header.Index].header = rec
+			p.prof.AllLoops = append(p.prof.AllLoops, l)
+			p.prof.Loops[l] = &rec.info
+			p.prof.ShortLivedViolations[l] = rec.violations
+			p.prof.AllocatedIn[l] = rec.allocated
+			p.prof.CarriedReads[l] = rec.reads
 		}
 	}
 	return p
@@ -307,20 +381,60 @@ func (p *Profiler) Attach(it *interp.Interp) error {
 	return nil
 }
 
-// Profile finalizes and returns the accumulated profile.
+// before reports whether a precedes b in program order: function name, block
+// index, index in block.
+func before(a, b *ir.Instr) bool {
+	if a.Blk.Fn != b.Blk.Fn {
+		return a.Blk.Fn.Name < b.Blk.Fn.Name
+	}
+	if a.Blk != b.Blk {
+		return a.Blk.Index < b.Blk.Index
+	}
+	for _, in := range a.Blk.Instrs {
+		if in == a || in == b {
+			return in == a && a != b
+		}
+	}
+	return false
+}
+
+// Profile folds the side tables into the exported maps and returns the
+// accumulated profile.
 func (p *Profiler) Profile(steps int64) *Profile {
-	for l, idx := range p.depIndex {
-		var deps []*Dep
-		for _, d := range idx {
+	for i := range p.instrs {
+		rec := &p.instrs[i]
+		if rec.objs != nil {
+			p.prof.PointsTo[rec.in] = rec.objs
+		}
+		if rec.konst.Count > 0 {
+			p.prof.LoadConst[rec.in] = &rec.konst
+		}
+	}
+	for _, br := range p.blocks {
+		if br.runs > 0 {
+			p.prof.BlockRuns[br.blk] = br.runs
+		}
+		if br.header == nil {
+			continue
+		}
+		deps := make([]*Dep, 0, len(br.header.deps))
+		for _, d := range br.header.deps {
 			deps = append(deps, d)
 		}
 		sort.Slice(deps, func(i, j int) bool {
-			if deps[i].Count != deps[j].Count {
-				return deps[i].Count > deps[j].Count
+			a, b := deps[i], deps[j]
+			if a.Count != b.Count {
+				return a.Count > b.Count
 			}
-			return deps[i].Object.String() < deps[j].Object.String()
+			if as, bs := a.Object.String(), b.Object.String(); as != bs {
+				return as < bs
+			}
+			if a.Src != b.Src {
+				return before(a.Src, b.Src)
+			}
+			return before(a.Dst, b.Dst)
 		})
-		p.prof.CarriedFlow[l] = deps
+		p.prof.CarriedFlow[br.header.info.Loop] = deps
 	}
 	p.prof.Steps = steps
 	return p.prof
@@ -341,172 +455,177 @@ func Run(mod *ir.Module, args ...uint64) (*Profile, error) {
 	return p.Profile(it.Steps), nil
 }
 
-func (p *Profiler) context(fr *interp.Frame) string {
-	var parts []string
-	for f := fr; f != nil; f = f.Caller {
-		parts = append(parts, f.Fn.Name)
+func (p *Profiler) base(fn *ir.Function) fnBase {
+	if fn != p.lastFn {
+		p.lastFn, p.last = fn, p.bases[fn]
 	}
-	// Reverse to outermost-first.
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
+	return p.last
+}
+
+// access returns in's side-table entry and index, and adds o to the objects
+// in's address operand has referenced.
+func (p *Profiler) access(fn *ir.Function, in *ir.Instr, o Object) (*instrRec, uint32) {
+	i := p.base(fn).val + in.ValueID()
+	rec := &p.instrs[i]
+	if o != rec.lastObj && !o.IsZero() {
+		if rec.objs == nil {
+			rec.objs = ObjectSet{}
+		}
+		rec.objs[o] = true
+		rec.lastObj = o
 	}
-	return strings.Join(parts, ">")
+	return rec, uint32(i)
+}
+
+// shadow returns the page shadowing addr and addr's index in it. Only a
+// write makes a page; a read of untouched memory gets unwritten.
+func (p *Profiler) shadow(addr uint64, write bool) (*shadowPage, int) {
+	pn := addr / shadowPageSize
+	if pn != p.lastPN {
+		p.lastPN, p.lastPage = pn, p.pages[pn]
+		if p.lastPage == nil {
+			p.lastPage = &unwritten
+		}
+	}
+	if write && p.lastPage == &unwritten {
+		p.lastPage = new(shadowPage)
+		p.pages[pn] = p.lastPage
+	}
+	return p.lastPage, int(addr % shadowPageSize)
 }
 
 func (p *Profiler) onEnter(fr *interp.Frame) {
-	p.prof.BlockRuns[fr.Fn.Entry()]++
+	p.blocks[p.base(fr.Fn).blk].runs++
 }
 
 func (p *Profiler) onBlock(fr *interp.Frame, from, to *ir.Block) {
-	p.prof.BlockRuns[to]++
+	br := &p.blocks[p.base(fr.Fn).blk+to.Index]
+	br.runs++
 	// Pop loop instances of this frame that do not contain the target.
-	for len(p.stack) > 0 {
-		top := p.stack[len(p.stack)-1]
-		if top.depth != fr.Depth || top.loop.Contains(to) {
-			break
-		}
-		p.popInstance(top)
-		p.stack = p.stack[:len(p.stack)-1]
+	for n := len(p.stack); n > 0 && p.stack[n-1].depth == fr.Depth && !p.stack[n-1].body[to.Index]; n-- {
+		p.pop()
 	}
 	// Entering a header: either a back edge (iteration) or a fresh
 	// invocation.
-	if l := p.loopsByHeader[to]; l != nil {
-		top := p.topFor(fr.Depth)
-		if top != nil && top.loop == l {
-			if l.Contains(from) {
-				p.iterBoundary(top)
-				top.iter++
-				p.prof.Loops[l].Iterations++
-			}
+	if l := br.header; l != nil {
+		n := len(p.stack)
+		if n > 0 && p.stack[n-1].depth == fr.Depth && p.stack[n-1].loopRec == l {
 			// A jump to the header from outside while the instance is
 			// active cannot happen in reducible CFGs.
-		} else {
-			inst := &loopInst{
-				loop:       l,
-				depth:      fr.Depth,
-				writes:     map[uint64]writeRec{},
-				liveAllocs: map[uint64]allocRec{},
+			if l.body[from.Index] {
+				p.iterBoundary(&p.stack[n-1])
+				l.info.Iterations++
 			}
-			p.stack = append(p.stack, inst)
-			li := p.prof.Loops[l]
-			li.Invocations++
-			li.Iterations++
+		} else {
+			p.clock++
+			p.stack = append(p.stack, loopInst{
+				loopRec: l, depth: fr.Depth, startT: p.clock, iterT: p.clock, cost0: p.cost,
+			})
+			l.info.Invocations++
+			l.info.Iterations++
 		}
 	}
-	// Execution-time profile: attribute the target block's work to every
+	// Execution-time profile: the target block's work belongs to every
 	// active loop.
-	cost := int64(len(to.Instrs))
-	for _, inst := range p.stack {
-		p.prof.Loops[inst.loop].Steps += cost
-	}
+	p.cost += int64(len(to.Instrs))
 }
 
-func (p *Profiler) topFor(depth int) *loopInst {
-	if len(p.stack) == 0 {
-		return nil
-	}
-	top := p.stack[len(p.stack)-1]
-	if top.depth != depth {
-		return nil
-	}
-	return top
-}
-
-// iterBoundary handles end-of-iteration bookkeeping for inst: objects still
-// live that were allocated during the finished iteration violate the
-// short-lived property.
+// iterBoundary ends inst's iteration: objects allocated during it that are
+// still live violate the short-lived property.
 func (p *Profiler) iterBoundary(inst *loopInst) {
-	for addr, rec := range inst.liveAllocs {
-		if rec.iter <= inst.iter {
-			p.prof.ShortLivedViolations[inst.loop].Add(rec.obj)
-			delete(inst.liveAllocs, addr)
-		}
+	for _, obj := range inst.live {
+		inst.violations.Add(obj)
 	}
+	clear(inst.live)
+	p.clock++
+	inst.iterT = p.clock
 }
 
-func (p *Profiler) popInstance(inst *loopInst) {
-	// Anything still live at loop exit outlived its iteration.
-	for _, rec := range inst.liveAllocs {
-		p.prof.ShortLivedViolations[inst.loop].Add(rec.obj)
+// pop ends the top activation: anything it allocated that is still live
+// outlived its iteration.
+func (p *Profiler) pop() {
+	inst := &p.stack[len(p.stack)-1]
+	for _, obj := range inst.live {
+		inst.violations.Add(obj)
 	}
+	inst.info.Steps += p.cost - inst.cost0
+	p.stack = p.stack[:len(p.stack)-1]
 }
 
 func (p *Profiler) onExit(fr *interp.Frame) {
-	for len(p.stack) > 0 {
-		top := p.stack[len(p.stack)-1]
-		if top.depth < fr.Depth {
-			break
-		}
-		p.popInstance(top)
-		p.stack = p.stack[:len(p.stack)-1]
+	for n := len(p.stack); n > 0 && p.stack[n-1].depth >= fr.Depth; n-- {
+		p.pop()
 	}
-}
-
-func (p *Profiler) resolve(addr uint64) Object {
-	o, _ := p.objects.Lookup(addr)
-	return o
-}
-
-func (p *Profiler) recordPointsTo(in *ir.Instr, o Object) {
-	if o.IsZero() {
-		return
-	}
-	set := p.prof.PointsTo[in]
-	if set == nil {
-		set = ObjectSet{}
-		p.prof.PointsTo[in] = set
-	}
-	set.Add(o)
 }
 
 func (p *Profiler) onLoad(fr *interp.Frame, in *ir.Instr, addr uint64, size int64) {
-	obj := p.resolve(addr)
-	p.recordPointsTo(in, obj)
+	lo, _, obj, ok := p.objects.Find(addr)
+	if !ok {
+		lo = addr // offset 0 in no object
+	}
+	rec, _ := p.access(fr.Fn, in, obj)
+	if len(p.stack) == 0 {
+		return
+	}
 	// Value-prediction profile: only meaningful inside loops.
-	if len(p.stack) > 0 && in.Op == ir.OpLoad {
-		ci := p.prof.LoadConst[in]
+	if in.Op == ir.OpLoad {
 		val := fr.Value(in)
-		if ci == nil {
-			p.prof.LoadConst[in] = &ConstInfo{Value: val, Stable: true, Count: 1}
-		} else {
-			ci.Count++
-			if ci.Value != val {
-				ci.Stable = false
+		if ci := &rec.konst; ci.Count == 0 {
+			*ci = ConstInfo{Value: val, Stable: true}
+		} else if ci.Value != val {
+			ci.Stable = false
+		}
+		rec.konst.Count++
+	}
+	// Flow-dependence profile at byte granularity, one run of bytes sharing
+	// a last write at a time.
+	p.loads++
+	for a, end := addr, addr+uint64(size); a < end; {
+		pg, i := p.shadow(a, false)
+		t, src := pg.t[i], pg.src[i]
+		n := 1
+		for lim := min(int(end-a), shadowPageSize-i); n < lim && pg.t[i+n] == t && pg.src[i+n] == src; n++ {
+		}
+		a += uint64(n)
+		inst := p.carrier(t)
+		if inst == nil {
+			continue
+		}
+		if rec.depLoop != inst.loopRec || rec.depSrc != src {
+			key := [2]*ir.Instr{p.instrs[src].in, in}
+			d := inst.deps[key]
+			if d == nil {
+				d = &Dep{Src: key[0], Dst: in, Object: obj}
+				inst.deps[key] = d
 			}
+			rec.depLoop, rec.depSrc, rec.dep = inst.loopRec, src, d
+		}
+		rec.dep.Count += int64(n)
+		if inst.seenLoad != p.loads {
+			inst.seenLoad = p.loads
+			recordCarriedRead(inst.reads, in, addr, size, fr.Value(in), obj, addr-lo)
 		}
 	}
-	for _, inst := range p.stack {
-		// Flow-dependence profile at byte granularity.
-		carried := false
-		for b := addr; b < addr+uint64(size); b++ {
-			if wr, ok := inst.writes[b]; ok && wr.iter < inst.iter {
-				p.recordDep(inst.loop, wr.instr, in, obj)
-				carried = true
-			}
+	p.checkAccessLifetime(obj, lo)
+}
+
+// carrier returns the activation in which a read of a byte last written at
+// clock t is loop-carried, or nil. Windows grow with stack depth, so the walk
+// stops at the first activation whose current iteration began by t.
+func (p *Profiler) carrier(t uint64) *loopInst {
+	for i := len(p.stack) - 1; i >= 0 && t < p.stack[i].iterT; i-- {
+		if t >= p.stack[i].startT {
+			return &p.stack[i]
 		}
-		if carried {
-			p.recordCarriedRead(inst.loop, in, addr, size, fr.Value(in), obj)
-		}
-		// Short-lived property: accessing an object of a site that
-		// allocates inside this loop, outside the iteration that
-		// allocated it, is a violation.
-		p.checkAccessLifetime(inst, addr, obj)
 	}
+	return nil
 }
 
 // recordCarriedRead updates the value-prediction profile of a carried read
-// occurrence.
-func (p *Profiler) recordCarriedRead(l *ir.Loop, in *ir.Instr, addr uint64, size int64, val uint64, obj Object) {
-	m := p.prof.CarriedReads[l]
-	if m == nil {
-		return
-	}
+// occurrence; off is addr's offset in obj.
+func recordCarriedRead(m map[*ir.Instr]*CarriedReadInfo, in *ir.Instr, addr uint64, size int64, val uint64, obj Object, off uint64) {
 	ci := m[in]
 	if ci == nil {
-		var off uint64
-		if lo, _, ok := p.objects.Bounds(addr); ok {
-			off = addr - lo
-		}
 		m[in] = &CarriedReadInfo{
 			Addr: addr, Value: val, Size: size, Object: obj, Offset: off,
 			Stable: true, Count: 1,
@@ -520,65 +639,50 @@ func (p *Profiler) recordCarriedRead(l *ir.Loop, in *ir.Instr, addr uint64, size
 }
 
 func (p *Profiler) onStore(fr *interp.Frame, in *ir.Instr, addr uint64, size int64) {
-	obj := p.resolve(addr)
-	p.recordPointsTo(in, obj)
-	for _, inst := range p.stack {
-		for b := addr; b < addr+uint64(size); b++ {
-			inst.writes[b] = writeRec{iter: inst.iter, instr: in}
-		}
-		p.checkAccessLifetime(inst, addr, obj)
+	lo, _, obj, _ := p.objects.Find(addr)
+	_, src := p.access(fr.Fn, in, obj)
+	if len(p.stack) == 0 {
+		return
 	}
+	for a, end := addr, addr+uint64(size); a < end; {
+		pg, i := p.shadow(a, true)
+		n := min(int(end-a), shadowPageSize-i)
+		for k := i; k < i+n; k++ {
+			pg.t[k], pg.src[k] = p.clock, src
+		}
+		a += uint64(n)
+	}
+	p.checkAccessLifetime(obj, lo)
 }
 
-// checkAccessLifetime flags short-lived violations: the object is from a
-// site that allocates within inst's loop, but this access is to an instance
-// not allocated in the current iteration.
-func (p *Profiler) checkAccessLifetime(inst *loopInst, addr uint64, obj Object) {
-	if obj.IsZero() || obj.Global != nil {
+// checkAccessLifetime flags short-lived violations: obj, based at lo, is from
+// a site that allocates within an active loop, but was not allocated in that
+// loop's current iteration (live holds exactly the objects that were).
+func (p *Profiler) checkAccessLifetime(obj Object, lo uint64) {
+	if obj.Site == nil {
 		return
 	}
-	lo, _, ok := p.objects.Bounds(addr)
-	if !ok {
-		return
-	}
-	if rec, live := inst.liveAllocs[lo]; live {
-		if rec.iter != inst.iter {
-			// Covered by iterBoundary, but double-check cheaply.
-			p.prof.ShortLivedViolations[inst.loop].Add(obj)
+	for i := range p.stack {
+		inst := &p.stack[i]
+		if len(inst.allocated) == 0 {
+			continue
 		}
-		return
+		if _, live := inst.live[lo]; !live && inst.allocated[obj] {
+			inst.violations.Add(obj)
+		}
 	}
-	// Accessed inside the loop without having been allocated in the
-	// current iteration: if this site ever allocates inside the loop, the
-	// site cannot be short-lived.
-	if p.prof.AllocatedIn[inst.loop][obj] {
-		p.prof.ShortLivedViolations[inst.loop].Add(obj)
-	}
-}
-
-func (p *Profiler) recordDep(l *ir.Loop, src, dst *ir.Instr, obj Object) {
-	key := [2]*ir.Instr{src, dst}
-	d := p.depIndex[l][key]
-	if d == nil {
-		d = &Dep{Src: src, Dst: dst, Object: obj}
-		p.depIndex[l][key] = d
-	}
-	d.Count++
 }
 
 func (p *Profiler) onAlloc(fr *interp.Frame, in *ir.Instr, addr, size uint64) {
 	obj := Object{Site: in}
 	p.objects.Insert(addr, addr+size, obj)
-	ctx := p.context(fr)
-	cm := p.prof.Contexts[obj]
-	if cm == nil {
-		cm = map[string]int64{}
-		p.prof.Contexts[obj] = cm
-	}
-	cm[ctx]++
-	for _, inst := range p.stack {
-		p.prof.AllocatedIn[inst.loop].Add(obj)
-		inst.liveAllocs[addr] = allocRec{iter: inst.iter, obj: obj}
+	for i := range p.stack {
+		inst := &p.stack[i]
+		inst.allocated.Add(obj)
+		if inst.live == nil {
+			inst.live = map[uint64]Object{}
+		}
+		inst.live[addr] = obj
 	}
 }
 
@@ -588,18 +692,16 @@ func (p *Profiler) onFree(fr *interp.Frame, in *ir.Instr, addr uint64) {
 		return
 	}
 	if in != nil {
-		p.recordPointsTo(in, obj)
+		p.access(fr.Fn, in, obj)
 	}
-	for _, inst := range p.stack {
-		if rec, live := inst.liveAllocs[addr]; live {
-			if rec.iter != inst.iter {
-				p.prof.ShortLivedViolations[inst.loop].Add(obj)
-			}
-			delete(inst.liveAllocs, addr)
-		} else if p.prof.AllocatedIn[inst.loop][obj] {
+	for i := range p.stack {
+		inst := &p.stack[i]
+		if _, live := inst.live[addr]; live {
+			delete(inst.live, addr)
+		} else if inst.allocated[obj] {
 			// Freed inside the loop, but allocated before this
-			// invocation: outlived an iteration.
-			p.prof.ShortLivedViolations[inst.loop].Add(obj)
+			// iteration: outlived an iteration.
+			inst.violations.Add(obj)
 		}
 	}
 }

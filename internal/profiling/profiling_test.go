@@ -254,34 +254,6 @@ func TestCalleeAccessesAttributedToLoop(t *testing.T) {
 	}
 }
 
-func TestContextsRecorded(t *testing.T) {
-	m := ir.NewModule("ctx")
-	mk := m.NewFunc("mk", ir.Ptr)
-	{
-		hb := ir.NewBuilder(mk)
-		n := hb.Malloc("node", hb.I(8))
-		hb.Ret(n)
-	}
-	f := m.NewFunc("main", ir.I64)
-	b := ir.NewBuilder(f)
-	a := b.Call(mk)
-	b.Free(a)
-	b.Ret(b.I(0))
-	p, err := Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for o, ctxs := range p.Contexts {
-		if o.Site != nil && o.Site.Name == "node" {
-			if _, ok := ctxs["main>mk"]; !ok {
-				t.Errorf("context map = %v, want main>mk", ctxs)
-			}
-			return
-		}
-	}
-	t.Error("no context recorded for node site")
-}
-
 func TestBlockRunsCounted(t *testing.T) {
 	m := ir.NewModule("blocks")
 	f := m.NewFunc("main", ir.I64)
