@@ -36,9 +36,10 @@ package analysis
 //     that store a contiguous stride; callees may be "self-covering"
 //     (they re-initialize the object before any internal read).
 //
-//   - RuleRedux (StaticRedux): the syntactic reduction sequence
-//     (load; associative-commutative op; store to the same address) is
-//     provably the only access path to the object inside the region.
+//   - RuleRedux (StaticRedux): the reduction update ir.ReduxUpdate
+//     recognises (load; associative-commutative op; store back through
+//     the same address value) is provably the only access path to the
+//     object inside the region.
 //
 // Soundness notes. May-information (which accesses might touch the
 // object) always comes from the Unknown-closed points-to sets; a proof is
@@ -1143,99 +1144,41 @@ func (sp *sepProver) uniformBase(vals []ir.Value) (profiling.Object, bool) {
 // ---------------------------------------------------------------------------
 // RuleRedux
 
-// proveRedux: every region access that may touch o belongs to a syntactic
-// reduction sequence — a load consumed by one associative-commutative
-// update stored back through the same address value — and nothing else
-// can reach the object.
+// proveRedux: every region access that may touch o belongs to a reduction
+// update as ir.ReduxUpdate defines it — a load consumed by one
+// associative-commutative update stored back through the same address
+// value — each update's load is itself a region read, and nothing else can
+// reach the object.
 func (sp *sepProver) proveRedux(o profiling.Object) bool {
 	if sp.unknownWrite || sp.unknownRead {
 		return false
 	}
+	// loads holds the load of every region update of o; true once the load
+	// was met among the region's reads.
+	loads := map[*ir.Instr]bool{}
 	for _, w := range sp.writes {
 		if !sp.objsOf(w, writeAddrOf(w))[o] {
 			continue
 		}
-		if w.Op != ir.OpStore || !staticReduxStore(w) {
+		ld, _, _, ok := ir.ReduxUpdate(w)
+		if !ok {
 			return false
 		}
+		loads[ld] = false
 	}
-	seen := false
 	for _, r := range sp.reads {
 		if !sp.objsOf(r, readAddrOf(r))[o] {
 			continue
 		}
-		if r.Op != ir.OpLoad || !staticReduxLoad(r) {
+		if _, isUpdateLoad := loads[r]; !isUpdateLoad {
 			return false
 		}
-		seen = true
+		loads[r] = true
 	}
-	return seen
-}
-
-// staticReduxLoad mirrors the classifier's reduction-load pattern with
-// static evidence only: some store in the same function stores an
-// associative-commutative update of the loaded value back through the
-// load's own address value.
-func staticReduxLoad(load *ir.Instr) bool {
-	addr := load.Args[0]
-	found := false
-	load.Blk.Fn.Instrs(func(in *ir.Instr) {
-		if found || in.Op != ir.OpStore || in.Args[1] != addr {
-			return
-		}
-		op, isInstr := in.Args[0].(*ir.Instr)
-		if !isInstr || reduxKindOf(op) == ir.ReduxNone {
-			return
-		}
-		for _, a := range op.Args {
-			if a == ir.Value(load) {
-				found = true
-			}
-		}
-	})
-	return found
-}
-
-// staticReduxStore mirrors the classifier's reduction-store pattern: the
-// stored value is an associative-commutative op over a load from the same
-// address value.
-func staticReduxStore(st *ir.Instr) bool {
-	op, isInstr := st.Args[0].(*ir.Instr)
-	if !isInstr || reduxKindOf(op) == ir.ReduxNone {
-		return false
-	}
-	for _, a := range op.Args {
-		if ld, isLoad := a.(*ir.Instr); isLoad && ld.Op == ir.OpLoad && ld.Args[0] == st.Args[1] {
-			return true
+	for _, inRegion := range loads {
+		if !inRegion {
+			return false
 		}
 	}
-	return false
-}
-
-// reduxKindOf maps an instruction to the reduction operator it
-// implements, if associative and commutative (the static mirror of the
-// classifier's operator table).
-func reduxKindOf(in *ir.Instr) ir.ReduxKind {
-	switch in.Op {
-	case ir.OpAdd:
-		return ir.ReduxAddI64
-	case ir.OpFAdd:
-		return ir.ReduxAddF64
-	case ir.OpSelect:
-		cond, isInstr := in.Args[0].(*ir.Instr)
-		if !isInstr {
-			return ir.ReduxNone
-		}
-		switch cond.Op {
-		case ir.OpSLt, ir.OpSLe:
-			return ir.ReduxMinI64
-		case ir.OpSGt, ir.OpSGe:
-			return ir.ReduxMaxI64
-		case ir.OpFLt, ir.OpFLe:
-			return ir.ReduxMinF64
-		case ir.OpFGt, ir.OpFGe:
-			return ir.ReduxMaxF64
-		}
-	}
-	return ir.ReduxNone
+	return len(loads) > 0
 }

@@ -24,20 +24,26 @@ type Footprint struct {
 	Read profiling.ObjectSet
 	// Write holds objects written by non-reduction stores.
 	Write profiling.ObjectSet
-	// Redux holds objects accessed only via load-op-store sequences with a
-	// single associative, commutative operator.
+	// Redux holds objects accessed via reduction updates (ir.ReduxUpdate),
+	// all of them with one operator at one element size.
 	Redux profiling.ObjectSet
-	// ReduxOps records the reduction operator per object (for heap
-	// initialization and merging at run time).
+	// ReduxOps records that operator per object (for heap initialization
+	// and merging at run time).
 	ReduxOps map[profiling.Object]ir.ReduxKind
+	// ReduxSizes records that element size per object.
+	ReduxSizes map[profiling.Object]int64
+	// updates holds the load and the store of every reduction update (set
+	// by GetFootprint only).
+	updates map[*ir.Instr]bool
 }
 
 func newFootprint() *Footprint {
 	return &Footprint{
-		Read:     profiling.ObjectSet{},
-		Write:    profiling.ObjectSet{},
-		Redux:    profiling.ObjectSet{},
-		ReduxOps: map[profiling.Object]ir.ReduxKind{},
+		Read:       profiling.ObjectSet{},
+		Write:      profiling.ObjectSet{},
+		Redux:      profiling.ObjectSet{},
+		ReduxOps:   map[profiling.Object]ir.ReduxKind{},
+		ReduxSizes: map[profiling.Object]int64{},
 	}
 }
 
@@ -157,172 +163,71 @@ func (a *Assignment) String() string {
 	return sb.String()
 }
 
-// reduxPattern reports whether load in participates in a reduction sequence:
-// there is a store to the same address value whose stored operand is a
-// single associative-commutative operation over the loaded value, e.g.
-// v = load p; v' = v + x; store v', p. It returns the operator kind and the
-// access size.
-func reduxPattern(load *ir.Instr) (ir.ReduxKind, int64, bool) {
-	if load.Op != ir.OpLoad {
-		return ir.ReduxNone, 0, false
-	}
-	addr := load.Args[0]
-	// Find a store to the same address value in the same function.
-	var found ir.ReduxKind
-	var size int64
-	load.Blk.Fn.Instrs(func(in *ir.Instr) {
-		if in.Op != ir.OpStore || in.Args[1] != addr || found != ir.ReduxNone {
-			return
-		}
-		op, isInstr := in.Args[0].(*ir.Instr)
-		if !isInstr {
-			return
-		}
-		kind := reduxOpKind(op)
-		if kind == ir.ReduxNone {
-			return
-		}
-		// One operand of the update must be the loaded value.
-		usesLoad := false
-		for _, a := range op.Args {
-			if a == ir.Value(load) {
-				usesLoad = true
-			}
-		}
-		if usesLoad {
-			found = kind
-			size = in.Size
-		}
-	})
-	return found, size, found != ir.ReduxNone
-}
-
-// reduxOpKind maps an instruction to the reduction operator it implements,
-// if associative and commutative.
-func reduxOpKind(in *ir.Instr) ir.ReduxKind {
-	switch in.Op {
-	case ir.OpAdd:
-		return ir.ReduxAddI64
-	case ir.OpFAdd:
-		return ir.ReduxAddF64
-	case ir.OpSelect:
-		// min/max idiom: select(a < b, a, b) over a load.
-		cond, isInstr := in.Args[0].(*ir.Instr)
-		if !isInstr {
-			return ir.ReduxNone
-		}
-		switch cond.Op {
-		case ir.OpSLt, ir.OpSLe:
-			return ir.ReduxMinI64
-		case ir.OpSGt, ir.OpSGe:
-			return ir.ReduxMaxI64
-		case ir.OpFLt, ir.OpFLe:
-			return ir.ReduxMinF64
-		case ir.OpFGt, ir.OpFGe:
-			return ir.ReduxMaxF64
-		}
-	}
-	return ir.ReduxNone
-}
-
-// GetFootprint implements Algorithm 2 for the instruction sequence of loop l,
-// recurring into direct callees. The pointer-to-object profile resolves each
-// access to the objects it touched.
+// GetFootprint implements Algorithm 2 for loop l's region: the loop body and
+// everything callable from it (ir.RegionMemOps). The pointer-to-object
+// profile resolves each access to the objects it touched. A store and its
+// load form a reduction update when ir.ReduxUpdate says so and the load runs
+// in the same iteration as the store — one hoisted out of the loop reads the
+// pre-loop value every time, and acc = v0 op x is an overwrite, not a
+// reduction. An object updated with two different operators, or at two
+// element sizes, has no single way to fold its partial results: it is
+// demoted to a plain read and write.
 func GetFootprint(l *ir.Loop, prof *profiling.Profile) *Footprint {
 	fp := newFootprint()
-	seen := map[*ir.Function]bool{}
-	var scan func(instrs []*ir.Instr)
-	scanFunc := func(f *ir.Function) {
-		if seen[f] {
-			return
-		}
-		seen[f] = true
-		for _, b := range f.Blocks {
-			scan(b.Instrs)
-		}
-	}
-	scan = func(instrs []*ir.Instr) {
-		for _, in := range instrs {
-			switch in.Op {
-			case ir.OpLoad:
-				objs := prof.MapPointerToObjects(in)
-				if kind, size, isRedux := reduxPattern(in); isRedux {
-					for o := range objs {
-						fp.Redux.Add(o)
-						fp.ReduxOps[o] = kind
-						_ = size
-					}
-				} else {
-					fp.Read.Union(objs)
+	fp.updates = map[*ir.Instr]bool{}
+	writes, reads := ir.RegionMemOps(l)
+	mixed := profiling.ObjectSet{}
+	for _, w := range writes {
+		objs := prof.MapPointerToObjects(w)
+		ld, kind, size, isRedux := ir.ReduxUpdate(w)
+		switch {
+		case isRedux && (ld.Blk.Fn != l.Header.Fn || l.ContainsInstr(ld)):
+			fp.updates[w], fp.updates[ld] = true, true
+			for o := range objs {
+				if fp.ReduxOps[o] == ir.ReduxNone {
+					fp.ReduxOps[o], fp.ReduxSizes[o] = kind, size
+				} else if fp.ReduxOps[o] != kind || fp.ReduxSizes[o] != size {
+					mixed.Add(o)
 				}
-			case ir.OpStore:
-				objs := prof.MapPointerToObjects(in)
-				if isReduxStore(in) {
-					for o := range objs {
-						fp.Redux.Add(o)
-					}
-				} else {
-					fp.Write.Union(objs)
-				}
-			case ir.OpMemCopy:
-				// Reads src, writes dst; the profile records both under
-				// the one instruction, so include it in both sets.
-				fp.Read.Union(prof.MapPointerToObjects(in))
-				fp.Write.Union(prof.MapPointerToObjects(in))
-			case ir.OpMemSet:
-				fp.Write.Union(prof.MapPointerToObjects(in))
-			case ir.OpCall:
-				scanFunc(in.Callee)
+				fp.Redux.Add(o)
 			}
+		case w.Op == ir.OpStore, w.Op == ir.OpMemSet, w.Op == ir.OpMemCopy:
+			fp.Write.Union(objs)
 		}
 	}
-	for _, b := range l.Blocks {
-		scan(b.Instrs)
+	for _, r := range reads {
+		// A memcopy reads src and writes dst; the profile records both
+		// under the one instruction, so it is in both sets.
+		if objs := prof.MapPointerToObjects(r); fp.updates[r] {
+			fp.Redux.Union(objs)
+		} else {
+			fp.Read.Union(objs)
+		}
+	}
+	for o := range mixed {
+		delete(fp.Redux, o)
+		delete(fp.ReduxOps, o)
+		delete(fp.ReduxSizes, o)
+		fp.Read.Add(o)
+		fp.Write.Add(o)
 	}
 	return fp
 }
 
-// isReduxStore reports whether in is the store side of a reduction sequence.
-func isReduxStore(st *ir.Instr) bool {
-	op, isInstr := st.Args[0].(*ir.Instr)
-	if !isInstr {
-		return false
-	}
-	kind := reduxOpKind(op)
-	if kind == ir.ReduxNone {
-		return false
-	}
-	// One operand of the update must be a load from the same address.
-	for _, a := range op.Args {
-		if ld, isLoad := a.(*ir.Instr); isLoad && ld.Op == ir.OpLoad && ld.Args[0] == st.Args[1] {
-			return true
-		}
-		// min/max via select: operands are (cond, a, b) where one of a/b
-		// loads from the address.
-		if op.Op == ir.OpSelect {
-			if ld, isLoad := a.(*ir.Instr); isLoad && ld.Op == ir.OpLoad && ld.Args[0] == st.Args[1] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// instrFootprint computes the footprint of a single instruction (the
-// getFootprint(a) calls inside Algorithm 1), recurring into callees.
-func instrFootprint(in *ir.Instr, prof *profiling.Profile) *Footprint {
+// instrFootprint computes the footprint of a single instruction of the
+// region whose reduction updates are updates (the getFootprint(a) calls
+// inside Algorithm 1), recurring into callees.
+func instrFootprint(in *ir.Instr, prof *profiling.Profile, updates map[*ir.Instr]bool) *Footprint {
 	fp := newFootprint()
 	switch in.Op {
 	case ir.OpLoad:
-		objs := prof.MapPointerToObjects(in)
-		if _, _, isRedux := reduxPattern(in); isRedux {
+		if objs := prof.MapPointerToObjects(in); updates[in] {
 			fp.Redux.Union(objs)
 		} else {
 			fp.Read.Union(objs)
 		}
 	case ir.OpStore:
-		objs := prof.MapPointerToObjects(in)
-		if isReduxStore(in) {
+		if objs := prof.MapPointerToObjects(in); updates[in] {
 			fp.Redux.Union(objs)
 		} else {
 			fp.Write.Union(objs)
@@ -345,7 +250,7 @@ func instrFootprint(in *ir.Instr, prof *profiling.Profile) *Footprint {
 					scanFunc(cin.Callee)
 					return
 				}
-				sub := instrFootprint(cin, prof)
+				sub := instrFootprint(cin, prof, updates)
 				fp.Read.Union(sub.Read)
 				fp.Write.Union(sub.Write)
 				fp.Redux.Union(sub.Redux)
@@ -396,7 +301,7 @@ func Classify(l *ir.Loop, prof *profiling.Profile, opts Options) *Assignment {
 		}
 		if !fp.Read[o] && !fp.Write[o] {
 			a.Redux.Add(o)
-			a.ReduxOps[o] = fp.ReduxOps[o]
+			a.ReduxOps[o], a.ReduxSizes[o] = fp.ReduxOps[o], fp.ReduxSizes[o]
 		}
 	}
 
@@ -448,8 +353,8 @@ func Classify(l *ir.Loop, prof *profiling.Profile, opts Options) *Assignment {
 		if predictable[d.Dst] {
 			continue
 		}
-		src := instrFootprint(d.Src, prof)
-		dst := instrFootprint(d.Dst, prof)
+		src := instrFootprint(d.Src, prof, fp.updates)
+		dst := instrFootprint(d.Dst, prof, fp.updates)
 		// F = (Wa ∪ Xa) ∩ (Rb ∪ Xb)
 		for o := range union(src.Write, src.Redux) {
 			if dst.Read[o] || dst.Redux[o] {
@@ -470,24 +375,6 @@ func Classify(l *ir.Loop, prof *profiling.Profile, opts Options) *Assignment {
 	for o := range fp.Read {
 		if !a.ShortLived[o] && !a.Unrestricted[o] && !a.Redux[o] && !a.Private[o] {
 			a.ReadOnly.Add(o)
-		}
-	}
-
-	// Record reduction element sizes from the update instructions.
-	for _, b := range l.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpLoad {
-				if kind, size, isRedux := reduxPattern(in); isRedux {
-					for o := range prof.MapPointerToObjects(in) {
-						if a.Redux[o] {
-							a.ReduxSizes[o] = size
-							if a.ReduxOps[o] == ir.ReduxNone {
-								a.ReduxOps[o] = kind
-							}
-						}
-					}
-				}
-			}
 		}
 	}
 	return a

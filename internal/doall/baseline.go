@@ -9,12 +9,14 @@ import (
 	"privateer/internal/vm"
 )
 
-// Simulated-time constants for the baseline scheduler; they mirror
-// specrt's spawn/join costs (which cannot be imported here without a
-// dependency cycle) so that Figure 7's comparison uses one cost model.
+// Simulated per-worker costs of starting and ending a parallel region.
+// specrt's cost model (specrt/sim.go) is built on these same two constants,
+// so Figure 7's comparison of the two schedulers uses one model.
 const (
-	simSpawnPerWorker = 2500
-	simJoinPerWorker  = 400
+	// SimSpawnPerWorker models fork latency and address-space setup.
+	SimSpawnPerWorker = 2500
+	// SimJoinPerWorker models worker-completed signalling.
+	SimJoinPerWorker = 400
 )
 
 // BaselineStats reports the non-speculative scheduler's counts. Only the
@@ -67,7 +69,6 @@ func (bl *Baseline) Attach(master *interp.Interp) {
 
 // invoke runs one parallel region: args are (lo, hi, live-ins...).
 func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) error {
-	inv := bl.Stats.Invocations
 	bl.Stats.Invocations++
 	lo, hi := int64(args[0]), int64(args[1])
 	live := args[2:]
@@ -83,8 +84,6 @@ func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) erro
 	interps := make([]*interp.Interp, workers)
 	for w := 0; w < workers; w++ {
 		spaces[w] = master.AS.Clone()
-		spaces[w].TraceWorker = w
-		spaces[w].TraceInv = inv
 		// Workers reuse the master's decoded program; the per-invocation
 		// cost is the COW clone, not re-decoding the region functions.
 		interps[w] = interp.NewShared(master.Program(), spaces[w])
@@ -126,7 +125,7 @@ func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) erro
 			maxSteps = interps[w].Steps
 		}
 	}
-	bl.Stats.SimRegionTime += int64(workers)*(simSpawnPerWorker+simJoinPerWorker) + maxSteps
+	bl.Stats.SimRegionTime += int64(workers)*(SimSpawnPerWorker+SimJoinPerWorker) + maxSteps
 
 	// Join: merge each worker's privately-written bytes into the master.
 	// Diffs are taken against a snapshot of the pre-region master pages so

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"privateer/internal/ir"
-	"privateer/internal/obs"
 	"privateer/internal/vm"
 )
 
@@ -220,19 +219,6 @@ func (it *Interp) Recycle(as *vm.AddressSpace) {
 	it.profLast = time.Time{}
 	it.profArmed = false
 	it.stack.reset()
-}
-
-// SetTrace wires a trace identity through the interpreter's address space:
-// every event the memory system and runtime emit on behalf of this
-// interpreter carries worker as its worker id and inv as its invocation.
-// The region service threads each job's tracer down through here so a
-// job's events land in that job's ring and nowhere else; tr == nil detaches
-// tracing. worker -1 marks the master/runtime, inv -1 means "outside any
-// invocation yet".
-func (it *Interp) SetTrace(tr *obs.Tracer, worker int, inv int64) {
-	it.AS.Trace = tr
-	it.AS.TraceWorker = worker
-	it.AS.TraceInv = inv
 }
 
 // SetTreeWalk forces (true) or releases (false) the tree-walking reference

@@ -17,7 +17,7 @@ import (
 func TestCollectorLazyGrowth(t *testing.T) {
 	c := NewCollector(1 << 20)
 	for i := 0; i < 3; i++ {
-		c.Emit(Event{Kind: KMark, Iter: int64(i)})
+		c.Emit(Event{Kind: KCheckpoint, Iter: int64(i)})
 	}
 	if c.Len() != 3 || c.Dropped() != 0 {
 		t.Fatalf("len %d dropped %d, want 3, 0", c.Len(), c.Dropped())
@@ -25,7 +25,7 @@ func TestCollectorLazyGrowth(t *testing.T) {
 
 	small := NewCollector(4)
 	for i := 0; i < 10; i++ {
-		small.Emit(Event{Kind: KMark, Iter: int64(i)})
+		small.Emit(Event{Kind: KCheckpoint, Iter: int64(i)})
 	}
 	if small.Len() != 4 {
 		t.Fatalf("len %d after wrap, want 4", small.Len())
@@ -53,7 +53,7 @@ func TestCollectorConcurrentOverflow(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				c.Emit(Event{Kind: KMark, Worker: g, Iter: int64(i)})
+				c.Emit(Event{Kind: KCheckpoint, Worker: g, Iter: int64(i)})
 			}
 		}(g)
 	}
@@ -83,7 +83,7 @@ func TestSummarizePhases(t *testing.T) {
 		{Kind: KInstall, TimeNS: 700, DurNS: 25},
 		{Kind: KCommit, TimeNS: 725, DurNS: 15},
 		{Kind: KRecovery, TimeNS: 800, DurNS: 60},
-		{Kind: KCOWCopy, TimeNS: 10}, // outside the taxonomy
+		{Kind: KCheckpoint, TimeNS: 10}, // outside the taxonomy
 	}
 	spans := SummarizePhases(events)
 	got := PhaseTotals(spans)

@@ -46,15 +46,6 @@ const (
 	// KSeqFallback is an invocation's remainder run sequentially after the
 	// recovery budget was spent (A=from, B=hi; spans the sequential run).
 	KSeqFallback
-	// KCOWCopy is one copy-on-write page duplication (A=page base address).
-	KCOWCopy
-	// KTLBFlush is a software-TLB flush (Cause = trigger).
-	KTLBFlush
-	// KProtFault is a memory-protection fault (A=address, Cause=reason).
-	KProtFault
-	// KMark is a generic labeled span (Cause = label); the benchmark
-	// harness uses it to bracket whole benchmarks.
-	KMark
 	// KSpawn is one span's whole fleet spawn as a single span (A=spawns
 	// satisfied from the warmed pool, B=fleet size, Cause="warm", "cold" or
 	// "mixed"); the per-worker KWorkerSpawn instants fall inside it.
@@ -82,10 +73,6 @@ var kindNames = [numKinds]string{
 	KMisspec:      "misspec",
 	KRecovery:     "recovery",
 	KSeqFallback:  "seq-fallback",
-	KCOWCopy:      "cow-copy",
-	KTLBFlush:     "tlb-flush",
-	KProtFault:    "prot-fault",
-	KMark:         "mark",
 	KSpawn:        "spawn",
 	KJobPhase:     "job-phase",
 }
@@ -118,7 +105,7 @@ type Event struct {
 	// A and B are kind-specific scalars (ranges, byte counts, periods).
 	A, B int64
 	// Cause is a kind-specific label (misspeculation reason, phase name,
-	// TLB-flush trigger).
+	// how warm a spawn was).
 	Cause string
 	// Site locates the triggering instruction, when one exists.
 	Site string

@@ -85,7 +85,7 @@ func TestChromeTraceShape(t *testing.T) {
 	events := []Event{
 		{Kind: KRegionInvoke, TimeNS: 1000, DurNS: 5000, Invocation: 0, Worker: -1, Iter: -1, A: 0, B: 40},
 		{Kind: KMisspec, TimeNS: 2000, Invocation: 0, Worker: 2, Iter: 7, Cause: "privacy violated (fast phase)"},
-		{Kind: KMark, TimeNS: 0, DurNS: 100, Invocation: -1, Worker: -1, Iter: -1, Cause: "dispatch"},
+		{Kind: KJobPhase, TimeNS: 0, DurNS: 100, Invocation: -1, Worker: -1, Iter: -1, Cause: PhaseQueued},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, events); err != nil {
@@ -112,7 +112,7 @@ func TestChromeTraceShape(t *testing.T) {
 	if name := doc.TraceEvents[1]["name"]; !strings.Contains(name.(string), "misspec") {
 		t.Errorf("misspec event name %v", name)
 	}
-	if name := doc.TraceEvents[2]["name"]; name != "dispatch" {
-		t.Errorf("mark event name %v, want bare label", name)
+	if name := doc.TraceEvents[2]["name"]; name != "job-phase: queued" {
+		t.Errorf("job-phase event name %v, want kind refined by its cause", name)
 	}
 }

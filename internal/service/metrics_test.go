@@ -63,7 +63,7 @@ func TestRuntimeCountersSumAcrossJobs(t *testing.T) {
 	// own, fed each job's final Stats as the job finishes.
 	wantReg := obs.NewRegistry()
 	want := specrt.NewStatCounters(wantReg)
-	var invocations int64
+	var checkpoints int64
 	prev := map[string]int64{}
 	for i, prog := range []string{"dijkstra", "enc-md5", "dijkstra", "enc-md5"} {
 		job, err := s.Submit("tenant-"+strconv.Itoa(i%2), prog, "train")
@@ -81,13 +81,13 @@ func TestRuntimeCountersSumAcrossJobs(t *testing.T) {
 			t.Fatalf("job %d (%s) recorded no runtime activity: %+v", i, prog, st)
 		}
 		want.Add(st)
-		invocations += st.Invocations
+		checkpoints += st.Checkpoints
 
 		var sb strings.Builder
 		wantReg.WriteProm(&sb)
 		wantVals := promValues(sb.String())
-		if len(wantVals) != 20 {
-			t.Fatalf("expected 20 runtime counter families, the table has %d", len(wantVals))
+		if len(wantVals) != 10 {
+			t.Fatalf("expected 10 runtime counter families, the table has %d", len(wantVals))
 		}
 		got := scrape()
 		for fam, w := range wantVals {
@@ -104,9 +104,9 @@ func TestRuntimeCountersSumAcrossJobs(t *testing.T) {
 			}
 			prev[fam] = g
 		}
-		if got["privateer_invocations_total"] != invocations {
-			t.Errorf("after job %d: privateer_invocations_total = %d, jobs ran %d invocations",
-				i, got["privateer_invocations_total"], invocations)
+		if got["privateer_checkpoints_total"] != checkpoints {
+			t.Errorf("after job %d: privateer_checkpoints_total = %d, jobs built %d checkpoints",
+				i, got["privateer_checkpoints_total"], checkpoints)
 		}
 	}
 }
@@ -130,8 +130,14 @@ func handbookFamilies(t *testing.T) map[string]bool {
 	fams := map[string]bool{}
 	for _, line := range strings.Split(section, "\n") {
 		if cells := strings.Split(line, "|"); len(cells) > 2 && cells[0] == "" {
-			for _, fam := range familyRE.FindAllString(cells[1], -1) {
+			found := familyRE.FindAllString(cells[1], -1)
+			for _, fam := range found {
 				fams[fam] = true
+			}
+			// The last column is "Consumed by": a family nothing reads is
+			// deleted, not listed.
+			if by := strings.TrimSpace(cells[len(cells)-2]); len(found) > 0 && (by == "" || strings.HasPrefix(by, "none")) {
+				t.Errorf("handbook row %v names no consumer (%q)", found, by)
 			}
 		}
 	}
@@ -143,8 +149,8 @@ func handbookFamilies(t *testing.T) map[string]bool {
 // job (postmortem), failed one (drained while queued) and refused one
 // (unknown program) has created every family it can; the privateer_*
 // families its /metrics declares must be exactly the ones
-// docs/OPERATIONS.md gives a row, so a family added without a row, or a row
-// left behind by a deletion, fails here.
+// docs/OPERATIONS.md gives a row, so a family added without a row, a row
+// left behind by a deletion, or a row with no consumer fails here.
 func TestHandbookListsExactlyTheExportedFamilies(t *testing.T) {
 	s, base := startAPI(t, Config{Workers: 2, Concurrency: 1, MisspecRate: 0.5, Seed: 7})
 	hold := make(chan struct{})

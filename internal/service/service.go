@@ -98,9 +98,6 @@ type Config struct {
 	// FlightEntries bounds the postmortem flight recorder ring (0 selects
 	// obs.DefaultFlightEntries).
 	FlightEntries int
-	// PostmortemEvents bounds how many trailing trace events one
-	// postmortem snapshots (0 selects obs.DefaultPostmortemEvents).
-	PostmortemEvents int
 	// MisspecRate injects artificial misspeculation into every invocation
 	// at the given per-iteration probability (forwarded to the runtime) —
 	// an operator drill knob for exercising the flight recorder.
@@ -235,17 +232,16 @@ type Service struct {
 
 	flight *obs.FlightRecorder
 
-	mSubmitted    func(tenant string) obs.Counter
-	mCompleted    func(tenant string) obs.Counter
-	mFailed       func(tenant string) obs.Counter
-	mRejected     func(reason string) obs.Counter
-	mPhase        func(tenant, phase string) *obs.Histogram
-	mInflight     obs.Gauge
-	mQueueWait    *obs.Histogram
-	mE2E          *obs.Histogram
-	mRuntime      specrt.StatCounters
-	mTraceEvents  obs.Counter
-	mTraceDropped obs.Counter
+	mSubmitted   func(tenant string) obs.Counter
+	mCompleted   func(tenant string) obs.Counter
+	mFailed      func(tenant string) obs.Counter
+	mRejected    func(reason string) obs.Counter
+	mPhase       func(tenant, phase string) *obs.Histogram
+	mInflight    obs.Gauge
+	mQueueWait   *obs.Histogram
+	mE2E         *obs.Histogram
+	mRuntime     specrt.StatCounters
+	mTraceEvents obs.Counter
 }
 
 // New starts a service: runner goroutines launch immediately and block on
@@ -301,8 +297,6 @@ func New(cfg Config) *Service {
 	s.mRuntime = specrt.NewStatCounters(reg)
 	s.mTraceEvents = reg.Counter("privateer_service_trace_events_total",
 		"Trace events emitted across all per-job rings, including overwritten ones.")
-	s.mTraceDropped = reg.Counter("privateer_service_trace_dropped_events_total",
-		"Trace events the bounded per-job rings overwrote before they could be read.")
 	s.flight = obs.NewFlightRecorder(cfg.FlightEntries)
 	s.flight.PublishMetrics(reg)
 	reg.GaugeFunc("privateer_service_queue_depth",
@@ -588,7 +582,7 @@ func (s *Service) finish(job *Job, res runResult) {
 	}
 	wall := int64(now.Sub(job.submitted))
 	queueWait := int64(job.started.Sub(job.submitted))
-	traceTotal, traceDropped := job.traceTotal, job.traceDropped
+	traceTotal := job.traceTotal
 	s.mu.Unlock()
 	if res.err != nil {
 		s.mFailed(job.Tenant).Inc()
@@ -599,7 +593,6 @@ func (s *Service) finish(job *Job, res runResult) {
 	s.mE2E.Observe(wall)
 	s.mRuntime.Add(res.stats)
 	s.mTraceEvents.Add(traceTotal)
-	s.mTraceDropped.Add(traceDropped)
 	for _, ps := range phases {
 		s.mPhase(job.Tenant, ps.Phase).Observe(ps.NS)
 	}
@@ -625,15 +618,11 @@ func postmortemReason(res runResult) string {
 	return ""
 }
 
-// postmortemTail bounds a postmortem's event snapshot to the configured
-// trailing window.
-func (s *Service) postmortemTail(events []obs.Event) []obs.Event {
-	limit := s.cfg.PostmortemEvents
-	if limit <= 0 {
-		limit = obs.DefaultPostmortemEvents
-	}
-	if len(events) > limit {
-		events = events[len(events)-limit:]
+// postmortemTail bounds a postmortem's event snapshot to the trailing
+// obs.DefaultPostmortemEvents.
+func postmortemTail(events []obs.Event) []obs.Event {
+	if n := len(events) - obs.DefaultPostmortemEvents; n > 0 {
+		events = events[n:]
 	}
 	return events
 }
@@ -651,7 +640,7 @@ func (s *Service) recordPostmortem(job *Job, res runResult, reason string) {
 		pm.Error = res.err.Error()
 	}
 	if job.trace != nil {
-		pm.Events = s.postmortemTail(job.trace.Events())
+		pm.Events = postmortemTail(job.trace.Events())
 		pm.TotalEvents = job.trace.Total()
 		pm.DroppedEvents = job.trace.Dropped()
 	}

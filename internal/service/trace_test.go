@@ -145,15 +145,14 @@ func TestPlantedMisspecFlight(t *testing.T) {
 // TestTraceOverflowDropAccounting (-race): concurrent jobs on deliberately
 // tiny rings must account every overwritten event — the postmortem's
 // captured-event count must equal exactly total minus dropped, the service
-// counters must equal the per-job sums, and the phase totals must still be
+// counter must equal the per-job sum, and the phase totals must still be
 // the whole job's.
 func TestTraceOverflowDropAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{
 		Workers: 4, Concurrency: 4, Metrics: reg,
-		TraceCapacity:    8, // far below the ~40 events a job emits
-		PostmortemEvents: 64,
-		MisspecRate:      0.5, Seed: 7, // every job lands in the recorder
+		TraceCapacity: 8,            // far below the ~40 events a job emits
+		MisspecRate:   0.5, Seed: 7, // every job lands in the recorder
 	})
 	defer s.Drain()
 
@@ -171,7 +170,7 @@ func TestTraceOverflowDropAccounting(t *testing.T) {
 	}
 	wg.Wait()
 
-	var sumTotal, sumDropped int64
+	var sumTotal int64
 	for _, job := range jl {
 		v := s.View(job)
 		if v.State != StateDone {
@@ -188,11 +187,11 @@ func TestTraceOverflowDropAccounting(t *testing.T) {
 		// ring still holds.
 		checkPhaseLedger(t, s, job)
 		sumTotal += v.TraceEvents
-		sumDropped += v.TraceDropped
 	}
 
 	// The flight recorder must have captured exactly what the ring still
-	// held: total minus dropped, since PostmortemEvents exceeds the ring.
+	// held: total minus dropped, since obs.DefaultPostmortemEvents exceeds
+	// the ring.
 	st := s.Flight().State()
 	byJob := map[string]obs.Postmortem{}
 	for _, pm := range st.Postmortems {
@@ -212,12 +211,10 @@ func TestTraceOverflowDropAccounting(t *testing.T) {
 		}
 	}
 
-	// Service-level counters aggregate the same accounting.
+	// The service-level counter aggregates the same accounting; drops stay
+	// per job (trace_dropped on /poll).
 	if got := reg.Counter("privateer_service_trace_events_total", "").Value(); got != sumTotal {
 		t.Errorf("trace_events_total %d, want %d", got, sumTotal)
-	}
-	if got := reg.Counter("privateer_service_trace_dropped_events_total", "").Value(); got != sumDropped {
-		t.Errorf("trace_dropped_events_total %d, want %d", got, sumDropped)
 	}
 }
 

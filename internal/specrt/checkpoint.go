@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"privateer/internal/ir"
 	"privateer/internal/profiling"
@@ -17,7 +16,8 @@ type ioRec struct {
 	text string
 }
 
-// reduxObj describes one registered reduction object.
+// reduxObj is one live reduction object as a span sees it: its range, and
+// the operator and element size the invoked region reduces it with.
 type reduxObj struct {
 	addr     uint64
 	size     int64
@@ -25,10 +25,10 @@ type reduxObj struct {
 	op       ir.ReduxKind
 }
 
-// sepObj is one registry entry for a statically-proven object (see
-// RT.sepRegister): the object identity decides which regions' spans act
-// on it and how.
-type sepObj struct {
+// liveObj is one entry of the runtime's object registries (RT.reduxObjs,
+// RT.sepObjs): a live object's identity and range. What a span does with it
+// is decided per invocation, from the invoked region's assignment.
+type liveObj struct {
 	obj  profiling.Object
 	addr uint64
 	size int64
@@ -51,15 +51,9 @@ type provenRange struct {
 // conflicts *across* intervals are caught by a chain-validation pass when
 // the span quiesces, before anything commits.
 type checkpoint struct {
-	// mu serializes whole-merge operations: one worker's addWorkerState at a
-	// time per checkpoint (the merge's page scan may itself be sharded across
-	// goroutines under mu; see pageMu).
+	// mu serializes merges: one worker's addWorkerState at a time per
+	// checkpoint.
 	mu sync.Mutex
-	// pageMu guards insertion into the data and shadow page maps when one
-	// merge's page scan is sharded across goroutines. Distinct shards always
-	// work on distinct page bases, so page contents need no lock — only the
-	// map headers do.
-	pageMu sync.Mutex
 	// id is the interval index within the span.
 	id int64
 	// base and limit bound the interval's iterations [base, limit).
@@ -87,27 +81,11 @@ type checkpoint struct {
 	proven map[uint64][]byte
 	// io collects deferred output of the interval.
 	io []ioRec
-	// contributed counts workers that added their state.
-	contributed int
-	// misspec marks a violation detected during merging.
-	misspec bool
-	// missAddr records the first faulting private-heap address observed by a
-	// merge (CAS-once; 0 = none recorded). Page 0 is never mapped, so 0 is
-	// unambiguous. Feeds misspeculation attribution; best-effort only.
-	missAddr uint64
 	// committed marks the checkpoint non-speculative.
 	committed bool
 	// bufs is where the pages and snapshots below come from and, once the
 	// span is over, go back to; nil allocates.
 	bufs *bufFree
-}
-
-// noteMissAddr records addr as the checkpoint's first observed faulting
-// address, keeping an earlier recording if one raced in first.
-func (cp *checkpoint) noteMissAddr(addr uint64) {
-	if addr != 0 {
-		atomic.CompareAndSwapUint64(&cp.missAddr, 0, addr)
-	}
 }
 
 func newCheckpoint(id, base, limit int64, prev *checkpoint) *checkpoint {
@@ -121,47 +99,38 @@ func newCheckpoint(id, base, limit int64, prev *checkpoint) *checkpoint {
 }
 
 // ownPage returns the checkpoint-owned page at base in m, creating it on
-// first use. Map insertion is guarded by pageMu so that a sharded merge scan
-// (several goroutines, disjoint page bases) can create pages concurrently.
+// first use.
 func (cp *checkpoint) ownPage(m map[uint64][]byte, base uint64) []byte {
-	cp.pageMu.Lock()
 	pg, ok := m[base]
 	if !ok {
 		pg = cp.bufs.get(vm.PageSize, true)
 		m[base] = pg
 	}
-	cp.pageMu.Unlock()
 	return pg
 }
 
-// shadowPage is one worker shadow page queued for merging.
-type shadowPage struct {
-	base uint64
-	data []byte
-}
-
-// mergeShadowPage merges one worker shadow page into the checkpoint's
-// combined view and returns the private-heap address of the first privacy
-// violation the merge detects (0 = clean). Distinct shadow pages touch
-// distinct combined pages, so concurrent calls on different pages are safe.
-func (cp *checkpoint) mergeShadowPage(ws *vm.AddressSpace, pg shadowPage) uint64 {
+// mergeShadowPage merges one worker shadow page (base shBase, content sh)
+// into the checkpoint's combined view and returns the private-heap address
+// of the first privacy violation the merge detects (0 = clean; page 0 is
+// never mapped, so 0 is unambiguous).
+func (cp *checkpoint) mergeShadowPage(ws *vm.AddressSpace, shBase uint64, sh []byte) uint64 {
 	var missAddr uint64
-	privBase := pg.base &^ ir.ShadowBit
+	privBase := shBase &^ ir.ShadowBit
 	var combinedSh, combinedData, privData []byte
 	for w := 0; w < vm.PageSize; w += 8 {
 		// A word of untouched/old-write bytes contributes nothing to the
 		// merge; span-promoted checks leave long dense runs of such words,
 		// so the scan walks summaries eight bytes at a time.
-		if !wordTouched(binary.LittleEndian.Uint64(pg.data[w:])) {
+		if !wordTouched(binary.LittleEndian.Uint64(sh[w:])) {
 			continue
 		}
 		for off := w; off < w+8; off++ {
-			wm := pg.data[off]
+			wm := sh[off]
 			if wm == MetaLiveIn || wm == MetaOldWrite {
 				continue // untouched this interval / merged earlier
 			}
 			if combinedSh == nil {
-				combinedSh = cp.ownPage(cp.shadow, pg.base)
+				combinedSh = cp.ownPage(cp.shadow, shBase)
 				combinedData = cp.ownPage(cp.data, privBase)
 			}
 			newMeta, takeData, m := MergeByte(combinedSh[off], wm)
@@ -187,69 +156,38 @@ func (cp *checkpoint) mergeShadowPage(ws *vm.AddressSpace, pg shadowPage) uint64
 // addWorkerState merges one worker's speculative state into the checkpoint:
 // the second phase of privacy validation plus data selection by timestamp.
 // The worker's shadow must reflect the current interval only (timestamps
-// are relative to cp.base). The page-level scan is sharded across up to
-// shards goroutines by shadow-page range; the result is independent of the
-// sharding because every shadow page maps to its own combined page. proven
-// is non-nil only for the worker that executed the interval's last
-// iteration: its view of each statically-privatized range is snapshotted
-// as the interval's final content. It returns ok=false if the merge
-// detects a privacy violation, the number of shadow bytes scanned, and
-// the total number of workers that have contributed (including this one).
-func (cp *checkpoint) addWorkerState(wid int, ws *vm.AddressSpace, reduxObjs []reduxObj, proven []provenRange, io []ioRec, shards int) (bool, int64, int) {
+// are relative to cp.base). proven is non-nil only for the worker that
+// executed the interval's last iteration: its view of each statically-
+// privatized range is snapshotted as the interval's final content. It
+// returns ok=false if the merge detects a privacy violation, the number of
+// shadow bytes scanned, and the first faulting address the merge observed
+// (0 when ok, or when the violation has no address), which feeds
+// misspeculation attribution.
+func (cp *checkpoint) addWorkerState(wid int, ws *vm.AddressSpace, reduxObjs []reduxObj, proven []provenRange, io []ioRec) (ok bool, scanned int64, missAddr uint64) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	ok := true
-	var pages []shadowPage
+	ok = true
+	miss := func(addr uint64) {
+		ok = false
+		if missAddr == 0 {
+			missAddr = addr
+		}
+	}
 	// Summary-guided scan: every shadow page in a worker space was created
 	// by the worker itself (the master never writes shadow state, and clones
 	// inherit none), so the dirty walk visits exactly the pages a full heap
 	// scan would — while skipping the untouched subtrees of the master's
 	// footprint outright.
-	ws.DirtyHeapPages(ir.HeapShadow, func(shBase uint64, shData []byte) {
-		pages = append(pages, shadowPage{base: shBase, data: shData})
+	ws.DirtyHeapPages(ir.HeapShadow, func(shBase uint64, sh []byte) {
+		scanned += vm.PageSize
+		if a := cp.mergeShadowPage(ws, shBase, sh); a != 0 {
+			miss(a)
+		}
 	})
-	scanned := int64(len(pages)) * vm.PageSize
-	if shards <= 1 || len(pages) < 2*shards {
-		for _, pg := range pages {
-			if a := cp.mergeShadowPage(ws, pg); a != 0 {
-				ok = false
-				cp.noteMissAddr(a)
-			}
-		}
-	} else {
-		var missed atomic.Bool
-		var wg sync.WaitGroup
-		chunk := (len(pages) + shards - 1) / shards
-		for lo := 0; lo < len(pages); lo += chunk {
-			hi := lo + chunk
-			if hi > len(pages) {
-				hi = len(pages)
-			}
-			wg.Add(1)
-			go func(part []shadowPage) {
-				defer wg.Done()
-				for _, pg := range part {
-					if a := cp.mergeShadowPage(ws, pg); a != 0 {
-						missed.Store(true)
-						cp.noteMissAddr(a)
-					}
-				}
-			}(pages[lo:hi])
-		}
-		wg.Wait()
-		if missed.Load() {
-			ok = false
-		}
-	}
-	if !ok {
-		cp.misspec = true
-	}
 	for _, ro := range reduxObjs {
 		buf := cp.bufs.get(int(ro.size), false)
 		if err := ws.ReadBytes(ro.addr, buf); err != nil {
-			ok = false
-			cp.misspec = true
-			cp.noteMissAddr(ro.addr)
+			miss(ro.addr)
 			continue
 		}
 		contribs, have := cp.redux[ro.addr]
@@ -262,16 +200,13 @@ func (cp *checkpoint) addWorkerState(wid int, ws *vm.AddressSpace, reduxObjs []r
 	for _, pr := range proven {
 		buf := cp.bufs.get(int(pr.size), false)
 		if err := ws.ReadBytes(pr.addr, buf); err != nil {
-			ok = false
-			cp.misspec = true
-			cp.noteMissAddr(pr.addr)
+			miss(pr.addr)
 			continue
 		}
 		cp.proven[pr.addr] = buf
 	}
 	cp.io = append(cp.io, io...)
-	cp.contributed++
-	return ok, scanned, cp.contributed
+	return ok, scanned, missAddr
 }
 
 // reduxTotal folds the checkpoint's contributions for ro in ascending
@@ -364,17 +299,9 @@ func carryValidatePage(prev, sh []byte) int {
 
 // crossValidate detects privacy violations spanning checkpoint intervals.
 // It walks the chain oldest-first, carrying collapsed metadata, and returns
-// the id of the first violating checkpoint, or -1. Call only after the span
-// has quiesced. This is the serial reference; crossValidateSharded gives
-// the same answer with the scan parallelized by shadow-page range.
-func (cp *checkpoint) crossValidate() int64 {
-	id, _ := cp.crossValidateAddr()
-	return id
-}
-
-// crossValidateAddr is crossValidate extended with the private-heap address
-// of the first violating byte (0 when no violation).
-func (cp *checkpoint) crossValidateAddr() (int64, uint64) {
+// the id of the first violating checkpoint with the private-heap address of
+// the violating byte, or (-1, 0). Call only after the span has quiesced.
+func (cp *checkpoint) crossValidate() (id int64, addr uint64) {
 	carried := map[uint64][]byte{} // shadow page base -> collapsed meta
 	for _, c := range cp.chain() {
 		for base, sh := range c.shadow {
@@ -389,82 +316,6 @@ func (cp *checkpoint) crossValidateAddr() (int64, uint64) {
 		}
 	}
 	return -1, 0
-}
-
-// crossValidateSharded is crossValidate with the page scans distributed
-// over up to shards goroutines.
-func (cp *checkpoint) crossValidateSharded(shards int) int64 {
-	id, _ := cp.crossValidateShardedAddr(shards)
-	return id
-}
-
-// crossValidateShardedAddr is crossValidateSharded extended with a faulting
-// address. Every shadow page base carries its own collapsed metadata
-// independently of all other pages, so the chain can be validated per page;
-// the first violating checkpoint overall is the minimum first-violating
-// checkpoint over all pages, which makes the id identical to the serial
-// walk regardless of scheduling. The reported address is the one found by
-// the winning page's fold (any page tying on the minimum id may win).
-func (cp *checkpoint) crossValidateShardedAddr(shards int) (int64, uint64) {
-	chain := cp.chain()
-	seen := map[uint64]bool{}
-	var bases []uint64
-	for _, c := range chain {
-		for base := range c.shadow {
-			if !seen[base] {
-				seen[base] = true
-				bases = append(bases, base)
-			}
-		}
-	}
-	if shards <= 1 || len(bases) < 2*shards {
-		return cp.crossValidateAddr()
-	}
-	// validateBase walks the whole chain for one page base and returns the
-	// id of the first checkpoint whose fold violates plus the faulting
-	// address, or (-1, 0).
-	validateBase := func(base uint64) (int64, uint64) {
-		prev := make([]byte, vm.PageSize)
-		for _, c := range chain {
-			if sh, ok := c.shadow[base]; ok {
-				if off := carryValidatePage(prev, sh); off >= 0 {
-					return c.id, (base &^ ir.ShadowBit) + uint64(off)
-				}
-			}
-		}
-		return -1, 0
-	}
-	first := int64(-1)
-	var firstAddr uint64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	chunk := (len(bases) + shards - 1) / shards
-	for lo := 0; lo < len(bases); lo += chunk {
-		hi := lo + chunk
-		if hi > len(bases) {
-			hi = len(bases)
-		}
-		wg.Add(1)
-		go func(part []uint64) {
-			defer wg.Done()
-			local := int64(-1)
-			var localAddr uint64
-			for _, base := range part {
-				if v, a := validateBase(base); v >= 0 && (local < 0 || v < local) {
-					local, localAddr = v, a
-				}
-			}
-			if local >= 0 {
-				mu.Lock()
-				if first < 0 || local < first {
-					first, firstAddr = local, localAddr
-				}
-				mu.Unlock()
-			}
-		}(bases[lo:hi])
-	}
-	wg.Wait()
-	return first, firstAddr
 }
 
 // installOwnDataInto applies only this checkpoint's merged private-heap

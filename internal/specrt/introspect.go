@@ -200,8 +200,6 @@ var statFamilies = []struct {
 	name, help string
 	get        func(*Stats) int64
 }{
-	{"invocations_total", "Parallel-region entries.",
-		func(s *Stats) int64 { return s.Invocations }},
 	{"checkpoints_total", "Checkpoint objects constructed.",
 		func(s *Stats) int64 { return s.Checkpoints }},
 	{"misspeculations_total", "Detected misspeculations, including injected.",
@@ -210,22 +208,6 @@ var statFamilies = []struct {
 		func(s *Stats) int64 { return s.Recoveries }},
 	{"sequential_fallbacks_total", "Invocations abandoned to sequential execution.",
 		func(s *Stats) int64 { return s.SequentialFallbacks }},
-	{"priv_read_bytes_total", "Privacy-checked read volume.",
-		func(s *Stats) int64 { return s.PrivReadBytes }},
-	{"priv_write_bytes_total", "Privacy-checked write volume.",
-		func(s *Stats) int64 { return s.PrivWriteBytes }},
-	{"priv_read_checks_total", "Dynamic privacy read checks.",
-		func(s *Stats) int64 { return s.PrivReadChecks }},
-	{"priv_write_checks_total", "Dynamic privacy write checks.",
-		func(s *Stats) int64 { return s.PrivWriteChecks }},
-	{"separation_checks_total", "Dynamic heap-separation checks.",
-		func(s *Stats) int64 { return s.SeparationChecks }},
-	{"predictions_total", "Dynamic value-prediction checks.",
-		func(s *Stats) int64 { return s.Predictions }},
-	{"deferred_io_total", "Buffered output operations.",
-		func(s *Stats) int64 { return s.DeferredIO }},
-	{"proven_range_bytes_total", "Bytes wholesale-installed from statically-privatized ranges.",
-		func(s *Stats) int64 { return s.ProvenRangeBytes }},
 	{"sep_audit_violations_total", "Static separation claims contradicted by the SepAudit oracle.",
 		func(s *Stats) int64 { return s.SepAuditViolations }},
 	{"warm_spawns_total", "Worker spawns satisfied from the warmed pool.",
@@ -238,8 +220,6 @@ var statFamilies = []struct {
 		func(s *Stats) int64 { return s.CheckpointNS }},
 	{"worker_busy_ns_total", "Total wall-clock worker execution time.",
 		func(s *Stats) int64 { return s.WorkerBusyNS }},
-	{"region_wall_ns_total", "Wall-clock time inside parallel regions.",
-		func(s *Stats) int64 { return s.RegionWallNS }},
 }
 
 // StatCounters holds one registry's privateer_*_total counter handles,

@@ -111,34 +111,56 @@ func TestUnlimitedRecoveries(t *testing.T) {
 }
 
 // TestReduxRegistryLifecycle: registration is keyed by address (a
-// re-registration replaces the entry), deregistration removes it, and
-// snapshots come out in address order.
+// re-registration replaces the entry), deregistration removes it, and a
+// snapshot holds the objects the invoked region reduces — and only those —
+// in address order with that region's operator and element size.
 func TestReduxRegistryLifecycle(t *testing.T) {
-	rt := New(ir.NewModule("empty"), Config{})
+	mod := ir.NewModule("empty")
+	rt := New(mod, Config{})
+	objA := profiling.Object{Global: mod.NewGlobal("a", 24)}
+	objB := profiling.Object{Global: mod.NewGlobal("b", 16)}
+	objC := profiling.Object{Global: mod.NewGlobal("c", 4)}
 	a := ir.HeapRedux.Base() + vm.PageSize
 	b := a + 64
-	rt.registerRedux(a, 8, profiling.Object{})
-	rt.registerRedux(b, 16, profiling.Object{})
+	c := b + 64
+	rt.registerRedux(a, 8, objA)
+	rt.registerRedux(b, 16, objB)
 	if rt.reduxCount() != 2 {
 		t.Fatalf("count %d, want 2", rt.reduxCount())
 	}
 	// Same address again: replaced, not duplicated.
-	rt.registerRedux(a, 24, profiling.Object{})
+	rt.registerRedux(a, 24, objA)
 	if rt.reduxCount() != 2 {
 		t.Fatalf("count after re-register %d, want 2", rt.reduxCount())
 	}
-	snap := rt.reduxSnapshot()
+	// A live object the region does not reduce stays out of its snapshot.
+	rt.registerRedux(c, 4, objC)
+	ri := &RegionInfo{Assign: &classify.Assignment{
+		ReduxOps:   map[profiling.Object]ir.ReduxKind{objA: ir.ReduxAddI64, objB: ir.ReduxMaxI64},
+		ReduxSizes: map[profiling.Object]int64{objA: 4, objB: 8},
+	}}
+	snap := rt.reduxSnapshot(ri)
 	if len(snap) != 2 || snap[0].addr != a || snap[1].addr != b {
-		t.Fatalf("snapshot not address-ordered: %+v", snap)
+		t.Fatalf("snapshot not the region's objects in address order: %+v", snap)
 	}
 	if snap[0].size != 24 {
 		t.Errorf("re-registration kept stale size %d, want 24", snap[0].size)
 	}
-	rt.deregisterRedux(a)
-	if rt.reduxCount() != 1 {
-		t.Fatalf("count after deregister %d, want 1", rt.reduxCount())
+	if snap[0].op != ir.ReduxAddI64 || snap[0].elemSize != 4 || snap[1].op != ir.ReduxMaxI64 || snap[1].elemSize != 8 {
+		t.Errorf("snapshot does not carry the region's operator and element size: %+v", snap)
 	}
-	if snap := rt.reduxSnapshot(); len(snap) != 1 || snap[0].addr != b {
+	other := &RegionInfo{Assign: &classify.Assignment{
+		ReduxOps:   map[profiling.Object]ir.ReduxKind{objC: ir.ReduxAddI64},
+		ReduxSizes: map[profiling.Object]int64{objC: 4},
+	}}
+	if snap := rt.reduxSnapshot(other); len(snap) != 1 || snap[0].addr != c || snap[0].elemSize != 4 {
+		t.Fatalf("second region's snapshot: %+v, want only the 4-byte object", snap)
+	}
+	rt.deregisterRedux(a)
+	if rt.reduxCount() != 2 {
+		t.Fatalf("count after deregister %d, want 2", rt.reduxCount())
+	}
+	if snap := rt.reduxSnapshot(ri); len(snap) != 1 || snap[0].addr != b {
 		t.Fatalf("wrong survivor: %+v", snap)
 	}
 }
@@ -200,8 +222,8 @@ func TestReduxFreeReallocRoundTrip(t *testing.T) {
 	if rt.reduxCount() != 1 {
 		t.Fatalf("registry holds %d objects after free+realloc, want 1", rt.reduxCount())
 	}
-	if snap := rt.reduxSnapshot(); snap[0].op != ir.ReduxMinI64 {
-		t.Errorf("registry kept the freed object's operator %v, want %v",
+	if snap := rt.reduxSnapshot(ri); snap[0].op != ir.ReduxMinI64 {
+		t.Errorf("the reallocated object snapshots with operator %v, want %v",
 			snap[0].op, ir.ReduxMinI64)
 	}
 }
@@ -216,7 +238,7 @@ func TestCrossValidateUnit(t *testing.T) {
 	cp1 := newCheckpoint(1, 4, 8, cp0)
 	cp0.ownPage(cp0.shadow, base)[5] = MetaTSBase // written in interval 0
 	cp1.ownPage(cp1.shadow, base)[5] = MetaReadLiveIn
-	if c := cp1.crossValidate(); c != 1 {
+	if c, _ := cp1.crossValidate(); c != 1 {
 		t.Errorf("write-then-live-in-read: flagged interval %d, want 1", c)
 	}
 
@@ -226,7 +248,7 @@ func TestCrossValidateUnit(t *testing.T) {
 	cp1 = newCheckpoint(1, 4, 8, cp0)
 	cp0.ownPage(cp0.shadow, base)[9] = MetaReadLiveIn
 	cp1.ownPage(cp1.shadow, base)[9] = MetaTSBase
-	if c := cp1.crossValidate(); c != 1 {
+	if c, _ := cp1.crossValidate(); c != 1 {
 		t.Errorf("live-in-read-then-write: flagged interval %d, want 1", c)
 	}
 
@@ -235,7 +257,7 @@ func TestCrossValidateUnit(t *testing.T) {
 	cp1 = newCheckpoint(1, 4, 8, cp0)
 	cp0.ownPage(cp0.shadow, base)[1] = MetaTSBase
 	cp1.ownPage(cp1.shadow, base)[2] = MetaReadLiveIn
-	if c := cp1.crossValidate(); c != -1 {
+	if c, _ := cp1.crossValidate(); c != -1 {
 		t.Errorf("disjoint bytes flagged interval %d, want -1", c)
 	}
 }

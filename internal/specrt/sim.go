@@ -1,5 +1,7 @@
 package specrt
 
+import "privateer/internal/doall"
+
 // Simulated-time cost model.
 //
 // The paper measures wall-clock time on a 24-core Xeon. This reproduction
@@ -24,10 +26,11 @@ package specrt
 // host-independent quantity whose *shape* tracks the paper's wall-clock
 // results.
 const (
-	// SimSpawnPerWorker models fork latency and address-space setup.
-	SimSpawnPerWorker = 2500
+	// SimSpawnPerWorker models fork latency and address-space setup; the
+	// DOALL baseline charges the same.
+	SimSpawnPerWorker = doall.SimSpawnPerWorker
 	// SimJoinPerWorker models worker-completed signalling.
-	SimJoinPerWorker = 400
+	SimJoinPerWorker = doall.SimJoinPerWorker
 	// SimPrivacyPerByte is the inline shadow-metadata update per private
 	// byte accessed.
 	SimPrivacyPerByte = 2

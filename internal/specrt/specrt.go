@@ -2,7 +2,6 @@ package specrt
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -178,7 +177,7 @@ type RT struct {
 	// registration is O(1) and a free can remove its entry (a stale entry
 	// would make every later worker write identity bytes into dead or
 	// reallocated memory).
-	reduxObjs map[uint64]reduxObj
+	reduxObjs map[uint64]liveObj
 
 	// sepMu guards sepObjs, the live statically-proven objects keyed by
 	// base address: private-heap objects some region statically privatized
@@ -187,7 +186,7 @@ type RT struct {
 	// SepAudit oracle watches them). Registration mirrors reduxObjs:
 	// globals at Run, dynamic sites via onAlloc/onFree.
 	sepMu   sync.Mutex
-	sepObjs map[uint64]sepObj
+	sepObjs map[uint64]liveObj
 
 	// sepViolMu guards sepViols, the (bounded) detail list behind
 	// Stats.SepAuditViolations.
@@ -226,8 +225,8 @@ func New(mod *ir.Module, cfg Config, regions ...*RegionInfo) *RT {
 	rt := &RT{
 		Cfg: cfg, Mod: mod,
 		regions:   map[*ir.Function]*RegionInfo{},
-		reduxObjs: map[uint64]reduxObj{},
-		sepObjs:   map[uint64]sepObj{},
+		reduxObjs: map[uint64]liveObj{},
+		sepObjs:   map[uint64]liveObj{},
 		siteMap:   &intervalmap.Map[string]{},
 		missTable: map[misspecKey]int64{},
 	}
@@ -291,7 +290,6 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 		master = interp.New(rt.Mod, vm.NewAddressSpace())
 	}
 	rt.master = master
-	master.SetTrace(rt.Cfg.Trace, -1, -1)
 	master.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
 		rt.writeOut(text)
 		return true
@@ -322,24 +320,11 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 	return master.Run(args...)
 }
 
-// registerRedux records a reduction object's operator and element size from
-// whichever region's assignment classified it. Re-registering an address
-// (a reallocation after a free) replaces the entry, so the new object's
-// operator wins.
+// registerRedux records a live reduction-heap object. Re-registering an
+// address (a reallocation after a free) replaces the entry.
 func (rt *RT) registerRedux(addr uint64, size int64, obj profiling.Object) {
-	op := ir.ReduxAddI64
-	elem := int64(8)
-	for _, ri := range rt.regions {
-		if k, ok := ri.Assign.ReduxOps[obj]; ok && k != ir.ReduxNone {
-			op = k
-			if s := ri.Assign.ReduxSizes[obj]; s != 0 {
-				elem = s
-			}
-			break
-		}
-	}
 	rt.reduxMu.Lock()
-	rt.reduxObjs[addr] = reduxObj{addr: addr, size: size, elemSize: elem, op: op}
+	rt.reduxObjs[addr] = liveObj{obj: obj, addr: addr, size: size}
 	rt.reduxMu.Unlock()
 }
 
@@ -350,13 +335,22 @@ func (rt *RT) deregisterRedux(addr uint64) {
 	rt.reduxMu.Unlock()
 }
 
-// reduxSnapshot returns the live reduction objects in address order: one
-// consistent, deterministic view per speculative span.
-func (rt *RT) reduxSnapshot() []reduxObj {
+// reduxSnapshot returns the live reduction objects ri reduces, in address
+// order, each with the operator and element size ri's assignment gives it:
+// one consistent, deterministic view per speculative span. Two regions may
+// reduce one object with different operators, so the operator is the
+// invoked region's, never the registry's. An object ri does not reduce is
+// left out, as sepSnapshot leaves out what ri does not privatize: the span
+// neither writes nor folds it, so it needs no identity and no merge.
+func (rt *RT) reduxSnapshot(ri *RegionInfo) []reduxObj {
 	rt.reduxMu.Lock()
 	out := make([]reduxObj, 0, len(rt.reduxObjs))
-	for _, ro := range rt.reduxObjs {
-		out = append(out, ro)
+	for _, lo := range rt.reduxObjs {
+		k := ri.Assign.ReduxOps[lo.obj]
+		if k == ir.ReduxNone {
+			continue
+		}
+		out = append(out, reduxObj{addr: lo.addr, size: lo.size, elemSize: ri.Assign.ReduxSizes[lo.obj], op: k})
 	}
 	rt.reduxMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].addr < out[j].addr })
@@ -392,7 +386,7 @@ func (rt *RT) sepRegister(addr uint64, size int64, obj profiling.Object) {
 		return
 	}
 	rt.sepMu.Lock()
-	rt.sepObjs[addr] = sepObj{obj: obj, addr: addr, size: size}
+	rt.sepObjs[addr] = liveObj{obj: obj, addr: addr, size: size}
 	rt.sepMu.Unlock()
 }
 
@@ -494,9 +488,6 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	// misspeculation-loop errors, and the sequential fallback alike.
 	defer wall.stop(&rt.Stats.RegionWallNS, tr, obs.Event{Kind: obs.KRegionInvoke,
 		Invocation: inv, Worker: -1, Iter: -1, A: int64(args[0]), B: int64(args[1])})
-	if tr.On() {
-		rt.master.AS.TraceInv = inv
-	}
 	lo, hi := int64(args[0]), int64(args[1])
 	live := args[2:]
 	if hi <= lo {
@@ -525,7 +516,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 			start: start, hi: hi, k: k,
 			misspecIter: -1,
 			inv:         inv,
-			redux:       rt.reduxSnapshot(),
+			redux:       rt.reduxSnapshot(ri),
 			roProtSkip:  rt.roProtSkippable(ri),
 		}
 		span.proven, span.provenRO = rt.sepSnapshot(ri)
@@ -620,16 +611,6 @@ func (rt *RT) commitChain(cp *checkpoint, inv int64) {
 		Invocation: inv, Worker: -1, Iter: cp.id, A: committed})
 }
 
-// validateShards is the goroutine count for sharding checkpoint merge and
-// cross-interval validation scans by shadow-page range: GOMAXPROCS, capped
-// at 8. Results are independent of the shard count.
-func validateShards() int {
-	if s := runtime.GOMAXPROCS(0); s < 8 {
-		return s
-	}
-	return 8
-}
-
 // sequentialRange executes iterations [from, to) non-speculatively on the
 // master state with every check disabled — the recovery path, and the
 // fallback mode.
@@ -647,10 +628,9 @@ func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64) err
 	// track allocations and frees it performs.
 	it.Hooks.OnAlloc = rt.onAlloc
 	it.Hooks.OnFree = rt.onFree
-	noop := func(in *ir.Instr, addr uint64, size int64) error { return nil }
-	it.Hooks.PrivateRead = noop
-	it.Hooks.PrivateWrite = noop
-	it.Hooks.ReduxWrite = noop
+	// The privacy and reduction marks are left nil, which both executors
+	// skip; check_heap, predict and misspec have checking defaults a nil
+	// hook would select, so those three are overridden.
 	it.Hooks.CheckHeap = func(in *ir.Instr, addr uint64) error { return nil }
 	it.Hooks.Predict = func(in *ir.Instr, actual, expected uint64) error { return nil }
 	it.Hooks.Misspec = func(in *ir.Instr) error { return nil }

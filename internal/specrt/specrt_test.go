@@ -344,8 +344,8 @@ func TestCommitOutputRace(t *testing.T) {
 // buildPageWriterModule: for i in [0,n), store i into 8 slots of a 32-page
 // table, one slot per page, and print a line. Iterations i and i+4 hit the
 // same 8 pages, so a worker fleet whose size is not a multiple of 4 dirties
-// all 32 shadow pages per worker per interval — enough for the merge and
-// chain-validation scans to shard. Slot values depend only on the writing
+// all 32 shadow pages per worker per interval, so the merge and the chain
+// validation each walk many dirty pages. Slot values depend only on the writing
 // iteration, so last-writer-wins reproduces the sequential final state.
 func buildPageWriterModule(n int64) *ir.Module {
 	const pages, writes = 32, 8
@@ -374,8 +374,9 @@ func buildPageWriterModule(n int64) *ir.Module {
 	return m
 }
 
-// TestJoinDeterminismAcrossGOMAXPROCS: the shard count of the merge and
-// chain-validation scans follows GOMAXPROCS, so the join's observable
+// TestJoinDeterminismAcrossGOMAXPROCS: GOMAXPROCS decides how the worker
+// goroutines are scheduled — which worker reaches an interval's checkpoint
+// first, and whether merges queue on its lock — so the join's observable
 // behaviour — result, committed output and the simulated-time accounting —
 // must not depend on it. Misspeculation-free by construction, so the
 // simulated accounting is exactly reproducible.

@@ -123,13 +123,12 @@ func (sp *spanState) recycle() {
 }
 
 // validate runs the second-phase cross-interval chain validation over the
-// checkpoints up to last, with tracing. The scan is sharded by shadow-page
-// range (validateShards); the verdict is shard-count independent. It
-// returns the first violating interval id (-1 = clean) and the faulting
-// private-heap address (0 when clean).
+// checkpoints up to last, with tracing. It returns the first violating
+// interval id (-1 = clean) and the faulting private-heap address (0 when
+// clean).
 func (sp *spanState) validate(last *checkpoint) (int64, uint64) {
 	t := startTimer()
-	c, addr := last.crossValidateShardedAddr(validateShards())
+	c, addr := last.crossValidate()
 	t.stop(nil, sp.rt.Cfg.Trace, obs.Event{Kind: obs.KValidate,
 		Invocation: sp.inv, Worker: -1, Iter: last.id, A: c})
 	return c, addr
@@ -387,7 +386,6 @@ func newWorker(sp *spanState, id, stride int) (*worker, error) {
 		// is pre-decoded once per run, not once per worker per span.
 		w.it = interp.NewShared(rt.master.Program(), w.as)
 	}
-	w.it.SetTrace(rt.Cfg.Trace, id, sp.inv)
 	// Workers see the read-only heap as truly read-only, and the
 	// reduction heap starts at the operator's identity. A failure here
 	// means the worker would speculate from a corrupt base state — that is
@@ -742,7 +740,7 @@ func (w *worker) run() error {
 				atomic.AddInt64(&rt.Stats.ProvenRangeBytes, pr.size)
 			}
 		}
-		ok, scanned, _ := cp.addWorkerState(w.id, w.as, sp.redux, proven, w.io, validateShards())
+		ok, scanned, missAddr := cp.addWorkerState(w.id, w.as, sp.redux, proven, w.io)
 		w.simCheckpoint += scanned * SimCheckpointPerByte
 		w.io = nil
 		w.resetShadow()
@@ -750,8 +748,7 @@ func (w *worker) run() error {
 			Invocation: sp.inv, Worker: w.id, Iter: c, A: scanned})
 		w.foldStats()
 		if !ok {
-			sp.flag(base, w.id, "privacy violated (merge)", "",
-				atomic.LoadUint64(&cp.missAddr))
+			sp.flag(base, w.id, "privacy violated (merge)", "", missAddr)
 			return nil
 		}
 	}

@@ -591,7 +591,7 @@ func (tr *transformer) insertChecks() {
 				if tr.reduxMarksDroppable(f, addr) {
 					tr.stats.StaticReduxMarksDropped++
 				} else {
-					kind := tr.reduxKindFor(in)
+					_, kind, _, _ := ir.ReduxUpdate(in)
 					rw := makeRedux(bld, addr, size, kind)
 					tr.queueInsert(in, false, rw)
 					tr.stats.ReduxMarks++
@@ -672,17 +672,6 @@ func makeIntConst(bld *ir.Builder, v uint64, t ir.Type) *ir.Instr {
 		return bld.P(v)
 	}
 	return bld.I(int64(v))
-}
-
-// reduxKindFor finds the reduction operator of a redux store from the
-// assignment.
-func (tr *transformer) reduxKindFor(st *ir.Instr) ir.ReduxKind {
-	for o := range tr.prof.MapPointerToObjects(st) {
-		if k, ok := tr.assign.ReduxOps[o]; ok && k != ir.ReduxNone {
-			return k
-		}
-	}
-	return ir.ReduxAddI64
 }
 
 // insertColdGuards fences never-executed blocks with misspec (control

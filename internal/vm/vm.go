@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"privateer/internal/ir"
-	"privateer/internal/obs"
 )
 
 // PageSize is the simulated page size in bytes.
@@ -332,14 +331,6 @@ type AddressSpace struct {
 	// released is what Stats points at between Release and the next
 	// RecloneFrom, so parking a pooled space allocates nothing.
 	released Stats
-
-	// Trace receives page-layer events (COW duplication, TLB flushes,
-	// protection faults); nil disables emission. Clones inherit the tracer.
-	Trace *obs.Tracer
-	// TraceWorker labels this space's events (-1 = master).
-	TraceWorker int
-	// TraceInv is the current region invocation (-1 = outside any region).
-	TraceInv int64
 }
 
 // addStat bumps one Stats counter. The add is always atomic: the structure
@@ -348,18 +339,16 @@ type AddressSpace struct {
 // never on a per-access path.
 func addStat(p *int64) { atomic.AddInt64(p, 1) }
 
-// flushTLB drops every cached translation; cause labels the trace event.
-func (as *AddressSpace) flushTLB(cause string) {
+// flushTLB drops every cached translation.
+func (as *AddressSpace) flushTLB() {
 	as.rtlb = [tlbSize]tlbEntry{}
 	as.wtlb = [tlbSize]tlbEntry{}
-	as.Trace.Instant(obs.Event{Kind: obs.KTLBFlush,
-		Invocation: as.TraceInv, Worker: as.TraceWorker, Iter: -1, Cause: cause})
 }
 
 // NewAddressSpace returns an empty address space with every heap mapped
 // read-write and empty.
 func NewAddressSpace() *AddressSpace {
-	as := &AddressSpace{epoch: nextEpoch(), Stats: &Stats{}, TraceWorker: -1, TraceInv: -1}
+	as := &AddressSpace{epoch: nextEpoch(), Stats: &Stats{}}
 	as.root = as.newNode(false)
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		as.heaps[h] = newHeapState(h)
@@ -378,9 +367,8 @@ func NewAddressSpace() *AddressSpace {
 // not O(mapped pages) or O(live allocations).
 func (as *AddressSpace) Clone() *AddressSpace {
 	as.epoch = nextEpoch()
-	as.flushTLB("clone")
-	c := &AddressSpace{root: as.root, epoch: nextEpoch(), Stats: &Stats{},
-		Trace: as.Trace, TraceWorker: as.TraceWorker, TraceInv: as.TraceInv}
+	as.flushTLB()
+	c := &AddressSpace{root: as.root, epoch: nextEpoch(), Stats: &Stats{}}
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		c.heaps[h] = as.heaps[h].clone()
 		c.prot[h] = as.prot[h]
@@ -408,7 +396,7 @@ func (as *AddressSpace) CloneSharingStats() *AddressSpace {
 // execution (a pooled space between uses); any state it held is discarded.
 func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 	parent.epoch = nextEpoch()
-	parent.flushTLB("clone")
+	parent.flushTLB()
 	as.reclaim(as.root)
 	as.root = parent.root
 	as.epoch = nextEpoch()
@@ -417,10 +405,7 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 		as.prot[h] = parent.prot[h]
 	}
 	as.Stats = parent.Stats
-	as.Trace = parent.Trace
-	as.TraceWorker = parent.TraceWorker
-	as.TraceInv = parent.TraceInv
-	as.flushTLB("reclone")
+	as.flushTLB()
 }
 
 // Release detaches as from whatever parent it was recloned from: the radix
@@ -446,15 +431,14 @@ func (as *AddressSpace) Release() {
 	}
 	as.released = Stats{}
 	as.Stats = &as.released
-	as.Trace = nil
-	as.flushTLB("release")
+	as.flushTLB()
 }
 
 // SetProt sets the protection of an entire logical heap, the granularity at
 // which Privateer manipulates page maps.
 func (as *AddressSpace) SetProt(h ir.HeapKind, p Prot) {
 	as.prot[h] = p
-	as.flushTLB("setprot")
+	as.flushTLB()
 }
 
 // ProtOf returns the protection of heap h.
@@ -489,9 +473,6 @@ func (as *AddressSpace) pageFor(addr uint64, forWrite bool) *page {
 		e.cow = false
 		addStat(&as.Stats.PagesCopied)
 		as.markDirty(&path, slot)
-		as.Trace.Instant(obs.Event{Kind: obs.KCOWCopy,
-			Invocation: as.TraceInv, Worker: as.TraceWorker, Iter: -1,
-			A: int64(key << PageShift)})
 	}
 	idx := key & (tlbSize - 1)
 	// COW resolution replaced the page this space reads at key, so the
@@ -507,9 +488,6 @@ func (as *AddressSpace) checkProt(addr uint64, size uint64, write bool) error {
 	h := ir.HeapOf(addr)
 	p := as.prot[h]
 	if p == ProtNone || (write && p != ProtReadWrite) {
-		as.Trace.Instant(obs.Event{Kind: obs.KProtFault,
-			Invocation: as.TraceInv, Worker: as.TraceWorker, Iter: -1,
-			A: int64(addr), Cause: "protection " + p.String()})
 		return &Fault{Addr: addr, Write: write, Reason: "protection " + p.String()}
 	}
 	// Guard the unmapped null page of the system heap.
@@ -764,7 +742,7 @@ func (as *AddressSpace) clearHeapSubtrees(h ir.HeapKind) {
 func (as *AddressSpace) ResetHeap(h ir.HeapKind) {
 	as.clearHeapSubtrees(h)
 	as.heaps[h] = newHeapState(h)
-	as.flushTLB("reset-heap")
+	as.flushTLB()
 }
 
 // CopyHeapFrom replaces this space's view of heap h with src's: page
@@ -782,8 +760,8 @@ func (as *AddressSpace) CopyHeapFrom(src *AddressSpace, h ir.HeapKind) {
 		leaf.entries[slotOf(pn, radixLevels-1)] = pageEntry{pg: as.newPage(e.pg), cow: true}
 	})
 	as.heaps[h] = src.heaps[h].clone()
-	as.flushTLB("copy-heap")
-	src.flushTLB("copy-heap")
+	as.flushTLB()
+	src.flushTLB()
 }
 
 // DirtyPages calls visit for every page this address space owns privately —
