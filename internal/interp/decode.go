@@ -8,12 +8,18 @@ import (
 )
 
 // This file implements the pre-decoder: it flattens a function's blocks into
-// a linear code array whose instructions carry pre-resolved operand value
-// slots (small integers indexing the frame's value array), constants folded
-// into an operand pool, and pre-computed branch targets and φ-edge parallel
-// copies. Decoding runs once per function per Program; every interpreter
-// sharing the Program (the speculative runtime's master, workers and
-// recovery interpreter) executes the same decoded form.
+// a linear code array that holds only what has to be dispatched. An operand
+// is always the value's own frame slot. A constant or global address whose
+// every use is certain to execute after it (see hoistable) leaves the code
+// array: the constant goes into the function's frame image, which call copies
+// into each fresh frame, and the global's slot is patched from the
+// interpreter's address table right after that copy. The instruction that
+// follows in the block carries the removed ones in its step weight, so
+// Interp.Steps stays the tree-walking executor's count at every hook, call,
+// error and return. A peephole over each block then fuses the measured hot
+// sequences (see fusions). Decoding runs once per function per Program; every
+// interpreter sharing the Program (the speculative runtime's master, workers
+// and recovery interpreter) executes the same decoded form.
 
 // noSlot marks an absent operand slot (e.g. a void return).
 const noSlot = math.MinInt32
@@ -95,10 +101,16 @@ func (p *Program) decodedFor(fn *ir.Function) *decodedFunc {
 }
 
 // dinstr is one decoded instruction. Operand fields a, b, c index the
-// frame's value array when non-negative; a negative operand ^i names entry i
-// of the function's constant pool (a constant folded at decode time).
+// frame's value array.
 type dinstr struct {
-	op  ir.Op
+	// op is in.Op, or a fused opcode (see fusions) on the first component of
+	// a fused sequence; the other components follow in place and are reached
+	// only through it.
+	op ir.Op
+	// n is the number of IR instructions one dispatch of this entry stands
+	// for: itself, the hoisted instructions that preceded it in its block
+	// and, on a fused opcode, the same for the components after it.
+	n   int32
 	dst int32
 	// a, b, c are the first three operand slots (most ops use at most
 	// three; wider ops read through in.Args on the fallback path).
@@ -111,12 +123,17 @@ type dinstr struct {
 	e0, e1 int32
 	// size is the access width (loads, stores, checks) or alloca size.
 	size int64
-	// cnst is the literal of OpConst/OpFConst and the global slot of OpGlobal.
+	// cnst is the literal of an OpConst/OpFConst and the global slot of an
+	// OpGlobal that stayed in the code array.
 	cnst uint64
 	// in is the original instruction, for hooks, errors and wide operand
 	// lists.
 	in *ir.Instr
 }
+
+// globalSlot names a frame slot that holds the address of global idx of the
+// interpreter's address table.
+type globalSlot struct{ dst, idx int32 }
 
 // phiCopy is one assignment of an edge's parallel φ-copy.
 type phiCopy struct{ dst, src int32 }
@@ -137,11 +154,11 @@ type decodedFunc struct {
 	fn    *ir.Function
 	code  []dinstr
 	edges []phiEdge
-	pool  []uint64
-	// frameSize is NumValues plus the pool length: frames for decoded
-	// execution append the folded constants to the tail of the value array,
-	// so an operand read is a single index with no slot-vs-pool branch.
-	frameSize int
+	// image is a fresh frame's value array (length NumValues): the hoisted
+	// constants at their own slots, zero everywhere else.
+	image []uint64
+	// globals are the hoisted OpGlobal slots, patched per interpreter.
+	globals []globalSlot
 	// entryPhi is the first leading φ of the entry block, if any; entering
 	// the function then fails exactly as the tree-walking executor does.
 	entryPhi *ir.Instr
@@ -180,36 +197,138 @@ func leadingPhis(b *ir.Block) int {
 	return n
 }
 
-// decoder carries per-function decode state.
-type decoder struct {
-	df *decodedFunc
-	// poolIdx dedupes folded constants by value.
-	poolIdx map[uint64]int32
-	// blockConsts maps constants defined earlier in the current block to
-	// their instructions; only those fold (a constant's slot is written when
-	// the constant executes, so folding across blocks could change the
-	// behavior of use-before-def programs the verifier does not reject).
-	blockConsts map[*ir.Instr]bool
-}
+// Per-value marks of hoistable.
+const (
+	vDefined = 1 << iota // the walk has passed the value's definition
+	vPinned              // some use may execute before the definition
+)
 
-// slotOf resolves operand v to a frame slot or, for a constant already
-// defined in the current block, a folded pool reference.
-func (d *decoder) slotOf(v ir.Value) int32 {
-	if in, ok := v.(*ir.Instr); ok && d.blockConsts[in] {
-		idx, have := d.poolIdx[in.Const]
-		if !have {
-			idx = int32(len(d.df.pool))
-			d.df.pool = append(d.df.pool, in.Const)
-			d.poolIdx[in.Const] = idx
+// hoistable decides which OpConst, OpFConst and OpGlobal instructions of fn
+// may leave the code array for the frame image: those whose mark, indexed by
+// ValueID, has vPinned clear. Such a value must be in its slot at every use,
+// which holds when every use is certain to execute after the definition — a
+// later instruction of the same block, a φ fed along an edge out of the
+// defining block, or any use at all when the definition sits in the entry
+// block, which runs to its end before another block starts. Any other use
+// (only hand-built use-before-def IR has one) may read the slot first, when
+// it still holds 0 or an earlier trip's value, so the instruction stays
+// where it is. hoistable returns nil, and the function then hoists and fuses
+// nothing, when fn is not what ir.Verify admits: an operand of another
+// function, a value ID out of range or defined twice, a wrong block
+// back-pointer.
+func hoistable(fn *ir.Function) []uint8 {
+	marks := make([]uint8, fn.NumValues())
+	define := func(id int) bool {
+		if id < 0 || id >= len(marks) || marks[id]&vDefined != 0 {
+			return false
 		}
-		return ^idx
+		marks[id] |= vDefined
+		return true
 	}
-	return int32(v.ValueID())
+	for _, p := range fn.Params {
+		if !define(p.ValueID()) {
+			return nil
+		}
+	}
+	entry := fn.Entry()
+	for _, b := range fn.Blocks {
+		phis := leadingPhis(b)
+		for i, in := range b.Instrs {
+			if in.Blk != b {
+				return nil
+			}
+			for j, a := range in.Args {
+				switch v := a.(type) {
+				case *ir.Param:
+					if v.Fn != fn {
+						return nil
+					}
+				case *ir.Instr:
+					if v.Blk == nil || v.Blk.Fn != fn || v.ValueID() < 0 || v.ValueID() >= len(marks) {
+						return nil
+					}
+					after := marks[v.ValueID()]&vDefined != 0 && (v.Blk == b || v.Blk == entry)
+					if i < phis {
+						after = v.Blk == entry || j < len(in.Preds) && in.Preds[j] == v.Blk
+					}
+					if !after {
+						marks[v.ValueID()] |= vPinned
+					}
+				default:
+					return nil
+				}
+			}
+			if !define(in.ValueID()) {
+				return nil
+			}
+		}
+	}
+	return marks
 }
 
-// edgeFor builds (or reuses nothing — edges are per branch-target) the
-// φ-copy list for the CFG edge from -> to.
-func (d *decoder) edgeFor(from, to *ir.Block) int32 {
+// Fused opcodes, private to the decoded executor: ir.NumOps, the printer and
+// the tree-walking executor do not know them.
+const (
+	opMulAdd ir.Op = ir.Op(ir.NumOps) + iota
+	opMulAddLoad
+	opAddLoad
+	opSLtCondBr
+	opAddBr
+	opMulAddMulAddLoad
+	opFMulFAdd
+)
+
+// fusions lists the fused opcodes with the adjacent sequence each stands
+// for, longest match first. One rule keeps a fused sequence observably the
+// instructions it replaces: every component still writes its own slot, and
+// only the last may fault, fire a hook, touch memory or transfer control, so
+// the step count at anything observable is the sum of the weights. The
+// sequences are the ones TestDispatchRatio's pair tally ranks highest on the
+// paper programs (ARCHITECTURE.md has the shares).
+var fusions = []struct {
+	op  ir.Op
+	seq []ir.Op
+}{
+	{opMulAddMulAddLoad, []ir.Op{ir.OpMul, ir.OpAdd, ir.OpMul, ir.OpAdd, ir.OpLoad}},
+	{opMulAddLoad, []ir.Op{ir.OpMul, ir.OpAdd, ir.OpLoad}},
+	{opMulAdd, []ir.Op{ir.OpMul, ir.OpAdd}},
+	{opAddLoad, []ir.Op{ir.OpAdd, ir.OpLoad}},
+	{opSLtCondBr, []ir.Op{ir.OpSLt, ir.OpCondBr}},
+	{opAddBr, []ir.Op{ir.OpAdd, ir.OpBr}},
+	{opFMulFAdd, []ir.Op{ir.OpFMul, ir.OpFAdd}},
+}
+
+// fuse rewrites one block's decoded run in place: the first component of
+// each match takes the fused opcode and the weight of the whole sequence,
+// the others stay where they are as its operand records. Nothing jumps into
+// the middle of a run, so no fusion crosses a block start.
+func fuse(run []dinstr) {
+	for i := 0; i < len(run); {
+		k := 1
+		for _, f := range fusions {
+			if len(f.seq) > len(run)-i {
+				continue
+			}
+			match := true
+			for j, op := range f.seq {
+				match = match && run[i+j].op == op
+			}
+			if match {
+				k = len(f.seq)
+				run[i].op = f.op
+				for j := 1; j < k; j++ {
+					run[i].n += run[i+j].n
+				}
+				break
+			}
+		}
+		i += k
+	}
+}
+
+// edgeFor builds the φ-copy list for the CFG edge from -> to (edges are per
+// branch target, not shared).
+func (df *decodedFunc) edgeFor(from, to *ir.Block) int32 {
 	n := leadingPhis(to)
 	if n == 0 {
 		return -1
@@ -220,7 +339,7 @@ func (d *decoder) edgeFor(from, to *ir.Block) int32 {
 		found := false
 		for i, p := range phi.Preds {
 			if p == from {
-				src = d.slotOf(phi.Args[i])
+				src = int32(phi.Args[i].ValueID())
 				found = true
 				break
 			}
@@ -231,49 +350,70 @@ func (d *decoder) edgeFor(from, to *ir.Block) int32 {
 		}
 		e.copies = append(e.copies, phiCopy{dst: int32(phi.ValueID()), src: src})
 	}
-	d.df.edges = append(d.df.edges, e)
-	return int32(len(d.df.edges) - 1)
+	df.edges = append(df.edges, e)
+	return int32(len(df.edges) - 1)
 }
 
 // decodeFunc flattens fn into its decoded form.
 func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
-	df := &decodedFunc{fn: fn}
+	df := &decodedFunc{fn: fn, image: make([]uint64, fn.NumValues())}
 	df.shapeBlocks, df.shapeInstrs, df.shapeValues = fnShape(fn)
+	if len(fn.Blocks) == 0 {
+		return df
+	}
+	if leadingPhis(fn.Entry()) > 0 {
+		df.entryPhi = fn.Entry().Instrs[0]
+	}
+	marks := hoistable(fn)
+	hoists := func(in *ir.Instr) bool {
+		switch in.Op {
+		case ir.OpConst, ir.OpFConst, ir.OpGlobal:
+			return marks != nil && marks[in.ValueID()]&vPinned == 0
+		}
+		return false
+	}
 
 	starts := make(map[*ir.Block]int32, len(fn.Blocks))
 	pc := int32(0)
 	for _, b := range fn.Blocks {
 		starts[b] = pc
-		pc += int32(len(b.Instrs) - leadingPhis(b))
+		for _, in := range b.Instrs[leadingPhis(b):] {
+			if !hoists(in) {
+				pc++
+			}
+		}
 		if b.Terminator() == nil {
 			pc++ // synthetic guard (see below)
 		}
 	}
-	if len(fn.Blocks) > 0 && leadingPhis(fn.Entry()) > 0 {
-		df.entryPhi = fn.Entry().Instrs[0]
-	}
 
-	d := &decoder{df: df, poolIdx: map[uint64]int32{}}
 	df.code = make([]dinstr, 0, pc)
 	for _, b := range fn.Blocks {
-		d.blockConsts = map[*ir.Instr]bool{}
+		start := len(df.code)
+		n := int32(1)
 		for _, in := range b.Instrs[leadingPhis(b):] {
-			di := dinstr{op: in.Op, dst: int32(in.ValueID()), a: noSlot, b: noSlot, c: noSlot,
+			if hoists(in) {
+				if in.Op == ir.OpGlobal {
+					df.globals = append(df.globals, globalSlot{int32(in.ValueID()), int32(p.globalSlot(in.GlobalRef))})
+				} else {
+					df.image[in.ValueID()] = in.Const
+				}
+				n++
+				continue
+			}
+			di := dinstr{op: in.Op, n: n, dst: int32(in.ValueID()), a: noSlot, b: noSlot, c: noSlot,
 				e0: -1, e1: -1, size: in.Size, cnst: in.Const, in: in}
+			n = 1
 			switch in.Op {
 			case ir.OpBr:
 				di.t0 = starts[in.Targets[0]]
-				di.e0 = d.edgeFor(b, in.Targets[0])
+				di.e0 = df.edgeFor(b, in.Targets[0])
 			case ir.OpCondBr:
-				di.a = d.slotOf(in.Args[0])
+				di.a = int32(in.Args[0].ValueID())
 				di.t0 = starts[in.Targets[0]]
 				di.t1 = starts[in.Targets[1]]
-				di.e0 = d.edgeFor(b, in.Targets[0])
-				di.e1 = d.edgeFor(b, in.Targets[1])
-			case ir.OpRet:
-				if len(in.Args) == 1 {
-					di.a = d.slotOf(in.Args[0])
-				}
+				di.e0 = df.edgeFor(b, in.Targets[0])
+				di.e1 = df.edgeFor(b, in.Targets[1])
 			case ir.OpGlobal:
 				di.cnst = uint64(p.globalSlot(in.GlobalRef))
 			case ir.OpPhi:
@@ -283,47 +423,26 @@ func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 				// Pre-resolve up to three operands; wider instructions
 				// (calls, prints, memset/memcopy) read through in.Args.
 				if len(in.Args) > 0 {
-					di.a = d.slotOf(in.Args[0])
+					di.a = int32(in.Args[0].ValueID())
 				}
 				if len(in.Args) > 1 {
-					di.b = d.slotOf(in.Args[1])
+					di.b = int32(in.Args[1].ValueID())
 				}
 				if len(in.Args) > 2 {
-					di.c = d.slotOf(in.Args[2])
+					di.c = int32(in.Args[2].ValueID())
 				}
 			}
 			df.code = append(df.code, di)
-			if in.Op == ir.OpConst || in.Op == ir.OpFConst {
-				d.blockConsts[in] = true
-			}
 		}
 		if b.Terminator() == nil {
 			// Unterminated block (invalid IR): stop with an error instead
 			// of falling through into the next block's code.
-			df.code = append(df.code, dinstr{op: ir.OpInvalid, dst: noSlot,
+			df.code = append(df.code, dinstr{op: ir.OpInvalid, n: n, dst: noSlot,
 				a: noSlot, b: noSlot, c: noSlot, e0: -1, e1: -1})
 		}
-	}
-
-	// Rebase folded-constant references: the executor's frames carry the
-	// pool in the tail of the value array (vals[NumValues:]), so pool entry
-	// i lives at slot NumValues+i and operand reads need no pool branch.
-	nv := int32(fn.NumValues())
-	rebase := func(s int32) int32 {
-		if s < 0 && s != noSlot {
-			return nv + ^s
-		}
-		return s
-	}
-	for i := range df.code {
-		di := &df.code[i]
-		di.a, di.b, di.c = rebase(di.a), rebase(di.b), rebase(di.c)
-	}
-	for i := range df.edges {
-		for j := range df.edges[i].copies {
-			df.edges[i].copies[j].src = rebase(df.edges[i].copies[j].src)
+		if marks != nil {
+			fuse(df.code[start:])
 		}
 	}
-	df.frameSize = fn.NumValues() + len(df.pool)
 	return df
 }

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"math"
 
 	"privateer/internal/ir"
 )
@@ -26,12 +25,6 @@ const (
 	hMisspec
 	hPrivReadSpan
 	hPrivWriteSpan
-	// hOpProf is not a Hooks field: it gates the sampling per-opcode
-	// profiler (opprof.go). Unlike the other bits it is tested only at
-	// activation entry and call-return resyncs — the per-instruction gate
-	// is the profNext step threshold, held at MaxInt64 while the bit is
-	// clear, so profiling on or off costs one register compare either way.
-	hOpProf
 )
 
 // computeHookMask derives the active-hook bitmask from the Hooks structure.
@@ -82,9 +75,6 @@ func (it *Interp) computeHookMask() uint32 {
 	if h.PrivateWriteSpan != nil {
 		m |= hPrivWriteSpan
 	}
-	if it.Prof != nil {
-		m |= hOpProf
-	}
 	return m
 }
 
@@ -116,8 +106,11 @@ func runEdge(vals []uint64, e *phiEdge) {
 // execDecoded runs fr's activation over the decoded code array. It is
 // observably identical to exec (the tree-walking reference executor):
 // same step counts, same hook sequence, same errors, same output. Operand
-// slots index fr.vals directly; folded constants live in the tail of the
-// value array (copied from the decode-time pool at frame setup).
+// slots index fr.vals directly; the hoisted constants and global addresses
+// are in their slots since frame setup, and steps advances by each entry's
+// weight. A budget that runs out inside a weight stops where exec would, one
+// past the limit: nothing a weight covers besides its last instruction can
+// fault, fire a hook or touch memory, and that one has not run.
 func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 	if df.entryPhi != nil {
 		return 0, phiEdgeError(fr, df.entryPhi, nil)
@@ -128,31 +121,24 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 	mask := it.hookMask
 	limit := it.stepLimit()
 	steps := it.Steps
-	// Hoisted profiler state: with profiling off profNext is a sentinel no
-	// steps value ever reaches, so the loop needs no separate mask test.
-	// With profiling on it mirrors it.profNext and is resynced wherever
-	// steps is (nested activations rearm it). Either way the dispatch loop
-	// pays one register compare per instruction.
-	profNext := int64(math.MaxInt64)
-	if mask&hOpProf != 0 {
-		profNext = it.profNext
-	}
 	pc := int32(0)
 	for {
 		di := &code[pc]
-		steps++
+		steps += int64(di.n)
 		if steps > limit {
-			it.Steps = steps
+			it.Steps = limit + 1
 			return 0, fmt.Errorf("interp: step limit %d exceeded in %s", limit, fr.Fn.Name)
-		}
-		if steps >= profNext {
-			it.Steps = steps
-			it.profSample(fr, di.op)
-			profNext = it.profNext
 		}
 		switch di.op {
 		case ir.OpConst, ir.OpFConst:
 			vals[di.dst] = di.cnst
+		// A fused opcode executes its leading components in place, steps to
+		// its last and falls through to that one's own case.
+		case opMulAdd:
+			vals[di.dst] = vals[di.a] * vals[di.b]
+			pc++
+			di = &code[pc]
+			fallthrough
 		case ir.OpAdd:
 			vals[di.dst] = vals[di.a] + vals[di.b]
 		case ir.OpSub:
@@ -219,6 +205,11 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			vals[di.dst] = bits(float64(int64(vals[di.a])))
 		case ir.OpFPToSI:
 			vals[di.dst] = uint64(int64(f64(vals[di.a])))
+		case opFMulFAdd:
+			vals[di.dst] = bits(f64(vals[di.a]) * f64(vals[di.b]))
+			pc++
+			di = &code[pc]
+			fallthrough
 		case ir.OpFAdd:
 			vals[di.dst] = bits(f64(vals[di.a]) + f64(vals[di.b]))
 		case ir.OpFSub:
@@ -245,6 +236,24 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			}
 		case ir.OpPtrToInt, ir.OpIntToPtr:
 			vals[di.dst] = vals[di.a]
+		case opMulAddMulAddLoad:
+			vals[di.dst] = vals[di.a] * vals[di.b]
+			pc++
+			di = &code[pc]
+			vals[di.dst] = vals[di.a] + vals[di.b]
+			pc++
+			di = &code[pc]
+			fallthrough
+		case opMulAddLoad:
+			vals[di.dst] = vals[di.a] * vals[di.b]
+			pc++
+			di = &code[pc]
+			fallthrough
+		case opAddLoad:
+			vals[di.dst] = vals[di.a] + vals[di.b]
+			pc++
+			di = &code[pc]
+			fallthrough
 		case ir.OpLoad:
 			addr := vals[di.a]
 			v, err := it.AS.Read(addr, di.size)
@@ -273,6 +282,11 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 				return vals[di.a], nil
 			}
 			return 0, nil
+		case opAddBr:
+			vals[di.dst] = vals[di.a] + vals[di.b]
+			pc++
+			di = &code[pc]
+			fallthrough
 		case ir.OpBr:
 			if mask&hBlock != 0 {
 				it.Steps = steps
@@ -288,6 +302,11 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			}
 			pc = di.t0
 			continue
+		case opSLtCondBr:
+			vals[di.dst] = b2w(int64(vals[di.a]) < int64(vals[di.b]))
+			pc++
+			di = &code[pc]
+			fallthrough
 		case ir.OpCondBr:
 			to, eid := di.t1, di.e1
 			taken := vals[di.a] != 0
@@ -367,9 +386,6 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 				return 0, err
 			}
 			steps = it.Steps
-			if mask&hOpProf != 0 {
-				profNext = it.profNext
-			}
 			vals[di.dst] = v
 		case ir.OpBuiltin:
 			v, err := it.builtin(di.in, fr)

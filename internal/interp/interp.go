@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"privateer/internal/ir"
 	"privateer/internal/vm"
@@ -133,10 +132,6 @@ type Interp struct {
 	Steps int64
 	// MaxDepth bounds recursion; 0 means the default (4096).
 	MaxDepth int
-	// Prof, when non-nil, enables the sampling per-opcode profiler (see
-	// opprof.go). Multiple interpreters may share one profiler; setting it
-	// costs one extra hook-mask bit in the dispatch loop.
-	Prof *OpProfiler
 
 	globalsLaidOut bool
 	// globalAddrs[prog.globalSlot(g)] is g's runtime address.
@@ -154,16 +149,6 @@ type Interp struct {
 	// exec_fast.go); recomputed on every call so the dispatch loop tests a
 	// register instead of thirteen function pointers per instruction.
 	hookMask uint32
-	// profNext is the Steps value at which the next profiler sample is due,
-	// profLastSteps the Steps value at the previous sample (the window in
-	// between is attributed to the sampled opcode), and profLast the
-	// previous sample's timestamp.
-	profNext      int64
-	profLastSteps int64
-	profLast      time.Time
-	// profArmed records that the profiler thresholds were initialized for
-	// the current outermost activation.
-	profArmed bool
 
 	// stack holds every activation's Frame and value array (see stack.go).
 	stack frameStack
@@ -196,13 +181,13 @@ func (it *Interp) Program() *Program { return it.prog }
 
 // Recycle resets a pooled interpreter for a fresh activation over as, which
 // the caller has already re-targeted (vm.AddressSpace.RecloneFrom): hooks,
-// output, step counters, profiler arming and the adopted global layout are
-// cleared and the frame stack emptied, while the shared decode cache, the
-// stack's frames and slabs and the map capacity grown on earlier runs are
-// retained. The speculative runtime's warmed worker pool uses it so a reused
-// worker observes nothing from the invocation that previously ran on it; the
-// caller re-adopts a layout and reinstalls hooks exactly as it would on a
-// freshly constructed interpreter.
+// output, step counters and the adopted global layout are cleared and the
+// frame stack emptied, while the shared decode cache, the stack's frames and
+// slabs and the map capacity grown on earlier runs are retained. The
+// speculative runtime's warmed worker pool uses it so a reused worker
+// observes nothing from the invocation that previously ran on it; the caller
+// re-adopts a layout and reinstalls hooks exactly as it would on a freshly
+// constructed interpreter.
 func (it *Interp) Recycle(as *vm.AddressSpace) {
 	it.AS = as
 	it.Hooks = Hooks{}
@@ -210,14 +195,9 @@ func (it *Interp) Recycle(as *vm.AddressSpace) {
 	it.StepLimit = 0
 	it.Steps = 0
 	it.MaxDepth = 0
-	it.Prof = nil
 	it.globalsLaidOut = false
 	clear(it.globalAddrs)
 	it.hookMask = 0
-	it.profNext = 0
-	it.profLastSteps = 0
-	it.profLast = time.Time{}
-	it.profArmed = false
 	it.stack.reset()
 }
 
@@ -304,17 +284,7 @@ func (it *Interp) call(fn *ir.Function, args []uint64, caller *Frame) (uint64, e
 	if len(args) != len(fn.Params) {
 		return 0, fmt.Errorf("interp: %s wants %d args, got %d", fn.Name, len(fn.Params), len(args))
 	}
-	var profSteps0 int64
-	if it.Prof != nil {
-		if !it.profArmed {
-			it.profArmed = true
-			it.profNext = it.Steps + it.Prof.sampleEvery
-			it.profLastSteps = it.Steps
-		}
-		profSteps0 = it.Steps
-	}
 	var df *decodedFunc
-	nvals := fn.NumValues()
 	if !it.treeWalk {
 		if caller == nil {
 			clear(it.decoded)
@@ -324,16 +294,20 @@ func (it *Interp) call(fn *ir.Function, args []uint64, caller *Frame) (uint64, e
 			df = it.prog.decodedFor(fn)
 			it.decoded[fn] = df
 		}
-		// Decoded frames carry the function's folded-constant pool in the
-		// tail of the value array (see decode.go).
-		nvals = df.frameSize
 	}
-	fr := it.stack.push(fn, depth, caller, nvals)
+	fr := it.stack.push(fn, depth, caller)
+	if df == nil {
+		clear(fr.vals)
+	} else {
+		// The frame image holds the hoisted constants (see decode.go); the
+		// hoisted global addresses are this interpreter's.
+		copy(fr.vals, df.image)
+		for _, g := range df.globals {
+			fr.vals[g.dst] = it.globalAddrs[g.idx]
+		}
+	}
 	for i, p := range fn.Params {
 		fr.vals[p.ValueID()] = args[i]
-	}
-	if df != nil && len(df.pool) > 0 {
-		copy(fr.vals[len(fr.vals)-len(df.pool):], df.pool)
 	}
 	if it.Hooks.OnEnter != nil {
 		it.Hooks.OnEnter(fr)
@@ -357,15 +331,6 @@ func (it *Interp) call(fn *ir.Function, args []uint64, caller *Frame) (uint64, e
 	}
 	if it.Hooks.OnExit != nil {
 		it.Hooks.OnExit(fr)
-	}
-	if it.Prof != nil {
-		it.Prof.noteCall(fn, it.Steps-profSteps0)
-		if caller == nil {
-			// Outermost activation done: drop the sampling baseline so a
-			// later activation does not inherit a stale window.
-			it.profLast = time.Time{}
-			it.profArmed = false
-		}
 	}
 	it.stack.pop(fr)
 	return ret, err
@@ -443,9 +408,6 @@ func (it *Interp) exec(fr *Frame) (uint64, error) {
 			it.Steps++
 			if it.Steps > limit {
 				return 0, fmt.Errorf("interp: step limit %d exceeded in %s", limit, fr.Fn.Name)
-			}
-			if it.Prof != nil && it.Steps >= it.profNext {
-				it.profSample(fr, in.Op)
 			}
 			switch in.Op {
 			case ir.OpRet:

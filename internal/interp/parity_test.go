@@ -1,0 +1,377 @@
+package interp_test
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"testing"
+
+	"privateer/internal/core"
+	"privateer/internal/interp"
+	"privateer/internal/ir"
+	"privateer/internal/progs"
+	"privateer/internal/randprog"
+	"privateer/internal/vm"
+)
+
+// The tests of this file hold the decoded executor — frame image, weighted
+// steps, fused opcodes — to the tree-walking one, which executes every
+// constant where it stands and fuses nothing.
+
+// outcome is everything a finished or aborted run leaves behind.
+type outcome struct {
+	ret    uint64
+	err    string
+	steps  int64
+	out    string
+	memory uint64 // digest of every page the run wrote
+}
+
+func (o outcome) String() string {
+	return fmt.Sprintf("ret=%d err=%q steps=%d out=%q memory=%#x", o.ret, o.err, o.steps, o.out, o.memory)
+}
+
+// finish runs it and collects its outcome.
+func finish(it *interp.Interp, args ...uint64) outcome {
+	ret, err := it.Run(args...)
+	o := outcome{ret: ret, steps: it.Steps, out: it.Out.String()}
+	if err != nil {
+		o.err = err.Error()
+	}
+	h := fnv.New64a()
+	it.AS.DirtyPages(func(base uint64, data []byte) {
+		word(h, base)
+		h.Write(data)
+	})
+	o.memory = h.Sum64()
+	return o
+}
+
+func word(h hash.Hash64, vs ...uint64) {
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+}
+
+// both runs mod under the two executors, prepare applied to each
+// interpreter first, and returns decoded, tree-walk.
+func both(mod *ir.Module, prepare func(*interp.Interp), args ...uint64) (outcome, outcome) {
+	var got [2]outcome
+	for i, treeWalk := range []bool{false, true} {
+		it := interp.New(mod, vm.NewAddressSpace())
+		it.SetTreeWalk(treeWalk)
+		if prepare != nil {
+			prepare(it)
+		}
+		got[i] = finish(it, args...)
+	}
+	return got[0], got[1]
+}
+
+// loopWithCalls builds a loop whose body calls a function that computes an
+// address, stores, loads back and prints: hoisted constants and a hoisted
+// global in caller and callee, every fused opcode but the float one, a call
+// and a hook-free store and load per trip.
+func loopWithCalls() *ir.Module {
+	m := ir.NewModule("loopcalls")
+	g := m.NewGlobal("cells", 8*8)
+	sq := m.NewFunc("sq", ir.I64)
+	x := sq.NewParam("x", ir.I64)
+	{
+		b := ir.NewBuilder(sq)
+		p := b.Add(b.Global(g), b.Mul(x, b.I(8)))
+		b.Store(b.Mul(x, x), p, 8)
+		b.Print("%d ", b.Load(b.Add(b.Mul(x, b.I(8)), b.Global(g)), 8))
+		b.Ret(b.Load(p, 8))
+	}
+	f := m.NewFunc("main", ir.I64)
+	b := ir.NewBuilder(f)
+	acc := b.Local("acc")
+	b.St(b.I(0), acc)
+	b.For("i", b.I(0), b.I(6), func(iv *ir.Instr) {
+		b.St(b.Add(b.Ld(acc), b.Call(sq, b.Ld(iv))), acc)
+	})
+	b.Ret(b.Ld(acc))
+	ir.PromoteAllocas(f)
+	return m
+}
+
+// TestStepLimitSweepParity aborts two programs at every step budget from 1
+// to their full length. A budget can run out inside a weight — on a hoisted
+// constant, or between the components of a fused opcode — and the decoded
+// executor must then stop where the tree-walk does: same error, same Steps,
+// same output, same memory.
+func TestStepLimitSweepParity(t *testing.T) {
+	cfg := randprog.DefaultConfig(3)
+	for _, tc := range []struct {
+		mod  *ir.Module
+		args []uint64
+	}{
+		{loopWithCalls(), nil},
+		{randprog.Generate(cfg), []uint64{uint64(cfg.Iterations)}},
+	} {
+		if err := ir.Verify(tc.mod); err != nil {
+			t.Fatal(err)
+		}
+		full, _ := both(tc.mod, nil, tc.args...)
+		if full.err != "" {
+			t.Fatalf("%s: %s", tc.mod.Name, full.err)
+		}
+		for limit := int64(1); limit <= full.steps; limit++ {
+			fast, slow := both(tc.mod, func(it *interp.Interp) { it.StepLimit = limit }, tc.args...)
+			if fast != slow {
+				t.Fatalf("%s, StepLimit %d:\n decoded:   %v\n tree-walk: %v", tc.mod.Name, limit, fast, slow)
+			}
+			if (fast.err == "") != (limit == full.steps) {
+				t.Fatalf("%s, StepLimit %d of %d steps: err = %q", tc.mod.Name, limit, full.steps, fast.err)
+			}
+		}
+	}
+}
+
+// recordHooks installs every hook on it and folds each firing — which hook,
+// the instruction, address and size, Interp.Steps at that moment, and the
+// frame's values of the instruction and of its operands, so a fused
+// component that skipped its own slot shows — into h.
+func recordHooks(it *interp.Interp, h hash.Hash64) {
+	site := func(kind uint64, in *ir.Instr, vs ...uint64) {
+		word(h, kind, uint64(it.Steps))
+		if in != nil {
+			h.Write([]byte(in.Blk.Fn.Name))
+			word(h, uint64(in.ValueID()))
+		}
+		word(h, vs...)
+	}
+	framed := func(kind uint64, fr *interp.Frame, in *ir.Instr, vs ...uint64) {
+		site(kind, in, vs...)
+		if in != nil {
+			word(h, fr.Value(in))
+			for _, a := range in.Args {
+				word(h, fr.Value(a))
+			}
+		}
+	}
+	it.Hooks = interp.Hooks{
+		OnBlock: func(fr *interp.Frame, from, to *ir.Block) {
+			site(1, nil, uint64(from.Index), uint64(to.Index))
+			h.Write([]byte(fr.Fn.Name))
+		},
+		OnEnter: func(fr *interp.Frame) { site(2, nil, uint64(fr.Depth)); h.Write([]byte(fr.Fn.Name)) },
+		OnExit:  func(fr *interp.Frame) { site(3, nil, uint64(fr.Depth)) },
+		OnLoad: func(fr *interp.Frame, in *ir.Instr, addr uint64, size int64) {
+			framed(4, fr, in, addr, uint64(size))
+		},
+		OnStore: func(fr *interp.Frame, in *ir.Instr, addr uint64, size int64) {
+			framed(5, fr, in, addr, uint64(size))
+		},
+		OnAlloc: func(fr *interp.Frame, in *ir.Instr, addr, size uint64) { framed(6, fr, in, addr, size) },
+		OnFree:  func(fr *interp.Frame, in *ir.Instr, addr uint64) { framed(7, fr, in, addr) },
+		OnPrint: func(in *ir.Instr, text string) bool {
+			site(8, in)
+			h.Write([]byte(text))
+			return false
+		},
+		CheckHeap: func(in *ir.Instr, addr uint64) error { site(9, in, addr); return nil },
+		PrivateRead: func(in *ir.Instr, addr uint64, size int64) error {
+			site(10, in, addr, uint64(size))
+			return nil
+		},
+		PrivateWrite: func(in *ir.Instr, addr uint64, size int64) error {
+			site(11, in, addr, uint64(size))
+			return nil
+		},
+		PrivateReadSpan: func(in *ir.Instr, addr uint64, count, stride, size int64) error {
+			site(12, in, addr, uint64(count), uint64(stride), uint64(size))
+			return nil
+		},
+		PrivateWriteSpan: func(in *ir.Instr, addr uint64, count, stride, size int64) error {
+			site(13, in, addr, uint64(count), uint64(stride), uint64(size))
+			return nil
+		},
+		ReduxWrite: func(in *ir.Instr, addr uint64, size int64) error {
+			site(14, in, addr, uint64(size))
+			return nil
+		},
+		Predict: func(in *ir.Instr, actual, expected uint64) error {
+			site(15, in, actual, expected)
+			return nil
+		},
+		Misspec: func(in *ir.Instr) error { site(16, in); return nil },
+	}
+}
+
+// TestHookSequenceParity requires the two executors to fire the same hooks
+// in the same order with the same arguments at the same step counts, on the
+// plain module and on the one core.Parallelize leaves — run sequentially,
+// so its check_heap and private_* sites sit next to fused neighbours.
+func TestHookSequenceParity(t *testing.T) {
+	check := func(name string, mod *ir.Module, args ...uint64) {
+		t.Helper()
+		var sums [2]hash.Hash64
+		i := 0
+		fast, slow := both(mod, func(it *interp.Interp) {
+			sums[i] = fnv.New64a()
+			recordHooks(it, sums[i])
+			i++
+		}, args...)
+		if fast != slow {
+			t.Errorf("%s:\n decoded:   %v\n tree-walk: %v", name, fast, slow)
+		}
+		if fast.steps == 0 {
+			t.Errorf("%s: nothing ran", name)
+		}
+		if sums[0].Sum64() != sums[1].Sum64() {
+			t.Errorf("%s: hook sequence digests differ: decoded %#x, tree-walk %#x",
+				name, sums[0].Sum64(), sums[1].Sum64())
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		cfg := randprog.DefaultConfig(seed)
+		full := uint64(cfg.Iterations)
+		check(fmt.Sprintf("randprog %d", seed), randprog.Generate(cfg), full)
+		par, err := core.Parallelize(randprog.Generate(cfg), core.Options{TrainArgs: []uint64{randprog.TrainTrips(cfg)}})
+		if err != nil {
+			t.Fatalf("randprog %d: %v", seed, err)
+		}
+		check(fmt.Sprintf("randprog %d, parallelized", seed), par.Mod, full)
+	}
+	for _, p := range progs.All() {
+		check(p.Name, p.Build(p.Train))
+		par, err := core.Parallelize(p.Build(p.Train), core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		check(p.Name+", parallelized", par.Mod)
+	}
+}
+
+// built is a use-before-def module and the one constant of its entry
+// function the decoder may not hoist.
+type built struct {
+	mod    *ir.Module
+	pinned *ir.Instr
+}
+
+// TestUseBeforeDefParity runs hand-built IR the verifier admits in which a
+// use can execute before the constant it names: the slot then holds 0, or
+// the constant from an earlier trip. The decoder must leave exactly those
+// constants executed in place, and the results must be the tree-walk's.
+func TestUseBeforeDefParity(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func() built
+		args  []uint64
+		want  uint64
+	}{
+		// The use sits in the loop header, the constant in the latch: the
+		// first trip adds 0, the next two add 100.
+		{name: "later block", want: 200, build: func() built {
+			m := ir.NewModule("later")
+			f := m.NewFunc("main", ir.I64)
+			b := ir.NewBuilder(f)
+			head, latch, exit := b.NewBlock("head"), b.NewBlock("latch"), b.NewBlock("exit")
+			zero := b.I(0)
+			b.Br(head)
+			b.SetBlock(head)
+			i, acc := b.Phi(ir.I64), b.Phi(ir.I64)
+			use := b.Add(acc, zero)
+			b.Br(latch)
+			b.SetBlock(latch)
+			k := b.I(100)
+			use.Args[1] = k
+			next := b.Add(i, b.I(1))
+			b.CondBr(b.SLt(next, b.I(3)), head, exit)
+			b.SetBlock(exit)
+			b.Ret(use)
+			ir.AddIncoming(i, zero, f.Entry())
+			ir.AddIncoming(i, next, latch)
+			ir.AddIncoming(acc, zero, f.Entry())
+			ir.AddIncoming(acc, use, latch)
+			return built{m, k}
+		}},
+		// The constant sits in a branch arm; with a zero argument the path
+		// to its use skips the arm.
+		{name: "skipped arm", args: []uint64{0}, want: 1, build: skippedArm},
+		{name: "taken arm", args: []uint64{1}, want: 8, build: skippedArm},
+		// The entry block is its own loop target and adds the constant to a
+		// sum in memory above the constant's definition: 0 + 5 + 5.
+		{name: "entry is a loop target", want: 10, build: func() built {
+			m := ir.NewModule("entryloop")
+			cnt, sum := m.NewGlobal("cnt", 8), m.NewGlobal("sum", 8)
+			f := m.NewFunc("main", ir.I64)
+			b := ir.NewBuilder(f)
+			exit := b.NewBlock("exit")
+			one := b.I(1)
+			total := b.Add(b.Load(b.Global(sum), 8), one)
+			k := b.I(5)
+			total.Args[1] = k
+			b.Store(total, b.Global(sum), 8)
+			n := b.Add(b.Load(b.Global(cnt), 8), one)
+			b.Store(n, b.Global(cnt), 8)
+			b.CondBr(b.SLt(n, b.I(3)), f.Entry(), exit)
+			b.SetBlock(exit)
+			b.Ret(total)
+			return built{m, k}
+		}},
+	}
+	for _, tc := range cases {
+		bt := tc.build()
+		if err := ir.Verify(bt.mod); err != nil {
+			t.Fatalf("%s: the verifier rejects it: %v", tc.name, err)
+		}
+		fast, slow := both(bt.mod, nil, tc.args...)
+		if fast != slow || fast.err != "" || fast.ret != tc.want {
+			t.Errorf("%s: want %d:\n decoded:   %v\n tree-walk: %v", tc.name, tc.want, fast, slow)
+		}
+		left := interp.ExecutedInPlace(interp.NewProgram(bt.mod), bt.mod.Entry())
+		if len(left) != 1 || left[0] != bt.pinned {
+			t.Errorf("%s: executed in place %v, want only %v", tc.name, left, bt.pinned)
+		}
+	}
+}
+
+func skippedArm() built {
+	m := ir.NewModule("arm")
+	f := m.NewFunc("main", ir.I64)
+	p := f.NewParam("p", ir.I64)
+	b := ir.NewBuilder(f)
+	arm, join := b.NewBlock("arm"), b.NewBlock("join")
+	b.CondBr(p, arm, join)
+	b.SetBlock(arm)
+	k := b.I(7)
+	b.Br(join)
+	b.SetBlock(join)
+	b.Ret(b.Add(k, b.I(1)))
+	return built{m, k}
+}
+
+// TestUnverifiedFunctionDecodesPlain pins that a function ir.Verify rejects
+// for a foreign operand still decodes — the decoder's ValueID-indexed table
+// is not indexed with the foreign ID — and hoists and fuses nothing.
+func TestUnverifiedFunctionDecodesPlain(t *testing.T) {
+	m := ir.NewModule("foreign")
+	ob := ir.NewBuilder(m.NewFunc("other", ir.Void))
+	var far *ir.Instr
+	for i := int64(0); i < 50; i++ {
+		far = ob.I(i)
+	}
+	ob.Ret()
+	f := m.NewFunc("main", ir.I64)
+	b := ir.NewBuilder(f)
+	b.Ret(b.Add(b.Mul(b.I(2), b.I(3)), far))
+	if ir.Verify(m) == nil {
+		t.Fatal("the verifier admits a foreign operand")
+	}
+	prog := interp.NewProgram(m)
+	if left := interp.ExecutedInPlace(prog, f); len(left) != 2 {
+		t.Errorf("executed in place %v, want both constants", left)
+	}
+	for _, e := range interp.DecodedBlocks(prog, f)[f.Entry()] {
+		if e.Weight != 1 {
+			t.Errorf("dispatch %s stands for %d instructions, want 1", e.Op, e.Weight)
+		}
+	}
+}

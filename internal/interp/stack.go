@@ -46,8 +46,9 @@ func (s *frameStack) carve(n int) []uint64 {
 // release rewinds the carve position to a value saved before a carve.
 func (s *frameStack) release(cur, top int) { s.cur, s.top = cur, top }
 
-// push opens an activation of fn with nvals zeroed value slots.
-func (s *frameStack) push(fn *ir.Function, depth int, caller *Frame, nvals int) *Frame {
+// push opens an activation of fn. Its value slots hold whatever the previous
+// user left: call fills them, from the frame image or with zeroes.
+func (s *frameStack) push(fn *ir.Function, depth int, caller *Frame) *Frame {
 	if s.live == len(s.frames) {
 		s.frames = append(s.frames, &Frame{})
 	}
@@ -55,8 +56,7 @@ func (s *frameStack) push(fn *ir.Function, depth int, caller *Frame, nvals int) 
 	s.live++
 	fr.Fn, fr.Depth, fr.Caller = fn, depth, caller
 	fr.slab, fr.base = s.cur, s.top
-	fr.vals = s.carve(nvals)
-	clear(fr.vals)
+	fr.vals = s.carve(fn.NumValues())
 	fr.allocas = fr.allocas[:0]
 	return fr
 }

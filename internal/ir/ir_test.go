@@ -97,6 +97,37 @@ func TestVerifyCatchesVoidReturnWithValue(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsForeignOperand pins that an operand must belong to the
+// function that uses it. Both executors index the frame by ValueID, so a
+// value of another function — here other's 50th constant used in main, whose
+// frame has three slots — read out of range and took the process down.
+func TestVerifyRejectsForeignOperand(t *testing.T) {
+	build := func(foreign func(other *Function, ob *Builder) Value) *Module {
+		m := NewModule("bad")
+		other := m.NewFunc("other", Void)
+		ob := NewBuilder(other)
+		v := foreign(other, ob)
+		ob.Ret()
+		b := NewBuilder(m.NewFunc("main", I64))
+		b.Ret(b.Add(b.I(1), v))
+		return m
+	}
+	err := Verify(build(func(_ *Function, ob *Builder) Value {
+		var last Value
+		for i := int64(0); i < 50; i++ {
+			last = ob.I(i)
+		}
+		return last
+	}))
+	if err == nil || !strings.Contains(err.Error(), "defined in another function") {
+		t.Errorf("instruction of another function: Verify = %v", err)
+	}
+	err = Verify(build(func(other *Function, _ *Builder) Value { return other.NewParam("p", I64) }))
+	if err == nil || !strings.Contains(err.Error(), "parameter of another function") {
+		t.Errorf("parameter of another function: Verify = %v", err)
+	}
+}
+
 // buildDiamond builds entry -> {left,right} -> join and returns the blocks.
 func buildDiamond(t *testing.T) (*Function, *Block, *Block, *Block, *Block) {
 	t.Helper()

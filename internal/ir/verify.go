@@ -47,8 +47,17 @@ func verifyFunc(f *Function) error {
 				return errf(in, "wrong block back-pointer")
 			}
 			for _, a := range in.Args {
-				if a == nil {
+				switch v := a.(type) {
+				case nil:
 					return errf(in, "nil operand")
+				case *Instr:
+					if v.Blk == nil || v.Blk.Fn != f {
+						return errf(in, "operand %s defined in another function", v)
+					}
+				case *Param:
+					if v.Fn != f {
+						return errf(in, "operand %s is a parameter of another function", v)
+					}
 				}
 			}
 			if err := verifyArity(in, errf); err != nil {
