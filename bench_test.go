@@ -103,6 +103,51 @@ func BenchmarkLoadStore(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*iters*memOpsPerIter), "ns/memop")
 }
 
+// heapMixModule builds a loop that, per iteration, loads one word from the
+// first page of a private, a redux, a read-only and a short-lived h_alloc'd
+// object and stores their sum back into the private one: the access mix of
+// a worker step that reaches into several logical heaps.
+func heapMixModule(n int64) *ir.Module {
+	mod := ir.NewModule("micro-heapmix")
+	f := mod.NewFunc("main", ir.I64)
+	bd := ir.NewBuilder(f)
+	var ptrs []*ir.Instr
+	for _, h := range []ir.HeapKind{ir.HeapPrivate, ir.HeapRedux, ir.HeapReadOnly, ir.HeapShortLived} {
+		ptrs = append(ptrs, bd.HAlloc(h.String(), bd.I(vm.PageSize), h))
+	}
+	bd.For("i", bd.I(0), bd.I(n), func(iv *ir.Instr) {
+		i := bd.Ld(iv)
+		off := bd.Mul(bd.And(i, bd.I(vm.PageSize/8-1)), bd.I(8))
+		sum := i
+		for _, p := range ptrs {
+			sum = bd.Add(sum, bd.Load(bd.Add(p, off), 8))
+		}
+		bd.Store(sum, bd.Add(ptrs[0], off), 8)
+	})
+	bd.Ret(bd.Load(ptrs[0], 8))
+	ir.PromoteAllocas(f)
+	f.Recompute()
+	return mod
+}
+
+// BenchmarkHeapMix measures the same aligned load/store path as
+// BenchmarkLoadStore, in ns per memory access, when consecutive accesses go
+// to the first pages of four different heaps: the case the heap colors keep
+// in the direct-mapped TLBs (without them every access here would miss).
+func BenchmarkHeapMix(b *testing.B) {
+	const iters, memOpsPerIter = 300000, 5
+	mod := heapMixModule(iters)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := interp.New(mod, vm.NewAddressSpace()).Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += v
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*iters*memOpsPerIter), "ns/memop")
+}
+
 // BenchmarkInterpreter measures raw interpretation speed on the quickstart
 // kernel (instructions per second appear as steps/op via b.ReportMetric).
 func BenchmarkInterpreter(b *testing.B) {

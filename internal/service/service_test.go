@@ -40,12 +40,22 @@ func soloReference(t *testing.T, s *Service) map[string]JobView {
 	return refs
 }
 
-// TestConcurrentTenantsBitIdentical is the ISSUE's hammer: >= 32 concurrent
-// invocations of different programs over one shared Program cache and
-// warmed worker pool, every tenant's output byte-identical to a solo run
-// and no cross-tenant stats bleed. Run under -race in CI.
+// TestConcurrentTenantsBitIdentical is the multi-tenant hammer: >= 32
+// concurrent invocations of different programs over one shared Program cache
+// and warmed worker pool, every tenant's output byte-identical to a solo run
+// and no cross-tenant stats bleed. It runs twice: clean, and with 5 % of
+// iterations injected under a fixed seed, where pooled reclones from
+// different masters run concurrently with recoveries and installs writing
+// the masters' reowned trees in place. Run under -race in CI.
 func TestConcurrentTenantsBitIdentical(t *testing.T) {
-	s := New(Config{Workers: 3, Concurrency: 8, QueueDepth: 64})
+	tenantHammer(t, Config{Workers: 3, Concurrency: 8, QueueDepth: 64})
+	tenantHammer(t, Config{Workers: 3, Concurrency: 8, QueueDepth: 64, MisspecRate: 0.05, Seed: 11})
+}
+
+// tenantHammer is one pass of TestConcurrentTenantsBitIdentical on a
+// service configured by cfg.
+func tenantHammer(t *testing.T, cfg Config) {
+	s := New(cfg)
 	defer s.Drain()
 	refs := soloReference(t, s)
 
@@ -58,6 +68,7 @@ func TestConcurrentTenantsBitIdentical(t *testing.T) {
 		job    *Job
 	}
 	var subs []sub
+	var misspecs int64
 	for ten := 0; ten < 8; ten++ {
 		for _, name := range progNames {
 			tenant := fmt.Sprintf("tenant-%d", ten)
@@ -76,9 +87,10 @@ func TestConcurrentTenantsBitIdentical(t *testing.T) {
 		}
 		ref := refs[sb.prog]
 		if v.Ret != ref.Ret || v.Output != ref.Output {
-			t.Errorf("%s/%s: output diverged from solo run (ret %d vs %d)",
-				sb.tenant, sb.prog, v.Ret, ref.Ret)
+			t.Errorf("misspec rate %g: %s/%s: output diverged from solo run (ret %d vs %d)",
+				cfg.MisspecRate, sb.tenant, sb.prog, v.Ret, ref.Ret)
 		}
+		misspecs += v.Misspecs
 		// Tracing is on by default; every job under the hammer must still
 		// carry a usable trace (outputs above prove it changed nothing).
 		if events, ok := s.Trace(sb.job.ID); !ok || len(events) == 0 {
@@ -87,6 +99,9 @@ func TestConcurrentTenantsBitIdentical(t *testing.T) {
 			t.Errorf("%s/%s: empty phase breakdown", sb.tenant, sb.prog)
 		}
 		checkPhaseLedger(t, s, sb.job)
+	}
+	if (misspecs > 0) != (cfg.MisspecRate > 0) {
+		t.Errorf("misspec rate %g: the hammer's jobs misspeculated %d times", cfg.MisspecRate, misspecs)
 	}
 
 	// No cross-tenant stats bleed: each tenant's accounting shows exactly

@@ -213,7 +213,7 @@ func (cp *checkpoint) addWorkerState(wid int, ws *vm.AddressSpace, reduxObjs []r
 // worker-id order, starting from the operator's identity. The fixed fold
 // order keeps floating-point reductions bit-deterministic regardless of the
 // order workers happened to contribute. Returns nil if no worker
-// contributed.
+// contributed; the total comes from cp.bufs, and the caller puts it back.
 func (cp *checkpoint) reduxTotal(ro reduxObj) ([]byte, error) {
 	contribs := cp.redux[ro.addr]
 	if len(contribs) == 0 {
@@ -223,7 +223,7 @@ func (cp *checkpoint) reduxTotal(ro reduxObj) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	acc := make([]byte, ro.size)
+	acc := cp.bufs.get(int(ro.size), false)
 	for off := int64(0); off < ro.size; off += ro.elemSize {
 		copy(acc[off:off+ro.elemSize], id)
 	}
@@ -390,14 +390,17 @@ func (cp *checkpoint) installReduxInto(master *vm.AddressSpace, reduxObjs []redu
 		if contrib == nil {
 			continue
 		}
-		cur := make([]byte, ro.size)
-		if err := master.ReadBytes(ro.addr, cur); err != nil {
-			return bytes, err
+		cur := cp.bufs.get(int(ro.size), false)
+		err = master.ReadBytes(ro.addr, cur)
+		if err == nil {
+			err = Combine(ro.op, ro.elemSize, cur, contrib)
 		}
-		if err := Combine(ro.op, ro.elemSize, cur, contrib); err != nil {
-			return bytes, err
+		if err == nil {
+			err = master.WriteBytes(ro.addr, cur)
 		}
-		if err := master.WriteBytes(ro.addr, cur); err != nil {
+		cp.bufs.put(cur)
+		cp.bufs.put(contrib)
+		if err != nil {
 			return bytes, err
 		}
 		bytes += ro.size

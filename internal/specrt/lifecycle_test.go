@@ -316,6 +316,33 @@ func TestCrossIntervalMisspecEndToEnd(t *testing.T) {
 	}
 }
 
+// TestShadowMemoAcrossIntervals: with one iteration per interval, every
+// contribution resets the worker's shadow between the write at iteration 2
+// and the read at iteration 7, and the worker's memo of its last shadow page
+// must not carry a mark across that reset. The violation is still flagged —
+// by the fast phase when one worker runs both iterations, by the chain
+// validation when two do — and the output is the sequential one.
+func TestShadowMemoAcrossIntervals(t *testing.T) {
+	seq := interp.New(buildCrossIntervalModule(), vm.NewAddressSpace())
+	if _, err := seq.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		mod := buildCrossIntervalModule()
+		ri := outlineRegion(t, mod, &classify.Assignment{})
+		rt := New(mod, Config{Workers: workers, CheckpointPeriod: 1}, ri)
+		if _, err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if rt.Stats.Misspecs == 0 {
+			t.Errorf("workers=%d: cross-interval violation not flagged", workers)
+		}
+		if got, want := rt.Output(), seq.Out.String(); got != want {
+			t.Errorf("workers=%d: output %q, want the sequential %q", workers, got, want)
+		}
+	}
+}
+
 // TestEventSequenceGolden pins the exact lifecycle event sequence for a
 // deterministic single-worker run that misspeculates on every iteration,
 // recovers twice, and falls back: the trace is an API, and reorderings are

@@ -2,9 +2,11 @@ package specrt
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"privateer/internal/interp"
+	"privateer/internal/ir"
 	"privateer/internal/vm"
 )
 
@@ -113,6 +115,42 @@ func TestWarmPoolRunAllocatesLess(t *testing.T) {
 	t.Logf("cold %d B, warm %d B (%.0f %%)", cold, warm, 100*float64(warm)/float64(cold))
 	if warm*10 > cold*6 {
 		t.Errorf("a run on a warmed pool allocates %d B, more than 60 %% of the %d B of a cold one", warm, cold)
+	}
+}
+
+// TestHardErrorParksFleet: a worker's hard error (a division by zero at
+// i = 3, which is no misspeculation) fails the run, yet every space the span
+// spawned goes back to the pool, or is released without one: a dropped
+// space would drain warm slots and keep the master's tree shared, so the
+// master could never reown it.
+func TestHardErrorParksFleet(t *testing.T) {
+	mod := ir.NewModule("div")
+	out := mod.NewGlobal("out", 4*8)
+	f := mod.NewFunc("main", ir.I64)
+	f.NewParam("n", ir.I64)
+	b := ir.NewBuilder(f)
+	b.For("i", b.I(0), f.Params[0], func(iv *ir.Instr) {
+		i := b.Ld(iv)
+		q := b.SDiv(b.I(100), b.Sub(b.I(3), i))
+		b.Store(q, b.Add(b.Global(out), b.Mul(b.SRem(i, b.I(4)), b.I(8))), 8)
+	})
+	b.Ret(b.Load(b.Global(out), 8))
+	ir.PromoteAllocas(f)
+	ri := buildRegion(t, mod, 3) // the training input stops before i = 3
+	prog := interp.SharedProgram(mod)
+	pool := NewWorkerPool(0)
+	for run, p := range []*WorkerPool{pool, pool, nil} {
+		rt := New(mod, Config{Workers: 4, CheckpointPeriod: 2, Program: prog, Pool: p}, ri)
+		if _, err := rt.Run(8); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("run %d: error %v, want the division by zero", run, err)
+		}
+		if st := pool.Snapshot(); st.Returned != st.Reuses+st.Misses {
+			t.Errorf("run %d: %d spawns but %d slots parked back: %+v",
+				run, st.Reuses+st.Misses, st.Returned, st)
+		}
+		if !rt.Master().AS.Reown() {
+			t.Errorf("run %d: the master cannot reown its tree after the failed span", run)
+		}
 	}
 }
 

@@ -171,6 +171,9 @@ type RT struct {
 	outMu  sync.Mutex
 	out    strings.Builder
 	master *interp.Interp
+	// recov executes recovery and fallback iterations over the master's
+	// space; built by the first sequentialRange of a run and reused after.
+	recov *interp.Interp
 
 	reduxMu sync.Mutex
 	// reduxObjs tracks live reduction objects keyed by base address, so
@@ -289,7 +292,7 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 	} else {
 		master = interp.New(rt.Mod, vm.NewAddressSpace())
 	}
-	rt.master = master
+	rt.master, rt.recov = master, nil
 	master.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
 		rt.writeOut(text)
 		return true
@@ -618,22 +621,27 @@ func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64) err
 	if from >= to {
 		return nil
 	}
-	it := interp.NewShared(rt.master.Program(), rt.master.AS)
-	it.AdoptLayout(rt.master.GlobalLayout())
-	it.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
-		rt.writeOut(text)
-		return true
+	it := rt.recov
+	if it == nil {
+		it = interp.NewShared(rt.master.Program(), rt.master.AS)
+		it.AdoptLayout(rt.master.GlobalLayout())
+		it.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
+			rt.writeOut(text)
+			return true
+		}
+		// Recovery mutates master state directly, so the redux registry
+		// must track allocations and frees it performs.
+		it.Hooks.OnAlloc = rt.onAlloc
+		it.Hooks.OnFree = rt.onFree
+		// The privacy and reduction marks are left nil, which both
+		// executors skip; check_heap, predict and misspec have checking
+		// defaults a nil hook would select, so those three are overridden.
+		it.Hooks.CheckHeap = func(in *ir.Instr, addr uint64) error { return nil }
+		it.Hooks.Predict = func(in *ir.Instr, actual, expected uint64) error { return nil }
+		it.Hooks.Misspec = func(in *ir.Instr) error { return nil }
+		rt.recov = it
 	}
-	// Recovery mutates master state directly, so the redux registry must
-	// track allocations and frees it performs.
-	it.Hooks.OnAlloc = rt.onAlloc
-	it.Hooks.OnFree = rt.onFree
-	// The privacy and reduction marks are left nil, which both executors
-	// skip; check_heap, predict and misspec have checking defaults a nil
-	// hook would select, so those three are overridden.
-	it.Hooks.CheckHeap = func(in *ir.Instr, addr uint64) error { return nil }
-	it.Hooks.Predict = func(in *ir.Instr, actual, expected uint64) error { return nil }
-	it.Hooks.Misspec = func(in *ir.Instr) error { return nil }
+	it.Steps = 0
 	callArgs := make([]uint64, 1+len(live))
 	copy(callArgs[1:], live)
 	for i := from; i < to; i++ {

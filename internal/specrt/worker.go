@@ -167,6 +167,7 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
+			sp.retire(ws...)
 			return nil, -1, err
 		}
 	}
@@ -193,17 +194,7 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 	atomic.AddInt64(&sim.RegionCapacity, int64(workers)*spanTime)
 	atomic.AddInt64(&sim.SpawnCost, spawn+join)
 
-	// Warmed-space recycling: every checkpoint contribution copied state
-	// out of the worker spaces (addWorkerState owns its pages and buffers;
-	// nothing downstream retains a worker-space reference), so once the
-	// fleet has joined the machinery can park in the pool for the next
-	// span's spawns.
-	if pool := rt.Cfg.Pool; pool != nil {
-		prog := rt.master.Program()
-		for _, w := range ws {
-			pool.put(prog, &warmSlot{as: w.as, it: w.it})
-		}
-	}
+	sp.retire(ws...)
 
 	tr.Instant(obs.Event{Kind: obs.KPhase,
 		Invocation: sp.inv, Worker: -1, Iter: -1, Cause: "validate"})
@@ -242,7 +233,27 @@ func (sp *spanState) spawnFleet(workers int) ([]*worker, error) {
 	}
 	t.stop(&rt.Stats.SpawnNS, tr, obs.Event{Kind: obs.KSpawn,
 		Invocation: sp.inv, Worker: -1, Iter: -1, A: warm, B: int64(workers), Cause: cause})
+	if err != nil {
+		sp.retire(ws...)
+	}
 	return ws, err
+}
+
+// retire parks each worker's machinery in the pool, or releases its space
+// when there is none, then gives the master its tree back. Checkpoints copy
+// what they keep out of worker spaces, so every exit of run retires every
+// worker it spawned: a dropped space would drain the pool and keep the
+// master copying on write.
+func (sp *spanState) retire(ws ...*worker) {
+	rt := sp.rt
+	for _, w := range ws {
+		if pool := rt.Cfg.Pool; pool != nil {
+			pool.put(rt.master.Program(), &warmSlot{as: w.as, it: w.it})
+		} else {
+			w.as.Release()
+		}
+	}
+	rt.master.AS.Reown()
 }
 
 // finishSync is the span's join: the workers have quiesced, and the master
@@ -307,6 +318,13 @@ type worker struct {
 	io      []ioRec
 
 	shortBaseline int
+
+	// shPN and shPage memo the shadow page privRange resolved last. A
+	// shadow address mirrors its private address by one OR, so the two
+	// pages share a TLB slot: without the memo each privacy mark would
+	// evict the data page it guards. resetShadow drops it.
+	shPN   uint64
+	shPage []byte
 
 	// SepAudit oracle state: the byte addresses of statically-privatized
 	// ranges the current iteration has written so far (auditIter tells
@@ -395,21 +413,31 @@ func newWorker(sp *spanState, id, stride int) (*worker, error) {
 	if !sp.roProtSkip {
 		w.as.SetProt(ir.HeapReadOnly, vm.ProtRead)
 	}
-	for _, ro := range sp.redux {
-		ident, err := Identity(ro.op, ro.elemSize)
-		if err != nil {
-			return nil, fmt.Errorf("specrt: worker %d: redux %#x identity: %w", id, ro.addr, err)
-		}
-		for off := int64(0); off < ro.size; off += ro.elemSize {
-			if err := w.as.WriteBytes(ro.addr+uint64(off), ident); err != nil {
-				return nil, fmt.Errorf("specrt: worker %d: redux %#x init: %w", id, ro.addr, err)
-			}
-		}
+	if err := w.initRedux(); err != nil {
+		sp.retire(w)
+		return nil, err
 	}
 	w.it.AdoptLayout(rt.master.GlobalLayout())
 	w.shortBaseline = w.as.LiveObjects(ir.HeapShortLived)
 	w.installHooks()
 	return w, nil
+}
+
+// initRedux writes the operator's identity over every reduction object of
+// the span in the worker's space.
+func (w *worker) initRedux() error {
+	for _, ro := range w.sp.redux {
+		ident, err := Identity(ro.op, ro.elemSize)
+		if err != nil {
+			return fmt.Errorf("specrt: worker %d: redux %#x identity: %w", w.id, ro.addr, err)
+		}
+		for off := int64(0); off < ro.size; off += ro.elemSize {
+			if err := w.as.WriteBytes(ro.addr+uint64(off), ident); err != nil {
+				return fmt.Errorf("specrt: worker %d: redux %#x init: %w", w.id, ro.addr, err)
+			}
+		}
+	}
+	return nil
 }
 
 func (w *worker) installHooks() {
@@ -593,11 +621,14 @@ func (w *worker) privRange(addr uint64, n int64, isWrite bool) error {
 		if chunk > n {
 			chunk = n
 		}
-		data, err := w.as.WritablePage(sh)
-		if err != nil {
-			return err
+		if pn := sh >> vm.PageShift; w.shPage == nil || pn != w.shPN {
+			data, err := w.as.WritablePage(sh)
+			if err != nil {
+				return err
+			}
+			w.shPN, w.shPage = pn, data
 		}
-		seg := data[off : off+chunk]
+		seg := w.shPage[off : off+chunk]
 		for i := range seg {
 			m := seg[i]
 			var newMeta byte
@@ -625,6 +656,7 @@ func (w *worker) privRange(addr uint64, n int64, isWrite bool) error {
 // them are worker-created, hence dirty) without scanning the rest of the
 // footprint; words holding no timestamp are skipped eight bytes at a time.
 func (w *worker) resetShadow() {
+	w.shPage = nil
 	w.as.DirtyHeapPages(ir.HeapShadow, func(base uint64, data []byte) {
 		for i := 0; i < len(data); i += 8 {
 			if !wordHasTS(binary.LittleEndian.Uint64(data[i:])) {

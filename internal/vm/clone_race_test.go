@@ -17,7 +17,10 @@ import (
 // worker pool (Release, then RecloneFrom the same parent), so from the
 // second cycle on every node and page a child writes is one its arena
 // recycled: a recycled object another space could still reach would race
-// with that space's owner here.
+// with that space's owner here. Between cycles the parent reowns its tree
+// and stores in place, as the speculative runtime's master does between
+// spans: a page it wrote in place that a child could still reach would
+// race here too.
 func TestConcurrentCloneIsolation(t *testing.T) {
 	const (
 		workers = 4
@@ -40,7 +43,22 @@ func TestConcurrentCloneIsolation(t *testing.T) {
 		if cycle > 0 {
 			for _, c := range children {
 				c.Release()
+			}
+			// With the fleet parked the parent owns its tree again and
+			// stores in place; the next fleet must see those stores.
+			if !parent.Reown() {
+				t.Fatalf("cycle %d: Reown refused with every child released", cycle)
+			}
+			for p := uint64(0); p < pages; p++ {
+				if err := parent.Write(base+p*PageSize, 8, 2_000_000+p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, c := range children {
 				c.RecloneFrom(parent)
+				if v, _ := c.Read(base+PageSize, 8); v != 2_000_001 {
+					t.Fatalf("cycle %d: reclone reads %d, want the reowned parent's 2000001", cycle, v)
+				}
 			}
 		}
 		runCloneFleet(t, parent, children, base, pages, rounds)

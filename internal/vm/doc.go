@@ -23,11 +23,19 @@
 // space's arena (at most arenaCap of each), cleared of every reference,
 // and every node and page the space instantiates next comes from there
 // first — a pooled worker space respawns without reaching the allocator.
+// It also says when a parent may take its tree back: Reown restores the
+// epoch a space owned before it shared its tree, once no Clone or
+// RecloneFrom taken from it, or from one of those, is live.
+//
+// Each heap's allocator starts at page 1+8*tag of its range, so the first
+// pages of different heaps take different slots of the direct-mapped TLBs.
 //
 // # Concurrency
 //
 // An AddressSpace is not a concurrent data structure: each one has exactly
-// one owner goroutine, and only that owner may call its methods. What makes
+// one owner goroutine, and only that owner may call its methods (the clone
+// counts alone are atomic, so releasing a clone never races its parent's
+// Reown). What makes
 // concurrent speculation sound anyway is the range-COW invariant:
 //
 //	a radix node reachable from two or more address spaces (a stale

@@ -398,6 +398,72 @@ func TestPageTableStats(t *testing.T) {
 	}
 }
 
+// TestReownNeedsEveryCloneReleased: Reown refuses while any space that can
+// reach the parent's tree is live — a Clone, a RecloneFrom, and a clone of
+// a clone — and each stops counting at its Release or its next RecloneFrom
+// from elsewhere. Once the last one is gone the parent reowns, a store then
+// copies no node and no page, and a later reclone sees the stored value.
+func TestReownNeedsEveryCloneReleased(t *testing.T) {
+	parent := NewAddressSpace()
+	addr, _ := parent.Alloc(ir.HeapPrivate, 8)
+	if err := parent.Write(addr, 8, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !parent.Reown() {
+		t.Fatal("a space that never shared its tree refuses Reown")
+	}
+	clone := parent.CloneSharingStats()
+	pooled := NewAddressSpace()
+	pooled.RecloneFrom(parent)
+	grand := clone.Clone()
+	for _, step := range []struct {
+		name    string
+		release func()
+	}{
+		{"Clone", clone.Release},
+		{"RecloneFrom", func() { pooled.RecloneFrom(NewAddressSpace()) }},
+		{"clone of a clone", grand.Release},
+	} {
+		if parent.Reown() {
+			t.Fatalf("Reown succeeded while the %s child was live", step.name)
+		}
+		step.release()
+	}
+	if !parent.Reown() {
+		t.Fatal("Reown refused after every clone was released")
+	}
+	before := *parent.Stats
+	for off := uint64(0); off < 64; off += 8 {
+		if err := parent.Write(addr+off, 8, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := parent.Stats.PagesCopied - before.PagesCopied; d != 0 {
+		t.Errorf("a store after Reown copied %d pages, want 0", d)
+	}
+	if d := parent.Stats.NodesCopied - before.NodesCopied; d != 0 {
+		t.Errorf("a store after Reown copied %d radix nodes, want 0", d)
+	}
+	pooled.RecloneFrom(parent)
+	if v, err := pooled.Read(addr, 8); err != nil || v != 2 {
+		t.Errorf("reclone after Reown reads %d, %v; want 2", v, err)
+	}
+	// The reclone shares the tree again: the parent's next store copies, and
+	// neither side sees the other's.
+	if err := pooled.Write(addr, 8, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.Write(addr, 8, 4); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := pooled.Read(addr, 8); v != 3 {
+		t.Errorf("reclone reads %d after the parent's store, want its own 3", v)
+	}
+	if v, _ := parent.Read(addr, 8); v != 4 {
+		t.Errorf("parent reads %d after the reclone's store, want its own 4", v)
+	}
+}
+
 // flatModel is the pre-refactor reference semantics: a flat page map with
 // whole-table materialization on first post-clone mutation.
 type flatModel struct {
@@ -440,12 +506,13 @@ func (m *flatModel) clone() *flatModel {
 }
 
 // TestRadixDifferentialVsFlatModel drives a random interleaving of writes,
-// reads, clones, heap resets, releases and re-clones through the radix table
-// and the flat reference model in lockstep, across a family of spaces
-// related by cloning. Any divergence is a COW or translation bug — or, since
-// every Release and RecloneFrom refills the space's arena and every later
-// write draws from it, a recycled node or page that kept something of its
-// previous life.
+// reads, clones, heap resets, releases, re-clones and reowns through the
+// radix table and the flat reference model in lockstep, across a family of
+// spaces related by cloning (clones of clones included). Any divergence is a
+// COW or translation bug — or, since every Release and RecloneFrom refills
+// the space's arena and every later write draws from it, a recycled node or
+// page that kept something of its previous life, or a Reown that let a space
+// write in place what some live clone still reads.
 func TestRadixDifferentialVsFlatModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type pair struct {
@@ -460,7 +527,31 @@ func TestRadixDifferentialVsFlatModel(t *testing.T) {
 		// leaves and interior splits are exercised.
 		return h.Base() + PageSize + uint64(rng.Intn(1000*PageSize))
 	}
+	reowned := 0
+	// Every 3000 steps and at the end, a sweep compares every model page of
+	// every space whole: a write that leaked into a space sharing the page
+	// shows up as one byte, which random one-byte reads rarely hit.
+	buf := make([]byte, PageSize)
+	sweep := func(step int) {
+		for i, p := range spaces {
+			for pn, pg := range p.fm.pages {
+				base := pn << PageShift
+				if err := p.as.ReadBytes(base, buf); err != nil {
+					t.Fatalf("step %d: space %d: read %#x: %v", step, i, base, err)
+				}
+				for off := range buf {
+					if buf[off] != pg[off] {
+						t.Fatalf("step %d: space %d: read %#x = %d, model says %d",
+							step, i, base+uint64(off), buf[off], pg[off])
+					}
+				}
+			}
+		}
+	}
 	for step := 0; step < 30000; step++ {
+		if step%3000 == 2999 {
+			sweep(step)
+		}
 		p := spaces[rng.Intn(len(spaces))]
 		switch op := rng.Intn(100); {
 		case op < 55: // write
@@ -492,6 +583,11 @@ func TestRadixDifferentialVsFlatModel(t *testing.T) {
 			p.as.RecloneFrom(from.as)
 			from.fm.shared = true
 			p.fm.pages, p.fm.shared = from.fm.pages, true
+		case op == 95: // take the tree back if no clone can reach it
+			saved := p.as.ownEpoch
+			if p.as.Reown() && saved != 0 {
+				reowned++
+			}
 		default: // reset one heap
 			h := heaps[rng.Intn(len(heaps))]
 			p.as.ResetHeap(h)
@@ -504,22 +600,10 @@ func TestRadixDifferentialVsFlatModel(t *testing.T) {
 			}
 		}
 	}
-	// Final sweep: every byte the models may disagree on.
-	for i, p := range spaces {
-		for pn, pg := range p.fm.pages {
-			base := pn << PageShift
-			for off := 0; off < PageSize; off += 97 {
-				got, err := p.as.Read(base+uint64(off), 1)
-				if err != nil {
-					t.Fatalf("space %d: final read %#x: %v", i, base+uint64(off), err)
-				}
-				if byte(got) != pg[off] {
-					t.Fatalf("space %d: final read %#x = %d, model says %d",
-						i, base+uint64(off), got, pg[off])
-				}
-			}
-		}
+	if reowned == 0 {
+		t.Fatal("no space ever took its shared tree back: Reown went unexercised")
 	}
+	sweep(30000)
 }
 
 // TestInterpTLBFastPathRevalidated re-checks the TLB contract against the

@@ -215,6 +215,87 @@ func TestLazyClonePagesCopiedSemantics(t *testing.T) {
 	}
 }
 
+// TestHeapColorsDistinct pins the heap colors: the first page each heap's
+// allocator hands out takes a TLB slot of its own, at least 8 slots from
+// every other heap's first page (cyclically), and the system heap still
+// starts at page 1, so no sequential or compile-time address moves.
+func TestHeapColorsDistinct(t *testing.T) {
+	as := NewAddressSpace()
+	var slots [ir.NumHeaps]uint64
+	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
+		a, err := as.Alloc(h, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h == ir.HeapSystem && a != PageSize {
+			t.Errorf("system heap starts at %#x, want %#x", a, PageSize)
+		}
+		if a&(PageSize-1) != 0 || a == h.Base() {
+			t.Errorf("%s heap starts at %#x: want a page boundary past the unmapped page 0", h, a)
+		}
+		slots[h] = (a >> PageShift) & (tlbSize - 1)
+	}
+	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
+		for g := h + 1; g < ir.NumHeaps; g++ {
+			d := (slots[h] - slots[g]) & (tlbSize - 1)
+			if d > tlbSize-d {
+				d = tlbSize - d
+			}
+			if d < 8 {
+				t.Errorf("%s and %s first pages sit in TLB slots %d and %d, %d apart; want >= 8",
+					h, g, slots[h], slots[g], d)
+			}
+		}
+	}
+}
+
+// TestMixedHeapAccessStaysInTLB: on a warm clone, a loop that touches the
+// first page of the private, redux, read-only and short-lived heaps in turn,
+// and pins the private page's shadow page as a privacy mark does, finds
+// every data page it reads in the read TLB and every data page it wrote in
+// the write TLB. The shadow page shares its private page's slot (one OR
+// apart), so a mark evicts that one entry and nothing else; specrt's
+// worker memoizes the shadow page so marks do not repeat the lookup.
+func TestMixedHeapAccessStaysInTLB(t *testing.T) {
+	parent := NewAddressSpace()
+	heaps := []ir.HeapKind{ir.HeapPrivate, ir.HeapRedux, ir.HeapReadOnly, ir.HeapShortLived}
+	addrs := make([]uint64, len(heaps))
+	for i, h := range heaps {
+		addrs[i], _ = parent.Alloc(h, 64)
+		if err := parent.Write(addrs[i], 8, uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	child := parent.CloneSharingStats()
+	resident := func(tlb *[tlbSize]tlbEntry, addr uint64) bool {
+		pn := addr >> PageShift
+		e := &tlb[pn&(tlbSize-1)]
+		return e.pn == pn && e.pg != nil
+	}
+	shadow := ir.ShadowAddr(addrs[0])
+	for round := 0; round < 3; round++ {
+		if _, err := child.WritablePage(shadow); err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range addrs {
+			if round > 0 && i > 0 && !resident(&child.rtlb, a) {
+				t.Errorf("round %d: %s page evicted from the read TLB before its read", round, heaps[i])
+			}
+			if v, err := child.Read(a, 8); err != nil || v != uint64(i+1)+uint64(round) {
+				t.Fatalf("round %d: %s read = %d, %v", round, heaps[i], v, err)
+			}
+			if err := child.Write(a, 8, uint64(i+2)+uint64(round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, a := range addrs {
+			if !resident(&child.rtlb, a) || !resident(&child.wtlb, a) {
+				t.Errorf("round %d: %s page not resident in both TLBs", round, heaps[i])
+			}
+		}
+	}
+}
+
 // CloneSharingStats children account their page events into the parent's
 // Stats structure, so fork-style overhead counts aggregate across a worker
 // fleet (the paper's Figure 8 accounting), also when the children run

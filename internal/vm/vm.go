@@ -141,12 +141,14 @@ type heapState struct {
 }
 
 func newHeapState(h ir.HeapKind) *heapState {
-	return &heapState{
-		// Skip the first page so address 0 (and small offsets) stay
-		// unmapped: null-pointer dereferences must fault.
-		brk: h.Base() + PageSize,
-	}
+	return &heapState{brk: heapStart(h)}
 }
+
+// heapStart is where heap h's allocator begins: page 1+8*tag of its range.
+// Page 0 stays unmapped so null-pointer dereferences fault, and the system
+// heap keeps page 1. The offset is the heap's TLB color: every heap base has
+// the same low page-number bits, which index the TLBs.
+func heapStart(h ir.HeapKind) uint64 { return h.Base() + PageSize*(1+8*h.Tag()) }
 
 // freeze seals this state's delta maps into a new immutable chain node, so
 // a clone may share them. O(1): the maps move into the node unchanged and
@@ -320,8 +322,8 @@ type AddressSpace struct {
 	// rtlb and wtlb are small direct-mapped software TLBs consulted before
 	// the page map: rtlb caches protection-checked read translations, wtlb
 	// caches write translations to privately owned pages. Both are flushed
-	// on Clone, SetProt, ResetHeap and CopyHeapFrom; COW resolution updates
-	// the affected entry in place.
+	// on Clone, Reown, SetProt, ResetHeap and CopyHeapFrom; COW resolution
+	// updates the affected entry in place.
 	rtlb [tlbSize]tlbEntry
 	wtlb [tlbSize]tlbEntry
 
@@ -331,6 +333,15 @@ type AddressSpace struct {
 	// released is what Stats points at between Release and the next
 	// RecloneFrom, so parking a pooled space allocates nothing.
 	released Stats
+
+	// clones counts the live spaces that may reach this space's nodes: every
+	// Clone or RecloneFrom taken from it, or from one of those, not yet
+	// Released or recloned. owners lists the spaces whose count includes
+	// this one. ownEpoch is the epoch this space owned before it first
+	// shared its current tree, which Reown restores once clones is zero.
+	clones   atomic.Int64
+	owners   []*AddressSpace
+	ownEpoch uint64
 }
 
 // addStat bumps one Stats counter. The add is always atomic: the structure
@@ -366,9 +377,9 @@ func NewAddressSpace() *AddressSpace {
 // leaf's pages copy-on-write), so spawning a read-mostly worker costs O(1),
 // not O(mapped pages) or O(live allocations).
 func (as *AddressSpace) Clone() *AddressSpace {
-	as.epoch = nextEpoch()
-	as.flushTLB()
+	as.share()
 	c := &AddressSpace{root: as.root, epoch: nextEpoch(), Stats: &Stats{}}
+	c.attach(as)
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		c.heaps[h] = as.heaps[h].clone()
 		c.prot[h] = as.prot[h]
@@ -395,9 +406,10 @@ func (as *AddressSpace) CloneSharingStats() *AddressSpace {
 // churn across invocations. The receiver must not be aliased by any other
 // execution (a pooled space between uses); any state it held is discarded.
 func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
-	parent.epoch = nextEpoch()
-	parent.flushTLB()
 	as.reclaim(as.root)
+	as.detach()
+	parent.share()
+	as.attach(parent)
 	as.root = parent.root
 	as.epoch = nextEpoch()
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
@@ -416,11 +428,12 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 // the next RecloneFrom.
 func (as *AddressSpace) Release() {
 	as.reclaim(as.root)
+	as.detach()
 	as.epoch = nextEpoch()
 	as.root = as.newNode(false)
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		hs := as.heaps[h]
-		hs.brk = h.Base() + PageSize
+		hs.brk = heapStart(h)
 		hs.base = nil
 		clear(hs.free)
 		clear(hs.used)
@@ -432,6 +445,57 @@ func (as *AddressSpace) Release() {
 	as.released = Stats{}
 	as.Stats = &as.released
 	as.flushTLB()
+}
+
+// Reown gives as back the tree it shared, once no clone can reach it: when
+// every Clone and RecloneFrom taken from as, or from one of those, has been
+// Released or recloned, it restores the epoch as owned before it first
+// shared the tree, so later stores write as's pages in place instead of
+// path-copying nodes and pages nobody else reads any more (and
+// DirtyPages counts what as dirtied under that epoch again). It reports
+// false, changing nothing, while any such clone is live.
+func (as *AddressSpace) Reown() bool {
+	if as.clones.Load() != 0 {
+		return false
+	}
+	if as.ownEpoch != 0 {
+		// A write entry must name a page under an owned leaf; the ones
+		// cached since the last share sit under the epoch given up.
+		as.epoch, as.ownEpoch = as.ownEpoch, 0
+		as.flushTLB()
+	}
+	return true
+}
+
+// share hands as's tree to a new clone: every node as owns becomes shared
+// by giving as a fresh epoch. The first share since as last owned its whole
+// tree remembers the epoch for Reown.
+func (as *AddressSpace) share() {
+	if as.ownEpoch == 0 {
+		as.ownEpoch = as.epoch
+	}
+	as.epoch = nextEpoch()
+	as.flushTLB()
+}
+
+// attach counts as as a live clone of parent and of every space parent is a
+// live clone of, since as now reaches all of their trees.
+func (as *AddressSpace) attach(parent *AddressSpace) {
+	as.owners = append(append(as.owners[:0], parent.owners...), parent)
+	for _, o := range as.owners {
+		o.clones.Add(1)
+	}
+}
+
+// detach undoes attach once as has dropped the tree it shared, and forgets
+// as's own saved epoch with that tree.
+func (as *AddressSpace) detach() {
+	for i, o := range as.owners {
+		o.clones.Add(-1)
+		as.owners[i] = nil
+	}
+	as.owners = as.owners[:0]
+	as.ownEpoch = 0
 }
 
 // SetProt sets the protection of an entire logical heap, the granularity at
