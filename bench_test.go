@@ -203,6 +203,37 @@ func BenchmarkPrivacyValidation(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmRun measures a region-service job's steady state: each paper
+// program, compiled at `train`, runs at W = 4 over one shared decoded Program
+// and one warmed pool, so the master's and the workers' spaces, interpreters
+// and checkpoint buffers all come back from the previous run. B/op is what
+// one warm job still allocates.
+func BenchmarkWarmRun(b *testing.B) {
+	for _, p := range progs.All() {
+		p := p
+		b.Run(p.Name, func(b *testing.B) {
+			par, err := core.Parallelize(p.Build(p.Train), core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := specrt.Config{Workers: 4, Program: interp.SharedProgram(par.Mod),
+				Pool: specrt.NewWorkerPool(0)}
+			if _, _, err := core.Run(par, cfg); err != nil { // warm the pool
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, v, err := core.Run(par, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += v
+			}
+		})
+	}
+}
+
 // BenchmarkProfiler measures profiling.Run — the instrumented training run
 // that is the whole cost of a compile-cache miss — on the five programs at
 // `alt` (what compile_cold compiles), in ns per interpreted instruction.

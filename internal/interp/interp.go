@@ -180,14 +180,15 @@ func NewShared(prog *Program, as *vm.AddressSpace) *Interp {
 func (it *Interp) Program() *Program { return it.prog }
 
 // Recycle resets a pooled interpreter for a fresh activation over as, which
-// the caller has already re-targeted (vm.AddressSpace.RecloneFrom): hooks,
-// output, step counters and the adopted global layout are cleared and the
-// frame stack emptied, while the shared decode cache, the stack's frames and
-// slabs and the map capacity grown on earlier runs are retained. The
-// speculative runtime's warmed worker pool uses it so a reused worker
-// observes nothing from the invocation that previously ran on it; the caller
-// re-adopts a layout and reinstalls hooks exactly as it would on a freshly
-// constructed interpreter.
+// the caller has already released or re-targeted (vm.AddressSpace.Release,
+// RecloneFrom): hooks, output, step counters and the adopted global layout
+// are cleared and the frame stack emptied, while the shared decode cache,
+// the stack's frames and slabs and the map capacity grown on earlier runs
+// are retained. The speculative runtime's warmed pool recycles every
+// interpreter it parks, so a parked one references nothing of the run that
+// used it and the next user observes nothing from it; that user lays out or
+// adopts globals and installs hooks exactly as on a freshly constructed
+// interpreter.
 func (it *Interp) Recycle(as *vm.AddressSpace) {
 	it.AS = as
 	it.Hooks = Hooks{}

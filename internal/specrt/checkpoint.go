@@ -301,13 +301,19 @@ func carryValidatePage(prev, sh []byte) int {
 // It walks the chain oldest-first, carrying collapsed metadata, and returns
 // the id of the first violating checkpoint with the private-heap address of
 // the violating byte, or (-1, 0). Call only after the span has quiesced.
+// The carried pages come zeroed from cp.bufs and go back on return.
 func (cp *checkpoint) crossValidate() (id int64, addr uint64) {
 	carried := map[uint64][]byte{} // shadow page base -> collapsed meta
+	defer func() {
+		for _, prev := range carried {
+			cp.bufs.put(prev)
+		}
+	}()
 	for _, c := range cp.chain() {
 		for base, sh := range c.shadow {
 			prev, have := carried[base]
 			if !have {
-				prev = make([]byte, vm.PageSize)
+				prev = cp.bufs.get(vm.PageSize, true)
 				carried[base] = prev
 			}
 			if off := carryValidatePage(prev, sh); off >= 0 {

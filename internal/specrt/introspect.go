@@ -15,6 +15,7 @@ import (
 
 	"privateer/internal/ir"
 	"privateer/internal/obs"
+	"privateer/internal/profiling"
 )
 
 // Snapshot returns an atomically loaded copy of the stats. Workers mutate
@@ -56,14 +57,15 @@ type misspecKey struct {
 	object string
 }
 
-// trackSite records [addr, addr+size) as owned by the named allocation
-// site. Called for master-side allocations and globals only.
-func (rt *RT) trackSite(addr, size uint64, name string) {
+// trackSite records [addr, addr+size) as owned by obj, an allocation site
+// or a global. Called for master-side allocations and globals only; the
+// name is formatted by siteFor, when a misspeculation is attributed.
+func (rt *RT) trackSite(addr, size uint64, obj profiling.Object) {
 	if addr == 0 || size == 0 {
 		return
 	}
 	rt.siteMu.Lock()
-	rt.siteMap.Insert(addr, addr+size, name)
+	rt.siteMap.Insert(addr, addr+size, obj)
 	rt.siteMu.Unlock()
 }
 
@@ -79,10 +81,10 @@ func (rt *RT) untrackSite(addr uint64) {
 // not tracked).
 func (rt *RT) siteFor(addr uint64) string {
 	rt.siteMu.Lock()
-	name, ok := rt.siteMap.Lookup(addr)
+	obj, ok := rt.siteMap.Lookup(addr)
 	rt.siteMu.Unlock()
 	if ok {
-		return name
+		return obj.String()
 	}
 	return ir.HeapOf(addr).String() + ":?"
 }

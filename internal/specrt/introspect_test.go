@@ -1,10 +1,14 @@
 package specrt
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"privateer/internal/ir"
 )
 
 // TestSnapshotMatchesStats: after a quiesced run the atomic snapshot must
@@ -93,5 +97,74 @@ func TestMisspecAttributionInjected(t *testing.T) {
 	}
 	if FormatMisspecSites(nil) != "no misspeculations recorded\n" {
 		t.Error("empty table must render the no-misspeculations line")
+	}
+}
+
+// buildLiveInModule: for i in [0,n): obj[0] = i; obj[1] = obj[i >= 2] + i,
+// where obj is the global @acc or, with malloc set, the buffer main:buf. A
+// training run with n = 2 reads only the word its iteration just wrote, so
+// obj is privatized; at n > 2 every iteration from 2 on reads the obj[1]
+// its predecessor wrote.
+func buildLiveInModule(malloc bool) *ir.Module {
+	m := ir.NewModule("livein")
+	g := m.NewGlobal("acc", 64)
+	f := m.NewFunc("main", ir.I64)
+	f.NewParam("n", ir.I64)
+	b := ir.NewBuilder(f)
+	ptr := b.Local("ptr")
+	if malloc {
+		b.St(b.Malloc("buf", b.I(64)), ptr)
+	} else {
+		b.St(b.Global(g), ptr)
+	}
+	b.For("i", b.I(0), f.Params[0], func(iv *ir.Instr) {
+		i := b.Ld(iv)
+		p := b.LdP(ptr)
+		b.Store(i, p, 8)
+		v := b.Load(b.Add(p, b.Select(b.SGe(i, b.I(2)), b.I(8), b.I(0))), 8)
+		b.Store(b.Add(v, i), b.Add(p, b.I(8)), 8)
+	})
+	b.Ret(b.Load(b.Add(b.LdP(ptr), b.I(8)), 8))
+	for _, fn := range m.SortedFuncs() {
+		ir.PromoteAllocas(fn)
+	}
+	return m
+}
+
+// TestMisspecAttributionNamesObject: a privacy violation on a global and
+// one on a malloc site are attributed to the owning object by name. The rows
+// and the formatted table are the bytes recorded when sites were labelled at
+// allocation; the labels are now formatted only when a misspeculation is
+// attributed. One worker keeps the misspeculation count schedule-free; the
+// region's name carries a process-wide outline sequence number, so the table
+// is templated on it.
+func TestMisspecAttributionNamesObject(t *testing.T) {
+	for _, tc := range []struct {
+		malloc                         bool
+		object, head, rule, objectCell string
+	}{
+		{false, "@acc", "object  site", "------  ----", "@acc        "},
+		{true, "main:buf", "object    site", "--------  ----", "main:buf      "},
+	} {
+		mod := buildLiveInModule(tc.malloc)
+		ri := buildRegion(t, mod, 2)
+		rt := New(mod, Config{Workers: 1, CheckpointPeriod: 3}, ri)
+		if v, err := rt.Run(12); err != nil || v != 67 {
+			t.Fatalf("%s: result %d, %v; want 67", tc.object, v, err)
+		}
+		region := ri.Outline.RegionFn.Name
+		rows := rt.MisspecSites()
+		want := []MisspecSiteRow{{Region: region, Cause: "privacy violated (fast phase)",
+			Object: tc.object, Count: 10}}
+		if !reflect.DeepEqual(rows, want) {
+			t.Errorf("%s: rows %+v, want %+v", tc.object, rows, want)
+		}
+		table := "Misspeculations by allocation site\n\n" +
+			fmt.Sprintf("count  %-*s  cause                          %s\n", len(region), "region", tc.head) +
+			"-----  " + strings.Repeat("-", len(region)) + "  -----------------------------  " + tc.rule + "\n" +
+			"10     " + region + "  privacy violated (fast phase)  " + tc.objectCell + "\n"
+		if got := FormatMisspecSites(rows); got != table {
+			t.Errorf("%s: table\n%q\nwant\n%q", tc.object, got, table)
+		}
 	}
 }

@@ -14,20 +14,22 @@ import (
 // letting an idle program pin unbounded memory.
 const DefaultPoolSlots = 32
 
-// warmSlot is one pooled worker's machinery: a released address space
+// warmSlot is one pooled process's machinery: a released address space
 // (structure, map capacity and its arena of recycled nodes and pages
-// retained, contents dropped) and its interpreter over the shared decoded
-// program. RecloneFrom/Recycle re-target both at the next invocation's
-// master.
+// retained, contents dropped) and a recycled interpreter over the shared
+// decoded program (frame slabs retained; hooks, output and layout dropped).
+// A worker draws one and RecloneFrom re-targets the space at its master; a
+// run's master draws one and lays its globals out on the empty space.
 type warmSlot struct {
 	as *vm.AddressSpace
 	it *interp.Interp
 }
 
 // WorkerPool recycles warmed worker machinery across spans and region
-// invocations. Spawning a worker cold allocates an address-space clone and
-// an interpreter per spawn; a warmed spawn re-clones a pooled space in
-// place, reusing its TLB arrays, heap-state slots, the delta-map capacity
+// invocations; a run's master draws its slot from the same pool and parks
+// it when the run ends. Spawning a worker cold allocates an address-space
+// clone and an interpreter per spawn; a warmed spawn re-clones a pooled
+// space in place, reusing its TLB arrays, heap-state slots, the delta-map capacity
 // its allocator grew on earlier runs and, through the space's arena, the
 // radix nodes and pages it wrote last time: a respawn that touches no more
 // than the previous one allocates nothing in vm. The pool also owns the
@@ -131,12 +133,14 @@ func (p *WorkerPool) get(prog *interp.Program) *warmSlot {
 	return nil
 }
 
-// put releases a slot's address space (dropping every page and allocator
-// reference from the invocation that used it, so the pool never pins a
-// dead invocation's memory) and parks it for the next get; slots beyond
-// the per-program cap are discarded.
+// put releases a slot's address space and recycles its interpreter
+// (dropping every page, allocator reference and hook of the run that used
+// it, so a parked slot pins neither that run's memory nor the run itself)
+// and parks it for the next get; slots beyond the per-program cap are
+// discarded.
 func (p *WorkerPool) put(prog *interp.Program, s *warmSlot) {
 	s.as.Release()
+	s.it.Recycle(s.as)
 	p.mu.Lock()
 	if len(p.slots[prog]) < p.perProgram {
 		p.slots[prog] = append(p.slots[prog], s)

@@ -1,8 +1,11 @@
 package specrt
 
 import (
+	"bytes"
 	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"privateer/internal/interp"
@@ -90,9 +93,10 @@ func TestWarmPoolSurvivesMisspeculation(t *testing.T) {
 }
 
 // TestWarmPoolRunAllocatesLess pins what the pool is for: a run over a
-// warmed pool finds its worker spaces, their radix nodes and pages and its
-// checkpoint buffers where the previous run left them, and allocates at most
-// 60 % of the bytes the same run allocates spawning cold.
+// warmed pool finds its master and worker spaces, their radix nodes and pages,
+// its interpreters' frame slabs and its checkpoint buffers where the previous
+// run left them, and allocates at most 15 % of the bytes the same run
+// allocates cold.
 func TestWarmPoolRunAllocatesLess(t *testing.T) {
 	mod := buildScratchModule(40)
 	ri := buildRegion(t, mod)
@@ -113,8 +117,141 @@ func TestWarmPoolRunAllocatesLess(t *testing.T) {
 	run(pool)
 	warm := run(pool)
 	t.Logf("cold %d B, warm %d B (%.0f %%)", cold, warm, 100*float64(warm)/float64(cold))
-	if warm*10 > cold*6 {
-		t.Errorf("a run on a warmed pool allocates %d B, more than 60 %% of the %d B of a cold one", warm, cold)
+	if warm*100 > cold*15 {
+		t.Errorf("a run on a warmed pool allocates %d B, more than 15 %% of the %d B of a cold one", warm, cold)
+	}
+}
+
+// TestPooledMasterIsFresh: a master drawn from the pool, from the slot the
+// previous run's master parked and from slots its workers parked, is the
+// space NewAddressSpace + LayOutGlobals builds: the same global layout and
+// contents, per-heap Brk, ProtOf and LiveObjects, radix shape, and Stats
+// counting from zero. Runs on pooled masters return and print what a run on
+// a fresh pool does, and after Run the master's Stats reads as that run's
+// own vm counts.
+func TestPooledMasterIsFresh(t *testing.T) {
+	mod := buildScratchModule(40)
+	ri := buildRegion(t, mod)
+	prog := interp.SharedProgram(mod)
+	newRT := func(pool *WorkerPool) *RT {
+		return New(mod, Config{Workers: 4, CheckpointPeriod: 5, Program: prog, Pool: pool}, ri)
+	}
+	ref := interp.NewShared(prog, vm.NewAddressSpace())
+	if err := ref.LayOutGlobals(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := newRT(NewWorkerPool(0))
+	wantRet, err := fresh.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOut, wantStats := fresh.Output(), *fresh.Master().AS.Stats
+
+	pool := NewWorkerPool(0)
+	warm := newRT(pool)
+	if _, err := warm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	parked := pool.Snapshot().Retained
+	if parked != 5 {
+		t.Fatalf("a 4-worker run parked %d slots, want its workers and its master", parked)
+	}
+	var drawn []*interp.Interp
+	var fromMaster, fromWorker int
+	for i := int64(0); i < parked; i++ {
+		m := newRT(pool).newMaster()
+		if m == warm.Master() {
+			fromMaster++
+		} else {
+			fromWorker++
+		}
+		if *m.AS.Stats != (vm.Stats{}) {
+			t.Errorf("slot %d: a drawn master starts counting at %+v", i, *m.AS.Stats)
+		}
+		if err := m.LayOutGlobals(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(m.GlobalLayout(), ref.GlobalLayout()) {
+			t.Errorf("slot %d: layout %v, fresh %v", i, m.GlobalLayout(), ref.GlobalLayout())
+		}
+		for _, g := range mod.Globals {
+			got, want := make([]byte, g.Size), make([]byte, g.Size)
+			if err := m.AS.ReadBytes(m.GlobalAddr(g), got); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.AS.ReadBytes(ref.GlobalAddr(g), want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("slot %d: @%s holds %x, fresh %x", i, g.Name, got, want)
+			}
+		}
+		for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
+			if m.AS.Brk(h) != ref.AS.Brk(h) || m.AS.ProtOf(h) != ref.AS.ProtOf(h) ||
+				m.AS.LiveObjects(h) != ref.AS.LiveObjects(h) {
+				t.Errorf("slot %d, heap %v: brk %#x prot %v live %d; fresh %#x %v %d", i, h,
+					m.AS.Brk(h), m.AS.ProtOf(h), m.AS.LiveObjects(h),
+					ref.AS.Brk(h), ref.AS.ProtOf(h), ref.AS.LiveObjects(h))
+			}
+		}
+		if got, want := m.AS.PageTable(), ref.AS.PageTable(); got != want {
+			t.Errorf("slot %d: page table %+v, fresh %+v", i, got, want)
+		}
+		if *m.AS.Stats != *ref.AS.Stats {
+			t.Errorf("slot %d: layout counted %+v, fresh %+v", i, *m.AS.Stats, *ref.AS.Stats)
+		}
+		drawn = append(drawn, m)
+	}
+	if fromMaster != 1 || fromWorker != 4 {
+		t.Fatalf("drew %d master and %d worker slots, want 1 and 4", fromMaster, fromWorker)
+	}
+	// Parked back in draw order, the next master comes from a worker's slot;
+	// the one after, from a slot that last served as a master.
+	for _, m := range drawn {
+		pool.put(prog, &warmSlot{as: m.AS, it: m})
+	}
+	for i := 0; i < 3; i++ {
+		rt := newRT(pool)
+		ret, err := rt.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ret != wantRet || rt.Output() != wantOut {
+			t.Errorf("run %d on a pooled master: %d and %q, want %d and %q", i, ret, rt.Output(), wantRet, wantOut)
+		}
+		if got := *rt.Master().AS.Stats; got != wantStats {
+			t.Errorf("run %d: master Stats after Run %+v, a fresh pool's run %+v", i, got, wantStats)
+		}
+	}
+}
+
+// TestParkedSlotsPinNoRun: a parked slot keeps only its own machinery. Once
+// a pooled run's RT is dropped it is collected while the pool still holds
+// its master's and workers' slots; a parked interpreter whose hooks still
+// reached the worker, its span and so the RT would keep the whole run —
+// master tree, output, checkpoints, site map — alive.
+func TestParkedSlotsPinNoRun(t *testing.T) {
+	mod := buildScratchModule(40)
+	ri := buildRegion(t, mod)
+	pool := NewWorkerPool(0)
+	var collected atomic.Bool
+	func() {
+		rt := New(mod, Config{Workers: 4, CheckpointPeriod: 5,
+			Program: interp.SharedProgram(mod), Pool: pool}, ri)
+		if _, err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(rt, func(*RT) { collected.Store(true) })
+	}()
+	for i := 0; i < 10 && !collected.Load(); i++ {
+		runtime.GC()
+	}
+	if !collected.Load() {
+		t.Fatal("the pool keeps a finished run alive")
+	}
+	if st := pool.Snapshot(); st.Retained == 0 {
+		t.Fatalf("the pool parked nothing: %+v", st)
 	}
 }
 

@@ -12,19 +12,22 @@ import (
 )
 
 // recoveryAllocBudget is the bytes a misspeculating 052.alvinn/train run
-// over a warm pool may allocate: half of the 214,224 B it allocated (the
-// median of five test runs' medians, Go 1.24 on x86-64) while the master
-// kept paying copy-on-write for a tree no parked worker could read any
-// more, every recovery built a fresh interpreter and every install a fresh
-// reduction total.
-const recoveryAllocBudget = 107_112
+// over a warm pool may allocate: half of the 107,112 B budget it had while
+// every run built its master's space and interpreter afresh (then a median
+// of 87,200 B; with the master drawn from the pool the median reads
+// 40.5–43 KB, Go 1.24 on x86-64). That budget was itself half of the
+// 214,224 B the run allocated while the master kept paying copy-on-write
+// for a tree no parked worker could read any more, every recovery built a
+// fresh interpreter and every install a fresh reduction total.
+const recoveryAllocBudget = 53_556
 
 // TestRecoveryAllocatesLittle pins what reowning buys recovery: once a span's
 // fleet is parked the master writes its own pages in place, so installing
 // the valid prefix and re-executing the squashed iterations copy no radix
 // node and no page, the one recovery interpreter of the run is reused with
-// its frame slabs, and reduction totals come from the checkpoint buffers'
-// free list. A warm run with 5 % of iterations injected stays
+// its frame slabs, reduction totals come from the checkpoint buffers'
+// free list, and the master's own space and interpreter come from the pool.
+// A warm run with 5 % of iterations injected stays
 // within recoveryAllocBudget (the median of five runs, so one schedule that
 // squashes late does not decide it).
 func TestRecoveryAllocatesLittle(t *testing.T) {

@@ -68,9 +68,10 @@ type Config struct {
 	Program *interp.Program
 	// Pool, when non-nil, recycles warmed worker machinery (address space +
 	// interpreter) across spans and invocations instead of constructing it
-	// fresh on every spawn, amortizing the per-spawn allocator clone. The
-	// pool is safe for concurrent use; the service shares one per compiled
-	// program. Nil spawns cold every time.
+	// fresh on every spawn, amortizing the per-spawn allocator clone; with
+	// Program set, each run's master comes from it too and goes back when
+	// the run ends. The pool is safe for concurrent use; the service shares
+	// one per compiled program. Nil spawns cold every time.
 	Pool *WorkerPool
 }
 
@@ -198,10 +199,11 @@ type RT struct {
 
 	// siteMu guards siteMap, the live allocation-site map: master-side
 	// allocations (and globals) keyed by address range, so a faulting
-	// address can be attributed to the object that owns it. Worker-local
-	// allocations are scratch state and are not tracked.
+	// address can be attributed to the object that owns it (named only
+	// then, by siteFor). Worker-local allocations are scratch state and are
+	// not tracked.
 	siteMu  sync.Mutex
-	siteMap *intervalmap.Map[string]
+	siteMap *intervalmap.Map[profiling.Object]
 
 	// missMu guards missTable, the per-site misspeculation aggregate
 	// behind MisspecSites, flight postmortems and privateer -why-misspec.
@@ -230,7 +232,7 @@ func New(mod *ir.Module, cfg Config, regions ...*RegionInfo) *RT {
 		regions:   map[*ir.Function]*RegionInfo{},
 		reduxObjs: map[uint64]liveObj{},
 		sepObjs:   map[uint64]liveObj{},
-		siteMap:   &intervalmap.Map[string]{},
+		siteMap:   &intervalmap.Map[profiling.Object]{},
 		missTable: map[misspecKey]int64{},
 	}
 	for _, r := range regions {
@@ -254,7 +256,11 @@ func (rt *RT) writeOut(text string) {
 	rt.outMu.Unlock()
 }
 
-// Master exposes the main process interpreter (after Run).
+// Master exposes the main process interpreter. After Run its AS.Stats reads
+// as the finished run's vm counts. A master drawn from Config.Pool (see
+// newMaster) has been parked by then: its memory, global layout and hooks
+// are gone, and its Stats reads as the finished run only until the pool
+// hands the slot to another run.
 func (rt *RT) Master() *interp.Interp { return rt.master }
 
 // onAlloc tracks reduction objects allocated dynamically into the redux
@@ -266,7 +272,7 @@ func (rt *RT) onAlloc(fr *interp.Frame, in *ir.Instr, addr, size uint64) {
 	}
 	if in != nil {
 		rt.sepRegister(addr, int64(size), profiling.Object{Site: in})
-		rt.trackSite(addr, size, profiling.Object{Site: in}.String())
+		rt.trackSite(addr, size, profiling.Object{Site: in})
 	}
 }
 
@@ -280,18 +286,36 @@ func (rt *RT) onFree(fr *interp.Frame, in *ir.Instr, addr uint64) {
 	rt.untrackSite(addr)
 }
 
-// Run executes the program from its entry function.
-func (rt *RT) Run(args ...uint64) (uint64, error) {
-	var master *interp.Interp
-	if p := rt.Cfg.Program; p != nil {
-		if p.Mod != rt.Mod {
-			return 0, fmt.Errorf("specrt: Config.Program decodes module %q, runtime executes %q",
-				p.Mod.Name, rt.Mod.Name)
-		}
-		master = interp.NewShared(p, vm.NewAddressSpace())
-	} else {
-		master = interp.New(rt.Mod, vm.NewAddressSpace())
+// newMaster returns the run's main-process interpreter over an empty space
+// counting into a fresh vm.Stats. With both Config.Program and Config.Pool
+// set it is a slot drawn from the pool (parked released and recycled, so
+// LayOutGlobals lays out the same addresses NewAddressSpace would give), and
+// the master's radix nodes, pages and frame slabs recycle through the slot's
+// arena exactly as a worker's do.
+func (rt *RT) newMaster() *interp.Interp {
+	p := rt.Cfg.Program
+	if p == nil {
+		return interp.New(rt.Mod, vm.NewAddressSpace())
 	}
+	if pool := rt.Cfg.Pool; pool != nil {
+		if s := pool.get(p); s != nil {
+			s.as.Stats = &vm.Stats{}
+			return s.it
+		}
+	}
+	return interp.NewShared(p, vm.NewAddressSpace())
+}
+
+// Run executes the program from its entry function. A master drawn from
+// Config.Pool is parked on every exit, after its span fleets: each span
+// parks its workers before returning, so no clone can reach the master's
+// tree when the pool reclaims it.
+func (rt *RT) Run(args ...uint64) (uint64, error) {
+	if p := rt.Cfg.Program; p != nil && p.Mod != rt.Mod {
+		return 0, fmt.Errorf("specrt: Config.Program decodes module %q, runtime executes %q",
+			p.Mod.Name, rt.Mod.Name)
+	}
+	master := rt.newMaster()
 	rt.master, rt.recov = master, nil
 	master.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
 		rt.writeOut(text)
@@ -306,10 +330,15 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 		}
 		return 0, true, rt.invoke(ri, args)
 	}
+	defer func() {
+		rt.Sim.SeqSteps = master.Steps
+		if pool := rt.Cfg.Pool; pool != nil && rt.Cfg.Program != nil {
+			pool.put(rt.Cfg.Program, &warmSlot{as: master.AS, it: master})
+		}
+	}()
 	if err := master.LayOutGlobals(); err != nil {
 		return 0, err
 	}
-	defer func() { rt.Sim.SeqSteps = master.Steps }()
 	// Register global reduction objects, and every global's address range
 	// for misspeculation attribution.
 	for _, name := range rt.Mod.GlobalNames() {
@@ -318,7 +347,7 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 			rt.registerRedux(master.GlobalAddr(g), g.Size, profiling.Object{Global: g})
 		}
 		rt.sepRegister(master.GlobalAddr(g), g.Size, profiling.Object{Global: g})
-		rt.trackSite(master.GlobalAddr(g), uint64(g.Size), profiling.Object{Global: g}.String())
+		rt.trackSite(master.GlobalAddr(g), uint64(g.Size), profiling.Object{Global: g})
 	}
 	return master.Run(args...)
 }

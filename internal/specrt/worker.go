@@ -387,13 +387,13 @@ func newWorker(sp *spanState, id, stride int) (*worker, error) {
 	w := &worker{sp: sp, id: id, stride: stride}
 	// Workers share the master's Stats so fork-style page-copy counts
 	// aggregate across the fleet (Figure 8 accounting). A warmed spawn
-	// re-clones a pooled address space over this master in place and
-	// recycles its interpreter — same semantics as the cold path below,
-	// minus the per-spawn allocation of TLB arrays, heap states and maps.
+	// re-clones a pooled address space over this master in place and takes
+	// its interpreter, recycled when it was parked — same semantics as the
+	// cold path below, minus the per-spawn allocation of TLB arrays, heap
+	// states and maps.
 	if pool := rt.Cfg.Pool; pool != nil {
 		if slot := pool.get(rt.master.Program()); slot != nil {
 			slot.as.RecloneFrom(rt.master.AS)
-			slot.it.Recycle(slot.as)
 			w.as, w.it = slot.as, slot.it
 			atomic.AddInt64(&rt.Stats.WarmSpawns, 1)
 		}

@@ -136,13 +136,18 @@ func TestRecloneEquivalentToCloneSharingStats(t *testing.T) {
 
 // TestReleaseDropsState checks that a released space holds no pages or
 // allocator entries from its previous life, so a pool does not pin dead
-// invocations' memory.
+// invocations' memory; that Release bumps no counter; and that a space
+// recloned from a new parent counts into that parent's Stats only.
 func TestReleaseDropsState(t *testing.T) {
 	parent, addrs := buildParent(t)
 	w := parent.CloneSharingStats()
+	if err := w.WriteBytes(addrs[0], []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	before := *parent.Stats
 	w.Release()
-	if w.Stats == parent.Stats {
-		t.Fatalf("released space still shares the parent's Stats")
+	if *parent.Stats != before {
+		t.Fatalf("Release moved the counters: %+v -> %+v", before, *parent.Stats)
 	}
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		if n := w.LiveObjects(h); n != 0 {
@@ -165,5 +170,19 @@ func TestReleaseDropsState(t *testing.T) {
 	}
 	if sz := w.ObjectSize(addrs[0]); sz != 0 {
 		t.Fatalf("released space still tracks the old allocation (%d bytes)", sz)
+	}
+	// Re-targeting is what repoints Stats: writes after RecloneFrom count
+	// into the new parent's structure only.
+	p2, _ := buildParent(t)
+	before, before2 := *parent.Stats, *p2.Stats
+	w.RecloneFrom(p2)
+	if err := w.WriteBytes(addrs[1], []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	if *parent.Stats != before {
+		t.Fatalf("a space recloned from a new parent still counts into the old one's Stats")
+	}
+	if *p2.Stats == before2 {
+		t.Fatalf("a write copying a page in the recloned space moved none of the new parent's counters")
 	}
 }

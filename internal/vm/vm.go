@@ -328,11 +328,9 @@ type AddressSpace struct {
 	wtlb [tlbSize]tlbEntry
 
 	// Stats accumulates page-event counts; clones made with
-	// CloneSharingStats or RecloneFrom share the parent's structure.
+	// CloneSharingStats or RecloneFrom share the parent's structure. Release
+	// leaves it alone: whoever re-targets a released space repoints it.
 	Stats *Stats
-	// released is what Stats points at between Release and the next
-	// RecloneFrom, so parking a pooled space allocates nothing.
-	released Stats
 
 	// clones counts the live spaces that may reach this space's nodes: every
 	// Clone or RecloneFrom taken from it, or from one of those, not yet
@@ -425,7 +423,8 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 // empty post-construction state, so a pooled space does not pin a dead
 // invocation's pages in memory while it waits for reuse. The structure
 // itself (TLB arrays, heap-state slots, delta-map capacity) is retained for
-// the next RecloneFrom.
+// the next RecloneFrom. Release bumps no counter and keeps Stats pointing
+// where it did, so a run's counts stay readable after its spaces are parked.
 func (as *AddressSpace) Release() {
 	as.reclaim(as.root)
 	as.detach()
@@ -442,8 +441,6 @@ func (as *AddressSpace) Release() {
 		hs.liveCount, hs.allocBytes = 0, 0
 		as.prot[h] = ProtReadWrite
 	}
-	as.released = Stats{}
-	as.Stats = &as.released
 	as.flushTLB()
 }
 
