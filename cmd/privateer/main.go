@@ -280,8 +280,8 @@ func run(progName, input string, workers int, mode, serve string, misspec float6
 			return err
 		}
 		fmt.Printf("DOALL-only: %d loops, %d invocations, simulated time %d, sim speedup %.2fx\n",
-			len(static.Regions), runRes.Baseline.Stats.Invocations,
-			runRes.SimTime(), float64(seqIt.Steps)/float64(runRes.SimTime()))
+			len(static.Regions), runRes.Invocations,
+			runRes.SimTime, float64(seqIt.Steps)/float64(runRes.SimTime))
 		if showOut {
 			fmt.Print(runRes.Output)
 		}

@@ -212,7 +212,7 @@ func (pr *prepared) staticSimSpeedup(workers int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	t := run.SimTime()
+	t := run.SimTime
 	if t <= 0 {
 		return 0, nil
 	}

@@ -96,7 +96,7 @@ func computeDeterminism(t *testing.T) []detRecord {
 			Invocations:  rt.Stats.Invocations,
 			DoallResult:  srun.Ret,
 			DoallOutSHA:  sha(srun.Output),
-			DoallSimTime: srun.SimTime(),
+			DoallSimTime: srun.SimTime,
 		})
 	}
 	return out

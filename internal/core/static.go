@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"privateer/internal/deps"
 	"privateer/internal/doall"
 	"privateer/internal/interp"
 	"privateer/internal/ir"
+	"privateer/internal/specrt"
 	"privateer/internal/vm"
 )
 
@@ -71,28 +73,72 @@ func ParallelizeStatic(mod *ir.Module, opts Options) (*StaticParallelized, error
 
 // StaticRun is the outcome of one DOALL-only execution.
 type StaticRun struct {
-	// Baseline is the scheduler, with its stats.
-	Baseline *doall.Baseline
 	// Ret is the program result.
 	Ret uint64
 	// Output is the printed output.
 	Output string
-	// MasterSteps counts instructions interpreted outside parallel regions.
-	MasterSteps int64
+	// Invocations counts parallel region entries.
+	Invocations int64
+	// SimTime is the run's simulated execution time (see specrt/sim.go for
+	// the model): the steps interpreted outside parallel regions, plus
+	// spawn + slowest worker + join per region invocation.
+	SimTime int64
 }
 
-// SimTime returns the run's simulated execution time (see specrt/sim.go
-// for the model).
-func (r *StaticRun) SimTime() int64 { return r.MasterSteps + r.Baseline.Stats.SimRegionTime }
-
-// RunStatic executes a DOALL-only program with the given worker count.
+// RunStatic executes a DOALL-only program once, in program order, and
+// prices each region invocation as if its iterations were dealt cyclically
+// to a fleet of workers: iteration i of [lo, hi) is charged to worker
+// (i−lo) mod W', W' = min(workers, hi−lo). Running the iterations in order
+// is exact because StaticBlockers admits only loops with no carried memory
+// or scalar dependence, no live-out and no I/O, so every schedule leaves
+// the same memory and output.
 func RunStatic(p *StaticParallelized, workers int, args ...uint64) (*StaticRun, error) {
-	it := interp.New(p.Mod, vm.NewAddressSpace())
-	bl := doall.NewBaseline(workers, p.Regions...)
-	bl.Attach(it)
-	ret, err := it.Run(args...)
+	if workers < 1 {
+		workers = 1
+	}
+	master := interp.New(p.Mod, vm.NewAddressSpace())
+	if err := master.LayOutGlobals(); err != nil {
+		return nil, err
+	}
+	// One iteration interpreter over the master's space, as specrt's
+	// sequential recovery runs a range.
+	iter := interp.NewShared(master.Program(), master.AS)
+	iter.AdoptLayout(master.GlobalLayout())
+	iter.Out = master.Out
+	regions := make(map[*ir.Function]*doall.Region, len(p.Regions))
+	for _, r := range p.Regions {
+		regions[r.RegionFn] = r
+	}
+	run := &StaticRun{}
+	master.Hooks.CallOverride = func(fr *interp.Frame, in *ir.Instr, callee *ir.Function, args []uint64) (uint64, bool, error) {
+		r := regions[callee]
+		if r == nil {
+			return 0, false, nil
+		}
+		run.Invocations++
+		lo, hi := int64(args[0]), int64(args[1])
+		if hi <= lo {
+			return 0, true, nil
+		}
+		fleet := min(int64(workers), hi-lo)
+		shares := make([]int64, fleet)
+		callArgs := append([]uint64{0}, args[2:]...)
+		for i := lo; i < hi; i++ {
+			callArgs[0] = uint64(i)
+			before := iter.Steps
+			if _, err := iter.Call(r.IterFn, callArgs...); err != nil {
+				return 0, true, fmt.Errorf("doall iteration %d: %w", i, err)
+			}
+			shares[(i-lo)%fleet] += iter.Steps - before
+		}
+		run.SimTime += fleet*(specrt.SimSpawnPerWorker+specrt.SimJoinPerWorker) + slices.Max(shares)
+		return 0, true, nil
+	}
+	ret, err := master.Run(args...)
 	if err != nil {
 		return nil, err
 	}
-	return &StaticRun{Baseline: bl, Ret: ret, Output: it.Out.String(), MasterSteps: it.Steps}, nil
+	run.Ret, run.Output = ret, master.Out.String()
+	run.SimTime += master.Steps
+	return run, nil
 }

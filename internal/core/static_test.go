@@ -3,7 +3,10 @@ package core
 import (
 	"testing"
 
+	"privateer/internal/interp"
 	"privateer/internal/ir"
+	"privateer/internal/specrt"
+	"privateer/internal/vm"
 )
 
 // buildAffine builds a statically parallelizable kernel plus a tail check.
@@ -32,6 +35,27 @@ func buildAffine(n int64) *ir.Module {
 	return m
 }
 
+// buildSquares builds: for i in [0,n): out[i] = i*i; plus a tail read.
+func buildSquares(n int64) *ir.Module {
+	m := ir.NewModule("squares")
+	out := m.NewGlobal("out", n*8)
+	f := m.NewFunc("main", ir.I64)
+	b := ir.NewBuilder(f)
+	b.For("i", b.I(0), b.I(n), func(iv *ir.Instr) {
+		slot := b.Add(b.Global(out), b.Mul(b.Ld(iv), b.I(8)))
+		b.Store(b.Mul(b.Ld(iv), b.Ld(iv)), slot, 8)
+	})
+	acc := b.Local("acc")
+	b.St(b.I(0), acc)
+	b.For("j", b.I(0), b.I(n), func(jv *ir.Instr) {
+		slot := b.Add(b.Global(out), b.Mul(b.Ld(jv), b.I(8)))
+		b.St(b.Add(b.Ld(acc), b.Load(slot, 8)), acc)
+	})
+	b.Ret(b.Ld(acc))
+	ir.PromoteAllocas(f)
+	return m
+}
+
 func TestParallelizeStaticSelectsAffineLoops(t *testing.T) {
 	want, _, err := RunSequential(buildAffine(64))
 	if err != nil {
@@ -52,8 +76,75 @@ func TestParallelizeStaticSelectsAffineLoops(t *testing.T) {
 		if run.Ret != want {
 			t.Errorf("workers=%d: %d, want %d", workers, run.Ret, want)
 		}
-		if run.SimTime() <= 0 {
+		if run.SimTime <= 0 {
 			t.Error("no simulated time recorded")
+		}
+	}
+}
+
+// TestRunStaticPricing pins RunStatic's result, invocation count and
+// simulated time to the values the worker-fleet DOALL scheduler it replaced
+// measured on the same builds, at worker counts below, at and above the
+// trip count (64). The squares rows also fit the closed form: every
+// iteration costs the same c steps, so an invocation is priced
+// W'·(spawn+join) + ⌈n/W'⌉·c on top of the master's steps.
+func TestRunStaticPricing(t *testing.T) {
+	const n = 64
+	builds := map[string]func() *ir.Module{
+		"squares": func() *ir.Module { return buildSquares(n) },
+		"affine":  func() *ir.Module { return buildAffine(n) },
+	}
+	cases := []struct {
+		build       string
+		workers     int
+		ret         uint64
+		invocations int64
+		simTime     int64
+	}{
+		{"squares", 1, 85344, 1, 4257},
+		{"squares", 2, 85344, 1, 6837},
+		{"squares", 3, 85344, 1, 9637},
+		{"squares", 4, 85344, 1, 12477},
+		{"squares", 8, 85344, 1, 23997},
+		{"squares", 16, 85344, 1, 47157},
+		{"squares", 100, 85344, 1, 186327},
+		{"affine", 1, 6496, 2, 8250},
+		{"affine", 2, 6496, 2, 13186},
+		{"affine", 3, 6496, 2, 18716},
+		{"affine", 4, 6496, 2, 24354},
+		{"affine", 8, 6496, 2, 47338},
+		{"affine", 16, 6496, 2, 93630},
+		{"affine", 100, 6496, 2, 371949},
+	}
+	var squaresMaster, iterSteps int64
+	for _, c := range cases {
+		static, err := ParallelizeStatic(builds[c.build](), Options{MinLoopSteps: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := RunStatic(static, c.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Ret != c.ret || run.Invocations != c.invocations || run.SimTime != c.simTime {
+			t.Errorf("%s W=%d: ret %d, invocations %d, sim time %d; want %d, %d, %d",
+				c.build, c.workers, run.Ret, run.Invocations, run.SimTime, c.ret, c.invocations, c.simTime)
+		}
+		if c.build != "squares" {
+			continue
+		}
+		perWorker := int64(specrt.SimSpawnPerWorker + specrt.SimJoinPerWorker)
+		if iterSteps == 0 {
+			it := interp.New(static.Mod, vm.NewAddressSpace())
+			if _, err := it.Call(static.Regions[0].IterFn, 0); err != nil {
+				t.Fatal(err)
+			}
+			iterSteps = it.Steps
+			squaresMaster = run.SimTime - perWorker - n*iterSteps
+		}
+		fleet := min(int64(c.workers), n)
+		if want := squaresMaster + fleet*perWorker + (n+fleet-1)/fleet*iterSteps; run.SimTime != want {
+			t.Errorf("squares W=%d: sim time %d, closed form %d", c.workers, run.SimTime, want)
 		}
 	}
 }

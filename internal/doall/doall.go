@@ -13,7 +13,9 @@
 // speculative runtime intercepts the __region_L call (via the interpreter's
 // CallOverride hook) and distributes the __iter_L invocations across worker
 // processes instead, exactly as the paper's runtime governs the transformed
-// region.
+// region. The non-speculative DOALL-only baseline (core.RunStatic)
+// intercepts the same call, runs the iterations in order and prices them as
+// a worker fleet would run them; this package schedules nothing itself.
 package doall
 
 import (

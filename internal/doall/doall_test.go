@@ -3,8 +3,6 @@ package doall
 import (
 	"testing"
 
-	"privateer/internal/analysis"
-	"privateer/internal/deps"
 	"privateer/internal/interp"
 	"privateer/internal/ir"
 	"privateer/internal/vm"
@@ -127,58 +125,5 @@ func TestOutlineRejectsEarlyExit(t *testing.T) {
 	ir.AddIncoming(phi, b.Add(phi, one), body)
 	if _, err := Outline(m, l, iv); err == nil {
 		t.Error("Outline accepted a loop with an early exit")
-	}
-}
-
-func TestBaselineParallelMatchesSequential(t *testing.T) {
-	const n = 64
-	want, err := interp.New(buildSquares(n), vm.NewAddressSpace()).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := buildSquares(n)
-	l, iv := firstLoop(t, m)
-	// Confirm the static baseline accepts it.
-	pt := analysis.ComputePointsTo(m)
-	if bl := deps.StaticBlockers(l, pt); len(bl) != 0 {
-		t.Fatalf("static blockers on squares: %v", bl)
-	}
-	r, err := Outline(m, l, iv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		it := interp.New(m, vm.NewAddressSpace())
-		bl := NewBaseline(workers, r)
-		bl.Attach(it)
-		got, err := it.Run()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got != want {
-			t.Errorf("workers=%d: result %d, want %d", workers, got, want)
-		}
-		if bl.Stats.Invocations != 1 {
-			t.Errorf("workers=%d: invocations = %d", workers, bl.Stats.Invocations)
-		}
-	}
-}
-
-func TestBaselineMoreWorkersThanIterations(t *testing.T) {
-	const n = 3
-	m := buildSquares(n)
-	l, iv := firstLoop(t, m)
-	r, err := Outline(m, l, iv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := interp.New(m, vm.NewAddressSpace())
-	NewBaseline(16, r).Attach(it)
-	got, err := it.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0+1+4 {
-		t.Errorf("result %d, want 5", got)
 	}
 }

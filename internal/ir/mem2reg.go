@@ -22,10 +22,16 @@ func PromoteAllocas(f *Function) {
 		typ      Type
 		anyStore bool
 	}
+	// order lists the slots in instruction order: phis are placed in that
+	// order, so header phi order and value numbering are the same on every
+	// build (ranging over slots would not be).
 	slots := map[*Instr]*slotInfo{}
+	var order []*slotInfo
 	f.Instrs(func(in *Instr) {
 		if in.Op == OpAlloca && in.Size == 8 && dt.Reachable(in.Blk) {
-			slots[in] = &slotInfo{alloca: in, typ: I64}
+			info := &slotInfo{alloca: in, typ: I64}
+			slots[in] = info
+			order = append(order, info)
 		}
 	})
 	if len(slots) == 0 {
@@ -68,7 +74,10 @@ func PromoteAllocas(f *Function) {
 	// Phi placement at iterated dominance frontiers.
 	// phiFor[block][slot] is the phi carrying the slot in that block.
 	phiFor := make([]map[*Instr]*Instr, len(f.Blocks))
-	for _, info := range slots {
+	for _, info := range order {
+		if slots[info.alloca] == nil {
+			continue // its address escapes
+		}
 		hasPhi := make([]bool, len(f.Blocks))
 		work := append([]*Block(nil), info.defBlks...)
 		inWork := make([]bool, len(f.Blocks))

@@ -1,7 +1,5 @@
 package specrt
 
-import "privateer/internal/doall"
-
 // Simulated-time cost model.
 //
 // The paper measures wall-clock time on a 24-core Xeon. This reproduction
@@ -26,11 +24,13 @@ import "privateer/internal/doall"
 // host-independent quantity whose *shape* tracks the paper's wall-clock
 // results.
 const (
-	// SimSpawnPerWorker models fork latency and address-space setup; the
-	// DOALL baseline charges the same.
-	SimSpawnPerWorker = doall.SimSpawnPerWorker
-	// SimJoinPerWorker models worker-completed signalling.
-	SimJoinPerWorker = doall.SimJoinPerWorker
+	// SimSpawnPerWorker models fork latency and address-space setup. The
+	// DOALL-only baseline (core.RunStatic) charges it too, so Figure 7
+	// compares the two compilers under one model.
+	SimSpawnPerWorker = 2500
+	// SimJoinPerWorker models worker-completed signalling; core.RunStatic
+	// charges it too.
+	SimJoinPerWorker = 400
 	// SimPrivacyPerByte is the inline shadow-metadata update per private
 	// byte accessed.
 	SimPrivacyPerByte = 2
