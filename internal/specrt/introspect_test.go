@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"privateer/internal/classify"
 	"privateer/internal/ir"
 )
 
@@ -166,5 +167,56 @@ func TestMisspecAttributionNamesObject(t *testing.T) {
 		if got := FormatMisspecSites(rows); got != table {
 			t.Errorf("%s: table\n%q\nwant\n%q", tc.object, got, table)
 		}
+	}
+}
+
+// buildSeparationModule hand-instruments a loop whose separation check
+// fails for real: for i in [0,n) it reads and prints *p after check_heap(p,
+// read-only), where p is @a (read-only heap) below iteration 5 and @b
+// (system heap) from 5 on. A profile at n = 5 sees only clean iterations.
+// It returns the module and the check.
+func buildSeparationModule() (*ir.Module, *ir.Instr) {
+	m := ir.NewModule("sepfail")
+	a, bg := m.NewGlobal("a", 8), m.NewGlobal("b", 8)
+	a.Heap = ir.HeapReadOnly
+	f := m.NewFunc("main", ir.I64)
+	f.NewParam("n", ir.I64)
+	b := ir.NewBuilder(f)
+	var check *ir.Instr
+	b.For("i", b.I(0), f.Params[0], func(iv *ir.Instr) {
+		p := b.Select(b.SGe(b.Ld(iv), b.I(5)), b.Global(bg), b.Global(a))
+		check = b.CheckHeap(p, ir.HeapReadOnly)
+		b.Print("%d ", b.Load(p, 8))
+	})
+	b.Ret(b.I(0))
+	for _, fn := range m.SortedFuncs() {
+		ir.PromoteAllocas(fn)
+	}
+	return m, check
+}
+
+// TestSeparationMisspecSite pins the attribution row of a check_heap that
+// fails in a worker: one misspeculation per iteration from 5 on, each
+// recovered, with the worker's cause text, the check as its site and the
+// global that owns the faulting address. One worker keeps the count
+// schedule-free.
+func TestSeparationMisspecSite(t *testing.T) {
+	mod, check := buildSeparationModule()
+	ri := outlineRegion(t, mod, &classify.Assignment{}, 5)
+	rt := New(mod, Config{Workers: 1, CheckpointPeriod: 2}, ri)
+	if _, err := rt.Run(8); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rt.Output(), "0 0 0 0 0 0 0 0 "; got != want {
+		t.Errorf("output %q, want %q", got, want)
+	}
+	want := []MisspecSiteRow{{Region: ri.Outline.RegionFn.Name, Cause: "separation violated",
+		Site: check.Format(), Object: "@b", Count: 3}}
+	if rows := rt.MisspecSites(); !reflect.DeepEqual(rows, want) {
+		t.Errorf("rows %+v, want %+v", rows, want)
+	}
+	if rt.Stats.SeparationChecks == 0 || rt.Stats.Recoveries != 3 {
+		t.Errorf("separation checks %d, recoveries %d; want > 0 and 3",
+			rt.Stats.SeparationChecks, rt.Stats.Recoveries)
 	}
 }
