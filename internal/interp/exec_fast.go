@@ -8,8 +8,9 @@ import (
 
 // Active-hook bitmask: computed once per activation so the decoded dispatch
 // loop tests a register instead of a function pointer per hook per
-// instruction. With zero hooks installed (the DOALL baseline and sequential
-// reference runs) every hook branch is a single well-predicted test.
+// instruction. With zero hooks installed (sequential reference runs) every
+// hook branch is a single well-predicted test. The checks need no bit: they
+// execute inline, and the privacy checks test Interp.Spec where they stand.
 const (
 	hBlock = 1 << iota
 	hLoad
@@ -17,14 +18,6 @@ const (
 	hAlloc
 	hFree
 	hPrint
-	hCheckHeap
-	hPrivRead
-	hPrivWrite
-	hRedux
-	hPredict
-	hMisspec
-	hPrivReadSpan
-	hPrivWriteSpan
 )
 
 // computeHookMask derives the active-hook bitmask from the Hooks structure.
@@ -50,30 +43,6 @@ func (it *Interp) computeHookMask() uint32 {
 	}
 	if h.OnPrint != nil {
 		m |= hPrint
-	}
-	if h.CheckHeap != nil {
-		m |= hCheckHeap
-	}
-	if h.PrivateRead != nil {
-		m |= hPrivRead
-	}
-	if h.PrivateWrite != nil {
-		m |= hPrivWrite
-	}
-	if h.ReduxWrite != nil {
-		m |= hRedux
-	}
-	if h.Predict != nil {
-		m |= hPredict
-	}
-	if h.Misspec != nil {
-		m |= hMisspec
-	}
-	if h.PrivateReadSpan != nil {
-		m |= hPrivReadSpan
-	}
-	if h.PrivateWriteSpan != nil {
-		m |= hPrivWriteSpan
 	}
 	return m
 }
@@ -395,74 +364,45 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			}
 			vals[di.dst] = v
 		case ir.OpCheckHeap:
-			addr := vals[di.a]
-			if mask&hCheckHeap != 0 {
-				it.Steps = steps
-				if err := hooks.CheckHeap(di.in, addr); err != nil {
-					return 0, err
-				}
-			} else if addr != 0 && ir.HeapOf(addr) != di.in.Heap {
-				it.Steps = steps
-				return 0, &MisspecError{Instr: di.in, Addr: addr, Reason: fmt.Sprintf(
-					"separation violated: %#x is in %s, expected %s", addr, ir.HeapOf(addr), di.in.Heap)}
+			if it.ChecksOff {
+				break
 			}
-		case ir.OpPrivateRead:
-			if mask&hPrivRead != 0 {
+			it.SepChecks++
+			if addr := vals[di.a]; addr != 0 && ir.HeapOf(addr) != di.in.Heap {
 				it.Steps = steps
-				if err := hooks.PrivateRead(di.in, vals[di.a], di.size); err != nil {
-					return 0, err
-				}
+				return 0, &MisspecError{Instr: di.in, Addr: addr, Reason: sepViolated}
 			}
-		case ir.OpPrivateWrite:
-			if mask&hPrivWrite != 0 {
+		case ir.OpPrivateRead, ir.OpPrivateWrite:
+			if it.Spec != nil {
 				it.Steps = steps
-				if err := hooks.PrivateWrite(di.in, vals[di.a], di.size); err != nil {
+				if err := it.Spec.Private(di.in, vals[di.a], 1, di.size, di.size,
+					di.op == ir.OpPrivateWrite); err != nil {
 					return 0, err
 				}
 			}
-		case ir.OpPrivateReadSpan:
-			if mask&hPrivReadSpan != 0 {
+		case ir.OpPrivateReadSpan, ir.OpPrivateWriteSpan:
+			if it.Spec != nil {
 				it.Steps = steps
-				if err := hooks.PrivateReadSpan(di.in, vals[di.a],
-					int64(vals[di.b]), int64(vals[di.c]), di.size); err != nil {
-					return 0, err
-				}
-			}
-		case ir.OpPrivateWriteSpan:
-			if mask&hPrivWriteSpan != 0 {
-				it.Steps = steps
-				if err := hooks.PrivateWriteSpan(di.in, vals[di.a],
-					int64(vals[di.b]), int64(vals[di.c]), di.size); err != nil {
+				if err := it.Spec.Private(di.in, vals[di.a], int64(vals[di.b]), int64(vals[di.c]),
+					di.size, di.op == ir.OpPrivateWriteSpan); err != nil {
 					return 0, err
 				}
 			}
 		case ir.OpReduxWrite:
-			if mask&hRedux != 0 {
-				it.Steps = steps
-				if err := hooks.ReduxWrite(di.in, vals[di.a], di.size); err != nil {
-					return 0, err
-				}
-			}
+			// A marker only: separation into the redux heap is check_heap's.
 		case ir.OpPredict:
-			a, b := vals[di.a], vals[di.b]
-			if mask&hPredict != 0 {
+			if it.ChecksOff {
+				break
+			}
+			it.Predictions++
+			if vals[di.a] != vals[di.b] {
 				it.Steps = steps
-				if err := hooks.Predict(di.in, a, b); err != nil {
-					return 0, err
-				}
-			} else if a != b {
-				it.Steps = steps
-				return 0, &MisspecError{Instr: di.in, Reason: fmt.Sprintf(
-					"value prediction failed: %d != %d", a, b)}
+				return 0, &MisspecError{Instr: di.in, Reason: predictFailed}
 			}
 		case ir.OpMisspec:
-			it.Steps = steps
-			if mask&hMisspec != 0 {
-				if err := hooks.Misspec(di.in); err != nil {
-					return 0, err
-				}
-			} else {
-				return 0, &MisspecError{Instr: di.in, Reason: "explicit misspec"}
+			if !it.ChecksOff {
+				it.Steps = steps
+				return 0, &MisspecError{Instr: di.in, Reason: controlViolated}
 			}
 		default:
 			// Rare or wide instructions (print, memset, memcopy, stray φ)

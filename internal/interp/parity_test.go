@@ -2,6 +2,7 @@ package interp_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -26,16 +27,20 @@ type outcome struct {
 	steps  int64
 	out    string
 	memory uint64 // digest of every page the run wrote
+	// sepChecks and predictions are the interpreter's check counters.
+	sepChecks, predictions int64
 }
 
 func (o outcome) String() string {
-	return fmt.Sprintf("ret=%d err=%q steps=%d out=%q memory=%#x", o.ret, o.err, o.steps, o.out, o.memory)
+	return fmt.Sprintf("ret=%d err=%q steps=%d out=%q memory=%#x checks=%d/%d",
+		o.ret, o.err, o.steps, o.out, o.memory, o.sepChecks, o.predictions)
 }
 
 // finish runs it and collects its outcome.
 func finish(it *interp.Interp, args ...uint64) outcome {
 	ret, err := it.Run(args...)
-	o := outcome{ret: ret, steps: it.Steps, out: it.Out.String()}
+	o := outcome{ret: ret, steps: it.Steps, out: it.Out.String(),
+		sepChecks: it.SepChecks, predictions: it.Predictions}
 	if err != nil {
 		o.err = err.Error()
 	}
@@ -132,10 +137,25 @@ func TestStepLimitSweepParity(t *testing.T) {
 	}
 }
 
-// recordHooks installs every hook on it and folds each firing — which hook,
-// the instruction, address and size, Interp.Steps at that moment, and the
-// frame's values of the instruction and of its operands, so a fused
-// component that skipped its own slot shows — into h.
+// recorder is a Speculator that folds every privacy check into h, as
+// recordHooks folds a hook firing.
+type recorder struct {
+	site func(kind uint64, in *ir.Instr, vs ...uint64)
+}
+
+func (r recorder) Private(in *ir.Instr, addr uint64, count, stride, size int64, write bool) error {
+	kind := uint64(9)
+	if write {
+		kind = 10
+	}
+	r.site(kind, in, addr, uint64(count), uint64(stride), uint64(size))
+	return nil
+}
+
+// recordHooks installs every hook and a recording Speculator on it and folds
+// each firing — which hook, the instruction, address and size, Interp.Steps
+// at that moment, and the frame's values of the instruction and of its
+// operands, so a fused component that skipped its own slot shows — into h.
 func recordHooks(it *interp.Interp, h hash.Hash64) {
 	site := func(kind uint64, in *ir.Instr, vs ...uint64) {
 		word(h, kind, uint64(it.Steps))
@@ -154,6 +174,7 @@ func recordHooks(it *interp.Interp, h hash.Hash64) {
 			}
 		}
 	}
+	it.Spec = recorder{site}
 	it.Hooks = interp.Hooks{
 		OnBlock: func(fr *interp.Frame, from, to *ir.Block) {
 			site(1, nil, uint64(from.Index), uint64(to.Index))
@@ -174,40 +195,17 @@ func recordHooks(it *interp.Interp, h hash.Hash64) {
 			h.Write([]byte(text))
 			return false
 		},
-		CheckHeap: func(in *ir.Instr, addr uint64) error { site(9, in, addr); return nil },
-		PrivateRead: func(in *ir.Instr, addr uint64, size int64) error {
-			site(10, in, addr, uint64(size))
-			return nil
-		},
-		PrivateWrite: func(in *ir.Instr, addr uint64, size int64) error {
-			site(11, in, addr, uint64(size))
-			return nil
-		},
-		PrivateReadSpan: func(in *ir.Instr, addr uint64, count, stride, size int64) error {
-			site(12, in, addr, uint64(count), uint64(stride), uint64(size))
-			return nil
-		},
-		PrivateWriteSpan: func(in *ir.Instr, addr uint64, count, stride, size int64) error {
-			site(13, in, addr, uint64(count), uint64(stride), uint64(size))
-			return nil
-		},
-		ReduxWrite: func(in *ir.Instr, addr uint64, size int64) error {
-			site(14, in, addr, uint64(size))
-			return nil
-		},
-		Predict: func(in *ir.Instr, actual, expected uint64) error {
-			site(15, in, actual, expected)
-			return nil
-		},
-		Misspec: func(in *ir.Instr) error { site(16, in); return nil },
 	}
 }
 
 // TestHookSequenceParity requires the two executors to fire the same hooks
-// in the same order with the same arguments at the same step counts, on the
-// plain module and on the one core.Parallelize leaves — run sequentially,
-// so its check_heap and private_* sites sit next to fused neighbours.
+// and make the same Speculator calls in the same order with the same
+// arguments at the same step counts, and to count the same checks, on the
+// plain module and on the one core.Parallelize leaves — run sequentially
+// with checks on, so its check_heap, predict and private_* sites sit next
+// to fused neighbours.
 func TestHookSequenceParity(t *testing.T) {
+	var sepChecks, predictions int64
 	check := func(name string, mod *ir.Module, args ...uint64) {
 		t.Helper()
 		var sums [2]hash.Hash64
@@ -227,6 +225,8 @@ func TestHookSequenceParity(t *testing.T) {
 			t.Errorf("%s: hook sequence digests differ: decoded %#x, tree-walk %#x",
 				name, sums[0].Sum64(), sums[1].Sum64())
 		}
+		sepChecks += fast.sepChecks
+		predictions += fast.predictions
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		cfg := randprog.DefaultConfig(seed)
@@ -245,6 +245,92 @@ func TestHookSequenceParity(t *testing.T) {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
 		check(p.Name+", parallelized", par.Mod)
+	}
+	if sepChecks == 0 || predictions == 0 {
+		t.Errorf("the parallelized programs counted %d separation checks and %d predictions; want some of each",
+			sepChecks, predictions)
+	}
+}
+
+// checksModule builds main(mode): a null check_heap and an equal
+// prediction that pass, privacy and reduction marks with no Speculator to
+// receive them, then the check that fails for mode 0 (check_heap of a
+// system-heap global against the read-only heap), 1 (predict mode == 2) or
+// 2 (misspec); it returns mode + 40. failing holds those three checks.
+func checksModule() (m *ir.Module, g *ir.Global, failing [3]*ir.Instr) {
+	m = ir.NewModule("checks")
+	g = m.NewGlobal("g", 8)
+	f := m.NewFunc("main", ir.I64)
+	mode := f.NewParam("mode", ir.I64)
+	b := ir.NewBuilder(f)
+	b.CheckHeap(b.P(0), ir.HeapReadOnly)
+	b.Predict(b.I(7), b.I(7))
+	b.PrivateWrite(b.Global(g), 8)
+	b.PrivateReadSpan(b.Global(g), b.I(1), b.I(8), 8)
+	b.ReduxWrite(b.Global(g), 8, ir.ReduxAddI64)
+	b.If(b.Eq(mode, b.I(0)), func() { failing[0] = b.CheckHeap(b.Global(g), ir.HeapReadOnly) }, nil)
+	b.If(b.Eq(mode, b.I(1)), func() { failing[1] = b.Predict(mode, b.I(2)) }, nil)
+	b.If(b.Eq(mode, b.I(2)), func() { failing[2] = b.Misspec() }, nil)
+	b.Ret(b.Add(mode, b.I(40)))
+	return m, g, failing
+}
+
+// TestCheckParity pins the inline checks in both executors. With checks on,
+// each failing check stops the run with its one MisspecError — the reason
+// text of its kind, the faulting address for check_heap only, the check as
+// Instr — after counting itself; with checks off every mode runs to its
+// return and counts nothing. Steps, counters and memory agree throughout,
+// and the marks with no Speculator cost their step and nothing else.
+func TestCheckParity(t *testing.T) {
+	m, g, failing := checksModule()
+	if err := ir.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	want := [3]struct {
+		reason                 string
+		addr                   bool
+		sepChecks, predictions int64
+	}{
+		{"separation violated", true, 2, 1},
+		{"value prediction failed", false, 1, 2},
+		{"control speculation violated", false, 1, 1},
+	}
+	for mode := range failing {
+		for _, off := range []bool{false, true} {
+			fast, slow := both(m, func(it *interp.Interp) { it.ChecksOff = off }, uint64(mode))
+			if fast != slow {
+				t.Errorf("mode %d, checks off %v:\n decoded:   %v\n tree-walk: %v", mode, off, fast, slow)
+			}
+			if off {
+				if fast.err != "" || fast.ret != uint64(mode)+40 || fast.sepChecks+fast.predictions != 0 {
+					t.Errorf("mode %d, checks off: %v; want a clean return of %d and no checks counted",
+						mode, fast, mode+40)
+				}
+				continue
+			}
+			w := want[mode]
+			if fast.sepChecks != w.sepChecks || fast.predictions != w.predictions {
+				t.Errorf("mode %d: counted %d/%d checks, want %d/%d",
+					mode, fast.sepChecks, fast.predictions, w.sepChecks, w.predictions)
+			}
+			for _, treeWalk := range []bool{false, true} {
+				it := interp.New(m, vm.NewAddressSpace())
+				it.SetTreeWalk(treeWalk)
+				_, err := it.Run(uint64(mode))
+				var me *interp.MisspecError
+				if !errors.As(err, &me) {
+					t.Fatalf("mode %d, tree-walk %v: error %v, want a misspeculation", mode, treeWalk, err)
+				}
+				wantAddr := uint64(0)
+				if w.addr {
+					wantAddr = it.GlobalAddr(g)
+				}
+				if me.Reason != w.reason || me.Addr != wantAddr || me.Instr != failing[mode] {
+					t.Errorf("mode %d, tree-walk %v: %q at %#x by %v; want %q at %#x by %v",
+						mode, treeWalk, me.Reason, me.Addr, me.Instr, w.reason, wantAddr, failing[mode])
+				}
+			}
+		}
 	}
 }
 

@@ -42,11 +42,13 @@ func outlineRegion(t *testing.T, mod *ir.Module, assign *classify.Assignment, ar
 }
 
 // TestPerInvocationFallback: the recovery budget must be per invocation —
-// a budget of 2 under certain misspeculation yields exactly 2 recoveries
-// and 1 fallback per region entry, and a later invocation starts with a
-// fresh budget instead of inheriting the exhausted one.
+// under certain misspeculation a region entry makes exactly
+// DefaultMaxRecoveries recoveries and 1 fallback, and a later invocation
+// starts with a fresh budget instead of inheriting the exhausted one. Every
+// span misspeculates at its first iteration, so it advances by one and the
+// budget, not the loop's end, stops the recoveries.
 func TestPerInvocationFallback(t *testing.T) {
-	const n = 12
+	const n = 4*DefaultMaxRecoveries + 8
 	seqIt := interp.New(buildWriterModule(n), vm.NewAddressSpace())
 	want, err := seqIt.Run()
 	if err != nil {
@@ -56,7 +58,7 @@ func TestPerInvocationFallback(t *testing.T) {
 	ri := buildRegion(t, mod)
 	rt := New(mod, Config{
 		Workers: 3, CheckpointPeriod: 2,
-		MisspecRate: 1.0, Seed: 1, MaxRecoveries: 2,
+		MisspecRate: 1.0, Seed: 1,
 	}, ri)
 	got, err := rt.Run()
 	if err != nil {
@@ -65,8 +67,8 @@ func TestPerInvocationFallback(t *testing.T) {
 	if got != want {
 		t.Errorf("result %d, want %d", got, want)
 	}
-	if rt.Stats.Recoveries != 2 {
-		t.Errorf("recoveries %d, want 2 (the budget)", rt.Stats.Recoveries)
+	if rt.Stats.Recoveries != DefaultMaxRecoveries {
+		t.Errorf("recoveries %d, want %d (the budget)", rt.Stats.Recoveries, DefaultMaxRecoveries)
 	}
 	if rt.Stats.SequentialFallbacks != 1 {
 		t.Errorf("fallbacks %d, want 1", rt.Stats.SequentialFallbacks)
@@ -79,34 +81,12 @@ func TestPerInvocationFallback(t *testing.T) {
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Stats.Recoveries != 4 {
-		t.Errorf("recoveries after second invocation %d, want 4 (2 per invocation)", rt.Stats.Recoveries)
+	if rt.Stats.Recoveries != 2*DefaultMaxRecoveries {
+		t.Errorf("recoveries after second invocation %d, want %d (the budget per invocation)",
+			rt.Stats.Recoveries, 2*DefaultMaxRecoveries)
 	}
 	if rt.Stats.SequentialFallbacks != 2 {
 		t.Errorf("fallbacks after second invocation %d, want 2", rt.Stats.SequentialFallbacks)
-	}
-}
-
-// TestUnlimitedRecoveries: a negative budget disables the fallback. The
-// run is single-worker so every iteration misspeculates in its own span:
-// the recovery count deterministically exceeds DefaultMaxRecoveries, which
-// proves the budget really is off (the default would have fallen back).
-func TestUnlimitedRecoveries(t *testing.T) {
-	const n = DefaultMaxRecoveries + 8
-	mod := buildWriterModule(n)
-	ri := buildRegion(t, mod)
-	rt := New(mod, Config{
-		Workers: 1, CheckpointPeriod: 1,
-		MisspecRate: 1.0, Seed: 1, MaxRecoveries: -1,
-	}, ri)
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Stats.SequentialFallbacks != 0 {
-		t.Errorf("fallbacks %d with unlimited budget, want 0", rt.Stats.SequentialFallbacks)
-	}
-	if rt.Stats.Recoveries != n {
-		t.Errorf("recoveries %d, want %d (one per iteration)", rt.Stats.Recoveries, n)
 	}
 }
 
@@ -345,16 +325,16 @@ func TestShadowMemoAcrossIntervals(t *testing.T) {
 
 // TestEventSequenceGolden pins the exact lifecycle event sequence for a
 // deterministic single-worker run that misspeculates on every iteration,
-// recovers twice, and falls back: the trace is an API, and reorderings are
-// regressions.
+// recovers DefaultMaxRecoveries times, and falls back: the trace is an API,
+// and reorderings are regressions.
 func TestEventSequenceGolden(t *testing.T) {
-	const n = 6
+	const n = DefaultMaxRecoveries + 4
 	mod := buildWriterModule(n)
 	ri := buildRegion(t, mod)
 	col := obs.NewCollector(0)
 	rt := New(mod, Config{
-		Workers: 1, CheckpointPeriod: 2,
-		MisspecRate: 1.0, Seed: 1, MaxRecoveries: 2,
+		Workers: 1, CheckpointPeriod: 1,
+		MisspecRate: 1.0, Seed: 1,
 		Trace: obs.NewTracer(col),
 	}, ri)
 	if _, err := rt.Run(); err != nil {
@@ -378,14 +358,13 @@ func TestEventSequenceGolden(t *testing.T) {
 		}
 		got = append(got, s)
 	}
-	want := []string{
-		"span-start", "phase:fast", "misspec:injected", "phase:validate", "span-end",
-		"phase:recover", "recovery",
-		"span-start", "phase:fast", "misspec:injected", "phase:validate", "span-end",
-		"phase:recover", "recovery",
-		"seq-fallback",
-		"region-invoke",
+	var want []string
+	for r := 0; r < DefaultMaxRecoveries; r++ {
+		want = append(want,
+			"span-start", "phase:fast", "misspec:injected", "phase:validate", "span-end",
+			"phase:recover", "recovery")
 	}
+	want = append(want, "seq-fallback", "region-invoke")
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("event sequence:\n got %v\nwant %v", got, want)
 	}

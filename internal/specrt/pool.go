@@ -17,7 +17,8 @@ const DefaultPoolSlots = 32
 // warmSlot is one pooled process's machinery: a released address space
 // (structure, map capacity and its arena of recycled nodes and pages
 // retained, contents dropped) and a recycled interpreter over the shared
-// decoded program (frame slabs retained; hooks, output and layout dropped).
+// decoded program (frame slabs retained; hooks, Speculator, output, check
+// counters and layout dropped, checks back on).
 // A worker draws one and RecloneFrom re-targets the space at its master; a
 // run's master draws one and lays its globals out on the empty space.
 type warmSlot struct {
@@ -134,8 +135,9 @@ func (p *WorkerPool) get(prog *interp.Program) *warmSlot {
 }
 
 // put releases a slot's address space and recycles its interpreter
-// (dropping every page, allocator reference and hook of the run that used
-// it, so a parked slot pins neither that run's memory nor the run itself)
+// (dropping every page, allocator reference, hook and Speculator of the run
+// that used it, so a parked slot pins neither that run's memory nor the run
+// itself)
 // and parks it for the next get; slots beyond the per-program cap are
 // discarded.
 func (p *WorkerPool) put(prog *interp.Program, s *warmSlot) {

@@ -2,6 +2,7 @@ package specrt
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"slices"
 	"strings"
@@ -228,9 +229,9 @@ func TestPooledMasterIsFresh(t *testing.T) {
 
 // TestParkedSlotsPinNoRun: a parked slot keeps only its own machinery. Once
 // a pooled run's RT is dropped it is collected while the pool still holds
-// its master's and workers' slots; a parked interpreter whose hooks still
-// reached the worker, its span and so the RT would keep the whole run —
-// master tree, output, checkpoints, site map — alive.
+// its master's and workers' slots; a parked interpreter whose hooks or
+// Speculator still reached the worker, its span and so the RT would keep the
+// whole run — master tree, output, checkpoints, site map — alive.
 func TestParkedSlotsPinNoRun(t *testing.T) {
 	mod := buildScratchModule(40)
 	ri := buildRegion(t, mod)
@@ -252,6 +253,46 @@ func TestParkedSlotsPinNoRun(t *testing.T) {
 	}
 	if st := pool.Snapshot(); st.Retained == 0 {
 		t.Fatalf("the pool parked nothing: %+v", st)
+	}
+	for _, slots := range pool.slots {
+		for _, s := range slots {
+			if s.it.Spec != nil {
+				t.Errorf("a parked interpreter keeps its Speculator %T", s.it.Spec)
+			}
+		}
+	}
+}
+
+// TestRecycledInterpreterChecks: an interpreter that ran with checks off —
+// recovery's mode — comes back from the pool checking and counting from
+// zero, so a warm worker never speculates unchecked. With checks off the
+// separation module's bad pointers pass; the recycled interpreter stops at
+// the first one.
+func TestRecycledInterpreterChecks(t *testing.T) {
+	mod, check := buildSeparationModule()
+	prog := interp.SharedProgram(mod)
+	pool := NewWorkerPool(1)
+	it := interp.NewShared(prog, vm.NewAddressSpace())
+	it.ChecksOff = true
+	if _, err := it.Run(8); err != nil {
+		t.Fatalf("checks off: %v", err)
+	}
+	pool.put(prog, &warmSlot{as: it.AS, it: it})
+	s := pool.get(prog)
+	if s == nil || s.it != it {
+		t.Fatal("the pool did not hand the parked interpreter back")
+	}
+	if it.ChecksOff || it.SepChecks != 0 || it.Predictions != 0 {
+		t.Fatalf("recycled: checks off %v, counters %d/%d; want checks on, counting from zero",
+			it.ChecksOff, it.SepChecks, it.Predictions)
+	}
+	_, err := it.Run(8)
+	var me *interp.MisspecError
+	if !errors.As(err, &me) || me.Reason != "separation violated" || me.Instr != check {
+		t.Fatalf("recycled run: %v; want the separation check to fail", err)
+	}
+	if it.SepChecks != 6 {
+		t.Errorf("recycled run counted %d separation checks, want 6 (five pass, the sixth fails)", it.SepChecks)
 	}
 }
 

@@ -19,13 +19,13 @@ import (
 	"privateer/internal/vm"
 )
 
-// DefaultMaxRecoveries is the per-invocation recovery budget when
-// Config.MaxRecoveries is zero. Each recovery makes forward progress, so
-// the budget is a policy knob, not a liveness requirement: past it the
-// invocation's remainder abandons speculation (a sequential fallback),
-// trading lost parallelism for an end to churn. The value comfortably
-// covers the paper's Figure 9 regime (up to ~20 expected misspeculations
-// per invocation at the highest injected rate).
+// DefaultMaxRecoveries is the per-invocation recovery budget. Each recovery
+// makes forward progress, so the budget is a policy, not a liveness
+// requirement: past it the invocation's remainder abandons speculation (a
+// sequential fallback, counted in Stats.SequentialFallbacks), trading lost
+// parallelism for an end to churn. The value comfortably covers the
+// paper's Figure 9 regime (up to ~20 expected misspeculations per
+// invocation at the highest injected rate).
 const DefaultMaxRecoveries = 32
 
 // Config controls a speculative run.
@@ -36,11 +36,6 @@ type Config struct {
 	// automatically (about five checkpoints per invocation, capped at the
 	// paper's 253-iteration metadata limit).
 	CheckpointPeriod int64
-	// MaxRecoveries bounds recovery episodes per invocation; past the
-	// budget the invocation's remainder runs sequentially and counts as a
-	// SequentialFallback. 0 selects DefaultMaxRecoveries; negative values
-	// disable the budget.
-	MaxRecoveries int
 	// MisspecRate injects artificial misspeculation at the given
 	// per-iteration probability (Figure 9). Zero disables injection.
 	MisspecRate float64
@@ -503,14 +498,6 @@ func (rt *RT) checkpointPeriod(total int64) int64 {
 	return k
 }
 
-// maxRecoveries resolves the per-invocation recovery budget.
-func (rt *RT) maxRecoveries() int {
-	if rt.Cfg.MaxRecoveries == 0 {
-		return DefaultMaxRecoveries
-	}
-	return rt.Cfg.MaxRecoveries
-}
-
 // invoke runs one parallel region invocation: args are (lo, hi, live-ins).
 func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	wall := startTimer()
@@ -530,11 +517,10 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	// The recovery budget is per invocation: a misspeculation-heavy region
 	// entry falls back to sequential execution for its own remainder
 	// without poisoning later invocations.
-	maxRec := rt.maxRecoveries()
 	recoveries := 0
 	start := lo
 	for start < hi {
-		if maxRec > 0 && recoveries >= maxRec {
+		if recoveries >= DefaultMaxRecoveries {
 			// Budget spent: the remainder runs sequentially, checks disabled.
 			atomic.AddInt64(&rt.Stats.SequentialFallbacks, 1)
 			fallback := startTimer()
@@ -662,12 +648,9 @@ func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64) err
 		// must track allocations and frees it performs.
 		it.Hooks.OnAlloc = rt.onAlloc
 		it.Hooks.OnFree = rt.onFree
-		// The privacy and reduction marks are left nil, which both
-		// executors skip; check_heap, predict and misspec have checking
-		// defaults a nil hook would select, so those three are overridden.
-		it.Hooks.CheckHeap = func(in *ir.Instr, addr uint64) error { return nil }
-		it.Hooks.Predict = func(in *ir.Instr, actual, expected uint64) error { return nil }
-		it.Hooks.Misspec = func(in *ir.Instr) error { return nil }
+		// No Speculator: the privacy marks are skipped. check_heap,
+		// predict and misspec would check, so checks go off.
+		it.ChecksOff = true
 		rt.recov = it
 	}
 	it.Steps = 0

@@ -247,10 +247,11 @@ func buildScratchModule(n int64) *ir.Module {
 }
 
 // TestHookCountersFoldExactly: workers count their dynamic checks privately
-// and fold them into Stats at interval boundaries and on exit. The totals
-// are the ones recorded when every hook wrote Stats directly, at every
-// worker count; and a worker squashed before its first contribution (one
-// worker, every iteration injected, so no checkpoint is ever built) still
+// (the interpreter counts check_heap and predict) and fold them into Stats
+// at interval boundaries and on exit. The totals are the ones recorded when
+// every hook wrote Stats directly, at every worker count; and a worker
+// squashed before its first contribution (one worker, both iterations of a
+// two-iteration loop injected, so no checkpoint is ever built) still
 // publishes what it counted.
 func TestHookCountersFoldExactly(t *testing.T) {
 	hooks := func(s Stats) Stats {
@@ -259,23 +260,24 @@ func TestHookCountersFoldExactly(t *testing.T) {
 			PrivWriteChecks: s.PrivWriteChecks, PrivWriteBytes: s.PrivWriteBytes,
 			DeferredIO: s.DeferredIO}
 	}
-	run := func(cfg Config) Stats {
+	// buildScratchModule(n) returns out[n-1] = 4(n-1) + 6.
+	run := func(n int64, cfg Config) Stats {
 		t.Helper()
-		mod := buildScratchModule(40)
+		mod := buildScratchModule(n)
 		rt := New(mod, cfg, buildRegion(t, mod))
-		if v, err := rt.Run(); err != nil || v != 162 {
-			t.Fatalf("%+v: result %d, %v; want 162", cfg, v, err)
+		if v, err := rt.Run(); err != nil || int64(v) != 4*(n-1)+6 {
+			t.Fatalf("%+v: result %d, %v; want %d", cfg, v, err, 4*(n-1)+6)
 		}
 		return rt.Stats.Snapshot()
 	}
 	clean := Stats{SeparationChecks: 320, PrivReadChecks: 40, PrivReadBytes: 1280,
 		PrivWriteChecks: 80, PrivWriteBytes: 1600, DeferredIO: 40}
 	for _, workers := range []int{1, 2, 4} {
-		if got := hooks(run(Config{Workers: workers, CheckpointPeriod: 5})); got != clean {
+		if got := hooks(run(40, Config{Workers: workers, CheckpointPeriod: 5})); got != clean {
 			t.Errorf("workers=%d: hook counters %+v, want %+v", workers, got, clean)
 		}
 	}
-	st := run(Config{Workers: 1, CheckpointPeriod: 5, MisspecRate: 1, Seed: 3, MaxRecoveries: 2})
+	st := run(2, Config{Workers: 1, CheckpointPeriod: 5, MisspecRate: 1, Seed: 3})
 	if st.Checkpoints != 0 || st.Misspecs != 2 {
 		t.Fatalf("squash run built %d checkpoints over %d misspeculations; the test wants 0 and 2",
 			st.Checkpoints, st.Misspecs)
@@ -288,9 +290,11 @@ func TestHookCountersFoldExactly(t *testing.T) {
 }
 
 // TestSequentialFallbackPath drives the runtime into its bounded-recovery
-// fallback by making every iteration misspeculate.
+// fallback by making every iteration misspeculate: one worker and one
+// iteration per checkpoint, so each span advances by one iteration and the
+// budget runs out before the loop does.
 func TestSequentialFallbackPath(t *testing.T) {
-	const n = 12
+	const n = DefaultMaxRecoveries + 8
 	seqIt := interp.New(buildWriterModule(n), vm.NewAddressSpace())
 	want, err := seqIt.Run()
 	if err != nil {
@@ -298,7 +302,7 @@ func TestSequentialFallbackPath(t *testing.T) {
 	}
 	mod := buildWriterModule(n)
 	ri := buildRegion(t, mod)
-	rt := New(mod, Config{Workers: 3, CheckpointPeriod: 2, MisspecRate: 1.0, Seed: 1}, ri)
+	rt := New(mod, Config{Workers: 1, CheckpointPeriod: 1, MisspecRate: 1.0, Seed: 1}, ri)
 	got, err := rt.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -306,8 +310,9 @@ func TestSequentialFallbackPath(t *testing.T) {
 	if got != want {
 		t.Errorf("result %d, want %d", got, want)
 	}
-	if rt.Stats.Recoveries == 0 {
-		t.Error("expected recoveries under certain misspeculation")
+	if rt.Stats.Recoveries != DefaultMaxRecoveries || rt.Stats.SequentialFallbacks != 1 {
+		t.Errorf("recoveries %d, fallbacks %d; want %d and 1",
+			rt.Stats.Recoveries, rt.Stats.SequentialFallbacks, DefaultMaxRecoveries)
 	}
 }
 

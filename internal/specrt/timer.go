@@ -12,7 +12,7 @@ import (
 // trace event — are written from those two readings, so a kind's DurNS
 // summed over a run's events equals the Stats field exactly (the "Time
 // accounting" table in ARCHITECTURE.md lists the pairs). Besides this file
-// only worker.privCheck reads the clock, around one privacy check in
+// only worker.Private reads the clock, around one privacy check in
 // privTimeEvery.
 type spanTimer struct{ t0 time.Time }
 

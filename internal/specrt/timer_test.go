@@ -66,24 +66,27 @@ func checkTimeLedger(t *testing.T, st Stats, events []obs.Event) (n, dur map[obs
 // spawning — each timed section is accounted once and its two views agree
 // exactly.
 func TestTimeLedgerReconciles(t *testing.T) {
+	// The fallback case needs more iterations than the recovery budget: each
+	// of its spans misspeculates at its first iteration and advances by one.
 	cases := []struct {
 		name  string
+		iters int64
 		cfg   Config
 		check func(t *testing.T, st Stats, n map[obs.Kind]int64)
 	}{
-		{"clean", Config{CheckpointPeriod: 5}, func(t *testing.T, st Stats, n map[obs.Kind]int64) {
+		{"clean", 40, Config{CheckpointPeriod: 5}, func(t *testing.T, st Stats, n map[obs.Kind]int64) {
 			if st.Misspecs != 0 || st.CheckpointNS <= 0 {
 				t.Errorf("misspecs %d, CheckpointNS %d; want a clean run that merged", st.Misspecs, st.CheckpointNS)
 			}
 		}},
-		{"recovery", Config{CheckpointPeriod: 5, MisspecRate: 0.5, Seed: 3, MaxRecoveries: -1},
+		{"recovery", 40, Config{CheckpointPeriod: 5, MisspecRate: 0.5, Seed: 3},
 			func(t *testing.T, st Stats, n map[obs.Kind]int64) {
 				if st.Recoveries == 0 || st.SequentialFallbacks != 0 || n[obs.KRecovery] != st.Recoveries {
 					t.Errorf("recoveries %d (events %d), fallbacks %d; want recoveries only",
 						st.Recoveries, n[obs.KRecovery], st.SequentialFallbacks)
 				}
 			}},
-		{"fallback", Config{CheckpointPeriod: 5, MisspecRate: 1, Seed: 3, MaxRecoveries: 2},
+		{"fallback", 4*DefaultMaxRecoveries + 8, Config{CheckpointPeriod: 5, MisspecRate: 1, Seed: 3},
 			func(t *testing.T, st Stats, n map[obs.Kind]int64) {
 				if st.Checkpoints != 0 || st.SequentialFallbacks != 1 || n[obs.KSeqFallback] != 1 {
 					t.Errorf("checkpoints %d, fallbacks %d (events %d); want every worker squashed before contributing, then one fallback",
@@ -100,10 +103,11 @@ func TestTimeLedgerReconciles(t *testing.T) {
 				col := obs.NewCollector(1 << 16)
 				cfg := c.cfg
 				cfg.Workers, cfg.Trace = workers, obs.NewTracer(col)
-				mod := buildScratchModule(40)
+				mod := buildScratchModule(c.iters)
 				rt := New(mod, cfg, buildRegion(t, mod))
-				if v, err := rt.Run(); err != nil || v != 162 {
-					t.Fatalf("result %d, %v; want 162", v, err)
+				// buildScratchModule(n) returns out[n-1] = 4(n-1) + 6.
+				if v, err := rt.Run(); err != nil || int64(v) != 4*(c.iters-1)+6 {
+					t.Fatalf("result %d, %v; want %d", v, err, 4*(c.iters-1)+6)
 				}
 				if col.Dropped() != 0 {
 					t.Fatal("collector wrapped")
@@ -140,9 +144,10 @@ func TestTimeLedgerReconciles(t *testing.T) {
 }
 
 // TestPrivacyClockEstimate pins the estimator behind Stats.PrivReadNS and
-// PrivWriteNS: the hooks read the clock around one check in privTimeEvery
-// and foldStats scales that to every check of the window, so the totals must
-// stay within a factor of two of the same checks timed one by one. The
+// PrivWriteNS: the worker's Speculator reads the clock around one check in
+// privTimeEvery and foldStats scales that to every check of the window, so
+// the totals must stay within a factor of two of the same checks timed one
+// by one. The
 // windows between folds are dijkstra's (thousands of 8-byte checks) and
 // blackscholes' (two or three span checks, where scaling by the period
 // instead of by the count would read 20 times high). A preemption inside
@@ -155,7 +160,7 @@ func TestPrivacyClockEstimate(t *testing.T) {
 		w := &worker{sp: &spanState{rt: rt}, as: as, curTS: TimestampFor(0, 0),
 			it: interp.New(ir.NewModule("m"), as)}
 		w.installHooks()
-		h := &w.it.Hooks
+		spec := w.it.Spec
 		base := ir.HeapPrivate.Base() + vm.PageSize
 		var exact time.Duration
 		var checks int64
@@ -166,11 +171,11 @@ func TestPrivacyClockEstimate(t *testing.T) {
 				var err error
 				switch {
 				case window < 10:
-					err = h.PrivateWriteSpan(nil, base, 512, 8, 8)
+					err = spec.Private(nil, base, 512, 8, 8, true)
 				case i%2 == 0:
-					err = h.PrivateWrite(nil, addr, 8)
+					err = spec.Private(nil, addr, 1, 8, 8, true)
 				default:
-					err = h.PrivateRead(nil, addr-8, 8)
+					err = spec.Private(nil, addr-8, 1, 8, 8, false)
 				}
 				exact += time.Since(t0)
 				if err != nil {

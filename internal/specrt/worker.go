@@ -338,11 +338,12 @@ type worker struct {
 	simCheckpoint int64
 	simOther      int64
 
-	// local holds the counts the hooks bump once per dynamic check
-	// (SeparationChecks, Predictions, DeferredIO and the six PrivRead/
-	// PrivWrite fields) since the last foldStats. Only this worker's
-	// goroutine touches it, so between interval boundaries a worker writes
-	// no memory another goroutine writes.
+	// local holds the counts the worker bumps once per dynamic check
+	// (DeferredIO and the six PrivRead/PrivWrite fields) since the last
+	// foldStats; the interpreter counts SeparationChecks and Predictions
+	// itself. Only this worker's goroutine touches either, so between
+	// interval boundaries a worker writes no memory another goroutine
+	// writes.
 	local Stats
 }
 
@@ -351,13 +352,16 @@ func (w *worker) simTime() int64 {
 	return w.it.Steps + w.simPrivRead + w.simPrivWrite + w.simCheckpoint + w.simOther
 }
 
-// foldStats adds the hook counts accumulated in w.local into rt.Stats and
-// zeroes them. It runs at every interval contribution and on every exit of
-// run, so a Stats.Snapshot lags a live worker by at most one interval and
-// nothing a squashed worker counted is lost.
+// foldStats adds the check counts accumulated in w.local and in the
+// interpreter's counters into rt.Stats, and the checks' simulated cost into
+// simOther, and zeroes them. It runs at every interval contribution and on
+// every exit of run, so nothing a squashed worker counted is lost.
 func (w *worker) foldStats() {
-	l, g := &w.local, &w.sp.rt.Stats
-	// privCheck timed one check in privTimeEvery, the first one included.
+	l, g, it := &w.local, &w.sp.rt.Stats, w.it
+	w.simOther += it.SepChecks*SimSeparationCheck + it.Predictions*SimPredict
+	l.SeparationChecks, l.Predictions = it.SepChecks, it.Predictions
+	it.SepChecks, it.Predictions = 0, 0
+	// Private timed one check in privTimeEvery, the first one included.
 	for _, c := range [...]struct{ ns, n *int64 }{
 		{&l.PrivReadNS, &l.PrivReadChecks}, {&l.PrivWriteNS, &l.PrivWriteChecks}} {
 		if timed := (*c.n + privTimeEvery - 1) / privTimeEvery; timed > 0 {
@@ -440,45 +444,12 @@ func (w *worker) initRedux() error {
 	return nil
 }
 
+// installHooks makes the worker its interpreter's Speculator and defers
+// its output.
 func (w *worker) installHooks() {
 	rt := w.sp.rt
+	w.it.Spec = w
 	h := &w.it.Hooks
-	h.PrivateRead = func(in *ir.Instr, addr uint64, size int64) error {
-		return w.privCheck(addr, 1, size, size, false)
-	}
-	h.PrivateWrite = func(in *ir.Instr, addr uint64, size int64) error {
-		return w.privCheck(addr, 1, size, size, true)
-	}
-	h.PrivateReadSpan = func(in *ir.Instr, addr uint64, count, stride, size int64) error {
-		return w.privCheck(addr, count, stride, size, false)
-	}
-	h.PrivateWriteSpan = func(in *ir.Instr, addr uint64, count, stride, size int64) error {
-		return w.privCheck(addr, count, stride, size, true)
-	}
-	h.CheckHeap = func(in *ir.Instr, addr uint64) error {
-		w.local.SeparationChecks++
-		w.simOther += SimSeparationCheck
-		if addr != 0 && ir.HeapOf(addr) != in.Heap {
-			return &interp.MisspecError{Instr: in, Addr: addr, Reason: "separation violated"}
-		}
-		return nil
-	}
-	h.Predict = func(in *ir.Instr, actual, expected uint64) error {
-		w.local.Predictions++
-		w.simOther += SimPredict
-		if actual != expected {
-			return &interp.MisspecError{Instr: in, Reason: "value prediction failed"}
-		}
-		return nil
-	}
-	h.Misspec = func(in *ir.Instr) error {
-		return &interp.MisspecError{Instr: in, Reason: "control speculation violated"}
-	}
-	h.ReduxWrite = func(in *ir.Instr, addr uint64, size int64) error {
-		// Separation into the redux heap is validated by check_heap; the
-		// marker feeds accounting only.
-		return nil
-	}
 	h.OnPrint = func(in *ir.Instr, text string) bool {
 		w.io = append(w.io, ioRec{iter: w.curIter, text: text})
 		w.local.DeferredIO++
@@ -561,12 +532,12 @@ func (w *worker) installAuditHooks() {
 // timed checks do not line up with an array walk's page crossings.
 const privTimeEvery = 61
 
-// privCheck is the body of the four privacy hooks: one check of count
+// Private implements interp.Speculator: one privacy check of count
 // elements of size bytes, stride apart (a plain access is a span of one),
 // counted into w.local and the simulated clock. Only the first check after
 // each foldStats and every privTimeEvery-th after it is timed; foldStats
 // scales the sampled time to all of them.
-func (w *worker) privCheck(addr uint64, count, stride, size int64, isWrite bool) error {
+func (w *worker) Private(_ *ir.Instr, addr uint64, count, stride, size int64, isWrite bool) error {
 	l := &w.local
 	checks, ns, bytes, sim := &l.PrivReadChecks, &l.PrivReadNS, &l.PrivReadBytes, &w.simPrivRead
 	if isWrite {
