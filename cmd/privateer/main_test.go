@@ -1,15 +1,31 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"privateer/internal/progs"
 )
 
-// runCapturing calls run on dijkstra/train with the given -mode and -serve
-// and returns what it printed to stdout with its error.
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/oneshot_*.golden from this build")
+
+// runCapturing calls run on dijkstra/train at 4 workers with the given
+// -mode and -serve and returns what it printed to stdout with its error.
 func runCapturing(t *testing.T, mode, serve string) (string, error) {
+	t.Helper()
+	return capture(t, func() error {
+		return run("dijkstra", "train", 4, mode, serve, 0, 1, 0, false, false)
+	})
+}
+
+// capture calls f with os.Stdout redirected to a file and returns what f
+// printed with its error.
+func capture(t *testing.T, f func() error) (string, error) {
 	t.Helper()
 	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
 	if err != nil {
@@ -18,7 +34,7 @@ func runCapturing(t *testing.T, mode, serve string) (string, error) {
 	defer stdout.Close()
 	saved := os.Stdout
 	os.Stdout = stdout
-	err = run("dijkstra", "train", 4, mode, serve, 0, 1, 0, false, false)
+	err = f()
 	os.Stdout = saved
 	printed, readErr := os.ReadFile(stdout.Name())
 	if readErr != nil {
@@ -50,5 +66,65 @@ func TestServeWithoutModeServeRejected(t *testing.T) {
 	}
 	if printed != "" {
 		t.Errorf("printed %q before rejecting -serve", printed)
+	}
+}
+
+var (
+	// outlinedSeq matches the process-wide sequence number doall appends
+	// to the functions it outlines: it grows with every region the test
+	// binary outlined before (-count=2 runs the test twice in one process).
+	outlinedSeq = regexp.MustCompile(`(__(?:region|iter)_\w+?)_\d+\b`)
+	// padding matches column padding and rules, whose width follows the
+	// longest cell and so the sequence number's digit count.
+	padding = regexp.MustCompile(`  +|--+`)
+)
+
+// maskOutlinedSeq masks the outlined functions' sequence numbers in a report
+// and the column widths they move.
+func maskOutlinedSeq(report string) string {
+	return padding.ReplaceAllStringFunc(outlinedSeq.ReplaceAllString(report, "${1}_N"),
+		func(run string) string { return run[:2] })
+}
+
+// TestOneShotReportGolden pins the whole stdout of a one-shot privateer run
+// with -why-misspec on every program's train input: the pipeline summary,
+// the totals lines, the simulated time and the attribution table. At one
+// worker the injected squash points (rate 0.05, seed 1) do not depend on
+// scheduling, so the text is the same on every run and host; the golden
+// holds it as a fresh test binary prints it, and the comparison masks only
+// what a test that outlined regions before can move (maskOutlinedSeq).
+// Regenerate for an intended change with
+//
+//	go test ./cmd/privateer -run TestOneShotReportGolden -update-golden
+func TestOneShotReportGolden(t *testing.T) {
+	saved := whyMisspec
+	whyMisspec = true
+	defer func() { whyMisspec = saved }()
+	for _, p := range progs.All() {
+		t.Run(p.Name, func(t *testing.T) {
+			got, err := capture(t, func() error {
+				return run(p.Name, "train", 1, "privateer", "", 0.05, 1, 0, false, false)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", "oneshot_"+p.Name+".golden")
+			if *updateGolden {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("reading golden file (regenerate with -update-golden): %v", err)
+			}
+			if maskOutlinedSeq(got) != maskOutlinedSeq(string(want)) {
+				t.Errorf("report changed (regenerate with -update-golden if intended):\n got:\n%s want:\n%s", got, want)
+			}
+		})
 	}
 }
