@@ -35,10 +35,10 @@ import (
 // whyMisspec enables the post-run misspeculation-attribution report.
 var whyMisspec bool
 
-// reportWhyMisspec prints the -why-misspec attribution report.
-func reportWhyMisspec(rt *specrt.RT) {
+// reportWhyMisspec prints a run record's -why-misspec attribution report.
+func reportWhyMisspec(rec specrt.Record) {
 	if whyMisspec {
-		fmt.Print(specrt.FormatMisspecSites(rt.MisspecSites()))
+		fmt.Print(specrt.FormatMisspecSites(rec.Sites))
 	}
 }
 
@@ -198,13 +198,13 @@ func runIRFile(path, argList string, workers int, serve string, misspec float64,
 	if got != seqVal {
 		match = "DIFFERS FROM"
 	}
-	st := rt.Stats.Snapshot()
+	rec := rt.Record
 	fmt.Printf("parallel: result %d (%s sequential), %d misspeculations, sim speedup %.2fx\n",
-		int64(got), match, st.Misspecs, float64(seqIt.Steps)/float64(rt.Sim.Time()))
+		int64(got), match, rec.Stats.Misspecs, float64(seqIt.Steps)/float64(rec.Sim.Time()))
 	if showOut {
 		fmt.Print(rt.Output())
 	}
-	reportWhyMisspec(rt)
+	reportWhyMisspec(rec)
 	return nil
 }
 
@@ -300,7 +300,8 @@ func run(progName, input string, workers int, mode, serve string, misspec float6
 		if err != nil {
 			return err
 		}
-		st := rt.Stats.Snapshot()
+		rec := rt.Record
+		st := rec.Stats
 		fmt.Printf("privateer: %d workers, %d invocations, %d checkpoints, "+
 			"%d misspeculations, %d recoveries\n",
 			workers, st.Invocations, st.Checkpoints, st.Misspecs, st.Recoveries)
@@ -308,11 +309,11 @@ func run(progName, input string, workers int, mode, serve string, misspec float6
 			st.PrivReadChecks, st.PrivReadBytes, st.PrivWriteChecks, st.PrivWriteBytes,
 			st.SeparationChecks, st.Predictions)
 		fmt.Printf("simulated time %d, sim speedup %.2fx\n",
-			rt.Sim.Time(), float64(seqIt.Steps)/float64(rt.Sim.Time()))
+			rec.Sim.Time(), float64(seqIt.Steps)/float64(rec.Sim.Time()))
 		if showOut {
 			fmt.Print(rt.Output())
 		}
-		reportWhyMisspec(rt)
+		reportWhyMisspec(rec)
 		return nil
 	}
 	panic("unreachable: mode validated above")

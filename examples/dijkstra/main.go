@@ -48,13 +48,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	st := rt.Record.Stats
 	fmt.Println("\n=== runtime (section 5) ===")
-	fmt.Printf("checkpoints: %d, misspeculations: %d\n", rt.Stats.Checkpoints, rt.Stats.Misspecs)
+	fmt.Printf("checkpoints: %d, misspeculations: %d\n", st.Checkpoints, st.Misspecs)
 	fmt.Printf("privacy validation: %d reads (%d bytes), %d writes (%d bytes)\n",
-		rt.Stats.PrivReadChecks, rt.Stats.PrivReadBytes,
-		rt.Stats.PrivWriteChecks, rt.Stats.PrivWriteBytes)
+		st.PrivReadChecks, st.PrivReadBytes, st.PrivWriteChecks, st.PrivWriteBytes)
 	fmt.Printf("separation checks: %d, deferred output operations: %d\n",
-		rt.Stats.SeparationChecks, rt.Stats.DeferredIO)
+		st.SeparationChecks, st.DeferredIO)
 
 	if rt.Output() != seqOut {
 		log.Fatalf("output mismatch!\nparallel:\n%s\nsequential:\n%s", rt.Output(), seqOut)

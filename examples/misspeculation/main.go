@@ -42,9 +42,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ok := rt.Output() == seqOut
-		fmt.Printf("%-8.2f  %-8d  %-10d  %v\n",
-			rate, rt.Stats.Misspecs, rt.Stats.Recoveries, ok)
+		ok, st := rt.Output() == seqOut, rt.Record.Stats
+		fmt.Printf("%-8.2f  %-8d  %-10d  %v\n", rate, st.Misspecs, st.Recoveries, ok)
 		if !ok {
 			log.Fatal("recovery failed to restore sequential semantics")
 		}

@@ -77,7 +77,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("parallel result:   %d  (checkpoints=%d, misspeculations=%d)\n",
-		parVal, rt.Stats.Checkpoints, rt.Stats.Misspecs)
+		parVal, rt.Record.Stats.Checkpoints, rt.Record.Stats.Misspecs)
 	if parVal != seqVal {
 		log.Fatal("MISMATCH: speculation broke the program")
 	}

@@ -76,7 +76,7 @@ func main() {
 			status = fmt.Sprintf("MISMATCH (want %d)", seqVal)
 		}
 		fmt.Printf("workers=%-2d sum=%-12d misspecs=%d  %s\n",
-			workers, got, rt.Stats.Misspecs, status)
+			workers, got, rt.Record.Stats.Misspecs, status)
 	}
 
 	// The reduction operators recognized:

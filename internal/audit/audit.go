@@ -200,9 +200,10 @@ func Run(build func() *ir.Module, opts core.Options, plants map[string]string,
 	if err != nil {
 		return nil, fmt.Errorf("audit: speculative run: %w", err)
 	}
-	rep.Misspecs = rt.Stats.Misspecs
-	rep.RuntimeDetails = rt.SepAuditReport()
-	if n := rt.Stats.SepAuditViolations; n > 0 {
+	rec := rt.Record
+	rep.Misspecs = rec.Stats.Misspecs
+	rep.RuntimeDetails = rec.SepAudit
+	if n := rec.Stats.SepAuditViolations; n > 0 {
 		rep.Violations = append(rep.Violations, Violation{
 			Claim: Claim{Loop: "*", Object: "*", Rule: "*"}, Layer: "runtime",
 			Detail: fmt.Sprintf("SepAudit oracle flagged %d access(es) violating a static claim", n)})

@@ -73,7 +73,7 @@ func (s *Suite) AblationCheckpointPeriod(program string, periods []int64, rate f
 			Period:         k,
 			CleanSpeedup:   pr.simSpeedup(clean),
 			MisspecSpeedup: pr.simSpeedup(dirty),
-			Misspecs:       dirty.Stats.Snapshot().Misspecs,
+			Misspecs:       dirty.Stats.Misspecs,
 		})
 	}
 	return res, nil

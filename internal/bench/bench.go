@@ -190,16 +190,19 @@ func prepare(p *progs.Program, inputName string) (*prepared, error) {
 }
 
 // runPrivateer executes pr's speculative build under cfg plus the suite's
-// tracer and returns the runtime.
-func (s *Suite) runPrivateer(pr *prepared, cfg specrt.Config) (*specrt.RT, error) {
+// tracer and returns the runtime's run record.
+func (s *Suite) runPrivateer(pr *prepared, cfg specrt.Config) (specrt.Record, error) {
 	cfg.Trace = s.Cfg.Trace
 	rt, _, err := core.Run(pr.par, cfg)
-	return rt, err
+	if err != nil {
+		return specrt.Record{}, err
+	}
+	return rt.Record, nil
 }
 
 // simSpeedup is seq simulated time over parallel simulated time.
-func (pr *prepared) simSpeedup(rt *specrt.RT) float64 {
-	t := rt.Sim.Time()
+func (pr *prepared) simSpeedup(rec specrt.Record) float64 {
+	t := rec.Sim.Time()
 	if t <= 0 {
 		return 0
 	}

@@ -28,11 +28,11 @@ func (s *Suite) Fig6() (*Fig6Result, error) {
 	for _, pr := range s.programs {
 		res.ProgramOrder = append(res.ProgramOrder, pr.prog.Name)
 		for _, w := range s.Cfg.WorkerCounts {
-			rt, err := s.runPrivateer(pr, specrt.Config{Workers: w})
+			rec, err := s.runPrivateer(pr, specrt.Config{Workers: w})
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %s workers=%d: %w", pr.prog.Name, w, err)
 			}
-			res.Speedups[pr.prog.Name] = append(res.Speedups[pr.prog.Name], pr.simSpeedup(rt))
+			res.Speedups[pr.prog.Name] = append(res.Speedups[pr.prog.Name], pr.simSpeedup(rec))
 		}
 	}
 	for i := range s.Cfg.WorkerCounts {
@@ -98,11 +98,11 @@ func (s *Suite) Fig7() (*Fig7Result, error) {
 		}
 		res.DOALLOnly[pr.prog.Name] = sp
 		res.StaticLoops[pr.prog.Name] = len(pr.static.Regions)
-		rt, err := s.runPrivateer(pr, specrt.Config{Workers: s.Cfg.FixedWorkers})
+		rec, err := s.runPrivateer(pr, specrt.Config{Workers: s.Cfg.FixedWorkers})
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s privateer: %w", pr.prog.Name, err)
 		}
-		res.Privateer[pr.prog.Name] = pr.simSpeedup(rt)
+		res.Privateer[pr.prog.Name] = pr.simSpeedup(rec)
 	}
 	return res, nil
 }
@@ -161,11 +161,11 @@ func (s *Suite) Fig8() (*Fig8Result, error) {
 	for _, pr := range s.programs {
 		res.ProgramOrder = append(res.ProgramOrder, pr.prog.Name)
 		for _, w := range s.Cfg.Fig8Workers {
-			rt, err := s.runPrivateer(pr, specrt.Config{Workers: w})
+			rec, err := s.runPrivateer(pr, specrt.Config{Workers: w})
 			if err != nil {
 				return nil, fmt.Errorf("fig8 %s workers=%d: %w", pr.prog.Name, w, err)
 			}
-			sim := rt.Sim
+			sim := rec.Sim
 			cap := float64(sim.RegionCapacity)
 			if cap <= 0 {
 				cap = 1
@@ -234,14 +234,14 @@ func (s *Suite) Fig9() (*Fig9Result, error) {
 	for _, pr := range s.programs {
 		res.ProgramOrder = append(res.ProgramOrder, pr.prog.Name)
 		for _, rate := range s.Cfg.MisspecRates {
-			rt, err := s.runPrivateer(pr, specrt.Config{
+			rec, err := s.runPrivateer(pr, specrt.Config{
 				Workers: s.Cfg.FixedWorkers, MisspecRate: rate, Seed: 0xC0FFEE,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("fig9 %s rate=%g: %w", pr.prog.Name, rate, err)
 			}
-			res.Speedups[pr.prog.Name] = append(res.Speedups[pr.prog.Name], pr.simSpeedup(rt))
-			res.Misspecs[pr.prog.Name] = append(res.Misspecs[pr.prog.Name], rt.Stats.Snapshot().Misspecs)
+			res.Speedups[pr.prog.Name] = append(res.Speedups[pr.prog.Name], pr.simSpeedup(rec))
+			res.Misspecs[pr.prog.Name] = append(res.Misspecs[pr.prog.Name], rec.Stats.Misspecs)
 		}
 	}
 	return res, nil

@@ -55,11 +55,11 @@ func (s *Suite) Table3() (*Table3Result, error) {
 	workers := 4
 	res := &Table3Result{Workers: workers}
 	for _, pr := range s.programs {
-		rt, err := s.runPrivateer(pr, specrt.Config{Workers: workers})
+		rec, err := s.runPrivateer(pr, specrt.Config{Workers: workers})
 		if err != nil {
 			return nil, fmt.Errorf("table3 %s: %w", pr.prog.Name, err)
 		}
-		st := rt.Stats.Snapshot()
+		st := rec.Stats
 		row := Table3Row{
 			Program:     pr.prog.Name,
 			Invocations: st.Invocations,

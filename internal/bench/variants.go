@@ -255,8 +255,8 @@ func (v *variant) build(p *progs.Program, in progs.Input, abl core.Ablation,
 		return b, err
 	}
 	b.out, b.ret = rt.Output(), ret
-	b.sim = rt.Sim.Time()
-	b.stats = rt.Stats.Snapshot()
+	b.sim = rt.Record.Sim.Time()
+	b.stats = rt.Record.Stats
 	return b, nil
 }
 

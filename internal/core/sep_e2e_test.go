@@ -128,7 +128,7 @@ func TestStaticSepAuditCleanRun(t *testing.T) {
 	}
 	if rt.Stats.SepAuditViolations != 0 {
 		t.Errorf("audit flagged %d violations on sound proofs:\n%v",
-			rt.Stats.SepAuditViolations, rt.SepAuditReport())
+			rt.Stats.SepAuditViolations, rt.SepAudit)
 	}
 }
 
@@ -185,7 +185,7 @@ func TestStaticSepAuditCatchesPlantedProof(t *testing.T) {
 	if rt.Stats.SepAuditViolations == 0 {
 		t.Error("the audit oracle missed the planted unsound read-only proof")
 	}
-	if len(rt.SepAuditReport()) == 0 {
+	if len(rt.SepAudit) == 0 {
 		t.Error("no violation details were reported")
 	}
 }

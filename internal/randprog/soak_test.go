@@ -105,7 +105,7 @@ func TestSoakSepAudit(t *testing.T) {
 			}
 			if n := rt.Stats.SepAuditViolations; n > 0 {
 				t.Errorf("sound proofs flagged %d time(s):\n%s", n,
-					strings.Join(rt.SepAuditReport(), "\n"))
+					strings.Join(rt.SepAudit, "\n"))
 			}
 			if gotVal != seqVal || rt.Output() != seqOut {
 				t.Errorf("result %d, want %d (misspecs=%d)",

@@ -75,7 +75,7 @@ func TestRuntimeCountersSumAcrossJobs(t *testing.T) {
 			t.Fatalf("job %d (%s): %s (%s)", i, prog, v.State, v.Error)
 		}
 		s.mu.Lock()
-		st := job.stats
+		st := job.rec.Stats
 		s.mu.Unlock()
 		if st.Invocations == 0 || st.Checkpoints == 0 {
 			t.Fatalf("job %d (%s) recorded no runtime activity: %+v", i, prog, st)

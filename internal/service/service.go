@@ -133,9 +133,9 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	// stats is the runtime's final counters, settled at finish.
-	stats specrt.Stats
-	done  chan struct{}
+	// rec is the runtime's run record, settled at finish.
+	rec  specrt.Record
+	done chan struct{}
 
 	// Per-job flight-recorder state: the bounded event ring the job's
 	// tracer feeds (the job ID is the trace ID), and the derived phase
@@ -414,7 +414,7 @@ func (s *Service) View(j *Job) JobView {
 	v := JobView{
 		ID: j.ID, Tenant: j.Tenant, Prog: j.Prog, Input: j.Input,
 		State: j.state, Ret: j.ret, Output: j.output, Error: j.errMsg,
-		WarmSpawns: j.stats.WarmSpawns, Misspecs: j.stats.Misspecs,
+		WarmSpawns: j.rec.Stats.WarmSpawns, Misspecs: j.rec.Stats.Misspecs,
 		PhaseNS:     obs.PhaseTotals(j.phases),
 		TraceEvents: j.traceTotal, TraceDropped: j.traceDropped,
 	}
@@ -529,22 +529,19 @@ func (s *Service) run(job *Job) {
 	})
 	res := runResult{ret: ret, err: err}
 	if rt != nil {
-		res.out = rt.Output()
-		res.stats = rt.Stats.Snapshot()
-		res.sites = rt.MisspecSites()
+		res.out, res.rec = rt.Output(), rt.Record
 	}
 	s.finish(job, res)
 }
 
 // runResult carries one invocation's outcome into finish: the return
-// value and output, the runtime's final counters, the
-// misspeculation-attribution table, and the terminal error if any.
+// value and output, the runtime's run record, and the terminal error if
+// any.
 type runResult struct {
-	ret   uint64
-	out   string
-	stats specrt.Stats
-	sites []specrt.MisspecSiteRow
-	err   error
+	ret uint64
+	out string
+	rec specrt.Record
+	err error
 }
 
 // finish moves a job to its terminal state and settles the accounting:
@@ -564,7 +561,7 @@ func (s *Service) finish(job *Job, res runResult) {
 	job.finished = now
 	job.ret = res.ret
 	job.output = res.out
-	job.stats = res.stats
+	job.rec = res.rec
 	job.phases = phases
 	if job.trace != nil {
 		job.traceTotal = job.trace.Total()
@@ -591,7 +588,7 @@ func (s *Service) finish(job *Job, res runResult) {
 	}
 	s.mQueueWait.Observe(queueWait)
 	s.mE2E.Observe(wall)
-	s.mRuntime.Add(res.stats)
+	s.mRuntime.Add(res.rec.Stats)
 	s.mTraceEvents.Add(traceTotal)
 	for _, ps := range phases {
 		s.mPhase(job.Tenant, ps.Phase).Observe(ps.NS)
@@ -610,9 +607,9 @@ func postmortemReason(res runResult) string {
 		return "rejected"
 	case res.err != nil:
 		return "failed"
-	case res.stats.SequentialFallbacks > 0:
+	case res.rec.Stats.SequentialFallbacks > 0:
 		return "fallback"
-	case res.stats.Misspecs > 0:
+	case res.rec.Stats.Misspecs > 0:
 		return "misspec"
 	}
 	return ""
@@ -633,7 +630,7 @@ func (s *Service) recordPostmortem(job *Job, res runResult, reason string) {
 	pm := obs.Postmortem{
 		JobID: job.ID, Tenant: job.Tenant, Prog: job.Prog, Input: job.Input,
 		Reason: reason, UnixNS: time.Now().UnixNano(),
-		Misspecs: res.stats.Misspecs, Fallbacks: res.stats.SequentialFallbacks,
+		Misspecs: res.rec.Stats.Misspecs, Fallbacks: res.rec.Stats.SequentialFallbacks,
 		Phases: job.phases,
 	}
 	if res.err != nil {
@@ -644,7 +641,7 @@ func (s *Service) recordPostmortem(job *Job, res runResult, reason string) {
 		pm.TotalEvents = job.trace.Total()
 		pm.DroppedEvents = job.trace.Dropped()
 	}
-	for _, row := range res.sites {
+	for _, row := range res.rec.Sites {
 		pm.Attribution = append(pm.Attribution, obs.MisspecAttribution{
 			Region: row.Region, Cause: row.Cause, Site: row.Site,
 			Object: row.Object, Count: row.Count,

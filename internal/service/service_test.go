@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"privateer/internal/specrt"
 )
 
 // progNames are the five served benchmarks.
@@ -21,10 +23,11 @@ func waitDone(t *testing.T, j *Job) {
 }
 
 // soloReference runs one job per program on an otherwise idle service and
-// returns the per-program (ret, output) the concurrent runs must reproduce.
-func soloReference(t *testing.T, s *Service) map[string]JobView {
+// returns the per-program jobs whose ret, output and counters the
+// concurrent runs must reproduce.
+func soloReference(t *testing.T, s *Service) map[string]*Job {
 	t.Helper()
-	refs := map[string]JobView{}
+	refs := map[string]*Job{}
 	for _, name := range progNames {
 		j, err := s.Submit("reference", name, "train")
 		if err != nil {
@@ -35,18 +38,45 @@ func soloReference(t *testing.T, s *Service) map[string]JobView {
 		if v.State != StateDone {
 			t.Fatalf("solo %s: %s (%s)", name, v.State, v.Error)
 		}
-		refs[name] = v
+		refs[name] = j
 	}
 	return refs
+}
+
+// checkCountersIsolated compares a job's Record with its solo reference
+// job's where no job running beside it may move a count: every Stats count
+// field except WarmSpawns (how much of a fleet the shared pool had warm
+// depends on the neighbours) and the wall-clock *NS timings, and all of
+// Sim. Only a run that does not misspeculate counts the same events every
+// time, so it serves the clean pass.
+func checkCountersIsolated(t *testing.T, s *Service, job, ref *Job) {
+	t.Helper()
+	s.mu.Lock()
+	got, want := job.rec, ref.rec
+	s.mu.Unlock()
+	counts := func(st specrt.Stats) specrt.Stats {
+		st.WarmSpawns = 0
+		st.SpawnNS, st.JoinNS, st.CheckpointNS, st.PrivReadNS = 0, 0, 0, 0
+		st.PrivWriteNS, st.WorkerBusyNS, st.RegionWallNS = 0, 0, 0
+		return st
+	}
+	if counts(got.Stats) != counts(want.Stats) {
+		t.Errorf("%s/%s: Stats counts %+v, the solo run's %+v", job.Tenant, job.Prog,
+			counts(got.Stats), counts(want.Stats))
+	}
+	if got.Sim != want.Sim {
+		t.Errorf("%s/%s: Sim %+v, the solo run's %+v", job.Tenant, job.Prog, got.Sim, want.Sim)
+	}
 }
 
 // TestConcurrentTenantsBitIdentical is the multi-tenant hammer: >= 32
 // concurrent invocations of different programs over one shared Program cache
 // and warmed worker pool, every tenant's output byte-identical to a solo run
-// and no cross-tenant stats bleed. It runs twice: clean, and with 5 % of
-// iterations injected under a fixed seed, where pooled reclones from
-// different masters run concurrently with recoveries and installs writing
-// the masters' reowned trees in place. Run under -race in CI.
+// and no cross-tenant stats bleed (in the clean pass each job's counters
+// equal its solo run's: checkCountersIsolated). It runs twice: clean, and
+// with 5 % of iterations injected under a fixed seed, where pooled reclones
+// from different masters run concurrently with recoveries and installs
+// writing the masters' reowned trees in place. Run under -race in CI.
 func TestConcurrentTenantsBitIdentical(t *testing.T) {
 	tenantHammer(t, Config{Workers: 3, Concurrency: 8, QueueDepth: 64})
 	tenantHammer(t, Config{Workers: 3, Concurrency: 8, QueueDepth: 64, MisspecRate: 0.05, Seed: 11})
@@ -85,7 +115,7 @@ func tenantHammer(t *testing.T, cfg Config) {
 		if v.State != StateDone {
 			t.Fatalf("%s/%s: state %s (%s)", sb.tenant, sb.prog, v.State, v.Error)
 		}
-		ref := refs[sb.prog]
+		ref := s.View(refs[sb.prog])
 		if v.Ret != ref.Ret || v.Output != ref.Output {
 			t.Errorf("misspec rate %g: %s/%s: output diverged from solo run (ret %d vs %d)",
 				cfg.MisspecRate, sb.tenant, sb.prog, v.Ret, ref.Ret)
@@ -99,6 +129,9 @@ func tenantHammer(t *testing.T, cfg Config) {
 			t.Errorf("%s/%s: empty phase breakdown", sb.tenant, sb.prog)
 		}
 		checkPhaseLedger(t, s, sb.job)
+		if cfg.MisspecRate == 0 {
+			checkCountersIsolated(t, s, sb.job, refs[sb.prog])
+		}
 	}
 	if (misspecs > 0) != (cfg.MisspecRate > 0) {
 		t.Errorf("misspec rate %g: the hammer's jobs misspeculated %d times", cfg.MisspecRate, misspecs)

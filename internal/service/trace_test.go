@@ -25,7 +25,7 @@ func checkPhaseLedger(t *testing.T, s *Service, job *Job) {
 	t.Helper()
 	v := s.View(job)
 	s.mu.Lock()
-	st := job.stats
+	st := job.rec.Stats
 	s.mu.Unlock()
 	for _, c := range []struct {
 		phase string

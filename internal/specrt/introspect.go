@@ -1,53 +1,27 @@
 package specrt
 
-// Introspection: atomic Stats snapshots, misspeculation attribution
-// (faulting address -> owning allocation site), and the privateer_*_total
-// counter families a registry owner folds finished runtimes into.
+// Introspection: misspeculation attribution (faulting address -> owning
+// allocation site, rendered into Record.Sites), and the privateer_*_total
+// counter families a registry owner folds finished runtimes' Stats into.
 // Everything here is off the speculative hot path: sites register on
 // master-side allocation and attribution happens only when a
 // misspeculation is flagged.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync/atomic"
 
 	"privateer/internal/ir"
 	"privateer/internal/obs"
 	"privateer/internal/profiling"
 )
 
-// Snapshot returns an atomically loaded copy of the stats. Workers mutate
-// every field with atomic adds while a region runs, so any reporting that
-// may overlap execution must read through here rather than copying the
-// struct.
-func (s *Stats) Snapshot() Stats {
-	return Stats{
-		Invocations:         atomic.LoadInt64(&s.Invocations),
-		Checkpoints:         atomic.LoadInt64(&s.Checkpoints),
-		Misspecs:            atomic.LoadInt64(&s.Misspecs),
-		Recoveries:          atomic.LoadInt64(&s.Recoveries),
-		SequentialFallbacks: atomic.LoadInt64(&s.SequentialFallbacks),
-		PrivReadBytes:       atomic.LoadInt64(&s.PrivReadBytes),
-		PrivWriteBytes:      atomic.LoadInt64(&s.PrivWriteBytes),
-		PrivReadChecks:      atomic.LoadInt64(&s.PrivReadChecks),
-		PrivWriteChecks:     atomic.LoadInt64(&s.PrivWriteChecks),
-		SeparationChecks:    atomic.LoadInt64(&s.SeparationChecks),
-		Predictions:         atomic.LoadInt64(&s.Predictions),
-		DeferredIO:          atomic.LoadInt64(&s.DeferredIO),
-		ProvenRangeBytes:    atomic.LoadInt64(&s.ProvenRangeBytes),
-		SepAuditViolations:  atomic.LoadInt64(&s.SepAuditViolations),
-		WarmSpawns:          atomic.LoadInt64(&s.WarmSpawns),
-		SpawnNS:             atomic.LoadInt64(&s.SpawnNS),
-		JoinNS:              atomic.LoadInt64(&s.JoinNS),
-		CheckpointNS:        atomic.LoadInt64(&s.CheckpointNS),
-		PrivReadNS:          atomic.LoadInt64(&s.PrivReadNS),
-		PrivWriteNS:         atomic.LoadInt64(&s.PrivWriteNS),
-		WorkerBusyNS:        atomic.LoadInt64(&s.WorkerBusyNS),
-		RegionWallNS:        atomic.LoadInt64(&s.RegionWallNS),
-	}
-}
+// Snapshot returns a copy of the stats. Its one caller is the repository
+// benchmark (benchmark/region.go), until that reads Record too; every field
+// is final once Run has returned.
+func (s *Stats) Snapshot() Stats { return *s }
 
 // misspecKey identifies one row of the misspeculation attribution table.
 type misspecKey struct {
@@ -119,32 +93,24 @@ type MisspecSiteRow struct {
 	Count int64 `json:"count"`
 }
 
-// MisspecSites returns the aggregated misspeculation attribution table,
-// most frequent first.
-func (rt *RT) MisspecSites() []MisspecSiteRow {
+// misspecSites renders the aggregated misspeculation attribution table,
+// most frequent first, or nil when nothing misspeculated.
+func (rt *RT) misspecSites() []MisspecSiteRow {
 	rt.missMu.Lock()
+	defer rt.missMu.Unlock()
+	if len(rt.missTable) == 0 {
+		return nil
+	}
 	rows := make([]MisspecSiteRow, 0, len(rt.missTable))
 	for k, n := range rt.missTable {
 		rows = append(rows, MisspecSiteRow{
 			Region: k.region, Cause: k.cause, Site: k.site, Object: k.object, Count: n,
 		})
 	}
-	rt.missMu.Unlock()
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.Count != b.Count {
-			return a.Count > b.Count
-		}
-		if a.Region != b.Region {
-			return a.Region < b.Region
-		}
-		if a.Cause != b.Cause {
-			return a.Cause < b.Cause
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		return a.Site < b.Site
+	slices.SortFunc(rows, func(a, b MisspecSiteRow) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Region, b.Region),
+			strings.Compare(a.Cause, b.Cause), strings.Compare(a.Object, b.Object),
+			strings.Compare(a.Site, b.Site))
 	})
 	return rows
 }

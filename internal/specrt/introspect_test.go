@@ -4,61 +4,57 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"privateer/internal/classify"
 	"privateer/internal/ir"
 )
 
-// TestSnapshotMatchesStats: after a quiesced run the atomic snapshot must
-// equal the plain struct read.
-func TestSnapshotMatchesStats(t *testing.T) {
-	mod := buildWriterModule(16)
-	ri := buildRegion(t, mod)
-	rt := New(mod, Config{Workers: 2, CheckpointPeriod: 4, MisspecRate: 0.2, Seed: 7}, ri)
+// notTwice names the int64 fields of got, a struct of counters, that are
+// not twice the same field of one, skipping the fields skip names.
+func notTwice(one, got any, skip func(name string) bool) []string {
+	var bad []string
+	o, g := reflect.ValueOf(one), reflect.ValueOf(got)
+	for i := 0; i < o.NumField(); i++ {
+		name := o.Type().Field(i).Name
+		if skip(name) {
+			continue
+		}
+		if a, b := o.Field(i).Int(), g.Field(i).Int(); b != 2*a {
+			bad = append(bad, fmt.Sprintf("%s %d after two runs, %d after one", name, b, a))
+		}
+	}
+	return bad
+}
+
+// TestRecordAddsUpAcrossRuns: every field of the Record adds up over the
+// Runs of one RT. A clean writer run at W = 2 counts the same events every
+// time, so after a second Run each count field of Stats, all of Sim (the
+// master's sequential steps included) and all of VM read exactly twice what
+// the first left; only the wall-clock timings differ.
+func TestRecordAddsUpAcrossRuns(t *testing.T) {
+	mod := buildWriterModule(64)
+	rt := New(mod, Config{Workers: 2}, buildRegion(t, mod))
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.Stats.Snapshot(); got != rt.Stats {
-		t.Errorf("snapshot %+v differs from quiesced stats %+v", got, rt.Stats)
+	one := rt.Record
+	if one.Sim.SeqSteps == 0 || one.VM.PagesMapped == 0 || one.Stats.Checkpoints == 0 {
+		t.Fatalf("one run counted too little to compare: %+v", one)
 	}
-}
-
-// TestScrapeWhileRunning: the two reads documented as safe during a run —
-// an atomic Stats snapshot and the misspeculation attribution table — must
-// be callable from another goroutine while regions execute (the -race
-// regression test for both).
-func TestScrapeWhileRunning(t *testing.T) {
-	mod := buildWriterModule(64)
-	ri := buildRegion(t, mod)
-	rt := New(mod, Config{
-		Workers: 3, CheckpointPeriod: 2,
-		MisspecRate: 0.1, Seed: 11,
-	}, ri)
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !stop.Load() {
-			_ = rt.Stats.Snapshot()
-			_ = rt.MisspecSites()
-		}
-	}()
-	for inv := 0; inv < 3; inv++ {
-		if _, err := rt.Run(); err != nil {
-			stop.Store(true)
-			wg.Wait()
-			t.Fatal(err)
-		}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
 	}
-	stop.Store(true)
-	wg.Wait()
-	if got := rt.Stats.Snapshot().Invocations; got != 3 {
-		t.Errorf("snapshot after 3 runs counts %d invocations", got)
+	got := rt.Record
+	none := func(string) bool { return false }
+	bad := notTwice(one.Stats, got.Stats, func(name string) bool { return strings.HasSuffix(name, "NS") })
+	bad = append(bad, notTwice(one.Sim, got.Sim, none)...)
+	bad = append(bad, notTwice(one.VM, got.VM, none)...)
+	for _, b := range bad {
+		t.Error(b)
+	}
+	if got.Sites != nil || got.SepAudit != nil {
+		t.Errorf("clean runs left sites %v, audit lines %v; want both nil", got.Sites, got.SepAudit)
 	}
 }
 
@@ -75,7 +71,7 @@ func TestMisspecAttributionInjected(t *testing.T) {
 	if rt.Stats.Misspecs == 0 {
 		t.Fatal("injection produced no misspeculations")
 	}
-	rows := rt.MisspecSites()
+	rows := rt.Sites
 	if len(rows) == 0 {
 		t.Fatal("no attribution rows")
 	}
@@ -154,7 +150,7 @@ func TestMisspecAttributionNamesObject(t *testing.T) {
 			t.Fatalf("%s: result %d, %v; want 67", tc.object, v, err)
 		}
 		region := ri.Outline.RegionFn.Name
-		rows := rt.MisspecSites()
+		rows := rt.Sites
 		want := []MisspecSiteRow{{Region: region, Cause: "privacy violated (fast phase)",
 			Object: tc.object, Count: 10}}
 		if !reflect.DeepEqual(rows, want) {
@@ -212,7 +208,7 @@ func TestSeparationMisspecSite(t *testing.T) {
 	}
 	want := []MisspecSiteRow{{Region: ri.Outline.RegionFn.Name, Cause: "separation violated",
 		Site: check.Format(), Object: "@b", Count: 3}}
-	if rows := rt.MisspecSites(); !reflect.DeepEqual(rows, want) {
+	if rows := rt.Sites; !reflect.DeepEqual(rows, want) {
 		t.Errorf("rows %+v, want %+v", rows, want)
 	}
 	if rt.Stats.SeparationChecks == 0 || rt.Stats.Recoveries != 3 {

@@ -128,8 +128,10 @@ func TestWarmPoolRunAllocatesLess(t *testing.T) {
 // space NewAddressSpace + LayOutGlobals builds: the same global layout and
 // contents, per-heap Brk, ProtOf and LiveObjects, radix shape, and Stats
 // counting from zero. Runs on pooled masters return and print what a run on
-// a fresh pool does, and after Run the master's Stats reads as that run's
-// own vm counts.
+// a fresh pool does, and each Record.VM reads as that run's own vm counts —
+// the figures this module's runs counted at W = 4 when the workers still
+// added into the master's Stats — also once later runs have drawn the
+// slots the run parked.
 func TestPooledMasterIsFresh(t *testing.T) {
 	mod := buildScratchModule(40)
 	ri := buildRegion(t, mod)
@@ -147,7 +149,10 @@ func TestPooledMasterIsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOut, wantStats := fresh.Output(), *fresh.Master().AS.Stats
+	wantOut, wantVM := fresh.Output(), vm.Stats{PagesMapped: 10, NodesCopied: 4}
+	if fresh.VM != wantVM {
+		t.Errorf("a fresh pool's run counted %+v, want %+v", fresh.VM, wantVM)
+	}
 
 	pool := NewWorkerPool(0)
 	warm := newRT(pool)
@@ -167,8 +172,8 @@ func TestPooledMasterIsFresh(t *testing.T) {
 		} else {
 			fromWorker++
 		}
-		if *m.AS.Stats != (vm.Stats{}) {
-			t.Errorf("slot %d: a drawn master starts counting at %+v", i, *m.AS.Stats)
+		if m.AS.Stats != (vm.Stats{}) {
+			t.Errorf("slot %d: a drawn master starts counting at %+v", i, m.AS.Stats)
 		}
 		if err := m.LayOutGlobals(); err != nil {
 			t.Fatal(err)
@@ -199,8 +204,8 @@ func TestPooledMasterIsFresh(t *testing.T) {
 		if got, want := m.AS.PageTable(), ref.AS.PageTable(); got != want {
 			t.Errorf("slot %d: page table %+v, fresh %+v", i, got, want)
 		}
-		if *m.AS.Stats != *ref.AS.Stats {
-			t.Errorf("slot %d: layout counted %+v, fresh %+v", i, *m.AS.Stats, *ref.AS.Stats)
+		if m.AS.Stats != ref.AS.Stats {
+			t.Errorf("slot %d: layout counted %+v, fresh %+v", i, m.AS.Stats, ref.AS.Stats)
 		}
 		drawn = append(drawn, m)
 	}
@@ -212,6 +217,7 @@ func TestPooledMasterIsFresh(t *testing.T) {
 	for _, m := range drawn {
 		pool.put(prog, &warmSlot{as: m.AS, it: m})
 	}
+	var first *RT
 	for i := 0; i < 3; i++ {
 		rt := newRT(pool)
 		ret, err := rt.Run()
@@ -221,9 +227,15 @@ func TestPooledMasterIsFresh(t *testing.T) {
 		if ret != wantRet || rt.Output() != wantOut {
 			t.Errorf("run %d on a pooled master: %d and %q, want %d and %q", i, ret, rt.Output(), wantRet, wantOut)
 		}
-		if got := *rt.Master().AS.Stats; got != wantStats {
-			t.Errorf("run %d: master Stats after Run %+v, a fresh pool's run %+v", i, got, wantStats)
+		if rt.VM != wantVM {
+			t.Errorf("run %d: Record.VM %+v, want %+v", i, rt.VM, wantVM)
 		}
+		if i == 0 {
+			first = rt
+		}
+	}
+	if first.VM != wantVM {
+		t.Errorf("run 0's Record.VM reads %+v once later runs reused its slots, want %+v", first.VM, wantVM)
 	}
 }
 

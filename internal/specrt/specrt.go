@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"privateer/internal/classify"
 	"privateer/internal/deps"
@@ -46,7 +45,7 @@ type Config struct {
 	Trace *obs.Tracer
 	// SepAudit enables the runtime oracle for static separation proofs:
 	// workers observe every load and store and flag (loudly, via
-	// Stats.SepAuditViolations and SepAuditReport) any access that
+	// Stats.SepAuditViolations and Record.SepAudit) any access that
 	// contradicts a statically-proven claim — a store into a proven
 	// read-only object, or a read of a statically-privatized object's byte
 	// before the iteration rewrote it. The read-only heap keeps its write
@@ -117,14 +116,14 @@ type Stats struct {
 	ProvenRangeBytes int64
 	// SepAuditViolations counts accesses the SepAudit oracle observed
 	// contradicting a static separation proof. Nonzero means an unsound
-	// proof reached the runtime; see RT.SepAuditReport.
+	// proof reached the runtime; see Record.SepAudit.
 	SepAuditViolations int64
 	// WarmSpawns counts worker spawns satisfied from Config.Pool's warmed
 	// slots (a recycled address space re-cloned in place plus a recycled
 	// interpreter) rather than constructed cold.
 	WarmSpawns int64
-	// SpawnNS is wall-clock worker spawn time (nanoseconds, atomically
-	// accumulated, like every timing field below).
+	// SpawnNS is wall-clock worker spawn time (nanoseconds, like every
+	// timing field below).
 	SpawnNS int64
 	// JoinNS is the master-side critical path after workers quiesce: chain
 	// validation (finishSync) plus install and commit (invoke), on the clean
@@ -144,6 +143,46 @@ type Stats struct {
 	RegionWallNS int64
 }
 
+// addWorker adds the fields a worker counts (see worker.local) from o
+// into s.
+func (s *Stats) addWorker(o *Stats) {
+	s.Misspecs += o.Misspecs
+	s.DeferredIO += o.DeferredIO
+	s.SeparationChecks += o.SeparationChecks
+	s.Predictions += o.Predictions
+	s.PrivReadChecks += o.PrivReadChecks
+	s.PrivReadBytes += o.PrivReadBytes
+	s.PrivReadNS += o.PrivReadNS
+	s.PrivWriteChecks += o.PrivWriteChecks
+	s.PrivWriteBytes += o.PrivWriteBytes
+	s.PrivWriteNS += o.PrivWriteNS
+	s.ProvenRangeBytes += o.ProvenRangeBytes
+	s.CheckpointNS += o.CheckpointNS
+	s.WorkerBusyNS += o.WorkerBusyNS
+}
+
+// Record is what an RT's runs counted. No counter is atomic: the master
+// counts its own events, each worker counts into private totals that
+// retire adds in once its span's fleet has joined (workers bump only the
+// SepAudit count, under sepViolMu), and Run settles VM, Sites, SepAudit and
+// Sim.SeqSteps on every exit. Every field adds up over the Runs of one RT;
+// read it after Run returns.
+type Record struct {
+	// Stats counts runtime events (Table 3, Figure 8).
+	Stats Stats
+	// Sim is the simulated-time accounting (see sim.go).
+	Sim SimStats
+	// VM is the master space's page events with every worker space's
+	// added in.
+	VM vm.Stats
+	// Sites is the misspeculation attribution table, most frequent first;
+	// nil when nothing misspeculated.
+	Sites []MisspecSiteRow
+	// SepAudit holds the detail lines of the SepAudit violations, at most
+	// 64 (Stats.SepAuditViolations has the full count); nil when none.
+	SepAudit []string
+}
+
 // RT is the runtime: it executes a transformed module, intercepting
 // parallel-region calls and running them speculatively in parallel.
 type RT struct {
@@ -151,10 +190,8 @@ type RT struct {
 	Cfg Config
 	// Mod is the transformed module.
 	Mod *ir.Module
-	// Stats accumulates runtime events.
-	Stats Stats
-	// Sim accumulates simulated-time accounting (see sim.go).
-	Sim SimStats
+	// Record is the run record; rt.Stats and rt.Sim are its fields.
+	Record
 
 	regions map[*ir.Function]*RegionInfo
 
@@ -187,8 +224,8 @@ type RT struct {
 	sepMu   sync.Mutex
 	sepObjs map[uint64]liveObj
 
-	// sepViolMu guards sepViols, the (bounded) detail list behind
-	// Stats.SepAuditViolations.
+	// sepViolMu guards sepViols, the (bounded) detail list Run copies into
+	// Record.SepAudit, and Stats.SepAuditViolations, which workers bump.
 	sepViolMu sync.Mutex
 	sepViols  []string
 
@@ -200,8 +237,8 @@ type RT struct {
 	siteMu  sync.Mutex
 	siteMap *intervalmap.Map[profiling.Object]
 
-	// missMu guards missTable, the per-site misspeculation aggregate
-	// behind MisspecSites, flight postmortems and privateer -why-misspec.
+	// missMu guards missTable, the per-site misspeculation aggregate Run
+	// renders into Record.Sites.
 	missMu    sync.Mutex
 	missTable map[misspecKey]int64
 
@@ -252,10 +289,10 @@ func (rt *RT) writeOut(text string) {
 }
 
 // Master exposes the main process interpreter. After Run its AS.Stats reads
-// as the finished run's vm counts. A master drawn from Config.Pool (see
-// newMaster) has been parked by then: its memory, global layout and hooks
-// are gone, and its Stats reads as the finished run only until the pool
-// hands the slot to another run.
+// as the last run's vm counts, the same figures Run added into Record.VM. A
+// master drawn from Config.Pool (see newMaster) has been parked by then:
+// its memory, global layout and hooks are gone, and its Stats reads as the
+// finished run only until the pool hands the slot to another run.
 func (rt *RT) Master() *interp.Interp { return rt.master }
 
 // onAlloc tracks reduction objects allocated dynamically into the redux
@@ -282,11 +319,11 @@ func (rt *RT) onFree(fr *interp.Frame, in *ir.Instr, addr uint64) {
 }
 
 // newMaster returns the run's main-process interpreter over an empty space
-// counting into a fresh vm.Stats. With both Config.Program and Config.Pool
-// set it is a slot drawn from the pool (parked released and recycled, so
-// LayOutGlobals lays out the same addresses NewAddressSpace would give), and
-// the master's radix nodes, pages and frame slabs recycle through the slot's
-// arena exactly as a worker's do.
+// counting from zero. With both Config.Program and Config.Pool set it is a
+// slot drawn from the pool (parked released and recycled, so LayOutGlobals
+// lays out the same addresses NewAddressSpace would give), and the master's
+// radix nodes, pages and frame slabs recycle through the slot's arena
+// exactly as a worker's do.
 func (rt *RT) newMaster() *interp.Interp {
 	p := rt.Cfg.Program
 	if p == nil {
@@ -294,17 +331,19 @@ func (rt *RT) newMaster() *interp.Interp {
 	}
 	if pool := rt.Cfg.Pool; pool != nil {
 		if s := pool.get(p); s != nil {
-			s.as.Stats = &vm.Stats{}
+			s.as.Stats = vm.Stats{}
 			return s.it
 		}
 	}
 	return interp.NewShared(p, vm.NewAddressSpace())
 }
 
-// Run executes the program from its entry function. A master drawn from
-// Config.Pool is parked on every exit, after its span fleets: each span
-// parks its workers before returning, so no clone can reach the master's
-// tree when the pool reclaims it.
+// Run executes the program from its entry function. On every exit it
+// settles the Record: the master's steps and vm counts (its span fleets'
+// folded in) are added, and the detail tables rendered. A master drawn from
+// Config.Pool is then parked, after its span fleets: each span parks its
+// workers before returning, so no clone can reach the master's tree when
+// the pool reclaims it.
 func (rt *RT) Run(args ...uint64) (uint64, error) {
 	if p := rt.Cfg.Program; p != nil && p.Mod != rt.Mod {
 		return 0, fmt.Errorf("specrt: Config.Program decodes module %q, runtime executes %q",
@@ -326,7 +365,12 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 		return 0, true, rt.invoke(ri, args)
 	}
 	defer func() {
-		rt.Sim.SeqSteps = master.Steps
+		rt.Sim.SeqSteps += master.Steps
+		rt.VM.Add(master.AS.Stats)
+		rt.Sites = rt.misspecSites()
+		rt.sepViolMu.Lock()
+		rt.SepAudit = append([]string(nil), rt.sepViols...)
+		rt.sepViolMu.Unlock()
 		if pool := rt.Cfg.Pool; pool != nil && rt.Cfg.Program != nil {
 			pool.put(rt.Cfg.Program, &warmSlot{as: master.AS, it: master})
 		}
@@ -465,22 +509,15 @@ func (rt *RT) roProtSkippable(ri *RegionInfo) bool {
 }
 
 // noteSepViolation records one SepAudit oracle violation: counted in
-// Stats, detailed (bounded) in SepAuditReport.
+// Stats, detailed (bounded) in sepViols. Workers call it, so both move
+// under sepViolMu.
 func (rt *RT) noteSepViolation(detail string) {
-	atomic.AddInt64(&rt.Stats.SepAuditViolations, 1)
 	rt.sepViolMu.Lock()
+	rt.Stats.SepAuditViolations++
 	if len(rt.sepViols) < 64 {
 		rt.sepViols = append(rt.sepViols, detail)
 	}
 	rt.sepViolMu.Unlock()
-}
-
-// SepAuditReport returns the detail lines of every SepAudit violation
-// observed so far (bounded; Stats.SepAuditViolations has the full count).
-func (rt *RT) SepAuditReport() []string {
-	rt.sepViolMu.Lock()
-	defer rt.sepViolMu.Unlock()
-	return append([]string(nil), rt.sepViols...)
 }
 
 // checkpointPeriod picks k for an invocation of total iterations.
@@ -501,7 +538,8 @@ func (rt *RT) checkpointPeriod(total int64) int64 {
 // invoke runs one parallel region invocation: args are (lo, hi, live-ins).
 func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	wall := startTimer()
-	inv := atomic.AddInt64(&rt.Stats.Invocations, 1) - 1
+	inv := rt.Stats.Invocations
+	rt.Stats.Invocations++
 	tr := rt.Cfg.Trace
 	// Wall time accounts once, on every exit path: clean completion,
 	// misspeculation-loop errors, and the sequential fallback alike.
@@ -522,7 +560,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	for start < hi {
 		if recoveries >= DefaultMaxRecoveries {
 			// Budget spent: the remainder runs sequentially, checks disabled.
-			atomic.AddInt64(&rt.Stats.SequentialFallbacks, 1)
+			rt.Stats.SequentialFallbacks++
 			fallback := startTimer()
 			err := rt.sequentialRange(ri, start, hi, live)
 			fallback.stop(nil, tr, obs.Event{Kind: obs.KSeqFallback,
@@ -541,6 +579,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 		tr.Instant(obs.Event{Kind: obs.KSpanStart,
 			Invocation: inv, Worker: -1, Iter: -1, A: start, B: k})
 		lastValid, misspecAt, err := span.run()
+		rt.Stats.Checkpoints += int64(len(span.checkpoints))
 		tr.Instant(obs.Event{Kind: obs.KSpanEnd,
 			Invocation: inv, Worker: -1, Iter: -1, A: misspecAt, B: start})
 		if err != nil {
@@ -563,7 +602,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 		}
 		// Misspeculation: recover.
 		recoveries++
-		atomic.AddInt64(&rt.Stats.Recoveries, 1)
+		rt.Stats.Recoveries++
 		redoFrom := start
 		if lastValid != nil {
 			redoFrom = lastValid.limit
@@ -581,33 +620,33 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	return nil
 }
 
-// installCheckpoint applies cp's chain to the master state, accounts the
-// simulated cost, and commits the chain's deferred output.
+// installCheckpoint applies cp's chain to the master state, commits the
+// chain's deferred output, and accounts the simulated cost of both.
 func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, inv int64) error {
 	t := startTimer()
 	bytes, err := cp.installInto(rt.master.AS, redux)
 	if err != nil {
 		return err
 	}
-	cost := bytes * SimInstallPerByte
-	atomic.AddInt64(&rt.Sim.RegionTime, cost)
-	atomic.AddInt64(&rt.Sim.CheckpointCost, cost)
 	t.stop(nil, rt.Cfg.Trace, obs.Event{Kind: obs.KInstall,
 		Invocation: inv, Worker: -1, Iter: cp.id, A: bytes})
-	rt.commitChain(cp, inv)
+	cost := bytes*SimInstallPerByte + rt.commitChain(cp, inv)*SimCommitPerIO
+	rt.Sim.RegionTime += cost
+	rt.Sim.CheckpointCost += cost
 	return nil
 }
 
 // commitChain commits every uncommitted checkpoint up to cp, oldest first:
 // each one's deferred output is emitted in iteration order and the
-// checkpoint marked committed, under outMu.
-func (rt *RT) commitChain(cp *checkpoint, inv int64) {
+// checkpoint marked committed, under outMu. It returns the number of
+// output operations committed.
+func (rt *RT) commitChain(cp *checkpoint, inv int64) int64 {
 	var chain []*checkpoint
 	for c := cp; c != nil && !c.committed; c = c.prev {
 		chain = append(chain, c)
 	}
 	if len(chain) == 0 {
-		return
+		return 0
 	}
 	t := startTimer()
 	var committed int64
@@ -622,11 +661,9 @@ func (rt *RT) commitChain(cp *checkpoint, inv int64) {
 		rt.outMu.Unlock()
 		committed += int64(len(recs))
 	}
-	cost := committed * SimCommitPerIO
-	atomic.AddInt64(&rt.Sim.RegionTime, cost)
-	atomic.AddInt64(&rt.Sim.CheckpointCost, cost)
 	t.stop(nil, rt.Cfg.Trace, obs.Event{Kind: obs.KCommit,
 		Invocation: inv, Worker: -1, Iter: cp.id, A: committed})
+	return committed
 }
 
 // sequentialRange executes iterations [from, to) non-speculatively on the
@@ -662,7 +699,7 @@ func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64) err
 			return fmt.Errorf("sequential recovery at iteration %d: %w", i, err)
 		}
 	}
-	atomic.AddInt64(&rt.Sim.RecoverySteps, it.Steps)
+	rt.Sim.RecoverySteps += it.Steps
 	return nil
 }
 

@@ -268,7 +268,7 @@ func TestHookCountersFoldExactly(t *testing.T) {
 		if v, err := rt.Run(); err != nil || int64(v) != 4*(n-1)+6 {
 			t.Fatalf("%+v: result %d, %v; want %d", cfg, v, err, 4*(n-1)+6)
 		}
-		return rt.Stats.Snapshot()
+		return rt.Stats
 	}
 	clean := Stats{SeparationChecks: 320, PrivReadChecks: 40, PrivReadBytes: 1280,
 		PrivWriteChecks: 80, PrivWriteBytes: 1600, DeferredIO: 40}

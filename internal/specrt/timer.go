@@ -1,7 +1,6 @@
 package specrt
 
 import (
-	"sync/atomic"
 	"time"
 
 	"privateer/internal/obs"
@@ -26,7 +25,7 @@ func startTimer() spanTimer { return spanTimer{time.Now()} }
 func (s spanTimer) stop(ns *int64, tr *obs.Tracer, ev obs.Event) int64 {
 	d := int64(time.Since(s.t0))
 	if ns != nil {
-		atomic.AddInt64(ns, d)
+		*ns += d
 	}
 	if tr.On() {
 		ev.TimeNS, ev.DurNS = tr.At(s.t0), d

@@ -39,7 +39,7 @@ func TestRespawnCycleAllocatesNothing(t *testing.T) {
 		t.Skip("the race detector's shadow allocations defeat AllocsPerRun")
 	}
 	parent, addrs := residentParent(t)
-	w := parent.CloneSharingStats()
+	w := parent.Clone()
 	dirty := 0
 	count := func(uint64, []byte) { dirty++ }
 	cycle := func() {
@@ -126,7 +126,7 @@ func poisonArena(a *arena) {
 // overwritten whole, and the parent is untouched throughout.
 func TestArenaPoisonedRecycling(t *testing.T) {
 	other, oaddrs := residentParent(t)
-	w := other.CloneSharingStats()
+	w := other.Clone()
 	for _, a := range oaddrs {
 		// A COW duplicate plus a demand-zero page in each heap, and a fresh
 		// branch far away, so all three free lists are stocked.

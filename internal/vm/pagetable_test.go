@@ -68,14 +68,14 @@ func TestCloneCostIndependentOfLiveObjects(t *testing.T) {
 			fewAllocs, manyAllocs)
 	}
 	before := many.Stats.NodesCopied
-	worker := many.CloneSharingStats()
-	if got := many.Stats.NodesCopied; got != before {
+	worker := many.Clone()
+	if got := many.Stats.NodesCopied + worker.Stats.NodesCopied; got != before {
 		t.Errorf("Clone alone copied %d radix nodes, want 0", got-before)
 	}
 	if err := worker.Write(ir.HeapPrivate.Base()+100*PageSize, 8, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := many.Stats.NodesCopied - before; got != radixLevels {
+	if got := worker.Stats.NodesCopied; got != radixLevels {
 		t.Errorf("first post-clone write copied %d radix nodes, want %d", got, radixLevels)
 	}
 	// And the clone must still see and manage the parent's allocations.
@@ -277,7 +277,7 @@ func TestDirtyHeapPagesSummaryGuided(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	child := parent.CloneSharingStats()
+	child := parent.Clone()
 	touched := map[uint64]bool{}
 	for _, p := range []uint64{0, 1, 130, 131, 300, 511} {
 		if err := child.Write(base+p*PageSize, 8, 9000+p); err != nil {
@@ -412,7 +412,7 @@ func TestReownNeedsEveryCloneReleased(t *testing.T) {
 	if !parent.Reown() {
 		t.Fatal("a space that never shared its tree refuses Reown")
 	}
-	clone := parent.CloneSharingStats()
+	clone := parent.Clone()
 	pooled := NewAddressSpace()
 	pooled.RecloneFrom(parent)
 	grand := clone.Clone()
@@ -432,7 +432,7 @@ func TestReownNeedsEveryCloneReleased(t *testing.T) {
 	if !parent.Reown() {
 		t.Fatal("Reown refused after every clone was released")
 	}
-	before := *parent.Stats
+	before := parent.Stats
 	for off := uint64(0); off < 64; off += 8 {
 		if err := parent.Write(addr+off, 8, 2); err != nil {
 			t.Fatal(err)

@@ -48,17 +48,17 @@ func readAll(t *testing.T, as *AddressSpace, addrs []uint64) [][]byte {
 	return out
 }
 
-// TestRecloneEquivalentToCloneSharingStats drives one space through a
+// TestRecloneEquivalentToClone drives one space through a
 // dirty-then-pooled-then-recloned cycle and checks it is indistinguishable
-// from a fresh CloneSharingStats clone: same reads, same isolation, same
-// shared Stats structure.
-func TestRecloneEquivalentToCloneSharingStats(t *testing.T) {
+// from a fresh Clone: same reads, same isolation, and Stats counting from
+// zero, the pooled life's counts gone.
+func TestRecloneEquivalentToClone(t *testing.T) {
 	parent, addrs := buildParent(t)
 
 	// A pooled space with history: clone an unrelated parent, mutate it
 	// heavily, then release it back to "the pool".
 	other, oaddrs := buildParent(t)
-	pooled := other.CloneSharingStats()
+	pooled := other.Clone()
 	for _, a := range oaddrs {
 		if err := pooled.WriteBytes(a, make([]byte, 256)); err != nil {
 			t.Fatalf("dirty pooled: %v", err)
@@ -71,8 +71,11 @@ func TestRecloneEquivalentToCloneSharingStats(t *testing.T) {
 
 	// Re-target the pooled space at the real parent and compare against a
 	// conventional clone.
+	if pooled.Stats == (Stats{}) {
+		t.Fatalf("dirtying the pooled space counted nothing")
+	}
 	pooled.RecloneFrom(parent)
-	fresh := parent.CloneSharingStats()
+	fresh := parent.Clone()
 
 	want := readAll(t, parent, addrs)
 	for i, got := range readAll(t, pooled, addrs) {
@@ -80,11 +83,9 @@ func TestRecloneEquivalentToCloneSharingStats(t *testing.T) {
 			t.Fatalf("recloned space disagrees with parent at object %d", i)
 		}
 	}
-	if pooled.Stats != parent.Stats {
-		t.Fatalf("recloned space does not share the parent's Stats")
-	}
-	if fresh.Stats != parent.Stats {
-		t.Fatalf("fresh clone does not share the parent's Stats")
+	if pooled.Stats != (Stats{}) || fresh.Stats != (Stats{}) {
+		t.Fatalf("after reading: reclone counted %+v, fresh clone %+v, want both zero",
+			pooled.Stats, fresh.Stats)
 	}
 
 	// Allocator state must match a fresh clone: same brk, same live counts.
@@ -137,17 +138,17 @@ func TestRecloneEquivalentToCloneSharingStats(t *testing.T) {
 // TestReleaseDropsState checks that a released space holds no pages or
 // allocator entries from its previous life, so a pool does not pin dead
 // invocations' memory; that Release bumps no counter; and that a space
-// recloned from a new parent counts into that parent's Stats only.
+// recloned from a new parent counts from zero into its own Stats only.
 func TestReleaseDropsState(t *testing.T) {
 	parent, addrs := buildParent(t)
-	w := parent.CloneSharingStats()
+	w := parent.Clone()
 	if err := w.WriteBytes(addrs[0], []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	before := *parent.Stats
+	before := w.Stats
 	w.Release()
-	if *parent.Stats != before {
-		t.Fatalf("Release moved the counters: %+v -> %+v", before, *parent.Stats)
+	if w.Stats != before {
+		t.Fatalf("Release moved the counters: %+v -> %+v", before, w.Stats)
 	}
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		if n := w.LiveObjects(h); n != 0 {
@@ -171,18 +172,21 @@ func TestReleaseDropsState(t *testing.T) {
 	if sz := w.ObjectSize(addrs[0]); sz != 0 {
 		t.Fatalf("released space still tracks the old allocation (%d bytes)", sz)
 	}
-	// Re-targeting is what repoints Stats: writes after RecloneFrom count
-	// into the new parent's structure only.
+	// Re-targeting is what zeroes Stats: writes after RecloneFrom count into
+	// the recloned space's own structure, never into either parent's.
 	p2, _ := buildParent(t)
-	before, before2 := *parent.Stats, *p2.Stats
+	before, before2 := parent.Stats, p2.Stats
 	w.RecloneFrom(p2)
+	if w.Stats != (Stats{}) {
+		t.Fatalf("a recloned space starts counting at %+v, want zero", w.Stats)
+	}
 	if err := w.WriteBytes(addrs[1], []byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	if *parent.Stats != before {
-		t.Fatalf("a space recloned from a new parent still counts into the old one's Stats")
+	if parent.Stats != before || p2.Stats != before2 {
+		t.Fatalf("a write in a recloned space moved a parent's counters")
 	}
-	if *p2.Stats == before2 {
-		t.Fatalf("a write copying a page in the recloned space moved none of the new parent's counters")
+	if w.Stats.PagesCopied == 0 {
+		t.Fatalf("a write copying a page in the recloned space counted no copy")
 	}
 }

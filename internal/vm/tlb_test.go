@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"sync"
 	"testing"
 
 	"privateer/internal/ir"
@@ -266,7 +265,7 @@ func TestMixedHeapAccessStaysInTLB(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	child := parent.CloneSharingStats()
+	child := parent.Clone()
 	resident := func(tlb *[tlbSize]tlbEntry, addr uint64) bool {
 		pn := addr >> PageShift
 		e := &tlb[pn&(tlbSize-1)]
@@ -293,59 +292,5 @@ func TestMixedHeapAccessStaysInTLB(t *testing.T) {
 				t.Errorf("round %d: %s page not resident in both TLBs", round, heaps[i])
 			}
 		}
-	}
-}
-
-// CloneSharingStats children account their page events into the parent's
-// Stats structure, so fork-style overhead counts aggregate across a worker
-// fleet (the paper's Figure 8 accounting), also when the children run
-// concurrently.
-func TestCloneSharingStatsAggregates(t *testing.T) {
-	parent := NewAddressSpace()
-	base, _ := parent.Alloc(ir.HeapPrivate, 4*PageSize)
-	for p := uint64(0); p < 4; p++ {
-		if err := parent.Write(base+p*PageSize, 8, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := *parent.Stats
-
-	children := []*AddressSpace{parent.CloneSharingStats(), parent.CloneSharingStats()}
-	var wg sync.WaitGroup
-	for i, c := range children {
-		if c.Stats != parent.Stats {
-			t.Fatalf("child %d has its own Stats; want the parent's", i)
-		}
-		wg.Add(1)
-		go func(i int, c *AddressSpace) {
-			defer wg.Done()
-			// One COW resolution per child.
-			if err := c.Write(base+uint64(i)*PageSize, 8, 100+uint64(i)); err != nil {
-				t.Error(err)
-			}
-			// One demand-zero instantiation per child.
-			if err := c.Write(base+uint64(4+i)*PageSize, 8, 200+uint64(i)); err != nil {
-				t.Error(err)
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	if got := parent.Stats.PagesCopied - before.PagesCopied; got != 2 {
-		t.Errorf("aggregated PagesCopied delta = %d, want 2", got)
-	}
-	if got := parent.Stats.PagesMapped - before.PagesMapped; got != 2 {
-		t.Errorf("aggregated PagesMapped delta = %d, want 2", got)
-	}
-	// Each child path-copies one branch of the shared table on its first
-	// store; its second store lands under the same, now owned, leaf.
-	if got := parent.Stats.NodesCopied - before.NodesCopied; got != 2*radixLevels {
-		t.Errorf("aggregated NodesCopied delta = %d, want %d", got, 2*radixLevels)
-	}
-	// Isolation still holds despite the shared accounting.
-	if v, _ := parent.Read(base, 8); v != 0 {
-		t.Errorf("parent disturbed by child writes: %d", v)
-	}
-	if v, _ := children[0].Read(base, 8); v != 100 {
-		t.Errorf("child 0 lost its write: %d", v)
 	}
 }

@@ -291,6 +291,14 @@ type Stats struct {
 	SummaryHits int64
 }
 
+// Add adds o's counts into s.
+func (s *Stats) Add(o Stats) {
+	s.PagesMapped += o.PagesMapped
+	s.PagesCopied += o.PagesCopied
+	s.NodesCopied += o.NodesCopied
+	s.SummaryHits += o.SummaryHits
+}
+
 // tlbEntry is one cached translation of the software TLB: page number to
 // resolved page. A read entry proves the translation passed its protection
 // check; a write entry additionally proves the page is privately owned
@@ -327,10 +335,10 @@ type AddressSpace struct {
 	rtlb [tlbSize]tlbEntry
 	wtlb [tlbSize]tlbEntry
 
-	// Stats accumulates page-event counts; clones made with
-	// CloneSharingStats or RecloneFrom share the parent's structure. Release
-	// leaves it alone: whoever re-targets a released space repoints it.
-	Stats *Stats
+	// Stats accumulates this space's page-event counts. Only the owner
+	// goroutine writes it; a clone counts from zero in its own, and whoever
+	// wants a fleet's total adds the clones' counts up (see Stats.Add).
+	Stats Stats
 
 	// clones counts the live spaces that may reach this space's nodes: every
 	// Clone or RecloneFrom taken from it, or from one of those, not yet
@@ -342,11 +350,10 @@ type AddressSpace struct {
 	ownEpoch uint64
 }
 
-// addStat bumps one Stats counter. The add is always atomic: the structure
-// may be shared with concurrently executing clones, and every caller sits
-// on a page-table event (a page or node instantiated, copied or skipped),
-// never on a per-access path.
-func addStat(p *int64) { atomic.AddInt64(p, 1) }
+// addStat bumps one Stats counter of the space's own, unshared Stats.
+// Every caller sits on a page-table event (a page or node instantiated,
+// copied or skipped), never on a per-access path.
+func addStat(p *int64) { *p++ }
 
 // flushTLB drops every cached translation.
 func (as *AddressSpace) flushTLB() {
@@ -357,7 +364,7 @@ func (as *AddressSpace) flushTLB() {
 // NewAddressSpace returns an empty address space with every heap mapped
 // read-write and empty.
 func NewAddressSpace() *AddressSpace {
-	as := &AddressSpace{epoch: nextEpoch(), Stats: &Stats{}}
+	as := &AddressSpace{epoch: nextEpoch()}
 	as.root = as.newNode(false)
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		as.heaps[h] = newHeapState(h)
@@ -376,7 +383,7 @@ func NewAddressSpace() *AddressSpace {
 // not O(mapped pages) or O(live allocations).
 func (as *AddressSpace) Clone() *AddressSpace {
 	as.share()
-	c := &AddressSpace{root: as.root, epoch: nextEpoch(), Stats: &Stats{}}
+	c := &AddressSpace{root: as.root, epoch: nextEpoch()}
 	c.attach(as)
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		c.heaps[h] = as.heaps[h].clone()
@@ -385,24 +392,15 @@ func (as *AddressSpace) Clone() *AddressSpace {
 	return c
 }
 
-// CloneSharingStats is Clone, except the child accumulates into the
-// parent's Stats structure instead of a fresh one. The speculative runtime
-// spawns its workers this way so fork-style page-copy counts aggregate
-// across the whole worker fleet (the paper's Figure 8 overhead accounting).
-func (as *AddressSpace) CloneSharingStats() *AddressSpace {
-	c := as.Clone()
-	c.Stats = as.Stats
-	return c
-}
-
 // RecloneFrom re-targets as to be a fresh copy-on-write clone of parent —
-// semantically identical to parent.CloneSharingStats(), except that no new
-// AddressSpace, TLB arrays or heap-state slots are allocated: the receiver's
-// existing structure (including the delta-map capacity its allocator grew on
-// earlier runs) is reused in place. The region service's warmed worker pool
-// spawns recycled workers this way, amortizing the per-spawn allocation
-// churn across invocations. The receiver must not be aliased by any other
-// execution (a pooled space between uses); any state it held is discarded.
+// semantically identical to parent.Clone(), Stats counting from zero
+// included, except that no new AddressSpace, TLB arrays or heap-state slots
+// are allocated: the receiver's existing structure (including the delta-map
+// capacity its allocator grew on earlier runs) is reused in place. The
+// region service's warmed worker pool spawns recycled workers this way,
+// amortizing the per-spawn allocation churn across invocations. The
+// receiver must not be aliased by any other execution (a pooled space
+// between uses); any state it held, its counts included, is discarded.
 func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 	as.reclaim(as.root)
 	as.detach()
@@ -414,7 +412,7 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 		as.heaps[h].recloneFrom(parent.heaps[h])
 		as.prot[h] = parent.prot[h]
 	}
-	as.Stats = parent.Stats
+	as.Stats = Stats{}
 	as.flushTLB()
 }
 
@@ -423,8 +421,8 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 // empty post-construction state, so a pooled space does not pin a dead
 // invocation's pages in memory while it waits for reuse. The structure
 // itself (TLB arrays, heap-state slots, delta-map capacity) is retained for
-// the next RecloneFrom. Release bumps no counter and keeps Stats pointing
-// where it did, so a run's counts stay readable after its spaces are parked.
+// the next RecloneFrom. Release bumps no counter and leaves Stats as it
+// was, so a parked space's counts stay readable until it is drawn again.
 func (as *AddressSpace) Release() {
 	as.reclaim(as.root)
 	as.detach()

@@ -37,12 +37,12 @@ func TestStatsCounters(t *testing.T) {
 			}
 		}
 	}
-	before := *as.Stats
+	before := as.Stats
 	access()
 	as.SetProt(ir.HeapPrivate, ProtReadWrite) // flushes both TLBs
 	access()
-	if *as.Stats != before {
-		t.Errorf("resident accesses moved Stats: %+v -> %+v", before, *as.Stats)
+	if as.Stats != before {
+		t.Errorf("resident accesses moved Stats: %+v -> %+v", before, as.Stats)
 	}
 }
 
