@@ -1,9 +1,12 @@
 // Misspeculation and recovery (sections 5.2-5.3, Figure 5): this example
 // injects artificial misspeculation into a parallel run — as the paper does
 // for Figure 9 — and shows the runtime squashing the failed checkpoint
-// interval, restoring the last valid checkpoint, re-executing sequentially
-// past the misspeculated iteration, and resuming parallel execution, all
-// while producing exactly the sequential program's output.
+// interval, restoring the last valid checkpoint, re-speculating the
+// squashed iterations before the misspeculated one, re-executing only that
+// iteration sequentially, and resuming parallel execution, all while
+// producing exactly the sequential program's output. (The paper instead
+// re-executes the whole interval after the last valid checkpoint
+// sequentially.)
 //
 //	go run ./examples/misspeculation
 package main

@@ -41,7 +41,9 @@ const (
 	// Site=the instruction that fired, if any, A=the faulting address when
 	// the violation concerns a specific memory location, 0 otherwise).
 	KMisspec
-	// KRecovery is one sequential recovery episode (A=from, B=to).
+	// KRecovery is the master's re-run of one misspeculated iteration, with
+	// the prefix before it when that is too short to speculate (A=from,
+	// B=to).
 	KRecovery
 	// KSeqFallback is an invocation's remainder run sequentially after the
 	// recovery budget was spent (A=from, B=hi; spans the sequential run).

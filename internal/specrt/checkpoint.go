@@ -1,8 +1,9 @@
 package specrt
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 
 	"privateer/internal/ir"
@@ -58,21 +59,23 @@ type checkpoint struct {
 	id int64
 	// base and limit bound the interval's iterations [base, limit).
 	base, limit int64
-	// prev is the previous checkpoint in the chain (nil for the first).
-	prev *checkpoint
+	// prev and next link the chain: the previous and the following
+	// checkpoint of the span (nil at either end).
+	prev, next *checkpoint
 
 	// data holds merged private-heap byte values for bytes written this
 	// interval; shadow holds the interval's combined metadata (zero =
 	// untouched this interval).
 	data   map[uint64][]byte
 	shadow map[uint64][]byte
-	// redux holds each worker's contribution per reduction object, keyed
-	// by worker id; snapshots are cumulative per worker, so an object's
-	// contributions reflect all iterations up to this interval. They are
-	// folded together in worker-id order at install time: combination
-	// order must not depend on goroutine scheduling, or floating-point
-	// reductions would produce schedule-dependent low bits.
-	redux map[uint64]map[int][]byte
+	// redux[i][w] is worker w's contribution to the span's i-th reduction
+	// object (nil = none; checkpointFor sizes the outer slice). Snapshots
+	// are cumulative per worker, so an object's contributions reflect all
+	// iterations up to this interval. They are folded together in worker-id
+	// order at install time: combination order must not depend on goroutine
+	// scheduling, or floating-point reductions would produce
+	// schedule-dependent low bits.
+	redux [][][]byte
 	// proven holds the content of each statically-privatized object at
 	// the end of this interval, keyed by base address. Exactly one worker
 	// contributes it — the one whose cyclic assignment ran the interval's
@@ -83,18 +86,41 @@ type checkpoint struct {
 	io []ioRec
 	// committed marks the checkpoint non-speculative.
 	committed bool
-	// bufs is where the pages and snapshots below come from and, once the
-	// span is over, go back to; nil allocates.
+	// carried is crossValidate's scratch: collapsed metadata per shadow
+	// page, empty between calls.
+	carried map[uint64][]byte
+	// bufs is where the pages and snapshots above come from and, once the
+	// span is over, go back to, with the checkpoint itself; nil allocates.
 	bufs *bufFree
 }
 
-func newCheckpoint(id, base, limit int64, prev *checkpoint) *checkpoint {
-	return &checkpoint{
-		id: id, base: base, limit: limit, prev: prev,
-		data:   map[uint64][]byte{},
-		shadow: map[uint64][]byte{},
-		redux:  map[uint64]map[int][]byte{},
-		proven: map[uint64][]byte{},
+// recycle gives every buffer cp owns back to cp.bufs and parks cp there,
+// its maps cleared in place. Nothing may read cp afterwards.
+func (cp *checkpoint) recycle() {
+	f := cp.bufs
+	for _, m := range [...]map[uint64][]byte{cp.data, cp.shadow, cp.proven} {
+		for _, b := range m {
+			f.put(b)
+		}
+		clear(m)
+	}
+	for _, slots := range cp.redux {
+		for w, b := range slots {
+			if b != nil {
+				f.put(b)
+			}
+			slots[w] = nil
+		}
+	}
+	clear(cp.io)
+	cp.io = cp.io[:0]
+	cp.prev, cp.next, cp.committed = nil, nil, false
+	if f != nil {
+		f.mu.Lock()
+		if len(f.cps) < cpFreeCap {
+			f.cps = append(f.cps, cp)
+		}
+		f.mu.Unlock()
 	}
 }
 
@@ -184,22 +210,24 @@ func (cp *checkpoint) addWorkerState(wid int, ws *vm.AddressSpace, reduxObjs []r
 			miss(a)
 		}
 	})
-	for _, ro := range reduxObjs {
+	for i, ro := range reduxObjs {
 		buf := cp.bufs.get(int(ro.size), false)
 		if err := ws.ReadBytes(ro.addr, buf); err != nil {
+			cp.bufs.put(buf)
 			miss(ro.addr)
 			continue
 		}
-		contribs, have := cp.redux[ro.addr]
-		if !have {
-			contribs = map[int][]byte{}
-			cp.redux[ro.addr] = contribs
+		slots := cp.redux[i]
+		for len(slots) <= wid {
+			slots = append(slots, nil)
 		}
-		contribs[wid] = buf
+		slots[wid] = buf
+		cp.redux[i] = slots
 	}
 	for _, pr := range proven {
 		buf := cp.bufs.get(int(pr.size), false)
 		if err := ws.ReadBytes(pr.addr, buf); err != nil {
+			cp.bufs.put(buf)
 			miss(pr.addr)
 			continue
 		}
@@ -209,55 +237,50 @@ func (cp *checkpoint) addWorkerState(wid int, ws *vm.AddressSpace, reduxObjs []r
 	return ok, scanned, missAddr
 }
 
-// reduxTotal folds the checkpoint's contributions for ro in ascending
-// worker-id order, starting from the operator's identity. The fixed fold
-// order keeps floating-point reductions bit-deterministic regardless of the
-// order workers happened to contribute. Returns nil if no worker
-// contributed; the total comes from cp.bufs, and the caller puts it back.
-func (cp *checkpoint) reduxTotal(ro reduxObj) ([]byte, error) {
-	contribs := cp.redux[ro.addr]
-	if len(contribs) == 0 {
-		return nil, nil
-	}
-	id, err := Identity(ro.op, ro.elemSize)
-	if err != nil {
-		return nil, err
-	}
-	acc := cp.bufs.get(int(ro.size), false)
-	for off := int64(0); off < ro.size; off += ro.elemSize {
-		copy(acc[off:off+ro.elemSize], id)
-	}
-	wids := make([]int, 0, len(contribs))
-	for w := range contribs {
-		wids = append(wids, w)
-	}
-	sort.Ints(wids)
-	for _, w := range wids {
-		if err := Combine(ro.op, ro.elemSize, acc, contribs[w]); err != nil {
+// reduxTotal folds the checkpoint's contributions for the span's i-th
+// reduction object ro in ascending worker-id order, starting from the
+// operator's identity. The fixed fold order keeps floating-point reductions
+// bit-deterministic regardless of the order workers happened to contribute.
+// Returns nil if no worker contributed; the total comes from cp.bufs, and
+// the caller puts it back.
+func (cp *checkpoint) reduxTotal(i int, ro reduxObj) ([]byte, error) {
+	var acc []byte
+	for _, contrib := range cp.redux[i] {
+		if contrib == nil {
+			continue
+		}
+		if acc == nil {
+			id, err := Identity(ro.op, ro.elemSize)
+			if err != nil {
+				return nil, err
+			}
+			acc = cp.bufs.get(int(ro.size), false)
+			for off := int64(0); off < ro.size; off += ro.elemSize {
+				copy(acc[off:], id)
+			}
+		}
+		if err := Combine(ro.op, ro.elemSize, acc, contrib); err != nil {
 			return nil, err
 		}
 	}
 	return acc, nil
 }
 
-// sortedIO returns the interval's deferred output in iteration order.
+// sortedIO sorts the interval's deferred output into iteration order, in
+// place, and returns it.
 func (cp *checkpoint) sortedIO() []ioRec {
-	out := append([]ioRec(nil), cp.io...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].iter < out[j].iter })
-	return out
+	slices.SortStableFunc(cp.io, func(a, b ioRec) int { return cmp.Compare(a.iter, b.iter) })
+	return cp.io
 }
 
-// chain returns the checkpoints from the first interval through cp, oldest
-// first.
-func (cp *checkpoint) chain() []*checkpoint {
-	var out []*checkpoint
-	for c := cp; c != nil; c = c.prev {
-		out = append(out, c)
+// oldest returns the first checkpoint of cp's chain; following next from
+// it reaches cp.
+func (cp *checkpoint) oldest() *checkpoint {
+	c := cp
+	for c.prev != nil {
+		c = c.prev
 	}
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
+	return c
 }
 
 // carryValidatePage folds one interval's shadow page sh into the carried
@@ -303,13 +326,14 @@ func carryValidatePage(prev, sh []byte) int {
 // the violating byte, or (-1, 0). Call only after the span has quiesced.
 // The carried pages come zeroed from cp.bufs and go back on return.
 func (cp *checkpoint) crossValidate() (id int64, addr uint64) {
-	carried := map[uint64][]byte{} // shadow page base -> collapsed meta
+	carried := cp.carried
 	defer func() {
 		for _, prev := range carried {
 			cp.bufs.put(prev)
 		}
+		clear(carried)
 	}()
-	for _, c := range cp.chain() {
+	for c := cp.oldest(); ; c = c.next {
 		for base, sh := range c.shadow {
 			prev, have := carried[base]
 			if !have {
@@ -320,14 +344,17 @@ func (cp *checkpoint) crossValidate() (id int64, addr uint64) {
 				return c.id, (base &^ ir.ShadowBit) + uint64(off)
 			}
 		}
+		if c == cp {
+			return -1, 0
+		}
 	}
-	return -1, 0
 }
 
 // installOwnDataInto applies only this checkpoint's merged private-heap
-// bytes (not its predecessors', not reductions) to the master address
-// space; installInto composes it over a whole chain.
-func (cp *checkpoint) installOwnDataInto(master *vm.AddressSpace) (int64, error) {
+// bytes and its snapshots of the span's proven ranges (not its
+// predecessors', not reductions) to the master address space; installInto
+// composes it over a whole chain.
+func (cp *checkpoint) installOwnDataInto(master *vm.AddressSpace, proven []provenRange) (int64, error) {
 	var bytes int64
 	for base, sh := range cp.shadow {
 		privBase := base &^ ir.ShadowBit
@@ -364,19 +391,12 @@ func (cp *checkpoint) installOwnDataInto(master *vm.AddressSpace) (int64, error)
 	// deliberately: a stray marked write to such an object (a multi-target
 	// access that kept its marks) from an earlier iteration is dead under
 	// the full-overwrite proof, so the snapshot must win.
-	if len(cp.proven) > 0 {
-		addrs := make([]uint64, 0, len(cp.proven))
-		for addr := range cp.proven {
-			addrs = append(addrs, addr)
+	for _, pr := range proven {
+		buf := cp.proven[pr.addr]
+		if err := master.WriteBytes(pr.addr, buf); err != nil {
+			return bytes, err
 		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, addr := range addrs {
-			buf := cp.proven[addr]
-			if err := master.WriteBytes(addr, buf); err != nil {
-				return bytes, err
-			}
-			bytes += int64(len(buf))
-		}
+		bytes += int64(len(buf))
 	}
 	return bytes, nil
 }
@@ -388,8 +408,8 @@ func (cp *checkpoint) installOwnDataInto(master *vm.AddressSpace) (int64, error)
 // per interval.
 func (cp *checkpoint) installReduxInto(master *vm.AddressSpace, reduxObjs []reduxObj) (int64, error) {
 	var bytes int64
-	for _, ro := range reduxObjs {
-		contrib, err := cp.reduxTotal(ro)
+	for i, ro := range reduxObjs {
+		contrib, err := cp.reduxTotal(i, ro)
 		if err != nil {
 			return bytes, err
 		}
@@ -417,13 +437,16 @@ func (cp *checkpoint) installReduxInto(master *vm.AddressSpace, reduxObjs []redu
 // installInto applies the chain's merged private state and reduction totals
 // to the master address space: the simulated equivalent of installing a
 // checkpoint's heap images via mmap.
-func (cp *checkpoint) installInto(master *vm.AddressSpace, reduxObjs []reduxObj) (int64, error) {
+func (cp *checkpoint) installInto(master *vm.AddressSpace, reduxObjs []reduxObj, proven []provenRange) (int64, error) {
 	var bytes int64
-	for _, c := range cp.chain() {
-		b, err := c.installOwnDataInto(master)
+	for c := cp.oldest(); ; c = c.next {
+		b, err := c.installOwnDataInto(master, proven)
 		bytes += b
 		if err != nil {
 			return bytes, err
+		}
+		if c == cp {
+			break
 		}
 	}
 	b, err := cp.installReduxInto(master, reduxObjs)

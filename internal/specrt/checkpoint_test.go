@@ -7,6 +7,12 @@ import (
 	"privateer/internal/vm"
 )
 
+// newCheckpoint returns a checkpoint that allocates its buffers and is
+// never parked.
+func newCheckpoint(id, base, limit int64, prev *checkpoint) *checkpoint {
+	return (*bufFree)(nil).checkpoint(id, base, limit, prev)
+}
+
 // TestCrossValidateFirstViolation: over a chain where different pages
 // violate at different intervals, chain validation must report the earliest
 // violating checkpoint and the address of a byte that violates there — the

@@ -172,7 +172,7 @@ var statFamilies = []struct {
 		func(s *Stats) int64 { return s.Checkpoints }},
 	{"misspeculations_total", "Detected misspeculations, including injected.",
 		func(s *Stats) int64 { return s.Misspecs }},
-	{"recoveries_total", "Sequential recovery episodes.",
+	{"recoveries_total", "Misspeculated iterations re-run on the master.",
 		func(s *Stats) int64 { return s.Recoveries }},
 	{"sequential_fallbacks_total", "Invocations abandoned to sequential execution.",
 		func(s *Stats) int64 { return s.SequentialFallbacks }},

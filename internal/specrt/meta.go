@@ -1,6 +1,7 @@
 package specrt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -161,9 +162,9 @@ func Combine(op ir.ReduxKind, elemSize int64, dst, src []byte) error {
 		case ir.ReduxAddF64:
 			r = math.Float64bits(math.Float64frombits(d) + math.Float64frombits(s))
 		case ir.ReduxMinI64:
-			r = uint64(minI64(int64(d), int64(s)))
+			r = uint64(min(int64(d), int64(s)))
 		case ir.ReduxMaxI64:
-			r = uint64(maxI64(int64(d), int64(s)))
+			r = uint64(max(int64(d), int64(s)))
 		case ir.ReduxMinF64:
 			r = math.Float64bits(math.Min(math.Float64frombits(d), math.Float64frombits(s)))
 		case ir.ReduxMaxF64:
@@ -177,12 +178,19 @@ func Combine(op ir.ReduxKind, elemSize int64, dst, src []byte) error {
 }
 
 func putUint(b []byte, v uint64) {
+	if len(b) == 8 {
+		binary.LittleEndian.PutUint64(b, v)
+		return
+	}
 	for i := range b {
 		b[i] = byte(v >> (8 * i))
 	}
 }
 
 func getUint(b []byte) uint64 {
+	if len(b) == 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
 	var v uint64
 	for i := range b {
 		v |= uint64(b[i]) << (8 * i)
@@ -191,18 +199,4 @@ func getUint(b []byte) uint64 {
 	// element width for adds (wrap-around matches), and min/max users in
 	// this codebase use full 8-byte elements.
 	return v
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

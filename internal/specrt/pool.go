@@ -53,21 +53,49 @@ type WorkerPool struct {
 	bufs bufFree
 }
 
-// bufFreeCap bounds the bytes a bufFree parks.
-const bufFreeCap = 1 << 20
+// bufFreeCap bounds the bytes a bufFree parks, cpFreeCap the checkpoint
+// objects.
+const (
+	bufFreeCap = 1 << 20
+	cpFreeCap  = 512
+)
 
-// bufFree is a bounded free list of byte buffers by exact length: the
+// bufFree is a bounded free list of byte buffers by exact length — the
 // merged data and shadow pages and the reduction and proven-range snapshots
-// a span's checkpoints own. Those are dead once invoke has installed and
-// committed the span's valid prefix (spanState.recycle), and the next span
-// merges the same objects into buffers of the same sizes, so they go back
-// here rather than to the collector. Owned by the WorkerPool when one is
-// configured (reuse across invocations and tenants), by the RT otherwise
-// (reuse across the spans of one run); a nil *bufFree allocates and drops.
+// a span's checkpoints own — and of the checkpoint objects themselves. Those
+// are dead once invoke has installed and committed the span's valid prefix
+// (spanState.recycle), and the next span merges the same objects into
+// buffers of the same sizes, so they go back here rather than to the
+// collector. Owned by the WorkerPool when one is configured (reuse across
+// invocations and tenants), by the RT otherwise (reuse across the spans of
+// one run); a nil *bufFree allocates and drops.
 type bufFree struct {
 	mu   sync.Mutex
 	free map[int][][]byte
 	held int
+	cps  []*checkpoint
+}
+
+// checkpoint returns a checkpoint for interval id, [base, limit), after
+// prev, drawing its buffers from f: a parked one when f has one.
+func (f *bufFree) checkpoint(id, base, limit int64, prev *checkpoint) *checkpoint {
+	var cp *checkpoint
+	if f != nil {
+		f.mu.Lock()
+		if n := len(f.cps); n > 0 {
+			cp, f.cps = f.cps[n-1], f.cps[:n-1]
+		}
+		f.mu.Unlock()
+	}
+	if cp == nil {
+		cp = &checkpoint{data: map[uint64][]byte{}, shadow: map[uint64][]byte{},
+			proven: map[uint64][]byte{}, carried: map[uint64][]byte{}}
+	}
+	cp.id, cp.base, cp.limit, cp.prev, cp.bufs = id, base, limit, prev, f
+	if prev != nil {
+		prev.next = cp
+	}
+	return cp
 }
 
 // get returns a buffer of n bytes, zeroed when zero is set (a caller that

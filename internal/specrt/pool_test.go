@@ -344,6 +344,40 @@ func TestHardErrorParksFleet(t *testing.T) {
 	}
 }
 
+// TestHardErrorRecyclesSpan: a worker that errors hard after its first
+// contribution (one worker, period 2, a division by zero at i = 3) fails
+// the run, yet the span's checkpoint and the pages it merged go back to the
+// pool's free list: an exit that skipped recycling would drop them.
+func TestHardErrorRecyclesSpan(t *testing.T) {
+	mod := ir.NewModule("div")
+	out := mod.NewGlobal("out", 4*8)
+	f := mod.NewFunc("main", ir.I64)
+	f.NewParam("n", ir.I64)
+	b := ir.NewBuilder(f)
+	b.For("i", b.I(0), f.Params[0], func(iv *ir.Instr) {
+		i := b.Ld(iv)
+		q := b.SDiv(b.I(100), b.Sub(b.I(3), i))
+		b.Store(q, b.Add(b.Global(out), b.Mul(b.SRem(i, b.I(4)), b.I(8))), 8)
+	})
+	b.Ret(b.Load(b.Global(out), 8))
+	ir.PromoteAllocas(f)
+	ri := buildRegion(t, mod, 3)
+	pool := NewWorkerPool(0)
+	rt := New(mod, Config{Workers: 1, CheckpointPeriod: 2,
+		Program: interp.SharedProgram(mod), Pool: pool}, ri)
+	if _, err := rt.Run(8); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("error %v, want the division by zero", err)
+	}
+	if rt.Stats.Checkpoints != 1 {
+		t.Fatalf("%d checkpoints, want the one the worker contributed before failing", rt.Stats.Checkpoints)
+	}
+	f2 := &pool.bufs
+	if len(f2.cps) != 1 || f2.held < 2*vm.PageSize {
+		t.Errorf("free list holds %d checkpoints and %d bytes; want the failed span's checkpoint and its data and shadow pages",
+			len(f2.cps), f2.held)
+	}
+}
+
 // TestConfigProgramModuleMismatch: a Program decoding a different module
 // must be rejected up front, not discovered as corrupt execution.
 func TestConfigProgramModuleMismatch(t *testing.T) {

@@ -12,21 +12,24 @@ import (
 )
 
 // recoveryAllocBudget is the bytes a misspeculating 052.alvinn/train run
-// over a warm pool may allocate: half of the 107,112 B budget it had while
-// every run built its master's space and interpreter afresh (then a median
-// of 87,200 B; with the master drawn from the pool the median reads
-// 40.5–43 KB, Go 1.24 on x86-64). That budget was itself half of the
-// 214,224 B the run allocated while the master kept paying copy-on-write
-// for a tree no parked worker could read any more, every recovery built a
-// fresh interpreter and every install a fresh reduction total.
-const recoveryAllocBudget = 53_556
+// over a warm pool may allocate: the median of 15,664 B it reads (14.7–16.6
+// KB over three series, Go 1.24 on x86-64) plus a quarter, since spans
+// recycle their checkpoint objects and keep their workers, snapshots and
+// argument buffers. The budget before was 53,556 B, half of the 107,112 B
+// it had while every run built its master's space and interpreter afresh;
+// that was itself half of the 214,224 B the run allocated while the master
+// kept paying copy-on-write for a tree no parked worker could read any
+// more, every recovery built a fresh interpreter and every install a fresh
+// reduction total.
+const recoveryAllocBudget = 19_580
 
 // TestRecoveryAllocatesLittle pins what reowning buys recovery: once a span's
 // fleet is parked the master writes its own pages in place, so installing
-// the valid prefix and re-executing the squashed iterations copy no radix
-// node and no page, the one recovery interpreter of the run is reused with
-// its frame slabs, reduction totals come from the checkpoint buffers'
-// free list, and the master's own space and interpreter come from the pool.
+// the valid prefix and re-executing the misspeculated iterations copy no
+// radix node and no page, the one recovery interpreter of the run is reused
+// with its frame slabs, checkpoints and reduction totals come from the
+// checkpoint buffers' free list, and the master's own space and interpreter
+// come from the pool.
 // A warm run with 5 % of iterations injected stays
 // within recoveryAllocBudget (the median of five runs, so one schedule that
 // squashes late does not decide it).

@@ -1,5 +1,11 @@
 package specrt
 
+import (
+	"math"
+
+	"privateer/internal/vm"
+)
+
 // Simulated-time cost model.
 //
 // The paper measures wall-clock time on a 24-core Xeon. This reproduction
@@ -17,7 +23,9 @@ package specrt
 //     spawn + max over workers(steps + validation costs) + install/commit,
 //     i.e. workers genuinely overlap and the slowest worker plus the
 //     serial sections bound the region (Amdahl accounting);
-//   - sequential recovery executes serially and adds its steps directly.
+//   - sequential recovery executes serially and adds its steps directly;
+//   - once a run has recovered, the same constants price its checkpoint
+//     period (recoveryPeriod).
 //
 // Whole-program speedup (Figures 6, 7, 9) is then
 // steps(best sequential) / simulated-time(parallel), a deterministic,
@@ -92,4 +100,24 @@ func (s *SimStats) IdleCost() int64 {
 		idle = 0
 	}
 	return idle
+}
+
+// recoveryPeriod prices the checkpoint period of a run that has
+// misspeculated, by Young's rule k = √(2C / (p·s)): C is the simulated cost
+// of one more interval on a fleet of w workers (a join and one page of
+// merge each), s the steps of one re-run iteration and p the recoveries per
+// retired iteration; a misspeculation loses half an interval on average.
+// The result is rounded up to a multiple of w and clamped to
+// [min(w, kClean), kClean], kClean being the invocation's clean period.
+func recoveryPeriod(w int, kClean, iterSteps int64, rate float64) int64 {
+	if rate <= 0 || iterSteps <= 0 {
+		return kClean
+	}
+	c := float64(w) * (SimJoinPerWorker + vm.PageSize*SimCheckpointPerByte)
+	k := math.Ceil(math.Sqrt(2 * c / (rate * float64(iterSteps))))
+	if k >= float64(kClean) {
+		return kClean
+	}
+	n := (int64(k) + int64(w) - 1) / int64(w) * int64(w)
+	return max(min(int64(w), kClean), min(n, kClean))
 }

@@ -1,8 +1,9 @@
 package specrt
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -18,8 +19,9 @@ import (
 	"privateer/internal/vm"
 )
 
-// DefaultMaxRecoveries is the per-invocation recovery budget. Each recovery
-// makes forward progress, so the budget is a policy, not a liveness
+// DefaultMaxRecoveries is the per-invocation budget of misspeculated spans.
+// Each one advances the start or lowers the next span's bound to an earlier
+// iteration (see invoke), so the budget is a policy, not a liveness
 // requirement: past it the invocation's remainder abandons speculation (a
 // sequential fallback, counted in Stats.SequentialFallbacks), trading lost
 // parallelism for an end to churn. The value comfortably covers the
@@ -32,8 +34,9 @@ type Config struct {
 	// Workers is the number of worker processes.
 	Workers int
 	// CheckpointPeriod is the iteration count per checkpoint; 0 selects
-	// automatically (about five checkpoints per invocation, capped at the
-	// paper's 253-iteration metadata limit).
+	// automatically: about five checkpoints per invocation, capped at the
+	// paper's 253-iteration metadata limit, until the run first recovers,
+	// and from then on the period recoveryPeriod prices.
 	CheckpointPeriod int64
 	// MisspecRate injects artificial misspeculation at the given
 	// per-iteration probability (Figure 9). Zero disables injection.
@@ -90,7 +93,9 @@ type Stats struct {
 	Checkpoints int64
 	// Misspecs counts detected misspeculations (including injected).
 	Misspecs int64
-	// Recoveries counts sequential recovery episodes.
+	// Recoveries counts recovery episodes: a misspeculated iteration re-run
+	// on the master, with the prefix before it when that is too short to
+	// speculate.
 	Recoveries int64
 	// SequentialFallbacks counts invocations abandoned to pure sequential
 	// execution after the per-invocation recovery budget was spent.
@@ -244,6 +249,22 @@ type RT struct {
 
 	// ownBufs is the checkpoint-buffer free list when Cfg.Pool is nil.
 	ownBufs bufFree
+
+	// The master thread's reused storage, one span at a time: the span,
+	// its workers and snapshots (see speculate), the invocation's owed
+	// iterations (see invoke) and sequentialRange's arguments.
+	span                   spanState
+	workers                []*worker
+	reduxBuf               []reduxObj
+	provenBuf, provenROBuf []provenRange
+	owed                   []int64
+	seqArgs                []uint64
+	// What the run's recoveries price later spans' period from (Run resets
+	// it): its retired (installed or re-run) iterations and recovery
+	// episodes, and at the last recovery the steps per re-run iteration and
+	// the episodes per retired iteration.
+	retired, recovered, priceSteps int64
+	priceRate                      float64
 }
 
 // bufs returns the free list this runtime's checkpoints draw from.
@@ -351,6 +372,7 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 	}
 	master := rt.newMaster()
 	rt.master, rt.recov = master, nil
+	rt.retired, rt.recovered, rt.priceSteps, rt.priceRate = 0, 0, 0, 0
 	master.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
 		rt.writeOut(text)
 		return true
@@ -413,9 +435,11 @@ func (rt *RT) deregisterRedux(addr uint64) {
 // invoked region's, never the registry's. An object ri does not reduce is
 // left out, as sepSnapshot leaves out what ri does not privatize: the span
 // neither writes nor folds it, so it needs no identity and no merge.
+//
+// The snapshot lives in a buffer the next call reuses.
 func (rt *RT) reduxSnapshot(ri *RegionInfo) []reduxObj {
 	rt.reduxMu.Lock()
-	out := make([]reduxObj, 0, len(rt.reduxObjs))
+	out := rt.reduxBuf[:0]
 	for _, lo := range rt.reduxObjs {
 		k := ri.Assign.ReduxOps[lo.obj]
 		if k == ir.ReduxNone {
@@ -424,7 +448,8 @@ func (rt *RT) reduxSnapshot(ri *RegionInfo) []reduxObj {
 		out = append(out, reduxObj{addr: lo.addr, size: lo.size, elemSize: ri.Assign.ReduxSizes[lo.obj], op: k})
 	}
 	rt.reduxMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].addr < out[j].addr })
+	slices.SortFunc(out, func(a, b reduxObj) int { return cmp.Compare(a.addr, b.addr) })
+	rt.reduxBuf = out
 	return out
 }
 
@@ -471,8 +496,10 @@ func (rt *RT) sepDeregister(addr uint64) {
 // sepSnapshot returns, for one region, the live statically-privatized
 // ranges (whose content installs wholesale per interval) and the proven
 // read-only ranges (consumed by the SepAudit oracle), each in address
-// order: one consistent view per speculative span.
+// order: one consistent view per speculative span, in buffers the next call
+// reuses.
 func (rt *RT) sepSnapshot(ri *RegionInfo) (priv, ro []provenRange) {
+	priv, ro = rt.provenBuf[:0], rt.provenROBuf[:0]
 	rt.sepMu.Lock()
 	for _, so := range rt.sepObjs {
 		switch {
@@ -483,8 +510,10 @@ func (rt *RT) sepSnapshot(ri *RegionInfo) (priv, ro []provenRange) {
 		}
 	}
 	rt.sepMu.Unlock()
-	sort.Slice(priv, func(i, j int) bool { return priv[i].addr < priv[j].addr })
-	sort.Slice(ro, func(i, j int) bool { return ro[i].addr < ro[j].addr })
+	byAddr := func(a, b provenRange) int { return cmp.Compare(a.addr, b.addr) }
+	slices.SortFunc(priv, byAddr)
+	slices.SortFunc(ro, byAddr)
+	rt.provenBuf, rt.provenROBuf = priv, ro
 	return priv, ro
 }
 
@@ -526,16 +555,15 @@ func (rt *RT) checkpointPeriod(total int64) int64 {
 	if k <= 0 {
 		k = (total + 4) / 5 // about five checkpoints per invocation
 	}
-	if k < 1 {
-		k = 1
-	}
-	if k > MaxCheckpointPeriod {
-		k = MaxCheckpointPeriod
-	}
-	return k
+	return min(max(k, 1), MaxCheckpointPeriod)
 }
 
 // invoke runs one parallel region invocation: args are (lo, hi, live-ins).
+// A span that misspeculates at iteration m installs its valid prefix [.., L)
+// and leaves m owing a sequential run: the next span re-speculates [L, m),
+// then m alone runs on the master. rt.owed keeps the iterations that still
+// owe their run, in order, and the first bounds the next span, so a prefix
+// that misspeculates again at m' < m owes m' first and m still runs later.
 func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	wall := startTimer()
 	inv := rt.Stats.Invocations
@@ -550,81 +578,120 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	if hi <= lo {
 		return nil
 	}
-	k := rt.checkpointPeriod(hi - lo)
+	kClean := rt.checkpointPeriod(hi - lo)
 
-	// The recovery budget is per invocation: a misspeculation-heavy region
-	// entry falls back to sequential execution for its own remainder
-	// without poisoning later invocations.
-	recoveries := 0
+	// The recovery budget is per invocation and counts misspeculated spans:
+	// a misspeculation-heavy region entry falls back to sequential execution
+	// for its own remainder without poisoning later invocations.
+	misspecs := 0
+	rt.owed = rt.owed[:0]
 	start := lo
 	for start < hi {
-		if recoveries >= DefaultMaxRecoveries {
+		end := hi
+		if len(rt.owed) > 0 {
+			m := rt.owed[0]
+			if m-start < int64(rt.Cfg.Workers) {
+				// A prefix too short to share out runs with m on the master.
+				if err := rt.recoverRange(ri, start, m+1, live, inv); err != nil {
+					return err
+				}
+				rt.owed = rt.owed[:copy(rt.owed, rt.owed[1:])]
+				start = m + 1
+				continue
+			}
+			end = m
+		}
+		if misspecs >= DefaultMaxRecoveries {
 			// Budget spent: the remainder runs sequentially, checks disabled.
 			rt.Stats.SequentialFallbacks++
 			fallback := startTimer()
 			err := rt.sequentialRange(ri, start, hi, live)
 			fallback.stop(nil, tr, obs.Event{Kind: obs.KSeqFallback,
 				Invocation: inv, Worker: -1, Iter: -1, A: start, B: hi})
+			rt.retired += hi - start
 			return err
 		}
-		span := &spanState{
-			rt: rt, ri: ri, live: live,
-			start: start, hi: hi, k: k,
-			misspecIter: -1,
-			inv:         inv,
-			redux:       rt.reduxSnapshot(ri),
-			roProtSkip:  rt.roProtSkippable(ri),
-		}
-		span.proven, span.provenRO = rt.sepSnapshot(ri)
-		tr.Instant(obs.Event{Kind: obs.KSpanStart,
-			Invocation: inv, Worker: -1, Iter: -1, A: start, B: k})
-		lastValid, misspecAt, err := span.run()
-		rt.Stats.Checkpoints += int64(len(span.checkpoints))
-		tr.Instant(obs.Event{Kind: obs.KSpanEnd,
-			Invocation: inv, Worker: -1, Iter: -1, A: misspecAt, B: start})
+		valid, misspecAt, err := rt.speculate(ri, live, start, end, rt.spanPeriod(kClean), inv)
 		if err != nil {
 			return err
 		}
-		// Install the valid prefix (the whole span on a clean finish) and
-		// commit its deferred output: the second half of the join, timed
-		// into JoinNS on both exits.
-		if lastValid != nil {
-			join := startTimer()
-			err := rt.installCheckpoint(lastValid, span.redux, inv)
-			join.stop(&rt.Stats.JoinNS, nil, obs.Event{})
-			if err != nil {
-				return err
-			}
+		rt.retired += valid - start
+		start = valid
+		if misspecAt >= 0 {
+			misspecs++
+			rt.owed = slices.Insert(rt.owed, 0, misspecAt)
 		}
-		span.recycle()
-		if misspecAt < 0 {
-			return nil
-		}
-		// Misspeculation: recover.
-		recoveries++
-		rt.Stats.Recoveries++
-		redoFrom := start
-		if lastValid != nil {
-			redoFrom = lastValid.limit
-		}
-		tr.Instant(obs.Event{Kind: obs.KPhase,
-			Invocation: inv, Worker: -1, Iter: -1, Cause: "recover"})
-		recovery := startTimer()
-		if err := rt.sequentialRange(ri, redoFrom, misspecAt+1, live); err != nil {
-			return err
-		}
-		recovery.stop(nil, tr, obs.Event{Kind: obs.KRecovery,
-			Invocation: inv, Worker: -1, Iter: -1, A: redoFrom, B: misspecAt + 1})
-		start = misspecAt + 1
 	}
 	return nil
 }
 
+// speculate runs [start, end) as one span at period k and installs its
+// valid prefix, the whole span on a clean finish. It returns where that
+// prefix ends and the earliest misspeculated iteration (-1 when clean).
+// The span reuses rt.span's storage, and its checkpoints go back to the
+// free list on every exit.
+func (rt *RT) speculate(ri *RegionInfo, live []uint64, start, end, k, inv int64) (valid, misspecAt int64, err error) {
+	tr := rt.Cfg.Trace
+	span := &rt.span
+	*span = spanState{rt: rt, ri: ri, live: live, start: start, hi: end, k: k, inv: inv,
+		misspecIter: -1, redux: rt.reduxSnapshot(ri), roProtSkip: rt.roProtSkippable(ri),
+		checkpoints: span.checkpoints[:0]}
+	span.proven, span.provenRO = rt.sepSnapshot(ri)
+	defer span.recycle()
+	tr.Instant(obs.Event{Kind: obs.KSpanStart,
+		Invocation: inv, Worker: -1, Iter: -1, A: start, B: k})
+	lastValid, misspecAt, err := span.run()
+	rt.Stats.Checkpoints += int64(len(span.checkpoints))
+	tr.Instant(obs.Event{Kind: obs.KSpanEnd,
+		Invocation: inv, Worker: -1, Iter: -1, A: misspecAt, B: start})
+	if err != nil || lastValid == nil {
+		return start, misspecAt, err
+	}
+	// Install the valid prefix and commit its deferred output: the second
+	// half of the join, timed into JoinNS on both exits.
+	join := startTimer()
+	err = rt.installCheckpoint(lastValid, span.redux, span.proven, inv)
+	join.stop(&rt.Stats.JoinNS, nil, obs.Event{})
+	return lastValid.limit, misspecAt, err
+}
+
+// recoverRange runs [from, to) on the master, one recovery episode: a
+// misspeculated iteration, with the prefix before it when that is too short
+// to speculate. The iteration's steps and the run's recovery rate so far
+// then price the period of every later span of the run (spanPeriod).
+func (rt *RT) recoverRange(ri *RegionInfo, from, to int64, live []uint64, inv int64) error {
+	tr := rt.Cfg.Trace
+	rt.Stats.Recoveries++
+	tr.Instant(obs.Event{Kind: obs.KPhase,
+		Invocation: inv, Worker: -1, Iter: -1, Cause: "recover"})
+	t, before := startTimer(), rt.Sim.RecoverySteps
+	if err := rt.sequentialRange(ri, from, to, live); err != nil {
+		return err
+	}
+	t.stop(nil, tr, obs.Event{Kind: obs.KRecovery,
+		Invocation: inv, Worker: -1, Iter: -1, A: from, B: to})
+	rt.retired += to - from
+	rt.recovered++
+	rt.priceSteps = (rt.Sim.RecoverySteps - before) / (to - from)
+	rt.priceRate = float64(rt.recovered) / float64(rt.retired)
+	return nil
+}
+
+// spanPeriod is a span's checkpoint period in an invocation whose clean
+// period is kClean: kClean until the run has recovered, then the price of
+// the last recovery. A configured Config.CheckpointPeriod is never repriced.
+func (rt *RT) spanPeriod(kClean int64) int64 {
+	if rt.Cfg.CheckpointPeriod > 0 || rt.recovered == 0 {
+		return kClean
+	}
+	return recoveryPeriod(rt.Cfg.Workers, kClean, rt.priceSteps, rt.priceRate)
+}
+
 // installCheckpoint applies cp's chain to the master state, commits the
 // chain's deferred output, and accounts the simulated cost of both.
-func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, inv int64) error {
+func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, proven []provenRange, inv int64) error {
 	t := startTimer()
-	bytes, err := cp.installInto(rt.master.AS, redux)
+	bytes, err := cp.installInto(rt.master.AS, redux, proven)
 	if err != nil {
 		return err
 	}
@@ -641,17 +708,16 @@ func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, inv int64) err
 // checkpoint marked committed, under outMu. It returns the number of
 // output operations committed.
 func (rt *RT) commitChain(cp *checkpoint, inv int64) int64 {
-	var chain []*checkpoint
-	for c := cp; c != nil && !c.committed; c = c.prev {
-		chain = append(chain, c)
-	}
-	if len(chain) == 0 {
+	if cp.committed {
 		return 0
+	}
+	first := cp
+	for first.prev != nil && !first.prev.committed {
+		first = first.prev
 	}
 	t := startTimer()
 	var committed int64
-	for i := len(chain) - 1; i >= 0; i-- {
-		c := chain[i]
+	for c := first; ; c = c.next {
 		recs := c.sortedIO()
 		rt.outMu.Lock()
 		for _, rec := range recs {
@@ -660,6 +726,9 @@ func (rt *RT) commitChain(cp *checkpoint, inv int64) int64 {
 		c.committed = true
 		rt.outMu.Unlock()
 		committed += int64(len(recs))
+		if c == cp {
+			break
+		}
 	}
 	t.stop(nil, rt.Cfg.Trace, obs.Event{Kind: obs.KCommit,
 		Invocation: inv, Worker: -1, Iter: cp.id, A: committed})
@@ -691,11 +760,10 @@ func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64) err
 		rt.recov = it
 	}
 	it.Steps = 0
-	callArgs := make([]uint64, 1+len(live))
-	copy(callArgs[1:], live)
+	rt.seqArgs = append(append(rt.seqArgs[:0], 0), live...)
 	for i := from; i < to; i++ {
-		callArgs[0] = uint64(i)
-		if _, err := it.Call(ri.Outline.IterFn, callArgs...); err != nil {
+		rt.seqArgs[0] = uint64(i)
+		if _, err := it.Call(ri.Outline.IterFn, rt.seqArgs...); err != nil {
 			return fmt.Errorf("sequential recovery at iteration %d: %w", i, err)
 		}
 	}

@@ -160,7 +160,7 @@ func TestReadOnlyViolationRecovered(t *testing.T) {
 }
 
 // TestSquashPolicy: a misspeculation in a late interval must not discard
-// earlier checkpoints — recovery re-executes only from the last valid one.
+// earlier checkpoints — recovery resumes from the last valid one.
 func TestSquashPolicy(t *testing.T) {
 	const n = 40
 	seqIt := interp.New(buildWriterModule(n), vm.NewAddressSpace())
@@ -185,7 +185,8 @@ func TestSquashPolicy(t *testing.T) {
 		t.Skip("injection produced no misspeculation for this seed")
 	}
 	// Recovery must be bounded: the serial re-execution cannot exceed the
-	// whole loop (it re-runs at most misspecs * (period + spillover)).
+	// whole loop (it re-runs each misspeculated iteration, with at most the
+	// fleet's size of prefix before it).
 	if rt.Sim.RecoverySteps <= 0 {
 		t.Error("no recovery steps recorded despite misspeculation")
 	}
@@ -426,8 +427,9 @@ func TestJoinDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // TestJoinAccountsPreRecoveryInstall: Stats.JoinNS must cover the install of
 // the valid prefix on the misspeculation exit, not only on the clean one.
 // The injection seed is chosen so the invocation's single misspeculation is
-// its last iteration: the prefix install before recovery is then the only
-// install, and JoinNS has to contain it on top of chain validation.
+// its last iteration: the span installs the prefix [0, 72) and recovery
+// re-speculates [72, 95) before it runs iteration 95 alone, so there are two
+// installs, and JoinNS has to contain both on top of chain validation.
 func TestJoinAccountsPreRecoveryInstall(t *testing.T) {
 	const n, rate = 96, 0.02
 	mod := buildPageWriterModule(n)
@@ -452,21 +454,26 @@ func TestJoinAccountsPreRecoveryInstall(t *testing.T) {
 	if rt.Stats.Recoveries != 1 || rt.Stats.Misspecs != 1 {
 		t.Fatalf("recoveries %d, misspecs %d, want 1 each", rt.Stats.Recoveries, rt.Stats.Misspecs)
 	}
-	var installs, timed int64
+	var installs []int64
+	var timed int64
 	for _, ev := range col.Events() {
 		switch ev.Kind {
 		case obs.KInstall:
-			installs++
+			installs = append(installs, ev.A)
 			timed += ev.DurNS
 		case obs.KValidate:
 			timed += ev.DurNS
+		case obs.KRecovery:
+			if ev.A != n-1 || ev.B != n {
+				t.Errorf("recovery re-ran [%d, %d), want only the misspeculated iteration [%d, %d)", ev.A, ev.B, n-1, n)
+			}
 		}
 	}
-	if installs != 1 {
-		t.Fatalf("%d installs, want the one pre-recovery prefix install", installs)
+	if len(installs) != 2 || installs[0] == 0 || installs[1] == 0 {
+		t.Fatalf("installs of %v bytes, want two: the prefix [0, 72) and the re-speculated [72, 95)", installs)
 	}
 	if rt.Stats.JoinNS < timed {
-		t.Errorf("JoinNS %d < validate+install %d: the pre-recovery install is not accounted",
+		t.Errorf("JoinNS %d < validate+install %d: an install around recovery is not accounted",
 			rt.Stats.JoinNS, timed)
 	}
 }

@@ -47,6 +47,9 @@ type spanState struct {
 	flagMu      sync.Mutex
 	flagged     atomic.Bool
 	misspecIter int64
+
+	// wg is the fleet's join.
+	wg sync.WaitGroup
 }
 
 // flag records a misspeculation the worker detected at iteration i,
@@ -92,12 +95,11 @@ func (sp *spanState) checkpointFor(c int64) *checkpoint {
 			prev = sp.checkpoints[id-1]
 		}
 		base := sp.start + id*sp.k
-		limit := base + sp.k
-		if limit > sp.hi {
-			limit = sp.hi
+		limit := min(base+sp.k, sp.hi)
+		cp := sp.rt.bufs().checkpoint(id, base, limit, prev)
+		for len(cp.redux) < len(sp.redux) {
+			cp.redux = append(cp.redux, nil)
 		}
-		cp := newCheckpoint(id, base, limit, prev)
-		cp.bufs = sp.rt.bufs()
 		sp.checkpoints = append(sp.checkpoints, cp)
 		sp.rt.Cfg.Trace.Instant(obs.Event{Kind: obs.KCheckpoint,
 			Invocation: sp.inv, Worker: -1, Iter: id, A: base, B: limit})
@@ -105,23 +107,17 @@ func (sp *spanState) checkpointFor(c int64) *checkpoint {
 	return sp.checkpoints[c]
 }
 
-// recycle returns every buffer the span's checkpoints own to the free list.
-// Call only once the valid prefix is installed and committed: nothing reads
-// a checkpoint of the span after that.
+// recycle returns the span's checkpoints, and every buffer they own, to
+// the free list, and drops the span's hold on its run. Call on every exit,
+// once the valid prefix is installed and committed or the span has failed:
+// nothing reads a checkpoint of the span after that.
 func (sp *spanState) recycle() {
-	f := sp.rt.bufs()
 	for _, cp := range sp.checkpoints {
-		for _, m := range [...]map[uint64][]byte{cp.data, cp.shadow, cp.proven} {
-			for _, b := range m {
-				f.put(b)
-			}
-		}
-		for _, contribs := range cp.redux {
-			for _, b := range contribs {
-				f.put(b)
-			}
-		}
+		cp.recycle()
 	}
+	clear(sp.checkpoints)
+	sp.checkpoints = sp.checkpoints[:0]
+	sp.rt, sp.ri, sp.live = nil, nil, nil
 }
 
 // validate runs the second-phase cross-interval chain validation over the
@@ -142,10 +138,7 @@ func (sp *spanState) validate(last *checkpoint) (int64, uint64) {
 func (sp *spanState) run() (*checkpoint, int64, error) {
 	rt := sp.rt
 	tr := rt.Cfg.Trace
-	workers := rt.Cfg.Workers
-	if total := sp.hi - sp.start; int64(workers) > total {
-		workers = int(total)
-	}
+	workers := int(min(int64(rt.Cfg.Workers), sp.hi-sp.start))
 	nIntervals := (sp.hi - sp.start + sp.k - 1) / sp.k
 	tr.Instant(obs.Event{Kind: obs.KPhase,
 		Invocation: sp.inv, Worker: -1, Iter: -1, Cause: "fast"})
@@ -154,21 +147,20 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 		return nil, -1, err
 	}
 
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+	sp.wg.Add(len(ws))
+	for _, w := range ws {
+		go func() {
+			defer sp.wg.Done()
 			busy := startTimer()
-			errs[w] = ws[w].run()
-			busy.stop(&ws[w].local.WorkerBusyNS, tr, obs.Event{Kind: obs.KWorkerJoin,
-				Invocation: sp.inv, Worker: w, Iter: -1})
-		}(w)
+			w.err = w.run()
+			busy.stop(&w.local.WorkerBusyNS, tr, obs.Event{Kind: obs.KWorkerJoin,
+				Invocation: sp.inv, Worker: w.id, Iter: -1})
+		}()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	sp.wg.Wait()
+	for _, w := range ws {
+		if w.err != nil {
+			err := w.err
 			sp.retire(ws...)
 			return nil, -1, err
 		}
@@ -181,10 +173,7 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 	var maxW int64
 	sim := &rt.Sim
 	for _, w := range ws {
-		t := w.simTime()
-		if t > maxW {
-			maxW = t
-		}
+		maxW = max(maxW, w.simTime())
 		sim.UsefulSteps += w.it.Steps
 		sim.PrivReadCost += w.local.PrivReadBytes * SimPrivacyPerByte
 		sim.PrivWriteCost += w.local.PrivWriteBytes * SimPrivacyPerByte
@@ -214,14 +203,13 @@ func (sp *spanState) spawnFleet(workers int) ([]*worker, error) {
 	tr := rt.Cfg.Trace
 	t := startTimer()
 	warm0 := rt.Stats.WarmSpawns
-	ws := make([]*worker, 0, workers)
+	n := 0
 	var err error
 	for w := 0; w < workers; w++ {
-		var wk *worker
-		if wk, err = newWorker(sp, w, workers); err != nil {
+		if err = newWorker(sp, w, workers); err != nil {
 			break
 		}
-		ws = append(ws, wk)
+		n++
 		tr.Instant(obs.Event{Kind: obs.KWorkerSpawn,
 			Invocation: sp.inv, Worker: w, Iter: -1})
 	}
@@ -235,6 +223,7 @@ func (sp *spanState) spawnFleet(workers int) ([]*worker, error) {
 	}
 	t.stop(&rt.Stats.SpawnNS, tr, obs.Event{Kind: obs.KSpawn,
 		Invocation: sp.inv, Worker: -1, Iter: -1, A: warm, B: int64(workers), Cause: cause})
+	ws := rt.workers[:n]
 	if err != nil {
 		sp.retire(ws...)
 	}
@@ -247,7 +236,8 @@ func (sp *spanState) spawnFleet(workers int) ([]*worker, error) {
 // there is none, and gives the master its tree back. Checkpoints copy what
 // they keep out of worker spaces, so every exit of run retires every worker
 // it spawned, after the fleet has joined: a dropped space would drain the
-// pool, keep the master copying on write and lose its counts.
+// pool, keep the master copying on write and lose its counts. The worker
+// lets go of the span: an RT → worker → span → RT cycle keeps a run alive.
 func (sp *spanState) retire(ws ...*worker) {
 	rt := sp.rt
 	for _, w := range ws {
@@ -258,6 +248,7 @@ func (sp *spanState) retire(ws ...*worker) {
 		} else {
 			w.as.Release()
 		}
+		w.sp, w.as, w.it = nil, nil, nil
 	}
 	rt.master.AS.Reown()
 }
@@ -322,6 +313,11 @@ type worker struct {
 	curIter int64
 	curTS   byte
 	io      []ioRec
+	// args is the iteration call's arguments, onPrint the hook deferring
+	// output into io, err run's result.
+	args    []uint64
+	onPrint func(in *ir.Instr, text string) bool
+	err     error
 
 	shortBaseline int
 
@@ -379,9 +375,15 @@ func (w *worker) foldStats() {
 	w.privChecks, w.privNS = [2]int64{}, [2]int64{}
 }
 
-func newWorker(sp *spanState, id, stride int) (*worker, error) {
+// newWorker readies rt.workers[id] for sp, keeping the buffers it held
+// from the span before.
+func newWorker(sp *spanState, id, stride int) error {
 	rt := sp.rt
-	w := &worker{sp: sp, id: id, stride: stride}
+	for len(rt.workers) <= id {
+		rt.workers = append(rt.workers, new(worker))
+	}
+	w := rt.workers[id]
+	*w = worker{sp: sp, id: id, stride: stride, io: w.io[:0], args: w.args[:0], onPrint: w.onPrint}
 	// Each worker space counts its page events from zero; retire adds them
 	// into the master's (Figure 8 accounting). A warmed spawn re-clones a
 	// pooled address space over this master in place and takes its
@@ -412,26 +414,31 @@ func newWorker(sp *spanState, id, stride int) (*worker, error) {
 	}
 	if err := w.initRedux(); err != nil {
 		sp.retire(w)
-		return nil, err
+		return err
 	}
 	w.it.AdoptLayout(rt.master.GlobalLayout())
 	w.shortBaseline = w.as.LiveObjects(ir.HeapShortLived)
 	w.installHooks()
-	return w, nil
+	return nil
 }
 
 // initRedux writes the operator's identity over every reduction object of
-// the span in the worker's space.
+// the span in the worker's space, one write per object.
 func (w *worker) initRedux() error {
+	bufs := w.sp.rt.bufs()
 	for _, ro := range w.sp.redux {
 		ident, err := Identity(ro.op, ro.elemSize)
 		if err != nil {
 			return fmt.Errorf("specrt: worker %d: redux %#x identity: %w", w.id, ro.addr, err)
 		}
+		img := bufs.get(int(ro.size), false)
 		for off := int64(0); off < ro.size; off += ro.elemSize {
-			if err := w.as.WriteBytes(ro.addr+uint64(off), ident); err != nil {
-				return fmt.Errorf("specrt: worker %d: redux %#x init: %w", w.id, ro.addr, err)
-			}
+			copy(img[off:], ident)
+		}
+		err = w.as.WriteBytes(ro.addr, img)
+		bufs.put(img)
+		if err != nil {
+			return fmt.Errorf("specrt: worker %d: redux %#x init: %w", w.id, ro.addr, err)
 		}
 	}
 	return nil
@@ -443,11 +450,14 @@ func (w *worker) installHooks() {
 	rt := w.sp.rt
 	w.it.Spec = w
 	h := &w.it.Hooks
-	h.OnPrint = func(in *ir.Instr, text string) bool {
-		w.io = append(w.io, ioRec{iter: w.curIter, text: text})
-		w.local.DeferredIO++
-		return true
+	if w.onPrint == nil {
+		w.onPrint = func(in *ir.Instr, text string) bool {
+			w.io = append(w.io, ioRec{iter: w.curIter, text: text})
+			w.local.DeferredIO++
+			return true
+		}
 	}
+	h.OnPrint = w.onPrint
 	if rt.Cfg.SepAudit && (len(w.sp.proven) > 0 || len(w.sp.provenRO) > 0) {
 		w.installAuditHooks()
 	}
@@ -654,8 +664,8 @@ func (w *worker) run() error {
 	rt := sp.rt
 	// One deferred fold covers every way out, the squash returns included.
 	defer w.foldStats()
-	callArgs := make([]uint64, 1+len(sp.live))
-	copy(callArgs[1:], sp.live)
+	w.args = append(append(w.args[:0], 0), sp.live...)
+	callArgs := w.args
 
 	nIntervals := (sp.hi - sp.start + sp.k - 1) / sp.k
 	for c := int64(0); c < nIntervals; c++ {
@@ -665,10 +675,7 @@ func (w *worker) run() error {
 			}
 		}
 		base := sp.start + c*sp.k
-		limit := base + sp.k
-		if limit > sp.hi {
-			limit = sp.hi
-		}
+		limit := min(base+sp.k, sp.hi)
 		for i := base + int64(w.id); i < limit; i += int64(w.stride) {
 			w.curIter = i
 			w.curTS = TimestampFor(i, base)
@@ -734,7 +741,7 @@ func (w *worker) run() error {
 		}
 		ok, scanned, missAddr := cp.addWorkerState(w.id, w.as, sp.redux, proven, w.io)
 		w.simCheckpoint += scanned * SimCheckpointPerByte
-		w.io = nil
+		w.io = w.io[:0]
 		w.resetShadow()
 		contrib.stop(&w.local.CheckpointNS, rt.Cfg.Trace, obs.Event{Kind: obs.KContribute,
 			Invocation: sp.inv, Worker: w.id, Iter: c, A: scanned})
