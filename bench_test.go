@@ -14,6 +14,7 @@ import (
 	"privateer/internal/ir"
 	"privateer/internal/profiling"
 	"privateer/internal/progs"
+	"privateer/internal/randprog"
 	"privateer/internal/specrt"
 	"privateer/internal/vm"
 )
@@ -251,6 +252,50 @@ func BenchmarkProfiler(b *testing.B) {
 				steps += prof.Steps
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+		})
+	}
+}
+
+// BenchmarkParallelize measures core.Parallelize — profile, points-to,
+// classify, prove, transform — on the rows benchmark/'s compile_cold
+// compiles: each paper program at `alt`, and the 16-program random pool
+// (seeds 1–16) as one op. Module construction is outside the timer; B/op is
+// what the compiler allocates.
+func BenchmarkParallelize(b *testing.B) {
+	type row struct {
+		name  string
+		build func() []*ir.Module
+		opts  []core.Options
+	}
+	var rows []row
+	for _, p := range progs.All() {
+		rows = append(rows, row{p.Name, func() []*ir.Module { return []*ir.Module{p.Build(p.Alt)} },
+			[]core.Options{{}}})
+	}
+	random := row{name: "random16"}
+	for seed := int64(1); seed <= 16; seed++ {
+		random.opts = append(random.opts, core.Options{TrainArgs: []uint64{randprog.TrainTrips(randprog.DefaultConfig(seed))}})
+	}
+	random.build = func() []*ir.Module {
+		var mods []*ir.Module
+		for seed := int64(1); seed <= 16; seed++ {
+			mods = append(mods, randprog.Generate(randprog.DefaultConfig(seed)))
+		}
+		return mods
+	}
+	for _, r := range append(rows, random) {
+		b.Run(r.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				mods := r.build()
+				b.StartTimer()
+				for j, mod := range mods {
+					if _, err := core.Parallelize(mod, r.opts[j]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
 		})
 	}
 }

@@ -23,40 +23,27 @@ var Unknown = profiling.Object{}
 type PointsTo struct {
 	// valueSets maps every SSA value (per function, by value ID) to its
 	// points-to set.
-	valueSets map[*ir.Function][]objSet
+	valueSets map[*ir.Function][]profiling.ObjectSet
 	// heapSets maps each abstract object to the points-to set of the
 	// pointers stored inside it (field-insensitive).
-	heapSets map[profiling.Object]objSet
+	heapSets map[profiling.Object]profiling.ObjectSet
 }
 
-type objSet map[profiling.Object]bool
-
-func (s objSet) add(o profiling.Object) bool {
-	if s[o] {
-		return false
-	}
-	s[o] = true
-	return true
-}
+// unknownSet is the one set every value without recorded targets shares.
+var unknownSet = profiling.ObjectSet{Unknown: true}
 
 // ValueObjects returns the abstract objects v may point to within f. A set
-// containing Unknown may point anywhere.
+// containing Unknown may point anywhere. The result is the analysis' own set,
+// shared by every caller: it is read-only, and a caller that needs to change
+// it must copy it first.
 func (pt *PointsTo) ValueObjects(f *ir.Function, v ir.Value) profiling.ObjectSet {
-	out := profiling.ObjectSet{}
 	sets := pt.valueSets[f]
-	if sets == nil || v.ValueID() >= len(sets) {
-		out[Unknown] = true
-		return out
+	if v.ValueID() < len(sets) && len(sets[v.ValueID()]) > 0 {
+		return sets[v.ValueID()]
 	}
-	for o := range sets[v.ValueID()] {
-		out[o] = true
-	}
-	if len(out) == 0 {
-		// A value with no recorded targets is not a proven-null pointer;
-		// treat it as unknown.
-		out[Unknown] = true
-	}
-	return out
+	// A value with no recorded targets is not a proven-null pointer; treat
+	// it as unknown.
+	return unknownSet
 }
 
 // MayAlias reports whether values a and b (in functions fa and fb) may
@@ -81,20 +68,20 @@ func (pt *PointsTo) MayAlias(fa *ir.Function, a ir.Value, fb *ir.Function, b ir.
 // pointers through casts.
 func ComputePointsTo(m *ir.Module) *PointsTo {
 	pt := &PointsTo{
-		valueSets: map[*ir.Function][]objSet{},
-		heapSets:  map[profiling.Object]objSet{},
+		valueSets: map[*ir.Function][]profiling.ObjectSet{},
+		heapSets:  map[profiling.Object]profiling.ObjectSet{},
 	}
 	for _, f := range m.SortedFuncs() {
-		sets := make([]objSet, f.NumValues())
+		sets := make([]profiling.ObjectSet, f.NumValues())
 		for i := range sets {
-			sets[i] = objSet{}
+			sets[i] = profiling.ObjectSet{}
 		}
 		pt.valueSets[f] = sets
 	}
-	heapSet := func(o profiling.Object) objSet {
+	heapSet := func(o profiling.Object) profiling.ObjectSet {
 		s := pt.heapSets[o]
 		if s == nil {
-			s = objSet{}
+			s = profiling.ObjectSet{}
 			pt.heapSets[o] = s
 		}
 		return s
@@ -104,24 +91,24 @@ func ComputePointsTo(m *ir.Module) *PointsTo {
 	// a simple round-robin pass is adequate.
 	for changed := true; changed; {
 		changed = false
-		flowInto := func(dst objSet, src objSet) {
+		flowInto := func(dst profiling.ObjectSet, src profiling.ObjectSet) {
 			for o := range src {
-				if dst.add(o) {
+				if dst.Add(o) {
 					changed = true
 				}
 			}
 		}
 		for _, f := range m.SortedFuncs() {
 			sets := pt.valueSets[f]
-			get := func(v ir.Value) objSet { return sets[v.ValueID()] }
+			get := func(v ir.Value) profiling.ObjectSet { return sets[v.ValueID()] }
 			f.Instrs(func(in *ir.Instr) {
 				switch in.Op {
 				case ir.OpAlloca, ir.OpMalloc, ir.OpHAlloc:
-					if get(in).add(profiling.Object{Site: in}) {
+					if get(in).Add(profiling.Object{Site: in}) {
 						changed = true
 					}
 				case ir.OpGlobal:
-					if get(in).add(profiling.Object{Global: in.GlobalRef}) {
+					if get(in).Add(profiling.Object{Global: in.GlobalRef}) {
 						changed = true
 					}
 				case ir.OpAdd, ir.OpSub:
@@ -146,7 +133,7 @@ func ComputePointsTo(m *ir.Module) *PointsTo {
 					addrs := get(in.Args[0])
 					for o := range addrs {
 						if o == Unknown {
-							if get(in).add(Unknown) {
+							if get(in).Add(Unknown) {
 								changed = true
 							}
 							continue
@@ -168,7 +155,7 @@ func ComputePointsTo(m *ir.Module) *PointsTo {
 					csets := pt.valueSets[callee]
 					for i, p := range callee.Params {
 						for o := range get(in.Args[i]) {
-							if csets[p.ValueID()].add(o) {
+							if csets[p.ValueID()].Add(o) {
 								changed = true
 							}
 						}

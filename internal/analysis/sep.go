@@ -237,6 +237,8 @@ type sepProver struct {
 	unknownRead  bool
 	// written holds every object some region write may target.
 	written profiling.ObjectSet
+	// uses answers proveRedux's reduction queries.
+	uses ir.UseIndex
 
 	doms     map[*ir.Function]*ir.DomTree
 	loops    map[*ir.Function][]*ir.Loop
@@ -259,6 +261,7 @@ func ProveSeparation(l *ir.Loop, pt *PointsTo, cand SepCandidates) *SepResult {
 	sp := &sepProver{
 		l: l, fn: l.Header.Fn, pt: pt,
 		written:  profiling.ObjectSet{},
+		uses:     ir.UseIndex{},
 		doms:     map[*ir.Function]*ir.DomTree{},
 		loops:    map[*ir.Function][]*ir.Loop{},
 		mayRead:  map[*ir.Function]map[profiling.Object]int8{},
@@ -1160,7 +1163,7 @@ func (sp *sepProver) proveRedux(o profiling.Object) bool {
 		if !sp.objsOf(w, writeAddrOf(w))[o] {
 			continue
 		}
-		ld, _, _, ok := ir.ReduxUpdate(w)
+		ld, _, _, ok := sp.uses.ReduxUpdate(w)
 		if !ok {
 			return false
 		}

@@ -176,10 +176,10 @@ func GetFootprint(l *ir.Loop, prof *profiling.Profile) *Footprint {
 	fp := newFootprint()
 	fp.updates = map[*ir.Instr]bool{}
 	writes, reads := ir.RegionMemOps(l)
-	mixed := profiling.ObjectSet{}
+	mixed, uses := profiling.ObjectSet{}, ir.UseIndex{}
 	for _, w := range writes {
 		objs := prof.MapPointerToObjects(w)
-		ld, kind, size, isRedux := ir.ReduxUpdate(w)
+		ld, kind, size, isRedux := uses.ReduxUpdate(w)
 		switch {
 		case isRedux && (ld.Blk.Fn != l.Header.Fn || l.ContainsInstr(ld)):
 			fp.updates[w], fp.updates[ld] = true, true

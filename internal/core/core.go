@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -118,6 +119,8 @@ func ParallelizeAblated(mod *ir.Module, opts Options, abl Ablation) (*Paralleliz
 			// spuriously DOALL-able), so speculation would only
 			// misspeculate. Skipping it lets a hot inner loop be selected.
 			rep.Reason = "too few iterations per invocation to profit"
+		case loopCanReachFunc(l, l.Header.Fn):
+			rep.Reason = reentersReason
 		case conflictsWithSelected(l, selectedLoops):
 			rep.Reason = "may be simultaneously active with a selected loop"
 		default:
@@ -223,34 +226,14 @@ func conflictsWithSelected(l *ir.Loop, selected []*ir.Loop) bool {
 	return false
 }
 
+// reentersReason rejects a loop whose body can call back into its own
+// function: section 4.3's nesting constraint applied to the loop and itself.
+const reentersReason = "may be simultaneously active with itself: the body can re-enter its function"
+
 // loopCanReachFunc reports whether code inside l can call into target.
 func loopCanReachFunc(l *ir.Loop, target *ir.Function) bool {
-	seen := map[*ir.Function]bool{}
-	var scan func(f *ir.Function) bool
-	scan = func(f *ir.Function) bool {
-		if f == target {
-			return true
-		}
-		if seen[f] {
-			return false
-		}
-		seen[f] = true
-		found := false
-		f.Instrs(func(in *ir.Instr) {
-			if !found && in.Op == ir.OpCall && scan(in.Callee) {
-				found = true
-			}
-		})
-		return found
-	}
-	for _, b := range l.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpCall && scan(in.Callee) {
-				return true
-			}
-		}
-	}
-	return false
+	funcs, reenters := ir.RegionFuncs(l)
+	return slices.Contains(funcs[1:], target) || reenters && target == l.Header.Fn
 }
 
 // heapConflict reports whether assignment a disagrees with heaps already

@@ -41,6 +41,8 @@ func ParallelizeStatic(mod *ir.Module, opts Options) (*StaticParallelized, error
 		switch {
 		case li.Steps < minSteps:
 			rep.Reason = "cold"
+		case loopCanReachFunc(l, l.Header.Fn):
+			rep.Reason = reentersReason
 		case conflictsWithSelected(l, selected):
 			rep.Reason = "may be simultaneously active with a selected loop"
 		default:

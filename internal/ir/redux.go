@@ -27,7 +27,65 @@ package ir
 // An integer add wraps at the access width, so it folds lane by lane at any
 // size; every other operator is recognised at 8 bytes only, because
 // truncating its result does not commute with applying it.
+//
+// ReduxUpdate counts the operands of st's function afresh on every call; a
+// consumer asking about many stores asks a UseIndex instead.
 func ReduxUpdate(st *Instr) (load *Instr, kind ReduxKind, size int64, ok bool) {
+	return reduxUpdate(st, UseIndex{})
+}
+
+// UseIndex counts, per function, the operand slots naming each value, so
+// ReduxUpdate's "nothing else observes it" test reads three counts instead
+// of scanning the store's function. A function is counted when a query
+// first needs it. The counts are exact only while no instruction of a
+// counted function gains or loses an operand: a consumer makes its index
+// where it reads and does not keep it across a rewrite of the IR.
+type UseIndex map[*Function][]int32
+
+// indexedRedux, when set, sees every answer a UseIndex gives, so a test can
+// hold each to a fresh ReduxUpdate at the moment its consumer reads it.
+var indexedRedux func(st, load *Instr, kind ReduxKind, size int64, ok bool)
+
+// ReduxUpdate is ir.ReduxUpdate answered from the index.
+func (u UseIndex) ReduxUpdate(st *Instr) (load *Instr, kind ReduxKind, size int64, ok bool) {
+	load, kind, size, ok = reduxUpdate(st, u)
+	if indexedRedux != nil {
+		indexedRedux(st, load, kind, size, ok)
+	}
+	return load, kind, size, ok
+}
+
+// uses returns the number of operand slots in f that name v.
+func (u UseIndex) uses(f *Function, v *Instr) int32 {
+	counts, ok := u[f]
+	if !ok {
+		counts = make([]int32, f.NumValues())
+		f.Instrs(func(in *Instr) {
+			for _, a := range in.Args {
+				if id := a.ValueID(); id < len(counts) {
+					counts[id]++
+				}
+			}
+		})
+		u[f] = counts
+	}
+	if id := v.ValueID(); id < len(counts) {
+		return counts[id]
+	}
+	return -1 // not f's value: matches no operand count
+}
+
+// operandSlots returns the number of operand slots of in that name v.
+func operandSlots(v Value, in *Instr) (n int32) {
+	for _, a := range in.Args {
+		if a == v {
+			n++
+		}
+	}
+	return n
+}
+
+func reduxUpdate(st *Instr, u UseIndex) (load *Instr, kind ReduxKind, size int64, ok bool) {
 	if st.Op != OpStore {
 		return nil, ReduxNone, 0, false
 	}
@@ -95,21 +153,16 @@ func ReduxUpdate(st *Instr) (load *Instr, kind ReduxKind, size int64, ok bool) {
 		a = b
 	}
 	load = a.(*Instr)
-	// Nothing else may observe the loaded value, the update or the compare.
-	private := true
-	st.Blk.Fn.Instrs(func(user *Instr) {
-		for _, arg := range user.Args {
-			switch {
-			case arg == Value(load):
-				private = private && (user == upd || user == cmp)
-			case arg == Value(upd):
-				private = private && user == st
-			case cmp != nil && arg == Value(cmp):
-				private = private && user == upd
-			}
+	// Nothing else may observe the loaded value, the update or the compare:
+	// every operand slot naming one of them is one of the slots counted here.
+	f, loadSlots := st.Blk.Fn, operandSlots(load, upd)
+	if cmp != nil {
+		loadSlots += operandSlots(load, cmp)
+		if u.uses(f, cmp) != operandSlots(cmp, upd) {
+			return nil, ReduxNone, 0, false
 		}
-	})
-	if !private {
+	}
+	if u.uses(f, load) != loadSlots || u.uses(f, upd) != operandSlots(upd, st) {
 		return nil, ReduxNone, 0, false
 	}
 	return load, kind, st.Size, true

@@ -8,17 +8,23 @@ package ir
 
 // RegionFuncs returns l's enclosing function followed by every function
 // transitively callable from inside l's body, in deterministic discovery
-// order.
-func RegionFuncs(l *Loop) []*Function {
-	seen := map[*Function]bool{l.Header.Fn: true}
-	order := []*Function{l.Header.Fn}
+// order. reenters reports that the body can call back into l's own
+// function: that function's code outside the loop then runs inside the
+// region too, and the loop may be active more than once at a time.
+func RegionFuncs(l *Loop) (funcs []*Function, reenters bool) {
+	seen := map[*Function]bool{}
+	funcs = []*Function{l.Header.Fn}
 	var scan func(f *Function)
 	scan = func(f *Function) {
 		if seen[f] {
 			return
 		}
 		seen[f] = true
-		order = append(order, f)
+		if f == l.Header.Fn {
+			reenters = true
+		} else {
+			funcs = append(funcs, f)
+		}
 		f.Instrs(func(in *Instr) {
 			if in.Op == OpCall {
 				scan(in.Callee)
@@ -32,16 +38,17 @@ func RegionFuncs(l *Loop) []*Function {
 			}
 		}
 	}
-	return order
+	return funcs, reenters
 }
 
 // RegionMemOps collects the memory-touching instructions that can execute
 // inside l's region: writes (store, memset, memcopy, free, h_dealloc) and
 // reads (load, memcopy source). Instructions in l's own function count only
-// when inside the loop body; instructions in callees count entirely — a
-// callee reachable from the loop may run any of its blocks. Deallocations
-// count as writes: freeing an object inside a region is a mutation any
-// read-only or privacy proof must observe.
+// when inside the loop body, unless the body can re-enter that function;
+// instructions in callees count entirely — a callee reachable from the loop
+// may run any of its blocks. Deallocations count as writes: freeing an
+// object inside a region is a mutation any read-only or privacy proof must
+// observe.
 func RegionMemOps(l *Loop) (writes, reads []*Instr) {
 	collect := func(in *Instr) {
 		switch in.Op {
@@ -54,12 +61,17 @@ func RegionMemOps(l *Loop) (writes, reads []*Instr) {
 			reads = append(reads, in)
 		}
 	}
-	for _, b := range l.Blocks {
-		for _, in := range b.Instrs {
-			collect(in)
+	funcs, reenters := RegionFuncs(l)
+	if reenters {
+		funcs[0].Instrs(collect)
+	} else {
+		for _, b := range l.Blocks {
+			for _, in := range b.Instrs {
+				collect(in)
+			}
 		}
 	}
-	for _, f := range RegionFuncs(l)[1:] {
+	for _, f := range funcs[1:] {
 		f.Instrs(collect)
 	}
 	return writes, reads

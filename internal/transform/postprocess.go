@@ -46,7 +46,7 @@ import (
 
 // postprocess runs the elision/promotion pass over every region function.
 func (tr *transformer) postprocess() {
-	for _, f := range tr.regionFuncs() {
+	for _, f := range tr.funcs {
 		tr.postprocessFunc(f)
 	}
 }

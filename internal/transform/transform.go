@@ -193,7 +193,14 @@ func Apply(mod *ir.Module, l *ir.Loop, prof *profiling.Profile,
 	if a.Sep != nil {
 		st.ProvenByRule = a.Sep.CountByRule()
 	}
-	tr := &transformer{mod: mod, loop: l, prof: prof, assign: a, plan: plan, pt: pt, stats: st, opts: opts}
+	tr := &transformer{mod: mod, loop: l, prof: prof, assign: a, plan: plan, pt: pt, stats: st, opts: opts,
+		inFuncs: map[*ir.Function]bool{}}
+	var reenters bool
+	tr.funcs, reenters = ir.RegionFuncs(l)
+	for _, f := range tr.funcs[1:] {
+		tr.inFuncs[f] = true
+	}
+	tr.inFuncs[l.Header.Fn] = reenters
 	tr.replaceAllocation()
 	tr.insertChecks()
 	tr.insertColdGuards()
@@ -216,6 +223,11 @@ type transformer struct {
 	stats  *Stats
 	opts   Options
 
+	// funcs is the region's functions (ir.RegionFuncs), computed once; a
+	// function is in inFuncs when all of its code runs inside the region.
+	funcs   []*ir.Function
+	inFuncs map[*ir.Function]bool
+
 	// inserts collects pending instruction insertions per block.
 	inserts map[*ir.Block][]insertion
 }
@@ -226,25 +238,10 @@ type insertion struct {
 	instr  *ir.Instr
 }
 
-// regionFuncs returns the loop's own function plus every function
-// transitively callable from the loop body (the shared ir.RegionFuncs
-// summary).
-func (tr *transformer) regionFuncs() []*ir.Function {
-	return ir.RegionFuncs(tr.loop)
-}
-
 // inRegion reports whether in executes within the parallel region: inside
-// the loop body, or anywhere in a function callable from it.
+// the loop body, or anywhere in a function the body can call.
 func (tr *transformer) inRegion(in *ir.Instr) bool {
-	if in.Blk.Fn == tr.loop.Header.Fn {
-		return tr.loop.ContainsInstr(in)
-	}
-	for _, f := range tr.regionFuncs()[1:] {
-		if in.Blk.Fn == f {
-			return true
-		}
-	}
-	return false
+	return tr.inFuncs[in.Blk.Fn] || tr.loop.ContainsInstr(in)
 }
 
 // replaceAllocation implements section 4.4.
@@ -503,7 +500,9 @@ func (tr *transformer) flushInserts() {
 
 // insertChecks implements sections 4.5 and 4.6 plus value prediction.
 func (tr *transformer) insertChecks() {
-	funcs := tr.regionFuncs()
+	// The IR changes only at flushInserts below, so one use index serves
+	// every reduction query of the pass.
+	uses := ir.UseIndex{}
 	// One separation check per (pointer definition, heap): the paper
 	// traces each use back to its static definition and checks there.
 	type checkKey struct {
@@ -513,7 +512,7 @@ func (tr *transformer) insertChecks() {
 	checked := map[checkKey]bool{}
 	newInstr := func(f *ir.Function) *ir.Builder { return ir.NewBuilder(f) }
 
-	for _, f := range funcs {
+	for _, f := range tr.funcs {
 		bld := newInstr(f)
 		f.Instrs(func(in *ir.Instr) {
 			if !tr.inRegion(in) {
@@ -591,7 +590,7 @@ func (tr *transformer) insertChecks() {
 				if tr.reduxMarksDroppable(f, addr) {
 					tr.stats.StaticReduxMarksDropped++
 				} else {
-					_, kind, _, _ := ir.ReduxUpdate(in)
+					_, kind, _, _ := uses.ReduxUpdate(in)
 					rw := makeRedux(bld, addr, size, kind)
 					tr.queueInsert(in, false, rw)
 					tr.stats.ReduxMarks++
