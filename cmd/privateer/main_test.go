@@ -4,7 +4,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -69,30 +68,13 @@ func TestServeWithoutModeServeRejected(t *testing.T) {
 	}
 }
 
-var (
-	// outlinedSeq matches the process-wide sequence number doall appends
-	// to the functions it outlines: it grows with every region the test
-	// binary outlined before (-count=2 runs the test twice in one process).
-	outlinedSeq = regexp.MustCompile(`(__(?:region|iter)_\w+?)_\d+\b`)
-	// padding matches column padding and rules, whose width follows the
-	// longest cell and so the sequence number's digit count.
-	padding = regexp.MustCompile(`  +|--+`)
-)
-
-// maskOutlinedSeq masks the outlined functions' sequence numbers in a report
-// and the column widths they move.
-func maskOutlinedSeq(report string) string {
-	return padding.ReplaceAllStringFunc(outlinedSeq.ReplaceAllString(report, "${1}_N"),
-		func(run string) string { return run[:2] })
-}
-
 // TestOneShotReportGolden pins the whole stdout of a one-shot privateer run
 // with -why-misspec on every program's train input: the pipeline summary,
 // the totals lines, the simulated time and the attribution table. At one
 // worker the injected squash points (rate 0.05, seed 1) do not depend on
-// scheduling, so the text is the same on every run and host; the golden
-// holds it as a fresh test binary prints it, and the comparison masks only
-// what a test that outlined regions before can move (maskOutlinedSeq).
+// scheduling, and outlined regions are named from the module alone, so the
+// text is the same on every run, host and process history; the comparison
+// is exact.
 // Regenerate for an intended change with
 //
 //	go test ./cmd/privateer -run TestOneShotReportGolden -update-golden
@@ -122,7 +104,7 @@ func TestOneShotReportGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reading golden file (regenerate with -update-golden): %v", err)
 			}
-			if maskOutlinedSeq(got) != maskOutlinedSeq(string(want)) {
+			if got != string(want) {
 				t.Errorf("report changed (regenerate with -update-golden if intended):\n got:\n%s want:\n%s", got, want)
 			}
 		})

@@ -94,9 +94,11 @@ func (r *Report) Format() string {
 
 // normalizeObj maps an object name rendered after outlining back to its
 // pre-transform form: an allocation site inside the region body prints as
-// "__iter_<fn>_<seq>:site" once the body is outlined, and the outline
-// sequence number is process-global, so two pipeline runs over the same
-// program disagree on it. Claims must compare by the original "<fn>:site".
+// "__iter_<fn>_<seq>:site" once the body is outlined. The sequence number
+// is counted per module, so two pipeline runs over the same program agree
+// on it. Normalising is still needed because layer 2 checks the claims
+// against a profile of the untransformed module, whose objects keep
+// "<fn>:site", so claims compare by that original form.
 func normalizeObj(name string) string {
 	fn, site, ok := strings.Cut(name, ":")
 	if !ok || !strings.HasPrefix(fn, "__iter_") {

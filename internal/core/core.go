@@ -17,7 +17,6 @@ import (
 	"privateer/internal/analysis"
 	"privateer/internal/classify"
 	"privateer/internal/deps"
-	"privateer/internal/doall"
 	"privateer/internal/interp"
 	"privateer/internal/ir"
 	"privateer/internal/profiling"
@@ -154,12 +153,7 @@ func ParallelizeAblated(mod *ir.Module, opts Options, abl Ablation) (*Paralleliz
 				rep.Reason = err.Error()
 				break
 			}
-			iv := ir.FindInductionVar(l)
-			if iv == nil {
-				rep.Reason = "no canonical induction variable"
-				break
-			}
-			outline, err := doall.Outline(mod, l, iv)
+			outline, err := transform.Outline(mod, l)
 			if err != nil {
 				rep.Reason = err.Error()
 				break

@@ -5,10 +5,10 @@ import (
 	"slices"
 
 	"privateer/internal/deps"
-	"privateer/internal/doall"
 	"privateer/internal/interp"
 	"privateer/internal/ir"
 	"privateer/internal/specrt"
+	"privateer/internal/transform"
 	"privateer/internal/vm"
 )
 
@@ -19,7 +19,7 @@ type StaticParallelized struct {
 	// Mod is the outlined module.
 	Mod *ir.Module
 	// Regions are the outlined loops.
-	Regions []*doall.Region
+	Regions []*transform.Region
 	// Reports explains each hot loop's fate.
 	Reports []LoopReport
 }
@@ -51,12 +51,7 @@ func ParallelizeStatic(mod *ir.Module, opts Options) (*StaticParallelized, error
 				rep.Reason = blockers[0].String()
 				break
 			}
-			iv := ir.FindInductionVar(l)
-			if iv == nil {
-				rep.Reason = "no canonical induction variable"
-				break
-			}
-			region, err := doall.Outline(mod, l, iv)
+			region, err := transform.Outline(mod, l)
 			if err != nil {
 				rep.Reason = err.Error()
 				break
@@ -107,7 +102,7 @@ func RunStatic(p *StaticParallelized, workers int, args ...uint64) (*StaticRun, 
 	iter := interp.NewShared(master.Program(), master.AS)
 	iter.AdoptLayout(master.GlobalLayout())
 	iter.Out = master.Out
-	regions := make(map[*ir.Function]*doall.Region, len(p.Regions))
+	regions := make(map[*ir.Function]*transform.Region, len(p.Regions))
 	for _, r := range p.Regions {
 		regions[r.RegionFn] = r
 	}

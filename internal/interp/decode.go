@@ -37,9 +37,13 @@ type Program struct {
 	globalIdx map[*ir.Global]int
 }
 
-// NewProgram returns an empty decode cache for mod. Functions decode lazily
-// on first call.
-func NewProgram(mod *ir.Module) *Program {
+// SharedProgram returns a new, empty decode cache for mod (functions decode
+// lazily on first call) for the caller to keep and hand to every
+// interpreter that should share it: NewShared, specrt.Config.Program. The
+// service's concurrent jobs over one module decode each function once this
+// way. Two calls return two caches. The module must not be mutated once it
+// executes through a shared Program.
+func SharedProgram(mod *ir.Module) *Program {
 	p := &Program{Mod: mod, globalIdx: make(map[*ir.Global]int, len(mod.Globals))}
 	for i, name := range mod.GlobalNames() {
 		p.globalIdx[mod.Globals[name]] = i
@@ -56,23 +60,6 @@ func (p *Program) globalSlot(g *ir.Global) int {
 		return i
 	}
 	return len(p.globalIdx)
-}
-
-// progCache is the process-wide module->Program table behind SharedProgram.
-var progCache sync.Map // *ir.Module -> *Program
-
-// SharedProgram returns the process-wide decoded Program for mod, creating
-// it on first use. Concurrent region invocations over the same module (the
-// multi-tenant service's steady state) share one decode cache this way, so
-// each function decodes once per process rather than once per invocation.
-// The module must not be mutated once it is executing through a shared
-// Program; compile-time passes run before the first invocation.
-func SharedProgram(mod *ir.Module) *Program {
-	if v, ok := progCache.Load(mod); ok {
-		return v.(*Program)
-	}
-	v, _ := progCache.LoadOrStore(mod, NewProgram(mod))
-	return v.(*Program)
 }
 
 // decodedFor returns the decoded form of fn, decoding (or re-decoding after

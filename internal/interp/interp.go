@@ -183,7 +183,7 @@ type Interp struct {
 
 // New returns an interpreter for mod over as.
 func New(mod *ir.Module, as *vm.AddressSpace) *Interp {
-	return NewShared(NewProgram(mod), as)
+	return NewShared(SharedProgram(mod), as)
 }
 
 // NewShared returns an interpreter over as that reuses prog's decode cache.

@@ -412,7 +412,7 @@ func TestUseBeforeDefParity(t *testing.T) {
 		if fast != slow || fast.err != "" || fast.ret != tc.want {
 			t.Errorf("%s: want %d:\n decoded:   %v\n tree-walk: %v", tc.name, tc.want, fast, slow)
 		}
-		left := interp.ExecutedInPlace(interp.NewProgram(bt.mod), bt.mod.Entry())
+		left := interp.ExecutedInPlace(interp.SharedProgram(bt.mod), bt.mod.Entry())
 		if len(left) != 1 || left[0] != bt.pinned {
 			t.Errorf("%s: executed in place %v, want only %v", tc.name, left, bt.pinned)
 		}
@@ -451,7 +451,7 @@ func TestUnverifiedFunctionDecodesPlain(t *testing.T) {
 	if ir.Verify(m) == nil {
 		t.Fatal("the verifier admits a foreign operand")
 	}
-	prog := interp.NewProgram(m)
+	prog := interp.SharedProgram(m)
 	if left := interp.ExecutedInPlace(prog, f); len(left) != 2 {
 		t.Errorf("executed in place %v, want both constants", left)
 	}

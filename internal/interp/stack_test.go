@@ -200,7 +200,7 @@ func TestStaleDecodeCaughtBetweenRuns(t *testing.T) {
 	mb := ir.NewBuilder(main)
 	mb.Ret(mb.Add(mb.Call(leaf), mb.Call(leaf)))
 
-	prog := NewProgram(m)
+	prog := SharedProgram(m)
 	same := NewShared(prog, vm.NewAddressSpace())
 	if v, err := same.Run(); err != nil || v != 2 {
 		t.Fatalf("first run = %d, %v; want 2", v, err)

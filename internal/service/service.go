@@ -191,8 +191,8 @@ type JobView struct {
 }
 
 // compiled is the shared immutable state for one (program, input) pair:
-// the parallelized module, its process-wide decoded Program, and the
-// warmed worker pool every invocation of it draws from.
+// the parallelized module, the one decoded Program every job of the pair
+// shares, and the warmed worker pool every invocation of it draws from.
 type compiled struct {
 	pool *specrt.WorkerPool // set at insertion, before once runs
 	once sync.Once

@@ -133,8 +133,7 @@ func buildLiveInModule(malloc bool) *ir.Module {
 // and the formatted table are the bytes recorded when sites were labelled at
 // allocation; the labels are now formatted only when a misspeculation is
 // attributed. One worker keeps the misspeculation count schedule-free; the
-// region's name carries a process-wide outline sequence number, so the table
-// is templated on it.
+// region is the module's first outline, so its name is fixed.
 func TestMisspecAttributionNamesObject(t *testing.T) {
 	for _, tc := range []struct {
 		malloc                         bool
@@ -149,7 +148,7 @@ func TestMisspecAttributionNamesObject(t *testing.T) {
 		if v, err := rt.Run(12); err != nil || v != 67 {
 			t.Fatalf("%s: result %d, %v; want 67", tc.object, v, err)
 		}
-		region := ri.Outline.RegionFn.Name
+		const region = "__region_main_1"
 		rows := rt.Sites
 		want := []MisspecSiteRow{{Region: region, Cause: "privacy violated (fast phase)",
 			Object: tc.object, Count: 10}}

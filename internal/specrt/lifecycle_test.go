@@ -6,11 +6,11 @@ import (
 
 	"privateer/internal/classify"
 	"privateer/internal/deps"
-	"privateer/internal/doall"
 	"privateer/internal/interp"
 	"privateer/internal/ir"
 	"privateer/internal/obs"
 	"privateer/internal/profiling"
+	"privateer/internal/transform"
 	"privateer/internal/vm"
 )
 
@@ -33,8 +33,7 @@ func outlineRegion(t *testing.T, mod *ir.Module, assign *classify.Assignment, ar
 	if loop == nil {
 		t.Fatal("no hot main loop")
 	}
-	iv := ir.FindInductionVar(loop)
-	outline, err := doall.Outline(mod, loop, iv)
+	outline, err := transform.Outline(mod, loop)
 	if err != nil {
 		t.Fatal(err)
 	}

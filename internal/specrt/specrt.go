@@ -9,7 +9,6 @@ import (
 
 	"privateer/internal/classify"
 	"privateer/internal/deps"
-	"privateer/internal/doall"
 	"privateer/internal/interp"
 	"privateer/internal/intervalmap"
 	"privateer/internal/ir"
@@ -56,12 +55,12 @@ type Config struct {
 	// prover never trips the oracle; it exists to catch unsound proofs
 	// (see core.Ablation.PlantProofs) before they corrupt output silently.
 	SepAudit bool
-	// Program, when non-nil, is the shared pre-decoded form of Mod that this
-	// runtime's master, workers and recovery interpreters execute (see
-	// interp.SharedProgram). Concurrent RT instances over the same module —
-	// the multi-tenant region service — share one decode cache this way.
-	// Program.Mod must be the runtime's module. Nil decodes privately, the
-	// single-invocation default.
+	// Program, when non-nil, is the pre-decoded form of Mod (made once by
+	// the caller with interp.SharedProgram) that this runtime's master,
+	// workers and recovery interpreters execute. RT instances given the
+	// same Program — the region service's jobs — share one decode cache
+	// and the Pool's slots for it. Program.Mod must be the runtime's
+	// module. Nil decodes privately, the single-invocation default.
 	Program *interp.Program
 	// Pool, when non-nil, recycles warmed worker machinery (address space +
 	// interpreter) across spans and invocations instead of constructing it
@@ -75,7 +74,7 @@ type Config struct {
 // RegionInfo bundles the compiler artifacts for one parallel region.
 type RegionInfo struct {
 	// Outline is the DOALL outline (region/iter functions).
-	Outline *doall.Region
+	Outline *transform.Region
 	// Assign is the heap assignment.
 	Assign *classify.Assignment
 	// Plan is the speculation plan.

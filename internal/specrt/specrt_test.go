@@ -9,7 +9,6 @@ import (
 	"privateer/internal/analysis"
 	"privateer/internal/classify"
 	"privateer/internal/deps"
-	"privateer/internal/doall"
 	"privateer/internal/interp"
 	"privateer/internal/ir"
 	"privateer/internal/obs"
@@ -47,8 +46,7 @@ func buildRegion(t *testing.T, mod *ir.Module, trainArgs ...uint64) *RegionInfo 
 	if err != nil {
 		t.Fatal(err)
 	}
-	iv := ir.FindInductionVar(loop)
-	outline, err := doall.Outline(mod, loop, iv)
+	outline, err := transform.Outline(mod, loop)
 	if err != nil {
 		t.Fatal(err)
 	}

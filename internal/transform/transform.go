@@ -14,6 +14,17 @@
 //     register reduction objects for identity initialization and merging;
 //   - value-prediction checks guard stable loads; and
 //   - cold blocks are fenced with misspec for control speculation.
+//
+// Outline then applies DOALL to the privatized loop (section 3.1: the
+// privatized program "is then amenable to … parallelizing transformations
+// such as DOALL"). It splits a canonical counted loop into __iter_L(i,
+// live-ins...), one iteration of the body, and __region_L(lo, hi,
+// live-ins...), a sequential driver calling it, and replaces the loop with
+// a call to __region_L. Run sequentially, the program behaves as before;
+// the speculative runtime and the DOALL-only baseline (core.RunStatic)
+// intercept that call and schedule the iterations, so this package
+// schedules nothing. Every name Outline gives is a function of the module
+// alone.
 package transform
 
 import (
