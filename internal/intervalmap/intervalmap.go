@@ -10,7 +10,7 @@ import "sort"
 // The zero value is an empty map. Not safe for concurrent use.
 type Map[V any] struct {
 	ivs []interval[V]
-	// last is the index of Find's last hit.
+	// last is Find's hint: the slot of its last hit.
 	last int
 }
 
@@ -22,9 +22,18 @@ type interval[V any] struct {
 // Len returns the number of intervals in the map.
 func (m *Map[V]) Len() int { return len(m.ivs) }
 
-// search returns the index of the first interval with lo > addr.
+// search returns the index of the first interval with lo > addr. It is
+// sort.Search without the closure call per probe.
 func (m *Map[V]) search(addr uint64) int {
-	return sort.Search(len(m.ivs), func(i int) bool { return m.ivs[i].lo > addr })
+	i, j := 0, len(m.ivs)
+	for i < j {
+		if h := int(uint(i+j) >> 1); m.ivs[h].lo > addr {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
+	return i
 }
 
 // Insert adds the interval [lo, hi) with value v, replacing any existing
@@ -75,21 +84,42 @@ func (m *Map[V]) Remove(addr uint64) (V, bool) {
 	return v, true
 }
 
-// Find returns the interval containing addr and its value. The last hit is
-// tried before the binary search; intervals never overlap, so whatever
-// interval that slot holds now is the answer if it contains addr, and an
-// Insert or Remove in between cannot make it resolve to a dead interval.
+// Find returns the interval containing addr and its value, trying the slot
+// of its own last hit before the binary search.
 func (m *Map[V]) Find(addr uint64) (lo, hi uint64, v V, ok bool) {
-	i := m.last
-	if i >= len(m.ivs) || addr < m.ivs[i].lo || addr >= m.ivs[i].hi {
-		i = m.search(addr) - 1
-		if i < 0 || addr >= m.ivs[i].hi {
+	return m.FindHint(&m.last, addr)
+}
+
+// FindHint is Find with a memo the caller keeps: the slot *hint is tried
+// before the binary search, and *hint is set to the slot that hits. Any
+// hint is sound, stale or out of range: intervals never overlap, so
+// whatever interval the slot holds now is the answer if it contains addr,
+// and an Insert or Remove in between cannot make it resolve to a dead
+// interval. One such Insert or Remove below the hinted interval shifts it
+// by one slot, so the hint's neighbours are tried next. A caller that keeps
+// one hint per access site stops two sites that alternate between
+// intervals from evicting each other's memo.
+func (m *Map[V]) FindHint(hint *int, addr uint64) (lo, hi uint64, v V, ok bool) {
+	i := *hint
+	switch {
+	case m.holds(i, addr):
+	case m.holds(i+1, addr):
+		i++
+	case m.holds(i-1, addr):
+		i--
+	default:
+		if i = m.search(addr) - 1; i < 0 || addr >= m.ivs[i].hi {
 			return 0, 0, v, false
 		}
-		m.last = i
 	}
+	*hint = i
 	iv := &m.ivs[i]
 	return iv.lo, iv.hi, iv.val, true
+}
+
+// holds reports whether slot i exists and its interval contains addr.
+func (m *Map[V]) holds(i int, addr uint64) bool {
+	return uint(i) < uint(len(m.ivs)) && addr-m.ivs[i].lo < m.ivs[i].hi-m.ivs[i].lo
 }
 
 // Lookup returns the value of the interval containing addr.

@@ -120,10 +120,10 @@ func TestEmptyIntervalIgnored(t *testing.T) {
 
 // Property: after every step of a random series of inserts and removes the
 // map holds exactly the intervals a brute-force reference holds, in address
-// order, and Find agrees with the reference on random addresses. Inserts
-// come from a dense range (they overlap, split and swallow: Insert's general
-// path) and from a sparse one (nothing overlaps: its in-place path), and
-// each seed must take both.
+// order, and Find and FindHint, with any hint, agree with the reference on
+// random addresses. Inserts come from a dense range (they overlap, split
+// and swallow: Insert's general path) and from a sparse one (nothing
+// overlaps: its in-place path), and each seed must take both.
 func TestAgainstReference(t *testing.T) {
 	type ref struct {
 		lo, hi uint64
@@ -134,6 +134,7 @@ func TestAgainstReference(t *testing.T) {
 		var m Map[int]
 		var refs []ref
 		var inPlace, general int
+		hints := make([]int, 4)
 		for op := 0; op < 200; op++ {
 			switch rng.Intn(3) {
 			case 0, 1: // insert
@@ -166,6 +167,7 @@ func TestAgainstReference(t *testing.T) {
 				refs = append(next, ref{lo, hi, v})
 			case 2: // remove
 				a := uint64(rng.Intn(1000))
+				m.FindHint(&hints[2], a) // a hint at the freed slot
 				m.Remove(a)
 				for i, r := range refs {
 					if a >= r.lo && a < r.hi {
@@ -187,7 +189,14 @@ func TestAgainstReference(t *testing.T) {
 			if i != len(refs) {
 				return false
 			}
-			// Find's last-hit memo must survive the insert or remove.
+			// Find's last-hit memo, and every caller-kept hint, must survive
+			// the insert or remove: hints[0] follows the hits, hints[1] lags
+			// it by up to five steps (its slot may have shifted), hints[2]
+			// names the slot of the last removed interval and hints[3] is out
+			// of range.
+			if op%5 == 0 {
+				hints[1] = hints[0]
+			}
 			for probe := 0; probe < 4; probe++ {
 				a := uint64(rng.Intn(1100))
 				var want ref
@@ -196,9 +205,27 @@ func TestAgainstReference(t *testing.T) {
 						want = r
 					}
 				}
-				lo, hi, v, ok := m.Find(a)
-				if ok != (want.hi != 0) || ok && want != (ref{lo, hi, v}) {
+				agrees := func(lo, hi uint64, v int, ok bool) bool {
+					return ok == (want.hi != 0) && (!ok || want == (ref{lo, hi, v}))
+				}
+				if !agrees(m.Find(a)) {
 					return false
+				}
+				for k := range hints {
+					if k == len(hints)-1 {
+						hints[k] = []int{-1, m.Len(), m.Len() + 7, int(^uint(0) >> 1)}[rng.Intn(4)]
+					}
+					h := hints[k]
+					lo, hi, v, ok := m.FindHint(&h, a)
+					if !agrees(lo, hi, v, ok) {
+						return false
+					}
+					if ok && !(h < m.Len() && m.ivs[h].lo == lo) {
+						return false // the hint must name the slot that hit
+					}
+					if k == 0 {
+						hints[0] = h
+					}
 				}
 			}
 		}

@@ -1,12 +1,15 @@
 package profiling
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"privateer/internal/interp"
 	"privateer/internal/ir"
 	"privateer/internal/progs"
+	"privateer/internal/randprog"
 	"privateer/internal/vm"
 )
 
@@ -216,20 +219,77 @@ func TestCarriedFlowOrder(t *testing.T) {
 	}
 }
 
-// TestProfilerAllocationBudget keeps a per-activation or per-byte map from
-// coming back: the map-based profiler allocated 52 MB on this input, the
-// shadow-memory one about 0.5 MB, most of it building and decoding the IR.
-func TestProfilerAllocationBudget(t *testing.T) {
-	p := progs.Alvinn()
-	mod := p.Build(p.Alt)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := Run(mod); err != nil {
+// TestDanglingAccessPointsNowhere: a load through a freed pointer resolves
+// to no object, so it has no points-to entry, while the store before the
+// free keeps its object.
+func TestDanglingAccessPointsNowhere(t *testing.T) {
+	m := ir.NewModule("dangling")
+	b := ir.NewBuilder(m.NewFunc("main", ir.I64))
+	obj := b.Malloc("obj", b.I(16))
+	store := b.Store(b.I(7), obj, 8)
+	b.Free(obj)
+	load := b.Load(obj, 8)
+	b.Ret(load)
+	p := profileMain(t, m)
+	if set := p.PointsTo[store]; len(set) != 1 || !set[Object{Site: obj}] {
+		t.Errorf("store points to %v, want only main:obj", set.Names())
+	}
+	if set, ok := p.PointsTo[load]; ok {
+		t.Errorf("dangling load points to %v, want no entry", set.Names())
+	}
+}
+
+// TestClockOverflowPanics pins that a clock reading too large for a shadow
+// word stops the run instead of wrapping into the store index beside it.
+func TestClockOverflowPanics(t *testing.T) {
+	m, _, _ := buildReuseLoop(t, 10, 4)
+	p := NewProfiler(m)
+	p.maxClock = 5 // the loops tick it past 5 long before they finish
+	it := interp.New(m, vm.NewAddressSpace())
+	if err := p.Attach(it); err != nil {
 		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
-	const budget = 4 << 20
-	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "overflow") {
+			t.Errorf("recovered %v, want the clock overflow panic", r)
+		}
+	}()
+	_, err := it.Run()
+	t.Errorf("the run ended (err %v) with the clock at %d, past its bound 5", err, p.clock)
+}
+
+// TestProfilerAllocationBudget keeps per-event maps and large shadow pages
+// from coming back. Each budget is 1.25× the dense-index profiler's reading:
+// alvinn/alt reads 111.6 KB (the map-based profiler read 52 MB, the first
+// shadow-memory one 303 KB), and randprog seeds 1–4 read 180.5 KB together
+// (440.0 KB while every profile paid a 48 KB shadow page).
+func TestProfilerAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations make the budget meaningless")
+	}
+	allocated := func(mods []*ir.Module, args [][]uint64) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, mod := range mods {
+			if _, err := Run(mod, args[i]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	p := progs.Alvinn()
+	if got, budget := allocated([]*ir.Module{p.Build(p.Alt)}, [][]uint64{nil}), uint64(139_500); got > budget {
 		t.Errorf("profiling alvinn/alt allocated %d bytes, budget %d", got, budget)
+	}
+	var mods []*ir.Module
+	var args [][]uint64
+	for seed := int64(1); seed <= 4; seed++ {
+		cfg := randprog.DefaultConfig(seed)
+		mods = append(mods, randprog.Generate(cfg))
+		args = append(args, []uint64{randprog.TrainTrips(cfg)})
+	}
+	if got, budget := allocated(mods, args), uint64(225_700); got > budget {
+		t.Errorf("profiling randprog seeds 1-4 allocated %d bytes, budget %d", got, budget)
 	}
 }

@@ -7,12 +7,23 @@
 //
 // All profilers attach to a single instrumented interpretation of the
 // program on a training input and produce one Profile consumed by the
-// classification and transformation stages.
+// classification and transformation stages. Their per-event work is O(1),
+// touches no map once warm and allocates nothing: NewProfiler numbers the
+// module's objects (globals and allocation sites), memory instructions and
+// blocks, each memory instruction memoizes the object, shadow page,
+// dependence and carried-read record it last used, and the object sets are
+// bitsets over the object numbers until Profile folds them into the exported
+// maps. The flow-dependence shadow packs each byte's last in-loop write, a
+// logical clock above the writing store's number, into one word.
 package profiling
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"privateer/internal/interp"
 	"privateer/internal/intervalmap"
@@ -137,7 +148,9 @@ type LoopInfo struct {
 	Steps int64
 }
 
-// Profile is the combined result of one profiling run.
+// Profile is the combined result of one profiling run. Equal object sets
+// in PointsTo, ShortLivedViolations and AllocatedIn may be one shared map,
+// and an empty one may be nil: treat every set as read-only.
 type Profile struct {
 	// Mod is the profiled module.
 	Mod *ir.Module
@@ -203,6 +216,13 @@ func (p *Profile) HotLoops() []*LoopInfo {
 	return infos
 }
 
+// The profiler works on dense indices fixed by NewProfiler: every global and
+// allocation site is an object index (0 names nothing), every instruction
+// that reaches a memory hook an entry of Profiler.ops, and every block an
+// entry of its function's fnTab. The hooks keep index sets and memos in
+// those entries and allocate nothing once warm; Profile folds them into the
+// exported maps.
+//
 // The flow-dependence profiler keeps one logical clock and one shadow of
 // program memory. The clock ticks when a loop activation starts and at each
 // of its iteration boundaries; the shadow holds, per byte, the clock reading
@@ -213,30 +233,71 @@ func (p *Profile) HotLoops() []*LoopInfo {
 // iff startT <= t < iterT. Nested activations have disjoint, increasing
 // windows, so a byte is carried by at most one of them, a store costs one
 // shadow write per byte whatever the nesting depth, and re-entering an inner
-// loop allocates and clears nothing.
+// loop allocates and clears nothing. The same clock dates allocations: an
+// object was allocated in an activation's current iteration iff its born
+// reading is at least the activation's iterT.
 
-const shadowPageSize = 1 << 12
+const shadowPageSize = 1 << 9
 
-// shadowPage holds no pointer, so the collector never scans it: src indexes
-// Profiler.instrs.
+// shadowPage holds a byte's last in-loop write as one word: the clock
+// reading shifted left by Profiler.srcBits, or'ed with the writing store's
+// index in Profiler.ops. While every store into the page has written whole
+// aligned 8-byte words, words holds one per 8 bytes; the first other store
+// expands the page into bytes, one per byte. A run of bytes sharing a last
+// write is a run of equal words either way.
 type shadowPage struct {
-	t   [shadowPageSize]uint64
-	src [shadowPageSize]uint32
+	words [shadowPageSize / 8]uint64
+	bytes *[shadowPageSize]uint64
+}
+
+// expand switches pg to one word per byte.
+func (pg *shadowPage) expand() {
+	pg.bytes = new([shadowPageSize]uint64)
+	for i := range pg.bytes {
+		pg.bytes[i] = pg.words[i/8]
+	}
 }
 
 // unwritten stands in, for reads, for every page no in-loop store has
 // touched. Nothing writes to it.
 var unwritten shadowPage
 
-// loopRec is the profiler's record of one static loop. The maps are the
-// ones the Profile exports.
+// span is what the interval map holds for a live object: its index, its
+// slot in Profiler.gens, and the clock reading when it was allocated (0 for
+// a global).
+type span struct {
+	obj, id uint32
+	born    uint64
+}
+
+// liveAlloc is an allocation made in an activation's current iteration. It
+// is still live iff the interval map still holds span at addr.
+type liveAlloc struct {
+	addr uint64
+	span
+}
+
+// objSet is a set of object indices, one bit each.
+type objSet []uint64
+
+func (s objSet) has(o uint32) bool { return s[o/64]&(1<<(o%64)) != 0 }
+func (s objSet) add(o uint32)      { s[o/64] |= 1 << (o % 64) }
+
+// loopRec is the profiler's record of one static loop.
 type loopRec struct {
 	info                  LoopInfo
-	allocated, violations ObjectSet
-	deps                  map[[2]*ir.Instr]*Dep
-	reads                 map[*ir.Instr]*CarriedReadInfo
+	allocated, violations objSet
+	// deps is keyed by the store's index in Profiler.ops << 32 | the load's.
+	deps  map[uint64]*depRec
+	reads map[*ir.Instr]*CarriedReadInfo
 	// body[b.Index] is Loop.Contains(b) without the map lookup.
 	body []bool
+}
+
+// depRec is a Dep with its object's index, which orders CarriedFlow.
+type depRec struct {
+	Dep
+	obj uint32
 }
 
 // loopInst is one dynamic activation of a loop.
@@ -249,115 +310,190 @@ type loopInst struct {
 	// seenLoad is the Profiler.loads of the last load this activation
 	// carried, so a load straddling two writes is one carried read.
 	seenLoad int64
-	// live maps the base address of every object allocated in the current
-	// iteration, and not freed yet, to its site; nil until the first one.
-	live map[uint64]Object
+	// live lists the allocations of the current iteration, freed or not;
+	// the slice is reused by the next activation at this stack slot.
+	live []liveAlloc
 }
 
-// instrRec is the dense side-table entry of one instruction.
-type instrRec struct {
-	in *ir.Instr
-	// objs is PointsTo[in]; lastObj, the object last added, makes a repeat
-	// access a single compare.
-	objs    ObjectSet
-	lastObj Object
-	// konst is LoadConst[in] once Count > 0.
-	konst ConstInfo
+// opRec is the side-table entry of one memory instruction: a load, store,
+// allocation, free, memset or memcopy. The fields a load or store reads on
+// every execution come first.
+type opRec struct {
+	// [lo, lo+n) is the object s that in's last access hit, while
+	// Profiler.gens[s.id] = objGen.
+	lo, n  uint64
+	s      span
+	objGen uint32
+	// page is shadow page pn, as of Profiler.made = gen.
+	pn   uint64
+	page *shadowPage
+	gen  uint32
 	// dep is the dependence the load last manifested, in depLoop from
 	// depSrc: an 8-byte carried read is one lookup, not eight.
-	depLoop *loopRec
 	depSrc  uint32
-	dep     *Dep
+	depLoop *loopRec
+	dep     *depRec
+	// konst is LoadConst[in] once Count > 0.
+	konst ConstInfo
+	// cr is CarriedReads[crLoop.Loop][in].
+	crLoop *loopRec
+	cr     *CarriedReadInfo
+	// hint is the interval-map slot of the last lookup's hit.
+	hint int
+	in   *ir.Instr
+	// idx is the entry's index in Profiler.ops; site is the object index
+	// of an allocation instruction.
+	idx, site uint32
+	// objs is the offset in Profiler.sets of the index set behind
+	// PointsTo[in].
+	objs int
 }
 
 type blockRec struct {
-	blk  *ir.Block
 	runs int64
-	// header is the loop blk heads, if any.
-	header *loopRec
+	// size is len(blk.Instrs).
+	size int64
+	// header is the loop blk heads, if any; inner is the innermost loop
+	// containing blk.
+	header, inner *loopRec
+	blk           *ir.Block
 }
 
-// fnBase locates a function's values and blocks in the dense tables.
-type fnBase struct{ val, blk int }
+// fnTab is one function's part of the dense tables: ops[v] is the entry in
+// Profiler.ops of the memory instruction with ValueID v; blocks is indexed
+// by Block.Index.
+type fnTab struct {
+	ops    []*opRec
+	blocks []blockRec
+}
 
 // Profiler instruments an interpreter and accumulates a Profile.
 type Profiler struct {
-	prof *Profile
+	mod *ir.Module
+	// loops lists every loop's record in Profile.AllLoops order.
+	loops []*loopRec
 
-	// instrs and blocks are indexed by a function's base plus ValueID and
-	// Block.Index; Profile folds them into the exported maps. lastFn is a
-	// one-entry memo in front of bases.
-	bases  map[*ir.Function]fnBase
+	// frames[d] is the table of the function executing at call depth d, fn
+	// the innermost one's: every memory and block hook fires in it. lastFn
+	// is a one-entry memo in front of tabs.
+	tabs   map[*ir.Function]fnTab
 	lastFn *ir.Function
-	last   fnBase
-	instrs []instrRec
-	blocks []blockRec
+	last   fnTab
+	frames []fnTab
+	fn     fnTab
+	ops    []opRec
 
-	objects intervalmap.Map[Object]
+	// objs[o] is the object of index o: nothing, the globals in declaration
+	// order, then the allocation sites. words is the length of an objSet;
+	// sets holds the points-to sets, one per entry of ops.
+	objs  []Object
+	words int
+	sets  []uint64
+	// inLoop holds the sites that have allocated inside a loop: no other
+	// object can be short-lived in one.
+	inLoop objSet
+
+	// gens[id] counts the removals of the objects that held slot id, which
+	// invalidates the memos of the last one; ids lists the free slots. An
+	// insert leaves every memo valid: the allocator hands out memory no live
+	// object occupies.
+	objects intervalmap.Map[span]
+	gens    []uint32
+	ids     []uint32
 	stack   []loopInst
 	clock   uint64
+	// srcBits is the width of an index into ops in a shadow word;
+	// maxClock, the largest clock reading that fits above it.
+	srcBits  uint
+	maxClock uint64
 	// cost sums len(to.Instrs) over every block transition: an activation's
 	// Steps is the growth of cost while it was on the stack.
 	cost  int64
 	loads int64
 
-	// lastPage caches pages[lastPN] (or unwritten).
-	pages    map[uint64]*shadowPage
-	lastPN   uint64
-	lastPage *shadowPage
+	// made counts the pages in pages.
+	pages map[uint64]*shadowPage
+	made  uint32
 }
 
 // NewProfiler prepares a profiler for mod, computing loop structure for
-// every function.
+// every function and numbering its objects, instructions and blocks.
 func NewProfiler(mod *ir.Module) *Profiler {
 	p := &Profiler{
-		prof: &Profile{
-			Mod:                  mod,
-			Loops:                map[*ir.Loop]*LoopInfo{},
-			PointsTo:             map[*ir.Instr]ObjectSet{},
-			CarriedFlow:          map[*ir.Loop][]*Dep{},
-			ShortLivedViolations: map[*ir.Loop]ObjectSet{},
-			AllocatedIn:          map[*ir.Loop]ObjectSet{},
-			LoadConst:            map[*ir.Instr]*ConstInfo{},
-			CarriedReads:         map[*ir.Loop]map[*ir.Instr]*CarriedReadInfo{},
-			BlockRuns:            map[*ir.Block]int64{},
-		},
-		bases:  map[*ir.Function]fnBase{},
-		pages:  map[uint64]*shadowPage{},
-		lastPN: ^uint64(0),
+		mod:   mod,
+		tabs:  map[*ir.Function]fnTab{},
+		pages: map[uint64]*shadowPage{},
 	}
-	for _, f := range mod.SortedFuncs() {
-		f.Recompute()
-		base := fnBase{len(p.instrs), len(p.blocks)}
-		p.bases[f] = base
-		p.instrs = append(p.instrs, make([]instrRec, f.NumValues())...)
+	funcs, nOps, nSites := mod.SortedFuncs(), 0, 0
+	for _, f := range funcs {
 		for _, b := range f.Blocks {
-			p.blocks = append(p.blocks, blockRec{blk: b})
 			for _, in := range b.Instrs {
-				p.instrs[base.val+in.ValueID()].in = in
+				switch in.Op {
+				case ir.OpAlloca, ir.OpMalloc, ir.OpHAlloc:
+					nSites++
+				}
+				if isMemOp(in.Op) {
+					nOps++
+				}
+			}
+		}
+	}
+	p.ops = make([]opRec, 0, nOps)
+	p.objs = make([]Object, 1, 1+len(mod.GlobalNames())+nSites)
+	p.words = (cap(p.objs) + 63) / 64
+	p.sets = make([]uint64, nOps*p.words)
+	for _, name := range mod.GlobalNames() {
+		p.objs = append(p.objs, Object{Global: mod.Globals[name]})
+	}
+	for _, f := range funcs {
+		f.Recompute()
+		tab := fnTab{make([]*opRec, f.NumValues()), make([]blockRec, len(f.Blocks))}
+		p.tabs[f] = tab
+		for _, b := range f.Blocks {
+			tab.blocks[b.Index] = blockRec{blk: b, size: int64(len(b.Instrs))}
+			for _, in := range b.Instrs {
+				if !isMemOp(in.Op) {
+					continue
+				}
+				rec := opRec{in: in, pn: ^uint64(0), idx: uint32(len(p.ops)), objs: len(p.ops) * p.words}
+				switch in.Op {
+				case ir.OpAlloca, ir.OpMalloc, ir.OpHAlloc:
+					rec.site = uint32(len(p.objs))
+					p.objs = append(p.objs, Object{Site: in})
+				}
+				p.ops = append(p.ops, rec)
+				tab.ops[in.ValueID()] = &p.ops[rec.idx]
 			}
 		}
 		for _, l := range ir.FindLoops(f, ir.BuildDomTree(f)) {
-			rec := &loopRec{
-				info:       LoopInfo{Loop: l},
-				allocated:  ObjectSet{},
-				violations: ObjectSet{},
-				deps:       map[[2]*ir.Instr]*Dep{},
-				reads:      map[*ir.Instr]*CarriedReadInfo{},
-				body:       make([]bool, len(f.Blocks)),
-			}
+			rec := &loopRec{info: LoopInfo{Loop: l}, body: make([]bool, len(f.Blocks))}
 			for _, b := range l.Blocks {
 				rec.body[b.Index] = true
+				if br := &tab.blocks[b.Index]; br.inner == nil || br.inner.info.Loop.Depth < l.Depth {
+					br.inner = rec
+				}
 			}
-			p.blocks[base.blk+l.Header.Index].header = rec
-			p.prof.AllLoops = append(p.prof.AllLoops, l)
-			p.prof.Loops[l] = &rec.info
-			p.prof.ShortLivedViolations[l] = rec.violations
-			p.prof.AllocatedIn[l] = rec.allocated
-			p.prof.CarriedReads[l] = rec.reads
+			tab.blocks[l.Header.Index].header = rec
+			p.loops = append(p.loops, rec)
 		}
 	}
+	sets := make(objSet, (1+2*len(p.loops))*p.words)
+	p.inLoop, sets = sets[:p.words:p.words], sets[p.words:]
+	for _, l := range p.loops {
+		l.allocated, l.violations, sets = sets[:p.words:p.words], sets[p.words:2*p.words:2*p.words], sets[2*p.words:]
+	}
+	p.srcBits = uint(bits.Len(uint(len(p.ops))))
+	p.maxClock = ^uint64(0) >> p.srcBits
 	return p
+}
+
+// isMemOp reports whether an instruction of opcode op fires memory hooks.
+func isMemOp(op ir.Op) bool {
+	switch op {
+	case ir.OpLoad, ir.OpStore, ir.OpAlloca, ir.OpMalloc, ir.OpFree, ir.OpMemSet, ir.OpMemCopy, ir.OpHAlloc, ir.OpHDealloc:
+		return true
+	}
+	return false
 }
 
 // Attach installs profiling hooks on it. The interpreter must execute the
@@ -366,10 +502,10 @@ func (p *Profiler) Attach(it *interp.Interp) error {
 	if err := it.LayOutGlobals(); err != nil {
 		return err
 	}
-	for _, name := range it.Mod.GlobalNames() {
+	for i, name := range it.Mod.GlobalNames() {
 		g := it.Mod.Globals[name]
 		addr := it.GlobalAddr(g)
-		p.objects.Insert(addr, addr+uint64(g.Size), Object{Global: g})
+		p.objects.Insert(addr, addr+uint64(g.Size), span{obj: uint32(1 + i), id: p.newID()})
 	}
 	it.Hooks.OnBlock = p.onBlock
 	it.Hooks.OnEnter = p.onEnter
@@ -381,63 +517,142 @@ func (p *Profiler) Attach(it *interp.Interp) error {
 	return nil
 }
 
-// before reports whether a precedes b in program order: function name, block
-// index, index in block.
-func before(a, b *ir.Instr) bool {
-	if a.Blk.Fn != b.Blk.Fn {
-		return a.Blk.Fn.Name < b.Blk.Fn.Name
-	}
-	if a.Blk != b.Blk {
-		return a.Blk.Index < b.Blk.Index
+// order compares a and b in program order: function name, block index,
+// index in block.
+func order(a, b *ir.Instr) int {
+	switch {
+	case a == b:
+		return 0
+	case a.Blk.Fn != b.Blk.Fn:
+		return strings.Compare(a.Blk.Fn.Name, b.Blk.Fn.Name)
+	case a.Blk != b.Blk:
+		return cmp.Compare(a.Blk.Index, b.Blk.Index)
 	}
 	for _, in := range a.Blk.Instrs {
-		if in == a || in == b {
-			return in == a && a != b
+		if in == a {
+			return -1
+		} else if in == b {
+			return 1
 		}
 	}
-	return false
+	return 0
+}
+
+// sharedSet is an index set folded into an ObjectSet.
+type sharedSet struct {
+	words objSet
+	set   ObjectSet
+}
+
+// objectSet returns the objects in s, nil if none. Equal sets come back as
+// one map: seen holds the sets folded so far.
+func (p *Profiler) objectSet(s objSet, seen *[]sharedSet) ObjectSet {
+	n := 0
+	for _, word := range s {
+		n += bits.OnesCount64(word)
+	}
+	if n == 0 {
+		return nil
+	}
+	for _, sh := range *seen {
+		if slices.Equal(sh.words, s) {
+			return sh.set
+		}
+	}
+	set := make(ObjectSet, n)
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			set[p.objs[64*w+bits.TrailingZeros64(word)]] = true
+		}
+	}
+	*seen = append(*seen, sharedSet{s, set})
+	return set
 }
 
 // Profile folds the side tables into the exported maps and returns the
 // accumulated profile.
 func (p *Profiler) Profile(steps int64) *Profile {
-	for i := range p.instrs {
-		rec := &p.instrs[i]
-		if rec.objs != nil {
-			p.prof.PointsTo[rec.in] = rec.objs
+	var nPointsTo, nConst int
+	for i := range p.ops {
+		if slices.ContainsFunc(p.set(&p.ops[i]), func(w uint64) bool { return w != 0 }) {
+			nPointsTo++
+		}
+		if p.ops[i].konst.Count > 0 {
+			nConst++
+		}
+	}
+	n := len(p.loops)
+	prof := &Profile{
+		Mod:                  p.mod,
+		Loops:                make(map[*ir.Loop]*LoopInfo, n),
+		AllLoops:             make([]*ir.Loop, n),
+		PointsTo:             make(map[*ir.Instr]ObjectSet, nPointsTo),
+		CarriedFlow:          make(map[*ir.Loop][]*Dep, n),
+		ShortLivedViolations: make(map[*ir.Loop]ObjectSet, n),
+		AllocatedIn:          make(map[*ir.Loop]ObjectSet, n),
+		LoadConst:            make(map[*ir.Instr]*ConstInfo, nConst),
+		CarriedReads:         make(map[*ir.Loop]map[*ir.Instr]*CarriedReadInfo, n),
+		BlockRuns:            map[*ir.Block]int64{},
+		Steps:                steps,
+	}
+	var seen []sharedSet
+	for i := range p.ops {
+		rec := &p.ops[i]
+		if set := p.objectSet(p.set(rec), &seen); set != nil {
+			prof.PointsTo[rec.in] = set
 		}
 		if rec.konst.Count > 0 {
-			p.prof.LoadConst[rec.in] = &rec.konst
+			prof.LoadConst[rec.in] = &rec.konst
 		}
 	}
-	for _, br := range p.blocks {
-		if br.runs > 0 {
-			p.prof.BlockRuns[br.blk] = br.runs
-		}
-		if br.header == nil {
-			continue
-		}
-		deps := make([]*Dep, 0, len(br.header.deps))
-		for _, d := range br.header.deps {
-			deps = append(deps, d)
-		}
-		sort.Slice(deps, func(i, j int) bool {
-			a, b := deps[i], deps[j]
-			if a.Count != b.Count {
-				return a.Count > b.Count
+	for _, tab := range p.tabs {
+		for _, br := range tab.blocks {
+			if br.runs > 0 {
+				prof.BlockRuns[br.blk] = br.runs
 			}
-			if as, bs := a.Object.String(), b.Object.String(); as != bs {
-				return as < bs
+		}
+	}
+	var names []string
+	name := func(o uint32) string {
+		if names == nil {
+			names = make([]string, len(p.objs))
+		}
+		if names[o] == "" {
+			names[o] = p.objs[o].String()
+		}
+		return names[o]
+	}
+	var recs []*depRec
+	for i, l := range p.loops {
+		loop := l.info.Loop
+		prof.AllLoops[i] = loop
+		prof.Loops[loop] = &l.info
+		prof.AllocatedIn[loop] = p.objectSet(l.allocated, &seen)
+		prof.ShortLivedViolations[loop] = p.objectSet(l.violations, &seen)
+		prof.CarriedReads[loop] = l.reads
+		recs = recs[:0]
+		for _, d := range l.deps {
+			recs = append(recs, d)
+		}
+		slices.SortFunc(recs, func(a, b *depRec) int {
+			switch {
+			case a.Count != b.Count:
+				return cmp.Compare(b.Count, a.Count)
+			case a.obj != b.obj && name(a.obj) != name(b.obj):
+				return strings.Compare(name(a.obj), name(b.obj))
+			case a.Src != b.Src:
+				return order(a.Src, b.Src)
+			default:
+				return order(a.Dst, b.Dst)
 			}
-			if a.Src != b.Src {
-				return before(a.Src, b.Src)
-			}
-			return before(a.Dst, b.Dst)
 		})
-		p.prof.CarriedFlow[br.header.info.Loop] = deps
+		deps := make([]*Dep, len(recs))
+		for i, d := range recs {
+			deps[i] = &d.Dep
+		}
+		prof.CarriedFlow[loop] = deps
 	}
-	p.prof.Steps = steps
-	return p.prof
+	return prof
 }
 
 // Run profiles mod end-to-end on a fresh address space: it interprets the
@@ -455,99 +670,168 @@ func Run(mod *ir.Module, args ...uint64) (*Profile, error) {
 	return p.Profile(it.Steps), nil
 }
 
-func (p *Profiler) base(fn *ir.Function) fnBase {
-	if fn != p.lastFn {
-		p.lastFn, p.last = fn, p.bases[fn]
-	}
-	return p.last
+// rec returns the side-table entry of in, which executes in the innermost
+// frame, and its index.
+func (p *Profiler) rec(in *ir.Instr) (*opRec, uint32) {
+	rec := p.fn.ops[in.ValueID()]
+	return rec, rec.idx
 }
 
-// access returns in's side-table entry and index, and adds o to the objects
-// in's address operand has referenced.
-func (p *Profiler) access(fn *ir.Function, in *ir.Instr, o Object) (*instrRec, uint32) {
-	i := p.base(fn).val + in.ValueID()
-	rec := &p.instrs[i]
-	if o != rec.lastObj && !o.IsZero() {
-		if rec.objs == nil {
-			rec.objs = ObjectSet{}
-		}
-		rec.objs[o] = true
-		rec.lastObj = o
+// newID returns a free slot of gens.
+func (p *Profiler) newID() uint32 {
+	if n := len(p.ids); n > 0 {
+		id := p.ids[n-1]
+		p.ids = p.ids[:n-1]
+		return id
 	}
-	return rec, uint32(i)
+	p.gens = append(p.gens, 0)
+	return uint32(len(p.gens) - 1)
 }
 
-// shadow returns the page shadowing addr and addr's index in it. Only a
-// write makes a page; a read of untouched memory gets unwritten.
-func (p *Profiler) shadow(addr uint64, write bool) (*shadowPage, int) {
-	pn := addr / shadowPageSize
-	if pn != p.lastPN {
-		p.lastPN, p.lastPage = pn, p.pages[pn]
-		if p.lastPage == nil {
-			p.lastPage = &unwritten
+// object points rec's memo at the object holding addr, or at a zero span
+// based at addr if no object does.
+func (p *Profiler) object(rec *opRec, addr uint64) {
+	if addr-rec.lo >= rec.n || p.gens[rec.s.id] != rec.objGen {
+		p.lookup(rec, addr)
+	}
+}
+
+// lookup is object past rec's memo. A memo hit is an object rec has
+// accessed before, so only a lookup adds to the points-to set.
+func (p *Profiler) lookup(rec *opRec, addr uint64) {
+	lo, hi, s, ok := p.objects.FindHint(&rec.hint, addr)
+	if !ok {
+		rec.lo, rec.n, rec.s = addr, 0, span{}
+		return
+	}
+	rec.lo, rec.n, rec.s, rec.objGen = lo, hi-lo, s, p.gens[s.id]
+	p.access(rec, s.obj)
+}
+
+// set returns the index set behind PointsTo[rec.in].
+func (p *Profiler) set(rec *opRec) objSet { return p.sets[rec.objs : rec.objs+p.words] }
+
+// access adds object o to those rec's address operand has referenced.
+func (p *Profiler) access(rec *opRec, o uint32) {
+	if o != 0 {
+		p.set(rec).add(o)
+	}
+}
+
+// page returns shadow page pn for an access by rec. Only a write makes a
+// page; a read of untouched memory gets unwritten.
+func (p *Profiler) page(rec *opRec, pn uint64, write bool) *shadowPage {
+	if pn == rec.pn && rec.gen == p.made {
+		return rec.page
+	}
+	return p.remap(rec, pn, write)
+}
+
+// remap points rec's page memo at page pn, making the page for a write.
+// Making a page invalidates every memo, so none keeps unwritten for it, and
+// a memcopy, which also writes, never keeps unwritten. Kept out of line so
+// that page inlines.
+//
+//go:noinline
+func (p *Profiler) remap(rec *opRec, pn uint64, write bool) *shadowPage {
+	pg := p.pages[pn]
+	if pg == nil && write {
+		pg = new(shadowPage)
+		p.pages[pn] = pg
+		p.made++
+	}
+	if pg == nil {
+		if rec.in.Op != ir.OpMemCopy {
+			rec.pn, rec.page, rec.gen = pn, &unwritten, p.made
 		}
+		return &unwritten
 	}
-	if write && p.lastPage == &unwritten {
-		p.lastPage = new(shadowPage)
-		p.pages[pn] = p.lastPage
-	}
-	return p.lastPage, int(addr % shadowPageSize)
+	rec.pn, rec.page, rec.gen = pn, pg, p.made
+	return pg
 }
 
 func (p *Profiler) onEnter(fr *interp.Frame) {
-	p.blocks[p.base(fr.Fn).blk].runs++
+	if fr.Fn != p.lastFn {
+		p.lastFn, p.last = fr.Fn, p.tabs[fr.Fn]
+	}
+	p.frames = append(p.frames[:fr.Depth], p.last)
+	p.fn = p.last
+	p.fn.blocks[0].runs++
 }
 
 func (p *Profiler) onBlock(fr *interp.Frame, from, to *ir.Block) {
-	br := &p.blocks[p.base(fr.Fn).blk+to.Index]
+	br := &p.fn.blocks[to.Index]
 	br.runs++
-	// Pop loop instances of this frame that do not contain the target.
-	for n := len(p.stack); n > 0 && p.stack[n-1].depth == fr.Depth && !p.stack[n-1].body[to.Index]; n-- {
-		p.pop()
-	}
-	// Entering a header: either a back edge (iteration) or a fresh
-	// invocation.
-	if l := br.header; l != nil {
-		n := len(p.stack)
-		if n > 0 && p.stack[n-1].depth == fr.Depth && p.stack[n-1].loopRec == l {
-			// A jump to the header from outside while the instance is
-			// active cannot happen in reducible CFGs.
-			if l.body[from.Index] {
-				p.iterBoundary(&p.stack[n-1])
-				l.info.Iterations++
-			}
-		} else {
-			p.clock++
-			p.stack = append(p.stack, loopInst{
-				loopRec: l, depth: fr.Depth, startT: p.clock, iterT: p.clock, cost0: p.cost,
-			})
-			l.info.Invocations++
-			l.info.Iterations++
-		}
+	// A transfer to a block of the innermost active loop, or inside one of
+	// its callees, neither ends nor starts an activation.
+	if n := len(p.stack); br.header != nil || n > 0 && p.stack[n-1].depth == fr.Depth && p.stack[n-1].loopRec != br.inner {
+		p.nest(fr.Depth, br, from, to)
 	}
 	// Execution-time profile: the target block's work belongs to every
 	// active loop.
-	p.cost += int64(len(to.Instrs))
+	p.cost += br.size
 }
 
-// iterBoundary ends inst's iteration: objects allocated during it that are
-// still live violate the short-lived property.
-func (p *Profiler) iterBoundary(inst *loopInst) {
-	for _, obj := range inst.live {
-		inst.violations.Add(obj)
+// nest pops the activations of the frame at depth that do not contain to,
+// of table entry br, then, if to heads a loop, starts an iteration of the
+// loop's activation or a new activation.
+func (p *Profiler) nest(depth int, br *blockRec, from, to *ir.Block) {
+	for n := len(p.stack); n > 0 && p.stack[n-1].depth == depth && p.stack[n-1].loopRec != br.inner && !p.stack[n-1].body[to.Index]; n-- {
+		p.pop()
 	}
-	clear(inst.live)
-	p.clock++
-	inst.iterT = p.clock
+	l := br.header
+	if l == nil {
+		return
+	}
+	n := len(p.stack)
+	again := n > 0 && p.stack[n-1].depth == depth && p.stack[n-1].loopRec == l
+	if again && !l.body[from.Index] {
+		// A jump to the header from outside while the instance is active
+		// cannot happen in reducible CFGs.
+		return
+	}
+	// A larger reading would not fit in a shadow word beside an index
+	// into ops.
+	if p.clock++; p.clock > p.maxClock {
+		panic(fmt.Sprintf("profiling: %d loop activations and iterations overflow the %d-bit clock of a shadow word",
+			p.clock, 64-p.srcBits))
+	}
+	if again {
+		inst := &p.stack[n-1]
+		if len(inst.live) > 0 {
+			p.endIteration(inst)
+		}
+		inst.iterT = p.clock
+		l.info.Iterations++
+		return
+	}
+	var live []liveAlloc
+	if n < cap(p.stack) {
+		live = p.stack[:n+1][n].live[:0]
+	}
+	p.stack = append(p.stack, loopInst{
+		loopRec: l, depth: depth, startT: p.clock, iterT: p.clock, cost0: p.cost, live: live,
+	})
+	l.info.Invocations++
+	l.info.Iterations++
+}
+
+// endIteration ends inst's iteration: objects allocated during it that are
+// still live violate the short-lived property.
+func (p *Profiler) endIteration(inst *loopInst) {
+	for _, a := range inst.live {
+		if lo, _, s, ok := p.objects.Find(a.addr); ok && lo == a.addr && s == a.span {
+			inst.violations.add(s.obj)
+		}
+	}
+	inst.live = inst.live[:0]
 }
 
 // pop ends the top activation: anything it allocated that is still live
 // outlived its iteration.
 func (p *Profiler) pop() {
 	inst := &p.stack[len(p.stack)-1]
-	for _, obj := range inst.live {
-		inst.violations.Add(obj)
-	}
+	p.endIteration(inst)
 	inst.info.Steps += p.cost - inst.cost0
 	p.stack = p.stack[:len(p.stack)-1]
 }
@@ -556,14 +840,15 @@ func (p *Profiler) onExit(fr *interp.Frame) {
 	for n := len(p.stack); n > 0 && p.stack[n-1].depth >= fr.Depth; n-- {
 		p.pop()
 	}
+	if fr.Depth > 0 {
+		p.fn = p.frames[fr.Depth-1]
+	}
 }
 
 func (p *Profiler) onLoad(fr *interp.Frame, in *ir.Instr, addr uint64, size int64) {
-	lo, _, obj, ok := p.objects.Find(addr)
-	if !ok {
-		lo = addr // offset 0 in no object
-	}
-	rec, _ := p.access(fr.Fn, in, obj)
+	rec, dst := p.rec(in)
+	p.object(rec, addr)
+	s, lo := rec.s, rec.lo
 	if len(p.stack) == 0 {
 		return
 	}
@@ -581,21 +866,38 @@ func (p *Profiler) onLoad(fr *interp.Frame, in *ir.Instr, addr uint64, size int6
 	// a last write at a time.
 	p.loads++
 	for a, end := addr, addr+uint64(size); a < end; {
-		pg, i := p.shadow(a, false)
-		t, src := pg.t[i], pg.src[i]
+		i := int(a % shadowPageSize)
+		lim := min(int(end-a), shadowPageSize-i)
+		pg := p.page(rec, a/shadowPageSize, false)
+		if pg == &unwritten {
+			a += uint64(lim)
+			continue
+		}
+		var w uint64
 		n := 1
-		for lim := min(int(end-a), shadowPageSize-i); n < lim && pg.t[i+n] == t && pg.src[i+n] == src; n++ {
+		if pg.bytes != nil {
+			run := pg.bytes[i : i+lim]
+			for w = run[0]; n < len(run) && run[n] == w; n++ {
+			}
+		} else {
+			k, run := i/8, pg.words[:(i+lim+7)/8]
+			for w = run[k]; k+1 < len(run) && run[k+1] == w; k++ {
+			}
+			n = min(8*(k+1)-i, lim)
 		}
 		a += uint64(n)
-		inst := p.carrier(t)
+		inst := p.carrier(w >> p.srcBits)
 		if inst == nil {
 			continue
 		}
-		if rec.depLoop != inst.loopRec || rec.depSrc != src {
-			key := [2]*ir.Instr{p.instrs[src].in, in}
+		if src := uint32(w & (1<<p.srcBits - 1)); rec.depLoop != inst.loopRec || rec.depSrc != src {
+			key := uint64(src)<<32 | uint64(dst)
 			d := inst.deps[key]
 			if d == nil {
-				d = &Dep{Src: key[0], Dst: in, Object: obj}
+				if inst.deps == nil {
+					inst.deps = map[uint64]*depRec{}
+				}
+				d = &depRec{Dep{Src: p.ops[src].in, Dst: in, Object: p.objs[s.obj]}, s.obj}
 				inst.deps[key] = d
 			}
 			rec.depLoop, rec.depSrc, rec.dep = inst.loopRec, src, d
@@ -603,10 +905,18 @@ func (p *Profiler) onLoad(fr *interp.Frame, in *ir.Instr, addr uint64, size int6
 		rec.dep.Count += int64(n)
 		if inst.seenLoad != p.loads {
 			inst.seenLoad = p.loads
-			recordCarriedRead(inst.reads, in, addr, size, fr.Value(in), obj, addr-lo)
+			val := fr.Value(in)
+			if rec.crLoop != inst.loopRec {
+				p.carriedRead(rec, inst.loopRec, addr, size, val, s.obj, addr-lo)
+			}
+			ci := rec.cr
+			ci.Count++
+			if ci.Addr != addr || ci.Value != val {
+				ci.Stable = false
+			}
 		}
 	}
-	p.checkAccessLifetime(obj, lo)
+	p.checkLifetime(s)
 }
 
 // carrier returns the activation in which a read of a byte last written at
@@ -621,87 +931,96 @@ func (p *Profiler) carrier(t uint64) *loopInst {
 	return nil
 }
 
-// recordCarriedRead updates the value-prediction profile of a carried read
-// occurrence; off is addr's offset in obj.
-func recordCarriedRead(m map[*ir.Instr]*CarriedReadInfo, in *ir.Instr, addr uint64, size int64, val uint64, obj Object, off uint64) {
-	ci := m[in]
+// carriedRead points rec's memo at l's value-prediction profile of the
+// carried reads of rec's load, making it, from this first occurrence, if
+// there is none; off is addr's offset in object obj.
+func (p *Profiler) carriedRead(rec *opRec, l *loopRec, addr uint64, size int64, val uint64, obj uint32, off uint64) {
+	ci := l.reads[rec.in]
 	if ci == nil {
-		m[in] = &CarriedReadInfo{
-			Addr: addr, Value: val, Size: size, Object: obj, Offset: off,
-			Stable: true, Count: 1,
+		if l.reads == nil {
+			l.reads = map[*ir.Instr]*CarriedReadInfo{}
 		}
-		return
+		ci = &CarriedReadInfo{Addr: addr, Value: val, Size: size, Object: p.objs[obj], Offset: off, Stable: true}
+		l.reads[rec.in] = ci
 	}
-	ci.Count++
-	if ci.Addr != addr || ci.Value != val {
-		ci.Stable = false
-	}
+	rec.crLoop, rec.cr = l, ci
 }
 
 func (p *Profiler) onStore(fr *interp.Frame, in *ir.Instr, addr uint64, size int64) {
-	lo, _, obj, _ := p.objects.Find(addr)
-	_, src := p.access(fr.Fn, in, obj)
+	rec, src := p.rec(in)
+	p.object(rec, addr)
+	s := rec.s
 	if len(p.stack) == 0 {
 		return
 	}
+	w := p.clock<<p.srcBits | uint64(src)
 	for a, end := addr, addr+uint64(size); a < end; {
-		pg, i := p.shadow(a, true)
+		i := int(a % shadowPageSize)
 		n := min(int(end-a), shadowPageSize-i)
-		for k := i; k < i+n; k++ {
-			pg.t[k], pg.src[k] = p.clock, src
+		pg := p.page(rec, a/shadowPageSize, true)
+		var run []uint64
+		if pg.bytes == nil && (i|n)%8 == 0 {
+			run = pg.words[i/8 : (i+n)/8]
+		} else {
+			if pg.bytes == nil {
+				pg.expand()
+			}
+			run = pg.bytes[i : i+n]
+		}
+		for k := range run {
+			run[k] = w
 		}
 		a += uint64(n)
 	}
-	p.checkAccessLifetime(obj, lo)
+	p.checkLifetime(s)
 }
 
-// checkAccessLifetime flags short-lived violations: obj, based at lo, is from
-// a site that allocates within an active loop, but was not allocated in that
-// loop's current iteration (live holds exactly the objects that were).
-func (p *Profiler) checkAccessLifetime(obj Object, lo uint64) {
-	if obj.Site == nil {
-		return
+// checkLifetime flags short-lived violations on an access to, or a free of,
+// the object of s: it is from a site that allocates within an active loop,
+// but was not allocated in that loop's current iteration.
+func (p *Profiler) checkLifetime(s span) {
+	if p.inLoop[s.obj/64]&(1<<(s.obj%64)) != 0 {
+		p.outlived(s)
 	}
+}
+
+// outlived is checkLifetime for a site that has allocated inside a loop.
+func (p *Profiler) outlived(s span) {
 	for i := range p.stack {
 		inst := &p.stack[i]
-		if len(inst.allocated) == 0 {
-			continue
-		}
-		if _, live := inst.live[lo]; !live && inst.allocated[obj] {
-			inst.violations.Add(obj)
+		if s.born < inst.iterT && inst.allocated.has(s.obj) {
+			inst.violations.add(s.obj)
 		}
 	}
 }
 
 func (p *Profiler) onAlloc(fr *interp.Frame, in *ir.Instr, addr, size uint64) {
-	obj := Object{Site: in}
-	p.objects.Insert(addr, addr+size, obj)
+	rec, _ := p.rec(in)
+	s := span{obj: rec.site, born: p.clock}
+	if size > 0 {
+		s.id = p.newID()
+		p.objects.Insert(addr, addr+size, s)
+	}
+	if len(p.stack) > 0 {
+		p.inLoop.add(s.obj)
+	}
 	for i := range p.stack {
 		inst := &p.stack[i]
-		inst.allocated.Add(obj)
-		if inst.live == nil {
-			inst.live = map[uint64]Object{}
-		}
-		inst.live[addr] = obj
+		inst.allocated.add(s.obj)
+		inst.live = append(inst.live, liveAlloc{addr, s})
 	}
 }
 
 func (p *Profiler) onFree(fr *interp.Frame, in *ir.Instr, addr uint64) {
-	obj, ok := p.objects.Remove(addr)
+	s, ok := p.objects.Remove(addr)
 	if !ok {
 		return
 	}
+	p.gens[s.id]++
+	p.ids = append(p.ids, s.id)
 	if in != nil {
-		p.access(fr.Fn, in, obj)
+		rec, _ := p.rec(in)
+		p.access(rec, s.obj)
 	}
-	for i := range p.stack {
-		inst := &p.stack[i]
-		if _, live := inst.live[addr]; live {
-			delete(inst.live, addr)
-		} else if inst.allocated[obj] {
-			// Freed inside the loop, but allocated before this
-			// iteration: outlived an iteration.
-			inst.violations.Add(obj)
-		}
-	}
+	p.checkLifetime(s)
 }
