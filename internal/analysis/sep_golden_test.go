@@ -55,8 +55,7 @@ func TestSepGolden(t *testing.T) {
 			"loop1/covered: main:hid_delta main:hidden_act main:out_act main:out_delta",
 			"loop1/readonly: @inputs @targets @w1 @w2",
 			"loop1/redux: @sumdw1 @sumdw2 @toterr",
-			"loop10/readonly: main:out_delta",
-			"loop10/redux: @sumdw2",
+			"loop10/readonly: @w2 main:out_delta",
 			"loop11/readonly: @w2 main:hidden_act",
 			"loop12/affine: @sumdw1",
 			"loop12/redux: @w1",
@@ -67,10 +66,10 @@ func TestSepGolden(t *testing.T) {
 			"loop14/redux: @w2",
 			"loop2/readonly: @inputs main:hid_delta",
 			"loop2/redux: @sumdw1",
-			"loop3/covered: main:hidden_act",
-			"loop3/readonly: @inputs @w1",
-			"loop4/readonly: main:hid_delta",
-			"loop4/redux: @sumdw1",
+			"loop3/readonly: main:hid_delta",
+			"loop3/redux: @sumdw1",
+			"loop4/covered: main:hidden_act",
+			"loop4/readonly: @inputs @w1",
 			"loop5/readonly: @inputs @w1",
 			"loop6/covered: main:hid_delta",
 			"loop6/readonly: @w2 main:hidden_act main:out_delta",
@@ -78,7 +77,8 @@ func TestSepGolden(t *testing.T) {
 			"loop7/redux: @sumdw2",
 			"loop8/covered: main:out_act",
 			"loop8/readonly: @w2 main:hidden_act",
-			"loop9/readonly: @w2 main:out_delta",
+			"loop9/readonly: main:out_delta",
+			"loop9/redux: @sumdw2",
 		},
 		"dijkstra": {
 			"loop0/covered: @pathcost",
@@ -113,10 +113,10 @@ func TestSepGolden(t *testing.T) {
 			"loop0/covered: @mdstate",
 			"loop0/iterlocal: main:digest",
 			"loop0/readonly: @Ttab @data @lengths @offsets",
-			"loop1/covered: @padbuf",
+			"loop1/readonly: @Ttab @data @padbuf",
 			"loop2/covered: @padbuf",
-			"loop2/readonly: @data",
-			"loop3/readonly: @Ttab @data @padbuf",
+			"loop3/covered: @padbuf",
+			"loop3/readonly: @data",
 		},
 	}
 	for _, p := range progs.All() {

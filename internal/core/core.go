@@ -33,6 +33,11 @@ type Options struct {
 	// MinLoopSteps filters loops whose profiled execution time share is
 	// negligible (absolute step count; 0 selects a small default).
 	MinLoopSteps int64
+	// Workers is the fleet the compiled program will run on. When
+	// positive, a hot loop whose average profiled invocation the simulated
+	// machine (specrt.PriceInvocation) does not price cheaper speculated
+	// than in order is rejected; 0 selects every loop it can separate.
+	Workers int
 }
 
 // Ablation describes an evidence build: the pipeline with one stage
@@ -123,6 +128,10 @@ func ParallelizeAblated(mod *ir.Module, opts Options, abl Ablation) (*Paralleliz
 		case conflictsWithSelected(l, selectedLoops):
 			rep.Reason = "may be simultaneously active with a selected loop"
 		default:
+			if reason := unprofitable(li, opts.Workers); reason != "" {
+				rep.Reason = reason
+				break
+			}
 			a := classify.Classify(l, prof, abl.Classify)
 			plan := deps.SpeculativeBlockers(l, prof, a)
 			if len(plan.Blockers) > 0 {
@@ -199,6 +208,22 @@ func profileModule(mod *ir.Module, opts Options) (*profiling.Profile, *analysis.
 		}
 	}
 	return prof, analysis.ComputePointsTo(mod), minSteps, nil
+}
+
+// unprofitable prices li's average profiled invocation on a fleet of w
+// workers and returns the rejection reason when speculating it is no
+// cheaper than running it in order; "" otherwise, and always when w is 0.
+// The loop has at least two body iterations per invocation.
+func unprofitable(li *profiling.LoopInfo, w int) string {
+	if w <= 0 {
+		return ""
+	}
+	iters := li.Iterations - li.Invocations
+	spec, seq := specrt.PriceInvocation(iters/li.Invocations, li.Steps/iters, w)
+	if spec < seq {
+		return ""
+	}
+	return fmt.Sprintf("unprofitable at %d workers: %d steps speculated vs %d in order", w, spec, seq)
 }
 
 // conflictsWithSelected applies section 4.3's nesting constraint: two loops

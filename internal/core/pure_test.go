@@ -24,12 +24,14 @@ type compileInput struct {
 	opts  Options
 }
 
-// compileInputs returns the five paper programs at train and randprog seeds
-// 1–16.
+// compileInputs returns the five paper programs at train, unpriced and
+// priced for a fleet of 4, and randprog seeds 1–16.
 func compileInputs() []compileInput {
 	var ins []compileInput
 	for _, p := range progs.All() {
-		ins = append(ins, compileInput{name: p.Name, build: func() *ir.Module { return p.Build(p.Train) }})
+		build := func() *ir.Module { return p.Build(p.Train) }
+		ins = append(ins, compileInput{name: p.Name, build: build},
+			compileInput{name: p.Name + "/W=4", build: build, opts: Options{Workers: 4}})
 	}
 	for seed := int64(1); seed <= 16; seed++ {
 		cfg := randprog.DefaultConfig(seed)

@@ -152,3 +152,21 @@ func TestProfileDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopStepsWithinRun: a loop's Steps counts the interpreter's own steps
+// while the loop is active, so no loop of any digest case reads more steps
+// than the whole run.
+func TestLoopStepsWithinRun(t *testing.T) {
+	for _, c := range digestCases() {
+		mod, args := c.build()
+		p, err := Run(mod, args...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, l := range p.AllLoops {
+			if li := p.Loops[l]; li.Steps > p.Steps {
+				t.Errorf("%s: loop %s reads %d steps of a %d-step run", c.name, l, li.Steps, p.Steps)
+			}
+		}
+	}
+}

@@ -143,7 +143,7 @@ type LoopInfo struct {
 	Invocations int64
 	// Iterations counts total header trips across invocations.
 	Iterations int64
-	// Steps approximates dynamic instructions spent inside the loop,
+	// Steps counts the interpreter's steps spent inside the loop,
 	// including callees (the execution-time profile).
 	Steps int64
 }
@@ -305,8 +305,8 @@ type loopInst struct {
 	*loopRec
 	depth         int
 	startT, iterT uint64
-	// cost0 is Profiler.cost when the activation began.
-	cost0 int64
+	// steps0 is the interpreter's Steps when the activation began.
+	steps0 int64
 	// seenLoad is the Profiler.loads of the last load this activation
 	// carried, so a load straddling two writes is one carried read.
 	seenLoad int64
@@ -351,8 +351,6 @@ type opRec struct {
 
 type blockRec struct {
 	runs int64
-	// size is len(blk.Instrs).
-	size int64
 	// header is the loop blk heads, if any; inner is the innermost loop
 	// containing blk.
 	header, inner *loopRec
@@ -406,9 +404,9 @@ type Profiler struct {
 	// maxClock, the largest clock reading that fits above it.
 	srcBits  uint
 	maxClock uint64
-	// cost sums len(to.Instrs) over every block transition: an activation's
-	// Steps is the growth of cost while it was on the stack.
-	cost  int64
+	// it is the profiled interpreter: an activation's Steps is the growth
+	// of it.Steps while it was on the stack.
+	it    *interp.Interp
 	loads int64
 
 	// made counts the pages in pages.
@@ -450,7 +448,7 @@ func NewProfiler(mod *ir.Module) *Profiler {
 		tab := fnTab{make([]*opRec, f.NumValues()), make([]blockRec, len(f.Blocks))}
 		p.tabs[f] = tab
 		for _, b := range f.Blocks {
-			tab.blocks[b.Index] = blockRec{blk: b, size: int64(len(b.Instrs))}
+			tab.blocks[b.Index] = blockRec{blk: b}
 			for _, in := range b.Instrs {
 				if !isMemOp(in.Op) {
 					continue
@@ -507,6 +505,7 @@ func (p *Profiler) Attach(it *interp.Interp) error {
 		addr := it.GlobalAddr(g)
 		p.objects.Insert(addr, addr+uint64(g.Size), span{obj: uint32(1 + i), id: p.newID()})
 	}
+	p.it = it
 	it.Hooks.OnBlock = p.onBlock
 	it.Hooks.OnEnter = p.onEnter
 	it.Hooks.OnExit = p.onExit
@@ -767,9 +766,6 @@ func (p *Profiler) onBlock(fr *interp.Frame, from, to *ir.Block) {
 	if n := len(p.stack); br.header != nil || n > 0 && p.stack[n-1].depth == fr.Depth && p.stack[n-1].loopRec != br.inner {
 		p.nest(fr.Depth, br, from, to)
 	}
-	// Execution-time profile: the target block's work belongs to every
-	// active loop.
-	p.cost += br.size
 }
 
 // nest pops the activations of the frame at depth that do not contain to,
@@ -810,7 +806,7 @@ func (p *Profiler) nest(depth int, br *blockRec, from, to *ir.Block) {
 		live = p.stack[:n+1][n].live[:0]
 	}
 	p.stack = append(p.stack, loopInst{
-		loopRec: l, depth: depth, startT: p.clock, iterT: p.clock, cost0: p.cost, live: live,
+		loopRec: l, depth: depth, startT: p.clock, iterT: p.clock, steps0: p.it.Steps, live: live,
 	})
 	l.info.Invocations++
 	l.info.Iterations++
@@ -832,7 +828,7 @@ func (p *Profiler) endIteration(inst *loopInst) {
 func (p *Profiler) pop() {
 	inst := &p.stack[len(p.stack)-1]
 	p.endIteration(inst)
-	inst.info.Steps += p.cost - inst.cost0
+	inst.info.Steps += p.it.Steps - inst.steps0
 	p.stack = p.stack[:len(p.stack)-1]
 }
 

@@ -61,7 +61,7 @@ func submitHTTP(t *testing.T, base string, req SubmitRequest) (int, JobView, err
 func TestHTTPSubmitPoll(t *testing.T) {
 	_, base := startAPI(t, Config{Workers: 2, Concurrency: 2, QueueDepth: 8})
 
-	code, view, _ := submitHTTP(t, base, SubmitRequest{Tenant: "ops", Prog: "dijkstra", Input: "train"})
+	code, view, _ := submitHTTP(t, base, SubmitRequest{Tenant: "ops", Prog: "052.alvinn", Input: "train"})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}

@@ -65,8 +65,10 @@ func TestRuntimeCountersSumAcrossJobs(t *testing.T) {
 	want := specrt.NewStatCounters(wantReg)
 	var checkpoints int64
 	prev := map[string]int64{}
-	for i, prog := range []string{"dijkstra", "enc-md5", "dijkstra", "enc-md5"} {
-		job, err := s.Submit("tenant-"+strconv.Itoa(i%2), prog, "train")
+	// Two programs that speculate on a fleet of 2, of different cost.
+	for i, prog := range []string{"052.alvinn/train", "dijkstra/alt", "052.alvinn/train", "dijkstra/alt"} {
+		name, input, _ := strings.Cut(prog, "/")
+		job, err := s.Submit("tenant-"+strconv.Itoa(i%2), name, input)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,12 +157,12 @@ func TestHandbookListsExactlyTheExportedFamilies(t *testing.T) {
 	s, base := startAPI(t, Config{Workers: 2, Concurrency: 1, MisspecRate: 0.5, Seed: 7})
 	hold := make(chan struct{})
 	s.holdRunner = hold
-	first, err := s.Submit("t", "dijkstra", "train")
+	first, err := s.Submit("t", "052.alvinn", "train")
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRunning(t, s, first)
-	queued, err := s.Submit("t", "dijkstra", "train")
+	queued, err := s.Submit("t", "052.alvinn", "train")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,6 +181,9 @@ type JobView struct {
 	// spawn, run, validate, merge, commit, recovery → summed span
 	// nanoseconds); settled when the job reaches a terminal state.
 	PhaseNS map[string]int64 `json:"phase_ns,omitempty"`
+	// Invocations counts the run's speculated region invocations: 0 when
+	// the compile priced every loop out and the job ran in order.
+	Invocations int64 `json:"invocations"`
 	// Misspecs counts the run's detected misspeculations.
 	Misspecs int64 `json:"misspecs"`
 	// TraceEvents is how many trace events the job emitted in all.
@@ -414,7 +417,8 @@ func (s *Service) View(j *Job) JobView {
 	v := JobView{
 		ID: j.ID, Tenant: j.Tenant, Prog: j.Prog, Input: j.Input,
 		State: j.state, Ret: j.ret, Output: j.output, Error: j.errMsg,
-		WarmSpawns: j.rec.Stats.WarmSpawns, Misspecs: j.rec.Stats.Misspecs,
+		WarmSpawns: j.rec.Stats.WarmSpawns, Invocations: j.rec.Stats.Invocations,
+		Misspecs:    j.rec.Stats.Misspecs,
 		PhaseNS:     obs.PhaseTotals(j.phases),
 		TraceEvents: j.traceTotal, TraceDropped: j.traceDropped,
 	}
@@ -481,7 +485,9 @@ func (s *Service) compiledFor(prog, input string) (*compiled, error) {
 			c.err = err
 			return
 		}
-		par, err := core.Parallelize(p.Build(in), core.Options{})
+		// The fleet prices every hot loop: one that runs slower speculated
+		// than in order stays untransformed, and its jobs run on the master.
+		par, err := core.Parallelize(p.Build(in), core.Options{Workers: s.cfg.Workers})
 		if err != nil {
 			c.err = fmt.Errorf("compiling %s/%s: %w", prog, input, err)
 			return

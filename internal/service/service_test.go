@@ -303,3 +303,46 @@ func TestSnapshotDuringFirstCompile(t *testing.T) {
 		t.Errorf("snapshot programs = %+v, want the one compiled pair", sn.Programs)
 	}
 }
+
+// TestPricedOutJobRunsInOrder: on the default fleet the compile prices
+// every hot loop of dijkstra/train slower speculated than in order, so the
+// job runs untransformed on the master: no region invocation, the
+// reference's return value and output byte for byte, and a rejection
+// reason that names both prices.
+func TestPricedOutJobRunsInOrder(t *testing.T) {
+	s := New(Config{})
+	defer s.Drain()
+	job, err := s.Submit("t", "dijkstra", "train")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, job)
+	v := s.View(job)
+	if v.State != StateDone {
+		t.Fatalf("job %s (%s)", v.State, v.Error)
+	}
+	p, in, err := lookup("dijkstra", "train")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ret, out := p.Reference(in); v.Ret != ret || v.Output != out {
+		t.Errorf("ret %d, output %q; the reference's %d, %q", v.Ret, v.Output, ret, out)
+	}
+	if v.Invocations != 0 {
+		t.Errorf("%d region invocations, want 0", v.Invocations)
+	}
+	c, err := s.compiledFor("dijkstra", "train")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.par.Regions) != 0 {
+		t.Fatalf("%d regions selected", len(c.par.Regions))
+	}
+	hottest := c.par.Reports[0]
+	var w int
+	var spec, seq int64
+	if _, err := fmt.Sscanf(hottest.Reason, "unprofitable at %d workers: %d steps speculated vs %d in order",
+		&w, &spec, &seq); err != nil || w != DefaultWorkers || spec <= seq {
+		t.Errorf("loop %s rejected for %q", hottest.Loop, hottest.Reason)
+	}
+}

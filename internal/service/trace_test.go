@@ -49,7 +49,7 @@ func checkPhaseLedger(t *testing.T, s *Service, job *Job) {
 func TestJobTraceEndToEnd(t *testing.T) {
 	s := New(Config{Workers: 4, Concurrency: 1})
 	defer s.Drain()
-	job, err := s.Submit("t1", "dijkstra", "train")
+	job, err := s.Submit("t1", "052.alvinn", "train")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestJobTraceEndToEnd(t *testing.T) {
 func TestPlantedMisspecFlight(t *testing.T) {
 	s := New(Config{Workers: 4, Concurrency: 1, MisspecRate: 0.5, Seed: 7})
 	defer s.Drain()
-	job, err := s.Submit("t1", "dijkstra", "train")
+	job, err := s.Submit("t1", "052.alvinn", "train")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTraceOverflowDropAccounting(t *testing.T) {
 	var wg sync.WaitGroup
 	jl := make([]*Job, jobs)
 	for i := 0; i < jobs; i++ {
-		job, err := s.Submit("hammer", "dijkstra", "train")
+		job, err := s.Submit("hammer", "052.alvinn", "train")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestTracingDisabled(t *testing.T) {
 // recorder state.
 func TestHTTPJobTraceAndFlight(t *testing.T) {
 	s, base := startAPI(t, Config{Workers: 4, Concurrency: 1, MisspecRate: 0.5, Seed: 7})
-	code, view, _ := submitHTTP(t, base, SubmitRequest{Tenant: "t1", Prog: "dijkstra", Input: "train"})
+	code, view, _ := submitHTTP(t, base, SubmitRequest{Tenant: "t1", Prog: "052.alvinn", Input: "train"})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}

@@ -37,10 +37,9 @@ func TestRecoveryPeriod(t *testing.T) {
 				c.name, c.w, c.kClean, c.s, c.rate, got, c.want)
 		}
 	}
-	rt := &RT{}
 	for _, w := range []int{1, 2, 3, 4, 8, 24} {
 		for _, total := range []int64{1, 7, 40, 999, 5000} {
-			kClean := rt.checkpointPeriod(total)
+			kClean := checkpointPeriod(0, total)
 			for _, s := range []int64{1, 100, 10_000, 1_000_000} {
 				for _, rate := range []float64{1e-9, 0.001, 0.03, 0.1, 0.5, 1} {
 					k := recoveryPeriod(w, kClean, s, rate)

@@ -25,7 +25,9 @@ import (
 //     serial sections bound the region (Amdahl accounting);
 //   - sequential recovery executes serially and adds its steps directly;
 //   - once a run has recovered, the same constants price its checkpoint
-//     period (recoveryPeriod).
+//     period (recoveryPeriod);
+//   - a compile for a known fleet prices each hot loop's invocation with
+//     them too (PriceInvocation), and skips a loop not cheaper speculated.
 //
 // Whole-program speedup (Figures 6, 7, 9) is then
 // steps(best sequential) / simulated-time(parallel), a deterministic,
@@ -102,6 +104,24 @@ func (s *SimStats) IdleCost() int64 {
 	return idle
 }
 
+// simMergePerWorker is the simulated merge cost of one worker's part of one
+// checkpoint interval: a page of shadow bytes scanned.
+const simMergePerWorker = vm.PageSize * SimCheckpointPerByte
+
+// PriceInvocation prices one clean invocation of n iterations of s steps
+// each on a fleet of w workers, in simulated steps: spec is the speculative
+// span (spawn and join of min(w, n) workers, the busiest worker's share at
+// the runtime's clean checkpoint period, and a page of merge per worker and
+// interval), seq the same iterations run in order on the master.
+func PriceInvocation(n, s int64, w int) (spec, seq int64) {
+	fleet := min(int64(w), n)
+	k := checkpointPeriod(0, n)
+	intervals := (n + k - 1) / k
+	spec = fleet*(SimSpawnPerWorker+SimJoinPerWorker) + maxShare(n, k, int(fleet))*s +
+		intervals*fleet*simMergePerWorker
+	return spec, n * s
+}
+
 // recoveryPeriod prices the checkpoint period of a run that has
 // misspeculated, by Young's rule k = √(2C / (p·s)): C is the simulated cost
 // of one more interval on a fleet of w workers (a join and one page of
@@ -113,7 +133,7 @@ func recoveryPeriod(w int, kClean, iterSteps int64, rate float64) int64 {
 	if rate <= 0 || iterSteps <= 0 {
 		return kClean
 	}
-	c := float64(w) * (SimJoinPerWorker + vm.PageSize*SimCheckpointPerByte)
+	c := float64(w) * (SimJoinPerWorker + simMergePerWorker)
 	k := math.Ceil(math.Sqrt(2 * c / (rate * float64(iterSteps))))
 	if k >= float64(kClean) {
 		return kClean

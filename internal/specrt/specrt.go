@@ -548,9 +548,10 @@ func (rt *RT) noteSepViolation(detail string) {
 	rt.sepViolMu.Unlock()
 }
 
-// checkpointPeriod picks k for an invocation of total iterations.
-func (rt *RT) checkpointPeriod(total int64) int64 {
-	k := rt.Cfg.CheckpointPeriod
+// checkpointPeriod picks k for an invocation of total iterations: the
+// configured period when positive, else the clean rule below.
+func checkpointPeriod(configured, total int64) int64 {
+	k := configured
 	if k <= 0 {
 		k = (total + 4) / 5 // about five checkpoints per invocation
 	}
@@ -577,7 +578,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	if hi <= lo {
 		return nil
 	}
-	kClean := rt.checkpointPeriod(hi - lo)
+	kClean := checkpointPeriod(rt.Cfg.CheckpointPeriod, hi-lo)
 
 	// The recovery budget is per invocation and counts misspeculated spans:
 	// a misspeculation-heavy region entry falls back to sequential execution

@@ -656,6 +656,32 @@ func misspecCause(err error) (cause, site string, addr uint64) {
 	return err.Error(), "", 0
 }
 
+// deal is the cyclic deal of the checkpoint interval [base, limit) over a
+// fleet of w workers: worker id runs first, then every w-th iteration below
+// limit, count in all. Every interval is dealt afresh from its base.
+func deal(base, limit int64, id, w int) (first, count int64) {
+	first = base + int64(id)
+	if first >= limit {
+		return first, 0
+	}
+	return first, (limit - first + int64(w) - 1) / int64(w)
+}
+
+// maxShare is the busiest worker's iteration count when a fleet of w
+// workers deals n iterations in checkpoint intervals of k.
+func maxShare(n, k int64, w int) int64 {
+	var most int64
+	for id := range w {
+		var share int64
+		for base := int64(0); base < n; base += k {
+			_, c := deal(base, min(base+k, n), id, w)
+			share += c
+		}
+		most = max(most, share)
+	}
+	return most
+}
+
 // run executes the worker's share of the span: cyclically assigned
 // iterations, a checkpoint contribution per interval, misspeculation checks
 // after every iteration.
@@ -676,7 +702,8 @@ func (w *worker) run() error {
 		}
 		base := sp.start + c*sp.k
 		limit := min(base+sp.k, sp.hi)
-		for i := base + int64(w.id); i < limit; i += int64(w.stride) {
+		first, count := deal(base, limit, w.id, w.stride)
+		for i := first; i < limit; i += int64(w.stride) {
 			w.curIter = i
 			w.curTS = TimestampFor(i, base)
 			callArgs[0] = uint64(i)
@@ -729,11 +756,11 @@ func (w *worker) run() error {
 		// Contribute this interval's state to its checkpoint.
 		contrib := startTimer()
 		cp := sp.checkpointFor(c)
-		// Under cyclic assignment the interval's last iteration (limit-1)
-		// belongs to exactly one worker; only its view of the statically-
-		// privatized ranges is the interval's sequential final content.
+		// The interval's last iteration (limit-1) is dealt to exactly one
+		// worker; only its view of the statically-privatized ranges is the
+		// interval's sequential final content.
 		var proven []provenRange
-		if len(sp.proven) > 0 && int64(w.id) == (limit-1-base)%int64(w.stride) {
+		if len(sp.proven) > 0 && count > 0 && first+(count-1)*int64(w.stride) == limit-1 {
 			proven = sp.proven
 			for _, pr := range proven {
 				w.local.ProvenRangeBytes += pr.size
