@@ -14,10 +14,12 @@ import (
 // array: the constant goes into the function's frame image, which call copies
 // into each fresh frame, and the global's slot is patched from the
 // interpreter's address table right after that copy. The instruction that
-// follows in the block carries the removed ones in its step weight, so
-// Interp.Steps stays the tree-walking executor's count at every hook, call,
-// error and return. A peephole over each block then fuses the measured hot
-// sequences (see fusions). Decoding runs once per function per Program; every
+// follows in the block carries the removed ones in its step weight, and
+// every entry also records the weight of the block's entries after it, so
+// the executor charges a whole block when it enters it and still stores the
+// tree-walking executor's exact Interp.Steps at every hook, call, error and
+// return. A peephole over each block then fuses the measured hot sequences
+// (see fusions). Decoding runs once per function per Program; every
 // interpreter sharing the Program (the speculative runtime's master, workers
 // and recovery interpreter) executes the same decoded form.
 
@@ -87,8 +89,9 @@ func (p *Program) decodedFor(fn *ir.Function) *decodedFunc {
 	return df
 }
 
-// dinstr is one decoded instruction. Operand fields a, b, c index the
-// frame's value array.
+// dinstr is one decoded instruction, one 64-byte cache line
+// (TestDecodedEntryIsOneCacheLine). Operand fields a, b, c index the frame's
+// value array.
 type dinstr struct {
 	// op is in.Op, or a fused opcode (see fusions) on the first component of
 	// a fused sequence; the other components follow in place and are reached
@@ -108,15 +111,26 @@ type dinstr struct {
 	// e0, e1 index the function's φ-edge copy lists for the corresponding
 	// branch targets; -1 when the target block has no φs.
 	e0, e1 int32
-	// size is the access width (loads, stores, checks) or alloca size.
-	size int64
-	// cnst is the literal of an OpConst/OpFConst and the global slot of an
-	// OpGlobal that stayed in the code array.
+	// size is the access width (loads, stores, privacy checks) or alloca
+	// size. An instruction whose size does not fit is decoded as opRef.
+	size int32
+	// rest is the summed weight of the entries after this one (after its
+	// fused sequence, on a fused opcode) up to its block's first terminator:
+	// 0 on a terminator. The executor charges a block its first entry's
+	// n + rest on entry, so while this entry runs the exact step count is
+	// the charged count less rest.
+	rest int32
+	// cnst is the literal of an OpConst/OpFConst, the global slot of an
+	// OpGlobal that stayed in the code array and the builtinIndex of an
+	// OpBuiltin.
 	cnst uint64
 	// in is the original instruction, for hooks, errors and wide operand
 	// lists.
 	in *ir.Instr
 }
+
+// charge is the step count of a block whose first entry is d.
+func (d *dinstr) charge() int64 { return int64(d.n) + int64(d.rest) }
 
 // globalSlot names a frame slot that holds the address of global idx of the
 // interpreter's address table.
@@ -254,7 +268,9 @@ func hoistable(fn *ir.Function) []uint8 {
 }
 
 // Fused opcodes, private to the decoded executor: ir.NumOps, the printer and
-// the tree-walking executor do not know them.
+// the tree-walking executor do not know them. opRef is not fused: it marks
+// an instruction whose access size does not fit dinstr.size, which executes
+// through the reference implementation (execInstr) instead.
 const (
 	opMulAdd ir.Op = ir.Op(ir.NumOps) + iota
 	opMulAddLoad
@@ -263,6 +279,7 @@ const (
 	opAddBr
 	opMulAddMulAddLoad
 	opFMulFAdd
+	opRef
 )
 
 // fusions lists the fused opcodes with the adjacent sequence each stands
@@ -286,9 +303,10 @@ var fusions = []struct {
 }
 
 // fuse rewrites one block's decoded run in place: the first component of
-// each match takes the fused opcode and the weight of the whole sequence,
-// the others stay where they are as its operand records. Nothing jumps into
-// the middle of a run, so no fusion crosses a block start.
+// each match takes the fused opcode, the weight of the whole sequence and
+// the rest of its last component, the others stay where they are as its
+// operand records. Nothing jumps into the middle of a run, so no fusion
+// crosses a block start.
 func fuse(run []dinstr) {
 	for i := 0; i < len(run); {
 		k := 1
@@ -306,6 +324,7 @@ func fuse(run []dinstr) {
 				for j := 1; j < k; j++ {
 					run[i].n += run[i+j].n
 				}
+				run[i].rest = run[i+k-1].rest
 				break
 			}
 		}
@@ -389,8 +408,15 @@ func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 				continue
 			}
 			di := dinstr{op: in.Op, n: n, dst: int32(in.ValueID()), a: noSlot, b: noSlot, c: noSlot,
-				e0: -1, e1: -1, size: in.Size, cnst: in.Const, in: in}
+				e0: -1, e1: -1, size: int32(in.Size), cnst: in.Const, in: in}
 			n = 1
+			switch in.Op {
+			case ir.OpLoad, ir.OpStore, ir.OpAlloca, ir.OpPrivateRead, ir.OpPrivateWrite,
+				ir.OpPrivateReadSpan, ir.OpPrivateWriteSpan:
+				if int64(di.size) != in.Size {
+					di.op = opRef
+				}
+			}
 			switch in.Op {
 			case ir.OpBr:
 				di.t0 = starts[in.Targets[0]]
@@ -403,6 +429,8 @@ func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 				di.e1 = df.edgeFor(b, in.Targets[1])
 			case ir.OpGlobal:
 				di.cnst = uint64(p.globalSlot(in.GlobalRef))
+			case ir.OpBuiltin:
+				di.cnst = builtinIndex(in.Builtin)
 			case ir.OpPhi:
 				// A φ below a non-φ instruction: the executor rejects it
 				// at runtime via the fallback path.
@@ -427,8 +455,16 @@ func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 			df.code = append(df.code, dinstr{op: ir.OpInvalid, n: n, dst: noSlot,
 				a: noSlot, b: noSlot, c: noSlot, e0: -1, e1: -1})
 		}
+		run := df.code[start:]
+		for i, rest := len(run)-1, int32(0); i >= 0; i-- {
+			if run[i].op.IsTerminator() {
+				rest = 0 // what follows a terminator never runs
+			}
+			run[i].rest = rest
+			rest += run[i].n
+		}
 		if marks != nil {
-			fuse(df.code[start:])
+			fuse(run)
 		}
 	}
 	return df

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 
 	"privateer/internal/ir"
 )
@@ -76,10 +77,15 @@ func runEdge(vals []uint64, e *phiEdge) {
 // observably identical to exec (the tree-walking reference executor):
 // same step counts, same hook sequence, same errors, same output. Operand
 // slots index fr.vals directly; the hoisted constants and global addresses
-// are in their slots since frame setup, and steps advances by each entry's
-// weight. A budget that runs out inside a weight stops where exec would, one
-// past the limit: nothing a weight covers besides its last instruction can
-// fault, fire a hook or touch memory, and that one has not run.
+// are in their slots since frame setup. Steps are charged per block, not per
+// dispatch: entering a block (at function entry and on every taken branch)
+// adds its whole weight to steps and compares once against the budget, so
+// while entry di runs the exact count is steps - di.rest, and that is what
+// every hook, Speculator call, call, fallback, error and return stores in
+// Interp.Steps. A call or fallback may move Steps; after one, steps is
+// reloaded and compared again. A block whose charge would pass the budget,
+// or the rest of one after a call that returns past it, finishes on exec,
+// which stops one past the limit exactly where it always has.
 func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 	if df.entryPhi != nil {
 		return 0, phiEdgeError(fr, df.entryPhi, nil)
@@ -89,15 +95,13 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 	hooks := &it.Hooks
 	mask := it.hookMask
 	limit := it.stepLimit()
-	steps := it.Steps
+	steps := it.Steps + code[0].charge()
+	if steps > limit {
+		return it.exec(fr, fr.Fn.Entry(), 0)
+	}
 	pc := int32(0)
 	for {
 		di := &code[pc]
-		steps += int64(di.n)
-		if steps > limit {
-			it.Steps = limit + 1
-			return 0, fmt.Errorf("interp: step limit %d exceeded in %s", limit, fr.Fn.Name)
-		}
 		switch di.op {
 		case ir.OpConst, ir.OpFConst:
 			vals[di.dst] = di.cnst
@@ -117,28 +121,28 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 		case ir.OpSDiv:
 			d := vals[di.b]
 			if d == 0 {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, fmt.Errorf("interp: division by zero (%s)", di.in.Format())
 			}
 			vals[di.dst] = uint64(int64(vals[di.a]) / int64(d))
 		case ir.OpUDiv:
 			d := vals[di.b]
 			if d == 0 {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, fmt.Errorf("interp: division by zero (%s)", di.in.Format())
 			}
 			vals[di.dst] = vals[di.a] / d
 		case ir.OpSRem:
 			d := vals[di.b]
 			if d == 0 {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, fmt.Errorf("interp: remainder by zero (%s)", di.in.Format())
 			}
 			vals[di.dst] = uint64(int64(vals[di.a]) % int64(d))
 		case ir.OpURem:
 			d := vals[di.b]
 			if d == 0 {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, fmt.Errorf("interp: remainder by zero (%s)", di.in.Format())
 			}
 			vals[di.dst] = vals[di.a] % d
@@ -225,26 +229,27 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			fallthrough
 		case ir.OpLoad:
 			addr := vals[di.a]
-			v, err := it.AS.Read(addr, di.size)
+			v, err := it.AS.Read(addr, int64(di.size))
 			if err != nil {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
 			vals[di.dst] = v
 			if mask&hLoad != 0 {
-				it.Steps = steps
-				hooks.OnLoad(fr, di.in, addr, di.size)
+				it.Steps = steps - int64(di.rest)
+				hooks.OnLoad(fr, di.in, addr, int64(di.size))
 			}
 		case ir.OpStore:
 			addr := vals[di.b]
-			if err := it.AS.Write(addr, di.size, vals[di.a]); err != nil {
-				it.Steps = steps
+			if err := it.AS.Write(addr, int64(di.size), vals[di.a]); err != nil {
+				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
 			if mask&hStore != 0 {
-				it.Steps = steps
-				hooks.OnStore(fr, di.in, addr, di.size)
+				it.Steps = steps - int64(di.rest)
+				hooks.OnStore(fr, di.in, addr, int64(di.size))
 			}
+		// A terminator's rest is 0: ret, br and condbr store steps as it is.
 		case ir.OpRet:
 			it.Steps = steps
 			if di.a != noSlot {
@@ -270,6 +275,9 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 				runEdge(vals, e)
 			}
 			pc = di.t0
+			if steps += code[pc].charge(); steps > limit {
+				return it.finishBlock(fr, steps-code[pc].charge(), di.in.Targets[0])
+			}
 			continue
 		case opSLtCondBr:
 			vals[di.dst] = b2w(int64(vals[di.a]) < int64(vals[di.b]))
@@ -283,12 +291,8 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 				to, eid = di.t0, di.e0
 			}
 			if mask&hBlock != 0 {
-				tb := di.in.Targets[1]
-				if taken {
-					tb = di.in.Targets[0]
-				}
 				it.Steps = steps
-				hooks.OnBlock(fr, di.in.Blk, tb)
+				hooks.OnBlock(fr, di.in.Blk, di.in.Targets[b2w(!taken)])
 			}
 			if eid >= 0 {
 				e := &df.edges[eid]
@@ -299,67 +303,72 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 				runEdge(vals, e)
 			}
 			pc = to
+			if steps += code[pc].charge(); steps > limit {
+				return it.finishBlock(fr, steps-code[pc].charge(), di.in.Targets[b2w(!taken)])
+			}
 			continue
 		case ir.OpAlloca:
 			addr, err := it.AS.Alloc(ir.HeapSystem, uint64(di.size))
 			if err != nil {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
 			fr.allocas = append(fr.allocas, addr)
 			vals[di.dst] = addr
 			if mask&hAlloc != 0 {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				hooks.OnAlloc(fr, di.in, addr, uint64(di.size))
 			}
 		case ir.OpMalloc:
 			size := vals[di.a]
 			addr, err := it.AS.Alloc(ir.HeapSystem, size)
 			if err != nil {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
 			vals[di.dst] = addr
 			if mask&hAlloc != 0 {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				hooks.OnAlloc(fr, di.in, addr, size)
 			}
 		case ir.OpHAlloc:
 			size := vals[di.a]
 			addr, err := it.AS.Alloc(di.in.Heap, size)
 			if err != nil {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
 			vals[di.dst] = addr
 			if mask&hAlloc != 0 {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				hooks.OnAlloc(fr, di.in, addr, size)
 			}
 		case ir.OpFree, ir.OpHDealloc:
 			addr := vals[di.a]
 			if mask&hFree != 0 {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				hooks.OnFree(fr, di.in, addr)
 			}
 			if err := it.AS.Free(addr); err != nil {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
 		case ir.OpGlobal:
 			vals[di.dst] = it.globalAddrs[di.cnst]
 		case ir.OpCall:
-			it.Steps = steps
+			it.Steps = steps - int64(di.rest)
 			v, err := it.callInstr(fr, di.in)
 			if err != nil {
 				return 0, err
 			}
-			steps = it.Steps
 			vals[di.dst] = v
+			if steps = it.Steps + int64(di.rest); steps > limit {
+				return it.finishAfter(fr, di.in)
+			}
 		case ir.OpBuiltin:
-			v, err := it.builtin(di.in, fr)
+			v, err := it.builtin(di.cnst, di.in, fr)
 			if err != nil {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
 			vals[di.dst] = v
@@ -369,22 +378,22 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			}
 			it.SepChecks++
 			if addr := vals[di.a]; addr != 0 && ir.HeapOf(addr) != di.in.Heap {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, &MisspecError{Instr: di.in, Addr: addr, Reason: sepViolated}
 			}
 		case ir.OpPrivateRead, ir.OpPrivateWrite:
 			if it.Spec != nil {
-				it.Steps = steps
-				if err := it.Spec.Private(di.in, vals[di.a], 1, di.size, di.size,
+				it.Steps = steps - int64(di.rest)
+				if err := it.Spec.Private(di.in, vals[di.a], 1, int64(di.size), int64(di.size),
 					di.op == ir.OpPrivateWrite); err != nil {
 					return 0, err
 				}
 			}
 		case ir.OpPrivateReadSpan, ir.OpPrivateWriteSpan:
 			if it.Spec != nil {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				if err := it.Spec.Private(di.in, vals[di.a], int64(vals[di.b]), int64(vals[di.c]),
-					di.size, di.op == ir.OpPrivateWriteSpan); err != nil {
+					int64(di.size), di.op == ir.OpPrivateWriteSpan); err != nil {
 					return 0, err
 				}
 			}
@@ -396,27 +405,44 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			}
 			it.Predictions++
 			if vals[di.a] != vals[di.b] {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, &MisspecError{Instr: di.in, Reason: predictFailed}
 			}
 		case ir.OpMisspec:
 			if !it.ChecksOff {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, &MisspecError{Instr: di.in, Reason: controlViolated}
 			}
 		default:
-			// Rare or wide instructions (print, memset, memcopy, stray φ)
-			// execute through the reference implementation.
+			// Rare or wide instructions (print, memset, memcopy, stray φ,
+			// opRef) execute through the reference implementation.
 			if di.in == nil {
-				it.Steps = steps
+				it.Steps = steps - int64(di.rest)
 				return 0, fmt.Errorf("interp: unterminated block in %s", fr.Fn.Name)
 			}
-			it.Steps = steps
+			it.Steps = steps - int64(di.rest)
 			if err := it.execInstr(fr, di.in); err != nil {
 				return 0, err
 			}
-			steps = it.Steps
+			if steps = it.Steps + int64(di.rest); steps > limit {
+				return it.finishAfter(fr, di.in)
+			}
 		}
 		pc++
 	}
+}
+
+// finishBlock runs the rest of fr's activation on exec from block b, whose
+// φs execDecoded has copied, with Steps set to steps: execDecoded hands over
+// a block whose charge would pass the budget.
+func (it *Interp) finishBlock(fr *Frame, steps int64, b *ir.Block) (uint64, error) {
+	it.Steps = steps
+	return it.exec(fr, b, leadingPhis(b))
+}
+
+// finishAfter runs the rest of fr's activation on exec from the instruction
+// after in: a call or fallback in returned with fewer steps left in the
+// budget than its block still holds.
+func (it *Interp) finishAfter(fr *Frame, in *ir.Instr) (uint64, error) {
+	return it.exec(fr, in.Blk, slices.Index(in.Blk.Instrs, in)+1)
 }

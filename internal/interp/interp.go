@@ -338,7 +338,7 @@ func (it *Interp) call(fn *ir.Function, args []uint64, caller *Frame) (uint64, e
 	var ret uint64
 	var err error
 	if df == nil {
-		ret, err = it.exec(fr)
+		ret, err = it.exec(fr, fn.Entry(), 0)
 	} else {
 		it.hookMask = it.computeHookMask()
 		ret, err = it.execDecoded(fr, df)
@@ -400,37 +400,39 @@ func (it *Interp) stepLimit() int64 {
 	return 1 << 40
 }
 
-func (it *Interp) exec(fr *Frame) (uint64, error) {
-	block := fr.Fn.Entry()
+// exec runs fr's activation on the tree-walking reference executor from
+// instruction at of block. A block entered at 0 starts with its φs, as every
+// block does that the walk enters itself; execDecoded resumes a walk past
+// the φs it has already copied, to finish a block its step budget cannot
+// cover. Falling off the end of an unterminated block (invalid IR) costs one
+// step, then stops the run as the decoded executor's guard entry does.
+func (it *Interp) exec(fr *Frame, block *ir.Block, at int) (uint64, error) {
 	var prev *ir.Block
 	limit := it.stepLimit()
+blocks:
 	for {
-		// Evaluate phis as a parallel copy based on the incoming edge.
-		nPhis := 0
-		for _, in := range block.Instrs {
-			if in.Op != ir.OpPhi {
-				break
-			}
-			nPhis++
-		}
-		if nPhis > 0 {
-			var tmp [8]uint64
-			vals := tmp[:0]
-			for _, in := range block.Instrs[:nPhis] {
-				v, err := it.phiValue(fr, in, prev)
-				if err != nil {
-					return 0, err
+		if at == 0 {
+			// Evaluate phis as a parallel copy based on the incoming edge.
+			at = leadingPhis(block)
+			if at > 0 {
+				var tmp [8]uint64
+				vals := tmp[:0]
+				for _, in := range block.Instrs[:at] {
+					v, err := it.phiValue(fr, in, prev)
+					if err != nil {
+						return 0, err
+					}
+					vals = append(vals, v)
 				}
-				vals = append(vals, v)
-			}
-			for i, in := range block.Instrs[:nPhis] {
-				fr.vals[in.ValueID()] = vals[i]
+				for i, in := range block.Instrs[:at] {
+					fr.vals[in.ValueID()] = vals[i]
+				}
 			}
 		}
-		for _, in := range block.Instrs[nPhis:] {
+		for _, in := range block.Instrs[at:] {
 			it.Steps++
 			if it.Steps > limit {
-				return 0, fmt.Errorf("interp: step limit %d exceeded in %s", limit, fr.Fn.Name)
+				return 0, stepLimitError(limit, fr)
 			}
 			switch in.Op {
 			case ir.OpRet:
@@ -459,9 +461,20 @@ func (it *Interp) exec(fr *Frame) (uint64, error) {
 				}
 				continue
 			}
-			break // control transferred
+			at = 0
+			continue blocks // control transferred
 		}
+		it.Steps++
+		if it.Steps > limit {
+			return 0, stepLimitError(limit, fr)
+		}
+		return 0, fmt.Errorf("interp: unterminated block in %s", fr.Fn.Name)
 	}
+}
+
+// stepLimitError is the error of a run that exceeds its step budget in fr.
+func stepLimitError(limit int64, fr *Frame) error {
+	return fmt.Errorf("interp: step limit %d exceeded in %s", limit, fr.Fn.Name)
 }
 
 func (it *Interp) phiValue(fr *Frame, phi *ir.Instr, prev *ir.Block) (uint64, error) {
@@ -665,7 +678,7 @@ func (it *Interp) execInstr(fr *Frame, in *ir.Instr) error {
 		}
 		set(v)
 	case ir.OpBuiltin:
-		v, err := it.builtin(in, fr)
+		v, err := it.builtin(builtinIndex(in.Builtin), in, fr)
 		if err != nil {
 			return err
 		}
@@ -714,24 +727,63 @@ func (it *Interp) execInstr(fr *Frame, in *ir.Instr) error {
 	return nil
 }
 
-func (it *Interp) builtin(in *ir.Instr, fr *Frame) (uint64, error) {
-	arg := func(i int) float64 { return f64(fr.vals[in.Args[i].ValueID()]) }
-	switch in.Builtin {
+// The math builtins OpBuiltin may name, by the index builtinIndex resolves
+// the name to; the decoder keeps the index in dinstr.cnst.
+const (
+	bSqrt = iota
+	bExp
+	bLog
+	bPow
+	bFabs
+	bFloor
+	bSin
+	bCos
+	bUnknown
+)
+
+// builtinIndex resolves a builtin's name, bUnknown for a name no builtin
+// has.
+func builtinIndex(name string) uint64 {
+	switch name {
 	case "sqrt":
-		return bits(math.Sqrt(arg(0))), nil
+		return bSqrt
 	case "exp":
-		return bits(math.Exp(arg(0))), nil
+		return bExp
 	case "log":
-		return bits(math.Log(arg(0))), nil
+		return bLog
 	case "pow":
-		return bits(math.Pow(arg(0), arg(1))), nil
+		return bPow
 	case "fabs":
-		return bits(math.Abs(arg(0))), nil
+		return bFabs
 	case "floor":
-		return bits(math.Floor(arg(0))), nil
+		return bFloor
 	case "sin":
-		return bits(math.Sin(arg(0))), nil
+		return bSin
 	case "cos":
+		return bCos
+	}
+	return bUnknown
+}
+
+// builtin evaluates the OpBuiltin in, whose name resolves to k.
+func (it *Interp) builtin(k uint64, in *ir.Instr, fr *Frame) (uint64, error) {
+	arg := func(i int) float64 { return f64(fr.vals[in.Args[i].ValueID()]) }
+	switch k {
+	case bSqrt:
+		return bits(math.Sqrt(arg(0))), nil
+	case bExp:
+		return bits(math.Exp(arg(0))), nil
+	case bLog:
+		return bits(math.Log(arg(0))), nil
+	case bPow:
+		return bits(math.Pow(arg(0), arg(1))), nil
+	case bFabs:
+		return bits(math.Abs(arg(0))), nil
+	case bFloor:
+		return bits(math.Floor(arg(0))), nil
+	case bSin:
+		return bits(math.Sin(arg(0))), nil
+	case bCos:
 		return bits(math.Cos(arg(0))), nil
 	default:
 		return 0, fmt.Errorf("interp: unknown builtin %q", in.Builtin)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"privateer/internal/core"
@@ -252,6 +253,72 @@ func TestHookSequenceParity(t *testing.T) {
 	}
 }
 
+// recorded runs mod under the two executors with the given step budget
+// (0: the default), every hook and a recording Speculator, and returns
+// decoded, tree-walk and the two hook sequence digests.
+func recorded(mod *ir.Module, limit int64, args ...uint64) (outcome, outcome, [2]uint64) {
+	var sums [2]hash.Hash64
+	i := 0
+	fast, slow := both(mod, func(it *interp.Interp) {
+		sums[i] = fnv.New64a()
+		recordHooks(it, sums[i])
+		it.StepLimit = limit
+		i++
+	}, args...)
+	return fast, slow, [2]uint64{sums[0].Sum64(), sums[1].Sum64()}
+}
+
+// TestParallelizedStepLimitSweepParity aborts modules core.Parallelize
+// leaves at every step budget from 1 to their full length, run sequentially
+// with checks on, every hook installed and a recording Speculator, so
+// budgets also run out next to check_heap, predict and private_* sites and
+// inside the blocks around them. At every budget the two executors must
+// leave the same outcome and fire the same hooks and Speculator calls at
+// the same step counts. The inputs are small enough that the sweep stays
+// cheap: a randprog seed and dijkstra on two nodes.
+func TestParallelizedStepLimitSweepParity(t *testing.T) {
+	cfg := randprog.DefaultConfig(3)
+	rp, err := core.Parallelize(randprog.Generate(cfg), core.Options{TrainArgs: []uint64{randprog.TrainTrips(cfg)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dijkstra := progs.ByName("dijkstra")
+	dj, err := core.Parallelize(dijkstra.Build(progs.Input{Name: "two", N: 2}), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sepChecks, predictions int64
+	for _, tc := range []struct {
+		name string
+		mod  *ir.Module
+		args []uint64
+	}{
+		{"randprog 3, parallelized", rp.Mod, []uint64{randprog.TrainTrips(cfg)}},
+		{"dijkstra N=2, parallelized", dj.Mod, nil},
+	} {
+		full, _, _ := recorded(tc.mod, 0, tc.args...)
+		if full.err != "" {
+			t.Fatalf("%s: %s", tc.name, full.err)
+		}
+		sepChecks += full.sepChecks
+		predictions += full.predictions
+		for limit := int64(1); limit <= full.steps; limit++ {
+			fast, slow, sums := recorded(tc.mod, limit, tc.args...)
+			if fast != slow || sums[0] != sums[1] {
+				t.Fatalf("%s, StepLimit %d:\n decoded:   %v hooks %#x\n tree-walk: %v hooks %#x",
+					tc.name, limit, fast, sums[0], slow, sums[1])
+			}
+			if (fast.err == "") != (limit == full.steps) {
+				t.Fatalf("%s, StepLimit %d of %d steps: err = %q", tc.name, limit, full.steps, fast.err)
+			}
+		}
+	}
+	if sepChecks == 0 || predictions == 0 {
+		t.Errorf("the swept modules counted %d separation checks and %d predictions; want some of each",
+			sepChecks, predictions)
+	}
+}
+
 // checksModule builds main(mode): a null check_heap and an equal
 // prediction that pass, privacy and reduction marks with no Speculator to
 // receive them, then the check that fails for mode 0 (check_heap of a
@@ -458,6 +525,66 @@ func TestUnverifiedFunctionDecodesPlain(t *testing.T) {
 	for _, e := range interp.DecodedBlocks(prog, f)[f.Entry()] {
 		if e.Weight != 1 {
 			t.Errorf("dispatch %s stands for %d instructions, want 1", e.Op, e.Weight)
+		}
+	}
+}
+
+// TestMalformedBlockParity runs IR ir.Verify rejects through both
+// executors, with every hook and a recording Speculator, at the default
+// step budget and at every budget up to one past the run: blocks that end
+// without a terminator, one of them all φs, which stop the run with an
+// error after one step for the missing terminator; and a privacy check
+// whose size does not fit a decoded entry, which must reach the Speculator
+// with its own size, not a truncated one. A budget that runs out in such a
+// block is finished by the tree-walking executor, which must stop where
+// the decoded one would.
+func TestMalformedBlockParity(t *testing.T) {
+	unterminated := func(phisOnly bool) *ir.Module {
+		m := ir.NewModule("unterminated")
+		f := m.NewFunc("main", ir.I64)
+		b := ir.NewBuilder(f)
+		tail := b.NewBlock("tail")
+		sum := b.Add(b.I(1), b.I(2))
+		b.Br(tail)
+		b.SetBlock(tail)
+		ir.AddIncoming(b.Phi(ir.I64), sum, f.Entry())
+		if !phisOnly {
+			b.Add(sum, b.I(3))
+		}
+		return m
+	}
+	wide := ir.NewModule("wide")
+	g := wide.NewGlobal("g", 8)
+	b := ir.NewBuilder(wide.NewFunc("main", ir.I64))
+	b.PrivateRead(b.Global(g), 1<<32+8)
+	b.Ret(b.I(0))
+	for _, tc := range []struct {
+		name string
+		mod  *ir.Module
+		err  string // "" for a clean return
+	}{
+		{"unterminated block", unterminated(false), "unterminated block"},
+		{"unterminated block of φs", unterminated(true), "unterminated block"},
+		{"privacy check wider than a decoded size", wide, ""},
+	} {
+		it := interp.New(tc.mod, vm.NewAddressSpace())
+		it.SetTreeWalk(false)
+		full := finish(it)
+		if (full.err == "") != (tc.err == "") || !strings.Contains(full.err, tc.err) {
+			t.Fatalf("%s: decoded %v, want error %q", tc.name, full, tc.err)
+		}
+		// The budgets before the default one: a tree-walk that kept walking
+		// an unterminated block fails at full.steps + 1 instead of running on.
+		var limits []int64
+		for limit := int64(1); limit <= full.steps+1; limit++ {
+			limits = append(limits, limit)
+		}
+		for _, limit := range append(limits, 0) {
+			fast, slow, sums := recorded(tc.mod, limit)
+			if fast != slow || sums[0] != sums[1] {
+				t.Fatalf("%s, StepLimit %d:\n decoded:   %v hooks %#x\n tree-walk: %v hooks %#x",
+					tc.name, limit, fast, sums[0], slow, sums[1])
+			}
 		}
 	}
 }
