@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"privateer/internal/ir"
-	"privateer/internal/profiling"
 	"privateer/internal/vm"
 )
 
@@ -24,15 +23,6 @@ type reduxObj struct {
 	size     int64
 	elemSize int64
 	op       ir.ReduxKind
-}
-
-// liveObj is one entry of the runtime's object registries (RT.reduxObjs,
-// RT.sepObjs): a live object's identity and range. What a span does with it
-// is decided per invocation, from the invoked region's assignment.
-type liveObj struct {
-	obj  profiling.Object
-	addr uint64
-	size int64
 }
 
 // provenRange is one statically-proven object's address range as a span

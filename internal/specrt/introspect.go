@@ -3,9 +3,8 @@ package specrt
 // Introspection: misspeculation attribution (faulting address -> owning
 // allocation site, rendered into Record.Sites), and the privateer_*_total
 // counter families a registry owner folds finished runtimes' Stats into.
-// Everything here is off the speculative hot path: sites register on
-// master-side allocation and attribution happens only when a
-// misspeculation is flagged.
+// Everything here is off the speculative hot path: attribution reads the
+// live-object registry (RT.live) only when a misspeculation is flagged.
 
 import (
 	"cmp"
@@ -15,7 +14,6 @@ import (
 
 	"privateer/internal/ir"
 	"privateer/internal/obs"
-	"privateer/internal/profiling"
 )
 
 // Snapshot returns a copy of the stats. Its one caller is the repository
@@ -31,32 +29,13 @@ type misspecKey struct {
 	object string
 }
 
-// trackSite records [addr, addr+size) as owned by obj, an allocation site
-// or a global. Called for master-side allocations and globals only; the
-// name is formatted by siteFor, when a misspeculation is attributed.
-func (rt *RT) trackSite(addr, size uint64, obj profiling.Object) {
-	if addr == 0 || size == 0 {
-		return
-	}
-	rt.siteMu.Lock()
-	rt.siteMap.Insert(addr, addr+size, obj)
-	rt.siteMu.Unlock()
-}
-
-// untrackSite drops the allocation owning addr, if tracked.
-func (rt *RT) untrackSite(addr uint64) {
-	rt.siteMu.Lock()
-	rt.siteMap.Remove(addr)
-	rt.siteMu.Unlock()
-}
-
-// siteFor attributes a faulting address to its owning allocation site, or
-// to "<heap>:?" when the owner is unknown (worker-local allocations are
-// not tracked).
+// siteFor attributes a faulting address to the live object that owns it,
+// named by its allocation site or global, or to "<heap>:?" when the owner
+// is unknown (worker-local allocations are not tracked).
 func (rt *RT) siteFor(addr uint64) string {
-	rt.siteMu.Lock()
-	obj, ok := rt.siteMap.Lookup(addr)
-	rt.siteMu.Unlock()
+	rt.liveMu.Lock()
+	obj, ok := rt.live.Lookup(addr)
+	rt.liveMu.Unlock()
 	if ok {
 		return obj.String()
 	}
@@ -72,9 +51,9 @@ func (rt *RT) noteMisspec(region, cause, site string, addr uint64) {
 		obj = rt.siteFor(addr)
 	}
 	k := misspecKey{region: region, cause: cause, site: site, object: obj}
-	rt.missMu.Lock()
+	rt.reportMu.Lock()
 	rt.missTable[k]++
-	rt.missMu.Unlock()
+	rt.reportMu.Unlock()
 }
 
 // MisspecSiteRow is one aggregated misspeculation-attribution row: how
@@ -94,10 +73,9 @@ type MisspecSiteRow struct {
 }
 
 // misspecSites renders the aggregated misspeculation attribution table,
-// most frequent first, or nil when nothing misspeculated.
+// most frequent first, or nil when nothing misspeculated. The caller holds
+// reportMu.
 func (rt *RT) misspecSites() []MisspecSiteRow {
-	rt.missMu.Lock()
-	defer rt.missMu.Unlock()
 	if len(rt.missTable) == 0 {
 		return nil
 	}

@@ -8,53 +8,119 @@ import (
 
 	"privateer/internal/classify"
 	"privateer/internal/ir"
+	"privateer/internal/profiling"
 )
 
-// notTwice names the int64 fields of got, a struct of counters, that are
-// not twice the same field of one, skipping the fields skip names.
-func notTwice(one, got any, skip func(name string) bool) []string {
+// notSum names the int64 fields of got, a struct of counters, that are not
+// the sum of the same fields of a and b, skipping the fields skip names.
+func notSum(a, b, got any, skip func(name string) bool) []string {
 	var bad []string
-	o, g := reflect.ValueOf(one), reflect.ValueOf(got)
-	for i := 0; i < o.NumField(); i++ {
-		name := o.Type().Field(i).Name
+	av, bv, gv := reflect.ValueOf(a), reflect.ValueOf(b), reflect.ValueOf(got)
+	for i := 0; i < av.NumField(); i++ {
+		name := av.Type().Field(i).Name
 		if skip(name) {
 			continue
 		}
-		if a, b := o.Field(i).Int(), g.Field(i).Int(); b != 2*a {
-			bad = append(bad, fmt.Sprintf("%s %d after two runs, %d after one", name, b, a))
+		if x, y, g := av.Field(i).Int(), bv.Field(i).Int(), gv.Field(i).Int(); g != x+y {
+			bad = append(bad, fmt.Sprintf("%s %d after both runs, want %d + %d", name, g, x, y))
 		}
 	}
 	return bad
 }
 
+// buildReduxLeakModule allocates n reduction objects and frees none, then
+// add-reduces into the last one. The returned instruction is the
+// allocation site.
+//
+//	for j in [0,n): r = halloc(8, redux); *r = 0; @slot = r
+//	for i in [0,64): *@slot += i
+func buildReduxLeakModule() (*ir.Module, *ir.Instr) {
+	m := ir.NewModule("redux-leak")
+	slot := m.NewGlobal("slot", 8)
+	f := m.NewFunc("main", ir.I64)
+	f.NewParam("n", ir.I64)
+	b := ir.NewBuilder(f)
+	var site *ir.Instr
+	b.For("j", b.I(0), f.Params[0], func(*ir.Instr) {
+		site = b.HAlloc("r", b.I(8), ir.HeapRedux)
+		b.Store(b.I(0), site, 8)
+		b.St(site, b.Global(slot))
+	})
+	b.For("i", b.I(0), b.I(64), func(iv *ir.Instr) {
+		p := b.LdP(b.Global(slot))
+		b.Store(b.Add(b.Load(p, 8), b.Ld(iv)), p, 8)
+	})
+	b.Ret(b.Load(b.LdP(b.Global(slot)), 8))
+	for _, fn := range m.SortedFuncs() {
+		ir.PromoteAllocas(fn)
+	}
+	return m, site
+}
+
 // TestRecordAddsUpAcrossRuns: every field of the Record adds up over the
-// Runs of one RT. A clean writer run at W = 2 counts the same events every
-// time, so after a second Run each count field of Stats, all of Sim (the
-// master's sequential steps included) and all of VM read exactly twice what
-// the first left; only the wall-clock timings differ.
+// Runs of one RT. Two Runs of one RT count exactly what two fresh RTs
+// running the same arguments count: each count field of Stats, all of Sim
+// (the master's sequential steps included) and all of VM; only the
+// wall-clock timings differ. The writer runs clean at W = 2 twice; the
+// leak module allocates three reduction objects, then one, so a registry
+// that kept the first Run's objects would identity-initialize, merge and
+// install two dead objects in the second.
 func TestRecordAddsUpAcrossRuns(t *testing.T) {
-	mod := buildWriterModule(64)
-	rt := New(mod, Config{Workers: 2}, buildRegion(t, mod))
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	one := rt.Record
-	if one.Sim.SeqSteps == 0 || one.VM.PagesMapped == 0 || one.Stats.Checkpoints == 0 {
-		t.Fatalf("one run counted too little to compare: %+v", one)
-	}
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := rt.Record
-	none := func(string) bool { return false }
-	bad := notTwice(one.Stats, got.Stats, func(name string) bool { return strings.HasSuffix(name, "NS") })
-	bad = append(bad, notTwice(one.Sim, got.Sim, none)...)
-	bad = append(bad, notTwice(one.VM, got.VM, none)...)
-	for _, b := range bad {
-		t.Error(b)
-	}
-	if got.Sites != nil || got.SepAudit != nil {
-		t.Errorf("clean runs left sites %v, audit lines %v; want both nil", got.Sites, got.SepAudit)
+	for _, tc := range []struct {
+		name  string
+		build func() (*ir.Module, *RegionInfo)
+		args  [2][]uint64
+	}{
+		{"writer", func() (*ir.Module, *RegionInfo) {
+			mod := buildWriterModule(64)
+			return mod, buildRegion(t, mod)
+		}, [2][]uint64{nil, nil}},
+		{"redux-leak", func() (*ir.Module, *RegionInfo) {
+			mod, site := buildReduxLeakModule()
+			return mod, outlineRegion(t, mod, &classify.Assignment{
+				ReduxOps:   map[profiling.Object]ir.ReduxKind{{Site: site}: ir.ReduxAddI64},
+				ReduxSizes: map[profiling.Object]int64{{Site: site}: 8},
+			}, 1)
+		}, [2][]uint64{{3}, {1}}},
+	} {
+		newRT := func() *RT {
+			mod, ri := tc.build()
+			return New(mod, Config{Workers: 2}, ri)
+		}
+		var want [2]uint64
+		run := func(rt *RT, i int) uint64 {
+			v, err := rt.Run(tc.args[i]...)
+			if err != nil {
+				t.Fatalf("%s%v: %v", tc.name, tc.args[i], err)
+			}
+			return v
+		}
+		var fresh [2]Record
+		for i := range tc.args {
+			rt := newRT()
+			want[i] = run(rt, i)
+			fresh[i] = rt.Record
+		}
+		if one := fresh[0]; one.Sim.SeqSteps == 0 || one.VM.PagesMapped == 0 || one.Stats.Checkpoints == 0 {
+			t.Fatalf("%s: one run counted too little to compare: %+v", tc.name, one)
+		}
+		rt := newRT()
+		for i := range tc.args {
+			if v := run(rt, i); v != want[i] {
+				t.Errorf("%s%v: result %d on Run %d of one RT, %d on a fresh one", tc.name, tc.args[i], v, i+1, want[i])
+			}
+		}
+		got := rt.Record
+		none := func(string) bool { return false }
+		bad := notSum(fresh[0].Stats, fresh[1].Stats, got.Stats, func(name string) bool { return strings.HasSuffix(name, "NS") })
+		bad = append(bad, notSum(fresh[0].Sim, fresh[1].Sim, got.Sim, none)...)
+		bad = append(bad, notSum(fresh[0].VM, fresh[1].VM, got.VM, none)...)
+		for _, b := range bad {
+			t.Errorf("%s: %s", tc.name, b)
+		}
+		if got.Sites != nil || got.SepAudit != nil {
+			t.Errorf("%s: clean runs left sites %v, audit lines %v; want both nil", tc.name, got.Sites, got.SepAudit)
+		}
 	}
 }
 
@@ -133,7 +199,10 @@ func buildLiveInModule(malloc bool) *ir.Module {
 // and the formatted table are the bytes recorded when sites were labelled at
 // allocation; the labels are now formatted only when a misspeculation is
 // attributed. One worker keeps the misspeculation count schedule-free; the
-// region is the module's first outline, so its name is fixed.
+// region is the module's first outline, so its name is fixed. At W = 4
+// several workers fault in one span, so siteFor and noteMisspec run
+// concurrently: however the counts fall, the rows add up to
+// Stats.Misspecs and every row names the object.
 func TestMisspecAttributionNamesObject(t *testing.T) {
 	for _, tc := range []struct {
 		malloc                         bool
@@ -161,6 +230,23 @@ func TestMisspecAttributionNamesObject(t *testing.T) {
 			"10     " + region + "  privacy violated (fast phase)  " + tc.objectCell + "\n"
 		if got := FormatMisspecSites(rows); got != table {
 			t.Errorf("%s: table\n%q\nwant\n%q", tc.object, got, table)
+		}
+
+		mod = buildLiveInModule(tc.malloc)
+		rt = New(mod, Config{Workers: 4, CheckpointPeriod: 3}, buildRegion(t, mod, 2))
+		if v, err := rt.Run(12); err != nil || v != 67 {
+			t.Fatalf("%s, W = 4: result %d, %v; want 67", tc.object, v, err)
+		}
+		var total int64
+		for _, r := range rt.Sites {
+			total += r.Count
+			if r.Object != tc.object {
+				t.Errorf("%s, W = 4: row %+v does not name the object", tc.object, r)
+			}
+		}
+		if total != rt.Stats.Misspecs || total < 2 {
+			t.Errorf("%s, W = 4: rows add up to %d, Stats.Misspecs %d; want equal and at least 2",
+				tc.object, total, rt.Stats.Misspecs)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package specrt
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"privateer/internal/analysis"
 	"privateer/internal/classify"
 	"privateer/internal/deps"
 	"privateer/internal/interp"
@@ -89,58 +91,92 @@ func TestPerInvocationFallback(t *testing.T) {
 	}
 }
 
-// TestReduxRegistryLifecycle: registration is keyed by address (a
-// re-registration replaces the entry), deregistration removes it, and a
-// snapshot holds the objects the invoked region reduces — and only those —
-// in address order with that region's operator and element size.
+// TestReduxRegistryLifecycle: the live-object registry is keyed by address
+// (an allocation at a live object's address replaces its entry), a free
+// removes the entry, and a snapshot holds what the invoked region acts on —
+// and only that — in address order: the objects it reduces, with its
+// operator and element size, its statically-privatized private objects and
+// its proven read-only objects. A private object with no proof stays out,
+// and siteFor names the object owning an interior address until its free.
 func TestReduxRegistryLifecycle(t *testing.T) {
-	mod := ir.NewModule("empty")
+	mod := ir.NewModule("sites")
+	bd := ir.NewBuilder(mod.NewFunc("main", ir.I64))
+	site := func(name string, h ir.HeapKind) (*ir.Instr, profiling.Object) {
+		in := bd.HAlloc(name, bd.I(8), h)
+		return in, profiling.Object{Site: in}
+	}
+	inA, objA := site("a", ir.HeapRedux)
+	inB, objB := site("b", ir.HeapRedux)
+	inC, objC := site("c", ir.HeapRedux)
+	inP, objP := site("p", ir.HeapPrivate)
+	inU, _ := site("u", ir.HeapPrivate)
+	inR, objR := site("r", ir.HeapReadOnly)
 	rt := New(mod, Config{})
-	objA := profiling.Object{Global: mod.NewGlobal("a", 24)}
-	objB := profiling.Object{Global: mod.NewGlobal("b", 16)}
-	objC := profiling.Object{Global: mod.NewGlobal("c", 4)}
 	a := ir.HeapRedux.Base() + vm.PageSize
 	b := a + 64
 	c := b + 64
-	rt.registerRedux(a, 8, objA)
-	rt.registerRedux(b, 16, objB)
-	if rt.reduxCount() != 2 {
-		t.Fatalf("count %d, want 2", rt.reduxCount())
+	p := ir.HeapPrivate.Base() + vm.PageSize
+	u := p + 64
+	r := ir.HeapReadOnly.Base() + vm.PageSize
+	rt.onAlloc(nil, inA, a, 8)
+	rt.onAlloc(nil, inB, b, 16)
+	if n := rt.live.Len(); n != 2 {
+		t.Fatalf("count %d, want 2", n)
 	}
 	// Same address again: replaced, not duplicated.
-	rt.registerRedux(a, 24, objA)
-	if rt.reduxCount() != 2 {
-		t.Fatalf("count after re-register %d, want 2", rt.reduxCount())
+	rt.onAlloc(nil, inA, a, 24)
+	if n := rt.live.Len(); n != 2 {
+		t.Fatalf("count after re-allocation %d, want 2", n)
 	}
-	// A live object the region does not reduce stays out of its snapshot.
-	rt.registerRedux(c, 4, objC)
+	// Live objects the region does not reduce or prove stay out of its
+	// snapshot: c (reduced only by another region) and u (no proof).
+	rt.onAlloc(nil, inC, c, 4)
+	rt.onAlloc(nil, inR, r, 16)
+	rt.onAlloc(nil, inU, u, 8)
+	rt.onAlloc(nil, inP, p, 32)
 	ri := &RegionInfo{Assign: &classify.Assignment{
 		ReduxOps:   map[profiling.Object]ir.ReduxKind{objA: ir.ReduxAddI64, objB: ir.ReduxMaxI64},
 		ReduxSizes: map[profiling.Object]int64{objA: 4, objB: 8},
+		Sep: &analysis.SepResult{
+			Proven:        map[profiling.Object]analysis.ProofRule{objP: analysis.RuleCoveredWrite, objR: analysis.RuleReadOnly},
+			FullOverwrite: map[profiling.Object]bool{objP: true},
+		},
 	}}
-	snap := rt.reduxSnapshot(ri)
-	if len(snap) != 2 || snap[0].addr != a || snap[1].addr != b {
-		t.Fatalf("snapshot not the region's objects in address order: %+v", snap)
+	redux, priv, ro := rt.snapshot(ri)
+	if len(redux) != 2 || redux[0].addr != a || redux[1].addr != b {
+		t.Fatalf("snapshot not the region's objects in address order: %+v", redux)
 	}
-	if snap[0].size != 24 {
-		t.Errorf("re-registration kept stale size %d, want 24", snap[0].size)
+	if redux[0].size != 24 {
+		t.Errorf("re-allocation kept stale size %d, want 24", redux[0].size)
 	}
-	if snap[0].op != ir.ReduxAddI64 || snap[0].elemSize != 4 || snap[1].op != ir.ReduxMaxI64 || snap[1].elemSize != 8 {
-		t.Errorf("snapshot does not carry the region's operator and element size: %+v", snap)
+	if redux[0].op != ir.ReduxAddI64 || redux[0].elemSize != 4 || redux[1].op != ir.ReduxMaxI64 || redux[1].elemSize != 8 {
+		t.Errorf("snapshot does not carry the region's operator and element size: %+v", redux)
+	}
+	if want := []provenRange{{addr: p, size: 32}}; !slices.Equal(priv, want) {
+		t.Errorf("privatized ranges %+v, want %+v (the unproven object left out)", priv, want)
+	}
+	if want := []provenRange{{addr: r, size: 16}}; !slices.Equal(ro, want) {
+		t.Errorf("read-only ranges %+v, want %+v", ro, want)
 	}
 	other := &RegionInfo{Assign: &classify.Assignment{
 		ReduxOps:   map[profiling.Object]ir.ReduxKind{objC: ir.ReduxAddI64},
 		ReduxSizes: map[profiling.Object]int64{objC: 4},
 	}}
-	if snap := rt.reduxSnapshot(other); len(snap) != 1 || snap[0].addr != c || snap[0].elemSize != 4 {
-		t.Fatalf("second region's snapshot: %+v, want only the 4-byte object", snap)
+	if redux, priv, ro := rt.snapshot(other); len(redux) != 1 || redux[0].addr != c || redux[0].elemSize != 4 || len(priv)+len(ro) != 0 {
+		t.Fatalf("second region's snapshot: %+v %+v %+v, want only the 4-byte object", redux, priv, ro)
 	}
-	rt.deregisterRedux(a)
-	if rt.reduxCount() != 2 {
-		t.Fatalf("count after deregister %d, want 2", rt.reduxCount())
+	if got := rt.siteFor(a + 4); got != objA.String() {
+		t.Errorf("siteFor inside a: %q, want %q", got, objA.String())
 	}
-	if snap := rt.reduxSnapshot(ri); len(snap) != 1 || snap[0].addr != b {
-		t.Fatalf("wrong survivor: %+v", snap)
+	rt.onFree(nil, nil, a)
+	if n := rt.live.Len(); n != 5 {
+		t.Fatalf("count after free %d, want 5", n)
+	}
+	if redux, _, _ := rt.snapshot(ri); len(redux) != 1 || redux[0].addr != b {
+		t.Fatalf("wrong survivor: %+v", redux)
+	}
+	if got := rt.siteFor(a + 4); got != "redux:?" {
+		t.Errorf("siteFor inside freed a: %q, want %q", got, "redux:?")
 	}
 }
 
@@ -198,12 +234,19 @@ func TestReduxFreeReallocRoundTrip(t *testing.T) {
 	if rt.Stats.Misspecs != 0 {
 		t.Errorf("unexpected misspecs %d", rt.Stats.Misspecs)
 	}
-	if rt.reduxCount() != 1 {
-		t.Fatalf("registry holds %d objects after free+realloc, want 1", rt.reduxCount())
+	var live []profiling.Object
+	rt.live.Each(func(lo, hi uint64, obj profiling.Object) bool {
+		if ir.HeapOf(lo) == ir.HeapRedux {
+			live = append(live, obj)
+		}
+		return true
+	})
+	if want := []profiling.Object{{Site: site2}}; !slices.Equal(live, want) {
+		t.Fatalf("registry holds reduction objects %v after free+realloc, want %v", live, want)
 	}
-	if snap := rt.reduxSnapshot(ri); snap[0].op != ir.ReduxMinI64 {
-		t.Errorf("the reallocated object snapshots with operator %v, want %v",
-			snap[0].op, ir.ReduxMinI64)
+	if redux, _, _ := rt.snapshot(ri); len(redux) != 1 || redux[0].op != ir.ReduxMinI64 {
+		t.Errorf("the reallocated object snapshots as %+v, want one object with operator %v",
+			redux, ir.ReduxMinI64)
 	}
 }
 

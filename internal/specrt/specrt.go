@@ -1,7 +1,6 @@
 package specrt
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -168,7 +167,7 @@ func (s *Stats) addWorker(o *Stats) {
 // Record is what an RT's runs counted. No counter is atomic: the master
 // counts its own events, each worker counts into private totals that
 // retire adds in once its span's fleet has joined (workers bump only the
-// SepAudit count, under sepViolMu), and Run settles VM, Sites, SepAudit and
+// SepAudit count, under reportMu), and Run settles VM, Sites, SepAudit and
 // Sim.SeqSteps on every exit. Every field adds up over the Runs of one RT;
 // read it after Run returns.
 type Record struct {
@@ -212,39 +211,21 @@ type RT struct {
 	// space; built by the first sequentialRange of a run and reused after.
 	recov *interp.Interp
 
-	reduxMu sync.Mutex
-	// reduxObjs tracks live reduction objects keyed by base address, so
-	// registration is O(1) and a free can remove its entry (a stale entry
-	// would make every later worker write identity bytes into dead or
-	// reallocated memory).
-	reduxObjs map[uint64]liveObj
+	// liveMu guards live, the master's live objects (globals, and the
+	// allocations of the master and of recovery) keyed by address range:
+	// what a span snapshots (see snapshot) and what a faulting address is
+	// attributed to (see siteFor). Run restarts it from the globals;
+	// worker-local allocations are scratch state and are not tracked.
+	liveMu sync.Mutex
+	live   intervalmap.Map[profiling.Object]
 
-	// sepMu guards sepObjs, the live statically-proven objects keyed by
-	// base address: private-heap objects some region statically privatized
-	// (their final ranges install wholesale, since their accesses carry no
-	// shadow marks) and read-only-heap objects with a static proof (the
-	// SepAudit oracle watches them). Registration mirrors reduxObjs:
-	// globals at Run, dynamic sites via onAlloc/onFree.
-	sepMu   sync.Mutex
-	sepObjs map[uint64]liveObj
-
-	// sepViolMu guards sepViols, the (bounded) detail list Run copies into
-	// Record.SepAudit, and Stats.SepAuditViolations, which workers bump.
-	sepViolMu sync.Mutex
-	sepViols  []string
-
-	// siteMu guards siteMap, the live allocation-site map: master-side
-	// allocations (and globals) keyed by address range, so a faulting
-	// address can be attributed to the object that owns it (named only
-	// then, by siteFor). Worker-local allocations are scratch state and are
-	// not tracked.
-	siteMu  sync.Mutex
-	siteMap *intervalmap.Map[profiling.Object]
-
-	// missMu guards missTable, the per-site misspeculation aggregate Run
-	// renders into Record.Sites.
-	missMu    sync.Mutex
+	// reportMu guards what workers report: missTable, the per-site
+	// misspeculation aggregate Run renders into Record.Sites, and the
+	// SepAudit violations (Stats.SepAuditViolations, and sepViols, the
+	// bounded detail list Run copies into Record.SepAudit).
+	reportMu  sync.Mutex
 	missTable map[misspecKey]int64
+	sepViols  []string
 
 	// ownBufs is the checkpoint-buffer free list when Cfg.Pool is nil.
 	ownBufs bufFree
@@ -282,9 +263,6 @@ func New(mod *ir.Module, cfg Config, regions ...*RegionInfo) *RT {
 	rt := &RT{
 		Cfg: cfg, Mod: mod,
 		regions:   map[*ir.Function]*RegionInfo{},
-		reduxObjs: map[uint64]liveObj{},
-		sepObjs:   map[uint64]liveObj{},
-		siteMap:   &intervalmap.Map[profiling.Object]{},
 		missTable: map[misspecKey]int64{},
 	}
 	for _, r := range regions {
@@ -315,27 +293,24 @@ func (rt *RT) writeOut(text string) {
 // finished run only until the pool hands the slot to another run.
 func (rt *RT) Master() *interp.Interp { return rt.master }
 
-// onAlloc tracks reduction objects allocated dynamically into the redux
-// heap so worker heaps can be initialized to identity and merged, and
-// records the allocation site for misspeculation attribution.
+// onAlloc registers a master-side allocation as a live object: a span
+// snapshots it (worker heaps initialize reduction objects to identity and
+// merge them, and install statically-privatized ranges wholesale), and a
+// faulting address inside it is attributed to its site.
 func (rt *RT) onAlloc(fr *interp.Frame, in *ir.Instr, addr, size uint64) {
-	if ir.HeapOf(addr) == ir.HeapRedux && in != nil {
-		rt.registerRedux(addr, int64(size), profiling.Object{Site: in})
-	}
 	if in != nil {
-		rt.sepRegister(addr, int64(size), profiling.Object{Site: in})
-		rt.trackSite(addr, size, profiling.Object{Site: in})
+		rt.liveMu.Lock()
+		rt.live.Insert(addr, addr+size, profiling.Object{Site: in})
+		rt.liveMu.Unlock()
 	}
 }
 
-// onFree removes a freed reduction object from the registry: its address
-// may be dead, or about to be reused by an unrelated allocation.
+// onFree drops a freed object from the registry: its address may be dead,
+// or about to be reused by an unrelated allocation.
 func (rt *RT) onFree(fr *interp.Frame, in *ir.Instr, addr uint64) {
-	if ir.HeapOf(addr) == ir.HeapRedux {
-		rt.deregisterRedux(addr)
-	}
-	rt.sepDeregister(addr)
-	rt.untrackSite(addr)
+	rt.liveMu.Lock()
+	rt.live.Remove(addr)
+	rt.liveMu.Unlock()
 }
 
 // newMaster returns the run's main-process interpreter over an empty space
@@ -388,10 +363,10 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 	defer func() {
 		rt.Sim.SeqSteps += master.Steps
 		rt.VM.Add(master.AS.Stats)
+		rt.reportMu.Lock()
 		rt.Sites = rt.misspecSites()
-		rt.sepViolMu.Lock()
 		rt.SepAudit = append([]string(nil), rt.sepViols...)
-		rt.sepViolMu.Unlock()
+		rt.reportMu.Unlock()
 		if pool := rt.Cfg.Pool; pool != nil && rt.Cfg.Program != nil {
 			pool.put(rt.Cfg.Program, &warmSlot{as: master.AS, it: master})
 		}
@@ -399,121 +374,52 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 	if err := master.LayOutGlobals(); err != nil {
 		return 0, err
 	}
-	// Register global reduction objects, and every global's address range
-	// for misspeculation attribution.
+	// The registry restarts from this run's globals.
+	rt.liveMu.Lock()
+	rt.live = intervalmap.Map[profiling.Object]{}
 	for _, name := range rt.Mod.GlobalNames() {
 		g := rt.Mod.Globals[name]
-		if g.Heap == ir.HeapRedux {
-			rt.registerRedux(master.GlobalAddr(g), g.Size, profiling.Object{Global: g})
-		}
-		rt.sepRegister(master.GlobalAddr(g), g.Size, profiling.Object{Global: g})
-		rt.trackSite(master.GlobalAddr(g), uint64(g.Size), profiling.Object{Global: g})
+		addr := master.GlobalAddr(g)
+		rt.live.Insert(addr, addr+uint64(g.Size), profiling.Object{Global: g})
 	}
+	rt.liveMu.Unlock()
 	return master.Run(args...)
 }
 
-// registerRedux records a live reduction-heap object. Re-registering an
-// address (a reallocation after a free) replaces the entry.
-func (rt *RT) registerRedux(addr uint64, size int64, obj profiling.Object) {
-	rt.reduxMu.Lock()
-	rt.reduxObjs[addr] = liveObj{obj: obj, addr: addr, size: size}
-	rt.reduxMu.Unlock()
-}
-
-// deregisterRedux drops the reduction object at addr, if registered.
-func (rt *RT) deregisterRedux(addr uint64) {
-	rt.reduxMu.Lock()
-	delete(rt.reduxObjs, addr)
-	rt.reduxMu.Unlock()
-}
-
-// reduxSnapshot returns the live reduction objects ri reduces, in address
-// order, each with the operator and element size ri's assignment gives it:
-// one consistent, deterministic view per speculative span. Two regions may
-// reduce one object with different operators, so the operator is the
-// invoked region's, never the registry's. An object ri does not reduce is
-// left out, as sepSnapshot leaves out what ri does not privatize: the span
-// neither writes nor folds it, so it needs no identity and no merge.
-//
-// The snapshot lives in a buffer the next call reuses.
-func (rt *RT) reduxSnapshot(ri *RegionInfo) []reduxObj {
-	rt.reduxMu.Lock()
-	out := rt.reduxBuf[:0]
-	for _, lo := range rt.reduxObjs {
-		k := ri.Assign.ReduxOps[lo.obj]
-		if k == ir.ReduxNone {
-			continue
+// snapshot returns, for one region, the live objects a span acts on, each
+// list in address order: the reduction objects ri reduces, with ri's
+// operator and element size (two regions may reduce one object with
+// different operators), the statically-privatized ranges (whose content
+// installs wholesale per interval) and the proven read-only ranges (the
+// SepAudit oracle watches them). An object's heap, read off its address,
+// picks its list; an object ri neither reduces nor proves is left out, as
+// the span neither identity-initializes, merges nor installs it. The lists
+// live in buffers the next call reuses.
+func (rt *RT) snapshot(ri *RegionInfo) (redux []reduxObj, priv, ro []provenRange) {
+	a := ri.Assign
+	redux, priv, ro = rt.reduxBuf[:0], rt.provenBuf[:0], rt.provenROBuf[:0]
+	rt.liveMu.Lock()
+	rt.live.Each(func(lo, hi uint64, obj profiling.Object) bool {
+		size := int64(hi - lo)
+		switch ir.HeapOf(lo) {
+		case ir.HeapRedux:
+			if k := a.ReduxOps[obj]; k != ir.ReduxNone {
+				redux = append(redux, reduxObj{addr: lo, size: size, elemSize: a.ReduxSizes[obj], op: k})
+			}
+		case ir.HeapPrivate:
+			if a.Sep.StaticallyPrivatized(obj) {
+				priv = append(priv, provenRange{addr: lo, size: size})
+			}
+		case ir.HeapReadOnly:
+			if a.Sep.ProvenFor(obj, ir.HeapReadOnly) {
+				ro = append(ro, provenRange{addr: lo, size: size})
+			}
 		}
-		out = append(out, reduxObj{addr: lo.addr, size: lo.size, elemSize: ri.Assign.ReduxSizes[lo.obj], op: k})
-	}
-	rt.reduxMu.Unlock()
-	slices.SortFunc(out, func(a, b reduxObj) int { return cmp.Compare(a.addr, b.addr) })
-	rt.reduxBuf = out
-	return out
-}
-
-// reduxCount returns the number of registered reduction objects (tests).
-func (rt *RT) reduxCount() int {
-	rt.reduxMu.Lock()
-	defer rt.reduxMu.Unlock()
-	return len(rt.reduxObjs)
-}
-
-// sepRegister records a private- or read-only-heap object at addr when
-// some region carries a static proof the runtime acts on: a statically-
-// privatized private object (wholesale range install replaces its
-// dropped privacy marks) or a proven read-only object (watched by the
-// SepAudit oracle, and grounds for skipping the worker-side write
-// protection). Re-registering an address replaces the entry.
-func (rt *RT) sepRegister(addr uint64, size int64, obj profiling.Object) {
-	h := ir.HeapOf(addr)
-	if h != ir.HeapPrivate && h != ir.HeapReadOnly {
-		return
-	}
-	used := false
-	for _, ri := range rt.regions {
-		if ri.Assign.Sep.StaticallyPrivatized(obj) || ri.Assign.Sep.ProvenFor(obj, ir.HeapReadOnly) {
-			used = true
-			break
-		}
-	}
-	if !used {
-		return
-	}
-	rt.sepMu.Lock()
-	rt.sepObjs[addr] = liveObj{obj: obj, addr: addr, size: size}
-	rt.sepMu.Unlock()
-}
-
-// sepDeregister drops the proven object at addr, if registered.
-func (rt *RT) sepDeregister(addr uint64) {
-	rt.sepMu.Lock()
-	delete(rt.sepObjs, addr)
-	rt.sepMu.Unlock()
-}
-
-// sepSnapshot returns, for one region, the live statically-privatized
-// ranges (whose content installs wholesale per interval) and the proven
-// read-only ranges (consumed by the SepAudit oracle), each in address
-// order: one consistent view per speculative span, in buffers the next call
-// reuses.
-func (rt *RT) sepSnapshot(ri *RegionInfo) (priv, ro []provenRange) {
-	priv, ro = rt.provenBuf[:0], rt.provenROBuf[:0]
-	rt.sepMu.Lock()
-	for _, so := range rt.sepObjs {
-		switch {
-		case ir.HeapOf(so.addr) == ir.HeapPrivate && ri.Assign.Sep.StaticallyPrivatized(so.obj):
-			priv = append(priv, provenRange{addr: so.addr, size: so.size})
-		case ir.HeapOf(so.addr) == ir.HeapReadOnly && ri.Assign.Sep.ProvenFor(so.obj, ir.HeapReadOnly):
-			ro = append(ro, provenRange{addr: so.addr, size: so.size})
-		}
-	}
-	rt.sepMu.Unlock()
-	byAddr := func(a, b provenRange) int { return cmp.Compare(a.addr, b.addr) }
-	slices.SortFunc(priv, byAddr)
-	slices.SortFunc(ro, byAddr)
-	rt.provenBuf, rt.provenROBuf = priv, ro
-	return priv, ro
+		return true
+	})
+	rt.liveMu.Unlock()
+	rt.reduxBuf, rt.provenBuf, rt.provenROBuf = redux, priv, ro
+	return redux, priv, ro
 }
 
 // roProtSkippable reports whether worker spaces for ri may skip write-
@@ -538,14 +444,14 @@ func (rt *RT) roProtSkippable(ri *RegionInfo) bool {
 
 // noteSepViolation records one SepAudit oracle violation: counted in
 // Stats, detailed (bounded) in sepViols. Workers call it, so both move
-// under sepViolMu.
+// under reportMu.
 func (rt *RT) noteSepViolation(detail string) {
-	rt.sepViolMu.Lock()
+	rt.reportMu.Lock()
 	rt.Stats.SepAuditViolations++
 	if len(rt.sepViols) < 64 {
 		rt.sepViols = append(rt.sepViols, detail)
 	}
-	rt.sepViolMu.Unlock()
+	rt.reportMu.Unlock()
 }
 
 // checkpointPeriod picks k for an invocation of total iterations: the
@@ -634,9 +540,8 @@ func (rt *RT) speculate(ri *RegionInfo, live []uint64, start, end, k, inv int64)
 	tr := rt.Cfg.Trace
 	span := &rt.span
 	*span = spanState{rt: rt, ri: ri, live: live, start: start, hi: end, k: k, inv: inv,
-		misspecIter: -1, redux: rt.reduxSnapshot(ri), roProtSkip: rt.roProtSkippable(ri),
-		checkpoints: span.checkpoints[:0]}
-	span.proven, span.provenRO = rt.sepSnapshot(ri)
+		misspecIter: -1, roProtSkip: rt.roProtSkippable(ri), checkpoints: span.checkpoints[:0]}
+	span.redux, span.proven, span.provenRO = rt.snapshot(ri)
 	defer span.recycle()
 	tr.Instant(obs.Event{Kind: obs.KSpanStart,
 		Invocation: inv, Worker: -1, Iter: -1, A: start, B: k})
@@ -750,8 +655,8 @@ func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64) err
 			rt.writeOut(text)
 			return true
 		}
-		// Recovery mutates master state directly, so the redux registry
-		// must track allocations and frees it performs.
+		// Recovery mutates master state directly, so the registry must
+		// track the allocations and frees it performs.
 		it.Hooks.OnAlloc = rt.onAlloc
 		it.Hooks.OnFree = rt.onFree
 		// No Speculator: the privacy marks are skipped. check_heap,
