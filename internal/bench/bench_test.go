@@ -54,9 +54,8 @@ func TestUnknownInputClassRejected(t *testing.T) {
 
 // TestQuickReportGolden pins the rendered report — Suite.All on QuickConfig
 // up to Figure 9 — to testdata/quick_report.golden. The package holds no
-// clock, so the text is the same on every host, at every GOMAXPROCS, under
-// the race detector and under -tags=slowpath (the CI slowpath lane compares
-// against the same file). Figure 9 is excluded: which iterations an
+// clock, so the text is the same on every host, at every GOMAXPROCS and
+// under the race detector. Figure 9 is excluded: which iterations an
 // injected misspeculation squashes depends on worker scheduling, so its
 // nonzero-rate columns move run to run (EXPERIMENTS.md, "Figure 9");
 // TestFig9Degrades asserts its shape instead. Regenerate for an intended

@@ -85,10 +85,7 @@ func TestVariantTable(t *testing.T) {
 // TestElisionParity is the differential parity gate for the postprocess
 // pass: for every benchmark program the elided/promoted build must
 // reproduce the unelided build byte for byte — same return value, same
-// printed output — while executing no more dynamic privacy checks. The
-// test compiles under both dispatch modes; the slowpath CI lane runs it
-// with -tags=slowpath, so the tree-walk reference executor arbitrates the
-// comparison there.
+// printed output — while executing no more dynamic privacy checks.
 func TestElisionParity(t *testing.T) {
 	elision := variants["elision"]
 	for _, p := range progs.All() {

@@ -103,17 +103,16 @@ type dinstr struct {
 	n   int32
 	dst int32
 	// a, b, c are the first three operand slots (most ops use at most
-	// three; wider ops read through in.Args on the fallback path).
+	// three; calls and prints read theirs through in.Args).
 	a, b, c int32
 	// t0, t1 are decoded branch-target pcs for terminators (t0 also serves
-	// OpBr; t0/t1 are the true/false targets of OpCondBr).
+	// OpBr; t0/t1 are the true/false targets of OpCondBr). On any other
+	// entry t0 is the entry's own pc in its function's code, which a copy in
+	// a stop run keeps (see stopRun).
 	t0, t1 int32
 	// e0, e1 index the function's φ-edge copy lists for the corresponding
 	// branch targets; -1 when the target block has no φs.
 	e0, e1 int32
-	// size is the access width (loads, stores, privacy checks) or alloca
-	// size. An instruction whose size does not fit is decoded as opRef.
-	size int32
 	// rest is the summed weight of the entries after this one (after its
 	// fused sequence, on a fused opcode) up to its block's first terminator:
 	// 0 on a terminator. The executor charges a block its first entry's
@@ -121,8 +120,9 @@ type dinstr struct {
 	// the charged count less rest.
 	rest int32
 	// cnst is the literal of an OpConst/OpFConst, the global slot of an
-	// OpGlobal that stayed in the code array and the builtinIndex of an
-	// OpBuiltin.
+	// OpGlobal that stayed in the code array, the builtinIndex of an
+	// OpBuiltin and the size (in.Size) of a load, store, alloca or privacy
+	// check.
 	cnst uint64
 	// in is the original instruction, for hooks, errors and wide operand
 	// lists.
@@ -267,10 +267,10 @@ func hoistable(fn *ir.Function) []uint8 {
 	return marks
 }
 
-// Fused opcodes, private to the decoded executor: ir.NumOps, the printer and
-// the tree-walking executor do not know them. opRef is not fused: it marks
-// an instruction whose access size does not fit dinstr.size, which executes
-// through the reference implementation (execInstr) instead.
+// Opcodes private to the decoded executor: ir.NumOps, the printer and the
+// tree-walking executor do not know them. The fused ones are listed in
+// fusions; opUnterminated is the guard entry that ends a block without a
+// terminator, and opStop ends a stop run (see stopRun).
 const (
 	opMulAdd ir.Op = ir.Op(ir.NumOps) + iota
 	opMulAddLoad
@@ -279,7 +279,8 @@ const (
 	opAddBr
 	opMulAddMulAddLoad
 	opFMulFAdd
-	opRef
+	opUnterminated
+	opStop
 )
 
 // fusions lists the fused opcodes with the adjacent sequence each stands
@@ -408,14 +409,12 @@ func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 				continue
 			}
 			di := dinstr{op: in.Op, n: n, dst: int32(in.ValueID()), a: noSlot, b: noSlot, c: noSlot,
-				e0: -1, e1: -1, size: int32(in.Size), cnst: in.Const, in: in}
+				t0: int32(len(df.code)), e0: -1, e1: -1, cnst: in.Const, in: in}
 			n = 1
 			switch in.Op {
 			case ir.OpLoad, ir.OpStore, ir.OpAlloca, ir.OpPrivateRead, ir.OpPrivateWrite,
 				ir.OpPrivateReadSpan, ir.OpPrivateWriteSpan:
-				if int64(di.size) != in.Size {
-					di.op = opRef
-				}
+				di.cnst = uint64(in.Size)
 			}
 			switch in.Op {
 			case ir.OpBr:
@@ -433,10 +432,10 @@ func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 				di.cnst = builtinIndex(in.Builtin)
 			case ir.OpPhi:
 				// A φ below a non-φ instruction: the executor rejects it
-				// at runtime via the fallback path.
+				// at runtime.
 			default:
 				// Pre-resolve up to three operands; wider instructions
-				// (calls, prints, memset/memcopy) read through in.Args.
+				// (calls, prints) read through in.Args.
 				if len(in.Args) > 0 {
 					di.a = int32(in.Args[0].ValueID())
 				}
@@ -452,8 +451,8 @@ func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 		if b.Terminator() == nil {
 			// Unterminated block (invalid IR): stop with an error instead
 			// of falling through into the next block's code.
-			df.code = append(df.code, dinstr{op: ir.OpInvalid, n: n, dst: noSlot,
-				a: noSlot, b: noSlot, c: noSlot, e0: -1, e1: -1})
+			df.code = append(df.code, dinstr{op: opUnterminated, n: n, dst: noSlot,
+				a: noSlot, b: noSlot, c: noSlot, t0: int32(len(df.code)), e0: -1, e1: -1})
 		}
 		run := df.code[start:]
 		for i, rest := len(run)-1, int32(0); i >= 0; i-- {

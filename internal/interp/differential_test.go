@@ -24,8 +24,7 @@ func TestDecodedMatchesTreeWalk(t *testing.T) {
 			fast := interp.New(mod, vm.NewAddressSpace())
 			fastRet, fastErr := fast.Run(iters)
 
-			slow := interp.New(randprog.Generate(cfg), vm.NewAddressSpace())
-			slow.SetTreeWalk(true)
+			slow := interp.NewReference(randprog.Generate(cfg), vm.NewAddressSpace())
 			slowRet, slowErr := slow.Run(iters)
 
 			if (fastErr == nil) != (slowErr == nil) {
@@ -58,8 +57,7 @@ func TestDecodedStepLimitParity(t *testing.T) {
 		fast.StepLimit = limit
 		_, fastErr := fast.Run(iters)
 
-		slow := interp.New(randprog.Generate(cfg), vm.NewAddressSpace())
-		slow.SetTreeWalk(true)
+		slow := interp.NewReference(randprog.Generate(cfg), vm.NewAddressSpace())
 		slow.StepLimit = limit
 		_, slowErr := slow.Run(iters)
 

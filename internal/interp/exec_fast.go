@@ -2,7 +2,7 @@ package interp
 
 import (
 	"fmt"
-	"slices"
+	"strings"
 
 	"privateer/internal/ir"
 )
@@ -73,33 +73,28 @@ func runEdge(vals []uint64, e *phiEdge) {
 	}
 }
 
-// execDecoded runs fr's activation over the decoded code array. It is
-// observably identical to exec (the tree-walking reference executor):
-// same step counts, same hook sequence, same errors, same output. Operand
-// slots index fr.vals directly; the hoisted constants and global addresses
-// are in their slots since frame setup. Steps are charged per block, not per
-// dispatch: entering a block (at function entry and on every taken branch)
-// adds its whole weight to steps and compares once against the budget, so
-// while entry di runs the exact count is steps - di.rest, and that is what
-// every hook, Speculator call, call, fallback, error and return stores in
-// Interp.Steps. A call or fallback may move Steps; after one, steps is
-// reloaded and compared again. A block whose charge would pass the budget,
-// or the rest of one after a call that returns past it, finishes on exec,
-// which stops one past the limit exactly where it always has.
-func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
-	if df.entryPhi != nil {
-		return 0, phiEdgeError(fr, df.entryPhi, nil)
-	}
-	code := df.code
+// execDecoded runs fr's activation over code, df.code or a stop run of it
+// (see stopRun), from pc, with steps the count charged through the end of
+// pc's block. It is observably identical to exec (the tree-walking
+// reference executor): same step counts, same hook sequence, same errors,
+// same output. Operand slots index fr.vals directly; the hoisted constants
+// and global addresses are in their slots since frame setup. Steps are
+// charged per block, not per dispatch: entering a block (at function entry
+// and on every taken branch) adds its whole weight to steps and compares
+// once against the budget, so while entry di runs the exact count is steps -
+// di.rest, and that is what every hook, Speculator call, call, error and
+// return stores in Interp.Steps. A call may move Steps; after one, steps is
+// reloaded and compared again. A block whose charge passes the budget, or
+// the rest of one after a call that returns past it, runs on a stop run,
+// which ends where the budget runs out, in a nested execDecoded, so code
+// stays fixed for the whole loop.
+func (it *Interp) execDecoded(fr *Frame, df *decodedFunc, code []dinstr, pc int32, steps int64) (uint64, error) {
 	vals := fr.vals
 	hooks := &it.Hooks
 	mask := it.hookMask
 	limit := it.stepLimit()
-	steps := it.Steps + code[0].charge()
-	if steps > limit {
-		return it.exec(fr, fr.Fn.Entry(), 0)
-	}
-	pc := int32(0)
+	var at int32
+dispatch:
 	for {
 		di := &code[pc]
 		switch di.op {
@@ -229,7 +224,7 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			fallthrough
 		case ir.OpLoad:
 			addr := vals[di.a]
-			v, err := it.AS.Read(addr, int64(di.size))
+			v, err := it.AS.Read(addr, int64(di.cnst))
 			if err != nil {
 				it.Steps = steps - int64(di.rest)
 				return 0, err
@@ -237,17 +232,17 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			vals[di.dst] = v
 			if mask&hLoad != 0 {
 				it.Steps = steps - int64(di.rest)
-				hooks.OnLoad(fr, di.in, addr, int64(di.size))
+				hooks.OnLoad(fr, di.in, addr, int64(di.cnst))
 			}
 		case ir.OpStore:
 			addr := vals[di.b]
-			if err := it.AS.Write(addr, int64(di.size), vals[di.a]); err != nil {
+			if err := it.AS.Write(addr, int64(di.cnst), vals[di.a]); err != nil {
 				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
 			if mask&hStore != 0 {
 				it.Steps = steps - int64(di.rest)
-				hooks.OnStore(fr, di.in, addr, int64(di.size))
+				hooks.OnStore(fr, di.in, addr, int64(di.cnst))
 			}
 		// A terminator's rest is 0: ret, br and condbr store steps as it is.
 		case ir.OpRet:
@@ -276,7 +271,8 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			}
 			pc = di.t0
 			if steps += code[pc].charge(); steps > limit {
-				return it.finishBlock(fr, steps-code[pc].charge(), di.in.Targets[0])
+				at = pc
+				break dispatch
 			}
 			continue
 		case opSLtCondBr:
@@ -304,11 +300,12 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			}
 			pc = to
 			if steps += code[pc].charge(); steps > limit {
-				return it.finishBlock(fr, steps-code[pc].charge(), di.in.Targets[b2w(!taken)])
+				at = pc
+				break dispatch
 			}
 			continue
 		case ir.OpAlloca:
-			addr, err := it.AS.Alloc(ir.HeapSystem, uint64(di.size))
+			addr, err := it.AS.Alloc(ir.HeapSystem, di.cnst)
 			if err != nil {
 				it.Steps = steps - int64(di.rest)
 				return 0, err
@@ -317,7 +314,7 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			vals[di.dst] = addr
 			if mask&hAlloc != 0 {
 				it.Steps = steps - int64(di.rest)
-				hooks.OnAlloc(fr, di.in, addr, uint64(di.size))
+				hooks.OnAlloc(fr, di.in, addr, di.cnst)
 			}
 		case ir.OpMalloc:
 			size := vals[di.a]
@@ -363,7 +360,8 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			}
 			vals[di.dst] = v
 			if steps = it.Steps + int64(di.rest); steps > limit {
-				return it.finishAfter(fr, di.in)
+				at = di.t0 + 1
+				break dispatch
 			}
 		case ir.OpBuiltin:
 			v, err := it.builtin(di.cnst, di.in, fr)
@@ -384,7 +382,7 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 		case ir.OpPrivateRead, ir.OpPrivateWrite:
 			if it.Spec != nil {
 				it.Steps = steps - int64(di.rest)
-				if err := it.Spec.Private(di.in, vals[di.a], 1, int64(di.size), int64(di.size),
+				if err := it.Spec.Private(di.in, vals[di.a], 1, int64(di.cnst), int64(di.cnst),
 					di.op == ir.OpPrivateWrite); err != nil {
 					return 0, err
 				}
@@ -393,7 +391,7 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 			if it.Spec != nil {
 				it.Steps = steps - int64(di.rest)
 				if err := it.Spec.Private(di.in, vals[di.a], int64(vals[di.b]), int64(vals[di.c]),
-					int64(di.size), di.op == ir.OpPrivateWriteSpan); err != nil {
+					int64(di.cnst), di.op == ir.OpPrivateWriteSpan); err != nil {
 					return 0, err
 				}
 			}
@@ -413,36 +411,109 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc) (uint64, error) {
 				it.Steps = steps - int64(di.rest)
 				return 0, &MisspecError{Instr: di.in, Reason: controlViolated}
 			}
-		default:
-			// Rare or wide instructions (print, memset, memcopy, stray φ,
-			// opRef) execute through the reference implementation.
-			if di.in == nil {
-				it.Steps = steps - int64(di.rest)
-				return 0, fmt.Errorf("interp: unterminated block in %s", fr.Fn.Name)
+		case ir.OpMemSet:
+			addr, n, b := vals[di.a], vals[di.b], byte(vals[di.c])
+			buf := it.scratchBytes(n)
+			for i := range buf {
+				buf[i] = b
 			}
-			it.Steps = steps - int64(di.rest)
-			if err := it.execInstr(fr, di.in); err != nil {
+			if err := it.AS.WriteBytes(addr, buf); err != nil {
+				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
-			if steps = it.Steps + int64(di.rest); steps > limit {
-				return it.finishAfter(fr, di.in)
+			if mask&hStore != 0 {
+				it.Steps = steps - int64(di.rest)
+				hooks.OnStore(fr, di.in, addr, int64(n))
 			}
+		case ir.OpMemCopy:
+			dst, src, n := vals[di.a], vals[di.b], vals[di.c]
+			buf := it.scratchBytes(n)
+			if err := it.AS.ReadBytes(src, buf); err != nil {
+				it.Steps = steps - int64(di.rest)
+				return 0, err
+			}
+			if mask&hLoad != 0 {
+				it.Steps = steps - int64(di.rest)
+				hooks.OnLoad(fr, di.in, src, int64(n))
+			}
+			if err := it.AS.WriteBytes(dst, buf); err != nil {
+				it.Steps = steps - int64(di.rest)
+				return 0, err
+			}
+			if mask&hStore != 0 {
+				it.Steps = steps - int64(di.rest)
+				hooks.OnStore(fr, di.in, dst, int64(n))
+			}
+		case ir.OpPrint:
+			text := formatPrint(di.in, fr)
+			it.Steps = steps - int64(di.rest)
+			if mask&hPrint == 0 || !hooks.OnPrint(di.in, text) {
+				if it.Out == nil {
+					it.Out = &strings.Builder{}
+				}
+				it.Out.WriteString(text)
+			}
+		case opUnterminated:
+			it.Steps = steps - int64(di.rest)
+			return 0, fmt.Errorf("interp: unterminated block in %s", fr.Fn.Name)
+		case opStop:
+			// The entry the budget runs out in: it stands for n steps, of
+			// which the first would be count + 1.
+			if count := steps - int64(di.rest); count+int64(di.n) > limit {
+				it.Steps = max(count, limit) + 1
+				return 0, stepLimitError(limit, fr)
+			}
+			// A call moved Steps back: the block goes on from the entry.
+			at = di.t0
+			break dispatch
+		default:
+			// A φ below a non-φ, or an opcode no executor knows.
+			it.Steps = steps - int64(di.rest)
+			return 0, fmt.Errorf("interp: cannot execute %s", di.in.Format())
 		}
 		pc++
 	}
+	// The block goes on from df.code[at], charged to steps: on a stop run if
+	// that passes the budget, else (a call in a stop run moved Steps back)
+	// on df.code itself.
+	if steps > limit {
+		return it.execDecoded(fr, df, stopRun(df, at, steps, limit), 0, steps)
+	}
+	return it.execDecoded(fr, df, df.code, at, steps)
 }
 
-// finishBlock runs the rest of fr's activation on exec from block b, whose
-// φs execDecoded has copied, with Steps set to steps: execDecoded hands over
-// a block whose charge would pass the budget.
-func (it *Interp) finishBlock(fr *Frame, steps int64, b *ir.Block) (uint64, error) {
-	it.Steps = steps
-	return it.exec(fr, b, leadingPhis(b))
+// stopRun returns the code that runs a block of df from its entry at,
+// df.code[at], with the block charged to steps, past limit: copies of the
+// entries before the one in which the count first passes limit, each
+// executing its own instruction (fused opcodes split into their
+// components), then an opStop entry for that one. The run holds no
+// terminator, as the block's last entry is never before the stop, so it
+// ends at the stop or, when a call in it moved Steps back under the budget,
+// goes back to df.code through the stop.
+func stopRun(df *decodedFunc, at int32, steps, limit int64) []dinstr {
+	code := df.code
+	stop := at
+	n, rest := own(code, stop)
+	for steps-int64(rest) <= limit {
+		stop++
+		n, rest = own(code, stop)
+	}
+	run := make([]dinstr, stop-at+1)
+	copy(run, code[at:stop])
+	for i := range run[:stop-at] {
+		run[i].op = run[i].in.Op
+	}
+	run[stop-at] = dinstr{op: opStop, n: n, rest: rest + n, t0: stop}
+	return run
 }
 
-// finishAfter runs the rest of fr's activation on exec from the instruction
-// after in: a call or fallback in returned with fewer steps left in the
-// budget than its block still holds.
-func (it *Interp) finishAfter(fr *Frame, in *ir.Instr) (uint64, error) {
-	return it.exec(fr, in.Blk, slices.Index(in.Blk.Instrs, in)+1)
+// own returns the weight and rest of code[pc] by itself: on a fused opcode,
+// those of its first component alone.
+func own(code []dinstr, pc int32) (n, rest int32) {
+	d := &code[pc]
+	if d.in == nil || d.op == d.in.Op {
+		return d.n, d.rest
+	}
+	next := &code[pc+1]
+	return d.n + d.rest - next.n - next.rest, next.n + next.rest
 }

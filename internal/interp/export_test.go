@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"privateer/internal/ir"
+	"privateer/internal/vm"
 )
 
 // The external tests of this package (package interp_test, which may import
@@ -11,6 +12,16 @@ import (
 
 // RaceEnabled is raceEnabled for the external tests.
 const RaceEnabled = raceEnabled
+
+// NewExecutor returns New's interpreter for mod over as, or NewReference's
+// when treeWalk is set: the tests that run one program on both executors
+// loop over treeWalk.
+func NewExecutor(treeWalk bool, mod *ir.Module, as *vm.AddressSpace) *Interp {
+	if treeWalk {
+		return NewReference(mod, as)
+	}
+	return New(mod, as)
+}
 
 // DecodedEntry is one dispatch of a decoded block: the opcode the loop
 // switches on (a fused one spelled "a+b"), the IR instructions it stands for

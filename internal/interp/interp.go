@@ -160,9 +160,8 @@ type Interp struct {
 	// Interpreters built with NewShared reuse the creator's cache, so each
 	// function decodes once per run rather than once per worker.
 	prog *Program
-	// treeWalk forces the tree-walking reference executor; the pre-decoded
-	// dispatch loop is the default. Differential tests (and -tags=slowpath
-	// builds) flip it to compare the two paths.
+	// treeWalk selects the tree-walking reference executor (NewReference)
+	// instead of the pre-decoded dispatch loop.
 	treeWalk bool
 	// hookMask is the active-hook bitmask of the current activation (see
 	// exec_fast.go); recomputed on every call so the dispatch loop tests a
@@ -192,7 +191,18 @@ func New(mod *ir.Module, as *vm.AddressSpace) *Interp {
 func NewShared(prog *Program, as *vm.AddressSpace) *Interp {
 	return &Interp{Mod: prog.Mod, AS: as, Out: &strings.Builder{},
 		globalAddrs: make([]uint64, len(prog.globalIdx)+1),
-		prog:        prog, treeWalk: !defaultDecode, decoded: map[*ir.Function]*decodedFunc{}}
+		prog:        prog, decoded: map[*ir.Function]*decodedFunc{}}
+}
+
+// NewReference returns an interpreter for mod over as that runs on the
+// tree-walking reference executor: the semantics the decoded executor is
+// held to, instruction by instruction. It executes every constant where it
+// stands, fuses nothing and charges every instruction on its own; tests
+// compare the interpreters New returns against it.
+func NewReference(mod *ir.Module, as *vm.AddressSpace) *Interp {
+	it := New(mod, as)
+	it.treeWalk = true
+	return it
 }
 
 // Program exposes the interpreter's decode cache for sharing via NewShared.
@@ -223,11 +233,6 @@ func (it *Interp) Recycle(as *vm.AddressSpace) {
 	it.hookMask = 0
 	it.stack.reset()
 }
-
-// SetTreeWalk forces (true) or releases (false) the tree-walking reference
-// executor. Differential tests use it to check the decoded dispatch path
-// against the original semantics instruction for instruction.
-func (it *Interp) SetTreeWalk(on bool) { it.treeWalk = on }
 
 // LayOutGlobals allocates every module global into its assigned heap and
 // writes initial contents. It runs automatically before the first call; the
@@ -337,11 +342,18 @@ func (it *Interp) call(fn *ir.Function, args []uint64, caller *Frame) (uint64, e
 	}
 	var ret uint64
 	var err error
-	if df == nil {
-		ret, err = it.exec(fr, fn.Entry(), 0)
-	} else {
+	switch {
+	case df == nil:
+		ret, err = it.exec(fr)
+	case df.entryPhi != nil:
+		err = phiEdgeError(fr, df.entryPhi, nil)
+	default:
 		it.hookMask = it.computeHookMask()
-		ret, err = it.execDecoded(fr, df)
+		code, steps := df.code, it.Steps+df.code[0].charge()
+		if limit := it.stepLimit(); steps > limit {
+			code = stopRun(df, 0, steps, limit)
+		}
+		ret, err = it.execDecoded(fr, df, code, 0, steps)
 	}
 	// Release stack allocations regardless of how the activation ends.
 	for _, a := range fr.allocas {
@@ -400,36 +412,32 @@ func (it *Interp) stepLimit() int64 {
 	return 1 << 40
 }
 
-// exec runs fr's activation on the tree-walking reference executor from
-// instruction at of block. A block entered at 0 starts with its φs, as every
-// block does that the walk enters itself; execDecoded resumes a walk past
-// the φs it has already copied, to finish a block its step budget cannot
-// cover. Falling off the end of an unterminated block (invalid IR) costs one
-// step, then stops the run as the decoded executor's guard entry does.
-func (it *Interp) exec(fr *Frame, block *ir.Block, at int) (uint64, error) {
+// exec runs fr's activation on the tree-walking reference executor.
+// Falling off the end of an unterminated block (invalid IR) costs one step,
+// then stops the run as the decoded executor's guard entry does.
+func (it *Interp) exec(fr *Frame) (uint64, error) {
+	block := fr.Fn.Entry()
 	var prev *ir.Block
 	limit := it.stepLimit()
 blocks:
 	for {
-		if at == 0 {
-			// Evaluate phis as a parallel copy based on the incoming edge.
-			at = leadingPhis(block)
-			if at > 0 {
-				var tmp [8]uint64
-				vals := tmp[:0]
-				for _, in := range block.Instrs[:at] {
-					v, err := it.phiValue(fr, in, prev)
-					if err != nil {
-						return 0, err
-					}
-					vals = append(vals, v)
+		// Evaluate phis as a parallel copy based on the incoming edge.
+		nPhis := leadingPhis(block)
+		if nPhis > 0 {
+			var tmp [8]uint64
+			vals := tmp[:0]
+			for _, in := range block.Instrs[:nPhis] {
+				v, err := it.phiValue(fr, in, prev)
+				if err != nil {
+					return 0, err
 				}
-				for i, in := range block.Instrs[:at] {
-					fr.vals[in.ValueID()] = vals[i]
-				}
+				vals = append(vals, v)
+			}
+			for i, in := range block.Instrs[:nPhis] {
+				fr.vals[in.ValueID()] = vals[i]
 			}
 		}
-		for _, in := range block.Instrs[at:] {
+		for _, in := range block.Instrs[nPhis:] {
 			it.Steps++
 			if it.Steps > limit {
 				return 0, stepLimitError(limit, fr)
@@ -461,7 +469,6 @@ blocks:
 				}
 				continue
 			}
-			at = 0
 			continue blocks // control transferred
 		}
 		it.Steps++

@@ -67,8 +67,7 @@ func word(h hash.Hash64, vs ...uint64) {
 func both(mod *ir.Module, prepare func(*interp.Interp), args ...uint64) (outcome, outcome) {
 	var got [2]outcome
 	for i, treeWalk := range []bool{false, true} {
-		it := interp.New(mod, vm.NewAddressSpace())
-		it.SetTreeWalk(treeWalk)
+		it := interp.NewExecutor(treeWalk, mod, vm.NewAddressSpace())
 		if prepare != nil {
 			prepare(it)
 		}
@@ -105,33 +104,78 @@ func loopWithCalls() *ir.Module {
 	return m
 }
 
-// TestStepLimitSweepParity aborts two programs at every step budget from 1
-// to their full length. A budget can run out inside a weight — on a hoisted
-// constant, or between the components of a fused opcode — and the decoded
-// executor must then stop where the tree-walk does: same error, same Steps,
-// same output, same memory.
+// movedOpcodes builds a main whose one block prints, memsets, memcopies,
+// calls tick (which movingCalls answers) and calls dbl (which runs), with
+// hoisted constants and globals between them, then prints and returns what
+// it copied.
+func movedOpcodes() *ir.Module {
+	m := ir.NewModule("moved")
+	g := m.NewGlobal("buf", 64)
+	tb := ir.NewBuilder(m.NewFunc("tick", ir.I64))
+	tb.Ret(tb.I(1))
+	dbl := m.NewFunc("dbl", ir.I64)
+	x := dbl.NewParam("x", ir.I64)
+	db := ir.NewBuilder(dbl)
+	db.Ret(db.Add(x, x))
+	b := ir.NewBuilder(m.NewFunc("main", ir.I64))
+	b.Print("start %d\n", b.I(5))
+	b.MemSet(b.Global(g), b.I(32), b.I(0x5a))
+	b.MemCopy(b.Add(b.Global(g), b.I(32)), b.Global(g), b.I(16))
+	t := b.Call(m.Funcs["tick"])
+	v := b.Call(dbl, b.Add(b.Load(b.Add(b.Global(g), b.I(40)), 8), t))
+	b.Print("%x %d\n", v, t)
+	b.Ret(v)
+	return m
+}
+
+// movingCalls installs a CallOverride that answers a call to tick itself,
+// with 7, moving Steps back by 3, and moves Steps on by 2 before any other
+// call runs: the count jumps inside a call, so a budget can run out in a
+// callee's first instruction or right after a call returns, and a block
+// whose charge passed the budget on entry can fit it after tick.
+func movingCalls(it *interp.Interp) {
+	it.Hooks.CallOverride = func(fr *interp.Frame, in *ir.Instr, callee *ir.Function, args []uint64) (uint64, bool, error) {
+		if callee.Name == "tick" {
+			it.Steps -= 3
+			return 7, true, nil
+		}
+		it.Steps += 2
+		return 0, false, nil
+	}
+}
+
+// TestStepLimitSweepParity aborts three programs at every step budget from 1
+// to one past their full length, with every hook and a recording
+// Speculator. A budget can run out inside a weight — on a hoisted constant,
+// or between the components of a fused opcode — and after each of print,
+// memset, memcopy and a call; the decoded executor must then stop where the
+// tree-walk does: same error, same Steps, same output, same memory, the same
+// hooks at the same step counts.
 func TestStepLimitSweepParity(t *testing.T) {
 	cfg := randprog.DefaultConfig(3)
 	for _, tc := range []struct {
-		mod  *ir.Module
-		args []uint64
+		mod     *ir.Module
+		prepare func(*interp.Interp)
+		args    []uint64
 	}{
-		{loopWithCalls(), nil},
-		{randprog.Generate(cfg), []uint64{uint64(cfg.Iterations)}},
+		{loopWithCalls(), nil, nil},
+		{randprog.Generate(cfg), nil, []uint64{uint64(cfg.Iterations)}},
+		{movedOpcodes(), movingCalls, nil},
 	} {
 		if err := ir.Verify(tc.mod); err != nil {
 			t.Fatal(err)
 		}
-		full, _ := both(tc.mod, nil, tc.args...)
+		full, _, _ := recordedWith(tc.mod, 0, tc.prepare, tc.args...)
 		if full.err != "" {
 			t.Fatalf("%s: %s", tc.mod.Name, full.err)
 		}
-		for limit := int64(1); limit <= full.steps; limit++ {
-			fast, slow := both(tc.mod, func(it *interp.Interp) { it.StepLimit = limit }, tc.args...)
-			if fast != slow {
-				t.Fatalf("%s, StepLimit %d:\n decoded:   %v\n tree-walk: %v", tc.mod.Name, limit, fast, slow)
+		for limit := int64(1); limit <= full.steps+1; limit++ {
+			fast, slow, sums := recordedWith(tc.mod, limit, tc.prepare, tc.args...)
+			if fast != slow || sums[0] != sums[1] {
+				t.Fatalf("%s, StepLimit %d:\n decoded:   %v hooks %#x\n tree-walk: %v hooks %#x",
+					tc.mod.Name, limit, fast, sums[0], slow, sums[1])
 			}
-			if (fast.err == "") != (limit == full.steps) {
+			if (fast.err == "") != (limit >= full.steps) {
 				t.Fatalf("%s, StepLimit %d of %d steps: err = %q", tc.mod.Name, limit, full.steps, fast.err)
 			}
 		}
@@ -257,11 +301,20 @@ func TestHookSequenceParity(t *testing.T) {
 // (0: the default), every hook and a recording Speculator, and returns
 // decoded, tree-walk and the two hook sequence digests.
 func recorded(mod *ir.Module, limit int64, args ...uint64) (outcome, outcome, [2]uint64) {
+	return recordedWith(mod, limit, nil, args...)
+}
+
+// recordedWith is recorded with prepare, if not nil, applied to each
+// interpreter after the hooks are installed.
+func recordedWith(mod *ir.Module, limit int64, prepare func(*interp.Interp), args ...uint64) (outcome, outcome, [2]uint64) {
 	var sums [2]hash.Hash64
 	i := 0
 	fast, slow := both(mod, func(it *interp.Interp) {
 		sums[i] = fnv.New64a()
 		recordHooks(it, sums[i])
+		if prepare != nil {
+			prepare(it)
+		}
 		it.StepLimit = limit
 		i++
 	}, args...)
@@ -275,7 +328,9 @@ func recorded(mod *ir.Module, limit int64, args ...uint64) (outcome, outcome, [2
 // inside the blocks around them. At every budget the two executors must
 // leave the same outcome and fire the same hooks and Speculator calls at
 // the same step counts. The inputs are small enough that the sweep stays
-// cheap: a randprog seed and dijkstra on two nodes.
+// cheap: a randprog seed and dijkstra on two nodes. The five paper programs
+// at train, parallelized, are what a speculative worker executes; they run
+// at the default budget, at exactly their length and one short of it.
 func TestParallelizedStepLimitSweepParity(t *testing.T) {
 	cfg := randprog.DefaultConfig(3)
 	rp, err := core.Parallelize(randprog.Generate(cfg), core.Options{TrainArgs: []uint64{randprog.TrainTrips(cfg)}})
@@ -310,6 +365,28 @@ func TestParallelizedStepLimitSweepParity(t *testing.T) {
 			}
 			if (fast.err == "") != (limit == full.steps) {
 				t.Fatalf("%s, StepLimit %d of %d steps: err = %q", tc.name, limit, full.steps, fast.err)
+			}
+		}
+	}
+	for _, p := range progs.All() {
+		par, err := core.Parallelize(p.Build(p.Train), core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		full, _, _ := recorded(par.Mod, 0)
+		if full.err != "" {
+			t.Fatalf("%s, parallelized: %s", p.Name, full.err)
+		}
+		sepChecks += full.sepChecks
+		predictions += full.predictions
+		for _, limit := range []int64{0, full.steps, full.steps - 1} {
+			fast, slow, sums := recorded(par.Mod, limit)
+			if fast != slow || sums[0] != sums[1] {
+				t.Fatalf("%s, parallelized, StepLimit %d:\n decoded:   %v hooks %#x\n tree-walk: %v hooks %#x",
+					p.Name, limit, fast, sums[0], slow, sums[1])
+			}
+			if (fast.err == "") != (limit != full.steps-1) {
+				t.Fatalf("%s, parallelized, StepLimit %d of %d steps: err = %q", p.Name, limit, full.steps, fast.err)
 			}
 		}
 	}
@@ -381,8 +458,7 @@ func TestCheckParity(t *testing.T) {
 					mode, fast.sepChecks, fast.predictions, w.sepChecks, w.predictions)
 			}
 			for _, treeWalk := range []bool{false, true} {
-				it := interp.New(m, vm.NewAddressSpace())
-				it.SetTreeWalk(treeWalk)
+				it := interp.NewExecutor(treeWalk, m, vm.NewAddressSpace())
 				_, err := it.Run(uint64(mode))
 				var me *interp.MisspecError
 				if !errors.As(err, &me) {
@@ -536,8 +612,7 @@ func TestUnverifiedFunctionDecodesPlain(t *testing.T) {
 // error after one step for the missing terminator; and a privacy check
 // whose size does not fit a decoded entry, which must reach the Speculator
 // with its own size, not a truncated one. A budget that runs out in such a
-// block is finished by the tree-walking executor, which must stop where
-// the decoded one would.
+// block must stop both executors at the same step.
 func TestMalformedBlockParity(t *testing.T) {
 	unterminated := func(phisOnly bool) *ir.Module {
 		m := ir.NewModule("unterminated")
@@ -568,7 +643,6 @@ func TestMalformedBlockParity(t *testing.T) {
 		{"privacy check wider than a decoded size", wide, ""},
 	} {
 		it := interp.New(tc.mod, vm.NewAddressSpace())
-		it.SetTreeWalk(false)
 		full := finish(it)
 		if (full.err == "") != (tc.err == "") || !strings.Contains(full.err, tc.err) {
 			t.Fatalf("%s: decoded %v, want error %q", tc.name, full, tc.err)

@@ -36,8 +36,7 @@ func TestWarmedCallAllocatesNothing(t *testing.T) {
 	}
 	for _, treeWalk := range []bool{false, true} {
 		m, fib := buildFib()
-		it := New(m, vm.NewAddressSpace())
-		it.SetTreeWalk(treeWalk)
+		it := NewExecutor(treeWalk, m, vm.NewAddressSpace())
 		args := []uint64{12}
 		call := func() {
 			if v, err := it.Call(fib, args...); err != nil || v != 144 {
@@ -87,9 +86,7 @@ func downWant(n uint64) uint64 {
 func TestDeepRecursionAcrossSlabs(t *testing.T) {
 	const depth = 1500
 	fast := New(buildDown(depth), vm.NewAddressSpace())
-	fast.SetTreeWalk(false)
-	slow := New(buildDown(depth), vm.NewAddressSpace())
-	slow.SetTreeWalk(true)
+	slow := NewReference(buildDown(depth), vm.NewAddressSpace())
 	want := downWant(depth)
 	for name, it := range map[string]*Interp{"decoded": fast, "tree-walk": slow} {
 		// Twice: the second run carves from slabs the first one left behind.
@@ -116,8 +113,7 @@ func TestDeepRecursionAcrossSlabs(t *testing.T) {
 
 func TestMaxDepthErrorText(t *testing.T) {
 	for _, treeWalk := range []bool{false, true} {
-		it := New(buildDown(100), vm.NewAddressSpace())
-		it.SetTreeWalk(treeWalk)
+		it := NewExecutor(treeWalk, buildDown(100), vm.NewAddressSpace())
 		it.MaxDepth = 8
 		_, err := it.Run()
 		if err == nil || err.Error() != "interp: call depth 8 exceeded in down" {
@@ -237,8 +233,7 @@ func TestMemOpsReuseScratch(t *testing.T) {
 		b.MemSet(b.Global(g), b.I(600), b.I(0xab))
 		b.MemCopy(dst, b.Global(g), b.I(600))
 		b.Ret(b.Load(b.Add(dst, b.I(592)), 8))
-		it := New(m, vm.NewAddressSpace())
-		it.SetTreeWalk(treeWalk)
+		it := NewExecutor(treeWalk, m, vm.NewAddressSpace())
 		run := func() {
 			if v, err := it.Run(); err != nil || v != 0xabababababababab {
 				t.Fatalf("run = %#x, %v", v, err)

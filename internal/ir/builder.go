@@ -164,9 +164,6 @@ func (bd *Builder) FMul(a, b Value) *Instr { return bd.bin(OpFMul, F64, a, b) }
 // FDiv emits float division.
 func (bd *Builder) FDiv(a, b Value) *Instr { return bd.bin(OpFDiv, F64, a, b) }
 
-// FEq emits float equality.
-func (bd *Builder) FEq(a, b Value) *Instr { return bd.bin(OpFEq, I64, a, b) }
-
 // FLt emits float less-than.
 func (bd *Builder) FLt(a, b Value) *Instr { return bd.bin(OpFLt, I64, a, b) }
 

@@ -113,9 +113,6 @@ func (dt *DomTree) Dominates(a, b *Block) bool {
 // Reachable reports whether b is reachable from the entry block.
 func (dt *DomTree) Reachable(b *Block) bool { return dt.idom[b.Index] != -1 }
 
-// RPO returns the reverse postorder of reachable blocks.
-func (dt *DomTree) RPO() []*Block { return dt.rpo }
-
 // DominanceFrontiers computes the dominance frontier of every block
 // (Cytron et al.), used by PromoteAllocas for phi placement.
 func (dt *DomTree) DominanceFrontiers() [][]*Block {

@@ -76,42 +76,3 @@ func RegionMemOps(l *Loop) (writes, reads []*Instr) {
 	}
 	return writes, reads
 }
-
-// FuncsMayRead reports, for each function in the module, whether it (or a
-// transitive callee) contains an instruction that may read memory. The
-// separation prover uses it to decide which call sites are read points for
-// an object without re-walking call graphs per query.
-func FuncsMayRead(m *Module) map[*Function]bool {
-	out := map[*Function]bool{}
-	var visit func(f *Function, stack map[*Function]bool) bool
-	visit = func(f *Function, stack map[*Function]bool) bool {
-		if v, ok := out[f]; ok {
-			return v
-		}
-		if stack[f] {
-			return false // cycle: resolved by another path or stays false
-		}
-		stack[f] = true
-		defer delete(stack, f)
-		reads := false
-		f.Instrs(func(in *Instr) {
-			if reads {
-				return
-			}
-			switch in.Op {
-			case OpLoad, OpMemCopy:
-				reads = true
-			case OpCall:
-				if visit(in.Callee, stack) {
-					reads = true
-				}
-			}
-		})
-		out[f] = reads
-		return reads
-	}
-	for _, f := range m.SortedFuncs() {
-		visit(f, map[*Function]bool{})
-	}
-	return out
-}

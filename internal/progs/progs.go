@@ -18,9 +18,8 @@ import (
 	"privateer/internal/ir"
 )
 
-// f2b and b2f convert between float64 and its IR word representation.
+// f2b converts a float64 to its IR word representation.
 func f2b(v float64) uint64 { return math.Float64bits(v) }
-func b2f(w uint64) float64 { return math.Float64frombits(w) }
 
 // Input parameterizes a program build. The meaning of N/M/K is
 // program-specific (documented per program).

@@ -1,12 +1,15 @@
 package randprog
 
 import (
+	"fmt"
 	"testing"
 
 	"privateer/internal/core"
+	"privateer/internal/interp"
 	"privateer/internal/ir"
 	"privateer/internal/specrt"
 	"privateer/internal/transform"
+	"privateer/internal/vm"
 )
 
 // elisionToggle is the soak lanes' elision knob: it reproducibly disables
@@ -15,16 +18,40 @@ import (
 // span checks alike.
 func elisionToggle(seed int64) bool { return seed%3 == 0 }
 
+// sequential runs the program cfg generates, over its full trip count, on
+// the tree-walking reference executor (interp.NewReference) and on the
+// decoded one, fails t unless the two return the same value, print the same
+// output, count the same Steps and stop with the same error, and returns the
+// reference's value and output: the sequential result every speculative run
+// must reproduce.
+func sequential(t testing.TB, cfg Config) (uint64, string) {
+	t.Helper()
+	full := uint64(cfg.Iterations)
+	ref := interp.NewReference(Generate(cfg), vm.NewAddressSpace())
+	want, wantErr := ref.Run(full)
+	it := interp.New(Generate(cfg), vm.NewAddressSpace())
+	got, err := it.Run(full)
+	if got != want || it.Steps != ref.Steps || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("seed %d: decoded executor returned %d after %d steps (err %v), the reference %d after %d (err %v)",
+			cfg.Seed, got, it.Steps, err, want, ref.Steps, wantErr)
+	}
+	if it.Out.String() != ref.Out.String() {
+		t.Fatalf("seed %d: output differs:\n decoded:   %.300q\n reference: %.300q",
+			cfg.Seed, it.Out.String(), ref.Out.String())
+	}
+	if wantErr != nil {
+		t.Fatalf("seed %d: sequential: %v", cfg.Seed, wantErr)
+	}
+	return want, ref.Out.String()
+}
+
 // runDifferential executes one seed: sequential reference, then speculative
 // runs across worker counts, asserting identical results and output.
 // Returns how many speculative runs reported misspeculation.
 func runDifferential(t *testing.T, cfg Config, workers []int, inject float64) int64 {
 	t.Helper()
 	full := uint64(cfg.Iterations)
-	seqVal, seqOut, err := core.RunSequential(Generate(cfg), full)
-	if err != nil {
-		t.Fatalf("seed %d: sequential: %v", cfg.Seed, err)
-	}
+	seqVal, seqOut := sequential(t, cfg)
 	par, err := core.ParallelizeAblated(Generate(cfg),
 		core.Options{TrainArgs: []uint64{TrainTrips(cfg)}},
 		core.Ablation{Transform: transform.Options{DisablePostprocess: elisionToggle(cfg.Seed)}})
@@ -112,10 +139,7 @@ func TestDifferentialViolation(t *testing.T) {
 		cfg := DefaultConfig(seed)
 		cfg.Violate = true
 		full := uint64(cfg.Iterations)
-		seqVal, seqOut, err := core.RunSequential(Generate(cfg), full)
-		if err != nil {
-			t.Fatalf("seed %d: sequential: %v", seed, err)
-		}
+		seqVal, seqOut := sequential(t, cfg)
 		par, err := core.Parallelize(Generate(cfg), core.Options{
 			TrainArgs: []uint64{TrainTrips(cfg)},
 		})
@@ -161,10 +185,7 @@ func FuzzDifferential(f *testing.F) {
 		cfg := DefaultConfig(seed)
 		cfg.Violate = violate
 		full := uint64(cfg.Iterations)
-		seqVal, seqOut, err := core.RunSequential(Generate(cfg), full)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seqVal, seqOut := sequential(t, cfg)
 		par, err := core.Parallelize(Generate(cfg), core.Options{
 			TrainArgs: []uint64{TrainTrips(cfg)},
 		})

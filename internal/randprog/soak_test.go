@@ -86,10 +86,7 @@ func TestSoakSepAudit(t *testing.T) {
 		cfg := soakConfig(seed, long)
 		t.Run("seed"+itoa(seed), func(t *testing.T) {
 			full := uint64(cfg.Iterations)
-			seqVal, seqOut, err := core.RunSequential(Generate(cfg), full)
-			if err != nil {
-				t.Fatalf("sequential: %v", err)
-			}
+			seqVal, seqOut := sequential(t, cfg)
 			par, err := core.ParallelizeAblated(Generate(cfg),
 				core.Options{TrainArgs: []uint64{TrainTrips(cfg)}},
 				core.Ablation{Transform: transform.Options{DisablePostprocess: elisionToggle(seed)}})
@@ -172,10 +169,7 @@ func TestSoakViolation(t *testing.T) {
 		cfg := soakConfig(seed, long)
 		cfg.Violate = true
 		full := uint64(cfg.Iterations)
-		seqVal, seqOut, err := core.RunSequential(Generate(cfg), full)
-		if err != nil {
-			t.Fatalf("seed %d: sequential: %v", seed, err)
-		}
+		seqVal, seqOut := sequential(t, cfg)
 		par, err := core.ParallelizeAblated(Generate(cfg),
 			core.Options{TrainArgs: []uint64{TrainTrips(cfg)}},
 			core.Ablation{Transform: transform.Options{DisablePostprocess: elisionToggle(seed)}})

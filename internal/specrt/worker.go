@@ -621,10 +621,11 @@ func (w *worker) privRange(addr uint64, n int64, isWrite bool) error {
 	return nil
 }
 
-// resetShadow collapses the worker's timestamps to old-write after a
-// checkpoint contribution. The dirty walk covers every shadow page (all of
-// them are worker-created, hence dirty) without scanning the rest of the
-// footprint; words holding no timestamp are skipped eight bytes at a time.
+// resetShadow applies ResetMeta, which collapses timestamps to old-write,
+// to the worker's shadow after a checkpoint contribution. The dirty walk
+// covers every shadow page (all of them are worker-created, hence dirty)
+// without scanning the rest of the footprint; words holding no timestamp are
+// skipped eight bytes at a time.
 func (w *worker) resetShadow() {
 	w.shPage = nil
 	w.as.DirtyHeapPages(ir.HeapShadow, func(base uint64, data []byte) {
@@ -633,9 +634,7 @@ func (w *worker) resetShadow() {
 				continue
 			}
 			for j := i; j < i+8; j++ {
-				if data[j] >= MetaTSBase {
-					data[j] = MetaOldWrite
-				}
+				data[j] = ResetMeta(data[j])
 			}
 		}
 	})

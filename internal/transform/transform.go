@@ -731,10 +731,6 @@ func makeRedux(bld *ir.Builder, addr ir.Value, size int64, k ir.ReduxKind) *ir.I
 	return detach(bld, bld.ReduxWrite(addr, size, k))
 }
 
-func makePredict(bld *ir.Builder, actual, expected ir.Value) *ir.Instr {
-	return detach(bld, bld.Predict(actual, expected))
-}
-
 func makeConst(bld *ir.Builder, v uint64, t ir.Type) *ir.Instr {
 	var c *ir.Instr
 	if t == ir.Ptr {

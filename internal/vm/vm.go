@@ -253,27 +253,6 @@ func (hs *heapState) objectSize(addr uint64) (uint64, bool) {
 	return 0, false
 }
 
-// eachObject visits every live object once: newest level first, tombstoned
-// and shadowed deeper entries skipped.
-func (hs *heapState) eachObject(visit func(addr, size uint64)) {
-	seen := map[uint64]bool{}
-	level := func(objects map[uint64]uint64, dead map[uint64]bool) {
-		for a, s := range objects {
-			if !seen[a] {
-				seen[a] = true
-				visit(a, s)
-			}
-		}
-		for a := range dead {
-			seen[a] = true
-		}
-	}
-	level(hs.objects, hs.dead)
-	for b := hs.base; b != nil; b = b.parent {
-		level(b.objects, b.dead)
-	}
-}
-
 // Stats counts page-table events, exposed for the paper's overhead
 // accounting (Figure 8) and for tests. Every counter moves only when a page
 // or a radix node is instantiated, copied or skipped; an access that hits
