@@ -52,19 +52,41 @@ func TestUnknownInputClassRejected(t *testing.T) {
 	}
 }
 
-// TestQuickReportGolden pins the rendered report — Suite.All on QuickConfig
-// up to Figure 9 — to testdata/quick_report.golden. The package holds no
-// clock, so the text is the same on every host, at every GOMAXPROCS and
-// under the race detector. Figure 9 is excluded: which iterations an
-// injected misspeculation squashes depends on worker scheduling, so its
-// nonzero-rate columns move run to run (EXPERIMENTS.md, "Figure 9");
-// TestFig9Degrades asserts its shape instead. Regenerate for an intended
-// change to the cost model or a label with
+// TestQuickReportGolden pins the rendered report — Suite.All up to Figure 9
+// — for two inputs: QuickConfig (train inputs, 1–8 workers) to
+// testdata/quick_report.golden and DefaultConfig (ref inputs, 1–24 workers,
+// the report privateer-bench prints by default) to
+// testdata/full_report.golden. The package holds no clock, so the text is
+// the same on every host, at every GOMAXPROCS and, for the quick report,
+// under the race detector; the full sweep skips itself there, as the
+// instrumented interpreter is several times slower. Figure 9 is excluded:
+// which iterations an injected misspeculation squashes depends on worker
+// scheduling, so its nonzero-rate columns move run to run (EXPERIMENTS.md,
+// "Figure 9"); TestFig9Degrades asserts its shape instead. Regenerate for
+// an intended change to the cost model or a label with
 //
 //	go test ./internal/bench -run TestQuickReportGolden -update-golden
 func TestQuickReportGolden(t *testing.T) {
-	const path = "testdata/quick_report.golden"
-	all, err := suite(t).All()
+	t.Run("quick", func(t *testing.T) {
+		checkReportGolden(t, suite(t), "testdata/quick_report.golden")
+	})
+	t.Run("full", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("the ref-input sweep is too slow under the race detector")
+		}
+		s, err := NewSuite(DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReportGolden(t, s, "testdata/full_report.golden")
+	})
+}
+
+// checkReportGolden compares s's report up to Figure 9 with the golden file
+// at path, or rewrites the file under -update-golden.
+func checkReportGolden(t *testing.T, s *Suite, path string) {
+	t.Helper()
+	all, err := s.All()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +113,8 @@ func TestQuickReportGolden(t *testing.T) {
 	for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
 		i++
 	}
-	t.Errorf("quick report moved at line %d of %d (golden has %d); from there:\n--- got\n%s\n--- want\n%s",
-		i+1, len(gotLines), len(wantLines),
+	t.Errorf("%s moved at line %d of %d (golden has %d); from there:\n--- got\n%s\n--- want\n%s",
+		path, i+1, len(gotLines), len(wantLines),
 		strings.Join(gotLines[i:], "\n"), strings.Join(wantLines[i:], "\n"))
 }
 
