@@ -53,6 +53,17 @@ func serveNeedsModeServe(serve string) error {
 		"a one-shot run prints its totals and exits", serve)
 }
 
+// speculationNeedsModePrivateer rejects a non-zero -misspec or -checkpoint
+// on a mode that does not speculate: both tune the speculative runtime, and
+// -mode seq and -mode doall would run without reading them.
+func speculationNeedsModePrivateer(mode string, misspec float64, period int64) error {
+	if mode == "privateer" || misspec == 0 && period == 0 {
+		return nil
+	}
+	return fmt.Errorf("-misspec %g and -checkpoint %d tune -mode privateer; -mode %s does not speculate",
+		misspec, period, mode)
+}
+
 func main() {
 	var (
 		progName = flag.String("prog", "dijkstra", "benchmark: "+names())
@@ -246,6 +257,9 @@ func run(progName, input string, workers int, mode, serve string, misspec float6
 	if err := serveNeedsModeServe(serve); err != nil {
 		return err
 	}
+	if err := speculationNeedsModePrivateer(mode, misspec, period); err != nil {
+		return err
+	}
 	fmt.Printf("program %s, input %s\n", p.Name, in)
 
 	// Best sequential execution for the speedup baseline.
@@ -275,15 +289,15 @@ func run(progName, input string, workers int, mode, serve string, misspec float6
 				fmt.Printf("  loop %-26s %s\n", r.Loop, status)
 			}
 		}
-		runRes, err := core.RunStatic(static, workers)
+		rt, _, err := core.Run(static, specrt.Config{Workers: workers})
 		if err != nil {
 			return err
 		}
+		simTime := rt.Sim.Time()
 		fmt.Printf("DOALL-only: %d loops, %d invocations, simulated time %d, sim speedup %.2fx\n",
-			len(static.Regions), runRes.Invocations,
-			runRes.SimTime, float64(seqIt.Steps)/float64(runRes.SimTime))
+			len(static.Regions), rt.Stats.Invocations, simTime, float64(seqIt.Steps)/float64(simTime))
 		if showOut {
-			fmt.Print(runRes.Output)
+			fmt.Print(rt.Output())
 		}
 		return nil
 	case "privateer":

@@ -34,10 +34,14 @@ type CheckpointAblationRow struct {
 
 // CheckpointAblationResult sweeps the checkpoint period for one program.
 type CheckpointAblationResult struct {
+	// Program is the benchmark swept.
 	Program string
+	// Workers is the machine size of every run (Config.FixedWorkers).
 	Workers int
-	Rate    float64
-	Rows    []CheckpointAblationRow
+	// Rate is the injected misspeculation rate of the misspeculating runs.
+	Rate float64
+	// Rows holds one row per checkpoint period, in sweep order.
+	Rows []CheckpointAblationRow
 }
 
 // AblationCheckpointPeriod sweeps the checkpoint period on one program,
@@ -99,13 +103,17 @@ func (r *CheckpointAblationResult) Format() string {
 // without value prediction, and how much execution time the selected
 // regions cover in each configuration.
 type ValuePredAblationRow struct {
+	// Program is the benchmark compiled.
 	Program string
-	// HotWith/HotWithout: is the hottest loop selected?
-	HotWith    bool
+	// HotWith reports whether the hottest loop is selected with value
+	// prediction.
+	HotWith bool
+	// HotWithout is HotWith with value prediction disabled.
 	HotWithout bool
-	// CoverageWith/CoverageWithout: selected regions' share of profiled
-	// execution time (percent).
-	CoverageWith    float64
+	// CoverageWith is the selected regions' share of profiled execution
+	// time (percent) with value prediction.
+	CoverageWith float64
+	// CoverageWithout is CoverageWith with value prediction disabled.
 	CoverageWithout float64
 	// Reason is the hottest loop's rejection reason without prediction.
 	Reason string
@@ -114,6 +122,7 @@ type ValuePredAblationRow struct {
 // ValuePredAblationResult quantifies the enabling effect of value
 // prediction (dijkstra's queue pattern requires it, per section 6.1).
 type ValuePredAblationResult struct {
+	// Rows holds one row per benchmark, in benchmark order.
 	Rows []ValuePredAblationRow
 }
 

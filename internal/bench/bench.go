@@ -82,7 +82,7 @@ type prepared struct {
 	input    progs.Input
 	seqSteps int64
 	par      *core.Parallelized
-	static   *core.StaticParallelized
+	static   *core.Parallelized
 }
 
 // Suite prepares all benchmarks once and runs the experiments.
@@ -207,19 +207,6 @@ func (pr *prepared) simSpeedup(rec specrt.Record) float64 {
 		return 0
 	}
 	return float64(pr.seqSteps) / float64(t)
-}
-
-// staticSimSpeedup runs the DOALL-only build at the given worker count.
-func (pr *prepared) staticSimSpeedup(workers int) (float64, error) {
-	run, err := core.RunStatic(pr.static, workers)
-	if err != nil {
-		return 0, err
-	}
-	t := run.SimTime
-	if t <= 0 {
-		return 0, nil
-	}
-	return float64(pr.seqSteps) / float64(t), nil
 }
 
 func geomean(xs []float64) float64 {

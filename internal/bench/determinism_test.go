@@ -77,7 +77,7 @@ func computeDeterminism(t *testing.T) []detRecord {
 		if err != nil {
 			t.Fatalf("%s static parallelize: %v", p.Name, err)
 		}
-		srun, err := core.RunStatic(static, detWorkers)
+		srt, srtRet, err := core.Run(static, specrt.Config{Workers: detWorkers})
 		if err != nil {
 			t.Fatalf("%s doall run: %v", p.Name, err)
 		}
@@ -94,9 +94,9 @@ func computeDeterminism(t *testing.T) []detRecord {
 			Misspecs:     rt.Stats.Misspecs,
 			Recoveries:   rt.Stats.Recoveries,
 			Invocations:  rt.Stats.Invocations,
-			DoallResult:  srun.Ret,
-			DoallOutSHA:  sha(srun.Output),
-			DoallSimTime: srun.SimTime,
+			DoallResult:  srtRet,
+			DoallOutSHA:  sha(srt.Output()),
+			DoallSimTime: srt.Sim.Time(),
 		})
 	}
 	return out

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"privateer/internal/core"
 	"privateer/internal/specrt"
 )
 
@@ -75,8 +76,9 @@ type Fig7Result struct {
 	Workers int
 	// ProgramOrder preserves ordering.
 	ProgramOrder []string
-	// DOALLOnly and Privateer are the simulated speedups.
+	// DOALLOnly maps program to the DOALL-only build's simulated speedup.
 	DOALLOnly map[string]float64
+	// Privateer maps program to the speculative build's simulated speedup.
 	Privateer map[string]float64
 	// StaticLoops counts loops the static baseline parallelized.
 	StaticLoops map[string]int
@@ -92,11 +94,11 @@ func (s *Suite) Fig7() (*Fig7Result, error) {
 	}
 	for _, pr := range s.programs {
 		res.ProgramOrder = append(res.ProgramOrder, pr.prog.Name)
-		sp, err := pr.staticSimSpeedup(s.Cfg.FixedWorkers)
+		doall, _, err := core.Run(pr.static, specrt.Config{Workers: s.Cfg.FixedWorkers})
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s doall-only: %w", pr.prog.Name, err)
 		}
-		res.DOALLOnly[pr.prog.Name] = sp
+		res.DOALLOnly[pr.prog.Name] = pr.simSpeedup(doall.Record)
 		res.StaticLoops[pr.prog.Name] = len(pr.static.Regions)
 		rec, err := s.runPrivateer(pr, specrt.Config{Workers: s.Cfg.FixedWorkers})
 		if err != nil {
@@ -138,12 +140,20 @@ func (r *Fig7Result) Format() string {
 // Fig8Breakdown is one program × worker-count overhead decomposition,
 // normalized to total computational capacity (percent).
 type Fig8Breakdown struct {
-	Workers      int
-	UsefulPct    float64
-	PrivReadPct  float64
+	// Workers is the run's worker count.
+	Workers int
+	// UsefulPct is the original program's instructions (SimStats.UsefulSteps).
+	UsefulPct float64
+	// PrivReadPct is privacy validation of reads.
+	PrivReadPct float64
+	// PrivWritePct is privacy validation of writes.
 	PrivWritePct float64
-	CheckptPct   float64
-	OtherPct     float64
+	// CheckptPct is checkpoint merge, install and commit.
+	CheckptPct float64
+	// OtherPct is separation checks, predictions and short-lived counting.
+	OtherPct float64
+	// SpawnJoinPct is capacity lost to spawn, imbalance, join and serial
+	// sections (SimStats.IdleCost).
 	SpawnJoinPct float64
 }
 

@@ -30,21 +30,35 @@ func Table1() string {
 
 // Table3Row is one program's dynamic details (the paper's Table 3).
 type Table3Row struct {
-	Program     string
+	// Program is the benchmark's name.
+	Program string
+	// Invocations counts parallel-region entries (Stats.Invocations).
 	Invocations int64
+	// Checkpoints counts checkpoint objects built (Stats.Checkpoints).
 	Checkpoints int64
-	PrivR       int64
-	PrivW       int64
-	Private     int
-	ShortLived  int
-	ReadOnly    int
-	Redux       int
-	Unrestrict  int
-	Extras      string
+	// PrivR is the privacy-checked read volume in bytes.
+	PrivR int64
+	// PrivW is the privacy-checked write volume in bytes.
+	PrivW int64
+	// Private counts allocation sites in the private heap, summed over the
+	// program's regions, as do the four site counts below.
+	Private int
+	// ShortLived counts allocation sites in the short-lived heap.
+	ShortLived int
+	// ReadOnly counts allocation sites in the read-only heap.
+	ReadOnly int
+	// Redux counts allocation sites in the reduction heap.
+	Redux int
+	// Unrestrict counts allocation sites in the unrestricted heap.
+	Unrestrict int
+	// Extras names the extra speculation (value prediction, control, I/O)
+	// of the first region that needs any.
+	Extras string
 }
 
 // Table3Result holds the per-program dynamic details.
 type Table3Result struct {
+	// Rows holds one row per benchmark, in benchmark order.
 	Rows []Table3Row
 	// Workers is the worker count used for the measurement run.
 	Workers int

@@ -102,8 +102,9 @@ func staticSepCounters() []counter {
 // VariantRow is one benchmark program run speculatively without ("before")
 // and with ("after") the variant's stage.
 type VariantRow struct {
-	// Name and Input identify the workload.
-	Name  string `json:"name"`
+	// Name is the benchmark's name.
+	Name string `json:"name"`
+	// Input is the input class measured.
 	Input string `json:"input"`
 	// Workers is the speculative worker count used.
 	Workers int `json:"workers"`
@@ -113,23 +114,27 @@ type VariantRow struct {
 	// dynamic events; zero in the before build by construction).
 	Static map[string]int `json:"static"`
 
-	// BeforeSim / AfterSim are the whole-program simulated times of the
-	// two builds (see sim.go) and SimSpeedup their ratio — the
-	// deterministic, host-independent effect of the stage. SeqSteps is the
-	// unmodified sequential program's step count; EndToEndBefore and
-	// EndToEnd are SeqSteps over BeforeSim and AfterSim, the paper's
-	// Figure 6 whole-program simulated speedup of each build.
-	BeforeSim      int64   `json:"before_sim"`
-	AfterSim       int64   `json:"after_sim"`
-	SeqSteps       int64   `json:"seq_steps"`
-	SimSpeedup     float64 `json:"sim_speedup"`
+	// BeforeSim is the before build's whole-program simulated time (see
+	// sim.go).
+	BeforeSim int64 `json:"before_sim"`
+	// AfterSim is the after build's.
+	AfterSim int64 `json:"after_sim"`
+	// SeqSteps is the unmodified sequential program's step count.
+	SeqSteps int64 `json:"seq_steps"`
+	// SimSpeedup is BeforeSim over AfterSim: the deterministic,
+	// host-independent effect of the stage.
+	SimSpeedup float64 `json:"sim_speedup"`
+	// EndToEndBefore is SeqSteps over BeforeSim, the paper's Figure 6
+	// whole-program simulated speedup of the before build.
 	EndToEndBefore float64 `json:"end_to_end_before"`
-	EndToEnd       float64 `json:"end_to_end"`
+	// EndToEnd is SeqSteps over AfterSim, the same for the after build.
+	EndToEnd float64 `json:"end_to_end"`
 
-	// BeforeChecks / AfterChecks count the dynamic checks the variant
-	// watches (a span counts once however many bytes it covers).
+	// BeforeChecks counts the dynamic checks the variant watches in the
+	// before build (a span counts once however many bytes it covers).
 	BeforeChecks int64 `json:"before_checks"`
-	AfterChecks  int64 `json:"after_checks"`
+	// AfterChecks counts them in the after build.
+	AfterChecks int64 `json:"after_checks"`
 	// ProvenRangeBytes is the after build's proven-object footprint
 	// installed wholesale per interval instead of via privacy metadata.
 	ProvenRangeBytes int64 `json:"proven_range_bytes"`
@@ -144,9 +149,10 @@ type VariantRow struct {
 
 // VariantReport is one variant measured over the configured programs.
 type VariantReport struct {
-	// Variant is the variant's name and Title its one-line description.
+	// Variant is the variant's name.
 	Variant string `json:"variant"`
-	Title   string `json:"title"`
+	// Title is its one-line description.
+	Title string `json:"title"`
 	// Input is the program input class measured.
 	Input string `json:"input"`
 	// Programs holds one row per benchmark.

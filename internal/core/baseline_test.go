@@ -6,6 +6,7 @@ import (
 	"privateer/internal/core"
 	"privateer/internal/interp"
 	"privateer/internal/ir"
+	"privateer/internal/specrt"
 	"privateer/internal/vm"
 )
 
@@ -32,7 +33,7 @@ func squares(n int64) *ir.Module {
 
 // staticSquares is the DOALL-only build of squares(n): the store loop
 // outlined as the one region.
-func staticSquares(t *testing.T, n int64) *core.StaticParallelized {
+func staticSquares(t *testing.T, n int64) *core.Parallelized {
 	t.Helper()
 	static, err := core.ParallelizeStatic(squares(n), core.Options{MinLoopSteps: 1})
 	if err != nil {
@@ -44,7 +45,7 @@ func staticSquares(t *testing.T, n int64) *core.StaticParallelized {
 	return static
 }
 
-// The DOALL-only baseline (core.RunStatic over an outlined build) returns
+// The DOALL-only baseline (core.Run over an outlined build) returns
 // the sequential result at every worker count and enters the region once.
 func TestBaselineParallelMatchesSequential(t *testing.T) {
 	const n = 64
@@ -54,15 +55,15 @@ func TestBaselineParallelMatchesSequential(t *testing.T) {
 	}
 	static := staticSquares(t, n)
 	for _, workers := range []int{1, 2, 4, 8} {
-		run, err := core.RunStatic(static, workers)
+		rt, ret, err := core.Run(static, specrt.Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if run.Ret != want {
-			t.Errorf("workers=%d: result %d, want %d", workers, run.Ret, want)
+		if ret != want {
+			t.Errorf("workers=%d: result %d, want %d", workers, ret, want)
 		}
-		if run.Invocations != 1 {
-			t.Errorf("workers=%d: invocations = %d", workers, run.Invocations)
+		if rt.Stats.Invocations != 1 {
+			t.Errorf("workers=%d: invocations = %d", workers, rt.Stats.Invocations)
 		}
 	}
 }
@@ -72,18 +73,18 @@ func TestBaselineParallelMatchesSequential(t *testing.T) {
 func TestBaselineMoreWorkersThanIterations(t *testing.T) {
 	const n = 3
 	static := staticSquares(t, n)
-	run, err := core.RunStatic(static, 16)
+	rt, ret, err := core.Run(static, specrt.Config{Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Ret != 0+1+4 {
-		t.Errorf("result %d, want 5", run.Ret)
+	if ret != 0+1+4 {
+		t.Errorf("result %d, want 5", ret)
 	}
-	atTrip, err := core.RunStatic(static, n)
+	atTrip, _, err := core.Run(static, specrt.Config{Workers: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.SimTime != atTrip.SimTime {
-		t.Errorf("sim time at W=16 is %d, at W=%d is %d; want equal", run.SimTime, n, atTrip.SimTime)
+	if rt.Sim.Time() != atTrip.Sim.Time() {
+		t.Errorf("sim time at W=16 is %d, at W=%d is %d; want equal", rt.Sim.Time(), n, atTrip.Sim.Time())
 	}
 }

@@ -1,7 +1,8 @@
 // Package core is the public face of the Privateer reproduction: the fully
-// automatic pipeline of section 4 (profile, classify, select, transform)
-// plus entry points for running the result under the speculative runtime,
-// under the non-speculative DOALL-only baseline, and sequentially.
+// automatic pipeline of section 4 (profile, classify, select, transform),
+// the non-speculative DOALL-only baseline pipeline (ParallelizeStatic),
+// and entry points for running either build under the speculative runtime
+// and the unmodified program sequentially.
 //
 //	mod := buildProgram()                        // IR via the builder
 //	par, _ := core.Parallelize(mod, core.Options{TrainArgs: ...})
@@ -267,7 +268,10 @@ func heapConflict(a *classify.Assignment, committed map[profiling.Object]ir.Heap
 	return ""
 }
 
-// Run executes the parallelized program under the speculative runtime.
+// Run executes the parallelized program under the speculative runtime. A
+// DOALL-only build's regions (ParallelizeStatic) carry no Assign: the
+// runtime runs each of their invocations in order and prices it as a fleet
+// of cfg.Workers, so both builds are measured under one model.
 func Run(p *Parallelized, cfg specrt.Config, args ...uint64) (*specrt.RT, uint64, error) {
 	rt := specrt.New(p.Mod, cfg, p.Regions...)
 	ret, err := rt.Run(args...)
@@ -297,6 +301,9 @@ func (p *Parallelized) Summary() string {
 		fmt.Fprintf(&sb, "  loop %-28s steps=%-10d %s\n", r.Loop, r.Steps, status)
 	}
 	for _, ri := range p.Regions {
+		if ri.Assign == nil {
+			continue // a DOALL-only region: nothing assigned, nothing extra
+		}
 		fmt.Fprintf(&sb, "\n%s", ri.Assign)
 		fmt.Fprintf(&sb, "  extras: %s\n", ri.TStats.Extras(ri.Plan))
 	}

@@ -196,8 +196,8 @@ func TestZeroTripLoopKeepsIVExit(t *testing.T) {
 			if _, got, err := Run(par, specrt.Config{Workers: workers}, n); err != nil || got != want {
 				t.Errorf("n=%d workers=%d: speculative run returned %d, %v; want %d", n, workers, got, err, want)
 			}
-			if run, err := RunStatic(static, workers, n); err != nil || run.Ret != want {
-				t.Errorf("n=%d workers=%d: DOALL-only run returned %+v, %v; want %d", n, workers, run, err, want)
+			if _, got, err := Run(static, specrt.Config{Workers: workers}, n); err != nil || got != want {
+				t.Errorf("n=%d workers=%d: DOALL-only run returned %d, %v; want %d", n, workers, got, err, want)
 			}
 		}
 	}

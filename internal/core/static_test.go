@@ -69,23 +69,23 @@ func TestParallelizeStaticSelectsAffineLoops(t *testing.T) {
 		t.Fatalf("nothing selected:\n%+v", static.Reports)
 	}
 	for _, workers := range []int{1, 4} {
-		run, err := RunStatic(static, workers)
+		rt, ret, err := Run(static, specrt.Config{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.Ret != want {
-			t.Errorf("workers=%d: %d, want %d", workers, run.Ret, want)
+		if ret != want {
+			t.Errorf("workers=%d: %d, want %d", workers, ret, want)
 		}
-		if run.SimTime <= 0 {
+		if rt.Sim.Time() <= 0 {
 			t.Error("no simulated time recorded")
 		}
 	}
 }
 
-// TestRunStaticPricing pins RunStatic's result, invocation count and
-// simulated time to the values the worker-fleet DOALL scheduler it replaced
-// measured on the same builds, at worker counts below, at and above the
-// trip count (64). The squares rows also fit the closed form: every
+// TestRunStaticPricing pins the DOALL-only build's result, invocation count
+// and simulated time under Run to the values the worker-fleet DOALL
+// scheduler measured on the same builds (and the in-order RunStatic after
+// it), at worker counts below, at and above the trip count (64). The squares rows also fit the closed form: every
 // iteration costs the same c steps, so an invocation is priced
 // W'·(spawn+join) + ⌈n/W'⌉·c on top of the master's steps.
 func TestRunStaticPricing(t *testing.T) {
@@ -122,13 +122,14 @@ func TestRunStaticPricing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := RunStatic(static, c.workers)
+		rt, ret, err := Run(static, specrt.Config{Workers: c.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.Ret != c.ret || run.Invocations != c.invocations || run.SimTime != c.simTime {
+		simTime := rt.Sim.Time()
+		if ret != c.ret || rt.Stats.Invocations != c.invocations || simTime != c.simTime {
 			t.Errorf("%s W=%d: ret %d, invocations %d, sim time %d; want %d, %d, %d",
-				c.build, c.workers, run.Ret, run.Invocations, run.SimTime, c.ret, c.invocations, c.simTime)
+				c.build, c.workers, ret, rt.Stats.Invocations, simTime, c.ret, c.invocations, c.simTime)
 		}
 		if c.build != "squares" {
 			continue
@@ -136,15 +137,15 @@ func TestRunStaticPricing(t *testing.T) {
 		perWorker := int64(specrt.SimSpawnPerWorker + specrt.SimJoinPerWorker)
 		if iterSteps == 0 {
 			it := interp.New(static.Mod, vm.NewAddressSpace())
-			if _, err := it.Call(static.Regions[0].IterFn, 0); err != nil {
+			if _, err := it.Call(static.Regions[0].Outline.IterFn, 0); err != nil {
 				t.Fatal(err)
 			}
 			iterSteps = it.Steps
-			squaresMaster = run.SimTime - perWorker - n*iterSteps
+			squaresMaster = simTime - perWorker - n*iterSteps
 		}
 		fleet := min(int64(c.workers), n)
-		if want := squaresMaster + fleet*perWorker + (n+fleet-1)/fleet*iterSteps; run.SimTime != want {
-			t.Errorf("squares W=%d: sim time %d, closed form %d", c.workers, run.SimTime, want)
+		if want := squaresMaster + fleet*perWorker + (n+fleet-1)/fleet*iterSteps; simTime != want {
+			t.Errorf("squares W=%d: sim time %d, closed form %d", c.workers, simTime, want)
 		}
 	}
 }

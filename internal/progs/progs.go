@@ -30,6 +30,8 @@ type Input struct {
 	N, M, K int64
 }
 
+// String renders the input as its name and size parameters, as reports
+// print it: "train(N=12,M=0,K=0)".
 func (in Input) String() string {
 	return fmt.Sprintf("%s(N=%d,M=%d,K=%d)", in.Name, in.N, in.M, in.K)
 }

@@ -24,6 +24,9 @@ import (
 //     i.e. workers genuinely overlap and the slowest worker plus the
 //     serial sections bound the region (Amdahl accounting);
 //   - sequential recovery executes serially and adds its steps directly;
+//   - an invocation of a DOALL-only region (no Assign) runs in order and
+//     is priced as a cyclic fleet of W′ = min(workers, iterations):
+//     W′ × (spawn + join) + the busiest worker's steps (runInOrder);
 //   - once a run has recovered, the same constants price its checkpoint
 //     period (recoveryPeriod);
 //   - a compile for a known fleet prices each hot loop's invocation with
@@ -35,10 +38,10 @@ import (
 // results.
 const (
 	// SimSpawnPerWorker models fork latency and address-space setup. The
-	// DOALL-only baseline (core.RunStatic) charges it too, so Figure 7
-	// compares the two compilers under one model.
+	// DOALL-only baseline's regions (RT.runInOrder) are charged it too, so
+	// Figure 7 compares the two compilers under one model.
 	SimSpawnPerWorker = 2500
-	// SimJoinPerWorker models worker-completed signalling; core.RunStatic
+	// SimJoinPerWorker models worker-completed signalling; RT.runInOrder
 	// charges it too.
 	SimJoinPerWorker = 400
 	// SimPrivacyPerByte is the inline shadow-metadata update per private

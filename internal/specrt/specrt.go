@@ -74,7 +74,9 @@ type Config struct {
 type RegionInfo struct {
 	// Outline is the DOALL outline (region/iter functions).
 	Outline *transform.Region
-	// Assign is the heap assignment.
+	// Assign is the heap assignment. Nil marks a region static analysis
+	// alone proved DOALL (core.ParallelizeStatic): it is never speculated,
+	// and every invocation runs in order (see runInOrder).
 	Assign *classify.Assignment
 	// Plan is the speculation plan.
 	Plan *deps.Plan
@@ -208,7 +210,8 @@ type RT struct {
 	out    strings.Builder
 	master *interp.Interp
 	// recov executes recovery and fallback iterations over the master's
-	// space; built by the first sequentialRange of a run and reused after.
+	// space, and runs regions without an Assign in order; built by the
+	// first sequentialRange of a run and reused after.
 	recov *interp.Interp
 
 	// liveMu guards live, the master's live objects (globals, and the
@@ -484,6 +487,9 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	if hi <= lo {
 		return nil
 	}
+	if ri.Assign == nil {
+		return rt.runInOrder(ri, lo, hi, live)
+	}
 	kClean := checkpointPeriod(rt.Cfg.CheckpointPeriod, hi-lo)
 
 	// The recovery budget is per invocation and counts misspeculated spans:
@@ -511,7 +517,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 			// Budget spent: the remainder runs sequentially, checks disabled.
 			rt.Stats.SequentialFallbacks++
 			fallback := startTimer()
-			err := rt.sequentialRange(ri, start, hi, live)
+			err := rt.sequentialRange(ri, start, hi, live, nil)
 			fallback.stop(nil, tr, obs.Event{Kind: obs.KSeqFallback,
 				Invocation: inv, Worker: -1, Iter: -1, A: start, B: hi})
 			rt.retired += hi - start
@@ -570,7 +576,7 @@ func (rt *RT) recoverRange(ri *RegionInfo, from, to int64, live []uint64, inv in
 	tr.Instant(obs.Event{Kind: obs.KPhase,
 		Invocation: inv, Worker: -1, Iter: -1, Cause: "recover"})
 	t, before := startTimer(), rt.Sim.RecoverySteps
-	if err := rt.sequentialRange(ri, from, to, live); err != nil {
+	if err := rt.sequentialRange(ri, from, to, live, nil); err != nil {
 		return err
 	}
 	t.stop(nil, tr, obs.Event{Kind: obs.KRecovery,
@@ -640,10 +646,29 @@ func (rt *RT) commitChain(cp *checkpoint, inv int64) int64 {
 	return committed
 }
 
+// runInOrder runs one invocation of a region without an Assign: static
+// analysis proved it DOALL (deps.StaticBlockers admits no carried memory or
+// scalar dependence, no live-out and no I/O), so [lo, hi) runs in program
+// order on the master, with no snapshot, span or check, and leaves the
+// memory and output of every schedule. The invocation is priced as if its
+// iterations were dealt cyclically to a fleet of W′ = min(Workers, hi−lo)
+// workers, iteration i to worker (i−lo) mod W′: W′ spawns and joins plus the
+// busiest worker's steps.
+func (rt *RT) runInOrder(ri *RegionInfo, lo, hi int64, live []uint64) error {
+	shares := make([]int64, min(int64(rt.Cfg.Workers), hi-lo))
+	if err := rt.sequentialRange(ri, lo, hi, live, shares); err != nil {
+		return err
+	}
+	rt.Sim.RegionTime += int64(len(shares))*(SimSpawnPerWorker+SimJoinPerWorker) + slices.Max(shares)
+	return nil
+}
+
 // sequentialRange executes iterations [from, to) non-speculatively on the
-// master state with every check disabled — the recovery path, and the
-// fallback mode.
-func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64) error {
+// master state with every check disabled — the recovery path, the fallback
+// mode and runInOrder. With shares nil the steps count as recovery
+// (Sim.RecoverySteps); otherwise iteration i's steps are added to
+// shares[(i−from) mod len(shares)] and the caller prices them.
+func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64, shares []int64) error {
 	if from >= to {
 		return nil
 	}
@@ -668,11 +693,17 @@ func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64) err
 	rt.seqArgs = append(append(rt.seqArgs[:0], 0), live...)
 	for i := from; i < to; i++ {
 		rt.seqArgs[0] = uint64(i)
+		before := it.Steps
 		if _, err := it.Call(ri.Outline.IterFn, rt.seqArgs...); err != nil {
-			return fmt.Errorf("sequential recovery at iteration %d: %w", i, err)
+			return fmt.Errorf("sequential run of iteration %d: %w", i, err)
+		}
+		if shares != nil {
+			shares[(i-from)%int64(len(shares))] += it.Steps - before
 		}
 	}
-	rt.Sim.RecoverySteps += it.Steps
+	if shares == nil {
+		rt.Sim.RecoverySteps += it.Steps
+	}
 	return nil
 }
 

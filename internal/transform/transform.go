@@ -21,9 +21,9 @@
 // live-ins...), one iteration of the body, and __region_L(lo, hi,
 // live-ins...), a sequential driver calling it, and replaces the loop with
 // a call to __region_L. Run sequentially, the program behaves as before;
-// the speculative runtime and the DOALL-only baseline (core.RunStatic)
-// intercept that call and schedule the iterations, so this package
-// schedules nothing. Every name Outline gives is a function of the module
+// the speculative runtime intercepts that call and schedules the
+// iterations (a DOALL-only baseline's in order, see core.ParallelizeStatic),
+// so this package schedules nothing. Every name Outline gives is a function of the module
 // alone.
 package transform
 
