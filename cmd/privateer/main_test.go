@@ -14,12 +14,11 @@ var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/oneshot_*.golden from this build")
 
 // runCapturing calls run on dijkstra/train at 4 workers with the given
-// -mode, -serve, -misspec and -checkpoint and returns what it printed to
-// stdout with its error.
-func runCapturing(t *testing.T, mode, serve string, misspec float64, period int64) (string, error) {
+// further flags and returns what it printed to stdout with its error.
+func runCapturing(t *testing.T, flags ...string) (string, error) {
 	t.Helper()
 	return capture(t, func() error {
-		return run("dijkstra", "train", 4, mode, serve, misspec, 1, period, false, false)
+		return run(append([]string{"-prog", "dijkstra", "-input", "train", "-workers", "4"}, flags...))
 	})
 }
 
@@ -47,7 +46,7 @@ func capture(t *testing.T, f func() error) (string, error) {
 // the -prog and -input checks, before the sequential baseline is
 // interpreted and its step count printed (seconds on ref inputs).
 func TestUnknownModeRejectedBeforeAnythingRuns(t *testing.T) {
-	printed, err := runCapturing(t, "privater", "", 0, 0)
+	printed, err := runCapturing(t, "-mode", "privater")
 	if err == nil || !strings.Contains(err.Error(), `unknown mode "privater"`) {
 		t.Errorf("error %v, want one naming the unknown mode", err)
 	}
@@ -58,31 +57,32 @@ func TestUnknownModeRejectedBeforeAnythingRuns(t *testing.T) {
 
 // TestServeWithoutModeServeRejected: a flag the chosen mode would not read
 // is an error that names the flag and the mode, not a flag the run silently
-// ignores, and it comes before the sequential baseline runs. -serve is the
-// region service's listen address, so a one-shot run rejects it; -misspec
-// and -checkpoint tune speculation, so -mode seq and -mode doall reject
-// them.
+// ignores, and it comes before the sequential baseline runs. What counts is
+// that the flag was given, whatever its value. -serve is the region
+// service's listen address, so a one-shot run rejects it; -misspec,
+// -checkpoint, -seed and -why-misspec tune or report speculation, so
+// -mode seq and -mode doall reject them.
 func TestServeWithoutModeServeRejected(t *testing.T) {
 	for _, c := range []struct {
-		mode, serve string
-		misspec     float64
-		period      int64
-		want        []string
+		flags []string
+		want  []string
 	}{
-		{"privateer", "127.0.0.1:0", 0, 0, []string{"-serve", "-mode serve"}},
-		{"seq", "", 0.05, 0, []string{"-misspec 0.05", "-mode seq"}},
-		{"doall", "", 0.05, 0, []string{"-misspec 0.05", "-mode doall"}},
-		{"seq", "", 0, 16, []string{"-checkpoint 16", "-mode seq"}},
-		{"doall", "", 0, 16, []string{"-checkpoint 16", "-mode doall"}},
+		{[]string{"-serve", "127.0.0.1:0"}, []string{"-serve", "-mode serve"}},
+		{[]string{"-mode", "seq", "-misspec", "0.05"}, []string{"-misspec 0.05", "-mode seq"}},
+		{[]string{"-mode", "doall", "-misspec", "0.05"}, []string{"-misspec 0.05", "-mode doall"}},
+		{[]string{"-mode", "seq", "-checkpoint", "16"}, []string{"-checkpoint 16", "-mode seq"}},
+		{[]string{"-mode", "doall", "-checkpoint", "16"}, []string{"-checkpoint 16", "-mode doall"}},
+		{[]string{"-mode", "seq", "-seed", "1"}, []string{"-seed 1", "-mode seq"}},
+		{[]string{"-mode", "doall", "-why-misspec"}, []string{"-why-misspec", "-mode doall"}},
 	} {
-		printed, err := runCapturing(t, c.mode, c.serve, c.misspec, c.period)
+		printed, err := runCapturing(t, c.flags...)
 		for _, want := range c.want {
 			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%+v: error %v, want one naming %s", c, err, want)
+				t.Errorf("%v: error %v, want one naming %s", c.flags, err, want)
 			}
 		}
 		if printed != "" {
-			t.Errorf("%+v: printed %q before rejecting the flag", c, printed)
+			t.Errorf("%v: printed %q before rejecting the flag", c.flags, printed)
 		}
 	}
 }
@@ -96,7 +96,11 @@ func TestServeWithoutModeServeRejected(t *testing.T) {
 //     scheduling (testdata/oneshot_PROG.golden);
 //   - -mode doall at four workers with -output: the DOALL-only loop report,
 //     its totals line and the program's output
-//     (testdata/oneshot_doall_PROG.golden).
+//     (testdata/oneshot_doall_PROG.golden);
+//
+// and of -irfile internal/ir/testdata/histogram.pir at four workers in each
+// mode, each leg's result beside the sequential one
+// (testdata/oneshot_irfile_MODE.golden).
 //
 // Outlined regions are named from the module alone, so the text is the same
 // on every run, host and process history; the comparison is exact.
@@ -104,28 +108,29 @@ func TestServeWithoutModeServeRejected(t *testing.T) {
 //
 //	go test ./cmd/privateer -run TestOneShotReportGolden -update-golden
 func TestOneShotReportGolden(t *testing.T) {
-	saved := whyMisspec
-	whyMisspec = true
-	defer func() { whyMisspec = saved }()
 	for _, p := range progs.All() {
 		t.Run(p.Name, func(t *testing.T) {
-			checkOneShotGolden(t, "oneshot_"+p.Name+".golden", func() error {
-				return run(p.Name, "train", 1, "privateer", "", 0.05, 1, 0, false, false)
-			})
+			checkOneShotGolden(t, "oneshot_"+p.Name+".golden", "-prog", p.Name, "-input", "train",
+				"-workers", "1", "-misspec", "0.05", "-seed", "1", "-why-misspec")
 		})
 		t.Run("doall_"+p.Name, func(t *testing.T) {
-			checkOneShotGolden(t, "oneshot_doall_"+p.Name+".golden", func() error {
-				return run(p.Name, "train", 4, "doall", "", 0, 1, 0, true, false)
-			})
+			checkOneShotGolden(t, "oneshot_doall_"+p.Name+".golden", "-prog", p.Name, "-input", "train",
+				"-workers", "4", "-mode", "doall", "-output")
+		})
+	}
+	for _, mode := range []string{"seq", "doall", "privateer"} {
+		t.Run("irfile_"+mode, func(t *testing.T) {
+			checkOneShotGolden(t, "oneshot_irfile_"+mode+".golden",
+				"-irfile", "../../internal/ir/testdata/histogram.pir", "-workers", "4", "-mode", mode)
 		})
 	}
 }
 
-// checkOneShotGolden compares what f prints with testdata/name, or rewrites
-// the file under -update-golden.
-func checkOneShotGolden(t *testing.T, name string, f func() error) {
+// checkOneShotGolden compares what run prints on args with testdata/name,
+// or rewrites the file under -update-golden.
+func checkOneShotGolden(t *testing.T, name string, args ...string) {
 	t.Helper()
-	got, err := capture(t, f)
+	got, err := capture(t, func() error { return run(args) })
 	if err != nil {
 		t.Fatal(err)
 	}

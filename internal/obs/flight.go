@@ -81,6 +81,8 @@ type FlightRecorder struct {
 	wrapped bool
 
 	byReason map[string]int64
+	// reg, once PublishMetrics has run, counts every Record by reason.
+	reg *Registry
 }
 
 // NewFlightRecorder returns a recorder retaining up to entries postmortems;
@@ -110,7 +112,16 @@ func (fr *FlightRecorder) Record(pm Postmortem) {
 	}
 	fr.total++
 	fr.byReason[pm.Reason]++
+	reg := fr.reg
 	fr.mu.Unlock()
+	postmortemsTotal(reg, pm.Reason).Inc()
+}
+
+// postmortemsTotal is reg's count of postmortems recorded for reason (an
+// inert handle on a nil registry).
+func postmortemsTotal(reg *Registry, reason string) Counter {
+	return reg.Counter("privateer_flight_postmortems_total",
+		"Postmortems ever recorded by the flight recorder, by reason.", "reason", reason)
 }
 
 // Snapshot returns the retained postmortems, newest first.
@@ -183,28 +194,24 @@ func (fr *FlightRecorder) State() FlightState {
 }
 
 // PublishMetrics registers flight-recorder health metrics on reg: the
-// running count of postmortems per reason and the retained-buffer size.
+// retained-buffer size, read at scrape time, and the count of postmortems
+// per reason, which Record adds to from now on (the ones recorded before
+// are added here).
 func (fr *FlightRecorder) PublishMetrics(reg *Registry) {
 	if fr == nil || reg == nil {
 		return
 	}
-	retained := reg.Gauge("privateer_flight_retained",
-		"Postmortems currently retained in the flight recorder ring.")
-	reg.RegisterCollector(func() {
-		fr.mu.Lock()
-		n := int64(len(fr.buf))
-		reasons := make(map[string]int64, len(fr.byReason))
-		for reason, v := range fr.byReason {
-			reasons[reason] = v
-		}
-		fr.mu.Unlock()
-		retained.Set(n)
-		// Collectors run outside the registry lock, so registering the
-		// per-reason series lazily at scrape time is safe.
-		for reason, v := range reasons {
-			reg.Counter("privateer_flight_postmortems_total",
-				"Postmortems ever recorded by the flight recorder, by reason.",
-				"reason", reason).Set(v)
-		}
-	})
+	reg.GaugeFunc("privateer_flight_retained",
+		"Postmortems currently retained in the flight recorder ring.",
+		func() float64 {
+			fr.mu.Lock()
+			defer fr.mu.Unlock()
+			return float64(len(fr.buf))
+		})
+	fr.mu.Lock()
+	fr.reg = reg
+	for reason, n := range fr.byReason {
+		postmortemsTotal(reg, reason).Add(n)
+	}
+	fr.mu.Unlock()
 }

@@ -226,6 +226,47 @@ func TestFlightRecorder(t *testing.T) {
 	nilFR.PublishMetrics(reg)
 }
 
+// TestFlightMetricsCountEachReason: once published, every Record moves its
+// reason's privateer_flight_postmortems_total series, and a scrape reads
+// each reason's own count and the retained-ring size, also after the ring
+// has evicted postmortems the counts still include.
+func TestFlightMetricsCountEachReason(t *testing.T) {
+	reg := NewRegistry()
+	fr := NewFlightRecorder(3)
+	fr.PublishMetrics(reg)
+	scrape := func() string {
+		var buf bytes.Buffer
+		reg.WriteProm(&buf)
+		return buf.String()
+	}
+	for _, reason := range []string{"misspec", "rejected", "misspec"} {
+		fr.Record(Postmortem{Reason: reason})
+	}
+	out := scrape()
+	for _, want := range []string{
+		`privateer_flight_postmortems_total{reason="misspec"} 2`,
+		`privateer_flight_postmortems_total{reason="rejected"} 1`,
+		"privateer_flight_retained 3",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("first scrape lacks %q:\n%s", want, out)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		fr.Record(Postmortem{Reason: "rejected"})
+	}
+	out = scrape()
+	for _, want := range []string{
+		`privateer_flight_postmortems_total{reason="misspec"} 2`,
+		`privateer_flight_postmortems_total{reason="rejected"} 4`,
+		"privateer_flight_retained 3",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("second scrape lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestHealthzReadyz: /healthz always answers 200; /readyz follows the
 // installed probe and defaults to ready without one.
 func TestHealthzReadyz(t *testing.T) {

@@ -13,14 +13,12 @@ import (
 // Registry is a lock-cheap metrics registry. Metric handles (Counter,
 // Gauge, Histogram) are resolved once, up front, under the registry lock;
 // after that every update is a single atomic add, so handles are safe to
-// use from worker hot paths. A scrape (WriteProm) runs registered
-// collector callbacks first, so subsystems that already keep atomic
-// counters can publish pull-style at scrape time for zero steady-state
-// cost.
+// use from worker hot paths. A GaugeFunc is the one scrape-time mechanism:
+// its function runs when WriteProm renders it, so a subsystem that already
+// keeps a value publishes it at zero steady-state cost.
 type Registry struct {
-	mu         sync.Mutex
-	families   map[string]*family
-	collectors []func()
+	mu       sync.Mutex
+	families map[string]*family
 }
 
 // family is one metric name: its metadata plus every labeled series.
@@ -44,19 +42,6 @@ type series struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
-}
-
-// RegisterCollector adds a callback run (under the registry lock) before
-// every scrape. Collectors pull values out of subsystem-owned atomics and
-// push them into gauges/counters, so the instrumented code pays nothing
-// between scrapes.
-func (r *Registry) RegisterCollector(fn func()) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	r.collectors = append(r.collectors, fn)
-	r.mu.Unlock()
 }
 
 // getFamily finds or creates the named family. The first registration
@@ -146,15 +131,6 @@ func (c Counter) Add(n int64) {
 
 // Inc increments the counter by one.
 func (c Counter) Inc() { c.Add(1) }
-
-// Set stores the counter's value directly. It exists for pull-style
-// collectors that mirror an externally maintained monotone total at scrape
-// time; values must never decrease.
-func (c Counter) Set(v int64) {
-	if c.s != nil {
-		atomic.StoreInt64(&c.s.val, v)
-	}
-}
 
 // Value returns the current count.
 func (c Counter) Value() int64 {
@@ -291,17 +267,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	return s.hist
 }
 
-// snapshotFamilies runs registered collectors (outside the registry lock,
-// so they may register new series) and returns the families sorted by
-// name.
+// snapshotFamilies returns the families sorted by name.
 func (r *Registry) snapshotFamilies() []*family {
-	r.mu.Lock()
-	cols := make([]func(), len(r.collectors))
-	copy(cols, r.collectors)
-	r.mu.Unlock()
-	for _, fn := range cols {
-		fn()
-	}
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
@@ -321,7 +288,7 @@ func formatValue(v float64) string {
 }
 
 // WriteProm writes every metric in the Prometheus text exposition format
-// (version 0.0.4). Collector callbacks run first. Safe on a nil registry.
+// (version 0.0.4). Safe on a nil registry.
 func (r *Registry) WriteProm(w io.Writer) {
 	if r == nil {
 		return

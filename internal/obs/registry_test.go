@@ -24,10 +24,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 5 {
 		t.Errorf("gauge value %d, want 5", got)
 	}
-	c1.Set(10)
-	if got := c2.Value(); got != 10 {
-		t.Errorf("counter after Set %d, want 10", got)
-	}
 }
 
 // TestLabelsDistinguishSeries: different label values are different series,
@@ -70,7 +66,6 @@ func TestNilRegistrySafe(t *testing.T) {
 		t.Error("nil histogram must be inert")
 	}
 	reg.GaugeFunc("t_f", "h", func() float64 { return 1 })
-	reg.RegisterCollector(func() {})
 	reg.WriteProm(io.Discard)
 }
 
@@ -128,24 +123,23 @@ func TestHistogramExposition(t *testing.T) {
 	}
 }
 
-// TestCollectorsRunOnScrape: registered collectors must run before every
-// export so pull-style metrics are fresh.
-func TestCollectorsRunOnScrape(t *testing.T) {
+// TestGaugeFuncReadsAtScrape: a GaugeFunc's function runs on every export,
+// so a pulled value is fresh at each scrape.
+func TestGaugeFuncReadsAtScrape(t *testing.T) {
 	reg := NewRegistry()
-	g := reg.Gauge("t_pull", "pulled at scrape")
 	src := int64(0)
-	reg.RegisterCollector(func() { g.Set(src) })
+	reg.GaugeFunc("t_pull", "pulled at scrape", func() float64 { return float64(src) })
 	src = 41
 	var sb strings.Builder
 	reg.WriteProm(&sb)
 	if !strings.Contains(sb.String(), "t_pull 41") {
-		t.Errorf("collector did not run before WriteProm:\n%s", sb.String())
+		t.Errorf("the gauge function did not run on WriteProm:\n%s", sb.String())
 	}
 	src = 42
 	sb.Reset()
 	reg.WriteProm(&sb)
 	if !strings.Contains(sb.String(), "t_pull 42") {
-		t.Errorf("collector did not run again on the second scrape:\n%s", sb.String())
+		t.Errorf("the gauge function did not run again on the second scrape:\n%s", sb.String())
 	}
 }
 

@@ -80,7 +80,7 @@ type checkpoint struct {
 	// page, empty between calls.
 	carried map[uint64][]byte
 	// bufs is where the pages and snapshots above come from and, once the
-	// span is over, go back to, with the checkpoint itself; nil allocates.
+	// span is over, go back to, with the checkpoint itself.
 	bufs *bufFree
 }
 
@@ -105,13 +105,11 @@ func (cp *checkpoint) recycle() {
 	clear(cp.io)
 	cp.io = cp.io[:0]
 	cp.prev, cp.next, cp.committed = nil, nil, false
-	if f != nil {
-		f.mu.Lock()
-		if len(f.cps) < cpFreeCap {
-			f.cps = append(f.cps, cp)
-		}
-		f.mu.Unlock()
+	f.mu.Lock()
+	if len(f.cps) < cpFreeCap {
+		f.cps = append(f.cps, cp)
 	}
+	f.mu.Unlock()
 }
 
 // ownPage returns the checkpoint-owned page at base in m, creating it on

@@ -7,10 +7,10 @@ import (
 	"privateer/internal/vm"
 )
 
-// newCheckpoint returns a checkpoint that allocates its buffers and is
-// never parked.
+// newCheckpoint returns a checkpoint over a free list of its own, which
+// nothing else draws from.
 func newCheckpoint(id, base, limit int64, prev *checkpoint) *checkpoint {
-	return (*bufFree)(nil).checkpoint(id, base, limit, prev)
+	return new(bufFree).checkpoint(id, base, limit, prev)
 }
 
 // TestCrossValidateFirstViolation: over a chain where different pages

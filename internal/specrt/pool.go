@@ -28,7 +28,8 @@ type warmSlot struct {
 
 // WorkerPool recycles warmed worker machinery across spans and region
 // invocations; a run's master draws its slot from the same pool and parks
-// it when the run ends. Spawning a worker cold allocates an address-space
+// it when the run ends. Every RT.Run spawns through one: Config.Pool, or a
+// pool of the Run's own. Spawning a worker cold allocates an address-space
 // clone and an interpreter per spawn; a warmed spawn re-clones a pooled
 // space in place, reusing its TLB arrays, heap-state slots, the delta-map capacity
 // its allocator grew on earlier runs and, through the space's arena, the
@@ -66,9 +67,8 @@ const (
 // are dead once invoke has installed and committed the span's valid prefix
 // (spanState.recycle), and the next span merges the same objects into
 // buffers of the same sizes, so they go back here rather than to the
-// collector. Owned by the WorkerPool when one is configured (reuse across
-// invocations and tenants), by the RT otherwise (reuse across the spans of
-// one run); a nil *bufFree allocates and drops.
+// collector. Owned by the WorkerPool, so buffers recycle across the spans
+// of a run and, with a shared pool, across runs and tenants.
 type bufFree struct {
 	mu   sync.Mutex
 	free map[int][][]byte
@@ -80,13 +80,11 @@ type bufFree struct {
 // prev, drawing its buffers from f: a parked one when f has one.
 func (f *bufFree) checkpoint(id, base, limit int64, prev *checkpoint) *checkpoint {
 	var cp *checkpoint
-	if f != nil {
-		f.mu.Lock()
-		if n := len(f.cps); n > 0 {
-			cp, f.cps = f.cps[n-1], f.cps[:n-1]
-		}
-		f.mu.Unlock()
+	f.mu.Lock()
+	if n := len(f.cps); n > 0 {
+		cp, f.cps = f.cps[n-1], f.cps[:n-1]
 	}
+	f.mu.Unlock()
 	if cp == nil {
 		cp = &checkpoint{data: map[uint64][]byte{}, shadow: map[uint64][]byte{},
 			proven: map[uint64][]byte{}, carried: map[uint64][]byte{}}
@@ -101,29 +99,24 @@ func (f *bufFree) checkpoint(id, base, limit int64, prev *checkpoint) *checkpoin
 // get returns a buffer of n bytes, zeroed when zero is set (a caller that
 // overwrites it whole passes false).
 func (f *bufFree) get(n int, zero bool) []byte {
-	if f != nil {
-		f.mu.Lock()
-		if lst := f.free[n]; len(lst) > 0 {
-			b := lst[len(lst)-1]
-			lst[len(lst)-1] = nil
-			f.free[n] = lst[:len(lst)-1]
-			f.held -= n
-			f.mu.Unlock()
-			if zero {
-				clear(b)
-			}
-			return b
-		}
+	f.mu.Lock()
+	if lst := f.free[n]; len(lst) > 0 {
+		b := lst[len(lst)-1]
+		lst[len(lst)-1] = nil
+		f.free[n] = lst[:len(lst)-1]
+		f.held -= n
 		f.mu.Unlock()
+		if zero {
+			clear(b)
+		}
+		return b
 	}
+	f.mu.Unlock()
 	return make([]byte, n)
 }
 
 // put parks b for the next get of its length; past bufFreeCap it is dropped.
 func (f *bufFree) put(b []byte) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	if f.held+len(b) <= bufFreeCap {
 		if f.free == nil {

@@ -166,7 +166,9 @@ func TestPooledMasterIsFresh(t *testing.T) {
 	var drawn []*interp.Interp
 	var fromMaster, fromWorker int
 	for i := int64(0); i < parked; i++ {
-		m := newRT(pool).newMaster()
+		rt := newRT(pool)
+		rt.pool = pool // what Run sets before it draws its master
+		m := rt.newMaster()
 		if m == warm.Master() {
 			fromMaster++
 		} else {
@@ -310,9 +312,9 @@ func TestRecycledInterpreterChecks(t *testing.T) {
 
 // TestHardErrorParksFleet: a worker's hard error (a division by zero at
 // i = 3, which is no misspeculation) fails the run, yet every space the span
-// spawned goes back to the pool, or is released without one: a dropped
-// space would drain warm slots and keep the master's tree shared, so the
-// master could never reown it.
+// spawned goes back to the run's pool, Config.Pool or the Run's own: a
+// dropped space would drain warm slots and keep the master's tree shared,
+// so the master could never reown it.
 func TestHardErrorParksFleet(t *testing.T) {
 	mod := ir.NewModule("div")
 	out := mod.NewGlobal("out", 4*8)
@@ -387,5 +389,67 @@ func TestConfigProgramModuleMismatch(t *testing.T) {
 	rt := New(mod, Config{Workers: 2, Program: other}, ri)
 	if _, err := rt.Run(); err == nil {
 		t.Fatal("mismatched Config.Program was not rejected")
+	}
+}
+
+// TestPoolWithoutProgramRejected: a pool keys its slots by decoded Program,
+// so runtimes that share a Pool but each decode their module privately
+// would park a fleet apiece that no later runtime draws. Their Runs are
+// refused, naming both fields, before anything is drawn or parked.
+func TestPoolWithoutProgramRejected(t *testing.T) {
+	mod := buildWriterModule(37)
+	ri := buildRegion(t, mod)
+	pool := NewWorkerPool(0)
+	for i := 0; i < 2; i++ {
+		rt := New(mod, Config{Workers: 4, CheckpointPeriod: 4, Pool: pool}, ri)
+		_, err := rt.Run()
+		if err == nil || !strings.Contains(err.Error(), "Config.Pool") || !strings.Contains(err.Error(), "Config.Program") {
+			t.Errorf("run %d: error %v, want one naming Config.Pool and Config.Program", i, err)
+		}
+		if st := pool.Snapshot(); st.Retained != 0 || st.Returned != 0 {
+			t.Errorf("run %d: the pool parked slots no later runtime can draw: %+v", i, st)
+		}
+	}
+}
+
+// TestOwnPoolRecyclesAcrossSpans: a runtime given no Pool spawns through a
+// pool of its Run's own. Misspeculation injected at one worker makes the
+// Run several spans long, and every span after the first re-clones the
+// slot the span before parked. The Run returns, prints and counts what the
+// same run on a fresh explicit pool does, WarmSpawns included; only the
+// wall-clock timings differ.
+func TestOwnPoolRecyclesAcrossSpans(t *testing.T) {
+	mod := buildWriterModule(37)
+	ri := buildRegion(t, mod)
+	cfg := Config{Workers: 1, CheckpointPeriod: 4, MisspecRate: 0.1, Seed: 1}
+	run := func(cfg Config) (uint64, *RT) {
+		rt := New(mod, cfg, ri)
+		v, err := rt.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, rt
+	}
+	ownRet, own := run(cfg)
+	if own.Stats.Misspecs == 0 || own.Stats.WarmSpawns == 0 {
+		t.Fatalf("%d misspeculations, %d warm spawns; want later spans to draw the slot the first one parked",
+			own.Stats.Misspecs, own.Stats.WarmSpawns)
+	}
+	cfg.Program, cfg.Pool = interp.SharedProgram(mod), NewWorkerPool(0)
+	wantRet, want := run(cfg)
+	counts := func(st Stats) Stats {
+		st.SpawnNS, st.JoinNS, st.CheckpointNS, st.PrivReadNS = 0, 0, 0, 0
+		st.PrivWriteNS, st.WorkerBusyNS, st.RegionWallNS = 0, 0, 0
+		return st
+	}
+	if ownRet != wantRet || own.Output() != want.Output() {
+		t.Errorf("own pool: %d and %q; explicit pool: %d and %q", ownRet, own.Output(), wantRet, want.Output())
+	}
+	if counts(own.Stats) != counts(want.Stats) {
+		t.Errorf("own pool counted %+v, explicit pool %+v", counts(own.Stats), counts(want.Stats))
+	}
+	if own.Sim != want.Sim || own.VM != want.VM || !slices.Equal(own.Sites, want.Sites) {
+		t.Errorf("own pool: Sim %+v, VM %+v, sites %v; explicit pool: %+v, %+v, %v",
+			own.Sim, own.VM, own.Sites, want.Sim, want.VM, want.Sites)
 	}
 }

@@ -54,19 +54,16 @@ type Config struct {
 	// prover never trips the oracle; it exists to catch unsound proofs
 	// (see core.Ablation.PlantProofs) before they corrupt output silently.
 	SepAudit bool
-	// Program, when non-nil, is the pre-decoded form of Mod (made once by
-	// the caller with interp.SharedProgram) that this runtime's master,
-	// workers and recovery interpreters execute. RT instances given the
-	// same Program — the region service's jobs — share one decode cache
-	// and the Pool's slots for it. Program.Mod must be the runtime's
-	// module. Nil decodes privately, the single-invocation default.
+	// Program is the pre-decoded form of Mod (interp.SharedProgram) that
+	// this runtime's master, workers and recovery interpreter execute;
+	// Program.Mod must be the runtime's module. RT instances given the same
+	// Program — the region service's jobs — share one decode cache and the
+	// Pool's slots for it. Nil makes New decode Mod for this RT alone.
 	Program *interp.Program
-	// Pool, when non-nil, recycles warmed worker machinery (address space +
-	// interpreter) across spans and invocations instead of constructing it
-	// fresh on every spawn, amortizing the per-spawn allocator clone; with
-	// Program set, each run's master comes from it too and goes back when
-	// the run ends. The pool is safe for concurrent use; the service shares
-	// one per compiled program. Nil spawns cold every time.
+	// Pool is where each Run's master, worker spawns and checkpoint buffers
+	// come from and go back to; the service shares one per compiled program
+	// across the runtimes given its Program, which a Pool requires (slots
+	// are keyed by it). Nil gives each Run a pool of its own.
 	Pool *WorkerPool
 }
 
@@ -123,8 +120,9 @@ type Stats struct {
 	// contradicting a static separation proof. Nonzero means an unsound
 	// proof reached the runtime; see Record.SepAudit.
 	SepAuditViolations int64
-	// WarmSpawns counts worker spawns satisfied from Config.Pool's warmed
-	// slots (a recycled address space re-cloned in place plus a recycled
+	// WarmSpawns counts worker spawns satisfied from a slot an earlier span,
+	// or with a shared Config.Pool an earlier run, parked in the run's pool
+	// (a recycled address space re-cloned in place plus a recycled
 	// interpreter) rather than constructed cold.
 	WarmSpawns int64
 	// SpawnNS is wall-clock worker spawn time (nanoseconds, like every
@@ -206,8 +204,12 @@ type RT struct {
 	// commitChain and sequentialRange after the span's workers have joined —
 	// and workers never do (their prints defer into worker-local buffers);
 	// the mutex keeps that discipline checkable under -race.
-	outMu  sync.Mutex
-	out    strings.Builder
+	outMu sync.Mutex
+	out   strings.Builder
+	// prog is Cfg.Program, or New's decode of Mod when that is nil.
+	prog *interp.Program
+	// pool is the current Run's: Cfg.Pool, or one of the Run's own.
+	pool   *WorkerPool
 	master *interp.Interp
 	// recov executes recovery and fallback iterations over the master's
 	// space, and runs regions without an Assign in order; built by the
@@ -230,9 +232,6 @@ type RT struct {
 	missTable map[misspecKey]int64
 	sepViols  []string
 
-	// ownBufs is the checkpoint-buffer free list when Cfg.Pool is nil.
-	ownBufs bufFree
-
 	// The master thread's reused storage, one span at a time: the span,
 	// its workers and snapshots (see speculate), the invocation's owed
 	// iterations (see invoke) and sequentialRange's arguments.
@@ -250,23 +249,18 @@ type RT struct {
 	priceRate                      float64
 }
 
-// bufs returns the free list this runtime's checkpoints draw from.
-func (rt *RT) bufs() *bufFree {
-	if p := rt.Cfg.Pool; p != nil {
-		return &p.bufs
-	}
-	return &rt.ownBufs
-}
-
 // New prepares a runtime for mod with the given regions.
 func New(mod *ir.Module, cfg Config, regions ...*RegionInfo) *RT {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
 	rt := &RT{
-		Cfg: cfg, Mod: mod,
+		Cfg: cfg, Mod: mod, prog: cfg.Program,
 		regions:   map[*ir.Function]*RegionInfo{},
 		missTable: map[misspecKey]int64{},
+	}
+	if rt.prog == nil {
+		rt.prog = interp.SharedProgram(mod)
 	}
 	for _, r := range regions {
 		rt.regions[r.Outline.RegionFn] = r
@@ -289,11 +283,11 @@ func (rt *RT) writeOut(text string) {
 	rt.outMu.Unlock()
 }
 
-// Master exposes the main process interpreter. After Run its AS.Stats reads
-// as the last run's vm counts, the same figures Run added into Record.VM. A
-// master drawn from Config.Pool (see newMaster) has been parked by then:
-// its memory, global layout and hooks are gone, and its Stats reads as the
-// finished run only until the pool hands the slot to another run.
+// Master exposes the main process interpreter. After Run it has been
+// parked in the run's pool: its memory, global layout and hooks are gone,
+// and its AS.Stats reads as the last run's vm counts, the figures Run added
+// into Record.VM, only until the pool hands the slot to another run (with
+// Config.Pool nil, none does).
 func (rt *RT) Master() *interp.Interp { return rt.master }
 
 // onAlloc registers a master-side allocation as a live object: a span
@@ -317,35 +311,38 @@ func (rt *RT) onFree(fr *interp.Frame, in *ir.Instr, addr uint64) {
 }
 
 // newMaster returns the run's main-process interpreter over an empty space
-// counting from zero. With both Config.Program and Config.Pool set it is a
-// slot drawn from the pool (parked released and recycled, so LayOutGlobals
-// lays out the same addresses NewAddressSpace would give), and the master's
-// radix nodes, pages and frame slabs recycle through the slot's arena
-// exactly as a worker's do.
+// counting from zero: a slot drawn from rt.pool (parked released and
+// recycled, so LayOutGlobals lays out the same addresses NewAddressSpace
+// would give), built fresh when the pool has none. The master's radix
+// nodes, pages and frame slabs recycle through the slot's arena exactly as
+// a worker's do.
 func (rt *RT) newMaster() *interp.Interp {
-	p := rt.Cfg.Program
-	if p == nil {
-		return interp.New(rt.Mod, vm.NewAddressSpace())
+	if s := rt.pool.get(rt.prog); s != nil {
+		s.as.Stats = vm.Stats{}
+		return s.it
 	}
-	if pool := rt.Cfg.Pool; pool != nil {
-		if s := pool.get(p); s != nil {
-			s.as.Stats = vm.Stats{}
-			return s.it
-		}
-	}
-	return interp.NewShared(p, vm.NewAddressSpace())
+	return interp.NewShared(rt.prog, vm.NewAddressSpace())
 }
 
-// Run executes the program from its entry function. On every exit it
-// settles the Record: the master's steps and vm counts (its span fleets'
-// folded in) are added, and the detail tables rendered. A master drawn from
-// Config.Pool is then parked, after its span fleets: each span parks its
-// workers before returning, so no clone can reach the master's tree when
-// the pool reclaims it.
+// Run executes the program from its entry function over Config.Pool, or a
+// pool of its own when that is nil. On every exit it settles the Record:
+// the master's steps and vm counts (its span fleets' folded in) are added,
+// and the detail tables rendered. The master is then parked, after its span
+// fleets: each span parks its workers before returning, so no clone can
+// reach the master's tree when the pool reclaims it.
 func (rt *RT) Run(args ...uint64) (uint64, error) {
-	if p := rt.Cfg.Program; p != nil && p.Mod != rt.Mod {
+	if rt.prog.Mod != rt.Mod {
 		return 0, fmt.Errorf("specrt: Config.Program decodes module %q, runtime executes %q",
-			p.Mod.Name, rt.Mod.Name)
+			rt.prog.Mod.Name, rt.Mod.Name)
+	}
+	rt.pool = rt.Cfg.Pool
+	switch {
+	case rt.pool == nil:
+		// The master and one fleet: every slot of the Run stays parked.
+		rt.pool = NewWorkerPool(rt.Cfg.Workers + 1)
+	case rt.Cfg.Program == nil:
+		return 0, fmt.Errorf("specrt: Config.Pool needs Config.Program: the pool keys slots by "+
+			"decoded program, and module %q is decoded for this runtime alone", rt.Mod.Name)
 	}
 	master := rt.newMaster()
 	rt.master, rt.recov = master, nil
@@ -370,9 +367,7 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 		rt.Sites = rt.misspecSites()
 		rt.SepAudit = append([]string(nil), rt.sepViols...)
 		rt.reportMu.Unlock()
-		if pool := rt.Cfg.Pool; pool != nil && rt.Cfg.Program != nil {
-			pool.put(rt.Cfg.Program, &warmSlot{as: master.AS, it: master})
-		}
+		rt.pool.put(rt.prog, &warmSlot{as: master.AS, it: master})
 	}()
 	if err := master.LayOutGlobals(); err != nil {
 		return 0, err
@@ -674,7 +669,7 @@ func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64, sha
 	}
 	it := rt.recov
 	if it == nil {
-		it = interp.NewShared(rt.master.Program(), rt.master.AS)
+		it = interp.NewShared(rt.prog, rt.master.AS)
 		it.AdoptLayout(rt.master.GlobalLayout())
 		it.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
 			rt.writeOut(text)

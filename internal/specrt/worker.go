@@ -96,7 +96,7 @@ func (sp *spanState) checkpointFor(c int64) *checkpoint {
 		}
 		base := sp.start + id*sp.k
 		limit := min(base+sp.k, sp.hi)
-		cp := sp.rt.bufs().checkpoint(id, base, limit, prev)
+		cp := sp.rt.pool.bufs.checkpoint(id, base, limit, prev)
 		for len(cp.redux) < len(sp.redux) {
 			cp.redux = append(cp.redux, nil)
 		}
@@ -232,22 +232,18 @@ func (sp *spanState) spawnFleet(workers int) ([]*worker, error) {
 
 // retire is the fleet's fold: it adds each worker's counts into the run's
 // (w.local into rt.Stats, the space's vm counts into the master's), then
-// parks the worker's machinery in the pool, or releases its space when
-// there is none, and gives the master its tree back. Checkpoints copy what
-// they keep out of worker spaces, so every exit of run retires every worker
-// it spawned, after the fleet has joined: a dropped space would drain the
-// pool, keep the master copying on write and lose its counts. The worker
-// lets go of the span: an RT → worker → span → RT cycle keeps a run alive.
+// parks the worker's machinery in the pool and gives the master its tree
+// back. Checkpoints copy what they keep out of worker spaces, so every exit
+// of run retires every worker it spawned, after the fleet has joined: a
+// dropped space would drain the pool, keep the master copying on write and
+// lose its counts. The worker lets go of the span: an RT → worker → span →
+// RT cycle keeps a run alive.
 func (sp *spanState) retire(ws ...*worker) {
 	rt := sp.rt
 	for _, w := range ws {
 		rt.Stats.addWorker(&w.local)
 		rt.master.AS.Stats.Add(w.as.Stats)
-		if pool := rt.Cfg.Pool; pool != nil {
-			pool.put(rt.master.Program(), &warmSlot{as: w.as, it: w.it})
-		} else {
-			w.as.Release()
-		}
+		rt.pool.put(rt.prog, &warmSlot{as: w.as, it: w.it})
 		w.sp, w.as, w.it = nil, nil, nil
 	}
 	rt.master.AS.Reown()
@@ -390,18 +386,15 @@ func newWorker(sp *spanState, id, stride int) error {
 	// interpreter, recycled when it was parked — same semantics as the cold
 	// path below, minus the per-spawn allocation of TLB arrays, heap states
 	// and maps.
-	if pool := rt.Cfg.Pool; pool != nil {
-		if slot := pool.get(rt.master.Program()); slot != nil {
-			slot.as.RecloneFrom(rt.master.AS)
-			w.as, w.it = slot.as, slot.it
-			rt.Stats.WarmSpawns++
-		}
-	}
-	if w.as == nil {
+	if slot := rt.pool.get(rt.prog); slot != nil {
+		slot.as.RecloneFrom(rt.master.AS)
+		w.as, w.it = slot.as, slot.it
+		rt.Stats.WarmSpawns++
+	} else {
 		w.as = rt.master.AS.Clone()
-		// Sharing the master's decoded program means each region function
-		// is pre-decoded once per run, not once per worker per span.
-		w.it = interp.NewShared(rt.master.Program(), w.as)
+		// Sharing the runtime's decoded program means each region function
+		// is decoded once, not once per worker per span.
+		w.it = interp.NewShared(rt.prog, w.as)
 	}
 	// Workers see the read-only heap as truly read-only, and the
 	// reduction heap starts at the operator's identity. A failure here
@@ -425,7 +418,7 @@ func newWorker(sp *spanState, id, stride int) error {
 // initRedux writes the operator's identity over every reduction object of
 // the span in the worker's space, one write per object.
 func (w *worker) initRedux() error {
-	bufs := w.sp.rt.bufs()
+	bufs := &w.sp.rt.pool.bufs
 	for _, ro := range w.sp.redux {
 		ident, err := Identity(ro.op, ro.elemSize)
 		if err != nil {
