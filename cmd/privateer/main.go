@@ -70,6 +70,16 @@ func run(args []string) error {
 		flightCap   = fs.Int("flight-entries", 0, "serve: postmortems retained by the flight recorder (0 = default)")
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2
+	// Rejected before anything runs: a one-shot run starts with the
+	// sequential baseline, which takes seconds on ref inputs.
+	if *mode != "seq" && *mode != "doall" && *mode != "privateer" && *mode != "serve" {
+		return fmt.Errorf("unknown mode %q", *mode)
+	}
+	set := map[string]string{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
+	if err := unreadFlags(*mode, set); err != nil {
+		return err
+	}
 	if *mode == "serve" {
 		return runService(*serve, *workers, *queueDepth, *concurrency,
 			*tenantQuota, *poolSlots, *traceCap, *flightCap, *misspec, *seed)
@@ -78,45 +88,57 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Rejected here, not in oneShot: that runs the sequential baseline
-	// first, which takes seconds on ref inputs.
-	if *mode != "seq" && *mode != "doall" && *mode != "privateer" {
-		return fmt.Errorf("unknown mode %q", *mode)
-	}
-	set := map[string]string{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
-	if err := unreadFlags(*mode, set); err != nil {
-		return err
-	}
 	return t.oneShot(*mode, specrt.Config{
 		Workers: *workers, MisspecRate: *misspec, Seed: *seed, CheckpointPeriod: *period,
 	}, *showOut, *quiet, *whyMiss)
 }
 
-// unreadFlags rejects a flag given on the command line that a one-shot run
-// in mode would not read: -serve is the region service's listen address,
-// and -misspec, -checkpoint, -seed and -why-misspec tune or report
-// speculation, which -mode seq and -mode doall do not do. set maps each
-// given flag to its value.
+// unreadFlags rejects a flag given on the command line that a run in mode
+// would not read. -mode serve runs the programs its jobs name and prints no
+// report, so of the one-shot flags it reads only -workers, -misspec and
+// -seed. A one-shot run drops -serve and the service tuning flags; an
+// -irfile module drops -prog and -input, a named program -args; and -mode
+// seq and -mode doall drop -misspec, -checkpoint, -seed and -why-misspec,
+// which tune or report speculation. set maps each given flag to its value.
 func unreadFlags(mode string, set map[string]string) error {
+	if mode == "serve" {
+		if g := given(set, "prog", "input", "irfile", "args", "checkpoint", "O", "output", "quiet", "why-misspec"); g != "" {
+			return fmt.Errorf("%s: -mode serve runs submitted jobs and prints no report", g)
+		}
+		return nil
+	}
 	if v, ok := set["serve"]; ok {
 		return fmt.Errorf("-serve %s is the listen address of -mode serve; "+
 			"a one-shot run prints its totals and exits", v)
 	}
+	if g := given(set, "queue-depth", "concurrency", "tenant-quota", "pool-slots", "trace-capacity", "flight-entries"); g != "" {
+		return fmt.Errorf("%s: tunes the region service of -mode serve; -mode %s is a one-shot run", g, mode)
+	}
+	if _, ok := set["irfile"]; ok {
+		if g := given(set, "prog", "input"); g != "" {
+			return fmt.Errorf("%s: -irfile runs its module on -args, not a named program's input", g)
+		}
+	} else if g := given(set, "args"); g != "" {
+		return fmt.Errorf("%s: only an -irfile module takes -args", g)
+	}
 	if mode == "privateer" {
 		return nil
 	}
-	var given []string
-	for _, name := range []string{"misspec", "checkpoint", "seed", "why-misspec"} {
+	if g := given(set, "misspec", "checkpoint", "seed", "why-misspec"); g != "" {
+		return fmt.Errorf("%s: only -mode privateer speculates; -mode %s does not", g, mode)
+	}
+	return nil
+}
+
+// given lists, as "-name value", the flags among names that set holds.
+func given(set map[string]string, names ...string) string {
+	var out []string
+	for _, name := range names {
 		if v, ok := set[name]; ok {
-			given = append(given, "-"+name+" "+v)
+			out = append(out, "-"+name+" "+v)
 		}
 	}
-	if len(given) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%s: only -mode privateer speculates; -mode %s does not",
-		strings.Join(given, ", "), mode)
+	return strings.Join(out, ", ")
 }
 
 // runService runs the process as a long-lived multi-tenant region service:

@@ -58,10 +58,13 @@ func TestUnknownModeRejectedBeforeAnythingRuns(t *testing.T) {
 // TestServeWithoutModeServeRejected: a flag the chosen mode would not read
 // is an error that names the flag and the mode, not a flag the run silently
 // ignores, and it comes before the sequential baseline runs. What counts is
-// that the flag was given, whatever its value. -serve is the region
-// service's listen address, so a one-shot run rejects it; -misspec,
-// -checkpoint, -seed and -why-misspec tune or report speculation, so
-// -mode seq and -mode doall reject them.
+// that the flag was given, whatever its value. -serve and the service
+// tuning flags belong to the region service, so a one-shot run rejects
+// them; -mode serve rejects the one-shot flags it drops (runCapturing
+// always gives -prog and -input). An -irfile module rejects -prog and
+// -input, a named program -args. -misspec, -checkpoint, -seed and
+// -why-misspec tune or report speculation, so -mode seq and -mode doall
+// reject them.
 func TestServeWithoutModeServeRejected(t *testing.T) {
 	for _, c := range []struct {
 		flags []string
@@ -74,6 +77,19 @@ func TestServeWithoutModeServeRejected(t *testing.T) {
 		{[]string{"-mode", "doall", "-checkpoint", "16"}, []string{"-checkpoint 16", "-mode doall"}},
 		{[]string{"-mode", "seq", "-seed", "1"}, []string{"-seed 1", "-mode seq"}},
 		{[]string{"-mode", "doall", "-why-misspec"}, []string{"-why-misspec", "-mode doall"}},
+		{[]string{"-mode", "seq", "-pool-slots", "3", "-args", "5"}, []string{"-pool-slots 3", "-mode serve", "-mode seq"}},
+		{[]string{"-queue-depth", "8"}, []string{"-queue-depth 8", "-mode privateer"}},
+		{[]string{"-mode", "doall", "-concurrency", "2"}, []string{"-concurrency 2", "-mode doall"}},
+		{[]string{"-tenant-quota", "1", "-trace-capacity", "64", "-flight-entries", "4"},
+			[]string{"-tenant-quota 1", "-trace-capacity 64", "-flight-entries 4", "-mode serve"}},
+		{[]string{"-args", "5"}, []string{"-args 5", "-irfile"}},
+		{[]string{"-mode", "seq", "-irfile", "../../internal/ir/testdata/histogram.pir"},
+			[]string{"-prog dijkstra", "-input train", "-irfile"}},
+		{[]string{"-mode", "serve"}, []string{"-prog dijkstra", "-input train", "-mode serve"}},
+		{[]string{"-mode", "serve", "-irfile", "x.pir", "-args", "5", "-checkpoint", "16"},
+			[]string{"-irfile x.pir", "-args 5", "-checkpoint 16", "-mode serve"}},
+		{[]string{"-mode", "serve", "-O", "-output", "-quiet", "-why-misspec"},
+			[]string{"-O true", "-output true", "-quiet true", "-why-misspec true", "-mode serve"}},
 	} {
 		printed, err := runCapturing(t, c.flags...)
 		for _, want := range c.want {

@@ -116,12 +116,12 @@ func normalizeObj(name string) string {
 // claims extracts the shipped proofs of every selected region, by name.
 func claims(par *core.Parallelized) []Claim {
 	var out []Claim
-	for _, rep := range par.Reports {
-		if !rep.Selected || rep.Assignment == nil || rep.Assignment.Sep == nil {
+	for _, ri := range par.Regions {
+		if ri.Assign == nil || ri.Assign.Sep == nil {
 			continue
 		}
-		for o, rule := range rep.Assignment.Sep.Proven {
-			out = append(out, Claim{Loop: rep.Loop, Object: normalizeObj(o.String()), Rule: rule})
+		for o, rule := range ri.Assign.Sep.Proven {
+			out = append(out, Claim{Loop: ri.Outline.LoopName, Object: normalizeObj(o.String()), Rule: rule})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -5,6 +5,7 @@ import (
 
 	"privateer/internal/classify"
 	"privateer/internal/core"
+	"privateer/internal/obs"
 	"privateer/internal/specrt"
 )
 
@@ -96,7 +97,7 @@ func (r *CheckpointAblationResult) Format() string {
 		})
 	}
 	return fmt.Sprintf("Ablation: checkpoint period (%s, %d workers, sim speedup)\n", r.Program, r.Workers) +
-		table(header, rows)
+		obs.Table(header, rows)
 }
 
 // ValuePredAblationRow records whether the hottest loop survives selection
@@ -200,5 +201,5 @@ func (r *ValuePredAblationResult) Format() string {
 			row.Reason,
 		})
 	}
-	return "Ablation: value prediction's enabling effect\n" + table(header, rows)
+	return "Ablation: value prediction's enabling effect\n" + obs.Table(header, rows)
 }

@@ -18,7 +18,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"privateer/internal/core"
 	"privateer/internal/interp"
@@ -221,41 +220,4 @@ func geomean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
-}
-
-// table renders rows with aligned columns.
-func table(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], c)
-		}
-		sb.WriteString("\n")
-	}
-	writeRow(header)
-	for i := range widths {
-		if i > 0 {
-			sb.WriteString("  ")
-		}
-		sb.WriteString(strings.Repeat("-", widths[i]))
-	}
-	sb.WriteString("\n")
-	for _, r := range rows {
-		writeRow(r)
-	}
-	return sb.String()
 }

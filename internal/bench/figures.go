@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"privateer/internal/core"
+	"privateer/internal/obs"
 	"privateer/internal/specrt"
 )
 
@@ -66,7 +67,7 @@ func (r *Fig6Result) Format() string {
 	}
 	rows = append(rows, gm)
 	return "Figure 6: whole-program sim speedup vs best sequential\n" +
-		table(header, rows)
+		obs.Table(header, rows)
 }
 
 // Fig7Result compares DOALL-only against Privateer at the full machine
@@ -134,7 +135,7 @@ func (r *Fig7Result) Format() string {
 	ga, gb := r.Geomeans()
 	rows = append(rows, []string{"geomean", fmt.Sprintf("%.2fx", ga), fmt.Sprintf("%.2fx", gb), ""})
 	return fmt.Sprintf("Figure 7: enabling effect of Privateer at %d workers (sim speedup)\n", r.Workers) +
-		table(header, rows)
+		obs.Table(header, rows)
 }
 
 // Fig8Breakdown is one program × worker-count overhead decomposition,
@@ -215,7 +216,7 @@ func (r *Fig8Result) Format() string {
 			})
 		}
 	}
-	return out + table(header, rows)
+	return out + obs.Table(header, rows)
 }
 
 // Fig9Result holds simulated-speedup degradation under injected
@@ -273,5 +274,5 @@ func (r *Fig9Result) Format() string {
 	}
 	return fmt.Sprintf("Figure 9: performance degradation with misspeculation at %d workers\n"+
 		"(sim speedup, with observed misspeculation count in parentheses)\n", r.Workers) +
-		table(header, rows)
+		obs.Table(header, rows)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"privateer/internal/ir"
+	"privateer/internal/obs"
 	"privateer/internal/specrt"
 )
 
@@ -25,7 +26,7 @@ func Table1() string {
 		{"Privateer (this repo)", "yes", "yes", "speculative", "heap separation", "speculative", "heap separation"},
 	}
 	return "Table 1: comparison with privatization and reduction schemes\n" +
-		table(header, rows)
+		obs.Table(header, rows)
 }
 
 // Table3Row is one program's dynamic details (the paper's Table 3).
@@ -118,7 +119,7 @@ func (r *Table3Result) Format() string {
 		})
 	}
 	return fmt.Sprintf("Table 3: privatized and parallelized program details (%d workers)\n", r.Workers) +
-		table(header, rows)
+		obs.Table(header, rows)
 }
 
 func humanBytes(n int64) string {

@@ -5,6 +5,7 @@ import (
 
 	"privateer/internal/analysis"
 	"privateer/internal/core"
+	"privateer/internal/obs"
 	"privateer/internal/progs"
 	"privateer/internal/specrt"
 	"privateer/internal/transform"
@@ -200,7 +201,7 @@ func (r *VariantReport) Format() string {
 		"checks are dynamic, sim speedup is before over after in simulated time,\n"+
 		"sim e2e is the Figure 6 metric (sequential steps over simulated time) of each build,\n"+
 		"=base says the after build reproduced the before build byte for byte\n",
-		r.Title, r.Input, r.workers) + table(header, rows)
+		r.Title, r.Input, r.workers) + obs.Table(header, rows)
 }
 
 // RunVariant measures the named variant: one row per configured benchmark.

@@ -1,8 +1,10 @@
 // Package core is the public face of the Privateer reproduction: the fully
 // automatic pipeline of section 4 (profile, classify, select, transform),
-// the non-speculative DOALL-only baseline pipeline (ParallelizeStatic),
-// and entry points for running either build under the speculative runtime
-// and the unmodified program sequentially.
+// Figure 7's non-speculative DOALL-only baseline (ParallelizeStatic), and
+// entry points for running either build under the speculative runtime and
+// the unmodified program sequentially. The two builds are one hot-loop
+// walk (compile) that judges a loop either by privatization plus
+// speculation or by static dependence analysis alone.
 //
 //	mod := buildProgram()                        // IR via the builder
 //	par, _ := core.Parallelize(mod, core.Options{TrainArgs: ...})
@@ -12,7 +14,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"privateer/internal/analysis"
@@ -72,8 +73,6 @@ type LoopReport struct {
 	Selected bool
 	// Reason explains rejection (empty when selected).
 	Reason string
-	// Assignment is the heap assignment (selected loops only).
-	Assignment *classify.Assignment
 }
 
 // Parallelized is the output of the compiler pipeline: a transformed module
@@ -98,18 +97,91 @@ func Parallelize(mod *ir.Module, opts Options) (*Parallelized, error) {
 // ParallelizeAblated is Parallelize with the stages abl names switched off
 // and its proofs planted: the "before" builds of the bench harness's
 // variant table and the planted-proof builds the audit oracles must catch.
+// It judges a loop by privatization plus speculation: price it, classify
+// its footprint into heaps, plan away its carried dependences, prove what
+// separation it can statically and transform it.
 func ParallelizeAblated(mod *ir.Module, opts Options, abl Ablation) (*Parallelized, error) {
-	prof, pt, minSteps, err := profileModule(mod, opts)
-	if err != nil {
-		return nil, err
+	return compile(mod, opts, func(li *profiling.LoopInfo, prof *profiling.Profile,
+		pt *analysis.PointsTo, selected []*specrt.RegionInfo) (*specrt.RegionInfo, string) {
+		if reason := unprofitable(li, opts.Workers); reason != "" {
+			return nil, reason
+		}
+		l := li.Loop
+		a := classify.Classify(l, prof, abl.Classify)
+		plan := deps.SpeculativeBlockers(l, prof, a)
+		if len(plan.Blockers) > 0 {
+			return nil, plan.Blockers[0].String()
+		}
+		if conflict := heapConflict(a, selected); conflict != "" {
+			return nil, conflict
+		}
+		if !abl.DisableStaticSep {
+			a.Sep = analysis.ProveSeparation(l, pt, analysis.SepCandidates{
+				ReadOnly:   a.ReadOnly,
+				ShortLived: a.ShortLived,
+				Private:    a.Private,
+				Redux:      a.Redux,
+			})
+			for name, rule := range abl.PlantProofs {
+				for _, oh := range a.Objects() {
+					if oh.Object.String() == name {
+						a.Sep.Plant(oh.Object, analysis.ProofRule(rule))
+					}
+				}
+			}
+		}
+		res, err := transform.Apply(mod, l, prof, a, plan, pt, abl.Transform)
+		if err != nil {
+			return nil, err.Error()
+		}
+		return &specrt.RegionInfo{Assign: a, Plan: plan, TStats: res.Stats}, ""
+	})
+}
+
+// ParallelizeStatic is Figure 7's non-speculative DOALL-only compiler: the
+// walk Parallelize makes (hotness comes from the same profile, which keeps
+// the comparison apples-to-apples), judging each loop by conservative
+// static dependence analysis alone, with no privatization, checks or
+// checkpoints. Its regions carry no Assign, so Run executes each invocation
+// in program order and prices it as a fleet of workers under the
+// speculative runtime's cost model.
+func ParallelizeStatic(mod *ir.Module, opts Options) (*Parallelized, error) {
+	return compile(mod, opts, func(li *profiling.LoopInfo, _ *profiling.Profile,
+		pt *analysis.PointsTo, _ []*specrt.RegionInfo) (*specrt.RegionInfo, string) {
+		if blockers := deps.StaticBlockers(li.Loop, pt); len(blockers) > 0 {
+			return nil, blockers[0].String()
+		}
+		return &specrt.RegionInfo{}, ""
+	})
+}
+
+// A judge decides a hot loop that passed compile's gates: the region it
+// becomes, without its Outline, or why it is rejected. selected holds the
+// regions chosen so far. It rewrites the module only for a loop it accepts.
+type judge func(li *profiling.LoopInfo, prof *profiling.Profile,
+	pt *analysis.PointsTo, selected []*specrt.RegionInfo) (*specrt.RegionInfo, string)
+
+// compile is the one hot-loop walk of both builds. It verifies mod,
+// profiles it on the train input and computes points-to and the hot
+// threshold: ~1% of the profiled execution time, with a small absolute
+// floor for toy modules. Then, hottest first, it rejects a loop that is
+// cold, has too few iterations, re-enters its own function or may be active
+// with a selected loop, hands the rest to judge and outlines each it accepts.
+func compile(mod *ir.Module, opts Options, judge judge) (*Parallelized, error) {
+	if err := ir.Verify(mod); err != nil {
+		return nil, fmt.Errorf("core: input module invalid: %w", err)
 	}
-
+	prof, err := profiling.Run(mod, opts.TrainArgs...)
+	if err != nil {
+		return nil, fmt.Errorf("core: profiling failed: %w", err)
+	}
+	minSteps := opts.MinLoopSteps
+	if minSteps == 0 {
+		minSteps = max(prof.Steps/100, 100)
+	}
+	pt := analysis.ComputePointsTo(mod)
 	out := &Parallelized{Mod: mod, Profile: prof}
-	// Heap assignments must be compatible across selected loops: one
-	// object cannot live in two heaps.
-	committed := map[profiling.Object]ir.HeapKind{}
-	selectedLoops := []*ir.Loop{}
-
+	var selected []*ir.Loop
 	for _, li := range prof.HotLoops() {
 		l := li.Loop
 		rep := LoopReport{Loop: l.String(), Steps: li.Steps}
@@ -122,64 +194,26 @@ func ParallelizeAblated(mod *ir.Module, opts Options, abl Ablation) (*Paralleliz
 			// and a single-iteration profile cannot expose the loop's
 			// carried dependences (a one-epoch training run looks
 			// spuriously DOALL-able), so speculation would only
-			// misspeculate. Skipping it lets a hot inner loop be selected.
+			// misspeculate, and running it in order as a DOALL-only region
+			// costs a spawn and a join on top. Skipping it lets a hot inner
+			// loop be selected.
 			rep.Reason = "too few iterations per invocation to profit"
 		case loopCanReachFunc(l, l.Header.Fn):
 			rep.Reason = reentersReason
-		case conflictsWithSelected(l, selectedLoops):
+		case conflictsWithSelected(l, selected):
 			rep.Reason = "may be simultaneously active with a selected loop"
 		default:
-			if reason := unprofitable(li, opts.Workers); reason != "" {
-				rep.Reason = reason
+			var region *specrt.RegionInfo
+			if region, rep.Reason = judge(li, prof, pt, out.Regions); region == nil {
 				break
 			}
-			a := classify.Classify(l, prof, abl.Classify)
-			plan := deps.SpeculativeBlockers(l, prof, a)
-			if len(plan.Blockers) > 0 {
-				rep.Reason = plan.Blockers[0].String()
-				break
-			}
-			if conflict := heapConflict(a, committed); conflict != "" {
-				rep.Reason = conflict
-				break
-			}
-			if !abl.DisableStaticSep {
-				a.Sep = analysis.ProveSeparation(l, pt, analysis.SepCandidates{
-					ReadOnly:   a.ReadOnly,
-					ShortLived: a.ShortLived,
-					Private:    a.Private,
-					Redux:      a.Redux,
-				})
-				for name, rule := range abl.PlantProofs {
-					for _, oh := range a.Objects() {
-						if oh.Object.String() == name {
-							a.Sep.Plant(oh.Object, analysis.ProofRule(rule))
-						}
-					}
-				}
-			}
-			res, err := transform.Apply(mod, l, prof, a, plan, pt, abl.Transform)
-			if err != nil {
-				rep.Reason = err.Error()
-				break
-			}
-			outline, err := transform.Outline(mod, l)
-			if err != nil {
+			if region.Outline, err = transform.Outline(mod, l); err != nil {
 				rep.Reason = err.Error()
 				break
 			}
 			rep.Selected = true
-			rep.Assignment = a
-			selectedLoops = append(selectedLoops, l)
-			for _, oh := range a.Objects() {
-				committed[oh.Object] = oh.Heap
-			}
-			out.Regions = append(out.Regions, &specrt.RegionInfo{
-				Outline: outline,
-				Assign:  a,
-				Plan:    plan,
-				TStats:  res.Stats,
-			})
+			selected = append(selected, l)
+			out.Regions = append(out.Regions, region)
 		}
 		out.Reports = append(out.Reports, rep)
 	}
@@ -187,28 +221,6 @@ func ParallelizeAblated(mod *ir.Module, opts Options, abl Ablation) (*Paralleliz
 		return nil, fmt.Errorf("core: transformed module invalid: %w", err)
 	}
 	return out, nil
-}
-
-// profileModule is the front half both pipelines share: verify mod, profile
-// it on the train input, and compute points-to and the hot-loop threshold.
-// A loop is "hot" when it holds at least ~1% of the profiled execution
-// time (and a small absolute floor keeps toy modules sensible).
-func profileModule(mod *ir.Module, opts Options) (*profiling.Profile, *analysis.PointsTo, int64, error) {
-	if err := ir.Verify(mod); err != nil {
-		return nil, nil, 0, fmt.Errorf("core: input module invalid: %w", err)
-	}
-	prof, err := profiling.Run(mod, opts.TrainArgs...)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: profiling failed: %w", err)
-	}
-	minSteps := opts.MinLoopSteps
-	if minSteps == 0 {
-		minSteps = prof.Steps / 100
-		if minSteps < 100 {
-			minSteps = 100
-		}
-	}
-	return prof, analysis.ComputePointsTo(mod), minSteps, nil
 }
 
 // unprofitable prices li's average profiled invocation on a fleet of w
@@ -256,13 +268,15 @@ func loopCanReachFunc(l *ir.Loop, target *ir.Function) bool {
 	return slices.Contains(funcs[1:], target) || reenters && target == l.Header.Fn
 }
 
-// heapConflict reports whether assignment a disagrees with heaps already
-// committed by previously selected loops.
-func heapConflict(a *classify.Assignment, committed map[profiling.Object]ir.HeapKind) string {
+// heapConflict reports whether assignment a puts an object in another heap
+// than a region already selected does: one object cannot live in two heaps.
+func heapConflict(a *classify.Assignment, selected []*specrt.RegionInfo) string {
 	for _, oh := range a.Objects() {
-		if prev, ok := committed[oh.Object]; ok && prev != oh.Heap {
-			return fmt.Sprintf("object %s assigned to both %s and %s heaps",
-				oh.Object, prev, oh.Heap)
+		for _, r := range selected {
+			if prev := r.Assign.HeapOf(oh.Object); prev != ir.HeapSystem && prev != oh.Heap {
+				return fmt.Sprintf("object %s assigned to both %s and %s heaps",
+					oh.Object, prev, oh.Heap)
+			}
 		}
 	}
 	return ""
@@ -291,9 +305,7 @@ func RunSequential(mod *ir.Module, args ...uint64) (uint64, string, error) {
 func (p *Parallelized) Summary() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "module %s: %d region(s) parallelized\n", p.Mod.Name, len(p.Regions))
-	reps := append([]LoopReport(nil), p.Reports...)
-	sort.SliceStable(reps, func(i, j int) bool { return reps[i].Steps > reps[j].Steps })
-	for _, r := range reps {
+	for _, r := range p.Reports {
 		status := "selected"
 		if !r.Selected {
 			status = "rejected: " + r.Reason

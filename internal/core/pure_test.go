@@ -17,21 +17,24 @@ import (
 )
 
 // compileInput is one module the purity tests compile: a paper program at
-// train or a random program.
+// train or a random program, by the speculative build or, when static is
+// set, the DOALL-only one.
 type compileInput struct {
-	name  string
-	build func() *ir.Module
-	opts  Options
+	name   string
+	build  func() *ir.Module
+	opts   Options
+	static bool
 }
 
-// compileInputs returns the five paper programs at train, unpriced and
-// priced for a fleet of 4, and randprog seeds 1–16.
+// compileInputs returns the five paper programs at train, unpriced, priced
+// for a fleet of 4 and DOALL-only, and randprog seeds 1–16.
 func compileInputs() []compileInput {
 	var ins []compileInput
 	for _, p := range progs.All() {
 		build := func() *ir.Module { return p.Build(p.Train) }
 		ins = append(ins, compileInput{name: p.Name, build: build},
-			compileInput{name: p.Name + "/W=4", build: build, opts: Options{Workers: 4}})
+			compileInput{name: p.Name + "/W=4", build: build, opts: Options{Workers: 4}},
+			compileInput{name: p.Name + "/static", build: build, static: true})
 	}
 	for seed := int64(1); seed <= 16; seed++ {
 		cfg := randprog.DefaultConfig(seed)
@@ -47,7 +50,11 @@ func compileInputs() []compileInput {
 // compiled prints what one compile of in produced: the loop report and the
 // transformed module.
 func compiled(in compileInput) (string, error) {
-	par, err := Parallelize(in.build(), in.opts)
+	parallelize := Parallelize
+	if in.static {
+		parallelize = ParallelizeStatic
+	}
+	par, err := parallelize(in.build(), in.opts)
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", in.name, err)
 	}

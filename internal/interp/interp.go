@@ -262,13 +262,6 @@ func (it *Interp) LayOutGlobals() error {
 // GlobalAddr returns the runtime address of g (after layout).
 func (it *Interp) GlobalAddr(g *ir.Global) uint64 { return it.globalAddrs[it.prog.globalSlot(g)] }
 
-// SetGlobalAddr overrides g's address; the speculative runtime uses this to
-// share one layout across worker interpreters.
-func (it *Interp) SetGlobalAddr(g *ir.Global, addr uint64) {
-	it.globalAddrs[it.prog.globalSlot(g)] = addr
-	it.globalsLaidOut = true
-}
-
 // GlobalLayout exports the full global->address table, indexed by the
 // global's position in the module's declaration order.
 func (it *Interp) GlobalLayout() []uint64 { return it.globalAddrs }

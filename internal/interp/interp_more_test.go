@@ -134,16 +134,6 @@ func TestGlobalLayoutSharing(t *testing.T) {
 	if v != 777 {
 		t.Errorf("adopted layout read %d, want 777", v)
 	}
-	// SetGlobalAddr overrides a single entry.
-	it3 := New(m, as)
-	other, _ := as.Alloc(ir.HeapSystem, 8)
-	if err := as.Write(other, 8, 42); err != nil {
-		t.Fatal(err)
-	}
-	it3.SetGlobalAddr(g, other)
-	if v, _ := it3.Run(); v != 42 {
-		t.Errorf("SetGlobalAddr read %d, want 42", v)
-	}
 }
 
 func TestCallOverride(t *testing.T) {

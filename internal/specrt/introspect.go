@@ -99,45 +99,14 @@ func FormatMisspecSites(rows []MisspecSiteRow) string {
 	if len(rows) == 0 {
 		return "no misspeculations recorded\n"
 	}
-	var sb strings.Builder
-	sb.WriteString("Misspeculations by allocation site\n\n")
-	header := []string{"count", "region", "cause", "object", "site"}
-	widths := make([]int, len(header))
 	cells := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		cells = append(cells, []string{
 			fmt.Sprintf("%d", r.Count), r.Region, r.Cause, r.Object, r.Site,
 		})
 	}
-	for i, h := range header {
-		widths[i] = len(h)
-		for _, row := range cells {
-			if len(row[i]) > widths[i] {
-				widths[i] = len(row[i])
-			}
-		}
-	}
-	writeRow := func(row []string) {
-		for i, c := range row {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], c)
-		}
-		sb.WriteString("\n")
-	}
-	writeRow(header)
-	for i := range header {
-		if i > 0 {
-			sb.WriteString("  ")
-		}
-		sb.WriteString(strings.Repeat("-", widths[i]))
-	}
-	sb.WriteString("\n")
-	for _, row := range cells {
-		writeRow(row)
-	}
-	return sb.String()
+	return "Misspeculations by allocation site\n\n" +
+		obs.Table([]string{"count", "region", "cause", "object", "site"}, cells)
 }
 
 // statFamilies names the privateer_*_total counter family of each Stats

@@ -71,9 +71,10 @@ type Config struct {
 type RegionInfo struct {
 	// Outline is the DOALL outline (region/iter functions).
 	Outline *transform.Region
-	// Assign is the heap assignment. Nil marks a region static analysis
-	// alone proved DOALL (core.ParallelizeStatic): it is never speculated,
-	// and every invocation runs in order (see runInOrder).
+	// Assign is the heap assignment. Nil marks a region of the DOALL-only
+	// build, whose judge accepts a loop on static analysis alone
+	// (core.ParallelizeStatic): it is never speculated, and every
+	// invocation runs in order (see runInOrder).
 	Assign *classify.Assignment
 	// Plan is the speculation plan.
 	Plan *deps.Plan

@@ -22,9 +22,11 @@
 // live-ins...), a sequential driver calling it, and replaces the loop with
 // a call to __region_L. Run sequentially, the program behaves as before;
 // the speculative runtime intercepts that call and schedules the
-// iterations (a DOALL-only baseline's in order, see core.ParallelizeStatic),
-// so this package schedules nothing. Every name Outline gives is a function of the module
-// alone.
+// iterations, so this package schedules nothing. Outline is the step both
+// of core's builds share: the DOALL-only baseline (core.ParallelizeStatic)
+// outlines a loop static analysis proves DOALL without applying the
+// privatizing transformation, and the runtime runs its iterations in order.
+// Every name Outline gives is a function of the module alone.
 package transform
 
 import (
