@@ -19,6 +19,13 @@ type interval[V any] struct {
 	val    V
 }
 
+// Reset empties the map, keeping its storage for the intervals inserted
+// next.
+func (m *Map[V]) Reset() {
+	clear(m.ivs)
+	m.ivs, m.last = m.ivs[:0], 0
+}
+
 // Len returns the number of intervals in the map.
 func (m *Map[V]) Len() int { return len(m.ivs) }
 

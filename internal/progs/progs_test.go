@@ -358,6 +358,27 @@ func TestByNameAndInputString(t *testing.T) {
 	}
 }
 
+// TestByNameAllocatesNothing: the region service looks a program up once per
+// job, so ByName reads a table built once instead of building the five
+// descriptors per call; All still hands each caller a slice of its own.
+func TestByNameAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations defeat AllocsPerRun")
+	}
+	var p *Program
+	if allocs := testing.AllocsPerRun(100, func() { p = ByName("enc-md5") }); allocs != 0 {
+		t.Errorf("ByName allocates %.0f objects per call, want 0", allocs)
+	}
+	if p == nil || p != ByName("enc-md5") {
+		t.Fatalf("ByName(enc-md5) = %p, then %p; want one shared descriptor", p, ByName("enc-md5"))
+	}
+	a := All()
+	a[0] = nil
+	if b := All(); b[0] == nil || len(b) != 5 {
+		t.Errorf("a caller's write to All's slice reached the next caller: %v", b)
+	}
+}
+
 // TestInputClassLookup: Program.Input resolves the four class names to the
 // matching fields and rejects everything else, including the empty name and
 // near-miss spellings.

@@ -238,13 +238,10 @@ func (cp *checkpoint) reduxTotal(i int, ro reduxObj) ([]byte, error) {
 			continue
 		}
 		if acc == nil {
-			id, err := Identity(ro.op, ro.elemSize)
-			if err != nil {
-				return nil, err
-			}
 			acc = cp.bufs.get(int(ro.size), false)
-			for off := int64(0); off < ro.size; off += ro.elemSize {
-				copy(acc[off:], id)
+			if err := fillIdentity(ro.op, ro.elemSize, acc); err != nil {
+				cp.bufs.put(acc)
+				return nil, err
 			}
 		}
 		if err := Combine(ro.op, ro.elemSize, acc, contrib); err != nil {

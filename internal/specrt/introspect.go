@@ -52,6 +52,9 @@ func (rt *RT) noteMisspec(region, cause, site string, addr uint64) {
 	}
 	k := misspecKey{region: region, cause: cause, site: site, object: obj}
 	rt.reportMu.Lock()
+	if rt.missTable == nil {
+		rt.missTable = map[misspecKey]int64{}
+	}
 	rt.missTable[k]++
 	rt.reportMu.Unlock()
 }

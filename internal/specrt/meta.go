@@ -129,21 +129,34 @@ func MergeByte(combined, workerMeta byte) (newMeta byte, takeData, misspec bool)
 // the given element size.
 func Identity(op ir.ReduxKind, elemSize int64) ([]byte, error) {
 	buf := make([]byte, elemSize)
-	switch op {
-	case ir.ReduxAddI64, ir.ReduxAddF64:
-		return buf, nil // zero
-	case ir.ReduxMinI64:
-		putUint(buf, uint64(math.MaxInt64))
-	case ir.ReduxMaxI64:
-		putUint(buf, uint64(uint64(1)<<63)) // MinInt64 bit pattern
-	case ir.ReduxMinF64:
-		putUint(buf, math.Float64bits(math.Inf(1)))
-	case ir.ReduxMaxF64:
-		putUint(buf, math.Float64bits(math.Inf(-1)))
-	default:
-		return nil, fmt.Errorf("specrt: no identity for reduction op %s", op)
+	if err := fillIdentity(op, elemSize, buf); err != nil {
+		return nil, err
 	}
 	return buf, nil
+}
+
+// fillIdentity writes op's identity element over every elemSize-byte
+// element of dst; a trailing partial element gets the identity's low bytes.
+func fillIdentity(op ir.ReduxKind, elemSize int64, dst []byte) error {
+	var id uint64
+	switch op {
+	case ir.ReduxAddI64, ir.ReduxAddF64:
+		// zero
+	case ir.ReduxMinI64:
+		id = uint64(math.MaxInt64)
+	case ir.ReduxMaxI64:
+		id = uint64(1) << 63 // MinInt64 bit pattern
+	case ir.ReduxMinF64:
+		id = math.Float64bits(math.Inf(1))
+	case ir.ReduxMaxF64:
+		id = math.Float64bits(math.Inf(-1))
+	default:
+		return fmt.Errorf("specrt: no identity for reduction op %s", op)
+	}
+	for off := int64(0); off < int64(len(dst)); off += elemSize {
+		putUint(dst[off:min(off+elemSize, int64(len(dst)))], id)
+	}
+	return nil
 }
 
 // Combine folds src into dst elementwise with the reduction operator.

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 
 	"privateer/internal/interp"
+	"privateer/internal/intervalmap"
+	"privateer/internal/profiling"
 	"privateer/internal/vm"
 )
 
@@ -15,30 +17,45 @@ import (
 const DefaultPoolSlots = 32
 
 // warmSlot is one pooled process's machinery: a released address space
-// (structure, map capacity and its arena of recycled nodes and pages
-// retained, contents dropped) and a recycled interpreter over the shared
-// decoded program (frame slabs retained; hooks, Speculator, output, check
-// counters and layout dropped, checks back on).
+// (structure, allocator map and free-list capacity and its arena of
+// recycled nodes and pages retained, contents dropped) and a recycled
+// interpreter over the shared decoded program (frame slabs retained; hooks,
+// Speculator, output, check counters and layout dropped, checks back on),
+// with what the process keeps in either role.
 // A worker draws one and RecloneFrom re-targets the space at its master; a
 // run's master draws one and lays its globals out on the empty space.
 type warmSlot struct {
 	as *vm.AddressSpace
 	it *interp.Interp
+	// recov and live are kept for the slot's runs as a master: the recovery
+	// interpreter over as, built by the first sequentialRange a master on
+	// this slot runs and recycled with it, and the live-object registry,
+	// emptied with its capacity kept.
+	recov *interp.Interp
+	live  intervalmap.Map[profiling.Object]
+	// w is the slot's worker for the spans it serves, with the output and
+	// argument buffers and the closures its earlier spans made.
+	w worker
 }
 
 // WorkerPool recycles warmed worker machinery across spans and region
 // invocations; a run's master draws its slot from the same pool and parks
 // it when the run ends. Every RT.Run spawns through one: Config.Pool, or a
 // pool of the Run's own. Spawning a worker cold allocates an address-space
-// clone and an interpreter per spawn; a warmed spawn re-clones a pooled
-// space in place, reusing its TLB arrays, heap-state slots, the delta-map capacity
-// its allocator grew on earlier runs and, through the space's arena, the
-// radix nodes and pages it wrote last time: a respawn that touches no more
-// than the previous one allocates nothing in vm. The pool also owns the
-// free list of checkpoint buffers (bufFree). Slots are keyed by decoded
-// Program so an interpreter is only ever recycled onto the module it was
-// built for. All methods are safe for concurrent use; the region service
-// shares one pool per compiled program across every tenant running it.
+// clone, an interpreter and the worker's buffers per spawn; a warmed spawn
+// re-clones a pooled space in place, reusing its TLB arrays, heap-state
+// slots, the allocator map and free-list capacity it grew on earlier runs
+// and, through the space's arena, the radix nodes and pages it wrote last
+// time, and takes the slot's worker bookkeeping: a respawn that touches no
+// more than the previous one allocates nothing. A master's slot also keeps
+// its recovery interpreter and the storage of the run's live-object
+// registry, and the master's space gets its allocator state back at every
+// Reown, so a warm run allocates little beyond its output. The pool also
+// owns the free list of checkpoint buffers (bufFree). Slots are keyed by
+// decoded Program so an interpreter is only ever recycled onto the module
+// it was built for. All methods are safe for concurrent use; the region
+// service shares one pool per compiled program across every tenant running
+// it.
 type WorkerPool struct {
 	mu    sync.Mutex
 	slots map[*interp.Program][]*warmSlot
@@ -128,6 +145,11 @@ func (f *bufFree) put(b []byte) {
 	f.mu.Unlock()
 }
 
+// newSlot builds a cold slot: an interpreter for prog over as.
+func newSlot(prog *interp.Program, as *vm.AddressSpace) *warmSlot {
+	return &warmSlot{as: as, it: interp.NewShared(prog, as)}
+}
+
 // NewWorkerPool returns an empty pool retaining at most perProgram warmed
 // slots per decoded program (<= 0 selects DefaultPoolSlots).
 func NewWorkerPool(perProgram int) *WorkerPool {
@@ -138,7 +160,7 @@ func NewWorkerPool(perProgram int) *WorkerPool {
 }
 
 // get pops a warmed slot for prog, or nil when the pool has none (the
-// caller then spawns cold).
+// caller then builds one cold: newSlot).
 func (p *WorkerPool) get(prog *interp.Program) *warmSlot {
 	p.mu.Lock()
 	lst := p.slots[prog]
@@ -155,7 +177,7 @@ func (p *WorkerPool) get(prog *interp.Program) *warmSlot {
 	return nil
 }
 
-// put releases a slot's address space and recycles its interpreter
+// put releases a slot's address space and recycles its interpreters
 // (dropping every page, allocator reference, hook and Speculator of the run
 // that used it, so a parked slot pins neither that run's memory nor the run
 // itself)
@@ -164,6 +186,9 @@ func (p *WorkerPool) get(prog *interp.Program) *warmSlot {
 func (p *WorkerPool) put(prog *interp.Program, s *warmSlot) {
 	s.as.Release()
 	s.it.Recycle(s.as)
+	if s.recov != nil {
+		s.recov.Recycle(s.as)
+	}
 	p.mu.Lock()
 	if len(p.slots[prog]) < p.perProgram {
 		p.slots[prog] = append(p.slots[prog], s)

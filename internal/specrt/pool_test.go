@@ -168,7 +168,7 @@ func TestPooledMasterIsFresh(t *testing.T) {
 	for i := int64(0); i < parked; i++ {
 		rt := newRT(pool)
 		rt.pool = pool // what Run sets before it draws its master
-		m := rt.newMaster()
+		m := rt.newMaster().it
 		if m == warm.Master() {
 			fromMaster++
 		} else {

@@ -60,10 +60,11 @@ type Config struct {
 	// Program — the region service's jobs — share one decode cache and the
 	// Pool's slots for it. Nil makes New decode Mod for this RT alone.
 	Program *interp.Program
-	// Pool is where each Run's master, worker spawns and checkpoint buffers
-	// come from and go back to; the service shares one per compiled program
-	// across the runtimes given its Program, which a Pool requires (slots
-	// are keyed by it). Nil gives each Run a pool of its own.
+	// Pool is where each Run's master (with its recovery interpreter and
+	// live-object registry), worker spawns and checkpoint buffers come from
+	// and go back to; the service shares one per compiled program across the
+	// runtimes given its Program, which a Pool requires (slots are keyed by
+	// it). Nil gives each Run a pool of its own.
 	Pool *WorkerPool
 }
 
@@ -197,7 +198,9 @@ type RT struct {
 	// Record is the run record; rt.Stats and rt.Sim are its fields.
 	Record
 
-	regions map[*ir.Function]*RegionInfo
+	// regions are the runtime's parallel regions, few enough that a scan
+	// finds a callee's.
+	regions []*RegionInfo
 
 	// outMu guards out (the committed output stream) and each checkpoint's
 	// committed flag transition: every writer goes through writeOut or
@@ -210,18 +213,25 @@ type RT struct {
 	// prog is Cfg.Program, or New's decode of Mod when that is nil.
 	prog *interp.Program
 	// pool is the current Run's: Cfg.Pool, or one of the Run's own.
-	pool   *WorkerPool
+	pool *WorkerPool
+	// slot is the current Run's master process, drawn from pool: master is
+	// its interpreter.
+	slot   *warmSlot
 	master *interp.Interp
 	// recov executes recovery and fallback iterations over the master's
-	// space, and runs regions without an Assign in order; built by the
-	// first sequentialRange of a run and reused after.
+	// space, and runs regions without an Assign in order: the slot's
+	// recovery interpreter, armed with the run's hooks by the run's first
+	// sequentialRange (nil until then).
 	recov *interp.Interp
 
 	// liveMu guards live, the master's live objects (globals, and the
 	// allocations of the master and of recovery) keyed by address range:
 	// what a span snapshots (see snapshot) and what a faulting address is
-	// attributed to (see siteFor). Run restarts it from the globals;
-	// worker-local allocations are scratch state and are not tracked.
+	// attributed to (see siteFor). Run restarts it from the globals in the
+	// storage the master's slot kept, and gives the storage back when the
+	// master is parked, so after Run it reads as the run's registry only
+	// until the pool hands the slot on; worker-local allocations are
+	// scratch state and are not tracked.
 	liveMu sync.Mutex
 	live   intervalmap.Map[profiling.Object]
 
@@ -255,18 +265,21 @@ func New(mod *ir.Module, cfg Config, regions ...*RegionInfo) *RT {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	rt := &RT{
-		Cfg: cfg, Mod: mod, prog: cfg.Program,
-		regions:   map[*ir.Function]*RegionInfo{},
-		missTable: map[misspecKey]int64{},
-	}
+	rt := &RT{Cfg: cfg, Mod: mod, prog: cfg.Program, regions: regions}
 	if rt.prog == nil {
 		rt.prog = interp.SharedProgram(mod)
 	}
-	for _, r := range regions {
-		rt.regions[r.Outline.RegionFn] = r
-	}
 	return rt
+}
+
+// region returns the region whose outlined function is fn, or nil.
+func (rt *RT) region(fn *ir.Function) *RegionInfo {
+	for _, r := range rt.regions {
+		if r.Outline.RegionFn == fn {
+			return r
+		}
+	}
+	return nil
 }
 
 // Output returns everything the program printed, with deferred region
@@ -311,18 +324,19 @@ func (rt *RT) onFree(fr *interp.Frame, in *ir.Instr, addr uint64) {
 	rt.liveMu.Unlock()
 }
 
-// newMaster returns the run's main-process interpreter over an empty space
-// counting from zero: a slot drawn from rt.pool (parked released and
+// newMaster returns the run's main process, its interpreter over an empty
+// space counting from zero: a slot drawn from rt.pool (parked released and
 // recycled, so LayOutGlobals lays out the same addresses NewAddressSpace
 // would give), built fresh when the pool has none. The master's radix
-// nodes, pages and frame slabs recycle through the slot's arena exactly as
-// a worker's do.
-func (rt *RT) newMaster() *interp.Interp {
+// nodes, pages, allocator maps and frame slabs recycle through the slot
+// exactly as a worker's do, and so do its recovery interpreter and
+// registry storage.
+func (rt *RT) newMaster() *warmSlot {
 	if s := rt.pool.get(rt.prog); s != nil {
 		s.as.Stats = vm.Stats{}
-		return s.it
+		return s
 	}
-	return interp.NewShared(rt.prog, vm.NewAddressSpace())
+	return newSlot(rt.prog, vm.NewAddressSpace())
 }
 
 // Run executes the program from its entry function over Config.Pool, or a
@@ -345,21 +359,30 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 		return 0, fmt.Errorf("specrt: Config.Pool needs Config.Program: the pool keys slots by "+
 			"decoded program, and module %q is decoded for this runtime alone", rt.Mod.Name)
 	}
-	master := rt.newMaster()
-	rt.master, rt.recov = master, nil
+	slot := rt.newMaster()
+	master := slot.it
+	rt.slot, rt.master, rt.recov = slot, master, nil
 	rt.retired, rt.recovered, rt.priceSteps, rt.priceRate = 0, 0, 0, 0
-	master.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
-		rt.writeOut(text)
-		return true
-	}
-	master.Hooks.OnAlloc = rt.onAlloc
-	master.Hooks.OnFree = rt.onFree
-	master.Hooks.CallOverride = func(fr *interp.Frame, in *ir.Instr, callee *ir.Function, args []uint64) (uint64, bool, error) {
-		ri := rt.regions[callee]
-		if ri == nil {
-			return 0, false, nil
-		}
-		return 0, true, rt.invoke(ri, args)
+	// The registry restarts in the slot's storage, from this run's globals
+	// once they are laid out.
+	rt.liveMu.Lock()
+	rt.live = slot.live
+	rt.live.Reset()
+	rt.liveMu.Unlock()
+	master.Hooks = interp.Hooks{
+		OnPrint: func(in *ir.Instr, text string) bool {
+			rt.writeOut(text)
+			return true
+		},
+		OnAlloc: rt.onAlloc,
+		OnFree:  rt.onFree,
+		CallOverride: func(fr *interp.Frame, in *ir.Instr, callee *ir.Function, args []uint64) (uint64, bool, error) {
+			ri := rt.region(callee)
+			if ri == nil {
+				return 0, false, nil
+			}
+			return 0, true, rt.invoke(ri, args)
+		},
 	}
 	defer func() {
 		rt.Sim.SeqSteps += master.Steps
@@ -368,14 +391,15 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 		rt.Sites = rt.misspecSites()
 		rt.SepAudit = append([]string(nil), rt.sepViols...)
 		rt.reportMu.Unlock()
-		rt.pool.put(rt.prog, &warmSlot{as: master.AS, it: master})
+		rt.liveMu.Lock()
+		slot.live = rt.live
+		rt.liveMu.Unlock()
+		rt.pool.put(rt.prog, slot)
 	}()
 	if err := master.LayOutGlobals(); err != nil {
 		return 0, err
 	}
-	// The registry restarts from this run's globals.
 	rt.liveMu.Lock()
-	rt.live = intervalmap.Map[profiling.Object]{}
 	for _, name := range rt.Mod.GlobalNames() {
 		g := rt.Mod.Globals[name]
 		addr := master.GlobalAddr(g)
@@ -670,16 +694,17 @@ func (rt *RT) sequentialRange(ri *RegionInfo, from, to int64, live []uint64, sha
 	}
 	it := rt.recov
 	if it == nil {
-		it = interp.NewShared(rt.prog, rt.master.AS)
-		it.AdoptLayout(rt.master.GlobalLayout())
-		it.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
-			rt.writeOut(text)
-			return true
+		it = rt.slot.recov
+		if it == nil {
+			it = interp.NewShared(rt.prog, rt.master.AS)
+			rt.slot.recov = it
 		}
+		it.AdoptLayout(rt.master.GlobalLayout())
 		// Recovery mutates master state directly, so the registry must
-		// track the allocations and frees it performs.
-		it.Hooks.OnAlloc = rt.onAlloc
-		it.Hooks.OnFree = rt.onFree
+		// track the allocations and frees it performs: the master's hooks,
+		// but regions run in line.
+		it.Hooks = rt.master.Hooks
+		it.Hooks.CallOverride = nil
 		// No Speculator: the privacy marks are skipped. check_heap,
 		// predict and misspec would check, so checks go off.
 		it.ChecksOff = true

@@ -149,13 +149,7 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 
 	sp.wg.Add(len(ws))
 	for _, w := range ws {
-		go func() {
-			defer sp.wg.Done()
-			busy := startTimer()
-			w.err = w.run()
-			busy.stop(&w.local.WorkerBusyNS, tr, obs.Event{Kind: obs.KWorkerJoin,
-				Invocation: sp.inv, Worker: w.id, Iter: -1})
-		}()
+		go w.body()
 	}
 	sp.wg.Wait()
 	for _, w := range ws {
@@ -203,16 +197,18 @@ func (sp *spanState) spawnFleet(workers int) ([]*worker, error) {
 	tr := rt.Cfg.Trace
 	t := startTimer()
 	warm0 := rt.Stats.WarmSpawns
-	n := 0
+	ws := rt.workers[:0]
 	var err error
-	for w := 0; w < workers; w++ {
-		if err = newWorker(sp, w, workers); err != nil {
+	for id := 0; id < workers; id++ {
+		var w *worker
+		if w, err = newWorker(sp, id, workers); err != nil {
 			break
 		}
-		n++
+		ws = append(ws, w)
 		tr.Instant(obs.Event{Kind: obs.KWorkerSpawn,
-			Invocation: sp.inv, Worker: w, Iter: -1})
+			Invocation: sp.inv, Worker: id, Iter: -1})
 	}
+	rt.workers = ws
 	warm := rt.Stats.WarmSpawns - warm0
 	cause := "cold"
 	switch {
@@ -223,7 +219,6 @@ func (sp *spanState) spawnFleet(workers int) ([]*worker, error) {
 	}
 	t.stop(&rt.Stats.SpawnNS, tr, obs.Event{Kind: obs.KSpawn,
 		Invocation: sp.inv, Worker: -1, Iter: -1, A: warm, B: int64(workers), Cause: cause})
-	ws := rt.workers[:n]
 	if err != nil {
 		sp.retire(ws...)
 	}
@@ -232,19 +227,23 @@ func (sp *spanState) spawnFleet(workers int) ([]*worker, error) {
 
 // retire is the fleet's fold: it adds each worker's counts into the run's
 // (w.local into rt.Stats, the space's vm counts into the master's), then
-// parks the worker's machinery in the pool and gives the master its tree
-// back. Checkpoints copy what they keep out of worker spaces, so every exit
-// of run retires every worker it spawned, after the fleet has joined: a
-// dropped space would drain the pool, keep the master copying on write and
-// lose its counts. The worker lets go of the span: an RT → worker → span →
-// RT cycle keeps a run alive.
+// parks the worker's slot in the pool and gives the master its tree and its
+// allocator state back. Checkpoints copy what they keep out of worker
+// spaces, so every exit of run retires every worker it spawned, after the
+// fleet has joined: a dropped space would drain the pool, keep the master
+// copying on write and lose its counts. The worker lets go of the span and
+// of its deferred output: an RT → worker → span → RT cycle keeps a run
+// alive, and a parked slot keeps no run's text. Its counts stay readable
+// until the slot is drawn again.
 func (sp *spanState) retire(ws ...*worker) {
 	rt := sp.rt
 	for _, w := range ws {
 		rt.Stats.addWorker(&w.local)
 		rt.master.AS.Stats.Add(w.as.Stats)
-		rt.pool.put(rt.prog, &warmSlot{as: w.as, it: w.it})
-		w.sp, w.as, w.it = nil, nil, nil
+		s := w.slot
+		clear(w.io)
+		w.sp, w.slot, w.as, w.it, w.io = nil, nil, nil, nil, w.io[:0]
+		rt.pool.put(rt.prog, s)
 	}
 	rt.master.AS.Reown()
 }
@@ -299,9 +298,11 @@ func (sp *spanState) crossIntervalMisspec(c int64, addr uint64) int64 {
 	return iter
 }
 
-// worker is one speculative worker process.
+// worker is one speculative worker process: the worker of the pool slot
+// it runs on (slot), whose space and interpreter it uses for one span.
 type worker struct {
 	sp      *spanState
+	slot    *warmSlot
 	id      int
 	stride  int
 	as      *vm.AddressSpace
@@ -310,9 +311,11 @@ type worker struct {
 	curTS   byte
 	io      []ioRec
 	// args is the iteration call's arguments, onPrint the hook deferring
-	// output into io, err run's result.
+	// output into io, body the span goroutine's function (runSpan), err
+	// run's result. The slot keeps the buffers and closures across spans.
 	args    []uint64
 	onPrint func(in *ir.Instr, text string) bool
+	body    func()
 	err     error
 
 	shortBaseline int
@@ -371,30 +374,30 @@ func (w *worker) foldStats() {
 	w.privChecks, w.privNS = [2]int64{}, [2]int64{}
 }
 
-// newWorker readies rt.workers[id] for sp, keeping the buffers it held
-// from the span before.
-func newWorker(sp *spanState, id, stride int) error {
+// newWorker readies worker id of sp on a slot from the pool, keeping the
+// buffers the slot's worker held from the span before.
+func newWorker(sp *spanState, id, stride int) (*worker, error) {
 	rt := sp.rt
-	for len(rt.workers) <= id {
-		rt.workers = append(rt.workers, new(worker))
-	}
-	w := rt.workers[id]
-	*w = worker{sp: sp, id: id, stride: stride, io: w.io[:0], args: w.args[:0], onPrint: w.onPrint}
 	// Each worker space counts its page events from zero; retire adds them
 	// into the master's (Figure 8 accounting). A warmed spawn re-clones a
 	// pooled address space over this master in place and takes its
 	// interpreter, recycled when it was parked — same semantics as the cold
-	// path below, minus the per-spawn allocation of TLB arrays, heap states
-	// and maps.
-	if slot := rt.pool.get(rt.prog); slot != nil {
+	// path below, minus the per-spawn allocation of TLB arrays, heap states,
+	// maps and buffers.
+	slot := rt.pool.get(rt.prog)
+	if slot != nil {
 		slot.as.RecloneFrom(rt.master.AS)
-		w.as, w.it = slot.as, slot.it
 		rt.Stats.WarmSpawns++
 	} else {
-		w.as = rt.master.AS.Clone()
 		// Sharing the runtime's decoded program means each region function
 		// is decoded once, not once per worker per span.
-		w.it = interp.NewShared(rt.prog, w.as)
+		slot = newSlot(rt.prog, rt.master.AS.Clone())
+	}
+	w := &slot.w
+	*w = worker{sp: sp, slot: slot, id: id, stride: stride, as: slot.as, it: slot.it,
+		io: w.io[:0], args: w.args[:0], onPrint: w.onPrint, body: w.body}
+	if w.body == nil {
+		w.body = w.runSpan
 	}
 	// Workers see the read-only heap as truly read-only, and the
 	// reduction heap starts at the operator's identity. A failure here
@@ -407,12 +410,23 @@ func newWorker(sp *spanState, id, stride int) error {
 	}
 	if err := w.initRedux(); err != nil {
 		sp.retire(w)
-		return err
+		return nil, err
 	}
 	w.it.AdoptLayout(rt.master.GlobalLayout())
 	w.shortBaseline = w.as.LiveObjects(ir.HeapShortLived)
 	w.installHooks()
-	return nil
+	return w, nil
+}
+
+// runSpan is the worker's span goroutine: it runs the worker's share and
+// joins the fleet.
+func (w *worker) runSpan() {
+	sp := w.sp
+	defer sp.wg.Done()
+	busy := startTimer()
+	w.err = w.run()
+	busy.stop(&w.local.WorkerBusyNS, sp.rt.Cfg.Trace, obs.Event{Kind: obs.KWorkerJoin,
+		Invocation: sp.inv, Worker: w.id, Iter: -1})
 }
 
 // initRedux writes the operator's identity over every reduction object of
@@ -420,15 +434,12 @@ func newWorker(sp *spanState, id, stride int) error {
 func (w *worker) initRedux() error {
 	bufs := &w.sp.rt.pool.bufs
 	for _, ro := range w.sp.redux {
-		ident, err := Identity(ro.op, ro.elemSize)
-		if err != nil {
+		img := bufs.get(int(ro.size), false)
+		if err := fillIdentity(ro.op, ro.elemSize, img); err != nil {
+			bufs.put(img)
 			return fmt.Errorf("specrt: worker %d: redux %#x identity: %w", w.id, ro.addr, err)
 		}
-		img := bufs.get(int(ro.size), false)
-		for off := int64(0); off < ro.size; off += ro.elemSize {
-			copy(img[off:], ident)
-		}
-		err = w.as.WriteBytes(ro.addr, img)
+		err := w.as.WriteBytes(ro.addr, img)
 		bufs.put(img)
 		if err != nil {
 			return fmt.Errorf("specrt: worker %d: redux %#x init: %w", w.id, ro.addr, err)

@@ -71,29 +71,90 @@ type pageEntry struct {
 	cow bool
 }
 
-// allocBase is an immutable, shareable snapshot of allocator state: one node
-// of a copy-on-write overlay chain. A clone (or a freeze before a clone)
-// seals the mutable delta maps of a heapState into a new node, which both
-// sides then read through without ever mutating — so post-clone allocator
-// mutations cost O(1) in the number of live objects, not O(live) as a deep
-// copy would.
-type allocBase struct {
-	// parent is the next-older snapshot; nil terminates the chain.
-	parent *allocBase
-	// free holds the free-list entries added at this level (newest at the
-	// end, as the LIFO allocator appends them).
+// level is one layer of allocator state: what a heapState recorded since
+// its last freeze, or what a chain node sealed.
+type level struct {
+	// free holds the free-list entries added at this level, per rounded
+	// size class (newest at the end, as the LIFO allocator appends them).
 	free map[uint64][]uint64
-	// used counts, per size class, how many entries this level had consumed
-	// from the END of the parent chain's virtual free list at freeze time.
+	// used counts, per size class, how many entries this level consumed
+	// from the END of the older levels' virtual free list.
 	used map[uint64]int
 	// objects holds allocations made at this level; dead tombstones objects
-	// of DEEPER levels freed at this level. Within one level objects wins
+	// of OLDER levels freed at this level. Within one level objects wins
 	// (a tombstoned address can be handed out again by a later Alloc).
 	objects map[uint64]uint64
 	dead    map[uint64]bool
+}
+
+// empty reports whether the level records nothing: no free entry,
+// consumption, allocation or tombstone.
+func (l *level) empty() bool {
+	if len(l.used) != 0 || len(l.objects) != 0 || len(l.dead) != 0 {
+		return false
+	}
+	for _, lst := range l.free {
+		if len(lst) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// clear empties the level in place: free lists are cut to length zero, so
+// their arrays serve the next frees, and the maps keep their capacity.
+func (l *level) clear() {
+	for r, lst := range l.free {
+		l.free[r] = lst[:0]
+	}
+	clear(l.used)
+	clear(l.objects)
+	clear(l.dead)
+}
+
+// fold applies newer level n onto l, a flat level (one that consumed and
+// tombstoned nothing): n's consumptions trim l's free lists, its frees
+// stack on top, and its tombstones drop objects before its own allocations
+// land.
+func (l *level) fold(n *level) {
+	if l.free == nil {
+		l.free = map[uint64][]uint64{}
+	}
+	if l.objects == nil {
+		l.objects = map[uint64]uint64{}
+	}
+	for r, k := range n.used {
+		l.free[r] = l.free[r][:len(l.free[r])-k]
+	}
+	for r, lst := range n.free {
+		l.free[r] = append(l.free[r], lst...)
+	}
+	for a := range n.dead {
+		delete(l.objects, a)
+	}
+	for a, sz := range n.objects {
+		l.objects[a] = sz
+	}
+}
+
+// allocBase is an immutable, shareable snapshot of allocator state: one node
+// of a copy-on-write overlay chain. A clone (or a freeze before a clone)
+// seals the mutable delta level of a heapState into a new node, which both
+// sides then read through without ever mutating — so post-clone allocator
+// mutations cost O(1) in the number of live objects, not O(live) as a deep
+// copy would. Only its owner changes a node, and only once no clone can
+// read it (heapState.reclaim).
+type allocBase struct {
+	// parent is the next-older snapshot; nil terminates the chain.
+	parent *allocBase
+	// level is what the node sealed; its used counts consumption from the
+	// parent chain's virtual free list.
+	level
 	// depth is the chain length at this node, bounded by maxChainDepth via
 	// amortized flattening.
 	depth int
+	// owner is the state whose freeze sealed this node.
+	owner *heapState
 }
 
 // maxChainDepth bounds overlay-chain walks; freezing past it flattens the
@@ -117,23 +178,17 @@ func (b *allocBase) entryFromEnd(r uint64, k int) (uint64, bool) {
 }
 
 // heapState is the allocator state of one logical heap: an optional
-// immutable base chain plus private delta maps (allocated lazily, so a
-// fresh post-clone state is a few words).
+// immutable base chain plus a private delta level (its maps allocated
+// lazily, so a fresh post-clone state is a few words).
 type heapState struct {
 	// brk is the bump pointer (next unallocated address).
 	brk uint64
 	// base is the shared immutable snapshot chain; nil for a flat state.
 	base *allocBase
-	// free maps a rounded size class to the free list of addresses released
-	// at this level (private, mutable).
-	free map[uint64][]uint64
-	// used counts per size class how many entries of base's virtual free
-	// list this state has consumed (private, mutable).
-	used map[uint64]int
-	// objects tracks allocations made at this level; dead tombstones base
-	// objects freed at this level.
-	objects map[uint64]uint64
-	dead    map[uint64]bool
+	// level is what this state recorded since its last freeze (private,
+	// mutable): used counts consumption from base's virtual free list, dead
+	// tombstones base objects.
+	level
 	// liveCount is the number of live allocations across base and deltas.
 	liveCount int
 	// allocBytes totals bytes ever allocated from this heap.
@@ -150,13 +205,12 @@ func newHeapState(h ir.HeapKind) *heapState {
 // the same low page-number bits, which index the TLBs.
 func heapStart(h ir.HeapKind) uint64 { return h.Base() + PageSize*(1+8*h.Tag()) }
 
-// freeze seals this state's delta maps into a new immutable chain node, so
-// a clone may share them. O(1): the maps move into the node unchanged and
-// the state continues with empty deltas. A state with nothing new since the
+// freeze seals this state's delta level into a new immutable chain node, so
+// a clone may share it. O(1): the maps move into the node unchanged and the
+// state continues with an empty level. A state with nothing new since the
 // last freeze is reused as-is.
 func (hs *heapState) freeze() {
-	if hs.base != nil && len(hs.free) == 0 && len(hs.used) == 0 &&
-		len(hs.objects) == 0 && len(hs.dead) == 0 {
+	if hs.base != nil && hs.level.empty() {
 		return
 	}
 	if hs.base != nil && hs.base.depth >= maxChainDepth {
@@ -166,43 +220,60 @@ func (hs *heapState) freeze() {
 	if hs.base != nil {
 		depth = hs.base.depth + 1
 	}
-	hs.base = &allocBase{parent: hs.base, free: hs.free, used: hs.used,
-		objects: hs.objects, dead: hs.dead, depth: depth}
-	hs.free, hs.used, hs.objects, hs.dead = nil, nil, nil, nil
+	hs.base = &allocBase{parent: hs.base, level: hs.level, depth: depth, owner: hs}
+	hs.level = level{}
 }
 
-// flatten collapses the overlay chain into flat private maps (oldest chain
-// node first, each level's consumptions trimmed and frees appended;
-// tombstones applied before same-level reallocations).
+// flatten collapses the overlay chain and the deltas into a fresh flat
+// level, folding the levels oldest first.
 func (hs *heapState) flatten() {
 	var chain []*allocBase
 	for b := hs.base; b != nil; b = b.parent {
 		chain = append(chain, b)
 	}
-	free := map[uint64][]uint64{}
-	objects := map[uint64]uint64{}
-	level := func(lfree map[uint64][]uint64, used map[uint64]int,
-		lobjects map[uint64]uint64, dead map[uint64]bool) {
-		for r, k := range used {
-			free[r] = free[r][:len(free[r])-k]
-		}
-		for r, lst := range lfree {
-			free[r] = append(free[r], lst...)
-		}
-		for a := range dead {
-			delete(objects, a)
-		}
-		for a, s := range lobjects {
-			objects[a] = s
-		}
-	}
+	var flat level
 	for i := len(chain) - 1; i >= 0; i-- {
-		b := chain[i]
-		level(b.free, b.used, b.objects, b.dead)
+		flat.fold(&chain[i].level)
 	}
-	level(hs.free, hs.used, hs.objects, hs.dead)
-	hs.free, hs.objects = free, objects
-	hs.base, hs.used, hs.dead = nil, nil, nil
+	flat.fold(&hs.level)
+	hs.base, hs.level = nil, flat
+}
+
+// reclaim folds the base chain and the deltas into the chain's oldest node
+// in place, when the state froze every node of the chain and no clone can
+// read it any more (the caller has checked the space's clone count). The
+// node stays the state's base, one level deep, and the deltas are emptied
+// with their capacity kept: a space that keeps handing its allocator to
+// clones and taking it back allocates nothing for it, and the next share
+// finds nothing to freeze. Into an empty node the deltas move whole, their
+// maps swapped for the node's. A chain that reaches into another state's
+// nodes is left alone.
+func (hs *heapState) reclaim() {
+	var chain [maxChainDepth]*allocBase
+	n := 0
+	for b := hs.base; b != nil; b = b.parent {
+		if b.owner != hs {
+			return
+		}
+		chain[n] = b
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	// The oldest node has no parent, so it consumed and tombstoned nothing.
+	flat := chain[n-1]
+	for i := n - 2; i >= 0; i-- {
+		flat.fold(&chain[i].level)
+	}
+	if flat.empty() {
+		flat.level, hs.level = hs.level, flat.level
+	} else {
+		flat.fold(&hs.level)
+	}
+	hs.level.clear()
+	flat.parent, flat.depth = nil, 1
+	hs.base = flat
 }
 
 // clone duplicates the allocator state by freezing the delta maps into an
@@ -216,19 +287,16 @@ func (hs *heapState) clone() *heapState {
 }
 
 // recloneFrom makes hs a clone of src in place, reusing hs's private delta
-// maps (cleared, capacity retained) instead of allocating fresh ones — the
-// allocator half of AddressSpace.RecloneFrom. Reuse is safe because freeze
-// moves any map a clone could share into the immutable base chain: a map
-// still referenced from a heapState has never been visible to another
-// space.
+// maps (cleared, capacity retained, free lists included) instead of
+// allocating fresh ones — the allocator half of AddressSpace.RecloneFrom.
+// Reuse is safe because freeze moves any map a clone could share into the
+// immutable base chain: a map still referenced from a heapState has never
+// been visible to another space.
 func (hs *heapState) recloneFrom(src *heapState) {
 	src.freeze()
 	hs.brk = src.brk
 	hs.base = src.base
-	clear(hs.free)
-	clear(hs.used)
-	clear(hs.objects)
-	clear(hs.dead)
+	hs.level.clear()
 	hs.liveCount = src.liveCount
 	hs.allocBytes = src.allocBytes
 }
@@ -361,6 +429,7 @@ func NewAddressSpace() *AddressSpace {
 // leaf's pages copy-on-write), so spawning a read-mostly worker costs O(1),
 // not O(mapped pages) or O(live allocations).
 func (as *AddressSpace) Clone() *AddressSpace {
+	as.reclaimAllocator()
 	as.share()
 	c := &AddressSpace{root: as.root, epoch: nextEpoch()}
 	c.attach(as)
@@ -383,6 +452,7 @@ func (as *AddressSpace) Clone() *AddressSpace {
 func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 	as.reclaim(as.root)
 	as.detach()
+	parent.reclaimAllocator()
 	parent.share()
 	as.attach(parent)
 	as.root = parent.root
@@ -400,21 +470,27 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 // empty post-construction state, so a pooled space does not pin a dead
 // invocation's pages in memory while it waits for reuse. The structure
 // itself (TLB arrays, heap-state slots, delta-map capacity) is retained for
-// the next RecloneFrom. Release bumps no counter and leaves Stats as it
-// was, so a parked space's counts stay readable until it is drawn again.
+// the next RecloneFrom; an allocator chain only this space froze and no
+// clone reads is folded into one node and emptied in place, so its
+// capacity is retained too. Release bumps no counter and leaves Stats as
+// it was, so a parked space's counts stay readable until it is drawn
+// again.
 func (as *AddressSpace) Release() {
 	as.reclaim(as.root)
 	as.detach()
+	own := as.reclaimAllocator()
 	as.epoch = nextEpoch()
 	as.root = as.newNode(false)
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		hs := as.heaps[h]
 		hs.brk = heapStart(h)
-		hs.base = nil
-		clear(hs.free)
-		clear(hs.used)
-		clear(hs.objects)
-		clear(hs.dead)
+		if b := hs.base; own && b != nil && b.owner == hs && b.parent == nil {
+			// An empty base reads as none.
+			b.level.clear()
+		} else {
+			hs.base = nil
+		}
+		hs.level.clear()
 		hs.liveCount, hs.allocBytes = 0, 0
 		as.prot[h] = ProtReadWrite
 	}
@@ -426,8 +502,13 @@ func (as *AddressSpace) Release() {
 // Released or recloned, it restores the epoch as owned before it first
 // shared the tree, so later stores write as's pages in place instead of
 // path-copying nodes and pages nobody else reads any more (and
-// DirtyPages counts what as dirtied under that epoch again). It reports
-// false, changing nothing, while any such clone is live.
+// DirtyPages counts what as dirtied under that epoch again). It also gives
+// as its allocator state back: each heap's chain of frozen free lists and
+// object maps, which every clone read through, and the deltas written since
+// fold into one node of as's own in place (reclaimAllocator), so what the
+// chain grew serves as's next allocations and frees and the next clone
+// shares it without a new freeze. It reports false, changing nothing, while
+// any such clone is live.
 func (as *AddressSpace) Reown() bool {
 	if as.clones.Load() != 0 {
 		return false
@@ -437,6 +518,22 @@ func (as *AddressSpace) Reown() bool {
 		// cached since the last share sit under the epoch given up.
 		as.epoch, as.ownEpoch = as.ownEpoch, 0
 		as.flushTLB()
+	}
+	as.reclaimAllocator()
+	return true
+}
+
+// reclaimAllocator folds each heap's allocator chain and deltas into one
+// node of its own (heapState.reclaim) when no clone of as is live, and
+// reports whether none was: a chain node as froze is then read by no other
+// space. A chain shared with a live clone, or reaching into another space's
+// nodes, stays as it is.
+func (as *AddressSpace) reclaimAllocator() bool {
+	if as.clones.Load() != 0 {
+		return false
+	}
+	for _, hs := range as.heaps {
+		hs.reclaim()
 	}
 	return true
 }
@@ -797,7 +894,11 @@ func (as *AddressSpace) CopyHeapFrom(src *AddressSpace, h ir.HeapKind) {
 		leaf := as.ownPath(pn, &path)
 		leaf.entries[slotOf(pn, radixLevels-1)] = pageEntry{pg: as.newPage(e.pg), cow: true}
 	})
-	as.heaps[h] = src.heaps[h].clone()
+	// A flat copy: src is not told of this reader, so it may fold its chain
+	// back in place (Reown) while as still holds the allocator state.
+	hs := src.heaps[h].clone()
+	hs.flatten()
+	as.heaps[h] = hs
 	as.flushTLB()
 	src.flushTLB()
 }
