@@ -105,9 +105,10 @@ func dumpFlight(addr string) error {
 			}
 			fmt.Println()
 		}
-		for _, ps := range pm.Phases {
-			fmt.Printf("  phase %-10s %8.3f ms  (%d events)\n",
-				ps.Phase, float64(ps.NS)/1e6, ps.Count)
+		for _, ph := range obs.PhaseNames {
+			if ns, ok := pm.Phases[ph]; ok {
+				fmt.Printf("  phase %-10s %8.3f ms\n", ph, float64(ns)/1e6)
+			}
 		}
 		fmt.Printf("  events captured %d of %d emitted (%d dropped by the ring)\n",
 			len(pm.Events), pm.TotalEvents, pm.DroppedEvents)

@@ -445,13 +445,13 @@ dispatch:
 				hooks.OnStore(fr, di.in, dst, int64(n))
 			}
 		case ir.OpPrint:
-			text := formatPrint(di.in, fr)
+			text := it.formatPrint(di.in, fr)
 			it.Steps = steps - int64(di.rest)
-			if mask&hPrint == 0 || !hooks.OnPrint(di.in, text) {
+			if mask&hPrint == 0 || !hooks.OnPrint(di.in, string(text)) {
 				if it.Out == nil {
 					it.Out = &strings.Builder{}
 				}
-				it.Out.WriteString(text)
+				it.Out.Write(text)
 			}
 		case opUnterminated:
 			it.Steps = steps - int64(di.rest)

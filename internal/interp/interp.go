@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"privateer/internal/ir"
@@ -175,9 +176,9 @@ type Interp struct {
 	// invocations runs once per function per outermost call, and nested
 	// calls pay a map lookup.
 	decoded map[*ir.Function]*decodedFunc
-	// scratch is the staging buffer of memset/memcopy, grown to the largest
-	// request seen.
-	scratch []byte
+	// scratch is the staging buffer of memset/memcopy, and printBuf the
+	// one print renders into, each grown to the largest request seen.
+	scratch, printBuf []byte
 }
 
 // New returns an interpreter for mod over as.
@@ -684,12 +685,12 @@ func (it *Interp) execInstr(fr *Frame, in *ir.Instr) error {
 		}
 		set(v)
 	case ir.OpPrint:
-		text := formatPrint(in, fr)
-		if it.Hooks.OnPrint == nil || !it.Hooks.OnPrint(in, text) {
+		text := it.formatPrint(in, fr)
+		if it.Hooks.OnPrint == nil || !it.Hooks.OnPrint(in, string(text)) {
 			if it.Out == nil {
 				it.Out = &strings.Builder{}
 			}
-			it.Out.WriteString(text)
+			it.Out.Write(text)
 		}
 	case ir.OpCheckHeap:
 		if it.ChecksOff {
@@ -790,9 +791,13 @@ func (it *Interp) builtin(k uint64, in *ir.Instr, fr *Frame) (uint64, error) {
 	}
 }
 
-// formatPrint renders an OpPrint: verbs %d, %u, %x, %f, %g, %c and %%.
-func formatPrint(in *ir.Instr, fr *Frame) string {
-	var sb strings.Builder
+// formatPrint renders an OpPrint into the interpreter's print buffer and
+// returns it: verbs %d, %u, %x, %f, %g, %c and %%, each as fmt renders %d,
+// %d, %x, %.6f and %g of the argument (signed, unsigned, its float bits)
+// and a byte. The next print reuses the buffer, so a caller copies what it
+// keeps.
+func (it *Interp) formatPrint(in *ir.Instr, fr *Frame) []byte {
+	b := it.printBuf[:0]
 	s := in.Str
 	argi := 0
 	nextArg := func() uint64 {
@@ -805,29 +810,29 @@ func formatPrint(in *ir.Instr, fr *Frame) string {
 	}
 	for i := 0; i < len(s); i++ {
 		if s[i] != '%' || i+1 >= len(s) {
-			sb.WriteByte(s[i])
+			b = append(b, s[i])
 			continue
 		}
 		i++
 		switch s[i] {
 		case 'd':
-			fmt.Fprintf(&sb, "%d", int64(nextArg()))
+			b = strconv.AppendInt(b, int64(nextArg()), 10)
 		case 'u':
-			fmt.Fprintf(&sb, "%d", nextArg())
+			b = strconv.AppendUint(b, nextArg(), 10)
 		case 'x':
-			fmt.Fprintf(&sb, "%x", nextArg())
+			b = strconv.AppendUint(b, nextArg(), 16)
 		case 'f':
-			fmt.Fprintf(&sb, "%.6f", f64(nextArg()))
+			b = strconv.AppendFloat(b, f64(nextArg()), 'f', 6, 64)
 		case 'g':
-			fmt.Fprintf(&sb, "%g", f64(nextArg()))
+			b = strconv.AppendFloat(b, f64(nextArg()), 'g', -1, 64)
 		case 'c':
-			sb.WriteByte(byte(nextArg()))
+			b = append(b, byte(nextArg()))
 		case '%':
-			sb.WriteByte('%')
+			b = append(b, '%')
 		default:
-			sb.WriteByte('%')
-			sb.WriteByte(s[i])
+			b = append(b, '%', s[i])
 		}
 	}
-	return sb.String()
+	it.printBuf = b
+	return b
 }

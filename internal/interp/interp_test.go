@@ -2,6 +2,8 @@ package interp
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,6 +243,50 @@ func TestPrintFormatting(t *testing.T) {
 	want := "i=-3 f=2.5 pct=%\n"
 	if got != want {
 		t.Errorf("print output %q, want %q", got, want)
+	}
+}
+
+// TestPrintMatchesFmt: every print verb renders its argument as fmt renders
+// the verb it stands for, at the values where float and integer formatting
+// differ most, and a hook that declines the text still leaves it in Out.
+func TestPrintMatchesFmt(t *testing.T) {
+	words := []uint64{0, math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.Inf(1)),
+		math.Float64bits(math.Inf(-1)), math.Float64bits(math.NaN()), math.MaxInt64,
+		1 << 63, math.Float64bits(1e21), math.Float64bits(1e-7), 'A', math.MaxUint64}
+	verbs := map[string]func(w uint64) string{
+		"%d": func(w uint64) string { return fmt.Sprintf("%d", int64(w)) },
+		"%u": func(w uint64) string { return fmt.Sprintf("%d", w) },
+		"%x": func(w uint64) string { return fmt.Sprintf("%x", w) },
+		"%f": func(w uint64) string { return fmt.Sprintf("%.6f", math.Float64frombits(w)) },
+		"%g": func(w uint64) string { return fmt.Sprintf("%g", math.Float64frombits(w)) },
+		"%c": func(w uint64) string { return string([]byte{byte(w)}) },
+	}
+	var want []string
+	m := ir.NewModule("t")
+	b := ir.NewBuilder(m.NewFunc("main", ir.I64))
+	for verb, render := range verbs {
+		for _, w := range words {
+			b.Print("<"+verb+"|%%|%q|", b.I(int64(w)))
+			want = append(want, "<"+render(w)+"|%|%q|")
+		}
+	}
+	b.Print("%d and none %d%", b.I(7))
+	want = append(want, "7 and none 0%")
+	b.Ret(b.I(0))
+	it := New(m, vm.NewAddressSpace())
+	var got []string
+	it.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
+		got = append(got, text)
+		return false
+	}
+	if _, err := it.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("prints %q, fmt renders %q", got, want)
+	}
+	if out := it.Out.String(); out != strings.Join(want, "") {
+		t.Errorf("Out holds %q, want every declined print %q", out, strings.Join(want, ""))
 	}
 }
 

@@ -85,12 +85,27 @@ func chromeEventOf(ev Event) chromeEvent {
 
 // WriteChromeTrace renders events as a Chrome trace_event JSON document.
 func WriteChromeTrace(w io.Writer, events []Event) error {
-	out := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(events)), DisplayTimeUnit: "ns"}
+	return writeChromeTrace(w, events)
+}
+
+// WriteJobTrace renders one job's event stream as WriteChromeTrace does,
+// under process metadata naming the job. The job's time by phase is its
+// phase_ns, not a fold of the retained events.
+func WriteJobTrace(w io.Writer, jobID string, events []Event) error {
+	return writeChromeTrace(w, events, chromeEvent{
+		Name: "process_name", Phase: "M", PID: 1, TID: 0,
+		Args: map[string]any{"name": "job " + jobID},
+	})
+}
+
+// writeChromeTrace encodes the metadata events meta followed by events.
+func writeChromeTrace(w io.Writer, events []Event, meta ...chromeEvent) error {
+	out := chromeTrace{TraceEvents: append(make([]chromeEvent, 0, len(meta)+len(events)), meta...),
+		DisplayTimeUnit: "ns"}
 	for _, ev := range events {
 		out.TraceEvents = append(out.TraceEvents, chromeEventOf(ev))
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(out); err != nil {
+	if err := json.NewEncoder(w).Encode(out); err != nil {
 		return fmt.Errorf("obs: chrome trace encode: %w", err)
 	}
 	return nil

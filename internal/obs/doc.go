@@ -8,8 +8,9 @@
 // values through a Tracer; with no tracer attached every instrumentation
 // site is a single nil check. Events flow into a Sink — usually the
 // ring-buffered Collector — and can be exported as a Chrome trace_event
-// JSON file (chrometrace.go, jobtrace.go) or folded into a per-phase time
-// breakdown (phases.go).
+// JSON file (chrometrace.go). phases.go names the job lifecycle phases; a
+// job's time by phase is summed by the runtime into its run record, not
+// folded from events.
 //
 // Emission is safe from any goroutine: the runtime's workers trace
 // concurrently with the master. Events from one goroutine are ordered;

@@ -18,10 +18,10 @@ const DefaultFlightEntries = 32
 // last N events of the job's trace ring.
 const DefaultPostmortemEvents = 256
 
-// MisspecAttribution is one row of misspeculation attribution carried into
-// a postmortem: which region, cause, instruction site, and allocation-site
-// object the violations clustered on. It mirrors the runtime's
-// misspeculation-site table without importing it.
+// MisspecAttribution is one row of misspeculation attribution: how often a
+// cause fired in a region, at which instruction, on which allocation-site
+// object. The runtime's run record (specrt.Record.Sites) is a table of these
+// rows, and a postmortem carries that table.
 type MisspecAttribution struct {
 	// Region is the parallel region the misspeculations occurred in.
 	Region string `json:"region"`
@@ -29,8 +29,9 @@ type MisspecAttribution struct {
 	Cause string `json:"cause"`
 	// Site is the faulting instruction, when one was identified.
 	Site string `json:"site,omitempty"`
-	// Object is the allocation site of the object the violation touched,
-	// when the faulting address resolved to a live object.
+	// Object names the allocation site (or global) owning the faulting
+	// address: "<heap>:?" when the owner is unknown, "" when the cause has
+	// no address.
 	Object string `json:"object,omitempty"`
 	// Count is how many misspeculations share this attribution.
 	Count int64 `json:"count"`
@@ -65,8 +66,9 @@ type Postmortem struct {
 	// DroppedEvents is how many of those the bounded ring had already
 	// overwritten and the recorder therefore could not capture.
 	DroppedEvents int64 `json:"dropped_events"`
-	// Phases is the job's phase-latency breakdown at capture time.
-	Phases []PhaseSpan `json:"phases,omitempty"`
+	// Phases is the job's time by lifecycle phase in nanoseconds, the
+	// job's phase_ns.
+	Phases map[string]int64 `json:"phases,omitempty"`
 	// Attribution maps the misspeculations to allocation sites.
 	Attribution []MisspecAttribution `json:"attribution,omitempty"`
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -69,69 +68,9 @@ func TestCollectorConcurrentOverflow(t *testing.T) {
 	}
 }
 
-// TestSummarizePhases: events must fold into the right phases with summed
-// durations, and phases with no events must be absent.
-func TestSummarizePhases(t *testing.T) {
-	events := []Event{
-		{Kind: KJobPhase, Cause: PhaseQueued, TimeNS: 0, DurNS: 100},
-		{Kind: KSpawn, TimeNS: 100, DurNS: 50},
-		{Kind: KWorkerJoin, TimeNS: 150, DurNS: 400},
-		{Kind: KWorkerJoin, TimeNS: 150, DurNS: 300},
-		{Kind: KValidate, TimeNS: 600, DurNS: 30},
-		{Kind: KValidate, TimeNS: 640, DurNS: 20},
-		{Kind: KContribute, TimeNS: 500, DurNS: 10},
-		{Kind: KInstall, TimeNS: 700, DurNS: 25},
-		{Kind: KCommit, TimeNS: 725, DurNS: 15},
-		{Kind: KRecovery, TimeNS: 800, DurNS: 60},
-		{Kind: KCheckpoint, TimeNS: 10}, // outside the taxonomy
-	}
-	spans := SummarizePhases(events)
-	got := PhaseTotals(spans)
-	want := map[string]int64{
-		PhaseQueued: 100, PhaseSpawn: 50, PhaseRun: 700,
-		PhaseValidate: 50, PhaseMerge: 10, PhaseCommit: 40, PhaseRecovery: 60,
-	}
-	if len(got) != len(want) {
-		t.Fatalf("phases %v, want %v", got, want)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("phase %s = %d, want %d", k, got[k], v)
-		}
-	}
-	// Presentation order must follow PhaseNames.
-	for i, ps := range spans {
-		if ps.Phase != PhaseNames[i] {
-			t.Errorf("span %d is %s, want %s", i, ps.Phase, PhaseNames[i])
-		}
-	}
-	if len(SummarizePhases(nil)) != 0 {
-		t.Error("empty stream must yield no phases")
-	}
-	// A collector folds as it records, so its breakdown is the whole
-	// stream's even after the ring overwrote most of it.
-	c := NewCollector(4)
-	for _, ev := range events {
-		c.Emit(ev)
-	}
-	if c.Dropped() == 0 {
-		t.Fatal("ring of 4 did not wrap")
-	}
-	if !reflect.DeepEqual(c.Phases(), spans) {
-		t.Errorf("wrapped collector phases %+v, want the whole stream's %+v", c.Phases(), spans)
-	}
-	if reflect.DeepEqual(SummarizePhases(c.Events()), spans) {
-		t.Error("the retained window alone should not reproduce the whole stream's breakdown")
-	}
-	c.Reset()
-	if len(c.Phases()) != 0 {
-		t.Error("Reset must clear the running breakdown")
-	}
-}
-
 // TestWriteJobTrace: the job trace document must be valid Chrome
-// trace_event JSON carrying the raw events plus named metadata and one
-// synthesized summary slice per phase.
+// trace_event JSON carrying the process metadata naming the job and every
+// raw event, in order, and nothing synthesized from them.
 func TestWriteJobTrace(t *testing.T) {
 	events := []Event{
 		{Kind: KJobPhase, Cause: PhaseQueued, TimeNS: 0, DurNS: 100, Worker: -1, Invocation: -1, Iter: -1},
@@ -145,9 +84,7 @@ func TestWriteJobTrace(t *testing.T) {
 	var doc struct {
 		TraceEvents []struct {
 			Name  string         `json:"name"`
-			Cat   string         `json:"cat"`
 			Phase string         `json:"ph"`
-			TID   int64          `json:"tid"`
 			Args  map[string]any `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
@@ -155,32 +92,17 @@ func TestWriteJobTrace(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("job trace is not valid JSON: %v\n%s", err, buf.String())
 	}
-	var procName, phaseRows, phaseSlices int
-	for _, ev := range doc.TraceEvents {
-		switch {
-		case ev.Phase == "M" && ev.Name == "process_name":
-			procName++
-			if name := ev.Args["name"]; name != "job j000042" {
-				t.Errorf("process_name %v, want job j000042", name)
-			}
-		case ev.Phase == "M" && ev.Name == "thread_name" && ev.TID >= 100:
-			phaseRows++
-		case ev.Phase == "X" && ev.Cat == "phase":
-			phaseSlices++
-			if !strings.HasPrefix(ev.Name, "phase: ") {
-				t.Errorf("phase slice named %q", ev.Name)
-			}
+	want := []string{"process_name", "job-phase: queued", "spawn: warm", "worker-join"}
+	if len(doc.TraceEvents) != len(want) {
+		t.Fatalf("%d trace events, want %d: %+v", len(doc.TraceEvents), len(want), doc.TraceEvents)
+	}
+	for i, ev := range doc.TraceEvents {
+		if ev.Name != want[i] {
+			t.Errorf("trace event %d is %q, want %q", i, ev.Name, want[i])
 		}
 	}
-	if procName != 1 {
-		t.Errorf("%d process_name records, want 1", procName)
-	}
-	if phaseRows != 3 || phaseSlices != 3 {
-		t.Errorf("%d phase rows, %d phase slices, want 3 each (queued, spawn, run)", phaseRows, phaseSlices)
-	}
-	// Raw events ride along untouched.
-	if len(doc.TraceEvents) != 1+len(events)+2*3 {
-		t.Errorf("%d trace events, want %d", len(doc.TraceEvents), 1+len(events)+2*3)
+	if head := doc.TraceEvents[0]; head.Phase != "M" || head.Args["name"] != "job j000042" {
+		t.Errorf("metadata record %+v, want process_name \"job j000042\"", head)
 	}
 }
 

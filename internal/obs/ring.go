@@ -19,7 +19,6 @@ type Collector struct {
 	next     int   // overwrite cursor once the buffer has filled
 	total    int64 // events ever emitted (including overwritten)
 	wrapped  bool
-	phases   phaseFold // over every event ever emitted, like total
 }
 
 // NewCollector returns a collector holding up to capacity events;
@@ -45,7 +44,6 @@ func (c *Collector) Emit(ev Event) {
 		c.wrapped = true
 	}
 	c.total++
-	c.phases.add(ev)
 	c.mu.Unlock()
 }
 
@@ -60,15 +58,6 @@ func (c *Collector) Events() []Event {
 	out := make([]Event, 0, len(c.buf))
 	out = append(out, c.buf[c.next:]...)
 	return append(out, c.buf[:c.next]...)
-}
-
-// Phases returns the per-phase breakdown of every event ever emitted, in
-// PhaseNames order. Unlike SummarizePhases(c.Events()) it does not shrink
-// when the ring wraps.
-func (c *Collector) Phases() []PhaseSpan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.phases.ordered()
 }
 
 // Len returns the number of events currently retained.
@@ -104,6 +93,5 @@ func (c *Collector) Reset() {
 	c.next = 0
 	c.total = 0
 	c.wrapped = false
-	c.phases = phaseFold{}
 	c.mu.Unlock()
 }

@@ -133,16 +133,16 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	// rec is the runtime's run record, settled at finish.
-	rec  specrt.Record
-	done chan struct{}
+	// rec is the runtime's run record and phases its time by phase with
+	// the queue wait added, both settled at finish.
+	rec    specrt.Record
+	phases map[string]int64
+	done   chan struct{}
 
 	// Per-job flight-recorder state: the bounded event ring the job's
-	// tracer feeds (the job ID is the trace ID), and the derived phase
-	// breakdown settled at finish.
+	// tracer feeds (the job ID is the trace ID).
 	trace        *obs.Collector
 	tracer       *obs.Tracer
-	phases       []obs.PhaseSpan
 	traceTotal   int64
 	traceDropped int64
 }
@@ -178,8 +178,9 @@ type JobView struct {
 	// tracing is enabled; GET /jobs/{id}/trace serves the full stream.
 	TraceID string `json:"trace_id,omitempty"`
 	// PhaseNS breaks the job's time down by lifecycle phase (queued,
-	// spawn, run, validate, merge, commit, recovery → summed span
-	// nanoseconds); settled when the job reaches a terminal state.
+	// spawn, run, validate, merge, commit, recovery → nanoseconds): the
+	// queue wait and the run record's Stats.PhaseNS, settled when the job
+	// reaches a terminal state. A job that never ran has none.
 	PhaseNS map[string]int64 `json:"phase_ns,omitempty"`
 	// Invocations counts the run's speculated region invocations: 0 when
 	// the compile priced every loop out and the job ran in order.
@@ -419,7 +420,7 @@ func (s *Service) View(j *Job) JobView {
 		State: j.state, Ret: j.ret, Output: j.output, Error: j.errMsg,
 		WarmSpawns: j.rec.Stats.WarmSpawns, Invocations: j.rec.Stats.Invocations,
 		Misspecs:    j.rec.Stats.Misspecs,
-		PhaseNS:     obs.PhaseTotals(j.phases),
+		PhaseNS:     j.phases,
 		TraceEvents: j.traceTotal, TraceDropped: j.traceDropped,
 	}
 	if j.trace != nil {
@@ -505,11 +506,10 @@ func (s *Service) run(job *Job) {
 	job.started = time.Now()
 	s.mu.Unlock()
 	// The queue-wait phase closes the moment a runner picks the job up;
-	// its span runs from the tracer's epoch (submission) to now.
-	if tr := job.tracer; tr.On() {
-		tr.Emit(obs.Event{Kind: obs.KJobPhase, TimeNS: 0, DurNS: tr.Now(),
-			Invocation: -1, Worker: -1, Iter: -1, Cause: obs.PhaseQueued})
-	}
+	// its span starts at the tracer's epoch (submission) and lasts what
+	// the view's queued phase says.
+	job.tracer.Emit(obs.Event{Kind: obs.KJobPhase, DurNS: int64(job.started.Sub(job.submitted)),
+		Invocation: -1, Worker: -1, Iter: -1, Cause: obs.PhaseQueued})
 	if s.holdRunner != nil {
 		<-s.holdRunner
 	}
@@ -556,9 +556,12 @@ type runResult struct {
 // postmortem.
 func (s *Service) finish(job *Job, res runResult) {
 	now := time.Now()
-	var phases []obs.PhaseSpan
-	if job.trace != nil {
-		phases = job.trace.Phases()
+	// Only this runner writes started; a drained job never ran and has no
+	// phases.
+	var phases map[string]int64
+	if !job.started.IsZero() {
+		phases = res.rec.Stats.PhaseNS()
+		phases[obs.PhaseQueued] = int64(job.started.Sub(job.submitted))
 	}
 	s.mu.Lock()
 	if job.started.IsZero() {
@@ -596,8 +599,10 @@ func (s *Service) finish(job *Job, res runResult) {
 	s.mE2E.Observe(wall)
 	s.mRuntime.Add(res.rec.Stats)
 	s.mTraceEvents.Add(traceTotal)
-	for _, ps := range phases {
-		s.mPhase(job.Tenant, ps.Phase).Observe(ps.NS)
+	for _, ph := range obs.PhaseNames {
+		if ns, ok := phases[ph]; ok {
+			s.mPhase(job.Tenant, ph).Observe(ns)
+		}
 	}
 	if reason := postmortemReason(res); reason != "" {
 		s.recordPostmortem(job, res, reason)
@@ -637,7 +642,7 @@ func (s *Service) recordPostmortem(job *Job, res runResult, reason string) {
 		JobID: job.ID, Tenant: job.Tenant, Prog: job.Prog, Input: job.Input,
 		Reason: reason, UnixNS: time.Now().UnixNano(),
 		Misspecs: res.rec.Stats.Misspecs, Fallbacks: res.rec.Stats.SequentialFallbacks,
-		Phases: job.phases,
+		Phases: job.phases, Attribution: res.rec.Sites,
 	}
 	if res.err != nil {
 		pm.Error = res.err.Error()
@@ -646,12 +651,6 @@ func (s *Service) recordPostmortem(job *Job, res runResult, reason string) {
 		pm.Events = postmortemTail(job.trace.Events())
 		pm.TotalEvents = job.trace.Total()
 		pm.DroppedEvents = job.trace.Dropped()
-	}
-	for _, row := range res.rec.Sites {
-		pm.Attribution = append(pm.Attribution, obs.MisspecAttribution{
-			Region: row.Region, Cause: row.Cause, Site: row.Site,
-			Object: row.Object, Count: row.Count,
-		})
 	}
 	s.flight.Record(pm)
 }

@@ -58,6 +58,7 @@ func checkCountersIsolated(t *testing.T, s *Service, job, ref *Job) {
 		st.WarmSpawns = 0
 		st.SpawnNS, st.JoinNS, st.CheckpointNS, st.PrivReadNS = 0, 0, 0, 0
 		st.PrivWriteNS, st.WorkerBusyNS, st.RegionWallNS = 0, 0, 0
+		st.ValidateNS, st.CommitNS, st.RecoveryNS = 0, 0, 0
 		return st
 	}
 	if counts(got.Stats) != counts(want.Stats) {

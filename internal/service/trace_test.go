@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"sync"
 	"testing"
@@ -17,35 +18,31 @@ var requiredPhases = []string{
 	obs.PhaseValidate, obs.PhaseMerge, obs.PhaseCommit,
 }
 
-// checkPhaseLedger asserts the service-level time identities for a finished
-// traced job: the spawn, run and merge phases of its view are the very
-// readings the runtime summed into the job's Stats, whether or not the
-// job's ring wrapped.
+// checkPhaseLedger asserts the service-level time identities for a
+// finished job: each phase of its view is the job's queue wait or the
+// run-record field that phase maps to, present exactly when nonzero, traced
+// or not and whether or not the job's ring wrapped.
 func checkPhaseLedger(t *testing.T, s *Service, job *Job) {
 	t.Helper()
 	v := s.View(job)
 	s.mu.Lock()
 	st := job.rec.Stats
 	s.mu.Unlock()
-	for _, c := range []struct {
-		phase string
-		stats int64
-		field string
-	}{
-		{obs.PhaseSpawn, st.SpawnNS, "SpawnNS"},
-		{obs.PhaseRun, st.WorkerBusyNS, "WorkerBusyNS"},
-		{obs.PhaseMerge, st.CheckpointNS, "CheckpointNS"},
-	} {
-		if v.PhaseNS[c.phase] != c.stats {
-			t.Errorf("job %s (%d of %d events dropped): phase_ns[%s] = %d, Stats.%s = %d",
-				job.ID, v.TraceDropped, v.TraceEvents, c.phase, v.PhaseNS[c.phase], c.field, c.stats)
-		}
+	want := map[string]int64{
+		obs.PhaseQueued: v.QueueNS, obs.PhaseSpawn: st.SpawnNS, obs.PhaseRun: st.WorkerBusyNS,
+		obs.PhaseValidate: st.ValidateNS, obs.PhaseMerge: st.CheckpointNS,
+		obs.PhaseCommit: st.CommitNS, obs.PhaseRecovery: st.RecoveryNS,
+	}
+	maps.DeleteFunc(want, func(_ string, ns int64) bool { return ns == 0 })
+	if !maps.Equal(v.PhaseNS, want) {
+		t.Errorf("job %s (%d of %d events dropped): phase_ns %v, want QueueNS and the Stats fields %v",
+			job.ID, v.TraceDropped, v.TraceEvents, v.PhaseNS, want)
 	}
 }
 
-// TestJobTraceEndToEnd: a completed job's trace must contain every
-// lifecycle phase, the /poll view must carry the same breakdown, and the
-// numbers must be internally consistent.
+// TestJobTraceEndToEnd: a completed job's view must carry every lifecycle
+// phase of a clean speculative run, read from its run record, and its trace
+// must open with the queued span the view's queued phase measures.
 func TestJobTraceEndToEnd(t *testing.T) {
 	s := New(Config{Workers: 4, Concurrency: 1})
 	defer s.Drain()
@@ -74,11 +71,9 @@ func TestJobTraceEndToEnd(t *testing.T) {
 		t.Errorf("trace accounting: view says %d events %d dropped, ring holds %d",
 			v.TraceEvents, v.TraceDropped, len(events))
 	}
-	got := obs.PhaseTotals(obs.SummarizePhases(events))
-	for ph, ns := range v.PhaseNS {
-		if got[ph] != ns {
-			t.Errorf("phase %s: view %d ns, trace %d ns", ph, ns, got[ph])
-		}
+	// The trace's queued span and the view's queued phase are one reading.
+	if ev := events[0]; ev.Kind != obs.KJobPhase || ev.Cause != obs.PhaseQueued || ev.DurNS != v.PhaseNS[obs.PhaseQueued] {
+		t.Errorf("first event %+v, want the queued span lasting phase_ns[queued] %d", ev, v.PhaseNS[obs.PhaseQueued])
 	}
 	checkPhaseLedger(t, s, job)
 	// An untraced job reports no trace.
@@ -136,8 +131,8 @@ func TestPlantedMisspecFlight(t *testing.T) {
 	if len(pm.Events) == 0 || pm.TotalEvents == 0 {
 		t.Error("postmortem carries no event snapshot")
 	}
-	if len(pm.Phases) == 0 {
-		t.Error("postmortem carries no phase breakdown")
+	if len(pm.Phases) == 0 || !maps.Equal(pm.Phases, v.PhaseNS) {
+		t.Errorf("postmortem phases %v, want the job's phase_ns %v", pm.Phases, v.PhaseNS)
 	}
 	checkPhaseLedger(t, s, job)
 }
@@ -183,8 +178,8 @@ func TestTraceOverflowDropAccounting(t *testing.T) {
 		if got, want := int64(len(events)), v.TraceEvents-v.TraceDropped; got != want {
 			t.Errorf("job %s: retained %d events, want total-dropped = %d", job.ID, got, want)
 		}
-		// The phase breakdown is folded as events arrive, not from the 8 the
-		// ring still holds.
+		// The phase breakdown is the run record's, not a fold of the 8
+		// events the ring still holds.
 		checkPhaseLedger(t, s, job)
 		sumTotal += v.TraceEvents
 	}
@@ -219,11 +214,12 @@ func TestTraceOverflowDropAccounting(t *testing.T) {
 }
 
 // TestTracingDisabled: a negative TraceCapacity must disable per-job
-// tracing without disturbing the job lifecycle.
+// tracing without disturbing the job lifecycle, and the job still reports
+// its time by phase, which its run record holds.
 func TestTracingDisabled(t *testing.T) {
-	s := New(Config{Workers: 2, Concurrency: 1, TraceCapacity: -1})
+	s := New(Config{Workers: 4, Concurrency: 1, TraceCapacity: -1})
 	defer s.Drain()
-	job, err := s.Submit("t1", "dijkstra", "train")
+	job, err := s.Submit("t1", "052.alvinn", "train")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +228,15 @@ func TestTracingDisabled(t *testing.T) {
 	if v.State != StateDone {
 		t.Fatalf("job %s: %s", v.State, v.Error)
 	}
-	if v.TraceID != "" || v.TraceEvents != 0 || len(v.PhaseNS) != 0 {
+	if v.TraceID != "" || v.TraceEvents != 0 {
 		t.Errorf("untraced job leaked trace state: %+v", v)
 	}
+	for _, ph := range requiredPhases {
+		if v.PhaseNS[ph] <= 0 {
+			t.Errorf("untraced job has no %s phase: %v", ph, v.PhaseNS)
+		}
+	}
+	checkPhaseLedger(t, s, job)
 	if _, ok := s.Trace(job.ID); ok {
 		t.Error("Trace must report false for an untraced job")
 	}
@@ -265,21 +267,26 @@ func TestHTTPJobTraceAndFlight(t *testing.T) {
 	var doc struct {
 		TraceEvents []struct {
 			Name  string `json:"name"`
+			Cat   string `json:"cat"`
 			Phase string `json:"ph"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
+	events, _ := s.Trace(view.ID)
+	if len(doc.TraceEvents) != 1+len(events) {
+		t.Errorf("trace serves %d records, want process_name plus the %d retained events", len(doc.TraceEvents), len(events))
+	}
 	seen := map[string]bool{}
 	for _, ev := range doc.TraceEvents {
 		if ev.Phase == "X" {
-			seen[ev.Name] = true
+			seen[ev.Cat] = true
 		}
 	}
-	for _, ph := range requiredPhases {
-		if !seen["phase: "+ph] {
-			t.Errorf("trace missing synthesized slice for phase %s", ph)
+	for _, kind := range []obs.Kind{obs.KJobPhase, obs.KSpawn, obs.KWorkerJoin, obs.KValidate, obs.KContribute, obs.KInstall, obs.KCommit} {
+		if !seen[kind.String()] {
+			t.Errorf("trace has no %s span", kind)
 		}
 	}
 
@@ -314,6 +321,9 @@ func TestHTTPJobTraceAndFlight(t *testing.T) {
 	pm := st.Postmortems[0]
 	if len(pm.Attribution) == 0 {
 		t.Errorf("postmortem over HTTP carries no attribution: %+v", pm)
+	}
+	if v := s.View(job); !maps.Equal(pm.Phases, v.PhaseNS) {
+		t.Errorf("postmortem over HTTP has phases %v, the job's phase_ns is %v", pm.Phases, v.PhaseNS)
 	}
 	if len(pm.Events) == 0 || pm.TotalEvents < int64(len(pm.Events)) {
 		t.Errorf("postmortem over HTTP: %d events of %d total", len(pm.Events), pm.TotalEvents)

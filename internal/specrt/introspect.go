@@ -9,6 +9,7 @@ package specrt
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -20,6 +21,19 @@ import (
 // benchmark (benchmark/region.go), until that reads Record too; every field
 // is final once Run has returned.
 func (s *Stats) Snapshot() Stats { return *s }
+
+// PhaseNS is the run's time by job lifecycle phase (obs.PhaseNames), the
+// phases with no time left out. The queued phase is not the runtime's: a
+// job's wait happens before Run.
+func (s *Stats) PhaseNS() map[string]int64 {
+	m := map[string]int64{
+		obs.PhaseSpawn: s.SpawnNS, obs.PhaseRun: s.WorkerBusyNS,
+		obs.PhaseValidate: s.ValidateNS, obs.PhaseMerge: s.CheckpointNS,
+		obs.PhaseCommit: s.CommitNS, obs.PhaseRecovery: s.RecoveryNS,
+	}
+	maps.DeleteFunc(m, func(_ string, ns int64) bool { return ns == 0 })
+	return m
+}
 
 // misspecKey identifies one row of the misspeculation attribution table.
 type misspecKey struct {
@@ -59,36 +73,20 @@ func (rt *RT) noteMisspec(region, cause, site string, addr uint64) {
 	rt.reportMu.Unlock()
 }
 
-// MisspecSiteRow is one aggregated misspeculation-attribution row: how
-// often a given cause fired for a given owning object, and where.
-type MisspecSiteRow struct {
-	// Region is the parallel region function the misspeculation occurred in.
-	Region string `json:"region"`
-	// Cause is the violated speculative property.
-	Cause string `json:"cause"`
-	// Site is the IR instruction that detected the violation, if any.
-	Site string `json:"site,omitempty"`
-	// Object names the allocation site (or global) owning the faulting
-	// address; "<heap>:?" when unknown, "" when the cause has no address.
-	Object string `json:"object,omitempty"`
-	// Count is the number of misspeculations attributed to this row.
-	Count int64 `json:"count"`
-}
-
 // misspecSites renders the aggregated misspeculation attribution table,
 // most frequent first, or nil when nothing misspeculated. The caller holds
 // reportMu.
-func (rt *RT) misspecSites() []MisspecSiteRow {
+func (rt *RT) misspecSites() []obs.MisspecAttribution {
 	if len(rt.missTable) == 0 {
 		return nil
 	}
-	rows := make([]MisspecSiteRow, 0, len(rt.missTable))
+	rows := make([]obs.MisspecAttribution, 0, len(rt.missTable))
 	for k, n := range rt.missTable {
-		rows = append(rows, MisspecSiteRow{
+		rows = append(rows, obs.MisspecAttribution{
 			Region: k.region, Cause: k.cause, Site: k.site, Object: k.object, Count: n,
 		})
 	}
-	slices.SortFunc(rows, func(a, b MisspecSiteRow) int {
+	slices.SortFunc(rows, func(a, b obs.MisspecAttribution) int {
 		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Region, b.Region),
 			strings.Compare(a.Cause, b.Cause), strings.Compare(a.Object, b.Object),
 			strings.Compare(a.Site, b.Site))
@@ -98,7 +96,7 @@ func (rt *RT) misspecSites() []MisspecSiteRow {
 
 // FormatMisspecSites renders the attribution table for terminal output
 // (the privateer -why-misspec report).
-func FormatMisspecSites(rows []MisspecSiteRow) string {
+func FormatMisspecSites(rows []obs.MisspecAttribution) string {
 	if len(rows) == 0 {
 		return "no misspeculations recorded\n"
 	}

@@ -8,6 +8,7 @@ import (
 
 	"privateer/internal/classify"
 	"privateer/internal/ir"
+	"privateer/internal/obs"
 	"privateer/internal/profiling"
 )
 
@@ -219,7 +220,7 @@ func TestMisspecAttributionNamesObject(t *testing.T) {
 		}
 		const region = "__region_main_1"
 		rows := rt.Sites
-		want := []MisspecSiteRow{{Region: region, Cause: "privacy violated (fast phase)",
+		want := []obs.MisspecAttribution{{Region: region, Cause: "privacy violated (fast phase)",
 			Object: tc.object, Count: 10}}
 		if !reflect.DeepEqual(rows, want) {
 			t.Errorf("%s: rows %+v, want %+v", tc.object, rows, want)
@@ -291,7 +292,7 @@ func TestSeparationMisspecSite(t *testing.T) {
 	if got, want := rt.Output(), "0 0 0 0 0 0 0 0 "; got != want {
 		t.Errorf("output %q, want %q", got, want)
 	}
-	want := []MisspecSiteRow{{Region: ri.Outline.RegionFn.Name, Cause: "separation violated",
+	want := []obs.MisspecAttribution{{Region: ri.Outline.RegionFn.Name, Cause: "separation violated",
 		Site: check.Format(), Object: "@b", Count: 3}}
 	if rows := rt.Sites; !reflect.DeepEqual(rows, want) {
 		t.Errorf("rows %+v, want %+v", rows, want)

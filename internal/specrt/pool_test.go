@@ -440,6 +440,7 @@ func TestOwnPoolRecyclesAcrossSpans(t *testing.T) {
 	counts := func(st Stats) Stats {
 		st.SpawnNS, st.JoinNS, st.CheckpointNS, st.PrivReadNS = 0, 0, 0, 0
 		st.PrivWriteNS, st.WorkerBusyNS, st.RegionWallNS = 0, 0, 0
+		st.ValidateNS, st.CommitNS, st.RecoveryNS = 0, 0, 0
 		return st
 	}
 	if ownRet != wantRet || own.Output() != want.Output() {

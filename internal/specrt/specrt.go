@@ -134,6 +134,10 @@ type Stats struct {
 	// validation (finishSync) plus install and commit (invoke), on the clean
 	// and the misspeculation exit alike.
 	JoinNS int64
+	// ValidateNS, CommitNS and RecoveryNS time the master's chain
+	// validations, its checkpoint installs with their output commits (both
+	// inside JoinNS), and its recovery re-runs with sequential fallbacks.
+	ValidateNS, CommitNS, RecoveryNS int64
 	// CheckpointNS is wall-clock time workers spent merging state into
 	// checkpoints.
 	CheckpointNS int64
@@ -182,7 +186,7 @@ type Record struct {
 	VM vm.Stats
 	// Sites is the misspeculation attribution table, most frequent first;
 	// nil when nothing misspeculated.
-	Sites []MisspecSiteRow
+	Sites []obs.MisspecAttribution
 	// SepAudit holds the detail lines of the SepAudit violations, at most
 	// 64 (Stats.SepAuditViolations has the full count); nil when none.
 	SepAudit []string
@@ -538,7 +542,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 			rt.Stats.SequentialFallbacks++
 			fallback := startTimer()
 			err := rt.sequentialRange(ri, start, hi, live, nil)
-			fallback.stop(nil, tr, obs.Event{Kind: obs.KSeqFallback,
+			fallback.stop(&rt.Stats.RecoveryNS, tr, obs.Event{Kind: obs.KSeqFallback,
 				Invocation: inv, Worker: -1, Iter: -1, A: start, B: hi})
 			rt.retired += hi - start
 			return err
@@ -599,7 +603,7 @@ func (rt *RT) recoverRange(ri *RegionInfo, from, to int64, live []uint64, inv in
 	if err := rt.sequentialRange(ri, from, to, live, nil); err != nil {
 		return err
 	}
-	t.stop(nil, tr, obs.Event{Kind: obs.KRecovery,
+	t.stop(&rt.Stats.RecoveryNS, tr, obs.Event{Kind: obs.KRecovery,
 		Invocation: inv, Worker: -1, Iter: -1, A: from, B: to})
 	rt.retired += to - from
 	rt.recovered++
@@ -626,9 +630,13 @@ func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, proven []prove
 	if err != nil {
 		return err
 	}
-	t.stop(nil, rt.Cfg.Trace, obs.Event{Kind: obs.KInstall,
+	t.stop(&rt.Stats.CommitNS, rt.Cfg.Trace, obs.Event{Kind: obs.KInstall,
 		Invocation: inv, Worker: -1, Iter: cp.id, A: bytes})
-	cost := bytes*SimInstallPerByte + rt.commitChain(cp, inv)*SimCommitPerIO
+	t = startTimer()
+	committed := rt.commitChain(cp)
+	t.stop(&rt.Stats.CommitNS, rt.Cfg.Trace, obs.Event{Kind: obs.KCommit,
+		Invocation: inv, Worker: -1, Iter: cp.id, A: committed})
+	cost := bytes*SimInstallPerByte + committed*SimCommitPerIO
 	rt.Sim.RegionTime += cost
 	rt.Sim.CheckpointCost += cost
 	return nil
@@ -638,7 +646,7 @@ func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, proven []prove
 // each one's deferred output is emitted in iteration order and the
 // checkpoint marked committed, under outMu. It returns the number of
 // output operations committed.
-func (rt *RT) commitChain(cp *checkpoint, inv int64) int64 {
+func (rt *RT) commitChain(cp *checkpoint) int64 {
 	if cp.committed {
 		return 0
 	}
@@ -646,7 +654,6 @@ func (rt *RT) commitChain(cp *checkpoint, inv int64) int64 {
 	for first.prev != nil && !first.prev.committed {
 		first = first.prev
 	}
-	t := startTimer()
 	var committed int64
 	for c := first; ; c = c.next {
 		recs := c.sortedIO()
@@ -661,8 +668,6 @@ func (rt *RT) commitChain(cp *checkpoint, inv int64) int64 {
 			break
 		}
 	}
-	t.stop(nil, rt.Cfg.Trace, obs.Event{Kind: obs.KCommit,
-		Invocation: inv, Worker: -1, Iter: cp.id, A: committed})
 	return committed
 }
 

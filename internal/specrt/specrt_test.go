@@ -331,7 +331,7 @@ func TestCommitOutputRace(t *testing.T) {
 				if g%2 == 0 {
 					cp := newCheckpoint(int64(i), 0, 1, nil)
 					cp.io = append(cp.io, ioRec{iter: int64(i), text: "c\n"})
-					rt.commitChain(cp, 0)
+					rt.commitChain(cp)
 				} else {
 					rt.writeOut("w\n")
 				}

@@ -18,18 +18,15 @@ type spanTimer struct{ t0 time.Time }
 // startTimer opens a timed section.
 func startTimer() spanTimer { return spanTimer{time.Now()} }
 
-// stop closes the section and returns its duration. The duration is added
-// to *ns when the section has a Stats field (nil otherwise); when tr is on,
-// ev is emitted with TimeNS and DurNS taken from the same two instants. A
-// section with no event kind of its own passes a nil tracer.
-func (s spanTimer) stop(ns *int64, tr *obs.Tracer, ev obs.Event) int64 {
+// stop closes the section and adds its duration to *ns, the section's
+// Stats field; when tr is on, ev is emitted with TimeNS and DurNS taken
+// from the same two instants. A section with no event kind of its own
+// passes a nil tracer.
+func (s spanTimer) stop(ns *int64, tr *obs.Tracer, ev obs.Event) {
 	d := int64(time.Since(s.t0))
-	if ns != nil {
-		*ns += d
-	}
+	*ns += d
 	if tr.On() {
 		ev.TimeNS, ev.DurNS = tr.At(s.t0), d
 		tr.Emit(ev)
 	}
-	return d
 }

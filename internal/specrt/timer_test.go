@@ -32,23 +32,29 @@ func checkTimeLedger(t *testing.T, st Stats, events []obs.Event) (n, dur map[obs
 	t.Helper()
 	n, dur = kindLedger(events)
 	for _, c := range []struct {
-		kind  obs.Kind
+		kinds []obs.Kind
 		stats int64
 		field string
 	}{
-		{obs.KSpawn, st.SpawnNS, "SpawnNS"},
-		{obs.KWorkerJoin, st.WorkerBusyNS, "WorkerBusyNS"},
-		{obs.KContribute, st.CheckpointNS, "CheckpointNS"},
-		{obs.KRegionInvoke, st.RegionWallNS, "RegionWallNS"},
+		{[]obs.Kind{obs.KSpawn}, st.SpawnNS, "SpawnNS"},
+		{[]obs.Kind{obs.KWorkerJoin}, st.WorkerBusyNS, "WorkerBusyNS"},
+		{[]obs.Kind{obs.KContribute}, st.CheckpointNS, "CheckpointNS"},
+		{[]obs.Kind{obs.KRegionInvoke}, st.RegionWallNS, "RegionWallNS"},
+		{[]obs.Kind{obs.KValidate}, st.ValidateNS, "ValidateNS"},
+		{[]obs.Kind{obs.KInstall, obs.KCommit}, st.CommitNS, "CommitNS"},
+		{[]obs.Kind{obs.KRecovery, obs.KSeqFallback}, st.RecoveryNS, "RecoveryNS"},
 	} {
-		if dur[c.kind] != c.stats {
-			t.Errorf("sum of %s durations %d != Stats.%s %d", c.kind, dur[c.kind], c.field, c.stats)
+		var sum int64
+		for _, k := range c.kinds {
+			sum += dur[k]
+		}
+		if sum != c.stats {
+			t.Errorf("sum of %v durations %d != Stats.%s %d", c.kinds, sum, c.field, c.stats)
 		}
 	}
-	joined := dur[obs.KValidate] + dur[obs.KInstall] + dur[obs.KCommit]
-	if joined > st.JoinNS || st.JoinNS > st.RegionWallNS {
-		t.Errorf("validate+install+commit %d <= JoinNS %d <= RegionWallNS %d does not hold",
-			joined, st.JoinNS, st.RegionWallNS)
+	if st.ValidateNS+st.CommitNS > st.JoinNS || st.JoinNS > st.RegionWallNS {
+		t.Errorf("ValidateNS %d + CommitNS %d <= JoinNS %d <= RegionWallNS %d does not hold",
+			st.ValidateNS, st.CommitNS, st.JoinNS, st.RegionWallNS)
 	}
 	// Once each: one fleet spawn per span, one busy span per spawned worker.
 	if n[obs.KSpawn] != n[obs.KSpanStart] {

@@ -96,12 +96,14 @@ func TestRecoveryAtRefAllocatesOnlyOutput(t *testing.T) {
 
 // cleanRefAllocBudget is the bytes one clean warm run of each of the five
 // paper programs at ref and W = 2 may allocate together, at the median of
-// five such passes: the median it reads, 37,170 B (37.1–38.0 KB over three
-// series, Go 1.24 on x86-64; enc-md5's output is 29 KB of it), plus a
-// quarter. The same pass allocated 83 KB when spans regrew the allocator's
-// maps, the registry was built per Run and each span parked a new slot per
-// worker: dijkstra alone read 25 KB, enc-md5 33 KB and swaptions 16 KB.
-const cleanRefAllocBudget = 46_460
+// five such passes: the median it reads, 20,944 B (20.9–21.0 KB over three
+// series, Go 1.24 on x86-64; enc-md5's output is 16 KB of it), plus a
+// quarter. The same pass allocated 37 KB while prints were formatted
+// through fmt into a growing builder, and 83 KB when spans regrew the
+// allocator's maps, the registry was built per Run and each span parked a
+// new slot per worker: dijkstra alone read 25 KB, enc-md5 33 KB and
+// swaptions 16 KB.
+const cleanRefAllocBudget = 26_180
 
 // TestCleanWarmRunAtRefAllocatesOnlyOutput holds a clean warm run of the
 // five paper programs at ref to cleanRefAllocBudget: their spans re-clone

@@ -127,7 +127,7 @@ func (sp *spanState) recycle() {
 func (sp *spanState) validate(last *checkpoint) (int64, uint64) {
 	t := startTimer()
 	c, addr := last.crossValidate()
-	t.stop(nil, sp.rt.Cfg.Trace, obs.Event{Kind: obs.KValidate,
+	t.stop(&sp.rt.Stats.ValidateNS, sp.rt.Cfg.Trace, obs.Event{Kind: obs.KValidate,
 		Invocation: sp.inv, Worker: -1, Iter: last.id, A: c})
 	return c, addr
 }

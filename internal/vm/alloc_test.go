@@ -153,7 +153,7 @@ func (m *allocModel) release(a uint64) {
 }
 
 // TestAllocatorDifferentialVsFlatModel drives random allocations, frees,
-// clones, re-clones, releases, heap copies and reowns through a family of
+// clones, re-clones, releases and reowns through a family of
 // spaces and a flat allocator model in lockstep. Every Alloc must return the model's
 // address and every space must agree with its model on live objects and
 // their sizes, so a chain fold that loses, duplicates or reorders a free
@@ -221,13 +221,6 @@ func TestAllocatorDifferentialVsFlatModel(t *testing.T) {
 		case op < 94: // release
 			p.as.Release()
 			*p.m = *newAllocModel(h)
-		case op < 96: // take another space's heap wholesale
-			from := spaces[rng.Intn(len(spaces))]
-			if from.as == p.as {
-				continue
-			}
-			p.as.CopyHeapFrom(from.as, h)
-			*p.m = *from.m.clone()
 		default: // take the allocator back if no clone can reach it
 			if p.as.Reown() {
 				reowned++

@@ -162,14 +162,6 @@ func TestPostCloneMutationCostIndependentOfLiveObjects(t *testing.T) {
 	if got, _ := parent.Alloc(ir.HeapPrivate, 48); got != a[2] {
 		t.Errorf("parent pop disturbed by descendants: got %#x, want %#x", got, a[2])
 	}
-	// A heap reset stays O(1) and fully detaches from the shared chain.
-	resetAllocs := testing.AllocsPerRun(20, func() { child.ResetHeap(ir.HeapPrivate) })
-	if resetAllocs > 4 {
-		t.Errorf("ResetHeap allocates %v times, want O(1)", resetAllocs)
-	}
-	if child.LiveObjects(ir.HeapPrivate) != 0 {
-		t.Errorf("reset heap still reports %d live objects", child.LiveObjects(ir.HeapPrivate))
-	}
 }
 
 // TestAllocatorSharingIsCopiedBeforeMutation exercises the parent-side half
@@ -506,7 +498,7 @@ func (m *flatModel) clone() *flatModel {
 }
 
 // TestRadixDifferentialVsFlatModel drives a random interleaving of writes,
-// reads, clones, heap resets, releases, re-clones and reowns through the
+// reads, clones, releases, re-clones and reowns through the
 // radix table and the flat reference model in lockstep, across a family of
 // spaces related by cloning (clones of clones included). Any divergence is a
 // COW or translation bug — or, since every Release and RecloneFrom refills
@@ -583,20 +575,10 @@ func TestRadixDifferentialVsFlatModel(t *testing.T) {
 			p.as.RecloneFrom(from.as)
 			from.fm.shared = true
 			p.fm.pages, p.fm.shared = from.fm.pages, true
-		case op == 95: // take the tree back if no clone can reach it
+		default: // take the tree back if no clone can reach it
 			saved := p.as.ownEpoch
 			if p.as.Reown() && saved != 0 {
 				reowned++
-			}
-		default: // reset one heap
-			h := heaps[rng.Intn(len(heaps))]
-			p.as.ResetHeap(h)
-			p.fm.own()
-			lo, hi := h.Base()>>PageShift, (h.Base()+(uint64(1)<<ir.TagShift))>>PageShift
-			for k := range p.fm.pages {
-				if k >= lo && k < hi {
-					delete(p.fm.pages, k)
-				}
 			}
 		}
 	}

@@ -39,64 +39,6 @@ func TestTLBSetProtInvalidation(t *testing.T) {
 	}
 }
 
-func TestTLBResetHeapInvalidation(t *testing.T) {
-	as := NewAddressSpace()
-	addr, _ := as.Alloc(ir.HeapShortLived, 64)
-	if err := as.Write(addr, 8, 7); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := as.Read(addr, 8); v != 7 {
-		t.Fatalf("warm-up read = %d, want 7", v)
-	}
-	as.ResetHeap(ir.HeapShortLived)
-	b, _ := as.Alloc(ir.HeapShortLived, 64)
-	if b != addr {
-		t.Fatalf("reset heap should restart at the same base: %#x vs %#x", b, addr)
-	}
-	// A stale TLB entry would still point at the old page holding 7.
-	if v, _ := as.Read(b, 8); v != 0 {
-		t.Errorf("read after ResetHeap = %d, want 0 (stale TLB entry?)", v)
-	}
-	if err := as.Write(b, 8, 9); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := as.Read(b, 8); v != 9 {
-		t.Errorf("write after ResetHeap lost: read = %d, want 9", v)
-	}
-}
-
-func TestTLBCopyHeapFromInvalidation(t *testing.T) {
-	src := NewAddressSpace()
-	addr, _ := src.Alloc(ir.HeapPrivate, 16)
-	if err := src.Write(addr, 8, 42); err != nil {
-		t.Fatal(err)
-	}
-	dst := NewAddressSpace()
-	// dst diverges at the same address and warms its own translations.
-	if err := dst.Write(addr, 8, 1); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := dst.Read(addr, 8); v != 1 {
-		t.Fatalf("dst warm-up read = %d, want 1", v)
-	}
-	dst.CopyHeapFrom(src, ir.HeapPrivate)
-	// dst's cached translations pointed at its old private page.
-	if v, _ := dst.Read(addr, 8); v != 42 {
-		t.Errorf("dst read after CopyHeapFrom = %d, want 42 (stale TLB entry?)", v)
-	}
-	// src's cached *write* translation pointed at a page that is now shared
-	// with dst; a store through it would corrupt dst's view.
-	if err := src.Write(addr, 8, 77); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := dst.Read(addr, 8); v != 42 {
-		t.Errorf("src write leaked into dst: read = %d, want 42", v)
-	}
-	if v, _ := src.Read(addr, 8); v != 77 {
-		t.Errorf("src read-back = %d, want 77", v)
-	}
-}
-
 func TestTLBCOWResolutionInClone(t *testing.T) {
 	parent := NewAddressSpace()
 	addr, _ := parent.Alloc(ir.HeapPrivate, 8)

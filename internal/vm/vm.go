@@ -377,8 +377,8 @@ type AddressSpace struct {
 	// rtlb and wtlb are small direct-mapped software TLBs consulted before
 	// the page map: rtlb caches protection-checked read translations, wtlb
 	// caches write translations to privately owned pages. Both are flushed
-	// on Clone, Reown, SetProt, ResetHeap and CopyHeapFrom; COW resolution
-	// updates the affected entry in place.
+	// on Clone, Reown and SetProt; COW resolution updates the affected entry
+	// in place.
 	rtlb [tlbSize]tlbEntry
 	wtlb [tlbSize]tlbEntry
 
@@ -851,57 +851,6 @@ func (as *AddressSpace) AllocatedBytes(h ir.HeapKind) uint64 { return as.heaps[h
 
 // Brk returns the bump pointer of heap h (its high-water mark).
 func (as *AddressSpace) Brk(h ir.HeapKind) uint64 { return as.heaps[h].brk }
-
-// clearHeapSubtrees detaches heap h's root subtrees (an O(16) range
-// operation) and resynchronizes the root's dirty summary, which must keep
-// upper-bounding the dirty pages reachable along owned paths.
-func (as *AddressSpace) clearHeapSubtrees(h ir.HeapKind) {
-	if as.root.epoch != as.epoch {
-		as.root = as.copyNode(as.root)
-	}
-	lo, hi := heapSlotRange(h)
-	for s := lo; s < hi; s++ {
-		as.root.kids[s] = nil
-	}
-	var dirty int64
-	for _, kid := range as.root.kids {
-		if kid != nil && kid.epoch == as.epoch {
-			dirty += kid.dirty
-		}
-	}
-	as.root.dirty = dirty
-}
-
-// ResetHeap discards all allocations and contents of heap h, returning it to
-// its initial empty state (fresh pages on next touch).
-func (as *AddressSpace) ResetHeap(h ir.HeapKind) {
-	as.clearHeapSubtrees(h)
-	as.heaps[h] = newHeapState(h)
-	as.flushTLB()
-}
-
-// CopyHeapFrom replaces this space's view of heap h with src's: page
-// contents are duplicated into entries marked copy-on-write (so they stay
-// out of DirtyPages, exactly like a checkpoint-installed image), and the
-// allocator state is cloned. This is the simulated equivalent of the
-// recovery path's "several calls to mmap" that install a checkpoint's heap
-// images.
-func (as *AddressSpace) CopyHeapFrom(src *AddressSpace, h ir.HeapKind) {
-	as.clearHeapSubtrees(h)
-	var path [radixLevels]*radixNode
-	src.heapWalkAll(h, func(base uint64, e *pageEntry) {
-		pn := base >> PageShift
-		leaf := as.ownPath(pn, &path)
-		leaf.entries[slotOf(pn, radixLevels-1)] = pageEntry{pg: as.newPage(e.pg), cow: true}
-	})
-	// A flat copy: src is not told of this reader, so it may fold its chain
-	// back in place (Reown) while as still holds the allocator state.
-	hs := src.heaps[h].clone()
-	hs.flatten()
-	as.heaps[h] = hs
-	as.flushTLB()
-	src.flushTLB()
-}
 
 // DirtyPages calls visit for every page this address space owns privately —
 // pages written since the last Clone (COW-resolved) or newly instantiated.

@@ -298,58 +298,6 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 	}
 }
 
-func TestResetHeap(t *testing.T) {
-	as := NewAddressSpace()
-	a, _ := as.Alloc(ir.HeapShortLived, 64)
-	if err := as.Write(a, 8, 7); err != nil {
-		t.Fatal(err)
-	}
-	as.ResetHeap(ir.HeapShortLived)
-	if as.LiveObjects(ir.HeapShortLived) != 0 {
-		t.Error("reset heap should have no live objects")
-	}
-	b, _ := as.Alloc(ir.HeapShortLived, 64)
-	if b != a {
-		t.Errorf("reset heap should restart at the same base: %#x vs %#x", b, a)
-	}
-	if v, _ := as.Read(b, 8); v != 0 {
-		t.Errorf("reset heap must be zero-filled, got %d", v)
-	}
-}
-
-func TestCopyHeapFrom(t *testing.T) {
-	src := NewAddressSpace()
-	a, _ := src.Alloc(ir.HeapPrivate, 16)
-	if err := src.Write(a, 8, 42); err != nil {
-		t.Fatal(err)
-	}
-	dst := NewAddressSpace()
-	// Make dst diverge first.
-	b, _ := dst.Alloc(ir.HeapPrivate, 16)
-	if err := dst.Write(b, 8, 1); err != nil {
-		t.Fatal(err)
-	}
-	dst.CopyHeapFrom(src, ir.HeapPrivate)
-	if v, _ := dst.Read(a, 8); v != 42 {
-		t.Errorf("after CopyHeapFrom, read = %d, want 42", v)
-	}
-	// Allocator state must match src: next alloc must not collide.
-	c, err := dst.Alloc(ir.HeapPrivate, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Error("allocator state not copied: returned a live object's address")
-	}
-	// COW: writing in dst must not disturb src.
-	if err := dst.Write(a, 8, 77); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := src.Read(a, 8); v != 42 {
-		t.Errorf("src disturbed by dst write: %d", v)
-	}
-}
-
 func TestHeapPagesVisitsOnlyHeap(t *testing.T) {
 	as := NewAddressSpace()
 	p1, _ := as.Alloc(ir.HeapPrivate, 8)
