@@ -110,8 +110,14 @@ func dumpFlight(addr string) error {
 				fmt.Printf("  phase %-10s %8.3f ms\n", ph, float64(ns)/1e6)
 			}
 		}
-		fmt.Printf("  events captured %d of %d emitted (%d dropped by the ring)\n",
-			len(pm.Events), pm.TotalEvents, pm.DroppedEvents)
+		// A traced job emits at least its queued span, so a postmortem
+		// with no event at all is one of a job run untraced.
+		if pm.TotalEvents == 0 {
+			fmt.Println("  not traced: the job emitted no events")
+		} else {
+			fmt.Printf("  events captured %d of %d emitted (%d dropped by the ring)\n",
+				len(pm.Events), pm.TotalEvents, pm.DroppedEvents)
+		}
 	}
 	return nil
 }

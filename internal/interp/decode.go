@@ -1,7 +1,9 @@
 package interp
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"privateer/internal/ir"
@@ -22,6 +24,12 @@ import (
 // (see fusions). Decoding runs once per function per Program; every
 // interpreter sharing the Program (the speculative runtime's master, workers
 // and recovery interpreter) executes the same decoded form.
+//
+// Decoding also proves, once per function, what the executor then takes on
+// trust: every slot an entry reads or writes is a slot of the function's
+// frame, and control never leaves the code array (see proveInstr and
+// unchecked.go). An instruction that fails the proof decodes to a guard
+// entry that stops the run with an error naming what failed.
 
 // noSlot marks an absent operand slot (e.g. a void return).
 const noSlot = math.MinInt32
@@ -140,19 +148,20 @@ type globalSlot struct{ dst, idx int32 }
 type phiCopy struct{ dst, src int32 }
 
 // phiEdge is the decoded φ behavior of one CFG edge: the parallel copies to
-// perform when control transfers along it, or the φ that makes the transfer
-// invalid (no incoming value for the edge's source block).
+// perform when control transfers along it, or the error that makes the
+// transfer invalid.
 type phiEdge struct {
 	copies []phiCopy
-	// badPhi, when non-nil, is the first φ of the target block with no
-	// incoming value for this edge; taking the edge reproduces the
-	// interpreter's "no incoming for predecessor" error.
-	badPhi *ir.Instr
+	// guard, when not -1, indexes decodedFunc.guards for what taking the
+	// edge fails with: the tree-walking executor's "no incoming for
+	// predecessor" error when a φ of the target block has no incoming value
+	// for the edge's source block, or the error of an incoming value that is
+	// not a value of the function.
+	guard int32
 }
 
 // decodedFunc is the executable form of one function.
 type decodedFunc struct {
-	fn    *ir.Function
 	code  []dinstr
 	edges []phiEdge
 	// image is a fresh frame's value array (length NumValues): the hoisted
@@ -160,9 +169,9 @@ type decodedFunc struct {
 	image []uint64
 	// globals are the hoisted OpGlobal slots, patched per interpreter.
 	globals []globalSlot
-	// entryPhi is the first leading φ of the entry block, if any; entering
-	// the function then fails exactly as the tree-walking executor does.
-	entryPhi *ir.Instr
+	// guards holds the errors of the guard entries, indexed by their cnst,
+	// and of the edges that fail.
+	guards []error
 
 	// Shape fingerprint: decoding is invalidated if the function's block
 	// count, instruction count or value-ID horizon changes (every IR
@@ -269,8 +278,9 @@ func hoistable(fn *ir.Function) []uint8 {
 
 // Opcodes private to the decoded executor: ir.NumOps, the printer and the
 // tree-walking executor do not know them. The fused ones are listed in
-// fusions; opUnterminated is the guard entry that ends a block without a
-// terminator, and opStop ends a stop run (see stopRun).
+// fusions; opGuard is the guard entry that stands for an instruction decode
+// could not prove (see proveInstr) or ends a block without a terminator,
+// and opStop ends a stop run (see stopRun).
 const (
 	opMulAdd ir.Op = ir.Op(ir.NumOps) + iota
 	opMulAddLoad
@@ -279,7 +289,7 @@ const (
 	opAddBr
 	opMulAddMulAddLoad
 	opFMulFAdd
-	opUnterminated
+	opGuard
 	opStop
 )
 
@@ -333,43 +343,111 @@ func fuse(run []dinstr) {
 	}
 }
 
-// edgeFor builds the φ-copy list for the CFG edge from -> to (edges are per
-// branch target, not shared).
-func (df *decodedFunc) edgeFor(from, to *ir.Block) int32 {
+// edgeFor builds the φ-copy list for the CFG edge from -> to of fn (edges
+// are per branch target, not shared).
+func (df *decodedFunc) edgeFor(fn *ir.Function, from, to *ir.Block) int32 {
 	n := leadingPhis(to)
 	if n == 0 {
 		return -1
 	}
-	e := phiEdge{}
+	e := phiEdge{guard: -1}
 	for _, phi := range to.Instrs[:n] {
-		src := int32(0)
-		found := false
-		for i, p := range phi.Preds {
-			if p == from {
-				src = int32(phi.Args[i].ValueID())
-				found = true
-				break
-			}
+		var err error
+		i := slices.Index(phi.Preds, from)
+		switch {
+		case i < 0:
+			err = phiEdgeError(fn, phi, from)
+		case i >= len(phi.Args) || !ownSlot(fn, phi.Args[i]) || !inFrame(fn, phi.ValueID()):
+			err = fmt.Errorf("interp: phi %s in %s.%s has no incoming value of %s for predecessor %v",
+				phi, fn.Name, to.Name, fn.Name, from)
+		default:
+			e.copies = append(e.copies, phiCopy{dst: int32(phi.ValueID()), src: int32(phi.Args[i].ValueID())})
+			continue
 		}
-		if !found {
-			e.badPhi = phi
-			break
-		}
-		e.copies = append(e.copies, phiCopy{dst: int32(phi.ValueID()), src: src})
+		df.guards = append(df.guards, err)
+		e = phiEdge{guard: int32(len(df.guards) - 1)}
+		break
 	}
 	df.edges = append(df.edges, e)
 	return int32(len(df.edges) - 1)
 }
 
-// decodeFunc flattens fn into its decoded form.
-func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
-	df := &decodedFunc{fn: fn, image: make([]uint64, fn.NumValues())}
-	df.shapeBlocks, df.shapeInstrs, df.shapeValues = fnShape(fn)
-	if len(fn.Blocks) == 0 {
-		return df
+// inFrame reports whether id is a slot of fn's frame.
+func inFrame(fn *ir.Function, id int) bool { return id >= 0 && id < fn.NumValues() }
+
+// ownSlot reports whether v is a value of fn, with a slot in fn's frame.
+func ownSlot(fn *ir.Function, v ir.Value) bool {
+	switch v := v.(type) {
+	case *ir.Param:
+		return v.Fn == fn && inFrame(fn, v.ValueID())
+	case *ir.Instr:
+		return v.Blk != nil && v.Blk.Fn == fn && inFrame(fn, v.ValueID())
 	}
-	if leadingPhis(fn.Entry()) > 0 {
-		df.entryPhi = fn.Entry().Instrs[0]
+	return false
+}
+
+// proveInstr returns nil when the entry in decodes to reads and writes only
+// slots of fn's frame and branches only to block starts of fn's code: in's
+// own value ID lies in [0, NumValues), every operand is a value of fn (so
+// its ID does too), in has at least its op's arity of operands (all its case
+// reads through a, b and c), and every target its branch takes is a block
+// of fn. Otherwise it returns the error of the guard entry that in decodes
+// to. ir.Verify admits no module that fails.
+func proveInstr(fn *ir.Function, in *ir.Instr, starts map[*ir.Block]int32) error {
+	if !inFrame(fn, in.ValueID()) {
+		return fmt.Errorf("interp: %s in %s has value ID %d outside its frame of %d",
+			in.Op, fn.Name, in.ValueID(), fn.NumValues())
+	}
+	for i, a := range in.Args {
+		if a == nil {
+			return fmt.Errorf("interp: %s in %s has no operand %d", in.Op, fn.Name, i)
+		}
+		if !ownSlot(fn, a) {
+			return fmt.Errorf("interp: %s in %s reads %s, which is not a value of %s", in.Op, fn.Name, a, fn.Name)
+		}
+	}
+	if want := in.Op.Arity(); len(in.Args) < want {
+		return fmt.Errorf("interp: %s in %s wants %d operands, has %d", in.Op, fn.Name, want, len(in.Args))
+	}
+	targets := 0
+	switch in.Op {
+	case ir.OpBr:
+		targets = 1
+	case ir.OpCondBr:
+		targets = 2
+	}
+	if len(in.Targets) < targets {
+		return fmt.Errorf("interp: %s in %s wants %d targets, has %d", in.Op, fn.Name, targets, len(in.Targets))
+	}
+	for _, t := range in.Targets[:targets] {
+		if _, ok := starts[t]; !ok {
+			return fmt.Errorf("interp: %s in %s branches to %v, which is not a block of %s", in.Op, fn.Name, t, fn.Name)
+		}
+	}
+	return nil
+}
+
+// guard returns a guard entry of weight n that stops the run with err.
+func (df *decodedFunc) guard(n int32, err error) dinstr {
+	df.guards = append(df.guards, err)
+	return dinstr{op: opGuard, n: n, dst: noSlot, a: noSlot, b: noSlot, c: noSlot,
+		t0: int32(len(df.code)), e0: -1, e1: -1, cnst: uint64(len(df.guards) - 1)}
+}
+
+// decodeFunc flattens fn into its decoded form. A function without blocks,
+// or whose entry block leads with a φ, decodes to one guard entry of weight
+// 0: entering it fails before it charges a step, as the tree-walking
+// executor's does.
+func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
+	df := &decodedFunc{image: make([]uint64, fn.NumValues())}
+	df.shapeBlocks, df.shapeInstrs, df.shapeValues = fnShape(fn)
+	switch {
+	case len(fn.Blocks) == 0:
+		df.code = []dinstr{df.guard(0, fmt.Errorf("interp: %s has no blocks", fn.Name))}
+		return df
+	case leadingPhis(fn.Entry()) > 0:
+		df.code = []dinstr{df.guard(0, phiEdgeError(fn, fn.Entry().Instrs[0], nil))}
+		return df
 	}
 	marks := hoistable(fn)
 	hoists := func(in *ir.Instr) bool {
@@ -408,6 +486,11 @@ func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 				n++
 				continue
 			}
+			if err := proveInstr(fn, in, starts); err != nil {
+				df.code = append(df.code, df.guard(n, err))
+				n = 1
+				continue
+			}
 			di := dinstr{op: in.Op, n: n, dst: int32(in.ValueID()), a: noSlot, b: noSlot, c: noSlot,
 				t0: int32(len(df.code)), e0: -1, e1: -1, cnst: in.Const, in: in}
 			n = 1
@@ -419,13 +502,13 @@ func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 			switch in.Op {
 			case ir.OpBr:
 				di.t0 = starts[in.Targets[0]]
-				di.e0 = df.edgeFor(b, in.Targets[0])
+				di.e0 = df.edgeFor(fn, b, in.Targets[0])
 			case ir.OpCondBr:
 				di.a = int32(in.Args[0].ValueID())
 				di.t0 = starts[in.Targets[0]]
 				di.t1 = starts[in.Targets[1]]
-				di.e0 = df.edgeFor(b, in.Targets[0])
-				di.e1 = df.edgeFor(b, in.Targets[1])
+				di.e0 = df.edgeFor(fn, b, in.Targets[0])
+				di.e1 = df.edgeFor(fn, b, in.Targets[1])
 			case ir.OpGlobal:
 				di.cnst = uint64(p.globalSlot(in.GlobalRef))
 			case ir.OpBuiltin:
@@ -451,13 +534,12 @@ func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 		if b.Terminator() == nil {
 			// Unterminated block (invalid IR): stop with an error instead
 			// of falling through into the next block's code.
-			df.code = append(df.code, dinstr{op: opUnterminated, n: n, dst: noSlot,
-				a: noSlot, b: noSlot, c: noSlot, t0: int32(len(df.code)), e0: -1, e1: -1})
+			df.code = append(df.code, df.guard(n, fmt.Errorf("interp: unterminated block in %s", fn.Name)))
 		}
 		run := df.code[start:]
 		for i, rest := len(run)-1, int32(0); i >= 0; i-- {
-			if run[i].op.IsTerminator() {
-				rest = 0 // what follows a terminator never runs
+			if run[i].op.IsTerminator() || run[i].op == opGuard {
+				rest = 0 // what follows a terminator or guard never runs
 			}
 			run[i].rest = rest
 			rest += run[i].n

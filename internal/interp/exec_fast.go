@@ -49,27 +49,24 @@ func (it *Interp) computeHookMask() uint32 {
 }
 
 // phiEdgeError reproduces the tree-walking executor's missing-incoming
-// error for a φ reached along an edge it has no value for.
-func phiEdgeError(fr *Frame, phi *ir.Instr, prev *ir.Block) error {
+// error for a φ of fn reached along an edge it has no value for.
+func phiEdgeError(fn *ir.Function, phi *ir.Instr, prev *ir.Block) error {
 	return fmt.Errorf("interp: phi %s in %s.%s has no incoming for predecessor %v",
-		phi, fr.Fn.Name, phi.Blk.Name, prev)
+		phi, fn.Name, phi.Blk.Name, prev)
 }
 
-// runEdge performs the parallel φ-copy of edge e (all reads before all
-// writes, so φs may reference each other).
-func runEdge(vals []uint64, e *phiEdge) {
-	cs := e.copies
-	if len(cs) == 1 {
-		vals[cs[0].dst] = vals[cs[0].src]
-		return
-	}
+// runEdge performs the parallel φ-copy cs of one edge: every read before
+// any write, so φs may reference each other. It stays small enough to inline
+// into the dispatch loop; a shortcut for the one-copy edge put it over the
+// inliner's budget, and the call then cost more than the shortcut saved.
+func runEdge(vals []uint64, cs []phiCopy) {
 	var tmp [8]uint64
 	buf := tmp[:0]
-	for i := range cs {
-		buf = append(buf, vals[cs[i].src])
+	for _, c := range cs {
+		buf = append(buf, slot(vals, c.src))
 	}
-	for i := range cs {
-		vals[cs[i].dst] = buf[i]
+	for i, c := range cs {
+		setSlot(vals, c.dst, buf[i])
 	}
 }
 
@@ -77,8 +74,10 @@ func runEdge(vals []uint64, e *phiEdge) {
 // (see stopRun), from pc, with steps the count charged through the end of
 // pc's block. It is observably identical to exec (the tree-walking
 // reference executor): same step counts, same hook sequence, same errors,
-// same output. Operand slots index fr.vals directly; the hoisted constants
-// and global addresses are in their slots since frame setup. Steps are
+// same output. Operand slots index fr.vals directly, and entries code,
+// through the unchecked accessors of unchecked.go, which decode's proof
+// makes safe; the hoisted constants and global addresses are in their
+// slots since frame setup. Steps are
 // charged per block, not per dispatch: entering a block (at function entry
 // and on every taken branch) adds its whole weight to steps and compares
 // once against the budget, so while entry di runs the exact count is steps -
@@ -96,149 +95,159 @@ func (it *Interp) execDecoded(fr *Frame, df *decodedFunc, code []dinstr, pc int3
 	var at int32
 dispatch:
 	for {
-		di := &code[pc]
+		di := entryAt(code, pc)
 		switch di.op {
 		case ir.OpConst, ir.OpFConst:
-			vals[di.dst] = di.cnst
+			setSlot(vals, di.dst, di.cnst)
 		// A fused opcode executes its leading components in place, steps to
 		// its last and falls through to that one's own case.
 		case opMulAdd:
-			vals[di.dst] = vals[di.a] * vals[di.b]
+			setSlot(vals, di.dst, slot(vals, di.a)*slot(vals, di.b))
 			pc++
-			di = &code[pc]
+			di = entryAt(code, pc)
 			fallthrough
 		case ir.OpAdd:
-			vals[di.dst] = vals[di.a] + vals[di.b]
+			setSlot(vals, di.dst, slot(vals, di.a)+slot(vals, di.b))
 		case ir.OpSub:
-			vals[di.dst] = vals[di.a] - vals[di.b]
+			setSlot(vals, di.dst, slot(vals, di.a)-slot(vals, di.b))
 		case ir.OpMul:
-			vals[di.dst] = vals[di.a] * vals[di.b]
+			setSlot(vals, di.dst, slot(vals, di.a)*slot(vals, di.b))
 		case ir.OpSDiv:
-			d := vals[di.b]
+			d := slot(vals, di.b)
 			if d == 0 {
 				it.Steps = steps - int64(di.rest)
 				return 0, fmt.Errorf("interp: division by zero (%s)", di.in.Format())
 			}
-			vals[di.dst] = uint64(int64(vals[di.a]) / int64(d))
+			setSlot(vals, di.dst, uint64(int64(slot(vals, di.a))/int64(d)))
 		case ir.OpUDiv:
-			d := vals[di.b]
+			d := slot(vals, di.b)
 			if d == 0 {
 				it.Steps = steps - int64(di.rest)
 				return 0, fmt.Errorf("interp: division by zero (%s)", di.in.Format())
 			}
-			vals[di.dst] = vals[di.a] / d
+			setSlot(vals, di.dst, slot(vals, di.a)/d)
 		case ir.OpSRem:
-			d := vals[di.b]
+			d := slot(vals, di.b)
 			if d == 0 {
 				it.Steps = steps - int64(di.rest)
 				return 0, fmt.Errorf("interp: remainder by zero (%s)", di.in.Format())
 			}
-			vals[di.dst] = uint64(int64(vals[di.a]) % int64(d))
+			setSlot(vals, di.dst, uint64(int64(slot(vals, di.a))%int64(d)))
 		case ir.OpURem:
-			d := vals[di.b]
+			d := slot(vals, di.b)
 			if d == 0 {
 				it.Steps = steps - int64(di.rest)
 				return 0, fmt.Errorf("interp: remainder by zero (%s)", di.in.Format())
 			}
-			vals[di.dst] = vals[di.a] % d
+			setSlot(vals, di.dst, slot(vals, di.a)%d)
 		case ir.OpAnd:
-			vals[di.dst] = vals[di.a] & vals[di.b]
+			setSlot(vals, di.dst, slot(vals, di.a)&slot(vals, di.b))
 		case ir.OpOr:
-			vals[di.dst] = vals[di.a] | vals[di.b]
+			setSlot(vals, di.dst, slot(vals, di.a)|slot(vals, di.b))
 		case ir.OpXor:
-			vals[di.dst] = vals[di.a] ^ vals[di.b]
+			setSlot(vals, di.dst, slot(vals, di.a)^slot(vals, di.b))
 		case ir.OpShl:
-			vals[di.dst] = vals[di.a] << (vals[di.b] & 63)
+			setSlot(vals, di.dst, slot(vals, di.a)<<(slot(vals, di.b)&63))
 		case ir.OpLShr:
-			vals[di.dst] = vals[di.a] >> (vals[di.b] & 63)
+			setSlot(vals, di.dst, slot(vals, di.a)>>(slot(vals, di.b)&63))
 		case ir.OpAShr:
-			vals[di.dst] = uint64(int64(vals[di.a]) >> (vals[di.b] & 63))
+			setSlot(vals, di.dst, uint64(int64(slot(vals, di.a))>>(slot(vals, di.b)&63)))
 		case ir.OpEq:
-			vals[di.dst] = b2w(vals[di.a] == vals[di.b])
+			setSlot(vals, di.dst, b2w(slot(vals, di.a) == slot(vals, di.b)))
 		case ir.OpNe:
-			vals[di.dst] = b2w(vals[di.a] != vals[di.b])
+			setSlot(vals, di.dst, b2w(slot(vals, di.a) != slot(vals, di.b)))
 		case ir.OpSLt:
-			vals[di.dst] = b2w(int64(vals[di.a]) < int64(vals[di.b]))
+			setSlot(vals, di.dst, b2w(int64(slot(vals, di.a)) < int64(slot(vals, di.b))))
 		case ir.OpSLe:
-			vals[di.dst] = b2w(int64(vals[di.a]) <= int64(vals[di.b]))
+			setSlot(vals, di.dst, b2w(int64(slot(vals, di.a)) <= int64(slot(vals, di.b))))
 		case ir.OpSGt:
-			vals[di.dst] = b2w(int64(vals[di.a]) > int64(vals[di.b]))
+			setSlot(vals, di.dst, b2w(int64(slot(vals, di.a)) > int64(slot(vals, di.b))))
 		case ir.OpSGe:
-			vals[di.dst] = b2w(int64(vals[di.a]) >= int64(vals[di.b]))
+			setSlot(vals, di.dst, b2w(int64(slot(vals, di.a)) >= int64(slot(vals, di.b))))
 		case ir.OpULt:
-			vals[di.dst] = b2w(vals[di.a] < vals[di.b])
+			setSlot(vals, di.dst, b2w(slot(vals, di.a) < slot(vals, di.b)))
 		case ir.OpUGe:
-			vals[di.dst] = b2w(vals[di.a] >= vals[di.b])
+			setSlot(vals, di.dst, b2w(slot(vals, di.a) >= slot(vals, di.b)))
 		case ir.OpSIToFP:
-			vals[di.dst] = bits(float64(int64(vals[di.a])))
+			setSlot(vals, di.dst, bits(float64(int64(slot(vals, di.a)))))
 		case ir.OpFPToSI:
-			vals[di.dst] = uint64(int64(f64(vals[di.a])))
+			setSlot(vals, di.dst, uint64(int64(f64(slot(vals, di.a)))))
 		case opFMulFAdd:
-			vals[di.dst] = bits(f64(vals[di.a]) * f64(vals[di.b]))
+			setSlot(vals, di.dst, bits(f64(slot(vals, di.a))*f64(slot(vals, di.b))))
 			pc++
-			di = &code[pc]
+			di = entryAt(code, pc)
 			fallthrough
 		case ir.OpFAdd:
-			vals[di.dst] = bits(f64(vals[di.a]) + f64(vals[di.b]))
+			setSlot(vals, di.dst, bits(f64(slot(vals, di.a))+f64(slot(vals, di.b))))
 		case ir.OpFSub:
-			vals[di.dst] = bits(f64(vals[di.a]) - f64(vals[di.b]))
+			setSlot(vals, di.dst, bits(f64(slot(vals, di.a))-f64(slot(vals, di.b))))
 		case ir.OpFMul:
-			vals[di.dst] = bits(f64(vals[di.a]) * f64(vals[di.b]))
+			setSlot(vals, di.dst, bits(f64(slot(vals, di.a))*f64(slot(vals, di.b))))
 		case ir.OpFDiv:
-			vals[di.dst] = bits(f64(vals[di.a]) / f64(vals[di.b]))
+			setSlot(vals, di.dst, bits(f64(slot(vals, di.a))/f64(slot(vals, di.b))))
 		case ir.OpFEq:
-			vals[di.dst] = b2w(f64(vals[di.a]) == f64(vals[di.b]))
+			setSlot(vals, di.dst, b2w(f64(slot(vals, di.a)) == f64(slot(vals, di.b))))
 		case ir.OpFLt:
-			vals[di.dst] = b2w(f64(vals[di.a]) < f64(vals[di.b]))
+			setSlot(vals, di.dst, b2w(f64(slot(vals, di.a)) < f64(slot(vals, di.b))))
 		case ir.OpFLe:
-			vals[di.dst] = b2w(f64(vals[di.a]) <= f64(vals[di.b]))
+			setSlot(vals, di.dst, b2w(f64(slot(vals, di.a)) <= f64(slot(vals, di.b))))
 		case ir.OpFGt:
-			vals[di.dst] = b2w(f64(vals[di.a]) > f64(vals[di.b]))
+			setSlot(vals, di.dst, b2w(f64(slot(vals, di.a)) > f64(slot(vals, di.b))))
 		case ir.OpFGe:
-			vals[di.dst] = b2w(f64(vals[di.a]) >= f64(vals[di.b]))
+			setSlot(vals, di.dst, b2w(f64(slot(vals, di.a)) >= f64(slot(vals, di.b))))
 		case ir.OpSelect:
-			if vals[di.a] != 0 {
-				vals[di.dst] = vals[di.b]
+			if slot(vals, di.a) != 0 {
+				setSlot(vals, di.dst, slot(vals, di.b))
 			} else {
-				vals[di.dst] = vals[di.c]
+				setSlot(vals, di.dst, slot(vals, di.c))
 			}
 		case ir.OpPtrToInt, ir.OpIntToPtr:
-			vals[di.dst] = vals[di.a]
+			setSlot(vals, di.dst, slot(vals, di.a))
 		case opMulAddMulAddLoad:
-			vals[di.dst] = vals[di.a] * vals[di.b]
+			setSlot(vals, di.dst, slot(vals, di.a)*slot(vals, di.b))
 			pc++
-			di = &code[pc]
-			vals[di.dst] = vals[di.a] + vals[di.b]
+			di = entryAt(code, pc)
+			setSlot(vals, di.dst, slot(vals, di.a)+slot(vals, di.b))
 			pc++
-			di = &code[pc]
+			di = entryAt(code, pc)
 			fallthrough
 		case opMulAddLoad:
-			vals[di.dst] = vals[di.a] * vals[di.b]
+			setSlot(vals, di.dst, slot(vals, di.a)*slot(vals, di.b))
 			pc++
-			di = &code[pc]
+			di = entryAt(code, pc)
 			fallthrough
 		case opAddLoad:
-			vals[di.dst] = vals[di.a] + vals[di.b]
+			setSlot(vals, di.dst, slot(vals, di.a)+slot(vals, di.b))
 			pc++
-			di = &code[pc]
+			di = entryAt(code, pc)
 			fallthrough
 		case ir.OpLoad:
-			addr := vals[di.a]
-			v, err := it.AS.Read(addr, int64(di.cnst))
-			if err != nil {
-				it.Steps = steps - int64(di.rest)
-				return 0, err
+			// An 8-byte load the read TLB holds is done here; everything
+			// else goes through Read, which counts and faults.
+			addr := slot(vals, di.a)
+			v, hit := uint64(0), false
+			if di.cnst == 8 {
+				v, hit = it.AS.ReadHit8(addr)
 			}
-			vals[di.dst] = v
+			if !hit {
+				var err error
+				if v, err = it.AS.Read(addr, int64(di.cnst)); err != nil {
+					it.Steps = steps - int64(di.rest)
+					return 0, err
+				}
+			}
+			setSlot(vals, di.dst, v)
 			if mask&hLoad != 0 {
 				it.Steps = steps - int64(di.rest)
 				hooks.OnLoad(fr, di.in, addr, int64(di.cnst))
 			}
 		case ir.OpStore:
-			addr := vals[di.b]
-			if err := it.AS.Write(addr, int64(di.cnst), vals[di.a]); err != nil {
-				it.Steps = steps - int64(di.rest)
-				return 0, err
+			addr, v := slot(vals, di.b), slot(vals, di.a)
+			if di.cnst != 8 || !it.AS.WriteHit8(addr, v) {
+				if err := it.AS.Write(addr, int64(di.cnst), v); err != nil {
+					it.Steps = steps - int64(di.rest)
+					return 0, err
+				}
 			}
 			if mask&hStore != 0 {
 				it.Steps = steps - int64(di.rest)
@@ -248,13 +257,13 @@ dispatch:
 		case ir.OpRet:
 			it.Steps = steps
 			if di.a != noSlot {
-				return vals[di.a], nil
+				return slot(vals, di.a), nil
 			}
 			return 0, nil
 		case opAddBr:
-			vals[di.dst] = vals[di.a] + vals[di.b]
+			setSlot(vals, di.dst, slot(vals, di.a)+slot(vals, di.b))
 			pc++
-			di = &code[pc]
+			di = entryAt(code, pc)
 			fallthrough
 		case ir.OpBr:
 			if mask&hBlock != 0 {
@@ -263,26 +272,26 @@ dispatch:
 			}
 			if di.e0 >= 0 {
 				e := &df.edges[di.e0]
-				if e.badPhi != nil {
+				if e.guard >= 0 {
 					it.Steps = steps
-					return 0, phiEdgeError(fr, e.badPhi, di.in.Blk)
+					return 0, df.guards[e.guard]
 				}
-				runEdge(vals, e)
+				runEdge(vals, e.copies)
 			}
 			pc = di.t0
-			if steps += code[pc].charge(); steps > limit {
+			if steps += entryAt(code, pc).charge(); steps > limit {
 				at = pc
 				break dispatch
 			}
 			continue
 		case opSLtCondBr:
-			vals[di.dst] = b2w(int64(vals[di.a]) < int64(vals[di.b]))
+			setSlot(vals, di.dst, b2w(int64(slot(vals, di.a)) < int64(slot(vals, di.b))))
 			pc++
-			di = &code[pc]
+			di = entryAt(code, pc)
 			fallthrough
 		case ir.OpCondBr:
 			to, eid := di.t1, di.e1
-			taken := vals[di.a] != 0
+			taken := slot(vals, di.a) != 0
 			if taken {
 				to, eid = di.t0, di.e0
 			}
@@ -292,14 +301,14 @@ dispatch:
 			}
 			if eid >= 0 {
 				e := &df.edges[eid]
-				if e.badPhi != nil {
+				if e.guard >= 0 {
 					it.Steps = steps
-					return 0, phiEdgeError(fr, e.badPhi, di.in.Blk)
+					return 0, df.guards[e.guard]
 				}
-				runEdge(vals, e)
+				runEdge(vals, e.copies)
 			}
 			pc = to
-			if steps += code[pc].charge(); steps > limit {
+			if steps += entryAt(code, pc).charge(); steps > limit {
 				at = pc
 				break dispatch
 			}
@@ -311,37 +320,37 @@ dispatch:
 				return 0, err
 			}
 			fr.allocas = append(fr.allocas, addr)
-			vals[di.dst] = addr
+			setSlot(vals, di.dst, addr)
 			if mask&hAlloc != 0 {
 				it.Steps = steps - int64(di.rest)
 				hooks.OnAlloc(fr, di.in, addr, di.cnst)
 			}
 		case ir.OpMalloc:
-			size := vals[di.a]
+			size := slot(vals, di.a)
 			addr, err := it.AS.Alloc(ir.HeapSystem, size)
 			if err != nil {
 				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
-			vals[di.dst] = addr
+			setSlot(vals, di.dst, addr)
 			if mask&hAlloc != 0 {
 				it.Steps = steps - int64(di.rest)
 				hooks.OnAlloc(fr, di.in, addr, size)
 			}
 		case ir.OpHAlloc:
-			size := vals[di.a]
+			size := slot(vals, di.a)
 			addr, err := it.AS.Alloc(di.in.Heap, size)
 			if err != nil {
 				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
-			vals[di.dst] = addr
+			setSlot(vals, di.dst, addr)
 			if mask&hAlloc != 0 {
 				it.Steps = steps - int64(di.rest)
 				hooks.OnAlloc(fr, di.in, addr, size)
 			}
 		case ir.OpFree, ir.OpHDealloc:
-			addr := vals[di.a]
+			addr := slot(vals, di.a)
 			if mask&hFree != 0 {
 				it.Steps = steps - int64(di.rest)
 				hooks.OnFree(fr, di.in, addr)
@@ -351,14 +360,14 @@ dispatch:
 				return 0, err
 			}
 		case ir.OpGlobal:
-			vals[di.dst] = it.globalAddrs[di.cnst]
+			setSlot(vals, di.dst, it.globalAddrs[di.cnst])
 		case ir.OpCall:
 			it.Steps = steps - int64(di.rest)
 			v, err := it.callInstr(fr, di.in)
 			if err != nil {
 				return 0, err
 			}
-			vals[di.dst] = v
+			setSlot(vals, di.dst, v)
 			if steps = it.Steps + int64(di.rest); steps > limit {
 				at = di.t0 + 1
 				break dispatch
@@ -369,20 +378,20 @@ dispatch:
 				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
-			vals[di.dst] = v
+			setSlot(vals, di.dst, v)
 		case ir.OpCheckHeap:
 			if it.ChecksOff {
 				break
 			}
 			it.SepChecks++
-			if addr := vals[di.a]; addr != 0 && ir.HeapOf(addr) != di.in.Heap {
+			if addr := slot(vals, di.a); addr != 0 && ir.HeapOf(addr) != di.in.Heap {
 				it.Steps = steps - int64(di.rest)
 				return 0, &MisspecError{Instr: di.in, Addr: addr, Reason: sepViolated}
 			}
 		case ir.OpPrivateRead, ir.OpPrivateWrite:
 			if it.Spec != nil {
 				it.Steps = steps - int64(di.rest)
-				if err := it.Spec.Private(di.in, vals[di.a], 1, int64(di.cnst), int64(di.cnst),
+				if err := it.Spec.Private(di.in, slot(vals, di.a), 1, int64(di.cnst), int64(di.cnst),
 					di.op == ir.OpPrivateWrite); err != nil {
 					return 0, err
 				}
@@ -390,7 +399,7 @@ dispatch:
 		case ir.OpPrivateReadSpan, ir.OpPrivateWriteSpan:
 			if it.Spec != nil {
 				it.Steps = steps - int64(di.rest)
-				if err := it.Spec.Private(di.in, vals[di.a], int64(vals[di.b]), int64(vals[di.c]),
+				if err := it.Spec.Private(di.in, slot(vals, di.a), int64(slot(vals, di.b)), int64(slot(vals, di.c)),
 					int64(di.cnst), di.op == ir.OpPrivateWriteSpan); err != nil {
 					return 0, err
 				}
@@ -402,7 +411,7 @@ dispatch:
 				break
 			}
 			it.Predictions++
-			if vals[di.a] != vals[di.b] {
+			if slot(vals, di.a) != slot(vals, di.b) {
 				it.Steps = steps - int64(di.rest)
 				return 0, &MisspecError{Instr: di.in, Reason: predictFailed}
 			}
@@ -412,7 +421,7 @@ dispatch:
 				return 0, &MisspecError{Instr: di.in, Reason: controlViolated}
 			}
 		case ir.OpMemSet:
-			addr, n, b := vals[di.a], vals[di.b], byte(vals[di.c])
+			addr, n, b := slot(vals, di.a), slot(vals, di.b), byte(slot(vals, di.c))
 			buf := it.scratchBytes(n)
 			for i := range buf {
 				buf[i] = b
@@ -426,7 +435,7 @@ dispatch:
 				hooks.OnStore(fr, di.in, addr, int64(n))
 			}
 		case ir.OpMemCopy:
-			dst, src, n := vals[di.a], vals[di.b], vals[di.c]
+			dst, src, n := slot(vals, di.a), slot(vals, di.b), slot(vals, di.c)
 			buf := it.scratchBytes(n)
 			if err := it.AS.ReadBytes(src, buf); err != nil {
 				it.Steps = steps - int64(di.rest)
@@ -453,9 +462,9 @@ dispatch:
 				}
 				it.Out.Write(text)
 			}
-		case opUnterminated:
+		case opGuard:
 			it.Steps = steps - int64(di.rest)
-			return 0, fmt.Errorf("interp: unterminated block in %s", fr.Fn.Name)
+			return 0, df.guards[di.cnst]
 		case opStop:
 			// The entry the budget runs out in: it stands for n steps, of
 			// which the first would be count + 1.
@@ -487,9 +496,9 @@ dispatch:
 // entries before the one in which the count first passes limit, each
 // executing its own instruction (fused opcodes split into their
 // components), then an opStop entry for that one. The run holds no
-// terminator, as the block's last entry is never before the stop, so it
-// ends at the stop or, when a call in it moved Steps back under the budget,
-// goes back to df.code through the stop.
+// terminator or guard entry, as the block's last entry to run (rest 0) is
+// never before the stop, so it ends at the stop or, when a call in it moved
+// Steps back under the budget, goes back to df.code through the stop.
 func stopRun(df *decodedFunc, at int32, steps, limit int64) []dinstr {
 	code := df.code
 	stop := at

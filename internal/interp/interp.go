@@ -318,9 +318,16 @@ func (it *Interp) call(fn *ir.Function, args []uint64, caller *Frame) (uint64, e
 		}
 	}
 	fr := it.stack.push(fn, depth, caller)
-	if df == nil {
+	switch {
+	case df == nil:
 		clear(fr.vals)
-	} else {
+	case len(fr.vals) < len(df.image):
+		// The decoded entries index the frame unchecked (unchecked.go); a
+		// frame smaller than the one they were proven against must not
+		// reach them.
+		it.stack.pop(fr)
+		return 0, fmt.Errorf("interp: %s has %d value slots, decoded for %d", fn.Name, len(fr.vals), len(df.image))
+	default:
 		// The frame image holds the hoisted constants (see decode.go); the
 		// hoisted global addresses are this interpreter's.
 		copy(fr.vals, df.image)
@@ -339,8 +346,6 @@ func (it *Interp) call(fn *ir.Function, args []uint64, caller *Frame) (uint64, e
 	switch {
 	case df == nil:
 		ret, err = it.exec(fr)
-	case df.entryPhi != nil:
-		err = phiEdgeError(fr, df.entryPhi, nil)
 	default:
 		it.hookMask = it.computeHookMask()
 		code, steps := df.code, it.Steps+df.code[0].charge()
@@ -766,8 +771,20 @@ func builtinIndex(name string) uint64 {
 	return bUnknown
 }
 
-// builtin evaluates the OpBuiltin in, whose name resolves to k.
+// builtin evaluates the OpBuiltin in, whose name resolves to k. ir.Verify
+// does not count a builtin's operands, so a builtin given fewer than it
+// reads is an error here.
 func (it *Interp) builtin(k uint64, in *ir.Instr, fr *Frame) (uint64, error) {
+	want := 1
+	switch k {
+	case bPow:
+		want = 2
+	case bUnknown:
+		want = 0
+	}
+	if len(in.Args) < want {
+		return 0, fmt.Errorf("interp: builtin %q wants %d operands, has %d", in.Builtin, want, len(in.Args))
+	}
 	arg := func(i int) float64 { return f64(fr.vals[in.Args[i].ValueID()]) }
 	switch k {
 	case bSqrt:

@@ -579,7 +579,10 @@ func skippedArm() built {
 
 // TestUnverifiedFunctionDecodesPlain pins that a function ir.Verify rejects
 // for a foreign operand still decodes — the decoder's ValueID-indexed table
-// is not indexed with the foreign ID — and hoists and fuses nothing.
+// is not indexed with the foreign ID — and hoists and fuses nothing, and
+// that running it stops with an error naming the operand: the instruction
+// that reads it decodes to a guard entry, as the executor indexes its frame
+// unchecked.
 func TestUnverifiedFunctionDecodesPlain(t *testing.T) {
 	m := ir.NewModule("foreign")
 	ob := ir.NewBuilder(m.NewFunc("other", ir.Void))
@@ -602,6 +605,30 @@ func TestUnverifiedFunctionDecodesPlain(t *testing.T) {
 		if e.Weight != 1 {
 			t.Errorf("dispatch %s stands for %d instructions, want 1", e.Op, e.Weight)
 		}
+	}
+	it := interp.NewShared(prog, vm.NewAddressSpace())
+	_, err := it.Run()
+	want := fmt.Sprintf("add in main reads %s, which is not a value of main", far)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("running main: err %v, want one containing %q", err, want)
+	}
+	if it.Steps != 4 {
+		t.Errorf("Steps %d at the guard, want 4 (two constants, the mul and the add)", it.Steps)
+	}
+	// The same operand as a φ's incoming value: the edge into the φ's block
+	// carries the error instead of its copy.
+	g := m.NewFunc("phi", ir.I64)
+	pb := ir.NewBuilder(g)
+	join := pb.NewBlock("join")
+	pb.Br(join)
+	pb.SetBlock(join)
+	phi := pb.Phi(ir.I64)
+	ir.AddIncoming(phi, far, g.Entry())
+	pb.Ret(phi)
+	_, err = interp.NewShared(prog, vm.NewAddressSpace()).Call(g)
+	want = "has no incoming value of phi for predecessor entry"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("running phi: err %v, want one containing %q", err, want)
 	}
 }
 

@@ -184,6 +184,26 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
+// Arity is the number of value operands the op takes, -1 when it takes a
+// variable number (ret, phi, call, builtin, print).
+func (o Op) Arity() int {
+	switch o {
+	case OpConst, OpFConst, OpAlloca, OpGlobal, OpMisspec, OpBr:
+		return 0
+	case OpSIToFP, OpFPToSI, OpFree, OpMalloc, OpHAlloc, OpHDealloc, OpCheckHeap,
+		OpPrivateRead, OpPrivateWrite, OpReduxWrite, OpLoad, OpPtrToInt, OpIntToPtr, OpCondBr:
+		return 1
+	case OpAdd, OpSub, OpMul, OpSDiv, OpUDiv, OpSRem, OpURem, OpAnd, OpOr, OpXor,
+		OpShl, OpLShr, OpAShr, OpEq, OpNe, OpSLt, OpSLe, OpSGt, OpSGe, OpULt, OpUGe,
+		OpFAdd, OpFSub, OpFMul, OpFDiv, OpFEq, OpFLt, OpFLe, OpFGt, OpFGe,
+		OpStore, OpPredict:
+		return 2
+	case OpSelect, OpMemSet, OpMemCopy, OpPrivateReadSpan, OpPrivateWriteSpan:
+		return 3
+	}
+	return -1
+}
+
 // IsTerminator reports whether the op must end a basic block.
 func (o Op) IsTerminator() bool {
 	return o == OpRet || o == OpBr || o == OpCondBr

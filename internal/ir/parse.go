@@ -122,8 +122,11 @@ func (p *parser) parseGlobal(line string) error {
 	if err != nil {
 		return p.errf("bad global size in %q", line)
 	}
+	if p.mod.Globals[name] != nil {
+		return p.errf("duplicate global @%s", name)
+	}
 	g := p.mod.NewGlobal(name, size)
-	for _, f := range fields[4:] {
+	for _, f := range fields[min(len(fields), 4):] {
 		if h, found := strings.CutPrefix(f, "heap="); found {
 			k, err := heapByName(h)
 			if err != nil {
@@ -461,7 +464,7 @@ func (p *parser) parseInstr(f *Function, line string, values map[string]Value,
 		}
 	case OpFConst:
 		tok, _ := takeFirst()
-		fv, err := strconv.ParseFloat(strings.Fields(tok)[0], 64)
+		fv, err := strconv.ParseFloat(firstField(tok), 64)
 		if err != nil {
 			return nil, p.errf("bad fconst %q", tok)
 		}
@@ -469,7 +472,7 @@ func (p *parser) parseInstr(f *Function, line string, values map[string]Value,
 		resultType = F64
 	case OpAlloca:
 		tok, _ := takeFirst()
-		sz, err := strconv.ParseInt(strings.Fields(tok)[0], 10, 64)
+		sz, err := strconv.ParseInt(firstField(tok), 10, 64)
 		if err != nil {
 			return nil, p.errf("bad alloca size %q", tok)
 		}
@@ -477,7 +480,7 @@ func (p *parser) parseInstr(f *Function, line string, values map[string]Value,
 		resultType = Ptr
 	case OpGlobal:
 		tok, _ := takeFirst()
-		gname := strings.TrimPrefix(strings.Fields(tok)[0], "@")
+		gname := strings.TrimPrefix(firstField(tok), "@")
 		g := p.mod.Globals[gname]
 		if g == nil {
 			return nil, p.errf("unknown global @%s", gname)
@@ -578,6 +581,15 @@ func (p *parser) parseInstr(f *Function, line string, values map[string]Value,
 		in.Typ = Void
 	}
 	return in, nil
+}
+
+// firstField returns the first whitespace-separated field of tok, "" when
+// it has none.
+func firstField(tok string) string {
+	if f := strings.Fields(tok); len(f) > 0 {
+		return f[0]
+	}
+	return ""
 }
 
 // cutQuoted splits a Go-quoted string prefix from the rest of the line.

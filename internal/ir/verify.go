@@ -118,28 +118,10 @@ func verifyFunc(f *Function) error {
 }
 
 func verifyArity(in *Instr, errf func(*Instr, string, ...interface{}) error) error {
-	want := -1
-	switch in.Op {
-	case OpConst, OpFConst, OpAlloca, OpGlobal, OpMisspec:
-		want = 0
-	case OpSIToFP, OpFPToSI, OpFree, OpMalloc, OpHAlloc, OpHDealloc, OpCheckHeap,
-		OpPrivateRead, OpPrivateWrite, OpReduxWrite, OpLoad, OpPtrToInt, OpIntToPtr:
-		want = 1
-	case OpBr:
-		want = 0
-	case OpAdd, OpSub, OpMul, OpSDiv, OpUDiv, OpSRem, OpURem, OpAnd, OpOr, OpXor,
-		OpShl, OpLShr, OpAShr, OpEq, OpNe, OpSLt, OpSLe, OpSGt, OpSGe, OpULt, OpUGe,
-		OpFAdd, OpFSub, OpFMul, OpFDiv, OpFEq, OpFLt, OpFLe, OpFGt, OpFGe,
-		OpStore, OpPredict:
-		want = 2
-	case OpSelect, OpMemSet, OpMemCopy, OpPrivateReadSpan, OpPrivateWriteSpan:
-		want = 3
-	case OpCondBr:
-		want = 1
-	case OpInvalid:
+	if in.Op == OpInvalid {
 		return errf(in, "invalid opcode")
 	}
-	if want >= 0 && len(in.Args) != want {
+	if want := in.Op.Arity(); want >= 0 && len(in.Args) != want {
 		return errf(in, "op %s wants %d operands, has %d", in.Op, want, len(in.Args))
 	}
 	switch in.Op {

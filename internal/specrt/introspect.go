@@ -10,11 +10,11 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
-	"slices"
 	"strings"
 
 	"privateer/internal/ir"
 	"privateer/internal/obs"
+	"privateer/internal/profiling"
 )
 
 // Snapshot returns a copy of the stats. Its one caller is the repository
@@ -35,63 +35,82 @@ func (s *Stats) PhaseNS() map[string]int64 {
 	return m
 }
 
-// misspecKey identifies one row of the misspeculation attribution table.
-type misspecKey struct {
-	region string
-	cause  string
-	site   string
-	object string
+// missOwner identifies the object column of an attribution row before it is
+// rendered: the live object owning the faulting address, or that address's
+// heap when no tracked object owns it. The zero value is a misspeculation
+// without an address.
+type missOwner struct {
+	obj  profiling.Object
+	heap ir.HeapKind
+	addr bool
 }
 
-// siteFor attributes a faulting address to the live object that owns it,
-// named by its allocation site or global, or to "<heap>:?" when the owner
-// is unknown (worker-local allocations are not tracked).
-func (rt *RT) siteFor(addr uint64) string {
+// String names the owner as Record.Sites' Object column does: the object's
+// allocation site or global, "<heap>:?" when the owner is unknown
+// (worker-local allocations are not tracked), "" without an address.
+func (o missOwner) String() string {
+	switch {
+	case !o.addr:
+		return ""
+	case !o.obj.IsZero():
+		return o.obj.String()
+	}
+	return o.heap.String() + ":?"
+}
+
+// ownerOf attributes a faulting address to the live object that owns it.
+func (rt *RT) ownerOf(addr uint64) missOwner {
 	rt.liveMu.Lock()
 	obj, ok := rt.live.Lookup(addr)
 	rt.liveMu.Unlock()
 	if ok {
-		return obj.String()
+		return missOwner{obj: obj, addr: true}
 	}
-	return ir.HeapOf(addr).String() + ":?"
+	return missOwner{heap: ir.HeapOf(addr), addr: true}
 }
 
-// noteMisspec aggregates one detected misspeculation into the per-site
-// table. addr is the faulting address (0 when the violation has no
-// specific location, e.g. injected misspeculation).
+// noteMisspec counts one detected misspeculation into its row of
+// Record.Sites, which stays ordered most frequent first. addr is the
+// faulting address (0 when the violation has no specific location, e.g.
+// injected misspeculation). A row's owner is rendered once, when the row is
+// added; (*siteOwners)[i] is the owner of row i.
 func (rt *RT) noteMisspec(region, cause, site string, addr uint64) {
-	obj := ""
+	var owner missOwner
 	if addr != 0 {
-		obj = rt.siteFor(addr)
+		owner = rt.ownerOf(addr)
 	}
-	k := misspecKey{region: region, cause: cause, site: site, object: obj}
 	rt.reportMu.Lock()
-	if rt.missTable == nil {
-		rt.missTable = map[misspecKey]int64{}
+	defer rt.reportMu.Unlock()
+	if rt.siteOwners == nil {
+		rt.siteOwners = new([]missOwner)
 	}
-	rt.missTable[k]++
-	rt.reportMu.Unlock()
+	owners := rt.siteOwners
+	i := len(rt.Sites)
+	for j, r := range rt.Sites {
+		if r.Region == region && r.Cause == cause && r.Site == site && (*owners)[j] == owner {
+			i = j
+			break
+		}
+	}
+	if i == len(rt.Sites) {
+		rt.Sites = append(rt.Sites, obs.MisspecAttribution{Region: region, Cause: cause, Site: site, Object: owner.String()})
+		*owners = append(*owners, owner)
+	}
+	rt.Sites[i].Count++
+	// Only row i moved, and only up: one pass of insertion sort restores
+	// the order.
+	for o := *owners; i > 0 && siteOrder(rt.Sites[i], rt.Sites[i-1]) < 0; i-- {
+		rt.Sites[i], rt.Sites[i-1] = rt.Sites[i-1], rt.Sites[i]
+		o[i], o[i-1] = o[i-1], o[i]
+	}
 }
 
-// misspecSites renders the aggregated misspeculation attribution table,
-// most frequent first, or nil when nothing misspeculated. The caller holds
-// reportMu.
-func (rt *RT) misspecSites() []obs.MisspecAttribution {
-	if len(rt.missTable) == 0 {
-		return nil
-	}
-	rows := make([]obs.MisspecAttribution, 0, len(rt.missTable))
-	for k, n := range rt.missTable {
-		rows = append(rows, obs.MisspecAttribution{
-			Region: k.region, Cause: k.cause, Site: k.site, Object: k.object, Count: n,
-		})
-	}
-	slices.SortFunc(rows, func(a, b obs.MisspecAttribution) int {
-		return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Region, b.Region),
-			strings.Compare(a.Cause, b.Cause), strings.Compare(a.Object, b.Object),
-			strings.Compare(a.Site, b.Site))
-	})
-	return rows
+// siteOrder orders attribution rows most frequent first, then by region,
+// cause, object and site.
+func siteOrder(a, b obs.MisspecAttribution) int {
+	return cmp.Or(cmp.Compare(b.Count, a.Count), strings.Compare(a.Region, b.Region),
+		strings.Compare(a.Cause, b.Cause), strings.Compare(a.Object, b.Object),
+		strings.Compare(a.Site, b.Site))
 }
 
 // FormatMisspecSites renders the attribution table for terminal output

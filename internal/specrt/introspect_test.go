@@ -201,7 +201,7 @@ func buildLiveInModule(malloc bool) *ir.Module {
 // allocation; the labels are now formatted only when a misspeculation is
 // attributed. One worker keeps the misspeculation count schedule-free; the
 // region is the module's first outline, so its name is fixed. At W = 4
-// several workers fault in one span, so siteFor and noteMisspec run
+// several workers fault in one span, so ownerOf and noteMisspec run
 // concurrently: however the counts fall, the rows add up to
 // Stats.Misspecs and every row names the object.
 func TestMisspecAttributionNamesObject(t *testing.T) {

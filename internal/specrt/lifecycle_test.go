@@ -97,7 +97,7 @@ func TestPerInvocationFallback(t *testing.T) {
 // and only that — in address order: the objects it reduces, with its
 // operator and element size, its statically-privatized private objects and
 // its proven read-only objects. A private object with no proof stays out,
-// and siteFor names the object owning an interior address until its free.
+// and ownerOf names the object owning an interior address until its free.
 func TestReduxRegistryLifecycle(t *testing.T) {
 	mod := ir.NewModule("sites")
 	bd := ir.NewBuilder(mod.NewFunc("main", ir.I64))
@@ -165,8 +165,8 @@ func TestReduxRegistryLifecycle(t *testing.T) {
 	if redux, priv, ro := rt.snapshot(other); len(redux) != 1 || redux[0].addr != c || redux[0].elemSize != 4 || len(priv)+len(ro) != 0 {
 		t.Fatalf("second region's snapshot: %+v %+v %+v, want only the 4-byte object", redux, priv, ro)
 	}
-	if got := rt.siteFor(a + 4); got != objA.String() {
-		t.Errorf("siteFor inside a: %q, want %q", got, objA.String())
+	if got := rt.ownerOf(a + 4).String(); got != objA.String() {
+		t.Errorf("ownerOf inside a: %q, want %q", got, objA.String())
 	}
 	rt.onFree(nil, nil, a)
 	if n := rt.live.Len(); n != 5 {
@@ -175,8 +175,8 @@ func TestReduxRegistryLifecycle(t *testing.T) {
 	if redux, _, _ := rt.snapshot(ri); len(redux) != 1 || redux[0].addr != b {
 		t.Fatalf("wrong survivor: %+v", redux)
 	}
-	if got := rt.siteFor(a + 4); got != "redux:?" {
-		t.Errorf("siteFor inside freed a: %q, want %q", got, "redux:?")
+	if got := rt.ownerOf(a + 4).String(); got != "redux:?" {
+		t.Errorf("ownerOf inside freed a: %q, want %q", got, "redux:?")
 	}
 }
 

@@ -184,8 +184,9 @@ type Record struct {
 	// VM is the master space's page events with every worker space's
 	// added in.
 	VM vm.Stats
-	// Sites is the misspeculation attribution table, most frequent first;
-	// nil when nothing misspeculated.
+	// Sites is the misspeculation attribution table, most frequent first,
+	// counted in place as misspeculations are attributed; nil when nothing
+	// misspeculated.
 	Sites []obs.MisspecAttribution
 	// SepAudit holds the detail lines of the SepAudit violations, at most
 	// 64 (Stats.SepAuditViolations has the full count); nil when none.
@@ -239,13 +240,16 @@ type RT struct {
 	liveMu sync.Mutex
 	live   intervalmap.Map[profiling.Object]
 
-	// reportMu guards what workers report: missTable, the per-site
-	// misspeculation aggregate Run renders into Record.Sites, and the
-	// SepAudit violations (Stats.SepAuditViolations, and sepViols, the
-	// bounded detail list Run copies into Record.SepAudit).
-	reportMu  sync.Mutex
-	missTable map[misspecKey]int64
-	sepViols  []string
+	// reportMu guards what workers report: Record.Sites, the per-site
+	// misspeculation table noteMisspec counts into, with siteOwners, the
+	// owner of each of its rows, and the SepAudit violations
+	// (Stats.SepAuditViolations, and sepViols, the bounded detail list Run
+	// copies into Record.SepAudit). siteOwners is made at the first
+	// misspeculation; a slice header in its place would take RT past the
+	// 1,024-byte size class, 128 bytes more per job.
+	reportMu   sync.Mutex
+	siteOwners *[]missOwner
+	sepViols   []string
 
 	// The master thread's reused storage, one span at a time: the span,
 	// its workers and snapshots (see speculate), the invocation's owed
@@ -392,7 +396,6 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 		rt.Sim.SeqSteps += master.Steps
 		rt.VM.Add(master.AS.Stats)
 		rt.reportMu.Lock()
-		rt.Sites = rt.misspecSites()
 		rt.SepAudit = append([]string(nil), rt.sepViols...)
 		rt.reportMu.Unlock()
 		rt.liveMu.Lock()

@@ -46,12 +46,15 @@ func (w *warmRef) run(t *testing.T, rate float64, seed uint64) (uint64, *specrt.
 
 // recoverRefAllocBudget is the bytes a warm dijkstra/ref run under 3 %
 // injection may allocate at the median of sixteen, two passes over its
-// eight seeds: the median it reads, 8,432 B (8.1–8.7 KB over three series,
-// Go 1.24 on x86-64; the rest is output and the runtime's own record),
-// plus a quarter. It read 149 KB while each span's clones and the master's
-// recovery regrew the allocator's free lists and object maps, and every Run
-// built a fresh recovery interpreter and live-object registry.
-const recoverRefAllocBudget = 10_540
+// eight seeds: the median it reads, 4,696 B (4.0–5.3 KB over eleven
+// series, the higher ones on a loaded host, Go 1.24 on x86-64; the rest is
+// output and the runtime's own record), plus a quarter. It read 5.0–6.2 KB
+// while each RT counted its misspeculations into a map of its own and
+// rendered an object name per misspeculation, 8.4 KB while prints went
+// through fmt, and 149 KB while each span's clones and the master's
+// recovery regrew the allocator's free lists and object maps, and every
+// Run built a fresh recovery interpreter and live-object registry.
+const recoverRefAllocBudget = 5_870
 
 // TestRecoveryAtRefAllocatesOnlyOutput: a warm misspeculating run at ref
 // finds every piece of bookkeeping an earlier run grew — the allocator's

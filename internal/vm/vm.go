@@ -730,6 +730,33 @@ func (as *AddressSpace) Read(addr uint64, size int64) (uint64, error) {
 	return binary.LittleEndian.Uint64(buf[:]) & sizeMask(size), nil
 }
 
+// ReadHit8 is Read(addr, 8) when the read TLB holds addr's page and the
+// word does not straddle it: the 8-byte little-endian word and true, with
+// nothing counted, as Read's own hit. Otherwise it returns false and does
+// nothing, and the caller goes through Read. It is small enough to inline
+// into the interpreter's dispatch loop.
+func (as *AddressSpace) ReadHit8(addr uint64) (uint64, bool) {
+	off, pn := addr&(PageSize-1), addr>>PageShift
+	e := &as.rtlb[pn&(tlbSize-1)]
+	if e.pn != pn || e.pg == nil || off > PageSize-8 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(e.pg.data[off:]), true
+}
+
+// WriteHit8 is Write(addr, 8, val) when the write TLB holds addr's page and
+// the word does not straddle it, and reports true. Otherwise it returns
+// false and stores nothing, and the caller goes through Write.
+func (as *AddressSpace) WriteHit8(addr, val uint64) bool {
+	off, pn := addr&(PageSize-1), addr>>PageShift
+	e := &as.wtlb[pn&(tlbSize-1)]
+	if e.pn != pn || e.pg == nil || off > PageSize-8 {
+		return false
+	}
+	binary.LittleEndian.PutUint64(e.pg.data[off:], val)
+	return true
+}
+
 // Write stores the low size bytes of val at addr, little-endian.
 func (as *AddressSpace) Write(addr uint64, size int64, val uint64) error {
 	off := addr & (PageSize - 1)
