@@ -36,9 +36,9 @@ type Options struct {
 	// negligible (absolute step count; 0 selects a small default).
 	MinLoopSteps int64
 	// Workers is the fleet the compiled program will run on. When
-	// positive, a hot loop whose average profiled invocation the simulated
-	// machine (specrt.PriceInvocation) does not price cheaper speculated
-	// than in order is rejected; 0 selects every loop it can separate.
+	// positive, a hot loop whose average profiled invocation specrt.Price
+	// prices no cheaper speculated than in order is rejected; 0 selects
+	// every loop it can separate.
 	Workers int
 }
 
@@ -101,9 +101,10 @@ func Parallelize(mod *ir.Module, opts Options) (*Parallelized, error) {
 // its footprint into heaps, plan away its carried dependences, prove what
 // separation it can statically and transform it.
 func ParallelizeAblated(mod *ir.Module, opts Options, abl Ablation) (*Parallelized, error) {
+	price := specrt.Price{W: opts.Workers}
 	return compile(mod, opts, func(li *profiling.LoopInfo, prof *profiling.Profile,
 		pt *analysis.PointsTo, selected []*specrt.RegionInfo) (*specrt.RegionInfo, string) {
-		if reason := unprofitable(li, opts.Workers); reason != "" {
+		if reason := price.Reject(averageInvocation(li)); reason != "" {
 			return nil, reason
 		}
 		l := li.Loop
@@ -223,20 +224,11 @@ func compile(mod *ir.Module, opts Options, judge judge) (*Parallelized, error) {
 	return out, nil
 }
 
-// unprofitable prices li's average profiled invocation on a fleet of w
-// workers and returns the rejection reason when speculating it is no
-// cheaper than running it in order; "" otherwise, and always when w is 0.
-// The loop has at least two body iterations per invocation.
-func unprofitable(li *profiling.LoopInfo, w int) string {
-	if w <= 0 {
-		return ""
-	}
+// averageInvocation is li's average profiled invocation, which the price
+// judges: n ≥ 2 body iterations of s steps each.
+func averageInvocation(li *profiling.LoopInfo) (n, s int64) {
 	iters := li.Iterations - li.Invocations
-	spec, seq := specrt.PriceInvocation(iters/li.Invocations, li.Steps/iters, w)
-	if spec < seq {
-		return ""
-	}
-	return fmt.Sprintf("unprofitable at %d workers: %d steps speculated vs %d in order", w, spec, seq)
+	return iters / li.Invocations, li.Steps / iters
 }
 
 // conflictsWithSelected applies section 4.3's nesting constraint: two loops

@@ -71,7 +71,7 @@ func TestPricedSelection(t *testing.T) {
 			for i, r := range unpriced.Reports {
 				if r.Selected {
 					for _, w := range []int{2, 4, 8, 12, 16, 20, 24} {
-						if reason := unprofitable(hot[i], w); reason != "" {
+						if reason := (specrt.Price{W: w}).Reject(averageInvocation(hot[i])); reason != "" {
 							t.Errorf("ref, W = %d: loop %s %s", w, r.Loop, reason)
 						}
 					}
@@ -79,7 +79,7 @@ func TestPricedSelection(t *testing.T) {
 				// One worker runs every iteration and pays for a spawn on
 				// top: no loop that reaches the price passes it.
 				if li := hot[i]; li.Invocations > 0 && li.Iterations >= 3*li.Invocations &&
-					!strings.HasPrefix(unprofitable(li, 1), "unprofitable at 1 workers: ") {
+					!strings.HasPrefix((specrt.Price{W: 1}).Reject(averageInvocation(li)), "unprofitable at 1 workers: ") {
 					t.Errorf("ref, W = 1: loop %s prices cheaper speculated", r.Loop)
 				}
 			}

@@ -107,6 +107,7 @@ func TestConcurrentCompilesAreIdentical(t *testing.T) {
 var stateAllowed = map[string]string{
 	"ir.opNames":          "read-only table: opcode mnemonics",
 	"ir.heapTags":         "read-only table: the heap tag bits",
+	"ir.Builtins":         "read-only table: builtin names and the operands each reads",
 	"ir.indexedRedux":     "test-only hook: nil outside the UseIndex tests",
 	"analysis.Unknown":    "read-only value: the unnamed abstract object",
 	"analysis.unknownSet": "read-only set: the points-to set of unresolved values",

@@ -85,9 +85,10 @@ func TestParallelizeStaticSelectsAffineLoops(t *testing.T) {
 // TestRunStaticPricing pins the DOALL-only build's result, invocation count
 // and simulated time under Run to the values the worker-fleet DOALL
 // scheduler measured on the same builds (and the in-order RunStatic after
-// it), at worker counts below, at and above the trip count (64). The squares rows also fit the closed form: every
-// iteration costs the same c steps, so an invocation is priced
-// W'·(spawn+join) + ⌈n/W'⌉·c on top of the master's steps.
+// it), at worker counts below, at and above the trip count (64). The
+// squares rows also fit the closed form: every iteration costs the same c
+// steps, so an invocation is priced W'·(spawn+join) + ⌈n/W'⌉·c on top of
+// the master's steps, which is also what specrt.Price.InOrder charges.
 func TestRunStaticPricing(t *testing.T) {
 	const n = 64
 	builds := map[string]func() *ir.Module{
@@ -144,8 +145,12 @@ func TestRunStaticPricing(t *testing.T) {
 			squaresMaster = simTime - perWorker - n*iterSteps
 		}
 		fleet := min(int64(c.workers), n)
-		if want := squaresMaster + fleet*perWorker + (n+fleet-1)/fleet*iterSteps; simTime != want {
+		busiest := (n + fleet - 1) / fleet * iterSteps
+		if want := squaresMaster + fleet*perWorker + busiest; simTime != want {
 			t.Errorf("squares W=%d: sim time %d, closed form %d", c.workers, simTime, want)
+		}
+		if want := squaresMaster + (specrt.Price{W: c.workers}).InOrder(n, busiest); simTime != want {
+			t.Errorf("squares W=%d: sim time %d, Price.InOrder %d", c.workers, simTime, want)
 		}
 	}
 }

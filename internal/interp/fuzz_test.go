@@ -64,6 +64,34 @@ join:
 `
 )
 
+// allocsText seeds FuzzDecode with a sized global, an alloca, a malloc and a
+// two-operand builtin, so the fuzzer mutates allocation sizes and builtin
+// operands. Neither a memset nor a memcopy is seeded: each stages its whole
+// length in a host buffer, so a mutated length could exhaust the host.
+const allocsText = `module allocs
+global @g [32 bytes]
+
+func @main() i64 {
+entry:
+	%gp = global @g
+	%a = alloca 24
+	%n = const 48
+	%m = malloc %n
+	%x = fconst 2
+	%y = fconst 10
+	%p = builtin !pow %x, %y
+	%pi = fptosi %p
+	store.8 %pi, %a
+	store.8 %pi, %m
+	%v = load.8 %m
+	store.8 %v, %gp
+	%w = load.8 %gp
+	free %m
+	print "pow=%d\n" %w
+	ret %w
+}
+`
+
 // FuzzDecode parses its input as textual IR and runs the module's entry on
 // the decoded executor and on the tree-walk, each at a small step budget
 // and call depth. ir.Parse admits only modules ir.Verify accepts, and on
@@ -77,7 +105,7 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range []string{string(histogram), unterminatedText, useBeforeDefText, missingIncomingText} {
+	for _, seed := range []string{string(histogram), unterminatedText, useBeforeDefText, missingIncomingText, allocsText} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {

@@ -380,3 +380,62 @@ func TestOpStringAndTerminators(t *testing.T) {
 		t.Error("read/write classification wrong")
 	}
 }
+
+// verifyMain builds a module whose main emits body and returns 0, and
+// returns what Verify says of it.
+func verifyMain(prepare func(m *Module), body func(b *Builder)) error {
+	m := NewModule("bad")
+	prepare(m)
+	b := NewBuilder(m.NewFunc("main", I64))
+	body(b)
+	b.Ret(b.I(0))
+	return Verify(m)
+}
+
+// TestVerifyRejectsNegativeGlobalSize: the executors lay a global out with
+// its size taken as unsigned, so -16 bytes would reserve 2^64 − 16.
+func TestVerifyRejectsNegativeGlobalSize(t *testing.T) {
+	err := verifyMain(func(m *Module) { m.NewGlobal("g", -16) }, func(*Builder) {})
+	if err == nil || !strings.Contains(err.Error(), "global @g has negative size -16") {
+		t.Errorf("Verify = %v", err)
+	}
+}
+
+// TestVerifyRejectsNegativeAllocaSize: an alloca's size is unsigned to the
+// executors too.
+func TestVerifyRejectsNegativeAllocaSize(t *testing.T) {
+	err := verifyMain(func(*Module) {}, func(b *Builder) { b.Alloca("a", -8) })
+	if err == nil || !strings.Contains(err.Error(), "negative alloca size -8") {
+		t.Errorf("Verify = %v", err)
+	}
+}
+
+// TestVerifyRejectsNegativeConstantAllocation: a malloc or h_alloc whose
+// size operand is a negative constant; a computed size is the executors'
+// to refuse at run time.
+func TestVerifyRejectsNegativeConstantAllocation(t *testing.T) {
+	for name, alloc := range map[string]func(b *Builder){
+		"malloc":  func(b *Builder) { b.Malloc("m", b.I(-64)) },
+		"h_alloc": func(b *Builder) { b.HAlloc("h", b.I(-64), HeapPrivate) },
+	} {
+		err := verifyMain(func(*Module) {}, alloc)
+		if err == nil || !strings.Contains(err.Error(), "negative allocation size -64") {
+			t.Errorf("%s: Verify = %v", name, err)
+		}
+	}
+	if err := verifyMain(func(*Module) {}, func(b *Builder) { b.Malloc("m", b.I(64)) }); err != nil {
+		t.Errorf("malloc of 64 bytes: Verify = %v", err)
+	}
+}
+
+// TestVerifyRejectsShortBuiltin: a builtin given fewer operands than its
+// name reads (Builtins).
+func TestVerifyRejectsShortBuiltin(t *testing.T) {
+	err := verifyMain(func(*Module) {}, func(b *Builder) { b.Builtin("pow", F64, b.Flt(2)) })
+	if err == nil || !strings.Contains(err.Error(), "builtin !pow wants 2 operands, has 1") {
+		t.Errorf("Verify = %v", err)
+	}
+	if err := verifyMain(func(*Module) {}, func(b *Builder) { b.Builtin("pow", F64, b.Flt(2), b.Flt(3)) }); err != nil {
+		t.Errorf("pow with two operands: Verify = %v", err)
+	}
+}

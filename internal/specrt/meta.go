@@ -125,16 +125,6 @@ func MergeByte(combined, workerMeta byte) (newMeta byte, takeData, misspec bool)
 	}
 }
 
-// Identity returns the identity element bytes for a reduction operator at
-// the given element size.
-func Identity(op ir.ReduxKind, elemSize int64) ([]byte, error) {
-	buf := make([]byte, elemSize)
-	if err := fillIdentity(op, elemSize, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // fillIdentity writes op's identity element over every elemSize-byte
 // element of dst; a trailing partial element gets the identity's low bytes.
 func fillIdentity(op ir.ReduxKind, elemSize int64, dst []byte) error {

@@ -104,9 +104,9 @@ func TestMergeByteRules(t *testing.T) {
 func TestIdentityAndCombine(t *testing.T) {
 	for _, op := range []ir.ReduxKind{ir.ReduxAddI64, ir.ReduxAddF64,
 		ir.ReduxMinI64, ir.ReduxMaxI64, ir.ReduxMinF64, ir.ReduxMaxF64} {
-		id, err := Identity(op, 8)
-		if err != nil {
-			t.Fatalf("Identity(%s): %v", op, err)
+		id := make([]byte, 8)
+		if err := fillIdentity(op, 8, id); err != nil {
+			t.Fatalf("fillIdentity(%s): %v", op, err)
 		}
 		// identity ⊕ x == x
 		x := make([]byte, 8)

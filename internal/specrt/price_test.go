@@ -3,7 +3,7 @@ package specrt
 import "testing"
 
 // TestMaxShareIsTheBusiestWorker runs real spans and holds the busiest
-// worker's iteration count to maxShare, the share PriceInvocation charges:
+// worker's iteration count to maxShare, the share Price.Speculated charges:
 // periods odd and even, fewer iterations than workers, and trip counts that
 // are not a multiple of the period. A worker's iteration count is read off
 // its simulated check cost: each iteration adds one short-lived check.
@@ -41,9 +41,10 @@ func TestMaxShareIsTheBusiestWorker(t *testing.T) {
 	}
 }
 
-// TestPriceInvocation pins the price of two train loops on a fleet of 4:
-// blackscholes (3 iterations of 10,633 steps, period 1) and swaptions (6 of
-// 3,988, period 2); and that one worker never prices cheaper speculated.
+// TestPriceInvocation pins Price.Speculated of two train loops on a fleet
+// of 4: blackscholes (3 iterations of 10,633 steps, period 1) and swaptions
+// (6 of 3,988, period 2), each against n·s in order; and that one worker
+// never prices cheaper speculated, which Reject says.
 func TestPriceInvocation(t *testing.T) {
 	for _, c := range []struct {
 		n, s      int64
@@ -54,15 +55,17 @@ func TestPriceInvocation(t *testing.T) {
 		{6, 3_988, 4, 72_716, 23_928},
 		{6, 3_988, 1, 39_116, 23_928},
 	} {
-		if spec, seq := PriceInvocation(c.n, c.s, c.w); spec != c.spec || seq != c.seq {
-			t.Errorf("PriceInvocation(%d, %d, %d) = %d, %d, want %d, %d",
-				c.n, c.s, c.w, spec, seq, c.spec, c.seq)
+		if spec, seq := (Price{W: c.w}).Speculated(c.n, c.s), c.n*c.s; spec != c.spec || seq != c.seq {
+			t.Errorf("Price{%d}.Speculated(%d, %d) = %d vs %d in order, want %d vs %d",
+				c.w, c.n, c.s, spec, seq, c.spec, c.seq)
 		}
 	}
+	one := Price{W: 1}
 	for _, n := range []int64{1, 2, 7, 300, 5000} {
 		for _, s := range []int64{1, 1000, 1_000_000} {
-			if spec, seq := PriceInvocation(n, s, 1); spec <= seq {
-				t.Errorf("PriceInvocation(%d, %d, 1) = %d, %d", n, s, spec, seq)
+			if spec, seq := one.Speculated(n, s), n*s; spec <= seq || one.Reject(n, s) == "" {
+				t.Errorf("Price{1}.Speculated(%d, %d) = %d vs %d in order, rejected %q",
+					n, s, spec, seq, one.Reject(n, s))
 			}
 		}
 	}

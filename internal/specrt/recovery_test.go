@@ -32,20 +32,21 @@ func TestRecoveryPeriod(t *testing.T) {
 		{2, 100, 18_000, 1.0 / 12, 4, "two workers"},
 		{4, 3, 1, 1, 3, "kClean below W"},
 	} {
-		if got := recoveryPeriod(c.w, c.kClean, c.s, c.rate); got != c.want {
-			t.Errorf("%s: recoveryPeriod(%d, %d, %d, %g) = %d, want %d",
+		if got := (Price{W: c.w}).RecoveryPeriod(c.kClean, c.s, c.rate); got != c.want {
+			t.Errorf("%s: Price{%d}.RecoveryPeriod(%d, %d, %g) = %d, want %d",
 				c.name, c.w, c.kClean, c.s, c.rate, got, c.want)
 		}
 	}
 	for _, w := range []int{1, 2, 3, 4, 8, 24} {
+		price := Price{W: w}
 		for _, total := range []int64{1, 7, 40, 999, 5000} {
-			kClean := checkpointPeriod(0, total)
+			kClean := price.CheckpointPeriod(0, total)
 			for _, s := range []int64{1, 100, 10_000, 1_000_000} {
 				for _, rate := range []float64{1e-9, 0.001, 0.03, 0.1, 0.5, 1} {
-					k := recoveryPeriod(w, kClean, s, rate)
+					k := price.RecoveryPeriod(kClean, s, rate)
 					if k < min(int64(w), kClean) || k > kClean || k > MaxCheckpointPeriod ||
 						(k%int64(w) != 0 && k != kClean) {
-						t.Errorf("recoveryPeriod(%d, %d, %d, %g) = %d", w, kClean, s, rate, k)
+						t.Errorf("Price{%d}.RecoveryPeriod(%d, %d, %g) = %d", w, kClean, s, rate, k)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package specrt
 
 import (
+	"fmt"
 	"math"
 
 	"privateer/internal/vm"
@@ -24,25 +25,22 @@ import (
 //     i.e. workers genuinely overlap and the slowest worker plus the
 //     serial sections bound the region (Amdahl accounting);
 //   - sequential recovery executes serially and adds its steps directly;
-//   - an invocation of a DOALL-only region (no Assign) runs in order and
-//     is priced as a cyclic fleet of W′ = min(workers, iterations):
-//     W′ × (spawn + join) + the busiest worker's steps (runInOrder);
-//   - once a run has recovered, the same constants price its checkpoint
-//     period (recoveryPeriod);
-//   - a compile for a known fleet prices each hot loop's invocation with
-//     them too (PriceInvocation), and skips a loop not cheaper speculated.
+//   - Price, the one reader of the spawn, join and merge constants, holds
+//     every charge for a fleet: a span's spawn and join, a DOALL-only
+//     region's in-order invocation priced as a cyclic fleet, the clean and
+//     the recovery-priced checkpoint periods, and a fleet-priced compile's
+//     test that a hot loop is cheaper speculated than in order.
 //
 // Whole-program speedup (Figures 6, 7, 9) is then
 // steps(best sequential) / simulated-time(parallel), a deterministic,
 // host-independent quantity whose *shape* tracks the paper's wall-clock
 // results.
 const (
-	// SimSpawnPerWorker models fork latency and address-space setup. The
-	// DOALL-only baseline's regions (RT.runInOrder) are charged it too, so
-	// Figure 7 compares the two compilers under one model.
+	// SimSpawnPerWorker models fork latency and address-space setup. Price
+	// charges it to the DOALL-only baseline's regions too, so Figure 7
+	// compares the two compilers under one model.
 	SimSpawnPerWorker = 2500
-	// SimJoinPerWorker models worker-completed signalling; RT.runInOrder
-	// charges it too.
+	// SimJoinPerWorker models worker-completed signalling.
 	SimJoinPerWorker = 400
 	// SimPrivacyPerByte is the inline shadow-metadata update per private
 	// byte accessed.
@@ -100,47 +98,76 @@ func (s *SimStats) Time() int64 { return s.SeqSteps + s.RegionTime + s.RecoveryS
 func (s *SimStats) IdleCost() int64 {
 	used := s.UsefulSteps + s.PrivReadCost + s.PrivWriteCost +
 		s.CheckpointCost + s.OtherCheckCost
-	idle := s.RegionCapacity - used
-	if idle < 0 {
-		idle = 0
-	}
-	return idle
+	return max(s.RegionCapacity-used, 0)
 }
 
 // simMergePerWorker is the simulated merge cost of one worker's part of one
 // checkpoint interval: a page of shadow bytes scanned.
 const simMergePerWorker = vm.PageSize * SimCheckpointPerByte
 
-// PriceInvocation prices one clean invocation of n iterations of s steps
-// each on a fleet of w workers, in simulated steps: spec is the speculative
-// span (spawn and join of min(w, n) workers, the busiest worker's share at
-// the runtime's clean checkpoint period, and a page of merge per worker and
-// interval), seq the same iterations run in order on the master.
-func PriceInvocation(n, s int64, w int) (spec, seq int64) {
-	fleet := min(int64(w), n)
-	k := checkpointPeriod(0, n)
-	intervals := (n + k - 1) / k
-	spec = fleet*(SimSpawnPerWorker+SimJoinPerWorker) + maxShare(n, k, int(fleet))*s +
-		intervals*fleet*simMergePerWorker
-	return spec, n * s
+// Price is the simulated machine's price of a fleet of W workers, by which
+// the speculative compile judges loops and the runtime charges spans and
+// in-order invocations and picks checkpoint periods. A zero W is unpriced.
+type Price struct {
+	// W is the fleet: the most workers a span spawns.
+	W int
 }
 
-// recoveryPeriod prices the checkpoint period of a run that has
-// misspeculated, by Young's rule k = √(2C / (p·s)): C is the simulated cost
-// of one more interval on a fleet of w workers (a join and one page of
-// merge each), s the steps of one re-run iteration and p the recoveries per
-// retired iteration; a misspeculation loses half an interval on average.
-// The result is rounded up to a multiple of w and clamped to
-// [min(w, kClean), kClean], kClean being the invocation's clean period.
-func recoveryPeriod(w int, kClean, iterSteps int64, rate float64) int64 {
+// Fleet is W′ = min(W, n), the workers an invocation of n iterations gets.
+func (p Price) Fleet(n int64) int64 { return min(int64(p.W), n) }
+
+// SpawnJoin is W′·(spawn + join), the fleet's charge on n iterations.
+func (p Price) SpawnJoin(n int64) int64 { return p.Fleet(n) * (SimSpawnPerWorker + SimJoinPerWorker) }
+
+// Speculated prices a clean speculative invocation of n iterations of s
+// steps: spawn and join, the busiest worker's share under the runtime's
+// deal at the clean period, and a page of merge per worker and interval.
+func (p Price) Speculated(n, s int64) int64 {
+	fleet, k := p.Fleet(n), p.CheckpointPeriod(0, n)
+	return p.SpawnJoin(n) + maxShare(n, k, int(fleet))*s + (n+k-1)/k*fleet*simMergePerWorker
+}
+
+// InOrder prices n iterations run in order as if dealt cyclically to the
+// fleet: spawn and join plus busiest, the busiest worker's steps. The
+// runtime passes the share it measured; a judge can pass ⌈n/W′⌉·s.
+func (p Price) InOrder(n, busiest int64) int64 { return p.SpawnJoin(n) + busiest }
+
+// Reject is why a compile for the fleet rejects a loop whose average
+// invocation runs n iterations of s steps: speculated, it is priced no
+// cheaper than its n·s steps in order. It is "" otherwise, and when W is 0.
+func (p Price) Reject(n, s int64) string {
+	if spec, seq := p.Speculated(n, s), n*s; p.W > 0 && spec >= seq {
+		return fmt.Sprintf("unprofitable at %d workers: %d steps speculated vs %d in order", p.W, spec, seq)
+	}
+	return ""
+}
+
+// CheckpointPeriod is the clean period of an invocation of n iterations:
+// configured when positive, else about five checkpoints per invocation,
+// within [1, MaxCheckpointPeriod].
+func (Price) CheckpointPeriod(configured, n int64) int64 {
+	if configured <= 0 {
+		configured = (n + 4) / 5
+	}
+	return min(max(configured, 1), MaxCheckpointPeriod)
+}
+
+// RecoveryPeriod prices the checkpoint period of a run that has
+// misspeculated, by Young's rule k = √(2C / (p·s)): C is the cost of one
+// more interval on the fleet (a join and a page of merge per worker), s
+// the steps of one re-run iteration and p the recoveries per retired
+// iteration; a misspeculation loses half an interval on average. k is
+// rounded up to a multiple of W and clamped to [min(W, kClean), kClean];
+// with no recovery yet (p = 0) it is kClean.
+func (p Price) RecoveryPeriod(kClean, iterSteps int64, rate float64) int64 {
 	if rate <= 0 || iterSteps <= 0 {
 		return kClean
 	}
+	w := int64(p.W)
 	c := float64(w) * (SimJoinPerWorker + simMergePerWorker)
 	k := math.Ceil(math.Sqrt(2 * c / (rate * float64(iterSteps))))
 	if k >= float64(kClean) {
 		return kClean
 	}
-	n := (int64(k) + int64(w) - 1) / int64(w) * int64(w)
-	return max(min(int64(w), kClean), min(n, kClean))
+	return max(min(w, kClean), min((int64(k)+w-1)/w*w, kClean))
 }

@@ -34,7 +34,7 @@ type Config struct {
 	// CheckpointPeriod is the iteration count per checkpoint; 0 selects
 	// automatically: about five checkpoints per invocation, capped at the
 	// paper's 253-iteration metadata limit, until the run first recovers,
-	// and from then on the period recoveryPeriod prices.
+	// and from then on the period Price.RecoveryPeriod prices.
 	CheckpointPeriod int64
 	// MisspecRate injects artificial misspeculation at the given
 	// per-iteration probability (Figure 9). Zero disables injection.
@@ -484,15 +484,8 @@ func (rt *RT) noteSepViolation(detail string) {
 	rt.reportMu.Unlock()
 }
 
-// checkpointPeriod picks k for an invocation of total iterations: the
-// configured period when positive, else the clean rule below.
-func checkpointPeriod(configured, total int64) int64 {
-	k := configured
-	if k <= 0 {
-		k = (total + 4) / 5 // about five checkpoints per invocation
-	}
-	return min(max(k, 1), MaxCheckpointPeriod)
-}
+// price is the run's price of its fleet of Cfg.Workers.
+func (rt *RT) price() Price { return Price{W: rt.Cfg.Workers} }
 
 // invoke runs one parallel region invocation: args are (lo, hi, live-ins).
 // A span that misspeculates at iteration m installs its valid prefix [.., L)
@@ -517,7 +510,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 	if ri.Assign == nil {
 		return rt.runInOrder(ri, lo, hi, live)
 	}
-	kClean := checkpointPeriod(rt.Cfg.CheckpointPeriod, hi-lo)
+	kClean := rt.price().CheckpointPeriod(rt.Cfg.CheckpointPeriod, hi-lo)
 
 	// The recovery budget is per invocation and counts misspeculated spans:
 	// a misspeculation-heavy region entry falls back to sequential execution
@@ -550,7 +543,13 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 			rt.retired += hi - start
 			return err
 		}
-		valid, misspecAt, err := rt.speculate(ri, live, start, end, rt.spanPeriod(kClean), inv)
+		// After a recovery the span's period is priced; a configured one
+		// never is.
+		k := kClean
+		if rt.Cfg.CheckpointPeriod <= 0 {
+			k = rt.price().RecoveryPeriod(kClean, rt.priceSteps, rt.priceRate)
+		}
+		valid, misspecAt, err := rt.speculate(ri, live, start, end, k, inv)
 		if err != nil {
 			return err
 		}
@@ -596,7 +595,7 @@ func (rt *RT) speculate(ri *RegionInfo, live []uint64, start, end, k, inv int64)
 // recoverRange runs [from, to) on the master, one recovery episode: a
 // misspeculated iteration, with the prefix before it when that is too short
 // to speculate. The iteration's steps and the run's recovery rate so far
-// then price the period of every later span of the run (spanPeriod).
+// then price the period of every later span of the run (see invoke).
 func (rt *RT) recoverRange(ri *RegionInfo, from, to int64, live []uint64, inv int64) error {
 	tr := rt.Cfg.Trace
 	rt.Stats.Recoveries++
@@ -613,16 +612,6 @@ func (rt *RT) recoverRange(ri *RegionInfo, from, to int64, live []uint64, inv in
 	rt.priceSteps = (rt.Sim.RecoverySteps - before) / (to - from)
 	rt.priceRate = float64(rt.recovered) / float64(rt.retired)
 	return nil
-}
-
-// spanPeriod is a span's checkpoint period in an invocation whose clean
-// period is kClean: kClean until the run has recovered, then the price of
-// the last recovery. A configured Config.CheckpointPeriod is never repriced.
-func (rt *RT) spanPeriod(kClean int64) int64 {
-	if rt.Cfg.CheckpointPeriod > 0 || rt.recovered == 0 {
-		return kClean
-	}
-	return recoveryPeriod(rt.Cfg.Workers, kClean, rt.priceSteps, rt.priceRate)
 }
 
 // installCheckpoint applies cp's chain to the master state, commits the
@@ -678,16 +667,14 @@ func (rt *RT) commitChain(cp *checkpoint) int64 {
 // analysis proved it DOALL (deps.StaticBlockers admits no carried memory or
 // scalar dependence, no live-out and no I/O), so [lo, hi) runs in program
 // order on the master, with no snapshot, span or check, and leaves the
-// memory and output of every schedule. The invocation is priced as if its
-// iterations were dealt cyclically to a fleet of W′ = min(Workers, hi−lo)
-// workers, iteration i to worker (i−lo) mod W′: W′ spawns and joins plus the
-// busiest worker's steps.
+// memory and output of every schedule. It is priced (Price.InOrder) as if
+// iteration i ran on worker (i−lo) mod W′ of the fleet.
 func (rt *RT) runInOrder(ri *RegionInfo, lo, hi int64, live []uint64) error {
-	shares := make([]int64, min(int64(rt.Cfg.Workers), hi-lo))
+	shares := make([]int64, rt.price().Fleet(hi-lo))
 	if err := rt.sequentialRange(ri, lo, hi, live, shares); err != nil {
 		return err
 	}
-	rt.Sim.RegionTime += int64(len(shares))*(SimSpawnPerWorker+SimJoinPerWorker) + slices.Max(shares)
+	rt.Sim.RegionTime += rt.price().InOrder(hi-lo, slices.Max(shares))
 	return nil
 }
 

@@ -138,7 +138,7 @@ func (sp *spanState) validate(last *checkpoint) (int64, uint64) {
 func (sp *spanState) run() (*checkpoint, int64, error) {
 	rt := sp.rt
 	tr := rt.Cfg.Trace
-	workers := int(min(int64(rt.Cfg.Workers), sp.hi-sp.start))
+	workers := int(rt.price().Fleet(sp.hi - sp.start))
 	nIntervals := (sp.hi - sp.start + sp.k - 1) / sp.k
 	tr.Instant(obs.Event{Kind: obs.KPhase,
 		Invocation: sp.inv, Worker: -1, Iter: -1, Cause: "fast"})
@@ -160,10 +160,10 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 		}
 	}
 
-	// Simulated-time accounting: the span costs its spawn plus the slowest
-	// worker, and consumes capacity on every worker for its whole duration.
-	spawn := int64(workers) * SimSpawnPerWorker
-	join := int64(workers) * SimJoinPerWorker
+	// Simulated-time accounting: the span costs its fleet's spawn and join
+	// plus the slowest worker, and consumes capacity on every worker for its
+	// whole duration.
+	spawnJoin := rt.price().SpawnJoin(sp.hi - sp.start)
 	var maxW int64
 	sim := &rt.Sim
 	for _, w := range ws {
@@ -174,10 +174,10 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 		sim.CheckpointCost += w.simCheckpoint
 		sim.OtherCheckCost += w.simOther
 	}
-	spanTime := spawn + maxW + join
+	spanTime := spawnJoin + maxW
 	sim.RegionTime += spanTime
 	sim.RegionCapacity += int64(workers) * spanTime
-	sim.SpawnCost += spawn + join
+	sim.SpawnCost += spawnJoin
 
 	sp.retire(ws...)
 

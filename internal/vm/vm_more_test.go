@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"privateer/internal/ir"
@@ -146,5 +148,34 @@ func TestZeroSizeAlloc(t *testing.T) {
 	}
 	if a == b {
 		t.Error("zero-size allocations alias")
+	}
+}
+
+// TestAllocNeverWraps: a size that would carry the bump pointer past 2^64
+// is an error naming the size, and it leaves the heap as it was. Before the
+// check, Alloc(64) at 0x1000 then Alloc(2^64−16) returned 0x1040 and left
+// brk at 0x1030, so the next Alloc(64) landed inside the first object.
+func TestAllocNeverWraps(t *testing.T) {
+	as := NewAddressSpace()
+	first, err := as.Alloc(ir.HeapSystem, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk := as.Brk(ir.HeapSystem)
+	for _, size := range []uint64{1<<64 - 16, 1<<64 - 15, 1<<64 - 1} {
+		if addr, err := as.Alloc(ir.HeapSystem, size); err == nil ||
+			!strings.Contains(err.Error(), strconv.FormatUint(size, 10)) {
+			t.Errorf("Alloc(%d) = %#x, %v; want an error naming the size", size, addr, err)
+		}
+	}
+	if got := as.Brk(ir.HeapSystem); got != brk {
+		t.Errorf("a refused allocation moved brk %#x → %#x", brk, got)
+	}
+	next, err := as.Alloc(ir.HeapSystem, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next < first+64 && first < next+64 {
+		t.Errorf("Alloc(64) = %#x overlaps the live object at %#x", next, first)
 	}
 }
