@@ -128,7 +128,7 @@ type dinstr struct {
 	// the charged count less rest.
 	rest int32
 	// cnst is the literal of an OpConst/OpFConst, the global slot of an
-	// OpGlobal that stayed in the code array, the builtinIndex of an
+	// OpGlobal that stayed in the code array, the ir.BuiltinIndex of an
 	// OpBuiltin and the size (in.Size) of a load, store, alloca or privacy
 	// check.
 	cnst uint64
@@ -512,7 +512,7 @@ func (p *Program) decodeFunc(fn *ir.Function) *decodedFunc {
 			case ir.OpGlobal:
 				di.cnst = uint64(p.globalSlot(in.GlobalRef))
 			case ir.OpBuiltin:
-				di.cnst = builtinIndex(in.Builtin)
+				di.cnst = uint64(ir.BuiltinIndex(in.Builtin))
 			case ir.OpPhi:
 				// A φ below a non-φ instruction: the executor rejects it
 				// at runtime.
