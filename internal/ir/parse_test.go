@@ -101,9 +101,10 @@ func TestParseErrors(t *testing.T) {
 		"module x\nbogus line",                // junk
 		"module x\nglobal @g [z bytes]",       // bad size
 		"module x\nfunc @f() i64 {\nentry:\n", // unterminated
-		"module x\nfunc @f() i64 {\nentry:\n\t%v1 = frobnicate %v0\n}\n",          // bad opcode
-		"module x\nfunc @f() i64 {\nentry:\n\t%v1 = global @nope\n\tret %v1\n}\n", // unknown global
-		"module x\nfunc @f() void {\nentry:\n\t%v1 = const 1\n}\n",                // no terminator
+		"module x\nfunc @f() i64 {\nentry:\n\t%v1 = frobnicate %v0\n}\n",                                              // bad opcode
+		"module x\nfunc @f() i64 {\nentry:\n\t%v1 = global @nope\n\tret %v1\n}\n",                                     // unknown global
+		"module x\nfunc @f() void {\nentry:\n\t%v1 = const 1\n}\n",                                                    // no terminator
+		"module x\nfunc @f() i64 {\nentry:\n\t%x = fconst 2\n\t%y = builtin !pow %x\n\t%r = fptosi %y\n\tret %r\n}\n", // builtin short of operands
 	}
 	for i, src := range cases {
 		if _, err := Parse(src); err == nil {
