@@ -48,8 +48,8 @@ func (it *Interp) computeHookMask() uint32 {
 	return m
 }
 
-// phiEdgeError reproduces the tree-walking executor's missing-incoming
-// error for a φ of fn reached along an edge it has no value for.
+// phiEdgeError is the error of a φ of fn reached along an edge it has no
+// value for, the tree-walking reference executor's text.
 func phiEdgeError(fn *ir.Function, phi *ir.Instr, prev *ir.Block) error {
 	return fmt.Errorf("interp: phi %s in %s.%s has no incoming for predecessor %v",
 		phi, fn.Name, phi.Blk.Name, prev)
@@ -72,13 +72,13 @@ func runEdge(vals []uint64, cs []phiCopy) {
 
 // execDecoded runs fr's activation over code, df.code or a stop run of it
 // (see stopRun), from pc, with steps the count charged through the end of
-// pc's block. It is observably identical to exec (the tree-walking
-// reference executor): same step counts, same hook sequence, same errors,
-// same output. Operand slots index fr.vals directly, and entries code,
-// through the unchecked accessors of unchecked.go, which decode's proof
-// makes safe; the hoisted constants and global addresses are in their
-// slots since frame setup. Steps are
-// charged per block, not per dispatch: entering a block (at function entry
+// pc's block. It is observably identical to the tree-walking reference
+// executor the tests hold it to (reference_test.go): same step counts, same
+// hook sequence, same errors, same output. Operand slots index fr.vals
+// directly, and entries code, through the unchecked accessors of
+// unchecked.go, which decode's proof makes safe; the hoisted constants and
+// global addresses are in their slots since frame setup. Steps are charged
+// per block, not per dispatch: entering a block (at function entry
 // and on every taken branch) adds its whole weight to steps and compares
 // once against the budget, so while entry di runs the exact count is steps -
 // di.rest, and that is what every hook, Speculator call, call, error and
@@ -421,12 +421,8 @@ dispatch:
 				return 0, &MisspecError{Instr: di.in, Reason: controlViolated}
 			}
 		case ir.OpMemSet:
-			addr, n, b := slot(vals, di.a), slot(vals, di.b), byte(slot(vals, di.c))
-			buf := it.scratchBytes(n)
-			for i := range buf {
-				buf[i] = b
-			}
-			if err := it.AS.WriteBytes(addr, buf); err != nil {
+			addr, n := slot(vals, di.a), slot(vals, di.b)
+			if err := it.AS.Fill(addr, n, byte(slot(vals, di.c))); err != nil {
 				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
@@ -436,18 +432,13 @@ dispatch:
 			}
 		case ir.OpMemCopy:
 			dst, src, n := slot(vals, di.a), slot(vals, di.b), slot(vals, di.c)
-			buf := it.scratchBytes(n)
-			if err := it.AS.ReadBytes(src, buf); err != nil {
+			if err := it.AS.Copy(dst, src, n); err != nil {
 				it.Steps = steps - int64(di.rest)
 				return 0, err
 			}
 			if mask&hLoad != 0 {
 				it.Steps = steps - int64(di.rest)
 				hooks.OnLoad(fr, di.in, src, int64(n))
-			}
-			if err := it.AS.WriteBytes(dst, buf); err != nil {
-				it.Steps = steps - int64(di.rest)
-				return 0, err
 			}
 			if mask&hStore != 0 {
 				it.Steps = steps - int64(di.rest)

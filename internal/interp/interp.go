@@ -161,9 +161,9 @@ type Interp struct {
 	// Interpreters built with NewShared reuse the creator's cache, so each
 	// function decodes once per run rather than once per worker.
 	prog *Program
-	// treeWalk selects the tree-walking reference executor (NewReference)
-	// instead of the pre-decoded dispatch loop.
-	treeWalk bool
+	// reference, which only the tests set (NewReference), runs every
+	// activation in place of the decoded dispatch loop.
+	reference func(it *Interp, fr *Frame) (uint64, error)
 	// hookMask is the active-hook bitmask of the current activation (see
 	// exec_fast.go); recomputed on every call so the dispatch loop tests a
 	// register instead of six function pointers.
@@ -176,9 +176,9 @@ type Interp struct {
 	// invocations runs once per function per outermost call, and nested
 	// calls pay a map lookup.
 	decoded map[*ir.Function]*decodedFunc
-	// scratch is the staging buffer of memset/memcopy, and printBuf the
-	// one print renders into, each grown to the largest request seen.
-	scratch, printBuf []byte
+	// printBuf is the buffer print renders into, grown to the largest
+	// request seen.
+	printBuf []byte
 }
 
 // New returns an interpreter for mod over as.
@@ -193,17 +193,6 @@ func NewShared(prog *Program, as *vm.AddressSpace) *Interp {
 	return &Interp{Mod: prog.Mod, AS: as, Out: &strings.Builder{},
 		globalAddrs: make([]uint64, len(prog.globalIdx)+1),
 		prog:        prog, decoded: map[*ir.Function]*decodedFunc{}}
-}
-
-// NewReference returns an interpreter for mod over as that runs on the
-// tree-walking reference executor: the semantics the decoded executor is
-// held to, instruction by instruction. It executes every constant where it
-// stands, fuses nothing and charges every instruction on its own; tests
-// compare the interpreters New returns against it.
-func NewReference(mod *ir.Module, as *vm.AddressSpace) *Interp {
-	it := New(mod, as)
-	it.treeWalk = true
-	return it
 }
 
 // Program exposes the interpreter's decode cache for sharing via NewShared.
@@ -306,34 +295,27 @@ func (it *Interp) call(fn *ir.Function, args []uint64, caller *Frame) (uint64, e
 	if len(args) != len(fn.Params) {
 		return 0, fmt.Errorf("interp: %s wants %d args, got %d", fn.Name, len(fn.Params), len(args))
 	}
-	var df *decodedFunc
-	if !it.treeWalk {
-		if caller == nil {
-			clear(it.decoded)
-		}
-		df = it.decoded[fn]
-		if df == nil {
-			df = it.prog.decodedFor(fn)
-			it.decoded[fn] = df
-		}
+	if caller == nil {
+		clear(it.decoded)
+	}
+	df := it.decoded[fn]
+	if df == nil {
+		df = it.prog.decodedFor(fn)
+		it.decoded[fn] = df
 	}
 	fr := it.stack.push(fn, depth, caller)
-	switch {
-	case df == nil:
-		clear(fr.vals)
-	case len(fr.vals) < len(df.image):
+	if len(fr.vals) < len(df.image) {
 		// The decoded entries index the frame unchecked (unchecked.go); a
 		// frame smaller than the one they were proven against must not
 		// reach them.
 		it.stack.pop(fr)
 		return 0, fmt.Errorf("interp: %s has %d value slots, decoded for %d", fn.Name, len(fr.vals), len(df.image))
-	default:
-		// The frame image holds the hoisted constants (see decode.go); the
-		// hoisted global addresses are this interpreter's.
-		copy(fr.vals, df.image)
-		for _, g := range df.globals {
-			fr.vals[g.dst] = it.globalAddrs[g.idx]
-		}
+	}
+	// The frame image holds the hoisted constants (see decode.go); the
+	// hoisted global addresses are this interpreter's.
+	copy(fr.vals, df.image)
+	for _, g := range df.globals {
+		fr.vals[g.dst] = it.globalAddrs[g.idx]
 	}
 	for i, p := range fn.Params {
 		fr.vals[p.ValueID()] = args[i]
@@ -343,10 +325,9 @@ func (it *Interp) call(fn *ir.Function, args []uint64, caller *Frame) (uint64, e
 	}
 	var ret uint64
 	var err error
-	switch {
-	case df == nil:
-		ret, err = it.exec(fr)
-	default:
+	if it.reference != nil {
+		ret, err = it.reference(it, fr)
+	} else {
 		it.hookMask = it.computeHookMask()
 		code, steps := df.code, it.Steps+df.code[0].charge()
 		if limit := it.stepLimit(); steps > limit {
@@ -394,15 +375,6 @@ func (it *Interp) callInstr(fr *Frame, in *ir.Instr) (uint64, error) {
 	return v, err
 }
 
-// scratchBytes returns the interpreter's n-byte staging buffer, contents
-// unspecified.
-func (it *Interp) scratchBytes(n uint64) []byte {
-	if n > uint64(cap(it.scratch)) {
-		it.scratch = make([]byte, n)
-	}
-	return it.scratch[:n]
-}
-
 // stepLimit returns the effective step budget.
 func (it *Interp) stepLimit() int64 {
 	if it.StepLimit > 0 {
@@ -411,86 +383,9 @@ func (it *Interp) stepLimit() int64 {
 	return 1 << 40
 }
 
-// exec runs fr's activation on the tree-walking reference executor.
-// Falling off the end of an unterminated block (invalid IR) costs one step,
-// then stops the run as the decoded executor's guard entry does.
-func (it *Interp) exec(fr *Frame) (uint64, error) {
-	block := fr.Fn.Entry()
-	var prev *ir.Block
-	limit := it.stepLimit()
-blocks:
-	for {
-		// Evaluate phis as a parallel copy based on the incoming edge.
-		nPhis := leadingPhis(block)
-		if nPhis > 0 {
-			var tmp [8]uint64
-			vals := tmp[:0]
-			for _, in := range block.Instrs[:nPhis] {
-				v, err := it.phiValue(fr, in, prev)
-				if err != nil {
-					return 0, err
-				}
-				vals = append(vals, v)
-			}
-			for i, in := range block.Instrs[:nPhis] {
-				fr.vals[in.ValueID()] = vals[i]
-			}
-		}
-		for _, in := range block.Instrs[nPhis:] {
-			it.Steps++
-			if it.Steps > limit {
-				return 0, stepLimitError(limit, fr)
-			}
-			switch in.Op {
-			case ir.OpRet:
-				if len(in.Args) == 1 {
-					return fr.vals[in.Args[0].ValueID()], nil
-				}
-				return 0, nil
-			case ir.OpBr:
-				next := in.Targets[0]
-				if it.Hooks.OnBlock != nil {
-					it.Hooks.OnBlock(fr, block, next)
-				}
-				prev, block = block, next
-			case ir.OpCondBr:
-				next := in.Targets[1]
-				if fr.vals[in.Args[0].ValueID()] != 0 {
-					next = in.Targets[0]
-				}
-				if it.Hooks.OnBlock != nil {
-					it.Hooks.OnBlock(fr, block, next)
-				}
-				prev, block = block, next
-			default:
-				if err := it.execInstr(fr, in); err != nil {
-					return 0, err
-				}
-				continue
-			}
-			continue blocks // control transferred
-		}
-		it.Steps++
-		if it.Steps > limit {
-			return 0, stepLimitError(limit, fr)
-		}
-		return 0, fmt.Errorf("interp: unterminated block in %s", fr.Fn.Name)
-	}
-}
-
 // stepLimitError is the error of a run that exceeds its step budget in fr.
 func stepLimitError(limit int64, fr *Frame) error {
 	return fmt.Errorf("interp: step limit %d exceeded in %s", limit, fr.Fn.Name)
-}
-
-func (it *Interp) phiValue(fr *Frame, phi *ir.Instr, prev *ir.Block) (uint64, error) {
-	for i, p := range phi.Preds {
-		if p == prev {
-			return fr.vals[phi.Args[i].ValueID()], nil
-		}
-	}
-	return 0, fmt.Errorf("interp: phi %s in %s.%s has no incoming for predecessor %v",
-		phi, fr.Fn.Name, phi.Blk.Name, prev)
 }
 
 func f64(w uint64) float64  { return math.Float64frombits(w) }
@@ -500,237 +395,6 @@ func b2w(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-func (it *Interp) execInstr(fr *Frame, in *ir.Instr) error {
-	arg := func(i int) uint64 { return fr.vals[in.Args[i].ValueID()] }
-	set := func(v uint64) { fr.vals[in.ValueID()] = v }
-	switch in.Op {
-	case ir.OpConst, ir.OpFConst:
-		set(in.Const)
-	case ir.OpSIToFP:
-		set(bits(float64(int64(arg(0)))))
-	case ir.OpFPToSI:
-		set(uint64(int64(f64(arg(0)))))
-	case ir.OpAdd:
-		set(arg(0) + arg(1))
-	case ir.OpSub:
-		set(arg(0) - arg(1))
-	case ir.OpMul:
-		set(arg(0) * arg(1))
-	case ir.OpSDiv:
-		if arg(1) == 0 {
-			return fmt.Errorf("interp: division by zero (%s)", in.Format())
-		}
-		set(uint64(int64(arg(0)) / int64(arg(1))))
-	case ir.OpUDiv:
-		if arg(1) == 0 {
-			return fmt.Errorf("interp: division by zero (%s)", in.Format())
-		}
-		set(arg(0) / arg(1))
-	case ir.OpSRem:
-		if arg(1) == 0 {
-			return fmt.Errorf("interp: remainder by zero (%s)", in.Format())
-		}
-		set(uint64(int64(arg(0)) % int64(arg(1))))
-	case ir.OpURem:
-		if arg(1) == 0 {
-			return fmt.Errorf("interp: remainder by zero (%s)", in.Format())
-		}
-		set(arg(0) % arg(1))
-	case ir.OpAnd:
-		set(arg(0) & arg(1))
-	case ir.OpOr:
-		set(arg(0) | arg(1))
-	case ir.OpXor:
-		set(arg(0) ^ arg(1))
-	case ir.OpShl:
-		set(arg(0) << (arg(1) & 63))
-	case ir.OpLShr:
-		set(arg(0) >> (arg(1) & 63))
-	case ir.OpAShr:
-		set(uint64(int64(arg(0)) >> (arg(1) & 63)))
-	case ir.OpEq:
-		set(b2w(arg(0) == arg(1)))
-	case ir.OpNe:
-		set(b2w(arg(0) != arg(1)))
-	case ir.OpSLt:
-		set(b2w(int64(arg(0)) < int64(arg(1))))
-	case ir.OpSLe:
-		set(b2w(int64(arg(0)) <= int64(arg(1))))
-	case ir.OpSGt:
-		set(b2w(int64(arg(0)) > int64(arg(1))))
-	case ir.OpSGe:
-		set(b2w(int64(arg(0)) >= int64(arg(1))))
-	case ir.OpULt:
-		set(b2w(arg(0) < arg(1)))
-	case ir.OpUGe:
-		set(b2w(arg(0) >= arg(1)))
-	case ir.OpFAdd:
-		set(bits(f64(arg(0)) + f64(arg(1))))
-	case ir.OpFSub:
-		set(bits(f64(arg(0)) - f64(arg(1))))
-	case ir.OpFMul:
-		set(bits(f64(arg(0)) * f64(arg(1))))
-	case ir.OpFDiv:
-		set(bits(f64(arg(0)) / f64(arg(1))))
-	case ir.OpFEq:
-		set(b2w(f64(arg(0)) == f64(arg(1))))
-	case ir.OpFLt:
-		set(b2w(f64(arg(0)) < f64(arg(1))))
-	case ir.OpFLe:
-		set(b2w(f64(arg(0)) <= f64(arg(1))))
-	case ir.OpFGt:
-		set(b2w(f64(arg(0)) > f64(arg(1))))
-	case ir.OpFGe:
-		set(b2w(f64(arg(0)) >= f64(arg(1))))
-	case ir.OpSelect:
-		if arg(0) != 0 {
-			set(arg(1))
-		} else {
-			set(arg(2))
-		}
-	case ir.OpPtrToInt, ir.OpIntToPtr:
-		set(arg(0))
-	case ir.OpLoad:
-		addr := arg(0)
-		v, err := it.AS.Read(addr, in.Size)
-		if err != nil {
-			return err
-		}
-		set(v)
-		if it.Hooks.OnLoad != nil {
-			it.Hooks.OnLoad(fr, in, addr, in.Size)
-		}
-	case ir.OpStore:
-		addr := arg(1)
-		if err := it.AS.Write(addr, in.Size, arg(0)); err != nil {
-			return err
-		}
-		if it.Hooks.OnStore != nil {
-			it.Hooks.OnStore(fr, in, addr, in.Size)
-		}
-	case ir.OpAlloca:
-		addr, err := it.AS.Alloc(ir.HeapSystem, uint64(in.Size))
-		if err != nil {
-			return err
-		}
-		fr.allocas = append(fr.allocas, addr)
-		set(addr)
-		if it.Hooks.OnAlloc != nil {
-			it.Hooks.OnAlloc(fr, in, addr, uint64(in.Size))
-		}
-	case ir.OpMalloc:
-		size := arg(0)
-		addr, err := it.AS.Alloc(ir.HeapSystem, size)
-		if err != nil {
-			return err
-		}
-		set(addr)
-		if it.Hooks.OnAlloc != nil {
-			it.Hooks.OnAlloc(fr, in, addr, size)
-		}
-	case ir.OpHAlloc:
-		size := arg(0)
-		addr, err := it.AS.Alloc(in.Heap, size)
-		if err != nil {
-			return err
-		}
-		set(addr)
-		if it.Hooks.OnAlloc != nil {
-			it.Hooks.OnAlloc(fr, in, addr, size)
-		}
-	case ir.OpFree, ir.OpHDealloc:
-		addr := arg(0)
-		if it.Hooks.OnFree != nil {
-			it.Hooks.OnFree(fr, in, addr)
-		}
-		if err := it.AS.Free(addr); err != nil {
-			return err
-		}
-	case ir.OpGlobal:
-		set(it.globalAddrs[it.prog.globalSlot(in.GlobalRef)])
-	case ir.OpMemSet:
-		addr, n, b := arg(0), arg(1), byte(arg(2))
-		buf := it.scratchBytes(n)
-		for i := range buf {
-			buf[i] = b
-		}
-		if err := it.AS.WriteBytes(addr, buf); err != nil {
-			return err
-		}
-		if it.Hooks.OnStore != nil {
-			it.Hooks.OnStore(fr, in, addr, int64(n))
-		}
-	case ir.OpMemCopy:
-		dst, src, n := arg(0), arg(1), arg(2)
-		buf := it.scratchBytes(n)
-		if err := it.AS.ReadBytes(src, buf); err != nil {
-			return err
-		}
-		if it.Hooks.OnLoad != nil {
-			it.Hooks.OnLoad(fr, in, src, int64(n))
-		}
-		if err := it.AS.WriteBytes(dst, buf); err != nil {
-			return err
-		}
-		if it.Hooks.OnStore != nil {
-			it.Hooks.OnStore(fr, in, dst, int64(n))
-		}
-	case ir.OpCall:
-		v, err := it.callInstr(fr, in)
-		if err != nil {
-			return err
-		}
-		set(v)
-	case ir.OpBuiltin:
-		v, err := it.builtin(uint64(ir.BuiltinIndex(in.Builtin)), in, fr)
-		if err != nil {
-			return err
-		}
-		set(v)
-	case ir.OpPrint:
-		text := it.formatPrint(in, fr)
-		if it.Hooks.OnPrint == nil || !it.Hooks.OnPrint(in, string(text)) {
-			if it.Out == nil {
-				it.Out = &strings.Builder{}
-			}
-			it.Out.Write(text)
-		}
-	case ir.OpCheckHeap:
-		if it.ChecksOff {
-			break
-		}
-		it.SepChecks++
-		if addr := arg(0); addr != 0 && ir.HeapOf(addr) != in.Heap {
-			return &MisspecError{Instr: in, Addr: addr, Reason: sepViolated}
-		}
-	case ir.OpPrivateRead, ir.OpPrivateWrite:
-		if it.Spec != nil {
-			return it.Spec.Private(in, arg(0), 1, in.Size, in.Size, in.Op == ir.OpPrivateWrite)
-		}
-	case ir.OpPrivateReadSpan, ir.OpPrivateWriteSpan:
-		if it.Spec != nil {
-			return it.Spec.Private(in, arg(0), int64(arg(1)), int64(arg(2)), in.Size, in.Op == ir.OpPrivateWriteSpan)
-		}
-	case ir.OpReduxWrite:
-		// A marker only: separation into the redux heap is check_heap's.
-	case ir.OpPredict:
-		if it.ChecksOff {
-			break
-		}
-		it.Predictions++
-		if arg(0) != arg(1) {
-			return &MisspecError{Instr: in, Reason: predictFailed}
-		}
-	case ir.OpMisspec:
-		if !it.ChecksOff {
-			return &MisspecError{Instr: in, Reason: controlViolated}
-		}
-	default:
-		return fmt.Errorf("interp: cannot execute %s", in.Format())
-	}
-	return nil
 }
 
 // The math builtins OpBuiltin may name, by their position in ir.Builtins,

@@ -218,30 +218,3 @@ func TestStaleDecodeCaughtBetweenRuns(t *testing.T) {
 		}
 	}
 }
-
-// memset and memcopy stage their bytes in one per-interpreter buffer.
-func TestMemOpsReuseScratch(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	for _, treeWalk := range []bool{false, true} {
-		m := ir.NewModule("mem")
-		g := m.NewGlobal("buf", 2*vm.PageSize)
-		f := m.NewFunc("main", ir.I64)
-		b := ir.NewBuilder(f)
-		dst := b.Add(b.Global(g), b.I(vm.PageSize))
-		b.MemSet(b.Global(g), b.I(600), b.I(0xab))
-		b.MemCopy(dst, b.Global(g), b.I(600))
-		b.Ret(b.Load(b.Add(dst, b.I(592)), 8))
-		it := NewExecutor(treeWalk, m, vm.NewAddressSpace())
-		run := func() {
-			if v, err := it.Run(); err != nil || v != 0xabababababababab {
-				t.Fatalf("run = %#x, %v", v, err)
-			}
-		}
-		run()
-		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-			t.Errorf("treeWalk=%v: %v allocs per warmed memset+memcopy, want 0", treeWalk, allocs)
-		}
-	}
-}

@@ -21,15 +21,6 @@ func Parse(text string) (*Module, error) {
 	return p.parse()
 }
 
-// MustParse is Parse for tests and tools with trusted input.
-func MustParse(text string) *Module {
-	m, err := Parse(text)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 type parser struct {
 	lines []string
 	pos   int

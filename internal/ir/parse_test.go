@@ -180,7 +180,10 @@ entry:
 		t.Fatal(err)
 	}
 	once := FormatModule(m)
-	m2 := MustParse(once)
+	m2, err := Parse(once)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if FormatModule(m2) != once {
 		t.Error("const round-trip unstable")
 	}

@@ -29,7 +29,11 @@ func TestCheckedInTextualProgram(t *testing.T) {
 	if seqOut == "" {
 		t.Fatal("no output")
 	}
-	par, err := core.Parallelize(ir.MustParse(string(text)), core.Options{})
+	parsed, err := ir.Parse(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := core.Parallelize(parsed, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

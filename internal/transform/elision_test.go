@@ -41,21 +41,6 @@ func TestLoadFreeAddress(t *testing.T) {
 	}
 }
 
-// TestPostprocessSummaryGolden pins the exact rendering of the pass
-// counters: Table 3 style output must be stable across runs.
-func TestPostprocessSummaryGolden(t *testing.T) {
-	st := &Stats{Joined: 1, Eliminated: 2, InvPromoted: 3,
-		DensePromoted: 4, SparsePromoted: 5, HeapRedundantUO: 6}
-	want := "joined=1 eliminated=2 invariant=3 dense=4 sparse=5 redundant-uo=6"
-	if got := st.PostprocessSummary(); got != want {
-		t.Errorf("PostprocessSummary()\n got %q\nwant %q", got, want)
-	}
-	if got, want := (&Stats{}).PostprocessSummary(),
-		"joined=0 eliminated=0 invariant=0 dense=0 sparse=0 redundant-uo=0"; got != want {
-		t.Errorf("zero PostprocessSummary()\n got %q\nwant %q", got, want)
-	}
-}
-
 // TestSitesSummaryGolden pins SitesPerHeap rendering: the counts live in a
 // map, so the renderer must impose heap-kind order or the output would
 // jitter between runs.

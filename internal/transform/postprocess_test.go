@@ -86,7 +86,7 @@ func TestPostprocessCounters(t *testing.T) {
 		{"HeapRedundantUO", st.HeapRedundantUO},
 	} {
 		if c.n < 1 {
-			t.Errorf("%s = %d, want >= 1 (summary: %s)", c.name, c.n, st.PostprocessSummary())
+			t.Errorf("%s = %d, want >= 1 (stats: %+v)", c.name, c.n, *st)
 		}
 	}
 	spans := 0

@@ -128,13 +128,6 @@ func (s *Stats) SepSummary() string {
 		s.StaticProven, s.StaticPrivMarksDropped, s.StaticReduxMarksDropped, ruleStr)
 }
 
-// PostprocessSummary renders the postprocess-pass counters in a fixed
-// order, for logs and the dump tool.
-func (s *Stats) PostprocessSummary() string {
-	return fmt.Sprintf("joined=%d eliminated=%d invariant=%d dense=%d sparse=%d redundant-uo=%d",
-		s.Joined, s.Eliminated, s.InvPromoted, s.DensePromoted, s.SparsePromoted, s.HeapRedundantUO)
-}
-
 // SitesSummary renders SitesPerHeap deterministically, in heap-kind
 // order (map iteration order would jitter between runs).
 func (s *Stats) SitesSummary() string {

@@ -174,7 +174,7 @@ func TestAllocatorDifferentialVsFlatModel(t *testing.T) {
 				t.Fatalf("step %d: space %d has %d live objects, model %d", step, i, got, want)
 			}
 			for a, sz := range p.m.objects {
-				if got := p.as.ObjectSize(a); got != sz {
+				if got := liveSize(p.as, a); got != sz {
 					t.Fatalf("step %d: space %d: object %#x is %d bytes, model %d", step, i, a, got, sz)
 				}
 			}

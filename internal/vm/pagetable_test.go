@@ -99,7 +99,7 @@ func TestCloneCostIndependentOfLiveObjects(t *testing.T) {
 	if parent.LiveObjects(ir.HeapPrivate) != 100 {
 		t.Errorf("parent live count disturbed by child: %d", parent.LiveObjects(ir.HeapPrivate))
 	}
-	if parent.ObjectSize(addrs[0]) == 0 {
+	if liveSize(parent, addrs[0]) == 0 {
 		t.Error("parent lost object freed only in the child")
 	}
 }
@@ -155,7 +155,7 @@ func TestPostCloneMutationCostIndependentOfLiveObjects(t *testing.T) {
 	if got, _ := grand.Alloc(ir.HeapPrivate, 48); got != a[0] {
 		t.Errorf("tombstoned base object not reallocated: got %#x, want %#x", got, a[0])
 	}
-	if grand.ObjectSize(a[0]) == 0 {
+	if liveSize(grand, a[0]) == 0 {
 		t.Error("reallocated object reads as dead through the tombstone")
 	}
 	// The parent still sees its own free list untouched by descendants.
@@ -174,7 +174,7 @@ func TestAllocatorSharingIsCopiedBeforeMutation(t *testing.T) {
 	if err := parent.Free(a); err != nil {
 		t.Fatal(err)
 	}
-	if child.ObjectSize(a) == 0 {
+	if liveSize(child, a) == 0 {
 		t.Error("parent Free leaked into child's shared allocator state")
 	}
 	b, _ := parent.Alloc(ir.HeapPrivate, 32)

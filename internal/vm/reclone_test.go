@@ -169,7 +169,7 @@ func TestReleaseDropsState(t *testing.T) {
 	if !bytes.Equal(buf, make([]byte, 8)) {
 		t.Fatalf("released space still maps the old parent's pages")
 	}
-	if sz := w.ObjectSize(addrs[0]); sz != 0 {
+	if sz := liveSize(w, addrs[0]); sz != 0 {
 		t.Fatalf("released space still tracks the old allocation (%d bytes)", sz)
 	}
 	// Re-targeting is what zeroes Stats: writes after RecloneFrom count into

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -45,14 +46,14 @@ func TestReadWriteCrossPage(t *testing.T) {
 func TestFloatRoundTrip(t *testing.T) {
 	as := NewAddressSpace()
 	addr := ir.HeapPrivate.Base() + PageSize
-	if err := as.WriteF64(addr, 3.25); err != nil {
+	if err := as.Write(addr, 8, math.Float64bits(3.25)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := as.ReadF64(addr)
+	w, err := as.Read(addr, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 3.25 {
+	if got := math.Float64frombits(w); got != 3.25 {
 		t.Errorf("got %v want 3.25", got)
 	}
 }
