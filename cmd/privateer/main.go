@@ -68,6 +68,7 @@ func run(args []string) error {
 		poolSlots   = fs.Int("pool-slots", specrt.DefaultPoolSlots, "serve: warmed worker spaces retained per program")
 		traceCap    = fs.Int("trace-capacity", 0, "serve: per-job trace ring capacity in events (0 = default, negative disables tracing)")
 		flightCap   = fs.Int("flight-entries", 0, "serve: postmortems retained by the flight recorder (0 = default)")
+		retainJobs  = fs.Int("retain-jobs", service.DefaultRetainJobs, "serve: finished jobs kept for /poll and traces; older ones answer 410 Gone")
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2
 	// Rejected before anything runs: a one-shot run starts with the
@@ -82,7 +83,7 @@ func run(args []string) error {
 	}
 	if *mode == "serve" {
 		return runService(*serve, *workers, *queueDepth, *concurrency,
-			*tenantQuota, *poolSlots, *traceCap, *flightCap, *misspec, *seed)
+			*tenantQuota, *poolSlots, *traceCap, *flightCap, *retainJobs, *misspec, *seed)
 	}
 	t, err := newTarget(*progName, *input, *irFile, *runArgs, *optimize)
 	if err != nil {
@@ -111,7 +112,7 @@ func unreadFlags(mode string, set map[string]string) error {
 		return fmt.Errorf("-serve %s is the listen address of -mode serve; "+
 			"a one-shot run prints its totals and exits", v)
 	}
-	if g := given(set, "queue-depth", "concurrency", "tenant-quota", "pool-slots", "trace-capacity", "flight-entries"); g != "" {
+	if g := given(set, "queue-depth", "concurrency", "tenant-quota", "pool-slots", "trace-capacity", "flight-entries", "retain-jobs"); g != "" {
 		return fmt.Errorf("%s: tunes the region service of -mode serve; -mode %s is a one-shot run", g, mode)
 	}
 	if _, ok := set["irfile"]; ok {
@@ -145,7 +146,7 @@ func given(set map[string]string, names ...string) string {
 // the submit/poll API and the introspection endpoints share one listener,
 // and SIGINT/SIGTERM triggers a graceful drain before exit.
 func runService(addr string, workers, queueDepth, concurrency, tenantQuota,
-	poolSlots, traceCap, flightCap int, misspec float64, seed uint64) error {
+	poolSlots, traceCap, flightCap, retainJobs int, misspec float64, seed uint64) error {
 	if addr == "" {
 		addr = ":6060"
 	}
@@ -160,6 +161,7 @@ func runService(addr string, workers, queueDepth, concurrency, tenantQuota,
 		Metrics:        reg,
 		TraceCapacity:  traceCap,
 		FlightEntries:  flightCap,
+		RetainJobs:     retainJobs,
 		MisspecRate:    misspec,
 		Seed:           seed,
 	})

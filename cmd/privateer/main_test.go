@@ -80,8 +80,8 @@ func TestServeWithoutModeServeRejected(t *testing.T) {
 		{[]string{"-mode", "seq", "-pool-slots", "3", "-args", "5"}, []string{"-pool-slots 3", "-mode serve", "-mode seq"}},
 		{[]string{"-queue-depth", "8"}, []string{"-queue-depth 8", "-mode privateer"}},
 		{[]string{"-mode", "doall", "-concurrency", "2"}, []string{"-concurrency 2", "-mode doall"}},
-		{[]string{"-tenant-quota", "1", "-trace-capacity", "64", "-flight-entries", "4"},
-			[]string{"-tenant-quota 1", "-trace-capacity 64", "-flight-entries 4", "-mode serve"}},
+		{[]string{"-tenant-quota", "1", "-trace-capacity", "64", "-flight-entries", "4", "-retain-jobs", "16"},
+			[]string{"-tenant-quota 1", "-trace-capacity 64", "-flight-entries 4", "-retain-jobs 16", "-mode serve"}},
 		{[]string{"-args", "5"}, []string{"-args 5", "-irfile"}},
 		{[]string{"-mode", "seq", "-irfile", "../../internal/ir/testdata/histogram.pir"},
 			[]string{"-prog dijkstra", "-input train", "-irfile"}},

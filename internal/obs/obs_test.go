@@ -53,9 +53,42 @@ func TestCollectorRingWrap(t *testing.T) {
 	if c.Dropped() != 6 {
 		t.Errorf("dropped %d, want 6", c.Dropped())
 	}
-	c.Reset()
+	c.Reset(4)
 	if len(c.Events()) != 0 || c.Total() != 0 || c.Dropped() != 0 {
 		t.Error("reset did not clear the collector")
+	}
+}
+
+// TestCollectorResetRecyclesSmallBuffers: a reset collector starts a new
+// stream that holds only its own events; it records them into the buffer
+// it kept when that buffer has room for at most keep events, and grows a
+// new one after a larger buffer was let go.
+func TestCollectorResetRecyclesSmallBuffers(t *testing.T) {
+	c := NewCollector(256)
+	fill := func(n int, iter int64) {
+		for i := 0; i < n; i++ {
+			c.Emit(Event{Kind: KMisspec, Iter: iter, Cause: "old"})
+		}
+	}
+	fill(20, 1)
+	c.Reset(64)
+	fill(3, 2)
+	evs := c.Events()
+	if len(evs) != 3 || c.Total() != 3 {
+		t.Fatalf("after reset: %d events retained, %d total, want 3 and 3", len(evs), c.Total())
+	}
+	for _, ev := range evs {
+		if ev.Iter != 2 {
+			t.Fatalf("a reset collector returned an event of the stream before it: %+v", ev)
+		}
+	}
+	if testing.AllocsPerRun(10, func() { c.Reset(64); fill(20, 3) }) != 0 {
+		t.Error("a stream no longer than the kept buffer allocated")
+	}
+	fill(80, 4) // grows the buffer past 64 events
+	c.Reset(64)
+	if cap(c.buf) != 0 {
+		t.Errorf("a buffer of %d events survived a reset that keeps 64", cap(c.buf))
 	}
 }
 

@@ -86,10 +86,19 @@ func (c *Collector) Dropped() int64 {
 	return c.total - int64(len(c.buf))
 }
 
-// Reset discards every retained event.
-func (c *Collector) Reset() {
+// Reset discards every retained event and readies the collector for a new
+// stream under the same capacity. The buffer is kept for the next events
+// when it has room for at most keep of them, so a recycled collector
+// records into memory it already has; a larger buffer is let go, so one
+// long stream does not leave every later one holding its memory.
+func (c *Collector) Reset(keep int) {
 	c.mu.Lock()
-	c.buf = c.buf[:0]
+	if cap(c.buf) > keep {
+		c.buf = nil
+	} else {
+		clear(c.buf) // no stale Cause or Site string stays reachable
+		c.buf = c.buf[:0]
+	}
 	c.next = 0
 	c.total = 0
 	c.wrapped = false

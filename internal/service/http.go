@@ -82,17 +82,27 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.View(job))
 }
 
-// handlePoll reports one job: 200 with the snapshot, 404 for an unknown
-// ID, 400 without one.
+// lookupStatus is the status of a failed job or trace lookup: 410 for a
+// job that aged out of retention, 404 otherwise.
+func lookupStatus(err error) int {
+	var gone *GoneError
+	if errors.As(err, &gone) {
+		return http.StatusGone
+	}
+	return http.StatusNotFound
+}
+
+// handlePoll reports one job: 200 with the snapshot, 410 for a job that
+// aged out of retention, 404 for an ID never issued, 400 without one.
 func (s *Service) handlePoll(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
 		writeJSON(w, http.StatusBadRequest, errorReply{"missing id parameter"})
 		return
 	}
-	job, ok := s.Job(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorReply{"no job " + id})
+	job, err := s.Job(id)
+	if err != nil {
+		writeJSON(w, lookupStatus(err), errorReply{err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, s.View(job))
@@ -105,8 +115,9 @@ func (s *Service) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 
 // handleJobTrace serves GET /jobs/{id}/trace: the job's retained event
 // stream as Chrome trace_event JSON (load in chrome://tracing or
-// Perfetto), 404 for an unknown job or one submitted with tracing
-// disabled, 400 for any other /jobs/ path shape.
+// Perfetto), 410 for a job that aged out of retention, 404 for an ID never
+// issued or a job submitted with tracing disabled, 400 for any other
+// /jobs/ path shape.
 func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	parts := strings.Split(strings.Trim(strings.TrimPrefix(r.URL.Path, "/jobs/"), "/"), "/")
 	if len(parts) != 2 || parts[0] == "" || parts[1] != "trace" {
@@ -114,9 +125,9 @@ func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := parts[0]
-	events, ok := s.Trace(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorReply{"no trace for job " + id})
+	events, err := s.Trace(id)
+	if err != nil {
+		writeJSON(w, lookupStatus(err), errorReply{err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

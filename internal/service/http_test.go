@@ -199,9 +199,9 @@ func TestHTTPBackpressure(t *testing.T) {
 // mustJob resolves an ID the HTTP API returned back to the job handle.
 func mustJob(t *testing.T, s *Service, id string) *Job {
 	t.Helper()
-	j, ok := s.Job(id)
-	if !ok {
-		t.Fatalf("job %s not found", id)
+	j, err := s.Job(id)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return j
 }

@@ -82,7 +82,7 @@ func TestRuntimeCountersSumAcrossJobs(t *testing.T) {
 		if st.Invocations == 0 || st.Checkpoints == 0 {
 			t.Fatalf("job %d (%s) recorded no runtime activity: %+v", i, prog, st)
 		}
-		want.Add(st)
+		want.Add(&st)
 		checkpoints += st.Checkpoints
 
 		var sb strings.Builder

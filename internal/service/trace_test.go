@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"maps"
 	"net/http"
@@ -63,9 +64,9 @@ func TestJobTraceEndToEnd(t *testing.T) {
 			t.Errorf("JobView.PhaseNS missing phase %s: %v", ph, v.PhaseNS)
 		}
 	}
-	events, ok := s.Trace(job.ID)
-	if !ok || len(events) == 0 {
-		t.Fatalf("no trace for job %s", job.ID)
+	events, err := s.Trace(job.ID)
+	if err != nil || len(events) == 0 {
+		t.Fatalf("no trace for job %s: %v", job.ID, err)
 	}
 	if v.TraceEvents != int64(len(events)) || v.TraceDropped != 0 {
 		t.Errorf("trace accounting: view says %d events %d dropped, ring holds %d",
@@ -77,8 +78,9 @@ func TestJobTraceEndToEnd(t *testing.T) {
 	}
 	checkPhaseLedger(t, s, job)
 	// An untraced job reports no trace.
-	if _, ok := s.Trace("j999999"); ok {
-		t.Error("unknown job must have no trace")
+	var unknown *UnknownJobError
+	if _, err := s.Trace("j999999"); !errors.As(err, &unknown) {
+		t.Errorf("trace of a never-issued ID: %v, want UnknownJobError", err)
 	}
 }
 
@@ -237,8 +239,8 @@ func TestTracingDisabled(t *testing.T) {
 		}
 	}
 	checkPhaseLedger(t, s, job)
-	if _, ok := s.Trace(job.ID); ok {
-		t.Error("Trace must report false for an untraced job")
+	if _, err := s.Trace(job.ID); !errors.Is(err, ErrUntraced) {
+		t.Errorf("trace of an untraced job: %v, want ErrUntraced", err)
 	}
 }
 

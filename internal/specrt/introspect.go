@@ -129,32 +129,29 @@ func FormatMisspecSites(rows []obs.MisspecAttribution) string {
 		obs.Table([]string{"count", "region", "cause", "object", "site"}, cells)
 }
 
-// statFamilies names the privateer_*_total counter family of each Stats
-// field the region service exports; it folds every finished job in.
-var statFamilies = []struct {
+// statFamily is one privateer_*_total counter family the region service
+// exports, with the value one run's Stats adds to it.
+type statFamily struct {
 	name, help string
-	get        func(*Stats) int64
-}{
-	{"checkpoints_total", "Checkpoint objects constructed.",
-		func(s *Stats) int64 { return s.Checkpoints }},
-	{"misspeculations_total", "Detected misspeculations, including injected.",
-		func(s *Stats) int64 { return s.Misspecs }},
-	{"recoveries_total", "Misspeculated iterations re-run on the master.",
-		func(s *Stats) int64 { return s.Recoveries }},
-	{"sequential_fallbacks_total", "Invocations abandoned to sequential execution.",
-		func(s *Stats) int64 { return s.SequentialFallbacks }},
-	{"sep_audit_violations_total", "Static separation claims contradicted by the SepAudit oracle.",
-		func(s *Stats) int64 { return s.SepAuditViolations }},
-	{"warm_spawns_total", "Worker spawns satisfied from the warmed pool.",
-		func(s *Stats) int64 { return s.WarmSpawns }},
-	{"spawn_ns_total", "Wall-clock worker spawn time.",
-		func(s *Stats) int64 { return s.SpawnNS }},
-	{"join_ns_total", "Master-side validate/install/commit critical path.",
-		func(s *Stats) int64 { return s.JoinNS }},
-	{"checkpoint_ns_total", "Wall-clock worker checkpoint-merge time.",
-		func(s *Stats) int64 { return s.CheckpointNS }},
-	{"worker_busy_ns_total", "Total wall-clock worker execution time.",
-		func(s *Stats) int64 { return s.WorkerBusyNS }},
+	v          int64
+}
+
+// statFamilies lists the exported Stats counter families with st's values.
+// One table names and reads each field, and st is only read, so a caller's
+// Stats stays where it is.
+func statFamilies(st *Stats) [10]statFamily {
+	return [...]statFamily{
+		{"checkpoints_total", "Checkpoint objects constructed.", st.Checkpoints},
+		{"misspeculations_total", "Detected misspeculations, including injected.", st.Misspecs},
+		{"recoveries_total", "Misspeculated iterations re-run on the master.", st.Recoveries},
+		{"sequential_fallbacks_total", "Invocations abandoned to sequential execution.", st.SequentialFallbacks},
+		{"sep_audit_violations_total", "Static separation claims contradicted by the SepAudit oracle.", st.SepAuditViolations},
+		{"warm_spawns_total", "Worker spawns satisfied from the warmed pool.", st.WarmSpawns},
+		{"spawn_ns_total", "Wall-clock worker spawn time.", st.SpawnNS},
+		{"join_ns_total", "Master-side validate/install/commit critical path.", st.JoinNS},
+		{"checkpoint_ns_total", "Wall-clock worker checkpoint-merge time.", st.CheckpointNS},
+		{"worker_busy_ns_total", "Total wall-clock worker execution time.", st.WorkerBusyNS},
+	}
 }
 
 // StatCounters holds one registry's privateer_*_total counter handles,
@@ -163,17 +160,19 @@ type StatCounters []obs.Counter
 
 // NewStatCounters registers the Stats counter families on reg.
 func NewStatCounters(reg *obs.Registry) StatCounters {
-	cs := make(StatCounters, len(statFamilies))
-	for i, f := range statFamilies {
+	fams := statFamilies(&Stats{})
+	cs := make(StatCounters, len(fams))
+	for i, f := range fams {
 		cs[i] = reg.Counter("privateer_"+f.name, f.help)
 	}
 	return cs
 }
 
 // Add folds one finished runtime's totals into the counters, so the
-// families sum over every runtime the registry's owner ran.
-func (cs StatCounters) Add(st Stats) {
-	for i, f := range statFamilies {
-		cs[i].Add(f.get(&st))
+// families sum over every runtime the registry's owner ran. It reads st in
+// place and allocates nothing.
+func (cs StatCounters) Add(st *Stats) {
+	for i, f := range statFamilies(st) {
+		cs[i].Add(f.v)
 	}
 }

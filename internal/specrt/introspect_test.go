@@ -10,6 +10,7 @@ import (
 	"privateer/internal/ir"
 	"privateer/internal/obs"
 	"privateer/internal/profiling"
+	"privateer/internal/transform"
 )
 
 // notSum names the int64 fields of got, a struct of counters, that are not
@@ -300,5 +301,77 @@ func TestSeparationMisspecSite(t *testing.T) {
 	if rt.Stats.SeparationChecks == 0 || rt.Stats.Recoveries != 3 {
 		t.Errorf("separation checks %d, recoveries %d; want > 0 and 3",
 			rt.Stats.SeparationChecks, rt.Stats.Recoveries)
+	}
+}
+
+// buildChurnModule allocates n 32-byte objects in order, frees every other
+// one as the next is made, and prints a running sum of what it stored: an
+// in-order program whose live objects a registry would track one by one.
+// Its function idle is never called.
+func buildChurnModule(n int64) *ir.Module {
+	m := ir.NewModule("churn")
+	sum := m.NewGlobal("sum", 8)
+	slot := m.NewGlobal("slot", 8)
+	idle := m.NewFunc("idle", ir.I64)
+	bi := ir.NewBuilder(idle)
+	bi.Ret(bi.I(0))
+	f := m.NewFunc("main", ir.I64)
+	b := ir.NewBuilder(f)
+	b.For("i", b.I(0), b.I(n), func(iv *ir.Instr) {
+		i := b.Ld(iv)
+		p := b.Malloc("obj", b.I(32))
+		b.Store(b.Mul(i, b.I(3)), p, 8)
+		b.Store(b.Add(b.Ld(b.Global(sum)), b.Load(p, 8)), b.Global(sum), 8)
+		then, els, join := b.NewBlock("free"), b.NewBlock("keep"), b.NewBlock("next")
+		b.CondBr(b.URem(i, b.I(2)), then, els)
+		b.SetBlock(then)
+		b.Free(b.LdP(b.Global(slot)))
+		b.Br(join)
+		b.SetBlock(els)
+		b.Br(join)
+		b.SetBlock(join)
+		b.St(p, b.Global(slot))
+		b.Print("%d\n", b.Ld(b.Global(sum)))
+	})
+	b.Ret(b.Ld(b.Global(sum)))
+	for _, fn := range m.SortedFuncs() {
+		ir.PromoteAllocas(fn)
+	}
+	return m
+}
+
+// TestRegionlessRunRegistersNothing: a module without regions, which is
+// what the compile leaves when it prices every loop out, runs with no
+// registry hooks. Its output, return value and Record equal those of the
+// same module run beside a region it never calls (which installs them),
+// and after hundreds of allocations and frees its registry is empty.
+func TestRegionlessRunRegistersNothing(t *testing.T) {
+	run := func(withRegion bool) (*RT, uint64) {
+		mod := buildChurnModule(400)
+		var regions []*RegionInfo
+		if withRegion {
+			regions = append(regions, &RegionInfo{Outline: &transform.Region{RegionFn: mod.Funcs["idle"]}})
+		}
+		rt := New(mod, Config{Workers: 2}, regions...)
+		ret, err := rt.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt, ret
+	}
+	plain, ret := run(false)
+	hooked, hookedRet := run(true)
+	if ret != hookedRet || plain.Output() != hooked.Output() {
+		t.Errorf("return %d and %d bytes of output without a region, %d and %d bytes beside one",
+			ret, len(plain.Output()), hookedRet, len(hooked.Output()))
+	}
+	if !reflect.DeepEqual(plain.Record, hooked.Record) {
+		t.Errorf("Record without a region:\n%+v\nbeside an uncalled one:\n%+v", plain.Record, hooked.Record)
+	}
+	if n := plain.live.Len(); n != 0 {
+		t.Errorf("a run without regions registered %d live objects, want none", n)
+	}
+	if hooked.live.Len() < 100 {
+		t.Errorf("the hooked run registered %d live objects: the module no longer churns enough to tell", hooked.live.Len())
 	}
 }

@@ -3,10 +3,12 @@ package specrt_test
 import (
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"privateer/internal/core"
 	"privateer/internal/interp"
+	"privateer/internal/obs"
 	"privateer/internal/progs"
 	"privateer/internal/specrt"
 )
@@ -145,5 +147,28 @@ func TestCleanWarmRunAtRefAllocatesOnlyOutput(t *testing.T) {
 	if passes[2] > cleanRefAllocBudget {
 		t.Errorf("a clean warm pass over the five programs at ref allocates %d B at the median, over the %d B budget",
 			passes[2], cleanRefAllocBudget)
+	}
+}
+
+// TestStatCountersAddAllocatesNothing: folding a finished run's Stats into
+// the exported counters reads the caller's Stats in place. Add once took
+// Stats by value and handed its address to per-family getters, so every
+// finished service job copied its Stats to the heap.
+func TestStatCountersAddAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations swamp the count")
+	}
+	reg := obs.NewRegistry()
+	cs := specrt.NewStatCounters(reg)
+	st := specrt.Stats{Checkpoints: 3, Misspecs: 1, WarmSpawns: 4, WorkerBusyNS: 1000}
+	if n := testing.AllocsPerRun(100, func() { cs.Add(&st) }); n != 0 {
+		t.Errorf("StatCounters.Add allocates %v times per call, want 0", n)
+	}
+	var sb strings.Builder
+	reg.WriteProm(&sb)
+	for _, want := range []string{"privateer_checkpoints_total 303", "privateer_warm_spawns_total 404"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("after 101 adds the exposition lacks %q:\n%s", want, sb.String())
+		}
 	}
 }

@@ -84,6 +84,9 @@ type level struct {
 	// (a tombstoned address can be handed out again by a later Alloc).
 	objects map[uint64]uint64
 	dead    map[uint64]bool
+	// churned records that objects lost an entry since its last clear, so
+	// its table may hold tombstones (see clear).
+	churned bool
 }
 
 // empty reports whether the level records nothing: no free entry,
@@ -102,12 +105,21 @@ func (l *level) empty() bool {
 
 // clear empties the level in place: free lists are cut to length zero, so
 // their arrays serve the next frees, and the maps keep their capacity.
+// Go 1.24's clear returns at once on a map with no live entry, keeping the
+// tombstones its deletes left in full groups, and a table whose free slots
+// tombstones have used up doubles on its next insert. So an objects map
+// that churned is cleared with one entry in it, which empties its table
+// for real: alloc/free churn would otherwise grow it run after run.
 func (l *level) clear() {
 	for r, lst := range l.free {
 		l.free[r] = lst[:0]
 	}
 	clear(l.used)
+	if l.churned && len(l.objects) == 0 {
+		l.objects[0] = 0
+	}
 	clear(l.objects)
+	l.churned = false
 	clear(l.dead)
 }
 
@@ -130,6 +142,7 @@ func (l *level) fold(n *level) {
 	}
 	for a := range n.dead {
 		delete(l.objects, a)
+		l.churned = true
 	}
 	for a, sz := range n.objects {
 		l.objects[a] = sz
@@ -891,6 +904,7 @@ func (as *AddressSpace) Free(addr uint64) error {
 	}
 	if _, own := hs.objects[addr]; own {
 		delete(hs.objects, addr)
+		hs.churned = true
 	} else {
 		if hs.dead == nil {
 			hs.dead = map[uint64]bool{}
