@@ -10,7 +10,10 @@
 // fixed set of runner goroutines, each executing one invocation at a time
 // through core.Run. Drain performs a graceful shutdown: new submissions
 // are refused, jobs still queued fail with ErrDraining, and in-flight
-// invocations run to completion.
+// invocations run to completion. The service keeps the last
+// Config.RetainJobs finished jobs: an older job's ID answers GoneError
+// (HTTP 410), and its trace ring is reset and recycled into the next job
+// of its program and input.
 //
 // The HTTP surface (Mount) exposes the service through the obs.Server's
 // listener as a submit/poll JSON API — POST /submit, GET /poll?id=...,
